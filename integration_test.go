@@ -101,7 +101,7 @@ func TestRevocationPropagatesEndToEnd(t *testing.T) {
 		"pub/a": {Data: []byte("x")},
 	})
 	store := cert.NewRevocationStore()
-	srv.Protected().Revoked = store.Checker(core.NewVerifyContext())
+	srv.Protected().Revocations = store
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -264,10 +264,10 @@ func ParseProof(b []byte) (Proof, error) {
 // intermediate expression tree is scratch: the typed decoders deep-
 // copy everything they keep and SetWire receives a freshly encoded
 // canonical form, so nothing of the arena (or of b) escapes into the
-// returned proof and the arena goes back to the pool on return.
-// Proof-submission hot paths (the gateway's Authorization header, the
-// RMI accept path) use this to stop paying a full expression tree's
-// allocations per request.
+// returned proof and the arena goes back to the pool on return. The
+// admission pipeline (package admit) parses every presented or
+// submitted proof through it, so no adapter pays a full expression
+// tree's allocations per request.
 func ParseProofPooled(b []byte) (Proof, error) {
 	a := sexp.GetArena()
 	defer sexp.PutArena(a)

@@ -92,9 +92,10 @@ func (c *ProofCache) now() time.Time {
 
 var sharedProofCache = NewProofCache(0)
 
-// SharedProofCache returns the process-wide verified-proof cache that
-// the gateway, HTTP, RMI, prover, and certificate-directory layers
-// share by default. Revocation stores bump its epoch automatically.
+// SharedProofCache returns the process-wide verified-proof cache: the
+// default for an admission pipeline, prover, or certificate directory
+// that is given no cache of its own. Revocation stores bump its epoch
+// automatically.
 func SharedProofCache() *ProofCache { return sharedProofCache }
 
 // Lookup reports whether the proof with the given hash has a cached

@@ -13,10 +13,11 @@
 //
 // Because proofs are self-describing and independently verifiable,
 // their verdicts can be memoized: ProofCache maps a proof's canonical
-// hash to a positive verdict, and every verifying layer (gateway,
-// HTTP, RMI, directory publish) shares one process-wide instance
-// (SharedProofCache). Soundness rests on four invariants, documented
-// in detail on ProofCache and enforced by Lookup/Store:
+// hash to a positive verdict. A verifier names its cache explicitly
+// (admit.Pipeline.Cache, VerifyContext.Cache); those that name none
+// fall back to one process-wide instance (SharedProofCache).
+// Soundness rests on four invariants, documented in detail on
+// ProofCache and enforced by Lookup/Store:
 //
 //   - only positive verdicts are cached (a failure may be local to
 //     one verifier and must not condemn the proof for others);

@@ -258,26 +258,17 @@ func Register(srv *rmi.Server, svc *Service, issuer principal.Principal) error {
 	return srv.Register(ObjectName, svc, issuer, TagFor)
 }
 
-// RegisterWithRevocation installs the service and wires the server's
-// access checks to a revocation store: submitted proofs are checked
-// against its CRLs, and because the store bumps the shared
+// RegisterWithRevocation installs the service and binds the server's
+// admission pipeline to a revocation store: submitted proofs are
+// checked against its CRLs, and because the store bumps the
 // verified-proof cache's epoch on every CRL it installs, a revocation
 // invalidates previously cached verdicts at the next call — the
 // database keeps making the real access-control decision (section
 // 6.2) while the warm path stays one cache lookup.
 func RegisterWithRevocation(srv *rmi.Server, svc *Service, issuer principal.Principal, rs *cert.RevocationStore) error {
-	if rs != nil {
-		if srv.Cache != nil {
-			rs.AttachCache(srv.Cache)
-		}
-		srv.Revoked = func(h []byte) bool {
-			now := time.Now()
-			if srv.Clock != nil {
-				now = srv.Clock()
-			}
-			return rs.RevokedAt(now)(h)
-		}
-		srv.RevocationView = rs.View()
+	if rs != nil && srv.Cache != nil {
+		rs.AttachCache(srv.Cache)
 	}
-	return srv.Register(ObjectName, svc, issuer, TagFor)
+	srv.Revocations = rs
+	return Register(srv, svc, issuer)
 }

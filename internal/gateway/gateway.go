@@ -24,8 +24,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cert"
-	"repro/internal/core"
+	"repro/internal/admit"
 	"repro/internal/emaildb"
 	"repro/internal/httpauth"
 	"repro/internal/obs"
@@ -36,8 +35,13 @@ import (
 	"repro/internal/tag"
 )
 
-// Gateway bridges HTTP clients to the RMI email database.
+// Gateway bridges HTTP clients to the RMI email database. It is the
+// quoting adapter over the admission pipeline: the embedded Pipeline
+// carries the cache, clock and audit log and verifies the two
+// artifacts a client presents; the gateway extracts them from the
+// Authorization header, digests the delegation, and forwards.
 type Gateway struct {
+	*admit.Pipeline
 	// Key is the gateway's own key (G).
 	Key *sfkey.PrivateKey
 	// DB is the RMI connection to the database server; its prover
@@ -47,22 +51,11 @@ type Gateway struct {
 	DBIssuer principal.Principal
 	// Prover holds the gateway closure and digests client grants.
 	Prover *prover.Prover
-	// Clock for verification; nil means time.Now.
-	Clock func() time.Time
-	// Cache is the verified-proof cache consulted when admitting
-	// clients; nil means the process-wide shared cache, so repeated
-	// presentations of the same signed request chain or delegation
-	// proof cost a lookup instead of signature checks.
-	Cache *core.ProofCache
 
 	// Obs, when set, records one "gateway.admit" span per request —
 	// the root of a cold admit's trace tree, continued across the RMI
 	// hop and the prover's directory lookups via the Sf-Trace header.
 	Obs *obs.Recorder
-	// Audit, when set, receives one Decision per request naming the
-	// client, tag, verdict, and the cert hashes of the artifacts that
-	// justified an admit.
-	Audit *obs.AuditLog
 	// ColdAdmit / WarmAdmit, when set, observe end-to-end admit
 	// seconds: cold when the request carried a delegation proof to
 	// digest or the prover went to a directory mid-request, warm when
@@ -92,7 +85,7 @@ type Stats struct {
 // New wires a gateway around its key and database connection. The
 // supplied prover must hold the gateway key's closure (use NewProver).
 func New(key *sfkey.PrivateKey, db *rmi.Client, dbIssuer principal.Principal, pv *prover.Prover) *Gateway {
-	return &Gateway{Key: key, DB: db, DBIssuer: dbIssuer, Prover: pv}
+	return &Gateway{Pipeline: admit.New("gateway"), Key: key, DB: db, DBIssuer: dbIssuer, Prover: pv}
 }
 
 // NewProver builds the prover a gateway needs: its own key closure.
@@ -107,13 +100,6 @@ func (g *Gateway) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.stats
-}
-
-func (g *Gateway) now() time.Time {
-	if g.Clock != nil {
-		return g.Clock()
-	}
-	return time.Now()
 }
 
 // dbOp describes the database call derived from an HTTP request.
@@ -153,18 +139,17 @@ func parseOp(r *http.Request) (dbOp, error) {
 // ServeHTTP implements the gateway protocol of section 6.3.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	// The revocation epoch this request is decided under is the one in
-	// force when the pipeline STARTS: a CRL landing mid-request must
-	// not retroactively claim the verdict was computed under it (the
-	// churn soak test leans on this attribution to tell an in-flight
-	// race from a genuinely stale admit).
-	epoch := g.proofCache().Epoch()
 	ctx := r.Context()
 	var span *obs.ActiveSpan
 	if g.Obs != nil {
 		ctx, span = g.Obs.StartFromHeader(ctx, r.Header.Get(obs.TraceHeader), "gateway.admit")
 		defer span.End()
 	}
+	// Opened before anything is verified: the audit record carries the
+	// revocation epoch in force now (the churn soak test leans on that
+	// attribution to tell an in-flight race from a genuinely stale
+	// admit).
+	attempt := g.Begin(r.Method+" "+r.URL.Path, span.TraceID())
 	g.mu.Lock()
 	g.stats.Requests++
 	g.mu.Unlock()
@@ -176,7 +161,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	minTag := emaildb.OpTag(op.owner, op.op)
-	opName := r.Method + " " + r.URL.Path
 	span.SetAttr("tag", minTag.String())
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
@@ -191,33 +175,30 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqPrin := httpauth.ServerRequestPrincipal(r, body)
+	attempt.For(reqPrin, minTag)
 	span.SetAttr("principal", reqPrin.String())
 
 	auth := r.Header.Get("Authorization")
 	if auth == "" {
-		g.audit(epoch, obs.Decision{
-			Op: opName, Principal: reqPrin.String(), Tag: minTag.String(),
-			Verdict: obs.VerdictChallenge, Reason: "no authorization header",
-			Duration: time.Since(start).Microseconds(), Trace: span.TraceID(),
-		})
+		attempt.Challenge("no authorization header")
 		g.challenge(w, minTag)
 		return
 	}
 
-	client, hashes, cold, err := g.admit(auth, reqPrin)
-	if err != nil {
+	deny := func(err error) {
 		g.mu.Lock()
 		g.stats.Denied++
 		g.mu.Unlock()
 		span.Fail(err)
-		g.audit(epoch, obs.Decision{
-			Op: opName, Principal: reqPrin.String(), Tag: minTag.String(),
-			Verdict: obs.VerdictDeny, Reason: err.Error(),
-			Duration: time.Since(start).Microseconds(), Trace: span.TraceID(),
-		})
+		attempt.Deny(err)
 		http.Error(w, err.Error(), http.StatusForbidden)
+	}
+	client, cold, err := g.admit(&attempt, auth, reqPrin)
+	if err != nil {
+		deny(err)
 		return
 	}
+	attempt.For(client, minTag)
 	span.SetAttr("client", client.String())
 
 	// Forward over RMI, quoting the client. The database, not the
@@ -227,18 +208,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.stats.Forwarded++
 	g.mu.Unlock()
 	preRemote := g.Prover.Stats().RemoteQueries
-	deny := func(err error) {
-		g.mu.Lock()
-		g.stats.Denied++
-		g.mu.Unlock()
-		span.Fail(err)
-		g.audit(epoch, obs.Decision{
-			Op: opName, Principal: client.String(), Tag: minTag.String(),
-			Verdict: obs.VerdictDeny, Reason: err.Error(), CertHashes: hashes,
-			Duration: time.Since(start).Microseconds(), Trace: span.TraceID(),
-		})
-		http.Error(w, err.Error(), http.StatusForbidden)
-	}
 	switch op.op {
 	case "select":
 		var reply emaildb.SelectReply
@@ -269,24 +238,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	} else {
 		g.WarmAdmit.Since(start)
 	}
-	g.audit(epoch, obs.Decision{
-		Op: opName, Principal: client.String(), Tag: minTag.String(),
-		Verdict: obs.VerdictAdmit, CertHashes: hashes, CacheHit: !cold,
-		Duration: time.Since(start).Microseconds(), Trace: span.TraceID(),
-	})
-}
-
-// audit appends one decision record, stamping the layer and the
-// revocation epoch the verdict was computed under (captured at the
-// start of the request, before any verification ran). Nil Audit
-// drops it.
-func (g *Gateway) audit(epoch uint64, d obs.Decision) {
-	if g.Audit == nil {
-		return
-	}
-	d.Layer = "gateway"
-	d.Epoch = epoch
-	g.Audit.Append(d)
+	attempt.Admit(!cold)
 }
 
 // challenge sends the 401 naming the database issuer S, the minimum
@@ -308,67 +260,45 @@ func (g *Gateway) challenge(w http.ResponseWriter, minTag tag.Tag) {
 // admit checks the two artifacts the client supplies (section 6.3):
 // the signed request showing R => C, and the delegation proof showing
 // (G quoting C) speaks for the database, which the gateway digests
-// into its prover for the RMI invoker to use. It also returns the
-// cert hashes of every leaf lemma presented (for the audit record)
-// and whether the request did cold work (a delegation was digested).
-func (g *Gateway) admit(auth string, reqPrin principal.Hash) (client principal.Principal, hashes []string, cold bool, err error) {
+// into its prover for the RMI invoker to use. Both are cited in the
+// attempt's audit record; cold reports that a delegation was digested.
+func (g *Gateway) admit(attempt *admit.Attempt, auth string, reqPrin principal.Hash) (client principal.Principal, cold bool, err error) {
 	scheme, params := httpauth.ParseAuthHeader(auth)
 	if scheme != httpauth.SchemeProof {
-		return nil, nil, false, fmt.Errorf("gateway: unsupported scheme %q", scheme)
+		return nil, false, fmt.Errorf("gateway: unsupported scheme %q", scheme)
 	}
 	rpRaw, ok := params["request-proof"]
 	if !ok {
-		return nil, nil, false, fmt.Errorf("gateway: missing signed request")
+		return nil, false, fmt.Errorf("gateway: missing signed request")
 	}
-	rp, err := core.ParseProof([]byte(rpRaw))
+	rp, err := g.Verify([]byte(rpRaw))
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("gateway: bad request proof: %w", err)
-	}
-	ctx := core.NewVerifyContext()
-	ctx.Now = g.now()
-	ctx.Cache = g.proofCache()
-	if err := rp.Verify(ctx); err != nil {
-		return nil, nil, false, fmt.Errorf("gateway: request proof: %w", err)
+		return nil, false, fmt.Errorf("gateway: request proof: %w", err)
 	}
 	concl := rp.Conclusion()
 	if !principal.Equal(concl.Subject, reqPrin) {
-		return nil, nil, false, fmt.Errorf("gateway: signed request does not match this request")
+		return nil, false, fmt.Errorf("gateway: signed request does not match this request")
 	}
-	if !concl.Validity.Contains(g.now()) {
-		return nil, nil, false, fmt.Errorf("gateway: signed request expired")
+	if !concl.Validity.Contains(g.Now()) {
+		return nil, false, fmt.Errorf("gateway: signed request expired")
 	}
-	client = concl.Issuer
-	hashes = core.LeafHashes(rp)
+	attempt.Cite(rp)
 
 	if pRaw, ok := params["proof"]; ok {
-		p, err := core.ParseProof([]byte(pRaw))
+		p, err := g.Verify([]byte(pRaw))
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("gateway: bad delegation proof: %w", err)
+			return nil, false, fmt.Errorf("gateway: delegation proof: %w", err)
 		}
-		if err := cert.VerifyChain(ctx, p); err != nil {
-			return nil, nil, false, fmt.Errorf("gateway: delegation proof: %w", err)
-		}
+		// Graph hygiene is the daemon's job: cmd/sf-gateway sweeps the
+		// prover on a timer through the shared runtime.
 		g.Prover.AddProof(p)
 		cold = true
-		hashes = append(hashes, core.LeafHashes(p)...)
+		attempt.Cite(p)
 		g.mu.Lock()
 		g.stats.Digested++
 		g.mu.Unlock()
-		// Graph hygiene is the daemon's job now: cmd/sf-gateway sweeps
-		// the prover on a timer through the shared runtime, so eviction
-		// keeps pace with the clock instead of the request rate (the old
-		// every-256-digests heuristic idled exactly when traffic stopped
-		// and expired edges lingered).
 	}
-	return client, hashes, cold, nil
-}
-
-// proofCache returns the verified-proof cache the gateway uses.
-func (g *Gateway) proofCache() *core.ProofCache {
-	if g.Cache != nil {
-		return g.Cache
-	}
-	return core.SharedProofCache()
+	return concl.Issuer, cold, nil
 }
 
 var mailboxTmpl = template.Must(template.New("mailbox").Parse(`<!DOCTYPE html>

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/cert"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -32,30 +33,18 @@ import (
 )
 
 // CtlGuard authorizes mutating control-plane requests against an
-// operator principal. The zero value with only Operator set is
-// usable; nil-able fields fall back to the process-wide defaults.
+// operator principal. It is the control-plane adapter over the
+// admission pipeline: the embedded Pipeline carries the cache, clock,
+// revocation store and audit log, so installing a CRL that names an
+// operator credential locks its holder out on the very next request.
 // Safe for concurrent use.
 type CtlGuard struct {
+	*admit.Pipeline
 	// Operator is the principal the caller must prove its request
 	// speaks for.
 	Operator principal.Principal
-	// Revocations, when set, binds verification to this revocation
-	// store (Revoked hook + view), so installing a CRL that names an
-	// operator credential locks its holder out on the very next
-	// request — the epoch bump kills the cached verdict, re-
-	// verification hits the Revoked check.
-	Revocations *cert.RevocationStore
-	// Cache is the verified-proof cache; nil means the shared one.
-	Cache *core.ProofCache
-	// Clock supplies verification time; nil means time.Now.
-	Clock func() time.Time
-	// Audit, when set, receives one Decision per Authorize call naming
-	// the request principal, control tag, verdict, and — on admit —
-	// the cert hashes of the operator credential chain.
-	Audit *obs.AuditLog
 
 	mu    sync.Mutex
-	vctx  core.EpochContext
 	stats CtlStats
 }
 
@@ -69,21 +58,9 @@ type CtlStats struct {
 // be nil for a guard that enforces no revocation state — not
 // recommended outside tests).
 func NewCtlGuard(operator principal.Principal, rs *cert.RevocationStore) *CtlGuard {
-	return &CtlGuard{Operator: operator, Revocations: rs}
-}
-
-func (g *CtlGuard) now() time.Time {
-	if g.Clock != nil {
-		return g.Clock()
-	}
-	return time.Now()
-}
-
-func (g *CtlGuard) cache() *core.ProofCache {
-	if g.Cache != nil {
-		return g.Cache
-	}
-	return core.SharedProofCache()
+	g := &CtlGuard{Pipeline: admit.New("ctlguard"), Operator: operator}
+	g.Revocations = rs
+	return g
 }
 
 // Stats returns a copy of the counters.
@@ -100,85 +77,47 @@ func (g *CtlGuard) Stats() CtlStats {
 // ErrCtlNoProof so servers can answer 401-with-challenge rather than
 // 403.
 func (g *CtlGuard) Authorize(r *http.Request, body []byte, ctl tag.Tag) error {
-	start := time.Now()
 	trace, _, _ := obs.ParseHeader(r.Header.Get(obs.TraceHeader))
-	auth := r.Header.Get("Authorization")
-	if auth == "" {
-		g.deny()
-		g.audit(obs.Decision{
-			Op: r.URL.Path, Tag: ctl.String(), Verdict: obs.VerdictChallenge,
-			Reason:   "no authorization header",
-			Duration: time.Since(start).Microseconds(), Trace: trace,
-		})
-		return ErrCtlNoProof
+	attempt := g.Begin(r.URL.Path, trace)
+	reqPrin := ServerRequestPrincipal(r, body)
+	attempt.For(reqPrin, ctl)
+
+	proof, err := g.decide(r.Header.Get("Authorization"), reqPrin, ctl)
+	g.mu.Lock()
+	if err != nil {
+		g.stats.Denied++
+	} else {
+		g.stats.Authorized++
 	}
-	fail := func(err error) error {
-		g.deny()
-		g.audit(obs.Decision{
-			Op: r.URL.Path, Tag: ctl.String(), Verdict: obs.VerdictDeny,
-			Reason:   err.Error(),
-			Duration: time.Since(start).Microseconds(), Trace: trace,
-		})
-		return err
+	g.mu.Unlock()
+	switch {
+	case err == ErrCtlNoProof:
+		attempt.Challenge("no authorization header")
+	case err != nil:
+		attempt.Deny(err)
+	default:
+		attempt.Cite(proof)
+		attempt.Admit(false)
+	}
+	return err
+}
+
+// decide extracts the proof from the Authorization header and asks the
+// pipeline whether it shows the request speaks for the operator.
+func (g *CtlGuard) decide(auth string, reqPrin principal.Hash, ctl tag.Tag) (core.Proof, error) {
+	if auth == "" {
+		return nil, ErrCtlNoProof
 	}
 	scheme, params := parseAuthHeader(auth)
 	if scheme != SchemeProof {
-		return fail(fmt.Errorf("httpauth: control plane wants scheme %s, got %q", SchemeProof, scheme))
+		return nil, fmt.Errorf("httpauth: control plane wants scheme %s, got %q", SchemeProof, scheme)
 	}
 	raw, ok := params["proof"]
 	if !ok {
-		return fail(fmt.Errorf("httpauth: control-plane authorization missing proof parameter"))
+		return nil, fmt.Errorf("httpauth: control-plane authorization missing proof parameter")
 	}
-	proof, err := core.ParseProofPooled([]byte(raw))
-	if err != nil {
-		return fail(fmt.Errorf("httpauth: bad control-plane proof: %w", err))
-	}
-	reqPrin := ServerRequestPrincipal(r, body)
-
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	// The persistent context's memo is the warm path across requests;
-	// it is rebuilt whenever the proof-cache epoch advances (a CRL
-	// landed), so no verdict survives a revocation.
-	ctx := g.vctx.Refresh(g.cache())
-	ctx.Now = g.now()
-	if g.Revocations != nil {
-		g.Revocations.Bind(ctx)
-	} else {
-		ctx.Revoked = nil
-		ctx.RevocationView = 0
-	}
-	err = core.Authorize(ctx, proof, reqPrin, g.Operator, ctl)
-	// Every request memoizes its unique request-hash leaf in the
-	// context, so between CRLs (epoch bumps) the memo only grows;
-	// reset it once it is clearly past the credential-chain working
-	// set. The chain verdicts live on in the shared cache, so a reset
-	// costs a lookup, not a re-verification.
-	if ctx.CacheSize() > ctlMemoMax {
-		g.vctx.Reset()
-	}
-	if err != nil {
-		g.stats.Denied++
-		g.audit(obs.Decision{
-			Op: r.URL.Path, Principal: reqPrin.String(), Tag: ctl.String(),
-			Verdict: obs.VerdictDeny, Reason: err.Error(),
-			Duration: time.Since(start).Microseconds(), Trace: trace,
-		})
-		return err
-	}
-	g.stats.Authorized++
-	g.audit(obs.Decision{
-		Op: r.URL.Path, Principal: reqPrin.String(), Tag: ctl.String(),
-		Verdict: obs.VerdictAdmit, CertHashes: core.LeafHashes(proof),
-		Duration: time.Since(start).Microseconds(), Trace: trace,
-	})
-	return nil
+	return g.Pipeline.Authorize([]byte(raw), reqPrin, g.Operator, ctl)
 }
-
-// ctlMemoMax bounds the guard's per-context memo; credential chains
-// are a handful of nodes, so thousands of entries are request-leaf
-// residue, not working set.
-const ctlMemoMax = 4096
 
 // ErrCtlNoProof reports a request that carried no Authorization
 // header at all; servers answer it with a 401 challenge naming the
@@ -229,26 +168,6 @@ func (g *CtlGuard) Middleware(ctl tag.Tag, maxBody int64, h http.Handler) http.H
 		}
 		h.ServeHTTP(w, r)
 	})
-}
-
-func (g *CtlGuard) deny() {
-	g.mu.Lock()
-	g.stats.Denied++
-	g.mu.Unlock()
-}
-
-// audit appends one decision record, stamping the layer and the
-// revocation state the verdict was computed under. Nil Audit drops it.
-func (g *CtlGuard) audit(d obs.Decision) {
-	if g.Audit == nil {
-		return
-	}
-	d.Layer = "ctlguard"
-	d.Epoch = g.cache().Epoch()
-	if g.Revocations != nil {
-		d.View = g.Revocations.View()
-	}
-	g.Audit.Append(d)
 }
 
 // CtlSigner signs outgoing control-plane requests: it proves the

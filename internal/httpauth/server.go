@@ -10,9 +10,8 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
-	"repro/internal/cert"
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/principal"
@@ -27,8 +26,13 @@ import (
 type Mapper func(r *http.Request) (issuer principal.Principal, minTag tag.Tag, err error)
 
 // Protected wraps an http.Handler with Snowflake authorization: the
-// Go analog of ProtectedServlet (section 5.3.4).
+// Go analog of ProtectedServlet (section 5.3.4). It is the HTTP
+// transport adapter over the admission pipeline: the embedded Pipeline
+// carries the cache, clock, revocation store and audit log and makes
+// every decision; Protected reads the request, the Authorization
+// header and the MAC table, and writes the 401 or 403.
 type Protected struct {
+	*admit.Pipeline
 	// Service names this service in request tags.
 	Service string
 	// Map supplies issuer and minimum restriction per request.
@@ -43,33 +47,13 @@ type Protected struct {
 	// (quoting gateways).
 	SubjectTemplate principal.Principal
 
-	// Clock for verification time; nil means time.Now.
-	Clock func() time.Time
-	// Revoked / Revalidate hook revocation state into verification.
-	Revoked    func([]byte) bool
-	Revalidate func([]byte, string) error
-	// RevocationView identifies the revocation state behind Revoked
-	// (cert.RevocationStore.View). With Revoked set but no view, the
-	// shared proof cache is bypassed — safe but slow.
-	RevocationView uint64
-	// Cache is the verified-proof cache; nil means the process-wide
-	// shared cache. Its revocation epoch must be bumped by whatever
-	// store backs Revoked (cert.RevocationStore does this).
-	Cache *core.ProofCache
-
 	// Obs, when set, records one "httpauth.check" span per request,
 	// continuing the trace named by the Sf-Trace request header.
 	Obs *obs.Recorder
-	// Audit, when set, receives one Decision per request naming the
-	// principal, tag, verdict, and the cert hashes of the proof chain
-	// that justified an admit.
-	Audit *obs.AuditLog
 
-	mu     sync.Mutex
-	vctx   core.EpochContext       // persistent memo, flushed on epoch bumps
-	proofs map[string][]core.Proof // verified proofs by subject key
-	macs   map[string]*macSecret   // MAC key id -> state
-	stats  ServerStats
+	mu    sync.Mutex
+	macs  map[string]*macSecret // MAC key id -> state
+	stats ServerStats
 }
 
 // ServerStats counts server-side protocol work.
@@ -91,11 +75,11 @@ type macSecret struct {
 // NewProtected builds a protected handler.
 func NewProtected(service string, m Mapper, h http.Handler) *Protected {
 	return &Protected{
-		Service: service,
-		Map:     m,
-		Handler: h,
-		proofs:  make(map[string][]core.Proof),
-		macs:    make(map[string]*macSecret),
+		Pipeline: admit.New("httpauth"),
+		Service:  service,
+		Map:      m,
+		Handler:  h,
+		macs:     make(map[string]*macSecret),
 	}
 }
 
@@ -106,24 +90,15 @@ func (p *Protected) Stats() ServerStats {
 	return p.stats
 }
 
-// ForgetProofs drops cached proofs (measurement harness).
-func (p *Protected) ForgetProofs() {
+// count applies one counter update under the stats lock.
+func (p *Protected) count(f func(*ServerStats)) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.proofs = make(map[string][]core.Proof)
-	p.vctx.Reset()
-}
-
-func (p *Protected) now() time.Time {
-	if p.Clock != nil {
-		return p.Clock()
-	}
-	return time.Now()
+	f(&p.stats)
+	p.mu.Unlock()
 }
 
 // ServeHTTP implements the protocol: authorize or challenge.
 func (p *Protected) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	var span *obs.ActiveSpan
 	if p.Obs != nil {
 		var ctx context.Context
@@ -131,9 +106,8 @@ func (p *Protected) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer span.End()
 		r = r.WithContext(ctx)
 	}
-	p.mu.Lock()
-	p.stats.Requests++
-	p.mu.Unlock()
+	attempt := p.Begin(r.Method+" "+r.URL.Path, span.TraceID())
+	p.count(func(s *ServerStats) { s.Requests++ })
 
 	issuer, minTag, err := p.Map(r)
 	if err != nil {
@@ -151,17 +125,13 @@ func (p *Protected) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r.Body = io.NopCloser(newByteReader(body))
 	reqPrin := ServerRequestPrincipal(r, body)
 	reqTag := RequestTag(r.Method, p.Service, r.URL.Path)
-	op := r.Method + " " + r.URL.Path
+	attempt.For(reqPrin, reqTag)
 	span.SetAttr("principal", reqPrin.String())
 	span.SetAttr("tag", reqTag.String())
 
 	auth := r.Header.Get("Authorization")
 	if auth == "" {
-		p.audit(obs.Decision{
-			Op: op, Principal: reqPrin.String(), Tag: reqTag.String(),
-			Verdict: obs.VerdictChallenge, Reason: "no authorization header",
-			Duration: time.Since(start).Microseconds(), Trace: span.TraceID(),
-		})
+		attempt.Challenge("no authorization header")
 		p.challenge(w, issuer, minTag)
 		return
 	}
@@ -170,7 +140,7 @@ func (p *Protected) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	scheme, params := parseAuthHeader(auth)
 	switch scheme {
 	case SchemeProof:
-		proof, err = p.authorizeProof(r, params, reqPrin, issuer, reqTag)
+		proof, err = p.authorizeProof(params, reqPrin, issuer, reqTag)
 	case SchemeMAC:
 		proof, err = p.authorizeMAC(r, params, reqPrin, issuer, reqTag)
 		reused = err == nil // admit chained through a proof on file
@@ -178,25 +148,16 @@ func (p *Protected) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		err = fmt.Errorf("httpauth: unsupported scheme %q", scheme)
 	}
 	if err != nil {
-		p.mu.Lock()
-		p.stats.Denied++
-		p.mu.Unlock()
+		p.count(func(s *ServerStats) { s.Denied++ })
 		span.Fail(err)
-		p.audit(obs.Decision{
-			Op: op, Principal: reqPrin.String(), Tag: reqTag.String(),
-			Verdict: obs.VerdictDeny, Reason: err.Error(),
-			Duration: time.Since(start).Microseconds(), Trace: span.TraceID(),
-		})
+		attempt.Deny(err)
 		// "403 Forbidden" indicates authorization failure after a
 		// challenge was answered (section 5.3).
 		http.Error(w, err.Error(), http.StatusForbidden)
 		return
 	}
-	p.audit(obs.Decision{
-		Op: op, Principal: reqPrin.String(), Tag: reqTag.String(),
-		Verdict: obs.VerdictAdmit, CertHashes: core.LeafHashes(proof), CacheHit: reused,
-		Duration: time.Since(start).Microseconds(), Trace: span.TraceID(),
-	})
+	attempt.Cite(proof)
+	attempt.Admit(reused)
 
 	// MAC establishment rides on any authorized request.
 	if eph := r.Header.Get(HdrMACEstablish); eph != "" {
@@ -227,30 +188,13 @@ func (p *Protected) challenge(w http.ResponseWriter, issuer principal.Principal,
 // The proof's subject must be the hash of this very request (or, for
 // gateways, the compound principal that signed request hash chains
 // to).
-func (p *Protected) authorizeProof(r *http.Request, params map[string]string, reqPrin principal.Hash, issuer principal.Principal, reqTag tag.Tag) (core.Proof, error) {
+func (p *Protected) authorizeProof(params map[string]string, reqPrin principal.Hash, issuer principal.Principal, reqTag tag.Tag) (core.Proof, error) {
 	raw, ok := params["proof"]
 	if !ok {
 		return nil, fmt.Errorf("httpauth: missing proof parameter")
 	}
-	proof, err := core.ParseProofPooled([]byte(raw))
-	if err != nil {
-		return nil, fmt.Errorf("httpauth: bad proof: %w", err)
-	}
-	// Batch the chain's certificate signature checks before taking
-	// p.mu (lockscope): portable verdicts land in the shared proof
-	// cache, so the verification walk inside Authorize finds them
-	// instead of checking signatures one by one under the lock.
-	// Authorize still owns the verdict (subject match, tag coverage).
-	_ = cert.VerifyChain(p.scratchCtx(), proof)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ctx := p.lockedCtx()
-	p.stats.ProofVerifies++
-	if err := core.Authorize(ctx, proof, reqPrin, issuer, reqTag); err != nil {
-		return nil, err
-	}
-	p.proofs[reqPrin.Key()] = append(p.proofs[reqPrin.Key()], proof)
-	return proof, nil
+	p.count(func(s *ServerStats) { s.ProofVerifies++ })
+	return p.Authorize([]byte(raw), reqPrin, issuer, reqTag)
 }
 
 // authorizeMAC handles Authorization: SnowflakeMAC keyid=..., mac=...:
@@ -262,107 +206,39 @@ func (p *Protected) authorizeMAC(r *http.Request, params map[string]string, reqP
 	if keyID == "" || mac == "" {
 		return nil, fmt.Errorf("httpauth: missing keyid or mac")
 	}
-	// A proof for the MAC principal may ride along on this request.
-	// Parse and chain-verify it before taking p.mu (lockscope): the
-	// signature work needs nothing from the MAC table, and verifying
-	// with a scratch context (no request-local assumptions) means only
-	// proofs that stand on their own are filed for reuse.
-	var rideAlong core.Proof
-	rideAlongTried := false
-	if raw := r.Header.Get(HdrProof); raw != "" {
-		if proof, err := core.ParseProofPooled([]byte(raw)); err == nil {
-			rideAlongTried = true
-			if err := cert.VerifyChain(p.scratchCtx(), proof); err == nil {
-				rideAlong = proof
-			}
-		}
-	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	ms, ok := p.macs[keyID]
+	if ok {
+		p.stats.MACVerifies++
+	}
+	p.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("httpauth: unknown MAC key")
 	}
-	p.stats.MACVerifies++
 	if !verifyMAC(ms.secret, reqPrin.Digest, mac) {
 		return nil, fmt.Errorf("httpauth: MAC verification failed")
 	}
-	ctx := p.lockedCtx()
+	// A proof for the MAC principal may ride along on this request; it
+	// is filed only if it verifies on its own, with no request-local
+	// assumptions.
+	if raw := r.Header.Get(HdrProof); raw != "" {
+		p.count(func(s *ServerStats) { s.ProofVerifies++ })
+		_ = p.Submit([]byte(raw))
+	}
 	// Local assumption witnessed by the HMAC check: this request
 	// speaks for the MAC principal.
 	link := core.SpeaksFor{Subject: reqPrin, Issuer: ms.prin, Tag: tag.All()}
-	ctx.Assume(link)
-
-	if rideAlongTried {
-		p.stats.ProofVerifies++
-	}
-	if rideAlong != nil {
-		k := rideAlong.Conclusion().Subject.Key()
-		p.proofs[k] = append(p.proofs[k], rideAlong)
-	}
-
-	for _, stored := range p.proofs[ms.prin.Key()] {
+	for _, stored := range p.Filed(ms.prin) {
 		chain, err := core.NewTransitivity(core.Assume(link), stored)
 		if err != nil {
 			continue
 		}
-		if err := core.Authorize(ctx, chain, reqPrin, issuer, reqTag); err == nil {
-			p.stats.CacheHits++
+		if p.AuthorizeProof(chain, reqPrin, issuer, reqTag, link) == nil {
+			p.count(func(s *ServerStats) { s.CacheHits++ })
 			return chain, nil
 		}
 	}
 	return nil, &core.AuthError{Issuer: issuer, MinTag: reqTag, Reason: "no proof on file for MAC principal"}
-}
-
-// audit appends one decision record, stamping the layer and the
-// revocation state the verdict was computed under. Nil Audit drops it.
-func (p *Protected) audit(d obs.Decision) {
-	if p.Audit == nil {
-		return
-	}
-	d.Layer = "httpauth"
-	cache := p.Cache
-	if cache == nil {
-		cache = core.SharedProofCache()
-	}
-	d.Epoch = cache.Epoch()
-	d.View = p.RevocationView
-	p.Audit.Append(d)
-}
-
-// lockedCtx refreshes the persistent verification context. Its local
-// memo is the warm path across requests; a proof-cache epoch bump
-// (CRL installed) discards it so no stale verdict survives.
-// scratchCtx builds a throwaway verification context sharing the
-// resource's clock, revocation hooks, and proof cache. It needs no
-// lock — those fields are set before serving — so signature batching
-// can run outside p.mu; portable verdicts still land in the shared
-// ProofCache where the locked authorization walk finds them.
-func (p *Protected) scratchCtx() *core.VerifyContext {
-	cache := p.Cache
-	if cache == nil {
-		cache = core.SharedProofCache()
-	}
-	ctx := core.NewVerifyContext()
-	ctx.Cache = cache
-	ctx.Now = p.now()
-	ctx.Revoked = p.Revoked
-	ctx.Revalidate = p.Revalidate
-	ctx.RevocationView = p.RevocationView
-	return ctx
-}
-
-func (p *Protected) lockedCtx() *core.VerifyContext {
-	cache := p.Cache
-	if cache == nil {
-		cache = core.SharedProofCache()
-	}
-	ctx := p.vctx.Refresh(cache)
-	ctx.Now = p.now()
-	ctx.Revoked = p.Revoked
-	ctx.Revalidate = p.Revalidate
-	ctx.RevocationView = p.RevocationView
-	return ctx
 }
 
 // establishMAC answers the amortization handshake: generate a secret,

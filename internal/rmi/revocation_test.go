@@ -28,8 +28,7 @@ func TestRevocationInvalidatesCachedAuthorization(t *testing.T) {
 	srv.Cache = core.NewProofCache(64) // private cache isolates the test
 	rs := cert.NewRevocationStore()
 	rs.AttachCache(srv.Cache)
-	srv.Revoked = func(h []byte) bool { return rs.RevokedAt(time.Now())(h) }
-	srv.RevocationView = rs.View()
+	srv.Revocations = rs
 	if err := srv.Register("echo", &EchoService{}, issuer, nil); err != nil {
 		t.Fatal(err)
 	}

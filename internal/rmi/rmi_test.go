@@ -382,11 +382,10 @@ func TestRevokedCertificateRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := cert.NewRevocationStore()
-	ctx := core.NewVerifyContext()
 	if err := store.Add(cert.NewRevocationList(w.serverKey, core.Forever, d.Hash())); err != nil {
 		t.Fatal(err)
 	}
-	w.srv.Revoked = store.Checker(ctx)
+	w.srv.Revocations = store
 
 	pv := prover.New()
 	pv.AddClosure(prover.NewKeyClosure(w.userKey))

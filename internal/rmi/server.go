@@ -12,9 +12,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cert"
+	"repro/internal/admit"
 	"repro/internal/channel"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/principal"
 	"repro/internal/sfkey"
@@ -53,18 +52,19 @@ type Stats struct {
 }
 
 // Server dispatches invocations arriving over authenticated channels.
+// It is the RMI transport adapter over the admission pipeline: the
+// embedded Pipeline carries the cache, clock, revocation store and
+// audit log, keeps the verified proofs on file (the "cache/proof" box
+// of Figure 4), and runs the checkAuth prologue.
 type Server struct {
+	*admit.Pipeline
+	// Obs records one span per dispatched call, continuing the trace
+	// named by the request's Trace field; nil disables tracing.
+	Obs *obs.Recorder
+
 	mu      sync.Mutex
 	objects map[string]*object
-	// proofs caches verified proofs by subject principal key — the
-	// "cache/proof" box of Figure 4. Entries are only ever inserted
-	// after full verification.
-	proofs map[string][]core.Proof
-	// vctx holds the persistent verification context; its local memo
-	// is discarded on every proof-cache epoch bump so revoked chains
-	// re-verify.
-	vctx  core.EpochContext
-	stats Stats
+	stats   Stats
 
 	// conns tracks live connections and inflight the dispatches on
 	// them, so Drain can stop accepting work, wait for calls already
@@ -72,39 +72,11 @@ type Server struct {
 	conns    map[channel.Conn]struct{}
 	inflight sync.WaitGroup
 	draining bool
-
-	// Clock supplies verification time; nil means time.Now.
-	Clock func() time.Time
-	// Revoked and Revalidate plug revocation state into proof
-	// verification (package cert). They are consulted when a proof is
-	// first verified; cached verdicts are dropped whenever the proof
-	// cache's revocation epoch advances (cert.RevocationStore bumps it
-	// on every CRL), so a revocation takes effect at the next call
-	// without ForgetProofs.
-	Revoked    func(certHash []byte) bool
-	Revalidate func(certHash []byte, where string) error
-	// RevocationView identifies the revocation state behind Revoked
-	// (cert.RevocationStore.View). With Revoked set but no view, the
-	// shared proof cache is bypassed — safe but slow; wiring helpers
-	// like emaildb.RegisterWithRevocation set both.
-	RevocationView uint64
-	// Cache is the verified-proof cache; nil means the process-wide
-	// shared cache.
-	Cache *core.ProofCache
-	// Obs records one span per dispatched call, continuing the trace
-	// named by the request's Trace field; nil disables tracing.
-	Obs *obs.Recorder
-	// Audit receives one Decision per checkAuth prologue; nil
-	// disables the audit trail.
-	Audit *obs.AuditLog
 }
 
 // NewServer returns an empty server.
 func NewServer() *Server {
-	return &Server{
-		objects: make(map[string]*object),
-		proofs:  make(map[string][]core.Proof),
-	}
+	return &Server{Pipeline: admit.New("rmi"), objects: make(map[string]*object)}
 }
 
 // Register installs a protected remote object. Methods must have the
@@ -284,6 +256,7 @@ func speakerFor(conn channel.Conn, req *callRequest) (principal.Principal, error
 func (s *Server) dispatch(conn channel.Conn, req *callRequest) *callResponse {
 	s.mu.Lock()
 	s.stats.Calls++
+	obj, ok := s.objects[req.Object]
 	s.mu.Unlock()
 	resp := &callResponse{ID: req.ID}
 
@@ -296,10 +269,6 @@ func (s *Server) dispatch(conn channel.Conn, req *callRequest) *callResponse {
 	if req.Object == proofRecipientObject {
 		return s.handleProofSubmit(req, resp)
 	}
-
-	s.mu.Lock()
-	obj, ok := s.objects[req.Object]
-	s.mu.Unlock()
 	if !ok {
 		resp.Kind = kindError
 		resp.Err = fmt.Sprintf("rmi: no object %q", req.Object)
@@ -320,7 +289,9 @@ func (s *Server) dispatch(conn channel.Conn, req *callRequest) *callResponse {
 		return resp
 	}
 
-	// The checkAuth() prologue (Figure 4, step l).
+	// The checkAuth() prologue (Figure 4, step l): a filed, already
+	// verified proof must show the speaker speaks for the object's
+	// issuer regarding this invocation's tag.
 	if !obj.open {
 		speaker, err := speakerFor(conn, req)
 		if err != nil {
@@ -329,41 +300,26 @@ func (s *Server) dispatch(conn channel.Conn, req *callRequest) *callResponse {
 			return resp
 		}
 		reqTag := obj.tagFor(req.Object, req.Method, argv.Elem().Interface())
-		authStart := time.Now()
-		proof, err := s.checkAuth(speaker, obj.issuer, reqTag)
-		if err != nil {
-			var ae *core.AuthError
-			if errors.As(err, &ae) {
-				span.SetAttr("verdict", "challenge")
-				s.audit(obs.Decision{
-					Op: req.Object + "." + req.Method, Principal: speaker.String(),
-					Tag: reqTag.String(), Verdict: obs.VerdictChallenge,
-					Reason: ae.Reason, Duration: time.Since(authStart).Microseconds(),
-					Trace: traceOf(req),
-				})
-				resp.Kind = kindNeedAuth
-				resp.Issuer, resp.MinTag = encodeChallenge(ae.Issuer, ae.MinTag)
-				return resp
-			}
-			span.Fail(err)
-			s.audit(obs.Decision{
-				Op: req.Object + "." + req.Method, Principal: speaker.String(),
-				Tag: reqTag.String(), Verdict: obs.VerdictDeny,
-				Reason: err.Error(), Duration: time.Since(authStart).Microseconds(),
-				Trace: traceOf(req),
-			})
-			resp.Kind = kindError
-			resp.Err = err.Error()
+		trace, _, _ := obs.ParseHeader(req.Trace)
+		attempt := s.Begin(req.Object+"."+req.Method, trace)
+		attempt.For(speaker, reqTag)
+		proof := s.AuthorizeOnFile(speaker, obj.issuer, reqTag)
+		s.mu.Lock()
+		s.stats.AuthChecks++
+		if proof == nil {
+			s.stats.AuthFailures++
+		}
+		s.mu.Unlock()
+		if proof == nil {
+			span.SetAttr("verdict", "challenge")
+			attempt.Challenge("no valid proof on file")
+			resp.Kind = kindNeedAuth
+			resp.Issuer, resp.MinTag = encodeChallenge(obj.issuer, reqTag)
 			return resp
 		}
 		span.SetAttr("verdict", "admit")
-		s.audit(obs.Decision{
-			Op: req.Object + "." + req.Method, Principal: speaker.String(),
-			Tag: reqTag.String(), Verdict: obs.VerdictAdmit,
-			CertHashes: core.LeafHashes(proof),
-			Duration:   time.Since(authStart).Microseconds(),
-			Trace:      traceOf(req),
-		})
+		attempt.Cite(proof)
+		attempt.Admit(false)
 	}
 
 	// Invoke.
@@ -383,94 +339,6 @@ func (s *Server) dispatch(conn channel.Conn, req *callRequest) *callResponse {
 	resp.Kind = kindOK
 	resp.Result = buf.Bytes()
 	return resp
-}
-
-// checkAuth finds a cached, already verified proof that speaker
-// speaks for issuer regarding reqTag, returning the proof that
-// authorized the call (the audit trail names its chain). Because
-// proofs are verified when submitted and conclusions carry their own
-// expiry, the per-call cost is a cache lookup plus tag matching
-// (section 7.2: "finds a cached proof for that subject and sees that
-// the proof has already been verified").
-func (s *Server) checkAuth(speaker, issuer principal.Principal, reqTag tag.Tag) (core.Proof, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.AuthChecks++
-	ctx := s.verifyContextLocked()
-	for _, p := range s.proofs[speaker.Key()] {
-		if err := core.Authorize(ctx, p, speaker, issuer, reqTag); err == nil {
-			return p, nil
-		}
-	}
-	s.stats.AuthFailures++
-	return nil, &core.AuthError{Issuer: issuer, MinTag: reqTag, Reason: "no valid proof on file"}
-}
-
-// audit stamps the layer and revocation coordinates onto a decision
-// and appends it; a nil Audit log makes this a no-op.
-func (s *Server) audit(d obs.Decision) {
-	if s.Audit == nil {
-		return
-	}
-	cache := s.Cache
-	if cache == nil {
-		cache = core.SharedProofCache()
-	}
-	d.Layer = "rmi"
-	d.Epoch = cache.Epoch()
-	d.View = s.RevocationView
-	s.Audit.Append(d)
-}
-
-// traceOf extracts the trace ID from a request's Sf-Trace value.
-func traceOf(req *callRequest) string {
-	trace, _, _ := obs.ParseHeader(req.Trace)
-	return trace
-}
-
-// verifyContextLocked refreshes the shared verification context's
-// clock, revocation hooks, and proof cache. The context's local memo
-// persists across calls — that is the warm path — but it is discarded
-// whenever the proof cache's revocation epoch advances, so no stale
-// verdict survives a CRL.
-func (s *Server) verifyContextLocked() *core.VerifyContext {
-	now := time.Now()
-	if s.Clock != nil {
-		now = s.Clock()
-	}
-	cache := s.Cache
-	if cache == nil {
-		cache = core.SharedProofCache()
-	}
-	ctx := s.vctx.Refresh(cache)
-	ctx.Now = now
-	ctx.Revoked = s.Revoked
-	ctx.Revalidate = s.Revalidate
-	ctx.RevocationView = s.RevocationView
-	return ctx
-}
-
-// verifyContext builds a throwaway verification context from the
-// server's configured clock, revocation hooks, and proof cache. It
-// needs no lock — those fields are set before serving — so signature
-// work can run outside s.mu; portable verdicts still land in the
-// shared ProofCache where the locked dispatch path finds them.
-func (s *Server) verifyContext() *core.VerifyContext {
-	now := time.Now()
-	if s.Clock != nil {
-		now = s.Clock()
-	}
-	cache := s.Cache
-	if cache == nil {
-		cache = core.SharedProofCache()
-	}
-	ctx := core.NewVerifyContext()
-	ctx.Cache = cache
-	ctx.Now = now
-	ctx.Revoked = s.Revoked
-	ctx.Revalidate = s.Revalidate
-	ctx.RevocationView = s.RevocationView
-	return ctx
 }
 
 // handleProofSubmit is the proofRecipient (Figure 4, step n): parse,
@@ -498,37 +366,14 @@ func (s *Server) handleProofSubmit(req *callRequest, resp *callResponse) *callRe
 // exported so colocated gateways and tests can install proofs
 // directly.
 func (s *Server) AcceptProof(raw []byte) error {
-	p, err := core.ParseProofPooled(raw)
-	if err != nil {
-		return fmt.Errorf("rmi: parse proof: %w", err)
-	}
 	s.mu.Lock()
 	s.stats.ProofSubmits++
 	s.stats.ProofVerifies++
 	s.mu.Unlock()
-	// Chain verify outside s.mu, with the certificate leaves batched:
-	// one aggregate signature pass instead of one check per delegation
-	// in the chain. Portable verdicts land in the shared proof cache,
-	// so later authorization walks over the filed proof are cache
-	// hits; the lock below guards only the map append.
-	if err := cert.VerifyChain(s.verifyContext(), p); err != nil {
-		return fmt.Errorf("rmi: proof does not verify: %w", err)
+	if err := s.Submit(raw); err != nil {
+		return fmt.Errorf("rmi: proof rejected: %w", err)
 	}
-	subj := p.Conclusion().Subject.Key()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.proofs[subj] = append(s.proofs[subj], p)
 	return nil
-}
-
-// ForgetProofs drops the server's proof cache; the measurement
-// harness uses it to isolate the proof parse+verify cost ("when ...
-// we make the server forget its copy after each use", section 7.2).
-func (s *Server) ForgetProofs() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.proofs = make(map[string][]core.Proof)
-	s.vctx.Reset()
 }
 
 // Stats returns a copy of the counters.
