@@ -258,18 +258,14 @@ func main() {
 
 	// Hot CRL reload: SIGHUP and the admin endpoint run the same
 	// function through the runtime's shared wiring — re-read the file
-	// (new lists only; dedup keeps a no-op reload from flushing the
-	// proof cache), evict what the new lists void RIGHT NOW rather
-	// than at the next sweep, and fan the new lists out to peers.
+	// and install it the way every CRL is installed (new lists only;
+	// dedup keeps a no-op reload from flushing the proof cache), which
+	// evicts what the new lists void RIGHT NOW rather than at the next
+	// sweep and fans them out to peers.
 	if *crlFile != "" {
-		reload, err := rt.WireCRLFile(revocations, *crlFile, func(added []*cert.RevocationList) int {
-			evicted := store.EvictRevokedByIssuer(revocations.RevokedByIssuerAt(time.Now()))
-			if svc.Replicator != nil {
-				for _, rl := range added {
-					svc.Replicator.EnqueueCRL(rl)
-				}
-			}
-			return evicted
+		reload, err := rt.WireCRLFile(*crlFile, func(lists []*cert.RevocationList) (int, int, error) {
+			res := certdir.InstallCRLs(revocations, store, svc.Replicator, lists, time.Now())
+			return res.Installed, res.Evicted, res.Err
 		})
 		if err != nil {
 			log.Fatalf("sf-certd: %v", err)

@@ -122,13 +122,16 @@ func main() {
 	})
 
 	// The -crl wiring (initial load, SIGHUP reload, admin reload
-	// endpoint) comes from the shared runtime; a pure verifier passes
-	// no apply hook — installing into rs already bumps the proof-cache
-	// epoch, so every cached verdict resting on a revoked certificate
-	// dies and the next RMI call re-verifies.
+	// endpoint) comes from the shared runtime; a pure verifier installs
+	// with no store and no peers — installing into rs already bumps
+	// the proof-cache epoch, so every cached verdict resting on a
+	// revoked certificate dies and the next RMI call re-verifies.
 	var reload func() (added, total int, err error)
 	if *crlFile != "" {
-		r, err := rt.WireCRLFile(rs, *crlFile, nil)
+		r, err := rt.WireCRLFile(*crlFile, func(lists []*cert.RevocationList) (int, int, error) {
+			res := certdir.InstallCRLs(rs, nil, nil, lists, time.Now())
+			return res.Installed, res.Evicted, res.Err
+		})
 		if err != nil {
 			log.Fatalf("sf-dbserver: crl: %v", err)
 		}

@@ -11,12 +11,6 @@
 //	sf-loadgen -profile smoke -out BENCH_8.json
 //	sf-loadgen -profile standard -principals 2000 -concurrency 64
 //	sf-loadgen -profile soak -seed 7
-//	sf-loadgen -profile dirscale -out BENCH_9.json
-//
-// The dirscale profile skips the mesh entirely and profiles a single
-// directory at 1k/10k/100k certificates: one-cert-diff digest bytes
-// (Merkle vs flat), cold-sync gossip rounds, and snapshot-bootstrap
-// speedup. Only -seed, -pr, and -out apply to it.
 //
 // Flags override the chosen profile field-by-field. The -out file is
 // the per-PR JSON trajectory (same schema as BENCH_7.json); smoke
@@ -36,7 +30,7 @@ import (
 )
 
 func main() {
-	profile := flag.String("profile", "smoke", "load shape: smoke, standard, soak, or dirscale")
+	profile := flag.String("profile", "smoke", "load shape: smoke, standard, or soak")
 	gateways := flag.Int("gateways", 0, "override: number of gateways")
 	directories := flag.Int("directories", 0, "override: number of directories")
 	principals := flag.Int("principals", 0, "override: number of synthetic principals")
@@ -55,36 +49,9 @@ func main() {
 	out := flag.String("out", "", "write the JSON trajectory report here")
 	flag.Parse()
 
-	if *profile == "dirscale" {
-		cfg := loadgen.DirScaleDefault()
-		if *seed >= 0 {
-			cfg.Seed = *seed
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "pr" {
-				cfg.PR = *pr
-			}
-		})
-		cfg.Now = time.Now()
-		start := time.Now()
-		res, err := loadgen.DirScale(cfg)
-		if err != nil {
-			log.Fatalf("sf-loadgen: %v", err)
-		}
-		fmt.Print(res.Summary())
-		fmt.Printf("total: %s\n", time.Since(start).Round(time.Millisecond))
-		if *out != "" {
-			if err := res.ToBench().WriteFile(*out); err != nil {
-				log.Fatalf("sf-loadgen: write %s: %v", *out, err)
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-		return
-	}
-
 	mk, ok := loadgen.Profiles()[*profile]
 	if !ok {
-		log.Fatalf("sf-loadgen: unknown profile %q (want smoke, standard, dirscale, or soak)", *profile)
+		log.Fatalf("sf-loadgen: unknown profile %q (want smoke, standard, or soak)", *profile)
 	}
 	cfg := mk()
 	override := false

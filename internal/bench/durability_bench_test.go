@@ -95,23 +95,24 @@ func BenchmarkCertdirWALReplay10k(b *testing.B) {
 	}
 }
 
-// BenchmarkCertdirGossipDigests is the per-round cost a converged peer
-// imposes: summarizing 10k stored certificates into partition digests.
-func BenchmarkCertdirGossipDigests(b *testing.B) {
+// BenchmarkCertdirGossipRoot is the per-round cost a converged peer
+// imposes on the directory serving it: folding the leaf summaries of
+// 10k stored certificates into the root the two sides compare.
+func BenchmarkCertdirGossipRoot(b *testing.B) {
 	c := corpus(b, 10_000)
 	st := populate(b, c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ds := st.Digests(); len(ds) == 0 {
-			b.Fatal("no digests")
+		if root := st.MerkleRoot(); root.Count != len(c.certs) {
+			b.Fatalf("root counts %d certificates, want %d", root.Count, len(c.certs))
 		}
 	}
 }
 
 // BenchmarkCertdirGossipRoundConverged is a full anti-entropy round
 // between two identical directories over loopback HTTP: the
-// steady-state overhead of replication (digest exchange, no pulls).
+// steady-state overhead of replication (one root exchange, no pulls).
 func BenchmarkCertdirGossipRoundConverged(b *testing.B) {
 	c := corpus(b, 10_000)
 	peer := populate(b, c)
@@ -156,7 +157,7 @@ func BenchmarkCertdirGossipCatchUp1k(b *testing.B) {
 }
 
 // BenchmarkCertdirWALCompact10k rewrites a 10k-certificate log: the
-// cost Sweep and EvictRevoked pay whenever they drop entries.
+// cost Sweep and EvictRevokedByIssuer pay whenever they drop entries.
 func BenchmarkCertdirWALCompact10k(b *testing.B) {
 	c := corpus(b, 10_000)
 	st := durableStore(b, certdir.SyncNever, c.now)

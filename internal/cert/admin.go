@@ -31,8 +31,8 @@ const (
 const adminMaxBody = 1 << 20
 
 // AdminHandler serves the revocation admin endpoints over rs. reload,
-// when non-nil, backs the reload endpoint (wire it to
-// rs.LoadFile(theDaemonsCRLFile)); with a nil reload the endpoint
+// when non-nil, backs the reload endpoint (wire it to the function
+// server.Runtime.WireCRLFile returns); with a nil reload the endpoint
 // answers a clean 400.
 func AdminHandler(rs *RevocationStore, reload func() (added, total int, err error)) http.Handler {
 	mux := http.NewServeMux()

@@ -14,8 +14,10 @@ import (
 // mix — the parser consumes one expression at a time and whitespace
 // between expressions is skipped), so the same CRL file works in
 // every daemon. Signatures are NOT verified here; installation
-// (RevocationStore.Add / AddNew) verifies before anything takes
-// effect.
+// (RevocationStore.AddNewBatch, which the daemons reach through
+// certdir.InstallCRLs) verifies before anything takes effect, and
+// deduplicates, so re-reading a file that grew installs exactly the
+// new lists.
 func LoadCRLFile(path string) ([]*RevocationList, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -40,29 +42,4 @@ func LoadCRLFile(path string) ([]*RevocationList, error) {
 		raw = raw[used:]
 		n++
 	}
-}
-
-// LoadFile reads the CRL file (LoadCRLFile) and installs every list
-// through AddNewBatch, returning the lists that were newly installed
-// and how many the file held in total. Because installation
-// deduplicates, calling LoadFile again on the same (possibly
-// extended) file is the hot reload path: only genuinely new CRLs bump
-// the proof-cache epoch — once for the whole file, not once per list
-// — so a no-op reload costs no cache flush, and the returned slice is
-// exactly what a directory should gossip onward to peers.
-func (s *RevocationStore) LoadFile(path string) (added []*RevocationList, total int, err error) {
-	lists, err := LoadCRLFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	ok, errs := s.AddNewBatch(lists)
-	for i, rl := range lists {
-		if errs[i] != nil {
-			return added, len(lists), fmt.Errorf("cert: %s: crl %d: %w", path, i+1, errs[i])
-		}
-		if ok[i] {
-			added = append(added, rl)
-		}
-	}
-	return added, len(lists), nil
 }

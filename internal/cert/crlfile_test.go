@@ -94,40 +94,6 @@ func TestAddNewDedup(t *testing.T) {
 	}
 }
 
-// TestLoadFileReload: the hot-reload path — re-reading a file that
-// grew by one CRL installs exactly the new list.
-func TestLoadFileReload(t *testing.T) {
-	signer, _ := keys("reload-signer")
-	v := core.Until(time.Now().Add(time.Hour))
-	a := NewRevocationList(signer, v, []byte("hash-d-32-bytes-hash-d-32-bytes-"))
-	path := writeCRLFile(t, "lines", a)
-
-	rs := NewRevocationStore()
-	added, total, err := rs.LoadFile(path)
-	if err != nil || len(added) != 1 || total != 1 {
-		t.Fatalf("first load: added=%d total=%d err=%v", len(added), total, err)
-	}
-
-	// The operator appends a new CRL and reloads.
-	b := NewRevocationList(signer, v, []byte("hash-e-32-bytes-hash-e-32-bytes-"))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw = append(raw, b.Sexp().Transport()...)
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	added, total, err = rs.LoadFile(path)
-	if err != nil || total != 2 {
-		t.Fatalf("reload: total=%d err=%v", total, err)
-	}
-	if len(added) != 1 || added[0].Hash() != b.Hash() {
-		t.Fatalf("reload installed %d new lists, want exactly the appended one", len(added))
-	}
-}
-
 // TestRevokedByIssuerAt: a CRL only voids certificates its signer
 // issued — the guard that keeps a network-supplied CRL from denying
 // service to delegations its signer never granted.

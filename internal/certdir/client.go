@@ -40,31 +40,17 @@ type Client struct {
 	// gossipBytes, when set (NewReplicator wires it), accumulates the
 	// digest bytes this client moves — request plus reply on the
 	// anti-entropy summary paths, the traffic two already-converged
-	// peers keep exchanging forever. Fetch payloads are excluded: both
-	// the flat and Merkle schemes pay those, and only for actual
-	// differences. BENCH_9 and sf_gossip_digest_bytes_total read it.
+	// peers keep exchanging forever. Fetch payloads are excluded: they
+	// are paid only for actual differences. The
+	// sf_gossip_digest_bytes_total metric reads it.
 	gossipBytes *atomic.Int64
-}
-
-// StatusError is a non-200 directory reply, surfaced typed so pullers
-// can distinguish "this peer does not serve that endpoint" (404 — an
-// older release inside the Merkle compatibility window) from a real
-// failure that should abort the round.
-type StatusError struct {
-	Code int    // HTTP status code
-	Path string // request path
-	Msg  string // response body, trimmed
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("certdir: %s: status %d: %s", e.Path, e.Code, e.Msg)
 }
 
 // digestPath reports whether a path carries anti-entropy summary
 // traffic, the class gossipBytes meters.
 func digestPath(path string) bool {
 	switch path {
-	case PathDigests, PathHashes, PathGossipRoot, PathGossipNodes, PathGossipLeaves:
+	case PathGossipRoot, PathGossipNodes, PathGossipLeaves:
 		return true
 	}
 	return false
@@ -134,8 +120,7 @@ func (c *Client) roundTripCtx(ctx context.Context, hc *http.Client, path string,
 		c.gossipBytes.Add(int64(len(body) + len(reply)))
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, &StatusError{Code: resp.StatusCode, Path: path,
-			Msg: strings.TrimSpace(string(reply))}
+		return nil, fmt.Errorf("certdir: %s: status %d: %s", path, resp.StatusCode, strings.TrimSpace(string(reply)))
 	}
 	e, err := sexp.ParseOne(reply)
 	if err != nil {
@@ -184,17 +169,28 @@ func parseCerts(resp sexp.Sexp) ([]*cert.Cert, error) {
 	}
 	var out []*cert.Cert
 	for i := 1; i < resp.Len(); i++ {
-		p, err := core.ProofFromSexp(resp.Nth(i))
+		ct, err := certFromSexp(resp.Nth(i))
 		if err != nil {
 			return nil, fmt.Errorf("certdir: reply certificate %d: %w", i, err)
-		}
-		ct, ok := p.(*cert.Cert)
-		if !ok {
-			return nil, fmt.Errorf("certdir: reply %d is %T, not a certificate", i, p)
 		}
 		out = append(out, ct)
 	}
 	return out, nil
+}
+
+// certFromSexp decodes a proof expression that must be a signed
+// certificate — the only proof form a directory stores, journals or
+// serves. The signature is not checked here.
+func certFromSexp(e sexp.Sexp) (*cert.Cert, error) {
+	p, err := core.ProofFromSexp(e)
+	if err != nil {
+		return nil, err
+	}
+	ct, ok := p.(*cert.Cert)
+	if !ok {
+		return nil, fmt.Errorf("want a signed certificate, not %T", p)
+	}
+	return ct, nil
 }
 
 // QueryByIssuer fetches the live certificates issued by p.
@@ -205,18 +201,6 @@ func (c *Client) QueryByIssuer(p principal.Principal) ([]*cert.Cert, error) {
 // QueryBySubject fetches the live certificates whose subject is p.
 func (c *Client) QueryBySubject(p principal.Principal) ([]*cert.Cert, error) {
 	return c.query("subject", p, QueryFilter{})
-}
-
-// QueryByIssuerFiltered is QueryByIssuer with a server-side bound: the
-// directory applies the filter before shipping, so a heavy issuer's
-// irrelevant delegations never cross the wire.
-func (c *Client) QueryByIssuerFiltered(p principal.Principal, f QueryFilter) ([]*cert.Cert, error) {
-	return c.query("issuer", p, f)
-}
-
-// QueryBySubjectFiltered is QueryBySubject with a server-side bound.
-func (c *Client) QueryBySubjectFiltered(p principal.Principal, f QueryFilter) ([]*cert.Cert, error) {
-	return c.query("subject", p, f)
 }
 
 // Remove retracts the certificate with the given body hash, reporting
@@ -247,7 +231,7 @@ func (c *Client) PushCRL(rl *cert.RevocationList) error {
 
 // CRLs fetches the CRLs the directory holds, minus the ones whose
 // content hashes are in have. The caller verifies every returned list
-// before applying it (Replicator.pullCRLs does).
+// before applying it (InstallCRLs does).
 func (c *Client) CRLs(have [][]byte) ([]*cert.RevocationList, error) {
 	kids := make([]sexp.Sexp, 0, len(have)+1)
 	kids = append(kids, sexp.String("crls"))
@@ -339,56 +323,6 @@ func (c *Client) Events(after uint64, wait time.Duration) (hashes [][]byte, next
 		}
 	}
 	return hashes, next, reset, nil
-}
-
-// Digests fetches the peer's per-partition gossip summaries
-// (Replicator's first anti-entropy round trip).
-func (c *Client) Digests() ([]PartitionDigest, error) {
-	resp, err := c.roundTrip(PathDigests, sexp.List(sexp.String("digests")))
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag() != "digests" {
-		return nil, fmt.Errorf("certdir: unexpected digests reply %s", resp)
-	}
-	var out []PartitionDigest
-	for i := 1; i < resp.Len(); i++ {
-		row := resp.Nth(i)
-		if row.Tag() != "part" || row.Len() != 4 || !row.Nth(3).IsAtom() {
-			return nil, fmt.Errorf("certdir: bad digest row %s", row)
-		}
-		p, err1 := strconv.Atoi(row.Nth(1).Text())
-		n, err2 := strconv.Atoi(row.Nth(2).Text())
-		if err1 != nil || err2 != nil || p < 0 || p >= GossipPartitions || len(row.Nth(3).Bytes()) != 32 {
-			return nil, fmt.Errorf("certdir: bad digest row %s", row)
-		}
-		d := PartitionDigest{Partition: p, Count: n}
-		copy(d.XOR[:], row.Nth(3).Bytes())
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-// HashesIn fetches the content hashes the peer stores in one gossip
-// partition.
-func (c *Client) HashesIn(p int) ([][]byte, error) {
-	resp, err := c.roundTrip(PathHashes,
-		sexp.List(sexp.String("hashes"), sexp.String(strconv.Itoa(p))))
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag() != "hashes" {
-		return nil, fmt.Errorf("certdir: unexpected hashes reply %s", resp)
-	}
-	var out [][]byte
-	for i := 1; i < resp.Len(); i++ {
-		h := resp.Nth(i)
-		if !h.IsAtom() {
-			return nil, fmt.Errorf("certdir: hash %d is not an atom", i)
-		}
-		out = append(out, append([]byte(nil), h.Bytes()...))
-	}
-	return out, nil
 }
 
 // Fetch pulls the certificates with the given content hashes; absent
@@ -532,8 +466,7 @@ func (c *Client) Snapshot(ctx context.Context, visit func(sexp.Sexp) error) erro
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return &StatusError{Code: resp.StatusCode, Path: PathSnapshot,
-			Msg: strings.TrimSpace(string(msg))}
+		return fmt.Errorf("certdir: snapshot: status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
 	br := bufio.NewReaderSize(resp.Body, 64<<10)
 	var fr sexp.FrameReader
@@ -595,9 +528,11 @@ func (c *Client) BySubject(p principal.Principal) ([]core.Proof, error) {
 }
 
 // ByIssuerFor implements prover.FilteredSource: the prover pushes the
-// tag it is searching for and its fetch cap down to the directory.
+// tag it is searching for and its fetch cap down to the directory,
+// which applies them before shipping, so a heavy issuer's irrelevant
+// delegations never cross the wire.
 func (c *Client) ByIssuerFor(p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
-	certs, err := c.QueryByIssuerFiltered(p, QueryFilter{Limit: limit, Tag: want})
+	certs, err := c.query("issuer", p, QueryFilter{Limit: limit, Tag: want})
 	if err != nil {
 		return nil, err
 	}
@@ -606,7 +541,7 @@ func (c *Client) ByIssuerFor(p principal.Principal, want tag.Tag, limit int) ([]
 
 // BySubjectFor implements prover.FilteredSource.
 func (c *Client) BySubjectFor(p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
-	certs, err := c.QueryBySubjectFiltered(p, QueryFilter{Limit: limit, Tag: want})
+	certs, err := c.query("subject", p, QueryFilter{Limit: limit, Tag: want})
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,184 @@
+package certdir
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+	"time"
+
+	"repro/internal/cert"
+	"repro/internal/core"
+	"repro/internal/principal"
+	"repro/internal/sexp"
+	"repro/internal/sfkey"
+	"repro/internal/tag"
+)
+
+// crlPeer is a peer that serves exactly the given lists — at the CRL
+// gossip endpoint (ignoring what the asker says it holds, as a lagging
+// or hostile peer would) and as the CRL frames of a snapshot stream —
+// whether or not they verify. A real directory cannot be made to hold
+// a forged list, so the pull paths are fed from this stand-in.
+func crlPeer(t *testing.T, lists ...*cert.RevocationList) *Client {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case PathCRLs:
+			kids := []sexp.Sexp{sexp.String("crls")}
+			for _, rl := range lists {
+				kids = append(kids, rl.Sexp())
+			}
+			w.Write(sexp.List(kids...).Canonical())
+		case PathSnapshot:
+			body := sexp.AppendFrame(nil, sexp.List(sexp.String(snapTagHeader),
+				sexp.List(sexp.String("version"), sexp.String("1")),
+				sexp.List(sexp.String("cursor"), sexp.String("0"))))
+			for _, rl := range lists {
+				body = sexp.AppendFrame(body, sexp.List(sexp.String(snapTagCRL), rl.Sexp()))
+			}
+			body = sexp.AppendFrame(body, sexp.List(sexp.String(snapTagEnd),
+				sexp.List(sexp.String("count"), sexp.String(strconv.Itoa(len(lists))))))
+			w.Write(body)
+		default:
+			http.Error(w, "crlPeer: no such endpoint", http.StatusNotFound)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return NewClient(ts.URL)
+}
+
+// TestCRLInstallPathsAgree: however a revocation list reaches a
+// process — admin endpoint, anti-entropy pull, snapshot bootstrap, or
+// a verifier's follower — it goes through InstallCRLs, so a fresh
+// list, a re-delivered one and a forged one have the same installed /
+// rejected / evicted outcome on every path. Only the follower differs,
+// and only in evicting nothing: it has no store.
+func TestCRLInstallPathsAgree(t *testing.T) {
+	now := time.Now()
+	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
+	issuer := sfkey.FromSeed([]byte("crlpaths-issuer"))
+	victim := delegate(t, issuer, principal.KeyOf(sfkey.FromSeed([]byte("crlpaths-victim")).Public()), tag.All(), v)
+	survivor := delegate(t, issuer, principal.KeyOf(sfkey.FromSeed([]byte("crlpaths-survivor")).Public()), tag.All(), v)
+
+	fresh := cert.NewRevocationList(issuer, v, victim.Hash())
+	forged := *cert.NewRevocationList(issuer, v, survivor.Hash())
+	forged.Signature = append([]byte(nil), forged.Signature...)
+	forged.Signature[0] ^= 1
+
+	type outcome struct{ installed, rejected, evicted int }
+	// dir is one receiving process: a directory (store + revocations +
+	// an unstarted replicator), or just revocations for the follower.
+	type dir struct {
+		store *Store
+		revs  *cert.RevocationStore
+		rep   *Replicator
+	}
+	pulled := func(d *dir, pull func() error) (installed, rejected int, err error) {
+		before := d.rep.Stats()
+		err = pull()
+		after := d.rep.Stats()
+		return int(after.CRLsPulled - before.CRLsPulled), int(after.CRLsRejected - before.CRLsRejected), err
+	}
+	paths := []struct {
+		name     string
+		hasStore bool
+		// deliver hands rl to d by this path and returns what the path
+		// itself reported as installed and rejected.
+		deliver func(t *testing.T, d *dir, rl *cert.RevocationList) (installed, rejected int)
+	}{
+		{"admin endpoint", true, func(t *testing.T, d *dir, rl *cert.RevocationList) (int, int) {
+			svc := NewService(d.store)
+			svc.Revocations, svc.Replicator = d.revs, d.rep
+			ts := httptest.NewServer(svc)
+			defer ts.Close()
+			resp, err := NewClient(ts.URL).roundTrip(PathAdminCRL, rl.Sexp())
+			switch {
+			case err != nil:
+				return 0, 1 // a 400: the list was refused
+			case resp.Tag() == "crl-installed":
+				return 1, 0
+			}
+			return 0, 0
+		}},
+		{"replicator pull", true, func(t *testing.T, d *dir, rl *cert.RevocationList) (int, int) {
+			peer := crlPeer(t, rl)
+			installed, rejected, err := pulled(d, func() error { return d.rep.pullCRLs(peer) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return installed, rejected
+		}},
+		{"snapshot bootstrap", true, func(t *testing.T, d *dir, rl *cert.RevocationList) (int, int) {
+			peer := crlPeer(t, rl)
+			installed, rejected, err := pulled(d, func() error {
+				_, err := d.rep.bootstrapFrom(context.Background(), peer)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return installed, rejected
+		}},
+		{"follower pull", false, func(t *testing.T, d *dir, rl *cert.RevocationList) (int, int) {
+			f := NewCRLFollower(crlPeer(t, rl), d.revs)
+			added, err := f.Pull()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := f.Stats(); int(s.Pulled) != added {
+				t.Fatalf("follower stats %+v disagree with Pull's %d", s, added)
+			}
+			return added, int(f.Stats().Rejected)
+		}},
+	}
+	steps := []struct {
+		name string
+		rl   *cert.RevocationList
+		want outcome // for a path with a store
+	}{
+		{"fresh", fresh, outcome{installed: 1, evicted: 1}},
+		{"duplicate", fresh, outcome{}},
+		{"forged", &forged, outcome{rejected: 1}},
+	}
+	for _, p := range paths {
+		d := &dir{revs: cert.NewRevocationStore()}
+		if p.hasStore {
+			d.store = NewStore(4)
+			for _, c := range []*cert.Cert{victim, survivor} {
+				if _, err := d.store.Publish(c, now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.rep = NewReplicator(d.store, nil)
+			d.rep.Revocations = d.revs
+		}
+		for _, s := range steps {
+			want := s.want
+			var evictedBefore int64
+			if p.hasStore {
+				evictedBefore = d.store.Stats().Evicted
+			} else {
+				want.evicted = 0
+			}
+			got := outcome{}
+			got.installed, got.rejected = p.deliver(t, d, s.rl)
+			if p.hasStore {
+				got.evicted = int(d.store.Stats().Evicted - evictedBefore)
+			}
+			if got != want {
+				t.Errorf("%s, %s list: outcome %+v, want %+v", p.name, s.name, got, want)
+			}
+		}
+		// The end state agrees too: the fresh list is held, the forged
+		// one is not, and only the victim is gone.
+		if !d.revs.Has(fresh.Hash()) || d.revs.Has(forged.Hash()) || len(d.revs.Lists()) != 1 {
+			t.Errorf("%s: revocation store holds %d lists, want exactly the fresh one", p.name, len(d.revs.Lists()))
+		}
+		if p.hasStore && (d.store.HasHash(victim.Hash()) || !d.store.HasHash(survivor.Hash()) || !d.store.Tombstoned(victim.Hash())) {
+			t.Errorf("%s: store end state wrong (victim stored=%v tombstoned=%v, survivor stored=%v)", p.name,
+				d.store.HasHash(victim.Hash()), d.store.Tombstoned(victim.Hash()), d.store.HasHash(survivor.Hash()))
+		}
+	}
+}

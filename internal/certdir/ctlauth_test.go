@@ -117,7 +117,7 @@ func TestCtlAuthDenialPaths(t *testing.T) {
 	if _, err := d.open.QueryByIssuer(principal.KeyOf(issuer.Public())); err != nil {
 		t.Fatalf("query blocked by guard: %v", err)
 	}
-	if _, err := d.open.Digests(); err != nil {
+	if _, _, _, err := d.open.MerkleRoot(); err != nil {
 		t.Fatalf("gossip pull blocked by guard: %v", err)
 	}
 	if gs := d.svc.Guard.Stats(); gs.Denied < 4 {

@@ -20,10 +20,11 @@ import (
 // against the revocation (the install bumps the shared proof-cache
 // epoch, so no cached verdict survives it).
 //
-// Pulls are incremental (the peer is told which CRL hashes the store
-// already holds) and verify-before-apply: AddNewBatch checks every
-// signature, so a hostile or corrupted directory cannot plant a CRL
-// its signer never issued.
+// A pull is the same call a Replicator round makes (pullMissingCRLs →
+// InstallCRLs) with no store and no peers: incremental (the peer is
+// told which CRL hashes the store already holds) and
+// verify-before-apply, so a hostile or corrupted directory cannot
+// plant a CRL its signer never issued.
 type CRLFollower struct {
 	Client *Client
 	Store  *cert.RevocationStore
@@ -55,32 +56,15 @@ func NewCRLFollower(c *Client, st *cert.RevocationStore) *CRLFollower {
 // runtime ticker); Start wraps it in a loop for harnesses without a
 // runtime.
 func (f *CRLFollower) Pull() (added int, err error) {
-	lists := f.Store.Lists()
-	have := make([][]byte, 0, len(lists))
-	for _, rl := range lists {
-		h := rl.Hash()
-		have = append(have, append([]byte(nil), h[:]...))
-	}
-	fresh, err := f.Client.CRLs(have)
+	// No store to evict from, so no eviction instant to supply.
+	res, err := pullMissingCRLs(f.Client, f.Store, nil, nil, time.Time{})
 	if err != nil {
 		return 0, err
 	}
-	if len(fresh) == 0 {
-		f.rounds.Add(1)
-		return 0, nil
-	}
-	addedOK, errs := f.Store.AddNewBatch(fresh)
-	for i := range fresh {
-		switch {
-		case errs[i] != nil:
-			f.rejected.Add(1)
-		case addedOK[i]:
-			added++
-		}
-	}
-	f.pulled.Add(int64(added))
+	f.pulled.Add(int64(res.Installed))
+	f.rejected.Add(int64(res.Rejected))
 	f.rounds.Add(1)
-	return added, nil
+	return res.Installed, nil
 }
 
 // Start launches the pull loop. Stop halts it.

@@ -2,31 +2,28 @@ package certdir
 
 import "sync"
 
-// Merkle anti-entropy summaries. The flat digest scheme
-// (Store.Digests) ships all 64 partition summaries every round and a
-// full hash list for every disagreeing partition, which is linear in
-// store size. The Merkle scheme arranges the same count+XOR summaries
-// as a fixed-arity tree over content-hash-partitioned leaves: a round
-// exchanges one root summary, descends only into disagreeing subtrees
-// (MerkleArity node summaries per disagreeing node), and fetches the
-// hash list of only the disagreeing leaves — so a single-certificate
-// diff at 100k stored certificates costs O(log n) tree nodes instead
-// of 64 full partition lists.
+// Merkle anti-entropy summaries. The stored set is summarized as a
+// fixed-arity tree of (count, XOR of content hashes) over
+// content-hash-partitioned leaves: a round exchanges one root summary,
+// descends only into disagreeing subtrees (MerkleArity node summaries
+// per disagreeing node), and fetches the hash list of only the
+// disagreeing leaves — so two converged directories exchange a few
+// dozen bytes per round regardless of size, and a single-certificate
+// diff at 100k stored certificates costs O(log n) tree nodes.
 //
 // The tree shape is a protocol constant on both sides of a gossip
 // exchange: MerkleLeaves leaves (certificates assigned by the first
 // 12 bits of their content hash), arity MerkleArity, nodes numbered
 // as an implicit heap (children of node i are i*MerkleArity+1 ..
 // i*MerkleArity+MerkleArity, root 0). The root endpoint echoes the
-// shape so a puller can detect a mismatched peer and fall back to the
-// flat protocol rather than misinterpret node indexes.
+// shape so a puller can detect a mismatched peer and fail the round
+// rather than misinterpret node indexes.
 //
-// Summaries are (count, XOR of content hashes), exactly the flat
-// scheme's comparison: two subtrees hold the same certificate set
-// precisely when count and XOR both match, and an adversary cannot
-// steer SHA-256 outputs to craft a colliding XOR. On the wire the XOR
-// is truncated to MerkleSumBytes bytes — still unforgeable for the
-// same reason, and it keeps a descent round's reply small.
+// Two subtrees hold the same certificate set precisely when count and
+// XOR both match, and an adversary cannot steer SHA-256 outputs to
+// craft a colliding XOR. On the wire the XOR is truncated to
+// MerkleSumBytes bytes — still unforgeable for the same reason, and it
+// keeps a descent round's reply small.
 
 const (
 	// MerkleLeaves is the leaf count of the anti-entropy hash tree.

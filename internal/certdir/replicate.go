@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cert"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sexp"
 )
@@ -30,8 +27,8 @@ import (
 //     accepts a pushed certificate pushes it onward to its own peers,
 //     and the publish dedup (added == false) terminates the flood, so
 //     a mesh converges without a routing layer.
-//   - Anti-entropy. A periodic round compares per-partition digests
-//     (count + XOR of content hashes, see Store.Digests) with each
+//   - Anti-entropy. A periodic round compares Merkle summaries (count
+//     and XOR of content hashes per tree node, see merkle.go) with each
 //     peer and pulls whatever is missing: the repair path for pushes
 //     lost to crashes, queue overflow, or partitions. Locally removed
 //     certificates are tombstoned (Store.Tombstoned) and never pulled
@@ -50,7 +47,7 @@ import (
 // a replicator's pushes are publishes, removes, and CRL installs at
 // the peer, so its Clients must carry a CtlSigner (Client.Ctl) whose
 // credential the peer's operator delegated — sf-certd wires this from
-// -ctl-key/-ctl-cert. Pulls (digests, hashes, fetch, crls) are
+// -ctl-key/-ctl-cert. Pulls (root, nodes, leaves, fetch, crls) are
 // read-only and never need a credential, which is what lets a mesh
 // migrate to -admin-auth one node at a time.
 type Replicator struct {
@@ -85,11 +82,6 @@ type Replicator struct {
 	// RoundHist, when set, observes the wall-clock seconds of each
 	// anti-entropy round (Converge).
 	RoundHist *obs.Histogram
-	// DisableMerkle forces the flat digest protocol even against peers
-	// that serve the Merkle endpoints. An escape hatch for the
-	// compatibility window (and what the byte-budget comparisons in
-	// tests and BENCH_9 measure the flat side with).
-	DisableMerkle bool
 
 	queue chan repJob
 	stop  chan struct{}
@@ -104,7 +96,7 @@ type Replicator struct {
 	roundErrors  atomic.Int64
 	crlsPulled   atomic.Int64
 	crlsRejected atomic.Int64
-	digestBytes  atomic.Int64 // summary bytes moved on digest-class paths (all peers)
+	digestBytes  atomic.Int64 // summary bytes moved on the Merkle paths (all peers)
 	descents     atomic.Int64 // Merkle node-summary round trips
 }
 
@@ -131,8 +123,6 @@ const (
 	// leaf of a 100k-cert store is ~25 hashes, so 16 leaves stay well
 	// under the reply bound even for badly skewed stores.
 	leafBatch = 16
-	// bootstrapBatch bounds certificates per snapshot verify+index batch.
-	bootstrapBatch = 256
 )
 
 // repJob is one queued fan-out: a publish (cert != nil), a CRL
@@ -167,7 +157,7 @@ func NewReplicator(st *Store, peers []*Client) *Replicator {
 	r := &Replicator{store: st, peers: peers}
 	for _, p := range peers {
 		// Meter every peer's summary traffic into one counter; the
-		// sf_gossip_digest_bytes_total metric and BENCH_9 read it.
+		// sf_gossip_digest_bytes_total metric reads it.
 		p.gossipBytes = &r.digestBytes
 	}
 	return r
@@ -345,94 +335,49 @@ func (r *Replicator) Converge() (pulled int, err error) {
 	return pulled, errors.Join(errs...)
 }
 
-// pullCRLs asks one peer for the CRLs this node is missing (diffed by
-// content hash so converged peers exchange only the hash list) and
-// applies each: verify, install, evict what its signer issued, and
-// rumor it onward. A rejected CRL (bad signature) is counted and
-// skipped — a compromised peer can fabricate neither revocations nor
-// delegations.
+// pullCRLs asks one peer for the CRLs this node is missing and installs
+// them (InstallCRLs: verify, evict what each signer issued, rumor
+// onward), counting the outcome.
 func (r *Replicator) pullCRLs(peer *Client) error {
 	if r.Revocations == nil {
 		return nil
 	}
-	var have [][]byte
-	for _, rl := range r.Revocations.Lists() {
-		h := rl.Hash()
-		have = append(have, h[:])
-	}
-	lists, err := peer.CRLs(have)
-	if err != nil {
-		return err
-	}
-	if len(lists) == 0 {
-		return nil
-	}
-	// Batch install: one signature batch and one proof-cache flush for
-	// the whole pull, then a single eviction scan over the store — not
-	// one full scan per CRL — before the accepted lists rumor onward.
-	added, errs := r.Revocations.AddNewBatch(lists)
-	anyAdded := false
-	for i, rl := range lists {
-		switch {
-		case errs[i] != nil:
-			r.crlsRejected.Add(1)
-		case added[i]:
-			r.crlsPulled.Add(1)
-			anyAdded = true
-			r.EnqueueCRL(rl)
-		}
-	}
-	if anyAdded {
-		r.store.EvictRevokedByIssuer(r.Revocations.RevokedByIssuerAt(r.now()))
-	}
-	return nil
+	res, err := pullMissingCRLs(peer, r.Revocations, r.store, r, r.now())
+	r.countCRLs(res)
+	return err
 }
 
-// pullFrom reconciles this store against one peer. The Merkle descent
-// protocol is preferred — its summary traffic for a converged pair is
-// one root exchange instead of 64 partition digests, and for a single
-// differing certificate O(log n) node summaries instead of a full
-// partition hash list. A peer that does not serve the Merkle
-// endpoints yet (404 inside the compatibility window) or whose tree
-// shape differs gets the flat protocol instead; both end in the same
-// verify-before-index pull.
+// countCRLs folds one pulled install into the replication counters.
+func (r *Replicator) countCRLs(res CRLInstall) {
+	r.crlsPulled.Add(int64(res.Installed))
+	r.crlsRejected.Add(int64(res.Rejected))
+}
+
+// pullFrom reconciles this store against one peer by Merkle descent:
+// root summaries, then a breadth-first descent fetching child
+// summaries only under disagreeing nodes, then full hash lists only
+// for the leaves that actually differ. A converged pair pays one root
+// exchange; a single differing certificate costs O(log n) node
+// summaries. A peer that does not serve the endpoints, or whose tree
+// shape differs from this node's, cannot be reconciled: the error
+// (Converge names the peer) fails the round for that peer and nothing
+// is pulled from it.
 func (r *Replicator) pullFrom(peer *Client) (pulled int, err error) {
-	if !r.DisableMerkle {
-		pulled, ok, err := r.pullMerkle(peer)
-		if ok || err != nil {
-			return pulled, err
-		}
-	}
-	return r.pullFlat(peer)
-}
-
-// pullMerkle runs one Merkle anti-entropy exchange: root summaries,
-// then a breadth-first descent fetching child summaries only under
-// disagreeing nodes, then full hash lists only for the leaves that
-// actually differ. ok reports whether the peer spoke the protocol; a
-// 404 (or an incompatible tree shape) returns ok == false with no
-// error so the caller falls back to the flat exchange. Transport and
-// protocol failures are real errors.
-func (r *Replicator) pullMerkle(peer *Client) (pulled int, ok bool, err error) {
 	root, leaves, arity, err := peer.MerkleRoot()
 	if err != nil {
-		var se *StatusError
-		if errors.As(err, &se) && se.Code == http.StatusNotFound {
-			return 0, false, nil // pre-Merkle peer: use the flat protocol
-		}
-		return 0, false, err
+		return 0, err
 	}
 	if leaves != MerkleLeaves || arity != MerkleArity {
-		return 0, false, nil // foreign tree shape: flat still interoperates
+		return 0, fmt.Errorf("certdir: peer tree shape (%d leaves, arity %d) differs from ours (%d, %d)",
+			leaves, arity, MerkleLeaves, MerkleArity)
 	}
-	mine := r.store.MerkleSummaries([]int{0})
-	if len(mine) == 1 && mine[0].Count == root.Count && mine[0].XOR == root.XOR {
-		return 0, true, nil // converged: one round trip, a few dozen bytes
+	if mine := r.store.MerkleRoot(); mine.Count == root.Count && mine.XOR == root.XOR {
+		return 0, nil // converged: one round trip, a few dozen bytes
 	}
 	// Descend. The frontier holds inner nodes whose summaries disagree
 	// AND under which the peer holds something (a subtree empty at the
 	// peer has nothing to pull; local-only certificates travel by push
-	// or by the peer's own pull, exactly as in the flat scheme).
+	// or by the peer's own pull).
 	frontier := []int{0}
 	var diffLeaves []int
 	for len(frontier) > 0 {
@@ -449,7 +394,7 @@ func (r *Replicator) pullMerkle(peer *Client) (pulled int, ok bool, err error) {
 			children = children[len(batch):]
 			theirs, err := peer.MerkleNodes(batch)
 			if err != nil {
-				return pulled, true, err
+				return pulled, err
 			}
 			r.descents.Add(1)
 			ours := r.store.MerkleSummaries(batch)
@@ -478,41 +423,11 @@ func (r *Replicator) pullMerkle(peer *Client) (pulled int, ok bool, err error) {
 		diffLeaves = diffLeaves[len(batch):]
 		byLeaf, err := peer.MerkleLeafHashes(batch)
 		if err != nil {
-			return pulled, true, err
+			return pulled, err
 		}
 		var hashes [][]byte
 		for _, hs := range byLeaf {
 			hashes = append(hashes, hs...)
-		}
-		n, err := r.pullHashes(peer, hashes)
-		pulled += n
-		if err != nil {
-			return pulled, true, err
-		}
-	}
-	return pulled, true, nil
-}
-
-// pullFlat is the original digest-exchange protocol: per-partition
-// count+XOR digests, full hash lists for disagreeing partitions. Kept
-// for one release as the compatibility fallback (and as the baseline
-// the Merkle byte-budget comparisons measure against).
-func (r *Replicator) pullFlat(peer *Client) (pulled int, err error) {
-	theirs, err := peer.Digests()
-	if err != nil {
-		return 0, err
-	}
-	mine := make(map[int]PartitionDigest, GossipPartitions)
-	for _, d := range r.store.Digests() {
-		mine[d.Partition] = d
-	}
-	for _, d := range theirs {
-		if m, ok := mine[d.Partition]; ok && m.Count == d.Count && m.XOR == d.XOR {
-			continue
-		}
-		hashes, err := peer.HashesIn(d.Partition)
-		if err != nil {
-			return pulled, err
 		}
 		n, err := r.pullHashes(peer, hashes)
 		pulled += n
@@ -523,10 +438,10 @@ func (r *Replicator) pullFlat(peer *Client) (pulled int, err error) {
 	return pulled, nil
 }
 
-// pullHashes is the shared tail of both anti-entropy protocols: given
-// the content hashes a peer serves in some region, repair tombstoned
-// ones (re-push the removal the peer evidently missed), skip what is
-// already indexed, and pull the rest in verified batches.
+// pullHashes is the tail of a descent: given the content hashes a peer
+// serves in the differing leaves, repair tombstoned ones (re-push the
+// removal the peer evidently missed), skip what is already indexed,
+// and pull the rest in verified batches.
 func (r *Replicator) pullHashes(peer *Client, hashes [][]byte) (pulled int, err error) {
 	var missing [][]byte
 	for _, h := range hashes {
@@ -557,35 +472,27 @@ func (r *Replicator) pullHashes(peer *Client, hashes [][]byte) (pulled int, err 
 		if err != nil {
 			return pulled, err
 		}
-		now := r.now()
-		// Verify the fetched batch as one unit before indexing: the
-		// signature checks run batched (seeding the shared proof
-		// cache), so each PublishPulled's verify-before-index is a
-		// cache lookup.
-		cert.VerifyBatch(publishCtx(now), certs)
-		for _, c := range certs {
-			// PublishPulled, not Publish: a removal that raced this
-			// pull leaves a tombstone the pull must yield to, never
-			// clear.
-			added, err := r.store.PublishPulled(c, now)
-			switch {
-			case err != nil:
-				r.pullRejected.Add(1)
-			case added:
-				r.pulled.Add(1)
-				pulled++
-			}
-		}
+		pulled += r.indexPulled(certs)
 	}
 	return pulled, nil
+}
+
+// indexPulled verifies and indexes certificates a peer supplied
+// (Store.indexVerified, yielding to tombstones: a removal that raced
+// the pull must win) and counts the outcome.
+func (r *Replicator) indexPulled(certs []*cert.Cert) int {
+	added, rejected := r.store.indexVerified(certs, r.now(), true, 0)
+	r.pulled.Add(int64(added))
+	r.pullRejected.Add(int64(rejected))
+	return added
 }
 
 // BootstrapFromPeer cold-starts this directory from the first peer
 // that serves a complete snapshot: one bulk verify-before-index
 // transfer instead of thousands of gossip round trips. Certificates
-// stream through cert.VerifyBatch and PublishPulled (the snapshot
-// grants no authority), retractions become local tombstones, and CRLs
-// install batched with one eviction scan at the end. Returns how many
+// stream through the same verified-batch indexing as gossip pulls (the
+// snapshot grants no authority), retractions become local tombstones,
+// and CRLs install as one batch at the end. Returns how many
 // certificates were adopted; when every peer fails, the joined error
 // is returned and the caller proceeds with plain gossip — bootstrap
 // is an optimization, never a correctness requirement. State adopted
@@ -611,21 +518,7 @@ func (r *Replicator) bootstrapFrom(ctx context.Context, peer *Client) (pulled in
 		lists []*cert.RevocationList
 	)
 	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		now := r.now()
-		cert.VerifyBatch(publishCtx(now), batch)
-		for _, c := range batch {
-			added, err := r.store.PublishPulled(c, now)
-			switch {
-			case err != nil:
-				r.pullRejected.Add(1)
-			case added:
-				r.pulled.Add(1)
-				pulled++
-			}
-		}
+		pulled += r.indexPulled(batch)
 		batch = batch[:0]
 	}
 	err = peer.Snapshot(ctx, func(e sexp.Sexp) error {
@@ -633,66 +526,42 @@ func (r *Replicator) bootstrapFrom(ctx context.Context, peer *Client) (pulled in
 		case snapTagHeader, snapTagEnd:
 			return nil
 		case walTagPublish:
-			if e.Len() != 2 {
-				return fmt.Errorf("bad publish frame %s", e)
-			}
-			p, err := core.ProofFromSexp(e.Nth(1))
+			c, err := decodePublish(e)
 			if err != nil {
-				return fmt.Errorf("publish frame: %w", err)
-			}
-			c, ok := p.(*cert.Cert)
-			if !ok {
-				return fmt.Errorf("publish frame holds %T, not a certificate", p)
+				return err
 			}
 			batch = append(batch, c)
-			if len(batch) >= bootstrapBatch {
+			if len(batch) >= verifyBatch {
 				flush()
 			}
 			return nil
 		case walTagRemove:
-			if e.Len() != 3 || !e.Nth(1).IsAtom() {
-				return fmt.Errorf("bad remove frame %s", e)
+			hash, expiry, err := decodeRemove(e)
+			if err != nil {
+				return err
 			}
 			flush() // retractions apply after the publishes streamed before them
-			var expiry time.Time
-			if sec, perr := strconv.ParseInt(e.Nth(2).Text(), 10, 64); perr == nil && sec != 0 {
-				expiry = time.Unix(sec, 0)
-			}
-			hash := append([]byte(nil), e.Nth(1).Bytes()...)
 			r.store.AdoptTombstone(hash, expiry, r.now())
 			return nil
 		case snapTagCRL:
 			if e.Len() != 2 {
-				return fmt.Errorf("bad crl frame %s", e)
+				return fmt.Errorf("certdir: bad crl frame %s", e)
 			}
 			rl, err := cert.RevocationListFromSexp(e.Nth(1))
 			if err != nil {
-				return fmt.Errorf("crl frame: %w", err)
+				return fmt.Errorf("certdir: crl frame: %w", err)
 			}
 			lists = append(lists, rl)
 			return nil
 		}
-		return fmt.Errorf("unknown snapshot frame %q", e.Tag())
+		return fmt.Errorf("certdir: unknown snapshot frame %q", e.Tag())
 	})
 	flush()
 	if err != nil {
 		return pulled, err
 	}
-	if r.Revocations != nil && len(lists) > 0 {
-		added, errs := r.Revocations.AddNewBatch(lists)
-		anyAdded := false
-		for i := range lists {
-			switch {
-			case errs[i] != nil:
-				r.crlsRejected.Add(1)
-			case added[i]:
-				r.crlsPulled.Add(1)
-				anyAdded = true
-			}
-		}
-		if anyAdded {
-			r.store.EvictRevokedByIssuer(r.Revocations.RevokedByIssuerAt(r.now()))
-		}
+	if r.Revocations != nil {
+		r.countCRLs(InstallCRLs(r.Revocations, r.store, r, lists, r.now()))
 	}
 	return pulled, nil
 }

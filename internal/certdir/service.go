@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/cert"
-	"repro/internal/core"
 	"repro/internal/httpauth"
 	"repro/internal/obs"
 	"repro/internal/principal"
@@ -36,16 +35,19 @@ import (
 // so heavy issuers don't ship irrelevant delegations. Requests
 // without the clauses behave exactly as before the clauses existed.
 //
-// Anti-entropy replication (see Replicator) adds three peer-facing
-// endpoints:
+// Anti-entropy replication (see Replicator and merkle.go) adds four
+// peer-facing endpoints: a Merkle tree descent that locates the
+// differing content hashes, and a fetch for the certificates behind
+// them:
 //
-//	POST /certdir/gossip/digests  (digests)            -> (digests (part <p> <count> <xor32>)...)
-//	POST /certdir/gossip/hashes   (hashes <partition>) -> (hashes <hash>...)
-//	POST /certdir/gossip/fetch    (fetch <hash>...)    -> (certs <proof>...)
+//	POST /certdir/gossip/root    (mroot)           -> (mroot (params <leaves> <arity>) (sum <count> <xor16>))
+//	POST /certdir/gossip/nodes   (mnodes <idx>...) -> (mnodes (sum <idx> <count> <xor16>)...)
+//	POST /certdir/gossip/leaves  (mleaves <idx>...)-> (mleaves (leaf <idx> <hash>...)...)
+//	POST /certdir/gossip/fetch   (fetch <hash>...) -> (certs <proof>...)
 //
 // None of the gossip endpoints is trusted any more than publish is:
 // fetched certificates are re-verified by the puller before indexing,
-// and serving digests or hashes reveals only content hashes of
+// and serving summaries or hashes reveals only content hashes of
 // certificates the directory would hand out anyway.
 // Revocation propagation adds four endpoints:
 //
@@ -66,14 +68,6 @@ import (
 // revocation evicts at every peer directly instead of waiting for
 // per-directory tombstones; pullers verify every CRL before applying
 // it, exactly like certificates.
-// Merkle anti-entropy (see merkle.go) adds three tree-descent
-// endpoints alongside the flat digests/hashes pair, which stays
-// served for one release so mixed-version meshes keep converging
-// (a puller falls back to the flat protocol on 404):
-//
-//	POST /certdir/gossip/root    (mroot)           -> (mroot (params <leaves> <arity>) (sum <count> <xor16>))
-//	POST /certdir/gossip/nodes   (mnodes <idx>...) -> (mnodes (sum <idx> <count> <xor16>)...)
-//	POST /certdir/gossip/leaves  (mleaves <idx>...)-> (mleaves (leaf <idx> <hash>...)...)
 //
 // Snapshot bootstrap adds one bulk endpoint: GET /certdir/snapshot
 // streams the directory's live contents as a framed record sequence
@@ -86,8 +80,6 @@ const (
 	PathQuery        = "/certdir/query"
 	PathRemove       = "/certdir/remove"
 	PathStats        = "/certdir/stats"
-	PathDigests      = "/certdir/gossip/digests"
-	PathHashes       = "/certdir/gossip/hashes"
 	PathFetch        = "/certdir/gossip/fetch"
 	PathGossipRoot   = "/certdir/gossip/root"
 	PathGossipNodes  = "/certdir/gossip/nodes"
@@ -194,10 +186,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.post(w, r, s.handleQuery)
 	case PathRemove:
 		s.post(w, r, s.handleRemove)
-	case PathDigests:
-		s.post(w, r, s.handleDigests)
-	case PathHashes:
-		s.post(w, r, s.handleHashes)
 	case PathFetch:
 		s.post(w, r, s.handleFetch)
 	case PathGossipRoot:
@@ -324,13 +312,9 @@ func (s *Service) handlePublish(e sexp.Sexp) (sexp.Sexp, error) {
 }
 
 func (s *Service) doPublish(e sexp.Sexp) (sexp.Sexp, error) {
-	p, err := core.ProofFromSexp(e)
+	c, err := certFromSexp(e)
 	if err != nil {
-		return nil, fmt.Errorf("certdir: publish wants a certificate proof: %w", err)
-	}
-	c, ok := p.(*cert.Cert)
-	if !ok {
-		return nil, fmt.Errorf("certdir: only signed certificates are publishable, not %T", p)
+		return nil, fmt.Errorf("certdir: publish: %w", err)
 	}
 	// Screen the wire-decoded certificate here, at the trust boundary,
 	// before it reaches the store (verify-before-index). Store.publish
@@ -425,42 +409,6 @@ func (s *Service) handleRemove(e sexp.Sexp) (sexp.Sexp, error) {
 		return sexp.List(sexp.String("removed")), nil
 	}
 	return sexp.List(sexp.String("absent")), nil
-}
-
-// handleDigests answers (digests) with the per-partition summaries of
-// the stored set; the requesting peer pulls hash lists only for
-// partitions whose digests disagree with its own.
-func (s *Service) handleDigests(e sexp.Sexp) (sexp.Sexp, error) {
-	if e.Tag() != "digests" || e.Len() != 1 {
-		return nil, fmt.Errorf("certdir: digests wants (digests)")
-	}
-	kids := []sexp.Sexp{sexp.String("digests")}
-	for _, d := range s.Store.Digests() {
-		kids = append(kids, sexp.List(
-			sexp.String("part"),
-			sexp.String(strconv.Itoa(d.Partition)),
-			sexp.String(strconv.Itoa(d.Count)),
-			sexp.Atom(d.XOR[:]),
-		))
-	}
-	return sexp.List(kids...), nil
-}
-
-// handleHashes answers (hashes <partition>) with the content hashes
-// stored in that gossip partition.
-func (s *Service) handleHashes(e sexp.Sexp) (sexp.Sexp, error) {
-	if e.Tag() != "hashes" || e.Len() != 2 || !e.Nth(1).IsAtom() {
-		return nil, fmt.Errorf("certdir: hashes wants (hashes <partition>)")
-	}
-	p, err := strconv.Atoi(e.Nth(1).Text())
-	if err != nil || p < 0 || p >= GossipPartitions {
-		return nil, fmt.Errorf("certdir: bad partition %q", e.Nth(1).Text())
-	}
-	kids := []sexp.Sexp{sexp.String("hashes")}
-	for _, h := range s.Store.HashesIn(p) {
-		kids = append(kids, sexp.Atom(h))
-	}
-	return sexp.List(kids...), nil
 }
 
 // handleFetch answers (fetch <hash>...) with the live certificates
@@ -621,9 +569,9 @@ func (s *Service) handleEvents(e sexp.Sexp) (sexp.Sexp, error) {
 	return sexp.List(kids...), nil
 }
 
-// handleAdminCRL installs one CRL without a restart: verify, dedup,
-// evict what its signer issued, fan out to peers. Duplicates are
-// acknowledged idempotently so gossip floods terminate.
+// handleAdminCRL installs one CRL without a restart (InstallCRLs:
+// verify, dedup, evict what its signer issued, fan out to peers).
+// Duplicates are acknowledged idempotently so gossip floods terminate.
 func (s *Service) handleAdminCRL(e sexp.Sexp) (sexp.Sexp, error) {
 	if s.Revocations == nil {
 		return nil, fmt.Errorf("certdir: revocation endpoints not enabled")
@@ -633,44 +581,18 @@ func (s *Service) handleAdminCRL(e sexp.Sexp) (sexp.Sexp, error) {
 		return nil, fmt.Errorf("certdir: admin crl: %w", err)
 	}
 	start := time.Now()
-	added, evicted, err := s.installCRL(rl)
-	if err == nil && added {
-		s.CRLHist.Since(start)
+	res := InstallCRLs(s.Revocations, s.Store, s.Replicator, []*cert.RevocationList{rl}, s.now())
+	if res.Err != nil {
+		return nil, fmt.Errorf("certdir: admin crl: %w", res.Err)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("certdir: admin crl: %w", err)
-	}
-	if !added {
+	if res.Installed == 0 {
 		return sexp.List(sexp.String("crl-duplicate")), nil
 	}
+	s.CRLHist.Since(start)
 	return sexp.List(
 		sexp.String("crl-installed"),
-		sexp.List(sexp.String("evicted"), sexp.String(strconv.Itoa(evicted))),
+		sexp.List(sexp.String("evicted"), sexp.String(strconv.Itoa(res.Evicted))),
 	), nil
-}
-
-func (s *Service) installCRL(rl *cert.RevocationList) (added bool, evicted int, err error) {
-	return installCRL(s.Store, s.Revocations, s.Replicator, rl, s.now())
-}
-
-// installCRL handles one network-arriving CRL (the admin endpoint):
-// verify-before-apply into the revocation store (which bumps the
-// proof-cache epoch), immediate issuer-matched eviction (which
-// tombstones and emits revoke events), then rumor-mongering fan-out
-// to peers (nil rep for an unreplicated directory). Dedup in AddNew
-// terminates the flood. The gossip pull applies the same discipline
-// batched (Replicator.pullCRLs): one signature batch, one cache
-// flush, and one eviction scan per round.
-func installCRL(st *Store, revs *cert.RevocationStore, rep *Replicator, rl *cert.RevocationList, now time.Time) (added bool, evicted int, err error) {
-	added, err = revs.AddNew(rl)
-	if err != nil || !added {
-		return added, 0, err
-	}
-	evicted = st.EvictRevokedByIssuer(revs.RevokedByIssuerAt(now))
-	if rep != nil {
-		rep.EnqueueCRL(rl)
-	}
-	return true, evicted, nil
 }
 
 // handleReload re-reads the daemon's CRL file via the wired callback;

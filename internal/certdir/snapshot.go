@@ -35,18 +35,18 @@ const SnapshotFileName = "certdir.snap"
 //	(snap-crl <crl>)                   ... one per installed CRL
 //	(snap-end (count <records>))
 //
-// The record frames reuse the WAL's publish/remove encoding, so the
-// snapshot consumer is a cousin of WAL replay and inherits its
-// ownership rule (typed decoders deep-copy what they keep). The
+// The record frames reuse the WAL's publish/remove encoding through
+// the same encode/decode functions (wal.go), so the snapshot consumer
+// inherits replay's ownership rule (decoders deep-copy what they
+// keep) and its strictness about malformed frames. The
 // trailer count lets a reader distinguish a complete snapshot from a
 // stream truncated by a crash or severed connection; a truncated
 // stream aborts the bootstrap and the joiner falls back to gossip.
 //
 // Trust: a snapshot grants nothing. Every certificate goes through
-// cert.VerifyBatch before PublishPulled indexes it — the same
-// verify-before-index discipline as gossip pulls — and every CRL is
-// verified by AddNewBatch. A malicious snapshot server can withhold
-// state but cannot plant any.
+// Store.indexVerified — the same verify-before-index call gossip pulls
+// end in — and every CRL through InstallCRLs. A malicious snapshot
+// server can withhold state but cannot plant any.
 //
 // The header cursor is the serving store's event sequence at snapshot
 // time, as a BARE sequence number (no boot nonce): the nonce is an
@@ -141,7 +141,7 @@ func (s *Store) WriteSnapshot(w io.Writer, revs *cert.RevocationStore, now time.
 	}
 	records := 0
 	for _, le := range ents {
-		if err := emit(sexp.List(sexp.String(walTagPublish), le.c.Sexp())); err != nil {
+		if err := emit(publishRecord(le.c)); err != nil {
 			return n, err
 		}
 		records++

@@ -225,6 +225,35 @@ func TestSnapshotForgedCertRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotMalformedRemoveRejected: the peer-served stream goes
+// through the same frame decoder as WAL replay. A retraction whose
+// expiry is not an integer (read leniently: an immortal tombstone) or
+// whose hash is not a full content hash fails the bootstrap instead of
+// being adopted.
+func TestSnapshotMalformedRemoveRejected(t *testing.T) {
+	hash := sfkey.HashBytes([]byte("snap-badrm"))
+	for name, bad := range map[string]sexp.Sexp{
+		"non-integer expiry": sexp.List(sexp.String(walTagRemove), sexp.Atom(hash), sexp.String("never")),
+		"short hash":         sexp.List(sexp.String(walTagRemove), sexp.Atom(hash[:8]), sexp.String("0")),
+	} {
+		body := sexp.AppendFrame(nil, sexp.List(sexp.String(snapTagHeader),
+			sexp.List(sexp.String("version"), sexp.String("1")),
+			sexp.List(sexp.String("cursor"), sexp.String("0"))))
+		body = sexp.AppendFrame(body, bad)
+		body = sexp.AppendFrame(body, sexp.List(sexp.String(snapTagEnd),
+			sexp.List(sexp.String("count"), sexp.String("1"))))
+
+		dst := NewStore(4)
+		rep := NewReplicator(dst, []*Client{snapshotServer(t, body)})
+		if _, err := rep.BootstrapFromPeer(context.Background()); err == nil {
+			t.Errorf("%s: malformed remove frame accepted", name)
+		}
+		if n := dst.Stats().Tombstones; n != 0 {
+			t.Errorf("%s: %d tombstones adopted from a malformed frame", name, n)
+		}
+	}
+}
+
 // crashTwinStore opens a small-segment durable store and applies a
 // publish/remove workload that forces several rotations.
 func crashTwinStore(t *testing.T, dir, seed string, now time.Time) (*Store, []*cert.Cert) {

@@ -37,8 +37,8 @@
 // A Replicator connects a Store to peer directories in other
 // administrative domains and keeps them converged two ways: accepted
 // publishes and removals fan out to peers immediately (push, with
-// bounded retry), and a periodic anti-entropy round exchanges
-// per-partition digests to pull anything a push missed. Removed
+// bounded retry), and a periodic anti-entropy round descends a Merkle
+// tree of content-hash summaries to pull anything a push missed. Removed
 // certificates leave tombstones so gossip cannot resurrect a
 // retracted delegation. Everything pulled from a peer is re-verified
 // before it is indexed: replication, like publish, extends
@@ -63,13 +63,6 @@ import (
 // 32 keeps per-shard contention negligible at ~100k certs while the
 // per-shard fixed cost stays trivial.
 const DefaultShards = 32
-
-// GossipPartitions is the fixed partition count of the anti-entropy
-// digest space. Certificates are assigned to partitions by content
-// hash, independently of any node's local shard count, so two
-// directories configured with different -shards values still compute
-// comparable digests.
-const GossipPartitions = 64
 
 // entry is one stored certificate with its precomputed index keys.
 type entry struct {
@@ -253,11 +246,41 @@ func (s *Store) PublishPulled(c *cert.Cert, now time.Time) (added bool, err erro
 	return s.publish(c, now, true, 0)
 }
 
-// publishReplay is Publish during WAL replay: no journaling (the
-// record already exists, in segment replaySeg), no hooks implied — the
-// hook set is empty before attachWAL anyway.
-func (s *Store) publishReplay(c *cert.Cert, now time.Time, replaySeg uint64) (added bool, err error) {
-	return s.publish(c, now, false, replaySeg)
+// verifyBatch is how many certificates a streaming loader (WAL replay,
+// snapshot bootstrap) gathers before handing them to indexVerified.
+// Big enough to amortize the batch machinery, small enough that the
+// decoded certificates pending a flush stay a bounded memory cost.
+const verifyBatch = 256
+
+// indexVerified is the one way certificates enter the store in bulk —
+// WAL replay, snapshot bootstrap, and anti-entropy pulls all end here.
+// The batch is signature-checked as one unit first (cert.VerifyBatch
+// seeds the shared proof cache), so each publish's own
+// verify-before-index is a cache lookup; publish still re-verifies, so
+// neither a hostile peer nor a log tampered with at rest can plant
+// authority. It reports how many certificates were newly indexed and
+// how many were refused (bad signature, not valid at now); the rest
+// were duplicates or yielded to a tombstone.
+//
+// pulled selects PublishPulled's semantics (a live tombstone wins);
+// replaySeg, when non-zero, marks WAL replay: the record already
+// exists in that segment, so nothing is journaled — and no hook fires,
+// the hook set being empty before attachWAL.
+func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled bool, replaySeg uint64) (added, rejected int) {
+	if len(certs) == 0 {
+		return 0, 0
+	}
+	cert.VerifyBatch(publishCtx(now), certs)
+	for _, c := range certs {
+		ok, err := s.publish(c, now, pulled, replaySeg)
+		switch {
+		case err != nil:
+			rejected++
+		case ok:
+			added++
+		}
+	}
+	return added, rejected
 }
 
 func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone bool, replaySeg uint64) (added bool, err error) {
@@ -639,52 +662,35 @@ func (s *Store) Sweep(now time.Time) int {
 	return n
 }
 
-// EvictRevoked drops every certificate the predicate reports revoked
-// (keyed by cert.Hash), returns the count, and compacts the WAL when
-// anything was dropped. Pair it with cert.RevocationStore.RevokedAt to
-// keep the directory from serving delegations a CRL has voided.
-// Evicted certificates are tombstoned like removals: a peer that has
-// not seen the CRL must not gossip the revoked delegation back in.
-func (s *Store) EvictRevoked(revoked func(certHash []byte) bool) int {
-	if revoked == nil {
-		return 0
-	}
-	return s.evictWhere(func(e *entry) bool { return revoked([]byte(e.hashKey)) })
-}
-
-// EvictRevokedByIssuer is EvictRevoked for predicates that also see
-// the certificate's issuer key — pair it with
-// cert.RevocationStore.RevokedByIssuerAt so a CRL only voids
-// delegations its signer actually issued. This is the eviction the
-// daemons and the CRL gossip path use: CRLs that arrive over the
-// network carry a valid signature from SOME key, and the issuer match
-// is what stops an arbitrary key holder from denying service to
+// EvictRevokedByIssuer drops every certificate the predicate reports
+// revoked (keyed by cert.Hash and the certificate's issuer key),
+// returns the count, and compacts the WAL when anything was dropped.
+// Pair it with cert.RevocationStore.RevokedByIssuerAt so a CRL only
+// voids delegations its signer actually issued: CRLs that arrive over
+// the network carry a valid signature from SOME key, and the issuer
+// match is what stops an arbitrary key holder from denying service to
 // delegations it never granted.
+//
+// Each drop is journaled as a removal record and tombstoned (a peer
+// that has not seen the CRL must not gossip the certificate back in),
+// and emits one revoke event so subscribed provers shed their copies
+// too. The journal record is what keeps the tombstone durable under
+// incremental compaction: a threshold rewrite only preserves records
+// it knows are live, so an eviction must leave a record like any other
+// retraction. A journal failure does not block the eviction — locally
+// refusing to serve a revoked delegation outranks tombstone
+// durability.
 func (s *Store) EvictRevokedByIssuer(revoked func(certHash []byte, issuerKey string) bool) int {
 	if revoked == nil {
 		return 0
 	}
-	return s.evictWhere(func(e *entry) bool { return revoked([]byte(e.hashKey), e.issuerK) })
-}
-
-// evictWhere drops every entry the predicate condemns, journaling a
-// removal record and tombstoning each (a peer that has not seen the
-// CRL must not gossip the certificate back in) and emitting one revoke
-// event per drop so subscribed provers shed their copies too. The
-// journal record is what keeps the tombstone durable under incremental
-// compaction: unlike the old rewrite-everything compactor, a threshold
-// rewrite only preserves records it knows are live, so an eviction
-// must leave a record like any other retraction. A journal failure
-// does not block the eviction — locally refusing to serve a revoked
-// delegation outranks tombstone durability.
-func (s *Store) evictWhere(dead func(*entry) bool) int {
 	n := 0
 	var dropped []*entry
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		var del []*entry
 		for _, e := range sh.byHash {
-			if dead(e) {
+			if revoked([]byte(e.hashKey), e.issuerK) {
 				del = append(del, e)
 			}
 		}
@@ -755,7 +761,7 @@ func (s *Store) liveFrames(ids []uint64) map[uint64][]sexp.Sexp {
 		sh.mu.RLock()
 		for _, e := range sh.byHash {
 			if want[e.seg] {
-				out[e.seg] = append(out[e.seg], sexp.List(sexp.String(walTagPublish), e.cert.Sexp()))
+				out[e.seg] = append(out[e.seg], publishRecord(e.cert))
 			}
 		}
 		sh.mu.RUnlock()
@@ -892,69 +898,6 @@ func (s *Store) ByHashes(hashes [][]byte, now time.Time) []*cert.Cert {
 		for k := range want {
 			if e, ok := sh.byHash[k]; ok && e.cert.Body.Validity.Contains(now) {
 				out = append(out, e.cert)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// PartitionDigest summarizes one gossip partition: how many
-// certificates it holds here and the XOR of their 32-byte content
-// hashes. Two directories hold the same partition contents exactly
-// when count and XOR both match (an adversary cannot steer SHA-256
-// outputs, so it cannot craft a colliding XOR), which is all
-// anti-entropy needs: equality is cheap, and inequality triggers a
-// hash-list pull.
-type PartitionDigest struct {
-	Partition int
-	Count     int
-	XOR       [32]byte
-}
-
-// partitionOf assigns a certificate (by content-hash key) to its
-// gossip partition.
-func partitionOf(hashKey string) int {
-	return shard.Index(hashKey, GossipPartitions)
-}
-
-// Digests summarizes every non-empty gossip partition of the stored
-// set. Expired-but-unswept certificates are included — digests
-// describe what is stored, and Publish on the pulling side rejects
-// anything already expired.
-func (s *Store) Digests() []PartitionDigest {
-	var counts [GossipPartitions]int
-	var xors [GossipPartitions][32]byte
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k := range sh.byHash {
-			p := partitionOf(k)
-			counts[p]++
-			for i := 0; i < len(xors[p]) && i < len(k); i++ {
-				xors[p][i] ^= k[i]
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	var out []PartitionDigest
-	for p, n := range counts {
-		if n > 0 {
-			out = append(out, PartitionDigest{Partition: p, Count: n, XOR: xors[p]})
-		}
-	}
-	return out
-}
-
-// HashesIn lists the content hashes stored in one gossip partition;
-// the anti-entropy protocol pulls it only for partitions whose
-// digests disagree.
-func (s *Store) HashesIn(p int) [][]byte {
-	var out [][]byte
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k := range sh.byHash {
-			if partitionOf(k) == p {
-				out = append(out, []byte(k))
 			}
 		}
 		sh.mu.RUnlock()

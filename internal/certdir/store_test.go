@@ -168,7 +168,7 @@ func TestStoreEvictRevoked(t *testing.T) {
 	if err := rs.Add(crl); err != nil {
 		t.Fatal(err)
 	}
-	if n := st.EvictRevoked(rs.RevokedAt(now)); n != 1 {
+	if n := st.EvictRevokedByIssuer(rs.RevokedByIssuerAt(now)); n != 1 {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 	if got := st.BySubject(carolP, now); len(got) != 0 {
@@ -232,7 +232,7 @@ func TestStoreConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			st.EvictRevoked(func([]byte) bool { return false })
+			st.EvictRevokedByIssuer(func([]byte, string) bool { return false })
 			st.Len()
 			st.Stats()
 		}

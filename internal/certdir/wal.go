@@ -2,6 +2,7 @@ package certdir
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/cert"
-	"repro/internal/core"
 	"repro/internal/sexp"
 )
 
@@ -58,14 +58,10 @@ import (
 // whole log. Each rewrite keeps today's crash discipline: temp file,
 // fsync, atomic rename, directory sync.
 //
-// Logs written by earlier releases as a single certdir.wal file are
-// migrated on open: the file is renamed to segment 1. The migration is
-// a single atomic rename, so a crash during it leaves either the old
-// name or the new one, never both and never a partial copy.
-
-// WALName is the legacy single-file log name. A log found under this
-// name is renamed to the first numbered segment on open.
-const WALName = "certdir.wal"
+// Segments are the only layout. A data directory holding a single-file
+// certdir.wal — what releases before segmentation wrote — is refused
+// at open (refuseLegacyWAL): its records would otherwise be silently
+// ignored and the directory would come up empty.
 
 // Wire tags of the WAL record shapes.
 const (
@@ -144,29 +140,21 @@ func listSegments(dir string) ([]uint64, error) {
 	return ids, nil
 }
 
-// migrateLegacyWAL renames a pre-segmentation certdir.wal to segment 1.
-// Finding both a legacy file and segments is refused rather than
-// guessed at: the rename is atomic, so that state never arises from a
-// crash — only from an operator mixing data dirs.
-func migrateLegacyWAL(dir string) error {
-	legacy := filepath.Join(dir, WALName)
-	if _, err := os.Stat(legacy); err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("certdir: wal migrate: %w", err)
+// refuseLegacyWAL fails the open of a data directory that holds a
+// pre-segmentation single-file log. Nothing reads that name any more,
+// so opening past it would acknowledge an empty directory while the
+// operator's delegations sit unread beside the new segments.
+// OpenWALOpts calls it before it creates or truncates anything, which
+// covers OpenDurable too: replay only reads.
+func refuseLegacyWAL(dir string) error {
+	legacy := filepath.Join(dir, "certdir.wal")
+	if _, err := os.Stat(legacy); err == nil {
+		return fmt.Errorf("certdir: %s is a single-file log this release does not read; rename it to %s (the framing is unchanged) or move it away",
+			legacy, walSegmentName(1))
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("certdir: wal dir: %w", err)
 	}
-	ids, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	if len(ids) > 0 {
-		return fmt.Errorf("certdir: both legacy %s and segmented wal files present in %s; remove one", WALName, dir)
-	}
-	if err := os.Rename(legacy, filepath.Join(dir, walSegmentName(1))); err != nil {
-		return fmt.Errorf("certdir: wal migrate: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }
 
 // SyncPolicy selects when the WAL forces appended records to stable
@@ -226,7 +214,7 @@ type segmentMeta struct {
 
 // WAL is the segmented append log backing a durable Store. All methods
 // are safe for concurrent use. Construct through OpenDurable (which
-// also replays), or OpenWAL for direct control in tests and tools.
+// also replays), or OpenWALOpts for direct control in tests and tools.
 type WAL struct {
 	mu           sync.Mutex
 	dir          string
@@ -254,21 +242,15 @@ type WALStats struct {
 	Rotations   int64  // active-segment seals
 }
 
-// OpenWAL opens the segmented log in dir for appending, without
-// replaying it, using default segment options. A legacy single-file
-// log is migrated first. truncateAt >= 0 cuts the LAST segment to that
-// many bytes — OpenDurable uses it to drop a torn tail.
-func OpenWAL(dir string, policy SyncPolicy, truncateAt int64) (*WAL, error) {
-	return OpenWALOpts(dir, policy, truncateAt, WALOptions{})
-}
-
-// OpenWALOpts is OpenWAL with explicit segment options.
+// OpenWALOpts opens the segmented log in dir for appending, without
+// replaying it. truncateAt >= 0 cuts the LAST segment to that many
+// bytes — OpenDurable uses it to drop a torn tail.
 func OpenWALOpts(dir string, policy SyncPolicy, truncateAt int64, opts WALOptions) (*WAL, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("certdir: wal dir: %w", err)
 	}
-	if err := migrateLegacyWAL(dir); err != nil {
+	if err := refuseLegacyWAL(dir); err != nil {
 		return nil, err
 	}
 	// A crash during a segment rewrite can leave a temp file behind;
@@ -432,7 +414,7 @@ func (w *WAL) rotateIfNonEmpty() error {
 // AppendPublish logs an accepted publish, returning the segment the
 // record landed in.
 func (w *WAL) AppendPublish(c *cert.Cert) (uint64, error) {
-	return w.appendRecord(sexp.List(sexp.String(walTagPublish), c.Sexp()))
+	return w.appendRecord(publishRecord(c))
 }
 
 // AppendRemove logs a removal together with the removed certificate's
@@ -447,12 +429,56 @@ func (w *WAL) AppendEvent(token uint64, kind string, hash []byte) (uint64, error
 	return w.appendRecord(eventRecord(token, kind, hash))
 }
 
+// The publish and remove frames are shared by the WAL and the snapshot
+// stream; these four functions are the only code that knows their
+// layout. The decoders deep-copy what they return, so a caller may
+// recycle the buffer the frame was parsed from.
+
+func publishRecord(c *cert.Cert) sexp.Sexp {
+	return sexp.List(sexp.String(walTagPublish), c.Sexp())
+}
+
 func removeRecord(hash []byte, expiry time.Time) sexp.Sexp {
 	exp := "0"
 	if !expiry.IsZero() {
 		exp = strconv.FormatInt(expiry.Unix(), 10)
 	}
 	return sexp.List(sexp.String(walTagRemove), sexp.Atom(hash), sexp.String(exp))
+}
+
+// decodePublish extracts the certificate from a wal-publish frame. The
+// signature is NOT checked here; indexing verifies.
+func decodePublish(e sexp.Sexp) (*cert.Cert, error) {
+	if e.Tag() != walTagPublish || e.Len() != 2 {
+		return nil, fmt.Errorf("certdir: bad publish frame %s", e)
+	}
+	c, err := certFromSexp(e.Nth(1))
+	if err != nil {
+		return nil, fmt.Errorf("certdir: publish frame: %w", err)
+	}
+	return c, nil
+}
+
+// decodeRemove extracts the retracted certificate's hash and expiry
+// (zero for unbounded) from a wal-remove frame. The hash must be a
+// full content hash and the expiry an integer: read leniently, a
+// garbled expiry would turn into "never expires" and the frame into a
+// tombstone no sweep ever reclaims.
+func decodeRemove(e sexp.Sexp) (hash []byte, expiry time.Time, err error) {
+	if e.Tag() != walTagRemove || e.Len() != 3 || !e.Nth(1).IsAtom() || !e.Nth(2).IsAtom() {
+		return nil, expiry, fmt.Errorf("certdir: bad remove frame %s", e)
+	}
+	if len(e.Nth(1).Bytes()) != sha256.Size {
+		return nil, expiry, fmt.Errorf("certdir: remove frame hash is %d bytes, want %d", len(e.Nth(1).Bytes()), sha256.Size)
+	}
+	sec, err := strconv.ParseInt(e.Nth(2).Text(), 10, 64)
+	if err != nil {
+		return nil, expiry, fmt.Errorf("certdir: remove frame expiry %q is not an integer", e.Nth(2).Text())
+	}
+	if sec != 0 {
+		expiry = time.Unix(sec, 0)
+	}
+	return append([]byte(nil), e.Nth(1).Bytes()...), expiry, nil
 }
 
 func eventRecord(token uint64, kind string, hash []byte) sexp.Sexp {
@@ -648,7 +674,7 @@ type RecoveryStats struct {
 }
 
 // OpenDurable opens a WAL-backed directory rooted at dir with default
-// segment options: it replays the segments (migrating and creating as
+// segment options: it replays the segments (creating the first as
 // needed) into a fresh Store with n shards, truncates any torn tail,
 // attaches the log so subsequent publishes and removals are journaled,
 // and compacts the log when the replay found anything dead. Traffic
@@ -666,9 +692,6 @@ func OpenDurableOpts(dir string, n int, policy SyncPolicy, now time.Time, opts W
 	var rec RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rec, fmt.Errorf("certdir: wal dir: %w", err)
-	}
-	if err := migrateLegacyWAL(dir); err != nil {
-		return nil, rec, err
 	}
 	ids, err := listSegments(dir)
 	if err != nil {
@@ -709,12 +732,6 @@ func OpenDurableOpts(dir string, n int, policy SyncPolicy, now time.Time, opts W
 	return st, rec, nil
 }
 
-// replayBatch is how many consecutive publish records replay gathers
-// before verifying them as one batch (cert.VerifyBatch) and indexing.
-// Big enough to amortize the batch machinery, small enough that the
-// decoded certificates pending a flush stay a bounded memory cost.
-const replayBatch = 256
-
 // replaySegment streams one segment into the store, returning the byte
 // offset of the last good frame, the frame count, and whether a torn
 // tail was found. The store must not have a WAL attached yet: replay
@@ -723,9 +740,8 @@ const replayBatch = 256
 // Records stream through one sexp.FrameReader (a reusable payload
 // buffer and parse arena instead of per-record allocations; the typed
 // decoders copy what they keep, so recycling the arena is safe), and
-// consecutive publishes are signature-checked in batches: VerifyBatch
-// seeds the shared proof cache, so Publish's own verify-before-index
-// is a cache lookup. A removal or event flushes the pending batch
+// consecutive publishes are indexed in verified batches
+// (Store.indexVerified). A removal or event flushes the pending batch
 // first — log order is publish order.
 func replaySegment(st *Store, path string, seg uint64, now time.Time, rec *RecoveryStats) (good, frames int64, torn bool, err error) {
 	f, err := os.Open(path)
@@ -738,24 +754,13 @@ func replaySegment(st *Store, path string, seg uint64, now time.Time, rec *Recov
 	defer f.Close()
 	r := bufio.NewReader(f)
 	var fr sexp.FrameReader
-	vctx := publishCtx(now)
 	var batch []*cert.Cert
 	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		// Publish re-verifies, so a log tampered with at rest cannot
-		// plant authority; the batch pass here only prepays the
-		// signature checks. Expired-in-the-meantime certificates and
-		// bad signatures are dropped by Publish and compacted away.
-		cert.VerifyBatch(vctx, batch)
-		for _, c := range batch {
-			if added, err := st.publishReplay(c, now, seg); err != nil || !added {
-				rec.Dropped++
-				continue
-			}
-			rec.Replayed++
-		}
+		// Expired-in-the-meantime certificates, duplicates and bad
+		// signatures are dropped here and compacted away.
+		added, _ := st.indexVerified(batch, now, false, seg)
+		rec.Replayed += added
+		rec.Dropped += len(batch) - added
 		batch = batch[:0]
 	}
 	for {
@@ -776,35 +781,23 @@ func replaySegment(st *Store, path string, seg uint64, now time.Time, rec *Recov
 		frames++
 		switch e.Tag() {
 		case walTagPublish:
-			if e.Len() != 2 {
-				rec.Dropped++
-				continue
-			}
-			p, err := core.ProofFromSexp(e.Nth(1))
+			c, err := decodePublish(e)
 			if err != nil {
 				rec.Dropped++
 				continue
 			}
-			c, ok := p.(*cert.Cert)
-			if !ok {
-				rec.Dropped++
-				continue
-			}
 			batch = append(batch, c)
-			if len(batch) >= replayBatch {
+			if len(batch) >= verifyBatch {
 				flush()
 			}
 		case walTagRemove:
 			flush() // removals apply after the publishes logged before them
-			if e.Len() != 3 || !e.Nth(1).IsAtom() {
+			hash, expiry, err := decodeRemove(e)
+			if err != nil {
 				rec.Dropped++
 				continue
 			}
-			var expiry time.Time
-			if sec, err := strconv.ParseInt(e.Nth(2).Text(), 10, 64); err == nil && sec != 0 {
-				expiry = time.Unix(sec, 0)
-			}
-			st.replayRemove(e.Nth(1).Bytes(), expiry, now, seg)
+			st.replayRemove(hash, expiry, now, seg)
 			rec.Replayed++
 		case walTagEvent:
 			flush() // events observe the mutations logged before them

@@ -1,11 +1,13 @@
 package certdir
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,16 +157,14 @@ func TestDurableCrashMidPublishStream(t *testing.T) {
 		}
 	}
 
-	// "Crash": the final record's tail never hit the disk. The copy is
-	// written under the legacy single-file name, so this doubles as the
-	// auto-migration test: replay must rename it to segment 1 first.
+	// "Crash": the final record's tail never hit the disk.
 	walPath := filepath.Join(dir, walSegmentName(1))
 	raw, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	crashDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(crashDir, WALName), raw[:len(raw)-7], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(crashDir, walSegmentName(1)), raw[:len(raw)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -296,7 +296,7 @@ func TestWALReplayDropsForgery(t *testing.T) {
 	var raw []byte
 	raw = sexp.AppendFrame(raw, sexp.List(sexp.String("wal-publish"), good.Sexp()))
 	raw = sexp.AppendFrame(raw, sexp.List(sexp.String("wal-publish"), forged.Sexp()))
-	if err := os.WriteFile(filepath.Join(dir, WALName), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walSegmentName(1)), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -309,6 +309,69 @@ func TestWALReplayDropsForgery(t *testing.T) {
 	}
 	if st.Len() != 1 || !st.HasHash(good.Hash()) {
 		t.Fatalf("store holds %d certs", st.Len())
+	}
+}
+
+// TestWALReplayDropsMalformedRemove: a remove frame is outside input
+// like any other log record. One whose expiry is not an integer must
+// not be read as "never expires" (an immortal tombstone that also
+// drops the certificate it names), and one whose hash is not a full
+// content hash names nothing; replay counts both as Dropped.
+func TestWALReplayDropsMalformedRemove(t *testing.T) {
+	now := time.Now()
+	c := delegate2(t, sfkey.FromSeed([]byte("wal-badrm")),
+		principal.KeyOf(sfkey.FromSeed([]byte("wal-badrm-s")).Public()),
+		tag.All(), core.Until(now.Add(time.Hour)))
+	for name, bad := range map[string]sexp.Sexp{
+		"non-integer expiry": sexp.List(sexp.String(walTagRemove), sexp.Atom(c.Hash()), sexp.String("never")),
+		"short hash":         sexp.List(sexp.String(walTagRemove), sexp.Atom(c.Hash()[:8]), sexp.String("0")),
+	} {
+		dir := t.TempDir()
+		raw := sexp.AppendFrame(nil, publishRecord(c))
+		raw = sexp.AppendFrame(raw, bad)
+		if err := os.WriteFile(filepath.Join(dir, walSegmentName(1)), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, rec, err := OpenDurable(dir, 4, SyncNever, now)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rec.Replayed != 1 || rec.Dropped != 1 {
+			t.Errorf("%s: recovery = %+v, want 1 replayed, 1 dropped", name, rec)
+		}
+		if !st.HasHash(c.Hash()) || st.Stats().Tombstones != 0 {
+			t.Errorf("%s: malformed frame took effect (stored=%v, tombstones=%d)",
+				name, st.HasHash(c.Hash()), st.Stats().Tombstones)
+		}
+		if err := st.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOpenDurableRefusesLegacyWAL: a data dir still holding the
+// single-file certdir.wal is refused with an error naming the file —
+// never opened empty past it — and the file is left untouched.
+func TestOpenDurableRefusesLegacyWAL(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Now()
+	c := delegate2(t, sfkey.FromSeed([]byte("wal-legacy")),
+		principal.KeyOf(sfkey.FromSeed([]byte("wal-legacy-s")).Public()),
+		tag.All(), core.Until(now.Add(time.Hour)))
+	legacy := filepath.Join(dir, "certdir.wal")
+	raw := sexp.AppendFrame(nil, publishRecord(c))
+	if err := os.WriteFile(legacy, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := OpenDurable(dir, 4, SyncNever, now)
+	if err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("OpenDurable over a legacy log: err = %v, want a refusal naming %s", err, legacy)
+	}
+	if got, rerr := os.ReadFile(legacy); rerr != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("legacy log was touched (read err %v)", rerr)
+	}
+	if ids, _ := listSegments(dir); len(ids) != 0 {
+		t.Fatalf("refused open still created segments %v", ids)
 	}
 }
 

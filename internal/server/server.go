@@ -495,32 +495,35 @@ func LoadPrincipalFile(path string) (principal.Principal, error) {
 }
 
 // WireCRLFile is the one implementation of a daemon's -crl flag: it
-// loads path into rs now (returning the load error — daemons fail
-// startup on a bad file), registers a SIGHUP hook that re-reads it,
-// and returns the same reload function for admin endpoints. apply,
-// when non-nil, receives each batch of NEWLY installed lists and
-// returns how many stored certificates it evicted (sf-certd evicts
-// from its directory and gossips the lists onward; pure verifiers
-// pass nil — installing into rs already bumped the proof-cache
-// epoch, which is all a verifier needs). On a partial failure (a
-// malformed list mid-file) the lists before it ARE installed and
-// applied, so their revocations take effect rather than waiting for
-// a fixed file.
-func (rt *Runtime) WireCRLFile(rs *cert.RevocationStore, path string, apply func(added []*cert.RevocationList) (evicted int)) (reload func() (added, total, evicted int, err error), err error) {
+// reads path and hands its lists to install now (returning the error —
+// daemons fail startup on a bad file), registers a SIGHUP hook that
+// re-reads it, and returns the same reload function for admin
+// endpoints. install verifies and installs the lists and reports how
+// many were NEW and how many stored certificates they evicted; both
+// daemons pass certdir.InstallCRLs bound to their own state (sf-certd
+// with its store and replicator, a pure verifier with neither).
+// Installation deduplicates, so re-reading an unchanged file installs
+// nothing and flushes no proof cache. When a list fails verification
+// the lists that do verify ARE installed and applied, so their
+// revocations take effect rather than waiting for a fixed file.
+func (rt *Runtime) WireCRLFile(path string, install func(lists []*cert.RevocationList) (added, evicted int, err error)) (reload func() (added, total, evicted int, err error), err error) {
 	crlHist := rt.Latencies().CRLInstall
 	reload = func() (int, int, int, error) {
 		start := time.Now()
-		lists, total, err := rs.LoadFile(path)
-		evicted := 0
-		if len(lists) > 0 && apply != nil {
-			evicted = apply(lists)
+		lists, err := cert.LoadCRLFile(path)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		added, evicted, err := install(lists)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", path, err)
 		}
 		// Only rounds that installed something are CRL installs; a
 		// no-op re-read is not a revocation latency sample.
-		if len(lists) > 0 {
+		if added > 0 {
 			crlHist.Since(start)
 		}
-		return len(lists), total, evicted, err
+		return added, len(lists), evicted, err
 	}
 	_, initial, _, err := reload()
 	if err != nil {

@@ -106,8 +106,7 @@ func TestServeAdminEmptyAddrDisabled(t *testing.T) {
 }
 
 // TestWireCRLFile exercises the shared -crl wiring: initial load,
-// apply hook on new lists only, reload dedup, and partial-failure
-// semantics (lists before a malformed one ARE installed and applied).
+// reload dedup, and reload of a file that grew by one list.
 func TestWireCRLFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "revoked.crl")
@@ -123,10 +122,20 @@ func TestWireCRLFile(t *testing.T) {
 	rt := quietRuntime(t, "test")
 	rs := cert.NewRevocationStore()
 	var applied atomic.Int64
-	reload, err := rt.WireCRLFile(rs, path, func(added []*cert.RevocationList) int {
-		applied.Add(int64(len(added)))
-		return 0
-	})
+	install := func(lists []*cert.RevocationList) (added, evicted int, err error) {
+		ok, errs := rs.AddNewBatch(lists)
+		for i := range lists {
+			if errs[i] != nil {
+				return added, 0, errs[i]
+			}
+			if ok[i] {
+				added++
+			}
+		}
+		applied.Add(int64(added))
+		return added, 0, nil
+	}
+	reload, err := rt.WireCRLFile(path, install)
 	if err != nil {
 		t.Fatalf("WireCRLFile: %v", err)
 	}
@@ -137,13 +146,13 @@ func TestWireCRLFile(t *testing.T) {
 		t.Fatal("initial load did not install the CRL")
 	}
 
-	// Reload of an unchanged file: no new lists, no apply.
+	// Reload of an unchanged file: no new lists.
 	added, total, _, err := reload()
 	if err != nil || added != 0 || total != 1 {
 		t.Fatalf("no-op reload: added=%d total=%d err=%v", added, total, err)
 	}
 	if applied.Load() != 1 {
-		t.Fatalf("no-op reload ran apply: %d", applied.Load())
+		t.Fatalf("no-op reload installed again: %d", applied.Load())
 	}
 
 	// Extend the file with a second list; reload installs just it.
@@ -165,7 +174,7 @@ func TestWireCRLFile(t *testing.T) {
 
 	// A missing file at initial load is a startup error.
 	rt2 := quietRuntime(t, "test2")
-	if _, err := rt2.WireCRLFile(cert.NewRevocationStore(), filepath.Join(dir, "absent.crl"), nil); err == nil {
+	if _, err := rt2.WireCRLFile(filepath.Join(dir, "absent.crl"), install); err == nil {
 		t.Fatal("absent CRL file did not fail startup")
 	}
 }
