@@ -11,12 +11,10 @@ import (
 // Durability and replication baselines for the certificate directory:
 // what the write-ahead log costs per publish under each fsync policy,
 // how fast a restart replays the log, and what one anti-entropy round
-// costs both when converged (digest exchange only) and when catching
-// up. Run with
+// costs both when converged (Merkle root exchange only) and when
+// catching up. Run with
 //
 //	go test ./internal/bench -bench='WAL|Gossip' -benchmem
-//
-// CI uploads the output as an artifact so the trajectory accumulates.
 
 // durableStore opens a WAL-backed store in a fresh temp dir.
 func durableStore(b *testing.B, policy certdir.SyncPolicy, now time.Time) *certdir.Store {

@@ -16,9 +16,8 @@ import (
 //
 //	go test ./internal/bench -bench='Wire|BulkVerify' -benchmem
 //
-// These are the numbers BENCH_7.json tracks across PRs: the typed
-// zero-alloc sexp layer is measured by allocs/op here, the batched
-// verifier by the cold-replay throughput.
+// The typed zero-alloc sexp layer is measured by allocs/op here, the
+// batched verifier by the cold-replay throughput.
 
 // wireProof returns the canonical wire form of the realistic 3-cert
 // proof chain Table 1 uses.

@@ -154,9 +154,9 @@ func TestAntiEntropyRespectsTombstones(t *testing.T) {
 	}
 
 	// A gossip pull must yield to the tombstone even when racing past
-	// the hash-list check (the atomic re-check inside PublishPulled).
-	if added, err := b.store.PublishPulled(c, now); err != nil || added {
-		t.Fatalf("PublishPulled over a tombstone: added=%v err=%v, want refusal", added, err)
+	// the hash-list check (the atomic re-check inside publish).
+	if added, rejected := b.store.indexVerified([]*cert.Cert{c}, now, true, 0); added != 0 || rejected != 0 {
+		t.Fatalf("pulled index over a tombstone: added=%d rejected=%d, want 0/0", added, rejected)
 	}
 
 	// An explicit re-publish at B outranks the old retraction.

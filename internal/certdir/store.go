@@ -229,21 +229,10 @@ func publishCtx(now time.Time) *core.VerifyContext {
 // implies the certificate survives a restart (under the WAL's fsync
 // policy). A successful publish clears any removal tombstone for the
 // same certificate: an explicit re-publish outranks a past retraction.
-// Anti-entropy pulls must use PublishPulled instead, which yields to
-// tombstones rather than clearing them.
+// Anti-entropy pulls go through indexVerified with pulled set instead,
+// which yields to tombstones rather than clearing them.
 func (s *Store) Publish(c *cert.Cert, now time.Time) (added bool, err error) {
 	return s.publish(c, now, false, 0)
-}
-
-// PublishPulled is Publish for certificates arriving via anti-entropy
-// gossip: identical verification and journaling, but a live removal
-// tombstone wins — the pull is refused (added == false, no error)
-// instead of resurrecting a delegation retracted here. The tombstone
-// check happens under the same shard lock Remove adds tombstones
-// under, so a pull racing a removal converges to removed in either
-// interleaving.
-func (s *Store) PublishPulled(c *cert.Cert, now time.Time) (added bool, err error) {
-	return s.publish(c, now, true, 0)
 }
 
 // verifyBatch is how many certificates a streaming loader (WAL replay,
@@ -262,10 +251,14 @@ const verifyBatch = 256
 // how many were refused (bad signature, not valid at now); the rest
 // were duplicates or yielded to a tombstone.
 //
-// pulled selects PublishPulled's semantics (a live tombstone wins);
-// replaySeg, when non-zero, marks WAL replay: the record already
-// exists in that segment, so nothing is journaled — and no hook fires,
-// the hook set being empty before attachWAL.
+// pulled marks certificates arriving via anti-entropy gossip: a live
+// removal tombstone wins, and the certificate is skipped (neither added
+// nor rejected) instead of resurrecting a delegation retracted here.
+// The tombstone check happens under the same shard lock Remove adds
+// tombstones under, so a pull racing a removal converges to removed in
+// either interleaving. replaySeg, when non-zero, marks WAL replay: the
+// record already exists in that segment, so nothing is journaled — and
+// no hook fires, the hook set being empty before attachWAL.
 func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled bool, replaySeg uint64) (added, rejected int) {
 	if len(certs) == 0 {
 		return 0, 0

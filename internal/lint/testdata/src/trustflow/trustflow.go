@@ -89,7 +89,7 @@ func publishBatch(st *certdir.Store, ctx *core.VerifyContext, raws [][]byte) err
 		}
 	}
 	for _, c := range certs {
-		if _, err := st.PublishPulled(c, time.Now()); err != nil {
+		if _, err := st.Publish(c, time.Now()); err != nil {
 			return err
 		}
 	}

@@ -20,8 +20,7 @@ import (
 // certdir.Client.Fetch. Cleansers: any Verify*-named call that
 // mentions the value (or a container of it) — including VerifyBatch
 // over a slice, whose elements are then clean. Sinks:
-// certdir.Store.Publish/PublishPulled and
-// prover.Prover.AddProof/addEdge.
+// certdir.Store.Publish and prover.Prover.AddProof/addEdge.
 //
 // The analysis is intraprocedural and walks each function in source
 // order, so a cleanse in one branch conservatively clears the taint
@@ -82,8 +81,6 @@ func sinkName(info *types.Info, call *ast.CallExpr) string {
 	switch {
 	case isMethod(fn, "internal/certdir", "Store", "Publish"):
 		return "certdir.Store.Publish"
-	case isMethod(fn, "internal/certdir", "Store", "PublishPulled"):
-		return "certdir.Store.PublishPulled"
 	case isMethod(fn, "internal/prover", "Prover", "AddProof"):
 		return "prover.Prover.AddProof"
 	case isMethod(fn, "internal/prover", "Prover", "addEdge"):

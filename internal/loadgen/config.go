@@ -1,39 +1,21 @@
-// Package loadgen drives a Snowflake mesh the way users would hit
-// it: N gateways, M gossip-peered WAL-backed certificate directories,
-// one protected email-database domain, and K synthetic principals
-// with a seeded heavy-tailed delegation graph. It measures the four
-// canonical flows — cold proof discovery, warm cached admit,
-// publish→visible-at-peer, revoke→rejected — under configurable
-// concurrency and churn, asserts end-to-end correctness while the
-// load runs (a revoked principal is rejected within the configured
-// gossip bound; once a revocation is observed no later admit cites
-// the revoked certificate), and reports req/sec plus p50/p95/p99 per
-// flow in the same JSON trajectory schema as BENCH_7.json.
-//
-// Everything runs in one process over real listeners (HTTP for
-// gateways and directories, the secure channel for RMI), so a run is
-// the full wire path of a deployed mesh minus scheduling across
-// machines. cmd/sf-loadgen is the CLI; the package is also the
-// engine of the churn soak test.
+// Package loadgen generates the seeded delegation world the mesh
+// benchmark (benchmark/) drives: a database domain, organization-level
+// issuers with a zipf-heavy member fan-out, K synthetic principals whose
+// mailbox chains run db → org → principal → (gateway quoting
+// principal), and a zipf-skewed request schedule. The world is a pure
+// function of (Config.Seed, Config.Now), so two builds with the same
+// inputs are byte-identical and runs over them are comparable.
 package loadgen
 
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/certdir"
 )
 
-// Config shapes one load run. Profiles (Smoke, Standard, Soak) give
-// the canonical shapes; the zero value is not runnable.
+// Config shapes one generated world; the zero value is not buildable.
 type Config struct {
-	// Profile names the shape this config was derived from ("smoke",
-	// "standard", "soak", or "custom"); baselines are recorded per
-	// profile, so only runs of the same profile are compared.
-	Profile string
-
-	Gateways    int // N: HTTP admission gateways, each with its own prover
-	Directories int // M: WAL-backed certificate directories, full-mesh gossip
+	Gateways    int // N: gateways principals hand their quoting delegation to
+	Directories int // M: directories principals are spread across (HomeDir)
 	Principals  int // K: synthetic principals
 	// Orgs is the number of intermediate issuers the database
 	// delegates to; principals are assigned to orgs zipf-heavy, so a
@@ -42,122 +24,24 @@ type Config struct {
 
 	Seed int64 // drives keys, graph shape, and the request schedule
 	// ZipfS is the zipf exponent (>1) for both org assignment and
-	// warm-request targeting; larger = heavier head.
+	// request targeting; larger = heavier head.
 	ZipfS float64
 
-	WarmOps     int // warm-flow admits, zipf-targeted across principals
-	PublishOps  int // publish→visible-at-peer probes
-	Revocations int // revoke→rejected probes (distinct principals)
-	Concurrency int // client workers driving cold/warm phases
+	WarmOps int // length of the zipf-targeted request schedule
 
-	// ChurnWorkers background workers publish and revoke throwaway
-	// certificates (under a dedicated churn issuer) while the warm
-	// phase runs; each performs ChurnOps publish+revoke cycles. Every
-	// revocation bumps the shared proof-cache epoch, so churn
-	// continuously invalidates cached verdicts under the admit load —
-	// the adversarial shape the correctness assertions run against.
-	ChurnWorkers int
-	ChurnOps     int
-
-	// GossipInterval is the directory anti-entropy/CRL gossip period
-	// and the database's CRL pull interval. The revoke→rejected
-	// deadline is RevokeRounds of it.
-	GossipInterval time.Duration
-	// RevokeRounds bounds how many gossip intervals a revocation may
-	// take to bite end to end before the run reports a correctness
-	// violation. The pipeline needs one round (CRL gossip to the
-	// database's pull point) plus one pull, so 3 is already generous;
-	// it exists as a knob for slow CI machines.
-	RevokeRounds int
-
-	// Fsync is the directories' WAL sync policy; smoke keeps
-	// SyncNever so CI measures the protocol, not the CI disk.
-	Fsync certdir.SyncPolicy
-
-	// MintTTL bounds each request proof's validity.
-	MintTTL time.Duration
+	Concurrency    int           // read by nothing; benchmark/admit.go still sets it
+	GossipInterval time.Duration // read by nothing; benchmark/admit.go still sets it
+	RevokeRounds   int           // read by nothing; benchmark/admit.go still sets it
+	MintTTL        time.Duration // read by nothing; benchmark/admit.go still sets it
 
 	// Now anchors certificate validity windows and, being part of the
 	// signed bodies, makes the generated graph byte-identical across
-	// runs with the same seed. Zero means time.Now() (reproducible
+	// builds with the same seed. Zero means time.Now() (reproducible
 	// shape, not bytes).
 	Now time.Time
-
-	// Out, when non-empty, is where cmd/sf-loadgen writes the
-	// BENCH_8.json report.
-	Out string
 }
 
-// Smoke is the CI shape: a 2-gateway/2-directory mesh small enough
-// to finish in seconds under -race yet exercising every flow,
-// including churn.
-func Smoke() Config {
-	return Config{
-		Profile:        "smoke",
-		Gateways:       2,
-		Directories:    2,
-		Principals:     24,
-		Orgs:           4,
-		Seed:           1,
-		ZipfS:          1.3,
-		WarmOps:        300,
-		PublishOps:     8,
-		Revocations:    3,
-		Concurrency:    8,
-		ChurnWorkers:   2,
-		ChurnOps:       6,
-		GossipInterval: 150 * time.Millisecond,
-		RevokeRounds:   20,
-		Fsync:          certdir.SyncNever,
-		MintTTL:        time.Hour,
-	}
-}
-
-// Standard is the default interactive shape: enough principals that
-// the heavy tail shows and the proof cache matters.
-func Standard() Config {
-	c := Smoke()
-	c.Profile = "standard"
-	c.Gateways = 4
-	c.Directories = 3
-	c.Principals = 400
-	c.Orgs = 24
-	c.WarmOps = 5000
-	c.PublishOps = 32
-	c.Revocations = 8
-	c.Concurrency = 32
-	c.ChurnWorkers = 4
-	c.ChurnOps = 24
-	c.GossipInterval = 250 * time.Millisecond
-	return c
-}
-
-// Soak is the stress shape: sustained churn against a larger
-// principal population, for chasing races and staleness rather than
-// for comparable numbers.
-func Soak() Config {
-	c := Standard()
-	c.Profile = "soak"
-	c.Principals = 2000
-	c.Orgs = 64
-	c.WarmOps = 20000
-	c.PublishOps = 64
-	c.Revocations = 16
-	c.ChurnWorkers = 8
-	c.ChurnOps = 100
-	return c
-}
-
-// Profiles maps profile names to their configs.
-func Profiles() map[string]func() Config {
-	return map[string]func() Config{
-		"smoke":    Smoke,
-		"standard": Standard,
-		"soak":     Soak,
-	}
-}
-
-// Validate rejects shapes the harness cannot run.
+// Validate rejects shapes BuildGraph cannot generate.
 func (c *Config) Validate() error {
 	switch {
 	case c.Gateways < 1:
@@ -170,16 +54,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("loadgen: orgs must be in [1, principals]")
 	case c.ZipfS <= 1:
 		return fmt.Errorf("loadgen: zipf exponent must be > 1")
-	case c.Concurrency < 1:
-		return fmt.Errorf("loadgen: need at least 1 worker")
-	case c.Revocations > c.Principals/2:
-		return fmt.Errorf("loadgen: revocations must leave at least half the principals alive")
-	case c.GossipInterval <= 0:
-		return fmt.Errorf("loadgen: gossip interval must be positive")
-	case c.RevokeRounds < 1:
-		return fmt.Errorf("loadgen: need at least 1 revoke round")
-	case c.MintTTL <= 0:
-		return fmt.Errorf("loadgen: mint TTL must be positive")
 	}
 	return nil
 }

@@ -23,7 +23,7 @@ import (
 // a pure function of (Config.Seed, Config.Now): keys come from seeded
 // derivation and ed25519 signing is deterministic, so two builds with
 // the same seed are byte-identical — the property the determinism
-// test pins and the reason trajectory runs are diffable.
+// test pins and the reason benchmark runs are comparable.
 type Graph struct {
 	DBKey    *sfkey.PrivateKey
 	DBIssuer principal.Principal

@@ -189,11 +189,14 @@ func (s *Server) ServeConn(conn channel.Conn) {
 		s.inflight.Add(1)
 		s.mu.Unlock()
 		resp := s.dispatch(conn, &req)
-		s.inflight.Done()
-		if err := enc.Encode(resp); err != nil {
-			return
+		// The call stays in flight until its reply is on the wire, so
+		// Drain cannot close the connection between dispatch and reply.
+		err := enc.Encode(resp)
+		if err == nil {
+			err = bw.Flush()
 		}
-		if err := bw.Flush(); err != nil {
+		s.inflight.Done()
+		if err != nil {
 			return
 		}
 	}
