@@ -121,17 +121,20 @@ func main() {
 		}
 	})
 
+	// Every CRL — from the -crl file, SIGHUP, or the admin endpoint —
+	// installs through this one function. A pure verifier installs
+	// with no store and no peers: installing into rs already bumps the
+	// proof-cache epoch, so every cached verdict resting on a revoked
+	// certificate dies and the next RMI call re-verifies.
+	install := func(lists []*cert.RevocationList) (int, int, error) {
+		res := certdir.InstallCRLs(rs, nil, nil, lists, time.Now())
+		return res.Installed, res.Evicted, res.Err
+	}
 	// The -crl wiring (initial load, SIGHUP reload, admin reload
-	// endpoint) comes from the shared runtime; a pure verifier installs
-	// with no store and no peers — installing into rs already bumps
-	// the proof-cache epoch, so every cached verdict resting on a
-	// revoked certificate dies and the next RMI call re-verifies.
+	// endpoint) comes from the shared runtime.
 	var reload func() (added, total int, err error)
 	if *crlFile != "" {
-		r, err := rt.WireCRLFile(*crlFile, func(lists []*cert.RevocationList) (int, int, error) {
-			res := certdir.InstallCRLs(rs, nil, nil, lists, time.Now())
-			return res.Installed, res.Evicted, res.Err
-		})
+		r, err := rt.WireCRLFile(*crlFile, install)
 		if err != nil {
 			log.Fatalf("sf-dbserver: crl: %v", err)
 		}
@@ -154,7 +157,7 @@ func main() {
 				continue
 			}
 			f := certdir.NewCRLFollower(certdir.NewClient(u), rs)
-			f.OnError = func(err error) { rt.Printf("crl-follow: %v", err) }
+			f.OnError = func(err error) { rt.Printf("crl-follow %s: %v", u, err) }
 			followers = append(followers, f)
 			rt.Every(*crlFollowEvery, func() {
 				if n, err := f.Pull(); err == nil && n > 0 {
@@ -185,7 +188,7 @@ func main() {
 	})
 
 	if *adminAddr != "" {
-		admin := cert.AdminHandler(rs, reload)
+		admin := cert.AdminHandler(install, reload)
 		if *adminAuth {
 			if *operatorFile == "" {
 				log.Fatal("sf-dbserver: -admin-auth requires -operator")

@@ -162,7 +162,7 @@ func BenchmarkCertdirHTTPQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := cl.QueryByIssuer(c.issuers[i%len(c.issuers)])
+		got, err := cl.ByIssuer(c.issuers[i%len(c.issuers)])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -30,11 +31,13 @@ const (
 // thousands of revocations.
 const adminMaxBody = 1 << 20
 
-// AdminHandler serves the revocation admin endpoints over rs. reload,
-// when non-nil, backs the reload endpoint (wire it to the function
-// server.Runtime.WireCRLFile returns); with a nil reload the endpoint
-// answers a clean 400.
-func AdminHandler(rs *RevocationStore, reload func() (added, total int, err error)) http.Handler {
+// AdminHandler serves the revocation admin endpoints. install verifies
+// and installs lists and reports how many were new — the daemon's one
+// install function, the same one it hands server.Runtime.WireCRLFile
+// (certdir.InstallCRLs bound to its state). reload, when non-nil,
+// backs the reload endpoint (wire it to the function WireCRLFile
+// returns); with a nil reload the endpoint answers a clean 400.
+func AdminHandler(install func([]*RevocationList) (added, evicted int, err error), reload func() (added, total int, err error)) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(AdminPathCRL, func(w http.ResponseWriter, r *http.Request) {
 		body, err := readAdminBody(w, r)
@@ -51,12 +54,12 @@ func AdminHandler(rs *RevocationStore, reload func() (added, total int, err erro
 			http.Error(w, "cert: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		added, err := rs.AddNew(rl)
+		added, _, err := install([]*RevocationList{rl})
 		if err != nil {
 			http.Error(w, "cert: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if !added {
+		if added == 0 {
 			replySexp(w, sexp.List(sexp.String("crl-duplicate")))
 			return
 		}
@@ -87,9 +90,16 @@ func readAdminBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 		http.Error(w, "cert: POST required", http.StatusMethodNotAllowed)
 		return nil, fmt.Errorf("method")
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, adminMaxBody))
+	// MaxBytesReader, not a silent LimitReader: an over-limit CRL must
+	// be refused as such, not truncated into a parse error.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, adminMaxBody))
 	if err != nil {
-		http.Error(w, "cert: bad body", http.StatusBadRequest)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, "cert: body exceeds limit", http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "cert: bad body", http.StatusBadRequest)
+		}
 		return nil, err
 	}
 	return body, nil

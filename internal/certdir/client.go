@@ -21,14 +21,16 @@ import (
 	"repro/internal/tag"
 )
 
-// Client talks the directory wire protocol. Its ByIssuer and
-// BySubject methods satisfy prover.RemoteSource, so a client plugs
-// straight into Prover.AddRemote for remote chain discovery.
+// Client talks the directory wire protocol. Its ByIssuerForCtx and
+// BySubjectForCtx methods satisfy prover.RemoteSource, so a client
+// plugs straight into Prover.AddRemote for remote chain discovery.
 type Client struct {
 	// BaseURL is the directory root, e.g. "http://host:8360".
 	BaseURL string
-	// HTTP is the transport; nil means a client with a 5 s timeout,
-	// so a dead directory cannot wedge a prover.
+	// HTTP is the transport; nil means http.DefaultClient. Time bounds
+	// come from contexts, not from its Timeout: roundTrip gives every
+	// request/reply a deadline so a dead directory cannot wedge a
+	// prover, and a snapshot runs under its caller's context.
 	HTTP *http.Client
 	// Ctl, when set, signs every mutating request (publish, remove,
 	// admin endpoints — the paths CtlTagFor names) with a speaks-for
@@ -65,29 +67,25 @@ func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	return &http.Client{Timeout: 5 * time.Second}
+	return http.DefaultClient
 }
 
+// requestTimeout bounds one request/reply exchange beyond any time the
+// request itself asks the directory to wait.
+const requestTimeout = 5 * time.Second
+
 // roundTrip posts one S-expression and parses the one in the reply.
+// It honors ctx for cancellation, bounds the exchange at wait plus
+// requestTimeout (wait is nonzero only for the events long poll), and,
+// when ctx carries an active obs span, forwards the trace as the
+// Sf-Trace header so the directory's span joins the caller's trace.
 // Replies are read up to the parser's own input bound (a query answer
 // aggregates many certificates, so it is far larger than any single
 // request); beyond that the reply is refused rather than silently
 // truncated.
-func (c *Client) roundTrip(path string, req sexp.Sexp) (sexp.Sexp, error) {
-	return c.roundTripCtx(context.Background(), c.httpClient(), path, req)
-}
-
-// roundTripWith is roundTrip on an explicit HTTP client; the events
-// long poll uses it to stretch the timeout past the requested wait.
-func (c *Client) roundTripWith(hc *http.Client, path string, req sexp.Sexp) (sexp.Sexp, error) {
-	return c.roundTripCtx(context.Background(), hc, path, req)
-}
-
-// roundTripCtx is the one wire implementation: it honors ctx for
-// cancellation and, when ctx carries an active obs span, forwards the
-// trace as the Sf-Trace header so the directory's span joins the
-// caller's trace.
-func (c *Client) roundTripCtx(ctx context.Context, hc *http.Client, path string, req sexp.Sexp) (sexp.Sexp, error) {
+func (c *Client) roundTrip(ctx context.Context, path string, req sexp.Sexp, wait time.Duration) (sexp.Sexp, error) {
+	ctx, cancel := context.WithTimeout(ctx, wait+requestTimeout)
+	defer cancel()
 	body := req.Canonical()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
@@ -104,7 +102,7 @@ func (c *Client) roundTripCtx(ctx context.Context, hc *http.Client, path string,
 			}
 		}
 	}
-	resp, err := hc.Do(hreq)
+	resp, err := c.httpClient().Do(hreq)
 	if err != nil {
 		return nil, fmt.Errorf("certdir: %s: %w", path, err)
 	}
@@ -131,7 +129,7 @@ func (c *Client) roundTripCtx(ctx context.Context, hc *http.Client, path string,
 
 // Publish uploads a certificate to the directory.
 func (c *Client) Publish(ct *cert.Cert) error {
-	resp, err := c.roundTrip(PathPublish, ct.Sexp())
+	resp, err := c.roundTrip(context.Background(), PathPublish, ct.Sexp(), 0)
 	if err != nil {
 		return err
 	}
@@ -142,12 +140,10 @@ func (c *Client) Publish(ct *cert.Cert) error {
 	return fmt.Errorf("certdir: unexpected publish reply %s", resp)
 }
 
-// query runs one (query <by> <principal> [clauses]) round trip.
-func (c *Client) query(by string, p principal.Principal, f QueryFilter) ([]*cert.Cert, error) {
-	return c.queryCtx(context.Background(), by, p, f)
-}
-
-func (c *Client) queryCtx(ctx context.Context, by string, p principal.Principal, f QueryFilter) ([]*cert.Cert, error) {
+// query runs one (query <by> <principal> [clauses]) round trip and
+// returns the certificates as candidate proofs. The (limit n) and
+// (tag t) clauses are sent only when f sets them.
+func (c *Client) query(ctx context.Context, by string, p principal.Principal, f QueryFilter) ([]core.Proof, error) {
 	req := []sexp.Sexp{sexp.String("query"), sexp.String(by), p.Sexp()}
 	if f.Limit > 0 {
 		req = append(req, sexp.List(sexp.String("limit"), sexp.String(strconv.Itoa(f.Limit))))
@@ -155,11 +151,19 @@ func (c *Client) queryCtx(ctx context.Context, by string, p principal.Principal,
 	if f.Tag.Valid() {
 		req = append(req, f.Tag.Sexp())
 	}
-	resp, err := c.roundTripCtx(ctx, c.httpClient(), PathQuery, sexp.List(req...))
+	resp, err := c.roundTrip(ctx, PathQuery, sexp.List(req...), 0)
 	if err != nil {
 		return nil, err
 	}
-	return parseCerts(resp)
+	certs, err := parseCerts(resp)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]core.Proof, len(certs))
+	for i, ct := range certs {
+		out[i] = ct
+	}
+	return out, nil
 }
 
 // parseCerts decodes a (certs <proof>...) reply.
@@ -193,21 +197,11 @@ func certFromSexp(e sexp.Sexp) (*cert.Cert, error) {
 	return ct, nil
 }
 
-// QueryByIssuer fetches the live certificates issued by p.
-func (c *Client) QueryByIssuer(p principal.Principal) ([]*cert.Cert, error) {
-	return c.query("issuer", p, QueryFilter{})
-}
-
-// QueryBySubject fetches the live certificates whose subject is p.
-func (c *Client) QueryBySubject(p principal.Principal) ([]*cert.Cert, error) {
-	return c.query("subject", p, QueryFilter{})
-}
-
 // Remove retracts the certificate with the given body hash, reporting
 // whether the directory held it.
 func (c *Client) Remove(hash []byte) (bool, error) {
-	resp, err := c.roundTrip(PathRemove,
-		sexp.List(sexp.String("remove"), sexp.Atom(hash)))
+	resp, err := c.roundTrip(context.Background(), PathRemove,
+		sexp.List(sexp.String("remove"), sexp.Atom(hash)), 0)
 	if err != nil {
 		return false, err
 	}
@@ -218,7 +212,7 @@ func (c *Client) Remove(hash []byte) (bool, error) {
 // Duplicates are acknowledged idempotently (like Publish), so CRL
 // rumor floods terminate.
 func (c *Client) PushCRL(rl *cert.RevocationList) error {
-	resp, err := c.roundTrip(PathAdminCRL, rl.Sexp())
+	resp, err := c.roundTrip(context.Background(), PathAdminCRL, rl.Sexp(), 0)
 	if err != nil {
 		return err
 	}
@@ -238,7 +232,7 @@ func (c *Client) CRLs(have [][]byte) ([]*cert.RevocationList, error) {
 	for _, h := range have {
 		kids = append(kids, sexp.Atom(h))
 	}
-	resp, err := c.roundTrip(PathCRLs, sexp.List(kids...))
+	resp, err := c.roundTrip(context.Background(), PathCRLs, sexp.List(kids...), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +253,7 @@ func (c *Client) CRLs(have [][]byte) ([]*cert.RevocationList, error) {
 // ReloadCRLs asks the directory to re-read its CRL file (the admin
 // reload endpoint), returning how many lists were newly installed.
 func (c *Client) ReloadCRLs() (added int, err error) {
-	resp, err := c.roundTrip(PathReload, sexp.List(sexp.String("reload-crl")))
+	resp, err := c.roundTrip(context.Background(), PathReload, sexp.List(sexp.String("reload-crl")), 0)
 	if err != nil {
 		return 0, err
 	}
@@ -288,14 +282,7 @@ func (c *Client) Events(after uint64, wait time.Duration) (hashes [][]byte, next
 		req = append(req, sexp.List(sexp.String("wait"),
 			sexp.String(strconv.FormatInt(wait.Milliseconds(), 10))))
 	}
-	// The long poll must outlive the default transport timeout.
-	cl := c.httpClient()
-	if wait > 0 && cl.Timeout > 0 && cl.Timeout < wait+5*time.Second {
-		cp := *cl
-		cp.Timeout = wait + 5*time.Second
-		cl = &cp
-	}
-	resp, err := c.roundTripWith(cl, PathEvents, sexp.List(req...))
+	resp, err := c.roundTrip(context.Background(), PathEvents, sexp.List(req...), max(wait, 0))
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -334,7 +321,7 @@ func (c *Client) Fetch(hashes [][]byte) ([]*cert.Cert, error) {
 	for _, h := range hashes {
 		kids = append(kids, sexp.Atom(h))
 	}
-	resp, err := c.roundTrip(PathFetch, sexp.List(kids...))
+	resp, err := c.roundTrip(context.Background(), PathFetch, sexp.List(kids...), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +332,7 @@ func (c *Client) Fetch(hashes [][]byte) ([]*cert.Cert, error) {
 // (leaf count and arity, which the puller checks against its own
 // before descending).
 func (c *Client) MerkleRoot() (root MerkleSummary, leaves, arity int, err error) {
-	resp, err := c.roundTrip(PathGossipRoot, sexp.List(sexp.String("mroot")))
+	resp, err := c.roundTrip(context.Background(), PathGossipRoot, sexp.List(sexp.String("mroot")), 0)
 	if err != nil {
 		return root, 0, 0, err
 	}
@@ -373,7 +360,7 @@ func (c *Client) MerkleNodes(idxs []int) ([]MerkleSummary, error) {
 	for _, n := range idxs {
 		kids = append(kids, sexp.String(strconv.Itoa(n)))
 	}
-	resp, err := c.roundTrip(PathGossipNodes, sexp.List(kids...))
+	resp, err := c.roundTrip(context.Background(), PathGossipNodes, sexp.List(kids...), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +393,7 @@ func (c *Client) MerkleLeafHashes(leaves []int) (map[int][][]byte, error) {
 	for _, lf := range leaves {
 		kids = append(kids, sexp.String(strconv.Itoa(lf)))
 	}
-	resp, err := c.roundTrip(PathGossipLeaves, sexp.List(kids...))
+	resp, err := c.roundTrip(context.Background(), PathGossipLeaves, sexp.List(kids...), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -450,16 +437,9 @@ func (c *Client) Snapshot(ctx context.Context, visit func(sexp.Sexp) error) erro
 	if err != nil {
 		return fmt.Errorf("certdir: snapshot: %w", err)
 	}
-	// The transfer is bulk — sized by the peer's whole store — so the
-	// default 5 s client timeout would sever it mid-stream; strip the
-	// timeout and rely on ctx for cancellation.
-	hc := c.httpClient()
-	if hc.Timeout > 0 {
-		cp := *hc
-		cp.Timeout = 0
-		hc = &cp
-	}
-	resp, err := hc.Do(hreq)
+	// The transfer is bulk — sized by the peer's whole store — so it
+	// gets no requestTimeout: ctx alone bounds it.
+	resp, err := c.httpClient().Do(hreq)
 	if err != nil {
 		return fmt.Errorf("certdir: snapshot: %w", err)
 	}
@@ -509,69 +489,29 @@ func (c *Client) Snapshot(ctx context.Context, visit func(sexp.Sexp) error) erro
 	}
 }
 
-// ByIssuer implements prover.RemoteSource.
-func (c *Client) ByIssuer(p principal.Principal) ([]core.Proof, error) {
-	certs, err := c.QueryByIssuer(p)
-	if err != nil {
-		return nil, err
-	}
-	return asProofs(certs), nil
-}
-
-// BySubject implements prover.RemoteSource.
-func (c *Client) BySubject(p principal.Principal) ([]core.Proof, error) {
-	certs, err := c.QueryBySubject(p)
-	if err != nil {
-		return nil, err
-	}
-	return asProofs(certs), nil
-}
-
-// ByIssuerFor implements prover.FilteredSource: the prover pushes the
+// ByIssuerForCtx implements prover.RemoteSource: the prover pushes the
 // tag it is searching for and its fetch cap down to the directory,
 // which applies them before shipping, so a heavy issuer's irrelevant
-// delegations never cross the wire.
-func (c *Client) ByIssuerFor(p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
-	certs, err := c.query("issuer", p, QueryFilter{Limit: limit, Tag: want})
-	if err != nil {
-		return nil, err
-	}
-	return asProofs(certs), nil
-}
-
-// BySubjectFor implements prover.FilteredSource.
-func (c *Client) BySubjectFor(p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
-	certs, err := c.query("subject", p, QueryFilter{Limit: limit, Tag: want})
-	if err != nil {
-		return nil, err
-	}
-	return asProofs(certs), nil
-}
-
-// ByIssuerForCtx implements prover.ContextSource: the filtered query
-// carrying the search's context, so discovery fetches propagate the
-// caller's trace and honor cancellation.
+// delegations never cross the wire; ctx carries the search's trace and
+// cancellation.
 func (c *Client) ByIssuerForCtx(ctx context.Context, p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
-	certs, err := c.queryCtx(ctx, "issuer", p, QueryFilter{Limit: limit, Tag: want})
-	if err != nil {
-		return nil, err
-	}
-	return asProofs(certs), nil
+	return c.query(ctx, "issuer", p, QueryFilter{Limit: limit, Tag: want})
 }
 
-// BySubjectForCtx implements prover.ContextSource.
+// BySubjectForCtx implements prover.RemoteSource.
 func (c *Client) BySubjectForCtx(ctx context.Context, p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
-	certs, err := c.queryCtx(ctx, "subject", p, QueryFilter{Limit: limit, Tag: want})
-	if err != nil {
-		return nil, err
-	}
-	return asProofs(certs), nil
+	return c.query(ctx, "subject", p, QueryFilter{Limit: limit, Tag: want})
 }
 
-func asProofs(certs []*cert.Cert) []core.Proof {
-	out := make([]core.Proof, len(certs))
-	for i, ct := range certs {
-		out[i] = ct
-	}
-	return out
+// ByIssuer returns every live certificate issued by p, unfiltered and
+// unbounded. The prover never asks this; it remains because the
+// benchmark's timing decorator calls it.
+func (c *Client) ByIssuer(p principal.Principal) ([]core.Proof, error) {
+	return c.query(context.Background(), "issuer", p, QueryFilter{})
+}
+
+// BySubject is ByIssuer's subject-side counterpart, kept for the same
+// reason.
+func (c *Client) BySubject(p principal.Principal) ([]core.Proof, error) {
+	return c.query(context.Background(), "subject", p, QueryFilter{})
 }

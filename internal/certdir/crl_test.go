@@ -93,7 +93,7 @@ func TestCRLInstallPathsAgree(t *testing.T) {
 			svc.Revocations, svc.Replicator = d.revs, d.rep
 			ts := httptest.NewServer(svc)
 			defer ts.Close()
-			resp, err := NewClient(ts.URL).roundTrip(PathAdminCRL, rl.Sexp())
+			resp, err := NewClient(ts.URL).roundTrip(context.Background(), PathAdminCRL, rl.Sexp(), 0)
 			switch {
 			case err != nil:
 				return 0, 1 // a 400: the list was refused

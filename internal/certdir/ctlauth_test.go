@@ -114,7 +114,7 @@ func TestCtlAuthDenialPaths(t *testing.T) {
 	}
 
 	// The read-only surface never needed a proof.
-	if _, err := d.open.QueryByIssuer(principal.KeyOf(issuer.Public())); err != nil {
+	if _, err := d.open.ByIssuer(principal.KeyOf(issuer.Public())); err != nil {
 		t.Fatalf("query blocked by guard: %v", err)
 	}
 	if _, _, _, err := d.open.MerkleRoot(); err != nil {

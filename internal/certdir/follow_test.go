@@ -66,6 +66,26 @@ func TestCRLFollowerPull(t *testing.T) {
 	}
 }
 
+// A direct Pull against a dead directory reports to OnError: callers
+// that drive Pull from their own ticker (sf-dbserver's -crl-follow)
+// rely on it to log the failure.
+func TestCRLFollowerPullReportsError(t *testing.T) {
+	ts := httptest.NewServer(NewService(NewStore(4)))
+	url := ts.URL
+	ts.Close()
+
+	f := NewCRLFollower(NewClient(url), cert.NewRevocationStore())
+	var seen []error
+	f.OnError = func(err error) { seen = append(seen, err) }
+	_, err := f.Pull()
+	if err == nil {
+		t.Fatal("pull from a closed listener succeeded")
+	}
+	if len(seen) != 1 || seen[0] != err {
+		t.Fatalf("OnError saw %v, want exactly the pull's error %v", seen, err)
+	}
+}
+
 // The Start/Stop loop pulls on its own and survives a directory that
 // briefly errors.
 func TestCRLFollowerLoop(t *testing.T) {

@@ -2,12 +2,14 @@ package certdir
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cert"
 	"repro/internal/core"
 	"repro/internal/principal"
 	"repro/internal/sexp"
@@ -42,27 +44,35 @@ func TestServiceRoundTrip(t *testing.T) {
 		t.Fatalf("server stored %d certs", st.Len())
 	}
 
-	got, err := cl.QueryByIssuer(aliceP)
+	got, err := cl.ByIssuer(aliceP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || !got[0].Equal(c) {
-		t.Fatalf("QueryByIssuer = %v", got)
+	if len(got) != 1 || !got[0].(*cert.Cert).Equal(c) {
+		t.Fatalf("ByIssuer = %v", got)
 	}
 	// The wire round trip must preserve verifiability.
 	if err := got[0].Verify(core.NewVerifyContext()); err != nil {
 		t.Fatalf("fetched cert does not verify: %v", err)
 	}
 
-	got, err = cl.QueryBySubject(bobP)
+	got, err = cl.BySubject(bobP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
-		t.Fatalf("QueryBySubject = %v", got)
+		t.Fatalf("BySubject = %v", got)
 	}
-	if got, err := cl.QueryByIssuer(bobP); err != nil || len(got) != 0 {
-		t.Fatalf("QueryByIssuer(bob) = %v, %v", got, err)
+	if got, err := cl.ByIssuer(bobP); err != nil || len(got) != 0 {
+		t.Fatalf("ByIssuer(bob) = %v, %v", got, err)
+	}
+	// The tag clause travels: a delegation of mail does not cover img.
+	ctx := context.Background()
+	if got, err := cl.ByIssuerForCtx(ctx, aliceP, tag.Prefix("mail"), 1); err != nil || len(got) != 1 {
+		t.Fatalf("ByIssuerForCtx(mail) = %v, %v", got, err)
+	}
+	if got, err := cl.BySubjectForCtx(ctx, bobP, tag.Prefix("img"), 0); err != nil || len(got) != 0 {
+		t.Fatalf("BySubjectForCtx(img) = %v, %v", got, err)
 	}
 
 	removed, err := cl.Remove(c.Hash())

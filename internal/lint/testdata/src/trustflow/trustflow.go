@@ -4,13 +4,16 @@
 package trustflow
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/cert"
 	"repro/internal/certdir"
 	"repro/internal/core"
+	"repro/internal/principal"
 	"repro/internal/prover"
 	"repro/internal/sexp"
+	"repro/internal/tag"
 )
 
 // publishUnverified plants whatever authority the network chose.
@@ -63,6 +66,44 @@ func digestUnverified(pv *prover.Prover, raw []byte) error {
 		return err
 	}
 	pv.AddProof(p) // want "wire-decoded value reaches prover.Prover.AddProof"
+	return nil
+}
+
+// digestQueried feeds a directory's query answer straight into the
+// graph: the directory chose those proofs.
+func digestQueried(pv *prover.Prover, dir *certdir.Client, iss principal.Principal) error {
+	got, err := dir.ByIssuer(iss)
+	if err != nil {
+		return err
+	}
+	for _, p := range got {
+		pv.AddProof(p) // want "wire-decoded value reaches prover.Prover.AddProof"
+	}
+	return nil
+}
+
+// digestDiscovered is the same through the prover's source interface.
+func digestDiscovered(pv *prover.Prover, src prover.RemoteSource, sub principal.Principal, want tag.Tag) error {
+	got, err := src.BySubjectForCtx(context.Background(), sub, want, prover.DefaultRemoteLimit)
+	if err != nil {
+		return err
+	}
+	pv.AddProof(got[0]) // want "wire-decoded value reaches prover.Prover.AddProof"
+	return nil
+}
+
+// digestDiscoveredVerified screens each answer first: clean.
+func digestDiscoveredVerified(pv *prover.Prover, src prover.RemoteSource, ctx *core.VerifyContext, iss principal.Principal, want tag.Tag) error {
+	got, err := src.ByIssuerForCtx(context.Background(), iss, want, prover.DefaultRemoteLimit)
+	if err != nil {
+		return err
+	}
+	for _, p := range got {
+		if err := p.Verify(ctx); err != nil {
+			continue
+		}
+		pv.AddProof(p)
+	}
 	return nil
 }
 

@@ -9,15 +9,16 @@ import (
 
 // TrustFlow is the verify-before-index invariant (PRs 1 and 3) as a
 // taint check: a value produced by wire decoding — S-expression
-// parsing, certificate/proof decoding, directory fetches — carries no
-// authority until a Verify* call has screened it, so it must not
-// reach an indexing or digesting sink first. Network bytes that skip
-// verification and land in the store or the prover's delegation graph
-// plant authority an attacker chose.
+// parsing, certificate/proof decoding, directory fetches and discovery
+// answers — carries no authority until a Verify* call has screened it,
+// so it must not reach an indexing or digesting sink first. Network
+// bytes that skip verification and land in the store or the prover's
+// delegation graph plant authority an attacker chose.
 //
 // Sources (taint): sexp.Parse*/Arena.Parse*/ReadFrame,
-// core.ProofFromSexp, cert *FromSexp/Decode* decoders, and
-// certdir.Client.Fetch. Cleansers: any Verify*-named call that
+// core.ProofFromSexp, cert *FromSexp/Decode* decoders,
+// certdir.Client.Fetch and its By* query methods, and both methods of
+// prover.RemoteSource. Cleansers: any Verify*-named call that
 // mentions the value (or a container of it) — including VerifyBatch
 // over a slice, whose elements are then clean. Sinks:
 // certdir.Store.Publish and prover.Prover.AddProof/addEdge.
@@ -57,7 +58,9 @@ func isWireSource(info *types.Info, call *ast.CallExpr) bool {
 	case pathHasSuffix(fn.Pkg().Path(), "internal/cert"):
 		return strings.HasSuffix(name, "FromSexp") || strings.HasPrefix(name, "Decode")
 	case pathHasSuffix(fn.Pkg().Path(), "internal/certdir"):
-		return recvNamed(fn) == "Client" && name == "Fetch"
+		return recvNamed(fn) == "Client" && (name == "Fetch" || strings.HasPrefix(name, "By"))
+	case pathHasSuffix(fn.Pkg().Path(), "internal/prover"):
+		return recvNamed(fn) == "RemoteSource"
 	}
 	return false
 }

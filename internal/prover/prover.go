@@ -180,17 +180,6 @@ type Prover struct {
 	// NegativeTTL is how long an empty directory answer suppresses
 	// re-asking the same question; zero means DefaultNegativeTTL.
 	NegativeTTL time.Duration
-	// RemoteFanout caps directory queries per FindProof call; zero
-	// means DefaultRemoteFanout.
-	RemoteFanout int
-	// RemoteRounds caps fetch-then-research iterations per FindProof
-	// call (each round can extend the frontier by one hop); zero means
-	// DefaultRemoteRounds.
-	RemoteRounds int
-	// RemoteLimit caps certificates fetched per query from sources
-	// that support server-side filtering (FilteredSource); zero means
-	// DefaultRemoteLimit.
-	RemoteLimit int
 	// VerdictCache is the verified-proof cache whose verdicts Sweep
 	// evicts alongside the edges it drops (so a swept edge does not
 	// linger as a warm verdict until its validity or the next epoch

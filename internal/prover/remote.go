@@ -21,55 +21,38 @@ import (
 // a compromised directory can withhold delegations (denial of
 // service) but cannot plant authority.
 //
+// Every question carries the tag the prover is searching for — only
+// delegations whose tag covers it can ever become usable edges (see
+// reachable) — and a fetch cap, so a heavy issuer does not ship
+// thousands of irrelevant delegations per query. It also carries the
+// search's context: certdir.Client propagates the context's obs trace
+// as the Sf-Trace header and honors its cancellation.
+//
 // Implementations must be safe for concurrent use: the prover fans
 // queries out in parallel.
 type RemoteSource interface {
-	// ByIssuer returns proofs whose conclusion issuer is the given
-	// principal: the delegations extending that principal's authority.
-	ByIssuer(issuer principal.Principal) ([]core.Proof, error)
-	// BySubject returns proofs whose conclusion subject is the given
-	// principal: the delegations that principal can exercise.
-	BySubject(subject principal.Principal) ([]core.Proof, error)
-}
-
-// ContextSource is optionally implemented by remote sources that can
-// carry a request context — certdir.Client does, propagating the
-// context's obs trace as the HTTP Sf-Trace header and honoring
-// cancellation. Sources implementing it are preferred over
-// FilteredSource/RemoteSource during discovery.
-type ContextSource interface {
-	// ByIssuerForCtx is ByIssuerFor carrying the search's context.
+	// ByIssuerForCtx returns proofs whose conclusion issuer is the
+	// given principal — the delegations extending its authority — and
+	// whose conclusion tag covers want, truncated to limit (0 =
+	// unbounded).
 	ByIssuerForCtx(ctx context.Context, issuer principal.Principal, want tag.Tag, limit int) ([]core.Proof, error)
-	// BySubjectForCtx is the subject-side counterpart.
+	// BySubjectForCtx is the subject-side counterpart: the delegations
+	// the given principal can exercise.
 	BySubjectForCtx(ctx context.Context, subject principal.Principal, want tag.Tag, limit int) ([]core.Proof, error)
 }
 
-// FilteredSource is optionally implemented by remote sources that can
-// narrow answers server-side (certdir.Client does, via the wire
-// query's (limit n) and (tag t) clauses). When a source implements it,
-// the prover pushes down the tag it is searching for — only
-// delegations whose tag covers the goal can ever become usable edges
-// (see reachable) — and a fetch cap, so heavy issuers don't ship
-// thousands of irrelevant delegations per query. Sources without the
-// interface get the plain unbounded ByIssuer/BySubject calls.
-type FilteredSource interface {
-	// ByIssuerFor is ByIssuer restricted to proofs whose conclusion
-	// tag covers want, truncated to limit (0 = unbounded).
-	ByIssuerFor(issuer principal.Principal, want tag.Tag, limit int) ([]core.Proof, error)
-	// BySubjectFor is the subject-side counterpart.
-	BySubjectFor(subject principal.Principal, want tag.Tag, limit int) ([]core.Proof, error)
-}
-
-// Defaults for the remote-discovery tunables.
+// Remote-discovery bounds.
 const (
-	DefaultNegativeTTL  = 30 * time.Second
+	DefaultNegativeTTL = 30 * time.Second
+	// DefaultRemoteFanout caps directory queries per FindProof call.
 	DefaultRemoteFanout = 32
+	// DefaultRemoteRounds caps fetch-then-research iterations per
+	// FindProof call; each round can extend the frontier by one hop.
 	DefaultRemoteRounds = 4
-	// DefaultRemoteLimit caps certificates fetched per filtered
-	// directory query. A productive round needs only the edges that
-	// extend the frontier; 256 covers realistic issuer fan-out while
-	// bounding the damage a certificate-spamming issuer can do to
-	// discovery latency.
+	// DefaultRemoteLimit caps certificates fetched per directory query.
+	// A productive round needs only the edges that extend the frontier;
+	// 256 covers realistic issuer fan-out while bounding the damage a
+	// certificate-spamming issuer can do to discovery latency.
 	DefaultRemoteLimit = 256
 )
 
@@ -97,9 +80,9 @@ type remoteQuery struct {
 func (q remoteQuery) key() string { return q.axis + "|" + q.prin.Key() }
 
 // negKey is the negative-cache key for q under a search tag. The tag
-// must qualify the key: filtered sources answer "nothing for THIS
-// tag", so an empty reply to (issuer, tag A) says nothing about
-// (issuer, tag B) — caching it tag-blind would suppress the B query
+// must qualify the key: sources answer "nothing for THIS tag", so an
+// empty reply to (issuer, tag A) says nothing about (issuer, tag B) —
+// caching it tag-blind would suppress the B query
 // and fail proofs whose certificates are sitting in the directory.
 func (q remoteQuery) negKey(want tag.Tag) string {
 	return q.key() + "|" + string(want.Sexp().Canonical())
@@ -121,17 +104,10 @@ type remoteAnswer struct {
 // per productive round, so a k-hop remote chain needs at most k
 // rounds. No prover lock is held across network fetches.
 func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Principal, want tag.Tag, now time.Time, localErr error) (core.Proof, error) {
-	budget := p.RemoteFanout
-	if budget <= 0 {
-		budget = DefaultRemoteFanout
-	}
-	rounds := p.RemoteRounds
-	if rounds <= 0 {
-		rounds = DefaultRemoteRounds
-	}
+	budget := DefaultRemoteFanout
 	asked := make(map[string]bool) // queries spent during this call
 	err := localErr
-	for round := 0; round < rounds && budget > 0; round++ {
+	for round := 0; round < DefaultRemoteRounds && budget > 0; round++ {
 		frontier := p.reachable(issuer, want, now)
 		queries := p.planQueries(frontier, subject, want, now, asked, &budget)
 		if len(queries) == 0 {
@@ -140,7 +116,7 @@ func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Princ
 		p.rmu.Lock()
 		remotes := append([]RemoteSource(nil), p.remotes...)
 		p.rmu.Unlock()
-		answers := fetchAll(ctx, remotes, queries, want, p.remoteLimit())
+		answers := fetchAll(ctx, remotes, queries, want)
 
 		p.stats.remoteQueries.Add(int64(len(queries) * len(remotes)))
 		added := 0
@@ -221,13 +197,12 @@ func (p *Prover) reachable(issuer principal.Principal, want tag.Tag, now time.Ti
 }
 
 // fetchAll runs every query against every remote concurrently, with
-// no prover lock held, merging answers per query. Sources that
-// implement FilteredSource are asked only for delegations covering
-// the search tag, capped at limit. Source errors mark the (query,
-// source) pair unanswered: an unreachable directory degrades
-// discovery for a round, it neither fails proving nor poisons the
-// negative cache.
-func fetchAll(ctx context.Context, remotes []RemoteSource, queries []remoteQuery, want tag.Tag, limit int) []remoteAnswer {
+// no prover lock held, merging answers per query. Each source is
+// asked only for delegations covering the search tag, capped at
+// DefaultRemoteLimit. Source errors mark the (query, source) pair
+// unanswered: an unreachable directory degrades discovery for a
+// round, it neither fails proving nor poisons the negative cache.
+func fetchAll(ctx context.Context, remotes []RemoteSource, queries []remoteQuery, want tag.Tag) []remoteAnswer {
 	answers := make([]remoteAnswer, len(queries))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -240,21 +215,11 @@ func fetchAll(ctx context.Context, remotes []RemoteSource, queries []remoteQuery
 					got []core.Proof
 					err error
 				)
-				cs, withCtx := r.(ContextSource)
-				fs, filtered := r.(FilteredSource)
-				switch {
-				case withCtx && q.axis == "i":
-					got, err = cs.ByIssuerForCtx(ctx, q.prin, want, limit)
-				case withCtx:
-					got, err = cs.BySubjectForCtx(ctx, q.prin, want, limit)
-				case filtered && q.axis == "i":
-					got, err = fs.ByIssuerFor(q.prin, want, limit)
-				case filtered:
-					got, err = fs.BySubjectFor(q.prin, want, limit)
-				case q.axis == "i":
-					got, err = r.ByIssuer(q.prin)
+				switch q.axis {
+				case "i":
+					got, err = r.ByIssuerForCtx(ctx, q.prin, want, DefaultRemoteLimit)
 				default:
-					got, err = r.BySubject(q.prin)
+					got, err = r.BySubjectForCtx(ctx, q.prin, want, DefaultRemoteLimit)
 				}
 				if err != nil {
 					return
@@ -268,13 +233,6 @@ func fetchAll(ctx context.Context, remotes []RemoteSource, queries []remoteQuery
 	}
 	wg.Wait()
 	return answers
-}
-
-func (p *Prover) remoteLimit() int {
-	if p.RemoteLimit > 0 {
-		return p.RemoteLimit
-	}
-	return DefaultRemoteLimit
 }
 
 // digestRemote verifies fetched proofs and installs the good ones as

@@ -1,6 +1,7 @@
 package prover
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -8,19 +9,29 @@ import (
 
 	"repro/internal/cert"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/principal"
 	"repro/internal/sfkey"
 	"repro/internal/tag"
 )
 
-// fakeSource is an in-memory RemoteSource for tests; queries arrive
-// concurrently, so the counter is locked.
+// fakeSource is an in-memory RemoteSource that answers the way a real
+// directory does: only delegations whose tag covers the search tag,
+// truncated to the limit. Queries arrive concurrently, so the call log
+// is locked.
 type fakeSource struct {
 	mu        sync.Mutex
 	byIssuer  map[string][]core.Proof
 	bySubject map[string][]core.Proof
-	queries   int
+	calls     []fakeCall
 	err       error
+}
+
+// fakeCall is what one query asked for.
+type fakeCall struct {
+	want  tag.Tag
+	limit int
+	trace string // obs trace id of the query's context
 }
 
 func newFakeSource() *fakeSource {
@@ -36,24 +47,36 @@ func (f *fakeSource) add(p core.Proof) {
 	f.bySubject[c.Subject.Key()] = append(f.bySubject[c.Subject.Key()], p)
 }
 
-func (f *fakeSource) queryCount() int {
+func (f *fakeSource) log() []fakeCall {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.queries
+	return append([]fakeCall(nil), f.calls...)
 }
 
-func (f *fakeSource) ByIssuer(p principal.Principal) ([]core.Proof, error) {
+func (f *fakeSource) queryCount() int { return len(f.log()) }
+
+func (f *fakeSource) answer(ctx context.Context, index map[string][]core.Proof, p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.queries++
-	return f.byIssuer[p.Key()], f.err
+	f.calls = append(f.calls, fakeCall{want: want, limit: limit, trace: obs.FromContext(ctx).TraceID()})
+	var out []core.Proof
+	for _, pr := range index[p.Key()] {
+		if limit > 0 && len(out) == limit {
+			break
+		}
+		if tag.Covers(pr.Conclusion().Tag, want) {
+			out = append(out, pr)
+		}
+	}
+	return out, f.err
 }
 
-func (f *fakeSource) BySubject(p principal.Principal) ([]core.Proof, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.queries++
-	return f.bySubject[p.Key()], f.err
+func (f *fakeSource) ByIssuerForCtx(ctx context.Context, p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
+	return f.answer(ctx, f.byIssuer, p, want, limit)
+}
+
+func (f *fakeSource) BySubjectForCtx(ctx context.Context, p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
+	return f.answer(ctx, f.bySubject, p, want, limit)
 }
 
 // remoteChain builds keys k0..kn and certificates k(i+1) =t=> k(i),
@@ -131,37 +154,141 @@ func TestRemoteRejectsUnverifiable(t *testing.T) {
 	}
 }
 
+// TestRemoteFanoutBound gives the prover a local frontier wider than
+// DefaultRemoteFanout and a directory whose first answer extends it:
+// the budget covers the whole FindProof call, not one round, so the
+// second round never starts.
 func TestRemoteFanoutBound(t *testing.T) {
 	now := time.Now()
 	v := core.Until(now.Add(time.Hour))
-	prins, certs := remoteChain(t, "fanout", 3, tag.All(), v)
+	key := func(name string) *sfkey.PrivateKey { return sfkey.FromSeed([]byte("fanout-" + name)) }
+	root := key("root")
+	rootP := principal.KeyOf(root.Public())
+	mustCert := func(subj principal.Principal) *cert.Cert {
+		c, err := cert.Delegate(root, subj, rootP, tag.All(), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 
+	p := New()
+	for i := 0; i < 40; i++ {
+		p.AddProof(mustCert(principal.KeyOf(key(fmt.Sprint(i)).Public())))
+	}
+	src := newFakeSource()
+	src.add(mustCert(principal.KeyOf(key("remote").Public())))
+	p.AddRemote(src)
+
+	stranger := principal.KeyOf(key("stranger").Public())
+	if _, err := p.FindProof(stranger, rootP, tag.All(), now); err == nil {
+		t.Fatal("proved a goal nobody delegated")
+	}
+	if st := p.Stats(); st.RemoteCerts != 1 {
+		t.Fatalf("stats = %+v, want the root query answered", st)
+	}
+	if n := src.queryCount(); n != DefaultRemoteFanout {
+		t.Fatalf("spent %d queries on a 41-wide frontier, budget %d", n, DefaultRemoteFanout)
+	}
+}
+
+// TestRemoteQueriesCarryTagLimitAndTrace pins what every discovery
+// question says: the search tag (so the directory filters), the fetch
+// cap, and the caller's trace (so the directory's span joins it).
+func TestRemoteQueriesCarryTagLimitAndTrace(t *testing.T) {
+	now := time.Now()
+	v := core.Until(now.Add(time.Hour))
+	tg := tag.Prefix("doc")
+	prins, certs := remoteChain(t, "carry", 3, tg, v)
 	src := newFakeSource()
 	for _, c := range certs {
 		src.add(c)
 	}
-
-	// A single query (the issuer end) cannot reach hop 3's subject-side
-	// answer... except the subject-axis query is planned only when
-	// budget remains, so fanout 1 sees just the first hop.
 	p := New()
 	p.AddRemote(src)
-	p.RemoteFanout = 1
-	if _, err := p.FindProof(prins[3], prins[0], tag.All(), now); err == nil {
-		t.Fatal("fanout 1 still proved a 3-hop chain")
+
+	ctx, span := obs.NewRecorder(16).Start(context.Background(), "admit")
+	defer span.End()
+	if _, err := p.FindProofCtx(ctx, prins[3], prins[0], tg, now); err != nil {
+		t.Fatalf("FindProofCtx: %v", err)
 	}
-	if st := p.Stats(); st.RemoteQueries > 1 {
-		t.Fatalf("fanout bound ignored: %d queries", st.RemoteQueries)
+	calls := src.log()
+	if len(calls) == 0 {
+		t.Fatal("no discovery queries")
+	}
+	wantTag := string(tg.Sexp().Canonical())
+	for i, c := range calls {
+		if got := string(c.want.Sexp().Canonical()); got != wantTag {
+			t.Errorf("query %d: tag %s, want %s", i, got, wantTag)
+		}
+		if c.limit != DefaultRemoteLimit {
+			t.Errorf("query %d: limit %d, want %d", i, c.limit, DefaultRemoteLimit)
+		}
+		if c.trace != span.TraceID() {
+			t.Errorf("query %d: trace %q, want %q", i, c.trace, span.TraceID())
+		}
+	}
+}
+
+// TestNegativeCacheIsTagScoped pins the negative cache's key to the
+// (query, tag) pair. A directory's "issuer X has nothing" is only true
+// FOR THE TAG ASKED; a tag-blind cache would let a search for tag A
+// poison a later search for tag B through the same issuer, failing
+// proofs whose certificates sit in the directory the whole time. The
+// shape below is the minimal reproduction: two branches under one
+// root, each serving a different tag, probed one after the other
+// within the negative TTL.
+func TestNegativeCacheIsTagScoped(t *testing.T) {
+	now := time.Now()
+	v := core.Until(now.Add(time.Hour))
+	tagA := tag.Prefix("doc")
+	tagB := tag.Prefix("img")
+
+	key := func(seed string) *sfkey.PrivateKey { return sfkey.FromSeed([]byte("negtag-" + seed)) }
+	prin := func(k *sfkey.PrivateKey) principal.Principal { return principal.KeyOf(k.Public()) }
+	root, org1, org2 := key("root"), key("org1"), key("org2")
+	ka, ka2, kb, kb2 := key("a"), key("a2"), key("b"), key("b2")
+
+	mustCert := func(signer *sfkey.PrivateKey, subj principal.Principal, iss principal.Principal, tg tag.Tag) *cert.Cert {
+		c, err := cert.Delegate(signer, subj, iss, tg, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 
-	// Generous fanout succeeds.
-	p2 := New()
-	p2.AddRemote(src)
-	if _, err := p2.FindProof(prins[3], prins[0], tag.All(), now); err != nil {
-		t.Fatalf("default fanout failed: %v", err)
+	src := newFakeSource()
+	// Two org branches under the root. org1 serves only tag A members,
+	// org2 only tag B; both member chains are two hops so discovery
+	// must walk the issuer frontier (the subject-side query alone
+	// cannot complete them).
+	src.add(mustCert(root, prin(org1), prin(root), tag.All()))
+	src.add(mustCert(root, prin(org2), prin(root), tag.All()))
+	src.add(mustCert(org1, prin(ka), prin(org1), tagA))
+	src.add(mustCert(ka, prin(ka2), prin(ka), tagA))
+	src.add(mustCert(org2, prin(kb), prin(org2), tagB))
+	src.add(mustCert(kb, prin(kb2), prin(kb), tagB))
+
+	p := New()
+	p.AddRemote(src)
+
+	// Search 1 (tag A) walks the frontier through both orgs; the
+	// query "issued by org2, covering A" legitimately returns nothing
+	// and is negative-cached.
+	if _, err := p.FindProof(prin(ka2), prin(root), tagA, now); err != nil {
+		t.Fatalf("tag A proof: %v", err)
 	}
-	if st := p2.Stats(); st.RemoteQueries > DefaultRemoteFanout {
-		t.Fatalf("spent %d queries, budget %d", st.RemoteQueries, DefaultRemoteFanout)
+	// Search 2 (tag B) needs that same org2 issuer query — under tag
+	// B, where the grant exists. A tag-blind cache suppresses it and
+	// this proof fails despite every certificate being available.
+	proof, err := p.FindProof(prin(kb2), prin(root), tagB, now)
+	if err != nil {
+		t.Fatalf("tag B proof poisoned by tag A negative cache: %v", err)
+	}
+	ctx := core.NewVerifyContext()
+	ctx.Now = now
+	if err := core.Authorize(ctx, proof, prin(kb2), prin(root), tagB); err != nil {
+		t.Fatal(err)
 	}
 }
 
