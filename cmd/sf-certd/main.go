@@ -134,7 +134,7 @@ func main() {
 	rt.Every(*sweep, func() {
 		now := time.Now()
 		expired := store.Sweep(now)
-		revoked := store.EvictRevokedByIssuer(revocations.RevokedByIssuerAt(now))
+		revoked := store.EvictRevoked(revocations.RevokedAt(now))
 		lapsed := revocations.Sweep(now)
 		if expired+revoked+lapsed > 0 {
 			rt.Printf("swept %d expired, %d revoked, %d lapsed CRLs (%d stored)",

@@ -123,8 +123,8 @@ func TestRevocationPropagatesEndToEnd(t *testing.T) {
 	// The owner revokes the delegation; new requests must fail even
 	// though the certificate itself is unexpired. (The client gets a
 	// 403 back when its freshly signed request is refused.)
-	if err := store.Add(cert.NewRevocationList(serverKey, core.Forever, share.Hash())); err != nil {
-		t.Fatal(err)
+	if _, errs := store.Add(cert.NewRevocationList(serverKey, core.Forever, share.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	resp2, err := client.Get(ts.URL + "/pub/a")
 	if err == nil {

@@ -107,7 +107,7 @@ func (p *Pipeline) stamp(ctx *core.VerifyContext) *core.VerifyContext {
 
 // parse decodes a transport-encoded proof through the pooled arena.
 func parse(raw []byte) (core.Proof, error) {
-	proof, err := core.ParseProofPooled(raw)
+	proof, err := core.ParseProof(raw)
 	if err != nil {
 		return nil, fmt.Errorf("bad proof: %w", err)
 	}

@@ -388,8 +388,8 @@ func TestBehaviour(t *testing.T) {
 			}
 			crl := cert.NewRevocationList(w.issuerKey, core.Forever, deleg.Hash())
 			epoch := cfg.cache.Epoch()
-			if added, err := cfg.rs.AddNew(crl); err != nil || !added {
-				t.Fatalf("install CRL: added=%v err=%v", added, err)
+			if added, errs := cfg.rs.Add(crl); errs[0] != nil || !added[0] {
+				t.Fatalf("install CRL: added=%v err=%v", added[0], errs[0])
 			}
 			if got := cfg.cache.Epoch(); got != epoch+1 {
 				t.Fatalf("epoch after CRL = %d, want %d", got, epoch+1)
@@ -400,8 +400,8 @@ func TestBehaviour(t *testing.T) {
 				t.Fatal("admitted on a revoked delegation")
 			}
 			// A duplicate CRL is a no-op: no bump, and still denied.
-			if added, err := cfg.rs.AddNew(crl); err != nil || added {
-				t.Fatalf("duplicate CRL: added=%v err=%v", added, err)
+			if added, errs := cfg.rs.Add(crl); errs[0] != nil || added[0] {
+				t.Fatalf("duplicate CRL: added=%v err=%v", added[0], errs[0])
 			}
 			if got := cfg.cache.Epoch(); got != epoch+1 {
 				t.Fatalf("duplicate CRL moved the epoch to %d", got)
@@ -509,8 +509,8 @@ func TestAuditEpochIsTheStartEpoch(t *testing.T) {
 			midVerify = func() {
 				fired++
 				crl := cert.NewRevocationList(w.issuerKey, core.Forever, []byte("unrelated certificate"))
-				if _, err := cfg.rs.AddNew(crl); err != nil {
-					t.Error(err)
+				if _, errs := cfg.rs.Add(crl); errs[0] != nil {
+					t.Error(errs[0])
 				}
 			}
 			defer func() { midVerify = nil }()

@@ -155,7 +155,7 @@ func BenchmarkCertdirGossipCatchUp1k(b *testing.B) {
 }
 
 // BenchmarkCertdirWALCompact10k rewrites a 10k-certificate log: the
-// cost Sweep and EvictRevokedByIssuer pay whenever they drop entries.
+// cost Sweep and EvictRevoked pay whenever they drop entries.
 func BenchmarkCertdirWALCompact10k(b *testing.B) {
 	c := corpus(b, 10_000)
 	st := durableStore(b, certdir.SyncNever, c.now)

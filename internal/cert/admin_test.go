@@ -16,7 +16,7 @@ import (
 // to evict from, the first refusal reported as the error.
 func adminFixture(rs *RevocationStore) http.Handler {
 	install := func(lists []*RevocationList) (int, int, error) {
-		added, errs := rs.AddNewBatch(lists)
+		added, errs := rs.Add(lists...)
 		n := 0
 		for i := range lists {
 			if errs[i] != nil {

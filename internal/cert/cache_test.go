@@ -108,8 +108,8 @@ func TestEpochBumpKillsCachedVerdict(t *testing.T) {
 	// Revoke the leaf certificate: the store bumps the cache epoch.
 	signer := sfkey.FromSeed([]byte("cache-mid")) // mid signed the leaf cert
 	crl := NewRevocationList(signer, core.Until(cacheNow.Add(time.Hour)), leafCert.Hash())
-	if err := rs.Add(crl); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(crl); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 
 	if err := proof.Verify(ctx()); err == nil {
@@ -129,8 +129,8 @@ func TestFutureCRLBumpsEpochWhenFresh(t *testing.T) {
 	now := time.Now()
 	crl := NewRevocationList(signer, core.Between(now.Add(150*time.Millisecond), now.Add(time.Hour)))
 	before := cache.Epoch()
-	if err := rs.Add(crl); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(crl); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	if cache.Epoch() != before+1 {
 		t.Fatalf("epoch after install = %d, want %d", cache.Epoch(), before+1)

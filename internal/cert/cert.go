@@ -154,7 +154,7 @@ func (c *Cert) check(ctx *core.VerifyContext, sigOK *bool) error {
 	} else if !c.Signer.Verify(c.signingBytes(), c.Signature) {
 		return fmt.Errorf("cert: bad signature by %s", c.Signer.Fingerprint())
 	}
-	if ctx.Revoked != nil && ctx.Revoked(c.Hash()) {
+	if ctx.Revoked != nil && ctx.Revoked(c.Hash(), c.Signer) {
 		return fmt.Errorf("cert: certificate revoked")
 	}
 	if c.RevalidateAt != "" {
@@ -243,12 +243,6 @@ func decodeCert(e sexp.Sexp) (core.Proof, error) {
 // priv's own key principal) regarding t within v.
 func Delegate(priv *sfkey.PrivateKey, subject, issuer principal.Principal, t tag.Tag, v core.Validity) (*Cert, error) {
 	return Sign(priv, core.SpeaksFor{Subject: subject, Issuer: issuer, Tag: t, Validity: v})
-}
-
-// SelfIssuer returns the key principal for priv, the usual issuer of
-// its delegations.
-func SelfIssuer(priv *sfkey.PrivateKey) principal.Key {
-	return principal.KeyOf(priv.Public())
 }
 
 // Equal reports whether two certificates are byte-identical.

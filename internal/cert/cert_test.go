@@ -228,18 +228,30 @@ func TestRevocationList(t *testing.T) {
 	}
 	store := NewRevocationStore()
 	ctx := core.NewVerifyContext()
-	ctx.Revoked = store.Checker(ctx)
+	store.Bind(ctx)
 	if err := c.Verify(ctx); err != nil {
 		t.Fatalf("unrevoked cert failed: %v", err)
 	}
 
-	crl := NewRevocationList(alice, core.Forever, c.Hash())
-	if err := store.Add(crl); err != nil {
-		t.Fatal(err)
+	// A stranger's validly signed CRL naming the hash voids nothing:
+	// only the key that signed a certificate may revoke it.
+	stranger, _ := keys("stranger")
+	if _, errs := store.Add(NewRevocationList(stranger, core.Forever, c.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	ctx2 := core.NewVerifyContext()
-	ctx2.Revoked = store.Checker(ctx2)
-	if err := c.Verify(ctx2); err == nil {
+	store.Bind(ctx2)
+	if err := c.Verify(ctx2); err != nil {
+		t.Fatalf("a stranger's CRL revoked the cert: %v", err)
+	}
+
+	crl := NewRevocationList(alice, core.Forever, c.Hash())
+	if _, errs := store.Add(crl); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	ctx3 := core.NewVerifyContext()
+	store.Bind(ctx3)
+	if err := c.Verify(ctx3); err == nil {
 		t.Fatal("revoked cert verified")
 	}
 }
@@ -250,11 +262,11 @@ func TestExpiredCRLDoesNotRevoke(t *testing.T) {
 	c, _ := Delegate(alice, kBob, kAlice, tag.All(), core.Forever)
 	past := core.Until(time.Now().Add(-time.Hour))
 	store := NewRevocationStore()
-	if err := store.Add(NewRevocationList(alice, past, c.Hash())); err != nil {
-		t.Fatal(err)
+	if _, errs := store.Add(NewRevocationList(alice, past, c.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	ctx := core.NewVerifyContext()
-	ctx.Revoked = store.Checker(ctx)
+	store.Bind(ctx)
 	if err := c.Verify(ctx); err != nil {
 		t.Fatalf("stale CRL still revokes: %v", err)
 	}
@@ -275,7 +287,7 @@ func TestCRLWireRoundTripAndTamper(t *testing.T) {
 		t.Fatal("tampered CRL verified")
 	}
 	store := NewRevocationStore()
-	if err := store.Add(back); err == nil {
+	if _, errs := store.Add(back); errs[0] == nil {
 		t.Fatal("store accepted tampered CRL")
 	}
 }
@@ -349,7 +361,7 @@ func TestCertInsideLargerProof(t *testing.T) {
 	}
 }
 
-// TestParseProofPooledNoEscape: the pooled parser recycles its arena
+// TestParseProofPooledNoEscape: ParseProof recycles its pooled arena
 // the moment it returns, so nothing in the returned proof may alias
 // arena scratch or the caller's input buffer. Clobber both, churn the
 // pool, and the proof must still verify and re-encode identically.
@@ -372,7 +384,7 @@ func TestParseProofPooledNoEscape(t *testing.T) {
 	want := chain.Sexp().Canonical()
 
 	buf := append([]byte(nil), chain.Sexp().Transport()...)
-	p, err := core.ParseProofPooled(buf)
+	p, err := core.ParseProof(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // mix — the parser consumes one expression at a time and whitespace
 // between expressions is skipped), so the same CRL file works in
 // every daemon. Signatures are NOT verified here; installation
-// (RevocationStore.AddNewBatch, which the daemons reach through
+// (RevocationStore.Add, which the daemons reach through
 // certdir.InstallCRLs) verifies before anything takes effect, and
 // deduplicates, so re-reading a file that grew installs exactly the
 // new lists.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/principal"
 	"repro/internal/tag"
 )
 
@@ -74,14 +73,14 @@ func TestAddNewDedup(t *testing.T) {
 	cache := core.NewProofCache(16)
 	rs.AttachCache(cache)
 
-	added, err := rs.AddNew(rl)
-	if err != nil || !added {
-		t.Fatalf("first AddNew: added=%v err=%v", added, err)
+	added, errs := rs.Add(rl)
+	if errs[0] != nil || !added[0] {
+		t.Fatalf("first Add: added=%v err=%v", added[0], errs[0])
 	}
 	epoch := cache.Epoch()
-	added, err = rs.AddNew(rl)
-	if err != nil || added {
-		t.Fatalf("second AddNew: added=%v err=%v, want duplicate no-op", added, err)
+	added, errs = rs.Add(rl)
+	if errs[0] != nil || added[0] {
+		t.Fatalf("second Add: added=%v err=%v, want duplicate no-op", added[0], errs[0])
 	}
 	if cache.Epoch() != epoch {
 		t.Fatal("duplicate CRL install bumped the cache epoch")
@@ -94,9 +93,11 @@ func TestAddNewDedup(t *testing.T) {
 	}
 }
 
-// TestRevokedByIssuerAt: a CRL only voids certificates its signer
-// issued — the guard that keeps a network-supplied CRL from denying
-// service to delegations its signer never granted.
+// TestRevokedByIssuerAt: a CRL only voids certificates signed by the
+// key that signed the CRL — the guard that keeps a network-supplied
+// CRL from denying service to delegations its signer never granted —
+// and a verifier bound to the store (Bind) applies the same rule as
+// the directory's RevokedAt.
 func TestRevokedByIssuerAt(t *testing.T) {
 	issuer, issuerP := keys("rbi-issuer")
 	mallory, _ := keys("rbi-mallory")
@@ -108,29 +109,37 @@ func TestRevokedByIssuerAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	verify := func(rs *RevocationStore) error {
+		ctx := core.NewVerifyContext()
+		ctx.Now = now
+		rs.Bind(ctx)
+		return c.Verify(ctx)
+	}
 
 	rs := NewRevocationStore()
 	// Mallory signs a CRL naming the issuer's certificate.
-	if err := rs.Add(NewRevocationList(mallory, v, c.Hash())); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(NewRevocationList(mallory, v, c.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	revoked := rs.RevokedByIssuerAt(now)
-	if revoked(c.Hash(), issuerP.Key()) {
+	revoked := rs.RevokedAt(now)
+	if revoked(c.Hash(), issuer.Public()) {
 		t.Fatal("a stranger's CRL voided the issuer's delegation")
 	}
-	if !revoked(c.Hash(), principal.KeyOf(mallory.Public()).Key()) {
+	if !revoked(c.Hash(), mallory.Public()) {
 		t.Fatal("signer-matched predicate missed the signer's own listing")
 	}
-	// The issuer's own CRL does void it.
-	if err := rs.Add(NewRevocationList(issuer, v, c.Hash())); err != nil {
-		t.Fatal(err)
+	if err := verify(rs); err != nil {
+		t.Fatalf("a verifier honored a stranger's CRL: %v", err)
 	}
-	if !rs.RevokedByIssuerAt(now)(c.Hash(), issuerP.Key()) {
+	// The issuer's own CRL does void it, for the directory and the
+	// verifier alike.
+	if _, errs := rs.Add(NewRevocationList(issuer, v, c.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if !rs.RevokedAt(now)(c.Hash(), issuer.Public()) {
 		t.Fatal("issuer's own CRL did not void its delegation")
 	}
-	// Hash-only predicate (verifier semantics) is unchanged: any
-	// installed fresh CRL counts.
-	if !rs.RevokedAt(now)(c.Hash()) {
-		t.Fatal("RevokedAt missed an installed listing")
+	if err := verify(rs); err == nil {
+		t.Fatal("a verifier ignored the issuer's own CRL")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/principal"
 	"repro/internal/sexp"
 	"repro/internal/sfkey"
 )
@@ -120,8 +119,16 @@ func RevocationListFromSexp(e sexp.Sexp) (*RevocationList, error) {
 	return rl, nil
 }
 
-// RevocationStore aggregates verified CRLs and answers the
-// VerifyContext.Revoked query. It is safe for concurrent use.
+// RevocationStore aggregates verified CRLs and answers the one
+// revocation question (VerifyContext.Revoked): a CRL voids a
+// certificate iff it lists the certificate's hash, is fresh at the
+// instant asked about, and was signed by the key that signed the
+// certificate. Under SPKI only the key that granted a delegation may
+// void it, so a validly signed CRL from anyone else — a stranger
+// posting to an open directory, a verifier's own -crl file — voids
+// nothing. Verifiers and control-plane guards ask through Bind,
+// directories through RevokedAt; both run voids. It is safe for
+// concurrent use.
 //
 // Installing a CRL bumps the revocation epoch of the process-wide
 // shared proof cache (and any caches attached with AttachCache), so
@@ -131,18 +138,10 @@ func RevocationListFromSexp(e sexp.Sexp) (*RevocationList, error) {
 type RevocationStore struct {
 	mu     sync.RWMutex
 	lists  []*RevocationList
-	seen   map[[32]byte]bool // installed CRL hashes, for dedup (never swept; see Sweep)
-	byHash map[string][]revEntry
+	seen   map[[32]byte]bool            // installed CRL hashes, for dedup (never swept; see Sweep)
+	byHash map[string][]*RevocationList // certificate hash -> the lists naming it
 	caches []*core.ProofCache
 	view   uint64
-}
-
-// revEntry is one CRL's claim on one certificate hash in the byHash
-// index, with the signer's principal key precomputed so the
-// issuer-matched predicates never serialize a key per lookup.
-type revEntry struct {
-	rl        *RevocationList
-	signerKey string
 }
 
 // nextView hands each store a process-unique revocation view id;
@@ -156,7 +155,7 @@ var nextView atomic.Uint64
 func NewRevocationStore() *RevocationStore {
 	return &RevocationStore{
 		seen:   make(map[[32]byte]bool),
-		byHash: make(map[string][]revEntry),
+		byHash: make(map[string][]*RevocationList),
 		caches: []*core.ProofCache{core.SharedProofCache()},
 		view:   nextView.Add(1),
 	}
@@ -167,10 +166,16 @@ func NewRevocationStore() *RevocationStore {
 func (s *RevocationStore) View() uint64 { return s.view }
 
 // Bind wires a verification context to this store: the Revoked hook
-// and the matching revocation view, so the context may share cached
-// verdicts with every other verifier bound to the same store.
+// (one locked index lookup per check, judged at the context's own
+// clock at call time) and the matching revocation view, so the context
+// may share cached verdicts with every other verifier bound to the
+// same store.
 func (s *RevocationStore) Bind(ctx *core.VerifyContext) {
-	ctx.Revoked = s.Checker(ctx)
+	ctx.Revoked = func(h []byte, signer sfkey.PublicKey) bool {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return voids(s.byHash[string(h)], signer, ctx.At())
+	}
 	ctx.RevocationView = s.view
 }
 
@@ -183,45 +188,27 @@ func (s *RevocationStore) AttachCache(c *core.ProofCache) {
 	s.caches = append(s.caches, c)
 }
 
-// Add verifies and installs a CRL, invalidating attached proof
-// caches. A CRL that is not yet fresh (future NotBefore) schedules a
-// second bump for the moment it becomes fresh: verdicts cached in the
-// not-yet-fresh window would otherwise outlive the CRL's activation.
-// The schedule runs on the wall clock; harnesses that verify under a
-// simulated clock must call BumpEpoch themselves when their clock
-// crosses a CRL's NotBefore.
-func (s *RevocationStore) Add(rl *RevocationList) error {
-	_, err := s.AddNew(rl)
-	return err
-}
-
-// AddNew is Add with idempotence made visible: installing a CRL
-// already held (same content hash) is a no-op that reports
-// added == false — and, crucially, bumps no epoch, so re-reading an
-// unchanged CRL file or re-receiving a gossiped CRL never flushes
-// the proof cache. Hot reload and CRL gossip both install through
-// AddNew.
-func (s *RevocationStore) AddNew(rl *RevocationList) (added bool, err error) {
-	a, errs := s.AddNewBatch([]*RevocationList{rl})
-	return a[0], errs[0]
-}
-
-// AddNewBatch installs many CRLs at once, with the two costs that
-// scale badly per-list amortized across the batch: the signature
-// checks run through one sfkey.BatchVerifier (aggregate pass, with
-// bisection pinpointing any bad list instead of condemning the
-// batch), and however many lists are newly installed, attached proof
-// caches are flushed by ONE epoch bump — k CRLs arriving in a gossip
-// round no longer cost k full cache flushes. Outcomes are reported
-// per list, aligned with rls: added[i] true for newly installed
-// lists, errs[i] non-nil for rejected ones (bad signature), both
-// false/nil for deduplicated re-installs.
-func (s *RevocationStore) AddNewBatch(rls []*RevocationList) (added []bool, errs []error) {
-	added = make([]bool, len(rls))
-	errs = make([]error, len(rls))
+// Add verifies and installs CRLs, with the two costs that scale badly
+// per list amortized across the call: the signature checks run through
+// one sfkey.BatchVerifier (aggregate pass, with bisection pinpointing
+// any bad list instead of condemning the batch), and however many
+// lists are newly installed, attached proof caches are flushed by ONE
+// epoch bump. Installing a list already held (same content hash) is a
+// no-op that bumps nothing, so re-reading an unchanged CRL file or
+// re-receiving a gossiped CRL never flushes the proof cache. Outcomes
+// are reported per list, aligned with lists: added[i] true for newly
+// installed lists, errs[i] non-nil for rejected ones (bad signature),
+// both false/nil for deduplicated re-installs.
+//
+// A list that is not yet fresh (future NotBefore) schedules a second
+// bump for the moment it becomes fresh: verdicts cached in the
+// not-yet-fresh window would otherwise outlive the list's activation.
+func (s *RevocationStore) Add(lists ...*RevocationList) (added []bool, errs []error) {
+	added = make([]bool, len(lists))
+	errs = make([]error, len(lists))
 	var bv sfkey.BatchVerifier
-	pos := make([]int, 0, len(rls)) // batch index -> rls index
-	for i, rl := range rls {
+	pos := make([]int, 0, len(lists)) // batch index -> lists index
+	for i, rl := range lists {
 		if rl == nil {
 			errs[i] = fmt.Errorf("cert: nil CRL")
 			continue
@@ -237,7 +224,7 @@ func (s *RevocationStore) AddNewBatch(rls []*RevocationList) (added []bool, errs
 	if s.seen == nil {
 		s.seen = make(map[[32]byte]bool)
 	}
-	for i, rl := range rls {
+	for i, rl := range lists {
 		if rl == nil || errs[i] != nil {
 			continue
 		}
@@ -301,91 +288,60 @@ func (s *RevocationStore) Has(h [32]byte) bool {
 	return s.seen[h]
 }
 
-// Checker returns the Revoked callback for a VerifyContext. A
-// certificate counts as revoked when any CRL fresh at the context's
-// verification time lists its hash.
-func (s *RevocationStore) Checker(ctx *core.VerifyContext) func([]byte) bool {
-	return func(h []byte) bool { return s.revokedAt(h, ctx.At()) }
-}
-
-// RevokedAt returns a predicate over certificate hashes as of the
-// given instant, independent of any VerifyContext; certificate
-// directories use it to evict delegations a fresh CRL has voided.
-func (s *RevocationStore) RevokedAt(at time.Time) func([]byte) bool {
-	return func(h []byte) bool { return s.revokedAt(h, at) }
-}
-
-// RevokedByIssuerAt is RevokedAt restricted to CRLs whose signer IS
-// the certificate's issuer (matched by principal key): only the key
-// that granted a delegation may void it. Directories use this
-// predicate for CRLs that arrive over the network (admin endpoint,
-// gossip), where a valid signature alone proves only that SOMEONE
-// signed the list — without the issuer match, any key holder could
-// sign a CRL naming arbitrary certificate hashes and deny service to
-// delegations it never issued.
-func (s *RevocationStore) RevokedByIssuerAt(at time.Time) func(certHash []byte, issuerKey string) bool {
-	// Snapshot the fresh slice of the hash index once: the returned
-	// predicate runs once per stored certificate
-	// (Store.EvictRevokedByIssuer scans the whole directory), so each
-	// call must be a map lookup — no store lock, no signer-key
-	// serialization, no scan over every revoked hash.
+// RevokedAt returns the revocation predicate as of the given instant,
+// independent of any VerifyContext: certificate directories pass it to
+// Store.EvictRevoked. The predicate runs once per stored certificate
+// there, so the fresh slice of the index is snapshotted once and each
+// call is a map lookup — no store lock, no scan over every revoked
+// hash.
+func (s *RevocationStore) RevokedAt(at time.Time) func(certHash []byte, signer sfkey.PublicKey) bool {
 	s.mu.RLock()
-	fresh := make(map[string][]string, len(s.byHash))
-	for h, entries := range s.byHash {
-		for _, e := range entries {
-			if e.rl.Validity.Contains(at) {
-				fresh[h] = append(fresh[h], e.signerKey)
+	fresh := make(map[string][]*RevocationList, len(s.byHash))
+	for h, lists := range s.byHash {
+		for _, rl := range lists {
+			if rl.Validity.Contains(at) {
+				fresh[h] = append(fresh[h], rl)
 			}
 		}
 	}
 	s.mu.RUnlock()
-	return func(h []byte, issuerKey string) bool {
-		for _, sk := range fresh[string(h)] {
-			if sk == issuerKey {
-				return true
-			}
-		}
-		return false
-	}
+	return func(h []byte, signer sfkey.PublicKey) bool { return voids(fresh[string(h)], signer, at) }
 }
 
-// indexLocked adds one installed CRL's hashes to the byHash index;
-// the caller holds the write lock.
-func (s *RevocationStore) indexLocked(rl *RevocationList) {
-	if s.byHash == nil {
-		s.byHash = make(map[string][]revEntry)
-	}
-	e := revEntry{rl: rl, signerKey: principal.KeyOf(rl.Signer).Key()}
-	for _, h := range rl.Hashes {
-		s.byHash[string(h)] = append(s.byHash[string(h)], e)
-	}
-}
-
-// revokedAt answers through the hash index: one map lookup plus a
-// freshness check per CRL naming this certificate, instead of a scan
-// over every hash of every installed list.
-func (s *RevocationStore) revokedAt(h []byte, at time.Time) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, e := range s.byHash[string(h)] {
-		if e.rl.Validity.Contains(at) {
+// voids is the revocation rule, written once: some list among those
+// naming a certificate's hash is fresh at at and was signed by the key
+// that signed the certificate.
+func voids(lists []*RevocationList, signer sfkey.PublicKey, at time.Time) bool {
+	for _, rl := range lists {
+		if rl.Signer.Equal(signer) && rl.Validity.Contains(at) {
 			return true
 		}
 	}
 	return false
 }
 
+// indexLocked adds one installed CRL's hashes to the byHash index;
+// the caller holds the write lock.
+func (s *RevocationStore) indexLocked(rl *RevocationList) {
+	if s.byHash == nil {
+		s.byHash = make(map[string][]*RevocationList)
+	}
+	for _, h := range rl.Hashes {
+		s.byHash[string(h)] = append(s.byHash[string(h)], rl)
+	}
+}
+
 // Sweep drops every CRL whose validity window has lapsed (NotAfter
 // before now): the certificates such a list voided have expired too
 // wherever the CRL mattered — a CRL bounded to outlive its targets is
 // the issuer's job, and a lapsed list no longer affects any verdict
-// (revokedAt checks freshness) — so keeping it only bloats the store
-// and the hash index. The dedup set is intentionally NOT swept: a
-// peer still holding a lapsed CRL would otherwise re-gossip it every
-// round, and each reinstall would bump the proof-cache epoch — a
-// flush loop bought by nothing. It returns the number of lists
-// dropped. No epoch bump is needed: only positive verdicts are
-// cached, so no cached state rests on a list's presence.
+// (voids checks freshness) — so keeping it only bloats the store and
+// the hash index. The dedup set is intentionally NOT swept: a peer
+// still holding a lapsed CRL would otherwise re-gossip it every round,
+// and each reinstall would bump the proof-cache epoch — a flush loop
+// bought by nothing. It returns the number of lists dropped. No epoch
+// bump is needed: only positive verdicts are cached, so no cached
+// state rests on a list's presence.
 func (s *RevocationStore) Sweep(now time.Time) (dropped int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -401,7 +357,7 @@ func (s *RevocationStore) Sweep(now time.Time) (dropped int) {
 		return 0
 	}
 	s.lists = kept
-	s.byHash = make(map[string][]revEntry, len(s.byHash))
+	s.byHash = make(map[string][]*RevocationList, len(s.byHash))
 	for _, rl := range s.lists {
 		s.indexLocked(rl)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/principal"
 	"repro/internal/sfkey"
 )
 
@@ -22,8 +21,8 @@ func TestRevocationStoreSweep(t *testing.T) {
 
 	rs := NewRevocationStore()
 	for _, rl := range []*RevocationList{lapsed, fresh, unbounded} {
-		if err := rs.Add(rl); err != nil {
-			t.Fatal(err)
+		if _, errs := rs.Add(rl); errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 	}
 	if n := len(rs.Lists()); n != 3 {
@@ -37,19 +36,20 @@ func TestRevocationStoreSweep(t *testing.T) {
 		t.Fatalf("%d lists after sweep, want 2", n)
 	}
 	// The index survives for live lists…
-	if !rs.RevokedAt(now)([]byte("live-cert")) || !rs.RevokedAt(now)([]byte("forever-cert")) {
+	signer := priv.Public()
+	if !rs.RevokedAt(now)([]byte("live-cert"), signer) || !rs.RevokedAt(now)([]byte("forever-cert"), signer) {
 		t.Fatal("sweep dropped live revocations from the index")
 	}
 	// …and the lapsed hash is gone from it.
-	if rs.RevokedAt(now.Add(-90 * time.Minute))([]byte("old-cert")) {
+	if rs.RevokedAt(now.Add(-90*time.Minute))([]byte("old-cert"), signer) {
 		t.Fatal("lapsed CRL still answers through the index after sweep")
 	}
 
 	// Reinstalling the lapsed list is a dedup'd no-op: no epoch bump.
 	epoch := core.SharedProofCache().Epoch()
-	added, err := rs.AddNew(lapsed)
-	if err != nil || added {
-		t.Fatalf("lapsed CRL reinstalled after sweep: added=%v err=%v", added, err)
+	added, errs := rs.Add(lapsed)
+	if errs[0] != nil || added[0] {
+		t.Fatalf("lapsed CRL reinstalled after sweep: added=%v err=%v", added[0], errs[0])
 	}
 	if core.SharedProofCache().Epoch() != epoch {
 		t.Fatal("re-gossiped lapsed CRL bumped the epoch")
@@ -61,59 +61,57 @@ func TestRevocationStoreSweep(t *testing.T) {
 	}
 }
 
-// TestRevokedAtIndex: the hash-set index answers exactly like the old
-// linear scan, including freshness windows.
+// TestRevokedAtIndex: the hash-set index answers exactly like a
+// linear scan, including freshness windows and the signer match.
 func TestRevokedAtIndex(t *testing.T) {
 	priv, _ := sfkey.Generate()
+	signer := priv.Public()
 	now := time.Now()
 	h1, h2 := []byte("cert-1"), []byte("cert-2")
 	windowed := NewRevocationList(priv, core.Between(now, now.Add(time.Hour)), h1)
 	rs := NewRevocationStore()
-	if err := rs.Add(windowed); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(windowed); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	if !rs.RevokedAt(now.Add(time.Minute))(h1) {
+	if !rs.RevokedAt(now.Add(time.Minute))(h1, signer) {
 		t.Fatal("listed hash not revoked inside the window")
 	}
-	if rs.RevokedAt(now.Add(2 * time.Hour))(h1) {
+	if rs.RevokedAt(now.Add(2*time.Hour))(h1, signer) {
 		t.Fatal("revoked after the CRL lapsed")
 	}
-	if rs.RevokedAt(now.Add(-time.Minute))(h1) {
+	if rs.RevokedAt(now.Add(-time.Minute))(h1, signer) {
 		t.Fatal("revoked before the CRL is fresh")
 	}
-	if rs.RevokedAt(now.Add(time.Minute))(h2) {
+	if rs.RevokedAt(now.Add(time.Minute))(h2, signer) {
 		t.Fatal("unlisted hash revoked")
 	}
 
 	// Two lists naming the same hash: either window suffices.
 	later := NewRevocationList(priv, core.Between(now.Add(2*time.Hour), now.Add(3*time.Hour)), h1)
-	if err := rs.Add(later); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(later); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	if !rs.RevokedAt(now.Add(150 * time.Minute))(h1) {
+	if !rs.RevokedAt(now.Add(150*time.Minute))(h1, signer) {
 		t.Fatal("second list's window not honored")
 	}
 
-	// The issuer-matched predicate rides the same index.
+	// A second signer's list rides the same index and voids only its own.
 	other, _ := sfkey.Generate()
 	otherList := NewRevocationList(other, core.Forever, h2)
-	if err := rs.Add(otherList); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(otherList); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	pred := rs.RevokedByIssuerAt(now.Add(time.Minute))
-	issuerKey := keyOfSigner(priv)
-	otherKey := keyOfSigner(other)
-	if !pred(h1, issuerKey) {
-		t.Fatal("issuer-matched revocation missed")
+	pred := rs.RevokedAt(now.Add(time.Minute))
+	if !pred(h1, signer) {
+		t.Fatal("signer-matched revocation missed")
 	}
-	if pred(h1, otherKey) {
-		t.Fatal("wrong issuer matched")
+	if pred(h1, other.Public()) {
+		t.Fatal("wrong signer matched")
 	}
-	if !pred(h2, otherKey) {
-		t.Fatal("second issuer's revocation missed")
+	if !pred(h2, other.Public()) {
+		t.Fatal("second signer's revocation missed")
 	}
-}
-
-func keyOfSigner(priv *sfkey.PrivateKey) string {
-	return principal.KeyOf(priv.Public()).Key()
+	if pred(h2, signer) {
+		t.Fatal("a list voided a certificate its signer did not sign")
+	}
 }

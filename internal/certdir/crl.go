@@ -20,13 +20,14 @@ type CRLInstall struct {
 // daemon's -crl file, an anti-entropy pull, a snapshot bootstrap, or
 // a verifier's CRLFollower. The lists are verified and installed as
 // one batch (one signature batch, one proof-cache epoch bump, dedup by
-// content hash — cert.RevocationStore.AddNewBatch), then the store is
-// scanned ONCE for what the new lists' signers issued and revoked
+// content hash — cert.RevocationStore.Add), then the store is scanned
+// ONCE with cert.RevocationStore.RevokedAt for what the lists void
 // (eviction tombstones and emits revoke events), then each new list is
 // rumored onward to rep's peers; the install dedup is what terminates
 // that flood. A refused list is counted and skipped: CRLs arriving
-// over the network carry a valid signature from SOME key or they do
-// nothing, so a compromised peer can fabricate no revocation.
+// over the network carry a valid signature or they do nothing, and a
+// valid one voids only certificates its own key signed, so neither a
+// compromised peer nor a stranger can fabricate a revocation.
 //
 // st and rep may each be nil: a verifier following a directory has no
 // store to evict from, and an unreplicated directory has no peers. now
@@ -34,7 +35,7 @@ type CRLInstall struct {
 // store.
 func InstallCRLs(revs *cert.RevocationStore, st *Store, rep *Replicator, lists []*cert.RevocationList, now time.Time) CRLInstall {
 	var res CRLInstall
-	added, errs := revs.AddNewBatch(lists)
+	added, errs := revs.Add(lists...)
 	for i, rl := range lists {
 		switch {
 		case errs[i] != nil:
@@ -50,7 +51,7 @@ func InstallCRLs(revs *cert.RevocationStore, st *Store, rep *Replicator, lists [
 		}
 	}
 	if res.Installed > 0 && st != nil {
-		res.Evicted = st.EvictRevokedByIssuer(revs.RevokedByIssuerAt(now))
+		res.Evicted = st.EvictRevoked(revs.RevokedAt(now))
 	}
 	return res
 }

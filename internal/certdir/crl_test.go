@@ -182,3 +182,73 @@ func TestCRLInstallPathsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestOneRevocationRule: a fresh CRL voids a certificate iff it was
+// signed by the key that signed the certificate, and the directory's
+// eviction, a following verifier and the directory's own guard all
+// reach that one verdict. Each row posts a CRL naming a delegation to
+// an open directory's admin endpoint and has a CRLFollower pull it
+// into a verifier's store; the signer is the issuing key k or a
+// stranger, and the delegation's issuer is k's key, k's hash or a
+// name under k — every form a certificate signed by k may carry.
+func TestOneRevocationRule(t *testing.T) {
+	now := time.Now()
+	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
+	k := sfkey.FromSeed([]byte("rule-issuer"))
+	stranger := sfkey.FromSeed([]byte("rule-stranger"))
+	bobP := principal.KeyOf(sfkey.FromSeed([]byte("rule-bob")).Public())
+	issuers := []struct {
+		name string
+		prin principal.Principal
+	}{
+		{"KeyOf(k)", principal.KeyOf(k.Public())},
+		{"HashOfKey(k)", principal.HashOfKey(k.Public())},
+		{"name under k", principal.NameOf(principal.KeyOf(k.Public()), "staff")},
+	}
+	signers := []struct {
+		name string
+		priv *sfkey.PrivateKey
+	}{{"k", k}, {"stranger", stranger}}
+
+	// voided reports whether c fails verification against a context
+	// bound to rs — the hook admit.Pipeline, CtlGuard and rmi.Server
+	// all install.
+	voided := func(rs *cert.RevocationStore, c *cert.Cert) bool {
+		ctx := core.NewVerifyContext()
+		ctx.Now = now
+		rs.Bind(ctx)
+		return c.Verify(ctx) != nil
+	}
+	for _, iss := range issuers {
+		for _, sg := range signers {
+			t.Run(iss.name+"/signed by "+sg.name, func(t *testing.T) {
+				c, err := cert.Delegate(k, bobP, iss.prin, tag.All(), v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, dirRevs, cl := startRevocableDirectory(t)
+				if _, err := st.Publish(c, now); err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.PushCRL(cert.NewRevocationList(sg.priv, v, c.Hash())); err != nil {
+					t.Fatal(err)
+				}
+				verifierRevs := cert.NewRevocationStore()
+				if added, err := NewCRLFollower(cl, verifierRevs).Pull(); err != nil || added != 1 {
+					t.Fatalf("follower pull: added %d, err %v", added, err)
+				}
+
+				want := sg.priv == k
+				if got := !st.HasHash(c.Hash()); got != want {
+					t.Errorf("directory eviction: evicted=%v, want %v", got, want)
+				}
+				if got := voided(verifierRevs, c); got != want {
+					t.Errorf("following verifier: voided=%v, want %v", got, want)
+				}
+				if got := voided(dirRevs, c); got != want {
+					t.Errorf("directory guard: voided=%v, want %v", got, want)
+				}
+			})
+		}
+	}
+}

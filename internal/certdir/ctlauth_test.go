@@ -173,7 +173,7 @@ func TestCtlAuthAcceptedFastPath(t *testing.T) {
 			t.Fatalf("warm admin call %d refused: %v", i, err)
 		}
 	}
-	// Budget per warm call: 1 CRL-signature verify (AddNew always
+	// Budget per warm call: 1 CRL-signature verify (Add always
 	// verifies before dedup) + 1 fresh request-hash leaf. The first
 	// warm call additionally re-verifies the credential once — the
 	// third install above bumped the epoch, which is revocation

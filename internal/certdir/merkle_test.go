@@ -47,11 +47,11 @@ func TestMerkleIncrementalMatchesRecomputed(t *testing.T) {
 	// Revocation eviction drops leaves too.
 	victim := certs[100]
 	rs := cert.NewRevocationStore()
-	if err := rs.Add(cert.NewRevocationList(
-		sfkey.FromSeed([]byte("mk-cons-issuer-0")), long, victim.Hash())); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(cert.NewRevocationList(
+		sfkey.FromSeed([]byte("mk-cons-issuer-0")), long, victim.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	st.EvictRevokedByIssuer(rs.RevokedByIssuerAt(now))
+	st.EvictRevoked(rs.RevokedAt(now))
 	// Expiry sweep drops leaves without tombstones.
 	short := walCorpus(t, "mk-cons-short", 30, core.Between(now.Add(-time.Minute), now.Add(time.Minute)))
 	for _, c := range short {

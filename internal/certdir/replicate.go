@@ -73,7 +73,7 @@ type Replicator struct {
 	// Revocations, when set, extends gossip to CRLs themselves: newly
 	// installed CRLs fan out to peers (EnqueueCRL), and every
 	// anti-entropy round pulls the CRLs this node is missing,
-	// verify-before-apply, evicting what each one's signer issued. Set
+	// verify-before-apply, evicting what each one's signer signed. Set
 	// before Start. Without it, revocations still replicate — but only
 	// as per-directory tombstones after each node's own sweep, which
 	// leaves peers serving the revoked delegation until their own CRL
@@ -336,7 +336,7 @@ func (r *Replicator) Converge() (pulled int, err error) {
 }
 
 // pullCRLs asks one peer for the CRLs this node is missing and installs
-// them (InstallCRLs: verify, evict what each signer issued, rumor
+// them (InstallCRLs: verify, evict what each signer signed, rumor
 // onward), counting the outcome.
 func (r *Replicator) pullCRLs(peer *Client) error {
 	if r.Revocations == nil {

@@ -141,10 +141,10 @@ func TestStoreEmitsInvalidationEvents(t *testing.T) {
 
 	st.Remove(removed.Hash())
 	rs := cert.NewRevocationStore()
-	if err := rs.Add(cert.NewRevocationList(alice, v, revoked.Hash())); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(cert.NewRevocationList(alice, v, revoked.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	if n := st.EvictRevokedByIssuer(rs.RevokedByIssuerAt(now)); n != 1 {
+	if n := st.EvictRevoked(rs.RevokedAt(now)); n != 1 {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 
@@ -180,16 +180,16 @@ func TestEvictRevokedByIssuerSignerMatch(t *testing.T) {
 	}
 
 	rs := cert.NewRevocationStore()
-	if err := rs.Add(cert.NewRevocationList(mallory, v, c.Hash())); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(cert.NewRevocationList(mallory, v, c.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	if n := st.EvictRevokedByIssuer(rs.RevokedByIssuerAt(now)); n != 0 {
+	if n := st.EvictRevoked(rs.RevokedAt(now)); n != 0 {
 		t.Fatalf("a stranger's CRL evicted %d certificates", n)
 	}
-	if err := rs.Add(cert.NewRevocationList(alice, v, c.Hash())); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(cert.NewRevocationList(alice, v, c.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	if n := st.EvictRevokedByIssuer(rs.RevokedByIssuerAt(now)); n != 1 {
+	if n := st.EvictRevoked(rs.RevokedAt(now)); n != 1 {
 		t.Fatalf("the issuer's CRL evicted %d certificates, want 1", n)
 	}
 	if !st.Tombstoned(c.Hash()) {
@@ -255,10 +255,8 @@ func TestCRLGossipEndpointDiff(t *testing.T) {
 
 	a := cert.NewRevocationList(alice, v, []byte("hash-1-32-bytes-hash-1-32-bytes-"))
 	b := cert.NewRevocationList(alice, v, []byte("hash-2-32-bytes-hash-2-32-bytes-"))
-	for _, rl := range []*cert.RevocationList{a, b} {
-		if _, err := rs.AddNew(rl); err != nil {
-			t.Fatal(err)
-		}
+	if _, errs := rs.Add(a, b); errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs)
 	}
 	all, err := cl.CRLs(nil)
 	if err != nil || len(all) != 2 {
@@ -329,7 +327,7 @@ func TestCRLGossipPropagates(t *testing.T) {
 	forged := *rl
 	forged.Signature = append([]byte(nil), rl.Signature...)
 	forged.Signature[0] ^= 1
-	if _, err := rsB.AddNew(&forged); err == nil {
+	if _, errs := rsB.Add(&forged); errs[0] == nil {
 		t.Fatal("forged CRL verified")
 	}
 }

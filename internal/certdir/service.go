@@ -61,8 +61,8 @@ import (
 // for cursor and reset semantics). The admin endpoints install a CRL
 // (or re-read the daemon's -crl file) without a restart; installation
 // verifies the CRL signature, evicts the delegations its SIGNER
-// issued (see Store.EvictRevokedByIssuer for why the issuer match
-// matters), bumps the proof-cache epoch, and fans the CRL out to
+// signed (see Store.EvictRevoked for why the signer match matters),
+// bumps the proof-cache epoch, and fans the CRL out to
 // gossip peers. The gossip/crls endpoint serves the installed CRLs —
 // minus the ones the asking peer already has — so one domain's
 // revocation evicts at every peer directly instead of waiting for
@@ -570,7 +570,7 @@ func (s *Service) handleEvents(e sexp.Sexp) (sexp.Sexp, error) {
 }
 
 // handleAdminCRL installs one CRL without a restart (InstallCRLs:
-// verify, dedup, evict what its signer issued, fan out to peers).
+// verify, dedup, evict what its signer signed, fan out to peers).
 // Duplicates are acknowledged idempotently so gossip floods terminate.
 func (s *Service) handleAdminCRL(e sexp.Sexp) (sexp.Sexp, error) {
 	if s.Revocations == nil {

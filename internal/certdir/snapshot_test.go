@@ -86,10 +86,10 @@ func TestSnapshotBootstrapRoundTrip(t *testing.T) {
 	revoked := certs[10] // issuer seed snap-boot-issuer-0 (10 % 5)
 	rl := cert.NewRevocationList(sfkey.FromSeed([]byte("snap-boot-issuer-0")),
 		core.Until(now.Add(time.Hour)), revoked.Hash())
-	if err := rs.Add(rl); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(rl); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	if n := src.EvictRevokedByIssuer(rs.RevokedByIssuerAt(now)); n != 1 {
+	if n := src.EvictRevoked(rs.RevokedAt(now)); n != 1 {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 
@@ -133,9 +133,9 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	now := time.Now()
 	certs := walCorpus(t, "snap-det", 40, core.Until(now.Add(time.Hour)))
 	rs := cert.NewRevocationStore()
-	if err := rs.Add(cert.NewRevocationList(sfkey.FromSeed([]byte("snap-det-issuer-1")),
-		core.Until(now.Add(time.Hour)), certs[1].Hash())); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(cert.NewRevocationList(sfkey.FromSeed([]byte("snap-det-issuer-1")),
+		core.Until(now.Add(time.Hour)), certs[1].Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 
 	a, b := NewStore(4), NewStore(8)

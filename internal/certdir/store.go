@@ -55,6 +55,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/principal"
 	"repro/internal/sexp"
+	"repro/internal/sfkey"
 	"repro/internal/shard"
 	"repro/internal/tag"
 )
@@ -655,14 +656,14 @@ func (s *Store) Sweep(now time.Time) int {
 	return n
 }
 
-// EvictRevokedByIssuer drops every certificate the predicate reports
-// revoked (keyed by cert.Hash and the certificate's issuer key),
+// EvictRevoked drops every certificate the predicate reports revoked
+// (asked with the certificate's hash and the key that signed it),
 // returns the count, and compacts the WAL when anything was dropped.
-// Pair it with cert.RevocationStore.RevokedByIssuerAt so a CRL only
-// voids delegations its signer actually issued: CRLs that arrive over
-// the network carry a valid signature from SOME key, and the issuer
-// match is what stops an arbitrary key holder from denying service to
-// delegations it never granted.
+// Pair it with cert.RevocationStore.RevokedAt, the one revocation rule
+// verifiers apply too: a CRL only voids certificates signed by the key
+// that signed the CRL, so a validly signed CRL from anyone else evicts
+// nothing and the directory keeps serving exactly what verifiers
+// still accept.
 //
 // Each drop is journaled as a removal record and tombstoned (a peer
 // that has not seen the CRL must not gossip the certificate back in),
@@ -673,7 +674,7 @@ func (s *Store) Sweep(now time.Time) int {
 // retraction. A journal failure does not block the eviction — locally
 // refusing to serve a revoked delegation outranks tombstone
 // durability.
-func (s *Store) EvictRevokedByIssuer(revoked func(certHash []byte, issuerKey string) bool) int {
+func (s *Store) EvictRevoked(revoked func(certHash []byte, signer sfkey.PublicKey) bool) int {
 	if revoked == nil {
 		return 0
 	}
@@ -683,7 +684,7 @@ func (s *Store) EvictRevokedByIssuer(revoked func(certHash []byte, issuerKey str
 		sh.mu.Lock()
 		var del []*entry
 		for _, e := range sh.byHash {
-			if revoked([]byte(e.hashKey), e.issuerK) {
+			if revoked([]byte(e.hashKey), e.cert.Signer) {
 				del = append(del, e)
 			}
 		}

@@ -165,10 +165,10 @@ func TestStoreEvictRevoked(t *testing.T) {
 
 	rs := cert.NewRevocationStore()
 	crl := cert.NewRevocationList(alice, core.Until(now.Add(time.Hour)), revoked.Hash())
-	if err := rs.Add(crl); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(crl); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	if n := st.EvictRevokedByIssuer(rs.RevokedByIssuerAt(now)); n != 1 {
+	if n := st.EvictRevoked(rs.RevokedAt(now)); n != 1 {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 	if got := st.BySubject(carolP, now); len(got) != 0 {
@@ -232,7 +232,7 @@ func TestStoreConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			st.EvictRevokedByIssuer(func([]byte, string) bool { return false })
+			st.EvictRevoked(func([]byte, sfkey.PublicKey) bool { return false })
 			st.Len()
 			st.Stats()
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/sexp"
+	"repro/internal/sfkey"
 )
 
 // Proof is a structured proof of a SpeaksFor conclusion, a tree of
@@ -43,8 +44,10 @@ type VerifyContext struct {
 	Assumptions map[string]bool
 
 	// Revoked, when non-nil, reports whether the certificate with the
-	// given body hash has been revoked (CRL-style, section 4.1).
-	Revoked func(certHash []byte) bool
+	// given body hash, signed by signer, has been revoked (CRL-style,
+	// section 4.1). cert.RevocationStore.Bind installs the one rule:
+	// only a fresh CRL signed by signer itself voids the certificate.
+	Revoked func(certHash []byte, signer sfkey.PublicKey) bool
 
 	// Revalidate, when non-nil, performs SPKI one-time revalidation
 	// for certificates that demand it: it must return nil only if the
@@ -251,24 +254,12 @@ func ProofFromSexp(e sexp.Sexp) (Proof, error) {
 }
 
 // ParseProof decodes a proof from text (canonical, advanced, or
-// transport encoding).
+// transport encoding) through a pooled parse arena. The intermediate
+// expression tree is scratch: the typed decoders deep-copy everything
+// they keep and SetWire receives a freshly encoded canonical form, so
+// nothing of the arena (or of b) escapes into the returned proof and
+// the arena goes back to the pool on return.
 func ParseProof(b []byte) (Proof, error) {
-	e, err := sexp.ParseOne(b)
-	if err != nil {
-		return nil, err
-	}
-	return ProofFromSexp(e)
-}
-
-// ParseProofPooled is ParseProof through a pooled parse arena. The
-// intermediate expression tree is scratch: the typed decoders deep-
-// copy everything they keep and SetWire receives a freshly encoded
-// canonical form, so nothing of the arena (or of b) escapes into the
-// returned proof and the arena goes back to the pool on return. The
-// admission pipeline (package admit) parses every presented or
-// submitted proof through it, so no adapter pays a full expression
-// tree's allocations per request.
-func ParseProofPooled(b []byte) (Proof, error) {
 	a := sexp.GetArena()
 	defer sexp.PutArena(a)
 	e, err := a.ParseOne(b)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sfkey"
 	"repro/internal/tag"
 )
 
@@ -252,7 +253,7 @@ func TestVerifyMemoUnidentifiedRevokedBypassesCache(t *testing.T) {
 	ctx := NewVerifyContext()
 	ctx.Now = cacheNow
 	ctx.Cache = cache
-	ctx.Revoked = func([]byte) bool { return false } // ad-hoc, no view
+	ctx.Revoked = func([]byte, sfkey.PublicKey) bool { return false } // ad-hoc, no view
 	hitsBefore, lenBefore := cache.Hits(), cache.Len()
 	if err := tr.Verify(ctx); err != nil {
 		t.Fatal(err)

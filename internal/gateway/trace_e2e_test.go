@@ -380,8 +380,8 @@ func TestGatewayAuditDenyAndChallengePaths(t *testing.T) {
 		w.publish(t, handoff)
 		// The database has already seen the grant revoked.
 		crl := cert.NewRevocationList(w.dbKey, core.Until(time.Now().Add(time.Hour)), grant.Hash())
-		if err := w.dbRevocations.Add(crl); err != nil {
-			t.Fatal(err)
+		if _, errs := w.dbRevocations.Add(crl); errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 
 		req := w.signedRequest(t, http.MethodGet, url)

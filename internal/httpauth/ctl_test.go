@@ -225,8 +225,8 @@ func TestCtlGuardRevokedCredential(t *testing.T) {
 	if err := guard.Authorize(req, body, cert.CtlTag(cert.CtlAdmin)); err != nil {
 		t.Fatalf("before revocation: %v", err)
 	}
-	if err := rs.Add(cert.NewRevocationList(w.opPriv, core.Forever, w.cred.Hash())); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(cert.NewRevocationList(w.opPriv, core.Forever, w.cred.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	// Same request, same proof: now refused.
 	if err := guard.Authorize(req, body, cert.CtlTag(cert.CtlAdmin)); err == nil {

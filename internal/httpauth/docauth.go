@@ -23,6 +23,9 @@ func DocTag(path string) tag.Tag {
 	return tag.ListOf(tag.Literal("web-doc"), tag.Literal(path))
 }
 
+// docProofTTL bounds each document proof's validity.
+const docProofTTL = time.Hour
+
 // DocSigner wraps a handler and attaches a document proof to every
 // successful response. With CacheCerts set, the signature for a given
 // (path, body) is minted once and reused — the "cache" bars of
@@ -33,8 +36,6 @@ type DocSigner struct {
 	Handler http.Handler
 	// CacheCerts reuses signatures for unchanged documents.
 	CacheCerts bool
-	// TTL bounds each document proof's validity; zero means an hour.
-	TTL time.Duration
 	// Clock for validity windows; nil means time.Now.
 	Clock func() time.Time
 
@@ -100,15 +101,11 @@ func (d *DocSigner) proofFor(path string, body []byte) (string, error) {
 	if d.Clock != nil {
 		now = d.Clock()
 	}
-	ttl := d.TTL
-	if ttl == 0 {
-		ttl = time.Hour
-	}
 	c, err := cert.Sign(d.Priv, core.SpeaksFor{
 		Subject:  docPrin,
 		Issuer:   principal.KeyOf(d.Priv.Public()),
 		Tag:      DocTag(path),
-		Validity: core.Between(now.Add(-time.Minute), now.Add(ttl)),
+		Validity: core.Between(now.Add(-time.Minute), now.Add(docProofTTL)),
 	})
 	if err != nil {
 		return "", err

@@ -113,6 +113,21 @@ func TestUnauthenticatedGets401(t *testing.T) {
 	}
 }
 
+// An over-limit body is refused as too large before anything is
+// hashed or challenged, like the gateway, certdir and CtlGuard.
+func TestProtectedRefusesOverLimitBody(t *testing.T) {
+	w := newWorld(t, tag.All())
+	resp, err := http.Post(w.ts.URL+"/pub/upload", "application/octet-stream",
+		strings.NewReader(strings.Repeat("x", 2<<20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB POST: status %d, want 413", resp.StatusCode)
+	}
+}
+
 func TestOutOfGrantPathForbidden(t *testing.T) {
 	grant := SubtreeTag([]string{"GET"}, "files", "/pub/")
 	w := newWorld(t, grant)

@@ -1,11 +1,13 @@
 package httpauth
 
 import (
+	"bytes"
 	"context"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,11 +44,6 @@ type Protected struct {
 	// exposed via FromContext-style header Sf-Authorized-Subject.
 	Handler http.Handler
 
-	// SubjectTemplate, when non-nil, is sent with challenges so
-	// clients know the proof subject must take a compound shape
-	// (quoting gateways).
-	SubjectTemplate principal.Principal
-
 	// Obs, when set, records one "httpauth.check" span per request,
 	// continuing the trace named by the Sf-Trace request header.
 	Obs *obs.Recorder
@@ -55,6 +52,11 @@ type Protected struct {
 	macs  map[string]*macSecret // MAC key id -> state
 	stats ServerStats
 }
+
+// maxRequestBody bounds the request body Protected reads to hash the
+// request; like the gateway, certdir and CtlGuard, it refuses a larger
+// body with 413 rather than buffering it.
+const maxRequestBody = 1 << 20
 
 // ServerStats counts server-side protocol work.
 type ServerStats struct {
@@ -116,13 +118,18 @@ func (p *Protected) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		span.Fail(err)
-		http.Error(w, "bad body", http.StatusBadRequest)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, "httpauth: request body too large", http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "httpauth: bad request body", http.StatusBadRequest)
+		}
 		return
 	}
-	r.Body = io.NopCloser(newByteReader(body))
+	r.Body = io.NopCloser(bytes.NewReader(body))
 	reqPrin := ServerRequestPrincipal(r, body)
 	reqTag := RequestTag(r.Method, p.Service, r.URL.Path)
 	attempt.For(reqPrin, reqTag)
@@ -178,9 +185,6 @@ func (p *Protected) challenge(w http.ResponseWriter, issuer principal.Principal,
 	w.Header().Set("WWW-Authenticate", SchemeProof)
 	w.Header().Set(HdrServiceIssuer, string(issuer.Sexp().Transport()))
 	w.Header().Set(HdrMinimumTag, string(minTag.Sexp().Transport()))
-	if p.SubjectTemplate != nil {
-		w.Header().Set(HdrSubjectTemplate, string(p.SubjectTemplate.Sexp().Transport()))
-	}
 	http.Error(w, "401 Unauthorized: Snowflake proof required", http.StatusUnauthorized)
 }
 
@@ -281,21 +285,4 @@ func verifyMAC(secret, reqHash []byte, macB64 string) bool {
 	m := hmac.New(sha256.New, secret)
 	m.Write(reqHash)
 	return hmac.Equal(m.Sum(nil), want)
-}
-
-// byteReader re-readably wraps a body.
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func newByteReader(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }

@@ -10,8 +10,8 @@ import (
 
 var (
 	_ = server.Counter("sf_requests_total", "", 1)
-	_ = server.Counter("sf_requests", "", 1)    // want "must end in _total"
-	_ = server.Counter("requests_total", "", 1) // want "must match"
+	_ = server.Counter("sf_requests", "", 1)       // want "must end in _total"
+	_ = server.Counter("requests_total", "", 1)    // want "must match"
 	_ = server.Counter("sf_Requests_total", "", 1) // want "must match"
 
 	_ = server.Gauge("sf_queue_depth", "", 1)

@@ -9,6 +9,7 @@ import "repro/internal/server"
 var _ = server.Counter("sf_legacy_requests", "", 1) //sfvet:ignore metricname grandfathered dashboard name predating the _total convention
 
 // Line-above form.
+//
 //sfvet:ignore metricname grandfathered dashboard name predating the _total convention
 var _ = server.Counter("sf_legacy_hits", "", 1)
 

@@ -15,7 +15,7 @@ import (
 // bytes that skip verification and land in the store or the prover's
 // delegation graph plant authority an attacker chose.
 //
-// Sources (taint): sexp.Parse*/Arena.Parse*/ReadFrame,
+// Sources (taint): sexp.Parse*/Arena.Parse*,
 // core.ProofFromSexp, cert *FromSexp/Decode* decoders,
 // certdir.Client.Fetch and its By* query methods, and both methods of
 // prover.RemoteSource. Cleansers: any Verify*-named call that

@@ -86,10 +86,9 @@ func (h *Histogram) Snapshot() (cumulative []uint64, sum float64, count uint64) 
 	return cumulative, math.Float64frombits(h.sum.Load()), count
 }
 
-// Snap is an immutable point-in-time copy of a histogram, the form
-// percentile extraction works on: Snapshot gives Prometheus its
-// cumulative counts, Snap gives load reports their p50/p95/p99
-// without re-reading (and racing) the live buckets per quantile.
+// Snap is an immutable point-in-time copy of a histogram: Snapshot
+// gives Prometheus its cumulative counts, Snap gives a harness one
+// consistent reading of buckets, sum and count together.
 type Snap struct {
 	Bounds     []float64 // finite upper bounds, ascending
 	Cumulative []uint64  // aligned with Bounds
@@ -105,59 +104,4 @@ func (h *Histogram) Snap() Snap {
 	}
 	cum, sum, count := h.Snapshot()
 	return Snap{Bounds: h.Bounds(), Cumulative: cum, Sum: sum, Count: count}
-}
-
-// Sub returns the snapshot of observations recorded after base was
-// taken — phase isolation for a histogram reused across load phases.
-// Both snaps must come from the same histogram.
-func (s Snap) Sub(base Snap) Snap {
-	out := Snap{Bounds: s.Bounds, Cumulative: make([]uint64, len(s.Cumulative)), Sum: s.Sum - base.Sum, Count: s.Count - base.Count}
-	for i := range s.Cumulative {
-		out.Cumulative[i] = s.Cumulative[i] - base.Cumulative[i]
-	}
-	return out
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) in the histogram's
-// native unit by locating the bucket holding the target rank and
-// interpolating linearly inside it. Values beyond the largest finite
-// bound are reported AS that bound — a deliberate under-estimate that
-// keeps a single outlier from fabricating precision the buckets do
-// not have; widen the bounds if the tail matters. An empty snapshot
-// reports 0.
-func (s Snap) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var prev uint64
-	lower := 0.0
-	for i, ub := range s.Bounds {
-		c := s.Cumulative[i]
-		if float64(c) >= rank && c > prev {
-			frac := (rank - float64(prev)) / float64(c-prev)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + frac*(ub-lower)
-		}
-		prev = c
-		lower = ub
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Mean returns the exact average of the observed values (the sum is
-// tracked exactly, unlike the bucketed quantiles). Empty reports 0.
-func (s Snap) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }

@@ -242,3 +242,14 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("sum = %v, want 2000", sum)
 	}
 }
+
+func TestSnapEmptyAndNil(t *testing.T) {
+	var h *Histogram
+	if s := h.Snap(); s.Count != 0 || s.Sum != 0 || s.Bounds != nil {
+		t.Fatalf("nil histogram snap not zero: %+v", s)
+	}
+	s := NewHistogram("t", "", 1).Snap()
+	if s.Count != 0 || s.Sum != 0 || len(s.Cumulative) != 1 || s.Cumulative[0] != 0 {
+		t.Fatalf("empty histogram snap not empty: %+v", s)
+	}
+}

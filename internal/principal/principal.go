@@ -63,8 +63,8 @@ type Key struct {
 func KeyOf(pub sfkey.PublicKey) Key { return Key{Pub: pub} }
 
 func (k Key) Sexp() sexp.Sexp { return k.Pub.Sexp() }
-func (k Key) Key() string      { return k.Sexp().Key() }
-func (k Key) String() string   { return "K(" + k.Pub.Fingerprint() + ")" }
+func (k Key) Key() string     { return k.Sexp().Key() }
+func (k Key) String() string  { return "K(" + k.Pub.Fingerprint() + ")" }
 
 // --- hash principal --------------------------------------------------
 
@@ -283,8 +283,8 @@ func (m MAC) String() string {
 type Pseudo struct{}
 
 func (Pseudo) Sexp() sexp.Sexp { return sexp.List(sexp.String("pseudo")) }
-func (p Pseudo) Key() string    { return p.Sexp().Key() }
-func (Pseudo) String() string   { return "?" }
+func (p Pseudo) Key() string   { return p.Sexp().Key() }
+func (Pseudo) String() string  { return "?" }
 
 // SubstitutePseudo replaces every Pseudo inside p with actual,
 // recursing through compound principals.

@@ -98,13 +98,6 @@ func (c *Client) Call(object, method string, args, reply interface{}) error {
 	return c.call(context.Background(), nil, object, method, args, reply)
 }
 
-// CallCtx is Call carrying a context: an active obs span on ctx rides
-// the wire as the request's Sf-Trace value, so the server's dispatch
-// span (and any proof search a challenge triggers) joins the trace.
-func (c *Client) CallCtx(ctx context.Context, object, method string, args, reply interface{}) error {
-	return c.call(ctx, nil, object, method, args, reply)
-}
-
 // CallQuoting invokes the method while quoting another principal: the
 // server attributes the request to "channel-key | quotee" and demands
 // a proof for that compound principal (section 6.3).
@@ -112,7 +105,10 @@ func (c *Client) CallQuoting(quotee principal.Principal, object, method string, 
 	return c.call(context.Background(), quotee, object, method, args, reply)
 }
 
-// CallQuotingCtx is CallQuoting carrying a context (see CallCtx).
+// CallQuotingCtx is CallQuoting carrying a context: an active obs span
+// on ctx rides the wire as the request's Sf-Trace value, so the
+// server's dispatch span (and any proof search a challenge triggers)
+// joins the trace.
 func (c *Client) CallQuotingCtx(ctx context.Context, quotee principal.Principal, object, method string, args, reply interface{}) error {
 	return c.call(ctx, quotee, object, method, args, reply)
 }
@@ -210,14 +206,6 @@ func (c *Client) satisfyChallenge(ctx context.Context, quotee principal.Principa
 	}
 	c.stats.Proofs++
 	return c.submitProofLocked(proof)
-}
-
-// SubmitProof pushes an existing proof to the server's recipient
-// without waiting for a challenge.
-func (c *Client) SubmitProof(p core.Proof) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.submitProofLocked(p)
 }
 
 func (c *Client) submitProofLocked(p core.Proof) error {

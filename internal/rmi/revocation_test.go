@@ -68,8 +68,8 @@ func TestRevocationInvalidatesCachedAuthorization(t *testing.T) {
 
 	// Revoke the delegation; the store bumps the attached cache epoch.
 	crl := cert.NewRevocationList(serverKey, core.Until(time.Now().Add(time.Hour)), d.Hash())
-	if err := rs.Add(crl); err != nil {
-		t.Fatal(err)
+	if _, errs := rs.Add(crl); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 
 	err = c.Call("echo", "Echo", EchoArgs{Msg: "stale?"}, &reply)

@@ -382,8 +382,8 @@ func TestRevokedCertificateRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := cert.NewRevocationStore()
-	if err := store.Add(cert.NewRevocationList(w.serverKey, core.Forever, d.Hash())); err != nil {
-		t.Fatal(err)
+	if _, errs := store.Add(cert.NewRevocationList(w.serverKey, core.Forever, d.Hash())); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	w.srv.Revocations = store
 

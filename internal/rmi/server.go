@@ -386,16 +386,5 @@ func (s *Server) Stats() Stats {
 	return s.stats
 }
 
-// ObjectIssuer reports the issuer protecting a registered object.
-func (s *Server) ObjectIssuer(name string) (principal.Principal, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[name]
-	if !ok || o.open {
-		return nil, false
-	}
-	return o.issuer, true
-}
-
 // zeroKey reports whether a public key is absent.
 func zeroKey(k sfkey.PublicKey) bool { return len(k.Raw) == 0 }

@@ -29,8 +29,8 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"flag"
+	"fmt"
 	"log"
 	"log/slog"
 	"net"
@@ -475,10 +475,6 @@ func (rt *Runtime) Shutdown() {
 	})
 	<-rt.done
 }
-
-// Stopping returns a channel closed when shutdown begins; goroutines
-// the runtime does not own can select on it.
-func (rt *Runtime) Stopping() <-chan struct{} { return rt.stop }
 
 // LoadPrincipalFile reads a principal S-expression from a file — the
 // one implementation of every daemon's -operator flag.

@@ -123,7 +123,7 @@ func TestWireCRLFile(t *testing.T) {
 	rs := cert.NewRevocationStore()
 	var applied atomic.Int64
 	install := func(lists []*cert.RevocationList) (added, evicted int, err error) {
-		ok, errs := rs.AddNewBatch(lists)
+		ok, errs := rs.Add(lists...)
 		for i := range lists {
 			if errs[i] != nil {
 				return added, 0, errs[i]

@@ -12,16 +12,6 @@ import (
 // paths (framing, hashing, signing) borrow pooled buffers so a warm
 // encode allocates nothing.
 
-// AppendCanonical appends the canonical encoding of s to dst and
-// returns the extended slice; useful for building signing buffers and
-// frames without intermediate allocation.
-func AppendCanonical(dst []byte, s Sexp) []byte {
-	if s == nil {
-		return dst
-	}
-	return s.appendCanonical(dst)
-}
-
 // bufPool recycles encode scratch. Buffers are stored via pointer so
 // Put does not allocate a slice header box.
 var bufPool = sync.Pool{New: func() any {

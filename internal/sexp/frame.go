@@ -46,20 +46,6 @@ func AppendFrame(dst []byte, e Sexp) []byte {
 	return dst
 }
 
-// ReadFrame reads one framed expression from r, returning it with the
-// total number of bytes consumed. At a clean end of input it returns
-// io.EOF with n == 0; a frame that starts but cannot be completed and
-// validated returns an error wrapping ErrFrameCorrupt, and the reader
-// must discard everything from the frame's first byte on.
-//
-// The returned expression owns its memory. Bulk readers that only need
-// each record transiently should prefer FrameReader, which recycles
-// the payload buffer and parse arena between records.
-func ReadFrame(r io.Reader) (e Sexp, n int, err error) {
-	var fr FrameReader
-	return fr.read(r, false)
-}
-
 // FrameReader streams frames with a reusable payload buffer and parse
 // arena: a replay loop reading millions of records does a handful of
 // allocations total instead of a handful per record.
@@ -73,14 +59,13 @@ type FrameReader struct {
 	arena   Arena
 }
 
-// Next reads one frame from r with the same contract as ReadFrame,
-// except that the returned expression is only valid until the
-// following call to Next.
+// Next reads one framed expression from r, returning it with the total
+// number of bytes consumed. At a clean end of input it returns io.EOF
+// with n == 0; a frame that starts but cannot be completed and
+// validated returns an error wrapping ErrFrameCorrupt, and the reader
+// must discard everything from the frame's first byte on. The returned
+// expression is only valid until the following call to Next.
 func (fr *FrameReader) Next(r io.Reader) (e Sexp, n int, err error) {
-	return fr.read(r, true)
-}
-
-func (fr *FrameReader) read(r io.Reader, reuse bool) (e Sexp, n int, err error) {
 	var hdr [FrameHeaderLen]byte
 	hn, err := io.ReadFull(r, hdr[:])
 	if err == io.EOF {
@@ -93,15 +78,10 @@ func (fr *FrameReader) read(r io.Reader, reuse bool) (e Sexp, n int, err error) 
 	if size > MaxTotal {
 		return nil, hn, fmt.Errorf("%w: payload length %d exceeds %d", ErrFrameCorrupt, size, MaxTotal)
 	}
-	var payload []byte
-	if reuse {
-		if cap(fr.payload) < int(size) {
-			fr.payload = make([]byte, size)
-		}
-		payload = fr.payload[:size]
-	} else {
-		payload = make([]byte, size)
+	if cap(fr.payload) < int(size) {
+		fr.payload = make([]byte, size)
 	}
+	payload := fr.payload[:size]
 	pn, err := io.ReadFull(r, payload)
 	if err != nil {
 		return nil, hn + pn, fmt.Errorf("%w: torn payload (%d of %d bytes)", ErrFrameCorrupt, pn, size)
@@ -109,13 +89,8 @@ func (fr *FrameReader) read(r io.Reader, reuse bool) (e Sexp, n int, err error) 
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(hdr[4:8]); got != want {
 		return nil, hn + pn, fmt.Errorf("%w: CRC mismatch (%08x != %08x)", ErrFrameCorrupt, got, want)
 	}
-	if reuse {
-		fr.arena.Reset()
-		e, err = fr.arena.ParseOne(payload)
-	} else {
-		e, err = ParseOne(payload)
-	}
-	if err != nil {
+	fr.arena.Reset()
+	if e, err = fr.arena.ParseOne(payload); err != nil {
 		return nil, hn + pn, fmt.Errorf("%w: %v", ErrFrameCorrupt, err)
 	}
 	return e, hn + pn, nil

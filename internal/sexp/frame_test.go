@@ -18,21 +18,26 @@ func TestFrameRoundTrip(t *testing.T) {
 		buf = AppendFrame(buf, e)
 	}
 	r := bytes.NewReader(buf)
+	var fr FrameReader
+	var got []Sexp // kept past the next Next, so copied
 	total := 0
-	for i, want := range exprs {
-		got, n, err := ReadFrame(r)
+	for i := range exprs {
+		e, n, err := fr.Next(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !Equal(got, want) {
-			t.Fatalf("frame %d: got %s want %s", i, got, want)
-		}
+		got = append(got, e.Copy())
 		total += n
+	}
+	for i, want := range exprs {
+		if !Equal(got[i], want) {
+			t.Fatalf("frame %d: got %s want %s", i, got[i], want)
+		}
 	}
 	if total != len(buf) {
 		t.Fatalf("consumed %d of %d bytes", total, len(buf))
 	}
-	if _, n, err := ReadFrame(r); err != io.EOF || n != 0 {
+	if _, n, err := fr.Next(r); err != io.EOF || n != 0 {
 		t.Fatalf("at end: n=%d err=%v, want clean EOF", n, err)
 	}
 }
@@ -44,10 +49,11 @@ func TestFrameTornTail(t *testing.T) {
 	firstLen := len(AppendFrame(nil, String("first")))
 	for cut := firstLen + 1; cut < len(full); cut++ {
 		r := bytes.NewReader(full[:cut])
-		if _, _, err := ReadFrame(r); err != nil {
+		var fr FrameReader
+		if _, _, err := fr.Next(r); err != nil {
 			t.Fatalf("cut %d: first frame: %v", cut, err)
 		}
-		_, _, err := ReadFrame(r)
+		_, _, err := fr.Next(r)
 		if !errors.Is(err, ErrFrameCorrupt) {
 			t.Fatalf("cut %d: second frame err = %v, want ErrFrameCorrupt", cut, err)
 		}
@@ -55,9 +61,9 @@ func TestFrameTornTail(t *testing.T) {
 }
 
 func TestFrameReaderStreams(t *testing.T) {
-	// FrameReader must agree with ReadFrame while recycling its buffers,
-	// and each returned expression is only valid until the next call —
-	// so consume (Copy) before advancing.
+	// FrameReader recycles its buffers across records of every size, and
+	// each returned expression is only valid until the next call — so
+	// consume it before advancing.
 	var buf []byte
 	var want []Sexp
 	for i := 0; i < 50; i++ {
@@ -84,7 +90,7 @@ func TestFrameReaderStreams(t *testing.T) {
 func TestFrameCRCMismatch(t *testing.T) {
 	buf := AppendFrame(nil, String("checksummed"))
 	buf[len(buf)-1] ^= 0x40 // flip a payload bit; header CRC now disagrees
-	if _, _, err := ReadFrame(bytes.NewReader(buf)); !errors.Is(err, ErrFrameCorrupt) {
+	if _, _, err := new(FrameReader).Next(bytes.NewReader(buf)); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("err = %v, want ErrFrameCorrupt", err)
 	}
 }
@@ -92,7 +98,7 @@ func TestFrameCRCMismatch(t *testing.T) {
 func TestFrameOversizedLength(t *testing.T) {
 	buf := AppendFrame(nil, String("x"))
 	buf[0] = 0xff // declared length far beyond MaxTotal
-	if _, _, err := ReadFrame(bytes.NewReader(buf)); !errors.Is(err, ErrFrameCorrupt) {
+	if _, _, err := new(FrameReader).Next(bytes.NewReader(buf)); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("err = %v, want ErrFrameCorrupt", err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"repro/internal/sexp"
@@ -48,15 +47,6 @@ func Generate() (*PrivateKey, error) {
 func FromSeed(seed []byte) *PrivateKey {
 	h := sha256.Sum256(seed)
 	return &PrivateKey{Raw: ed25519.NewKeyFromSeed(h[:])}
-}
-
-// FromReader generates a key pair reading entropy from r.
-func FromReader(r io.Reader) (*PrivateKey, error) {
-	_, priv, err := ed25519.GenerateKey(r)
-	if err != nil {
-		return nil, err
-	}
-	return &PrivateKey{Raw: priv}, nil
 }
 
 // Public returns the public half.
