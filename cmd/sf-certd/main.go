@@ -285,12 +285,11 @@ func main() {
 		emit(server.Counter("sf_certdir_queries_total", "Query requests served.", float64(st.Queries)))
 		emit(server.Counter("sf_certdir_removed_total", "Certificates retracted.", float64(st.Removed)))
 		emit(server.Counter("sf_certdir_evicted_total", "Certificates evicted by revocation.", float64(st.Evicted)))
-		emit(server.Gauge("sf_certdir_crls", "Revocation lists installed.", float64(len(revocations.Lists()))))
+		emit(server.Gauge("sf_crls", "Revocation lists installed.", float64(len(revocations.Lists()))))
 		if svc.Replicator != nil {
 			rs := svc.Replicator.Stats()
 			emit(server.Counter("sf_certdir_gossip_pushes_total", "Successful per-peer pushes.", float64(rs.Pushes)))
 			emit(server.Counter("sf_certdir_gossip_pulled_total", "Certificates pulled by anti-entropy.", float64(rs.Pulled)))
-			emit(server.Counter("sf_certdir_gossip_rounds_total", "Anti-entropy rounds completed.", float64(rs.Rounds)))
 			emit(server.Counter("sf_certdir_gossip_crls_pulled_total", "CRLs pulled by anti-entropy.", float64(rs.CRLsPulled)))
 			emit(server.Counter("sf_gossip_digest_bytes_total", "Anti-entropy summary bytes moved (request + reply).", float64(rs.DigestBytes)))
 			emit(server.Counter("sf_gossip_rounds_total", "Anti-entropy rounds completed.", float64(rs.Rounds)))

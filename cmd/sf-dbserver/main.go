@@ -11,12 +11,15 @@
 //
 // The -crl file (same format as sf-certd's: CRL S-expressions, one
 // per line or concatenated) is re-read without a restart on SIGHUP or
-// via POST /admin/reload-crl on the -admin-addr listener; individual
-// CRLs can also be installed live via POST /admin/crl. Every install
-// bumps the proof-cache epoch, so revocation bites on the next RMI
-// call, not the next restart. With -admin-auth the admin endpoints
-// demand a speaks-for proof for the -operator principal regarding
-// (sf-ctl admin) — the same machinery the database itself enforces on
+// via POST /certdir/admin/reload on the -admin-addr listener;
+// individual CRLs can also be installed live via POST
+// /certdir/admin/crl. These are the directory's admin pair, served by
+// the same certdir handler with the same replies, so certdir.Client
+// drives both daemons. Every install bumps the proof-cache epoch, so
+// revocation bites on the next RMI call, not the next restart. With
+// -admin-auth (which requires -operator) the admin endpoints demand a
+// speaks-for proof for the -operator principal regarding (sf-ctl
+// admin) — the same machinery the database itself enforces on
 // mailboxes. The admin listener also serves /metrics.
 package main
 
@@ -59,6 +62,9 @@ func main() {
 
 	if *keyFile == "" {
 		log.Fatal("sf-dbserver: -key is required")
+	}
+	if *adminAuth && *operatorFile == "" {
+		log.Fatal("sf-dbserver: -admin-auth requires -operator")
 	}
 	priv, err := sfkey.LoadPrivateKeyFile(*keyFile)
 	if err != nil {
@@ -132,15 +138,10 @@ func main() {
 	}
 	// The -crl wiring (initial load, SIGHUP reload, admin reload
 	// endpoint) comes from the shared runtime.
-	var reload func() (added, total int, err error)
+	var reload func() (added, total, evicted int, err error)
 	if *crlFile != "" {
-		r, err := rt.WireCRLFile(*crlFile, install)
-		if err != nil {
+		if reload, err = rt.WireCRLFile(*crlFile, install); err != nil {
 			log.Fatalf("sf-dbserver: crl: %v", err)
-		}
-		reload = func() (int, int, error) {
-			added, total, _, err := r()
-			return added, total, err
 		}
 	}
 
@@ -187,24 +188,23 @@ func main() {
 		emit(server.Counter("sf_rmi_auth_failures_total", "RMI calls denied authorization.", float64(st.AuthFailures)))
 	})
 
-	if *adminAddr != "" {
-		admin := cert.AdminHandler(install, reload)
-		if *adminAuth {
-			if *operatorFile == "" {
-				log.Fatal("sf-dbserver: -admin-auth requires -operator")
-			}
-			operator, err := server.LoadPrincipalFile(*operatorFile)
-			if err != nil {
-				log.Fatalf("sf-dbserver: operator principal: %v", err)
-			}
-			guard := httpauth.NewCtlGuard(operator, rs)
-			guard.Audit = rt.Audit()
-			admin = guard.Middleware(cert.CtlTag(cert.CtlAdmin), 1<<20, admin)
-			rt.Printf("admin surface enforcing: callers must speak for %s", operator)
+	var guard *httpauth.CtlGuard
+	if *adminAuth {
+		operator, err := server.LoadPrincipalFile(*operatorFile)
+		if err != nil {
+			log.Fatalf("sf-dbserver: operator principal: %v", err)
 		}
+		guard = httpauth.NewCtlGuard(operator, rs)
+		guard.Audit = rt.Audit()
+		rt.Printf("admin surface enforcing: callers must speak for %s", operator)
+	}
+	if *adminAddr != "" {
+		// The directory's CRL admin pair, bound to this daemon's install
+		// and reload: same paths, same replies, same certdir.Client.
+		admin := certdir.AdminHandler(install, reload, guard, rt.Latencies().CRLInstall)
 		mux := rt.AdminMux()
-		mux.Handle(cert.AdminPathCRL, admin)
-		mux.Handle(cert.AdminPathReload, admin)
+		mux.Handle(certdir.PathAdminCRL, admin)
+		mux.Handle(certdir.PathReload, admin)
 		if _, err := rt.ServeAdmin(*adminAddr); err != nil {
 			log.Fatalf("sf-dbserver: %v", err)
 		}

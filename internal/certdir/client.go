@@ -208,9 +208,9 @@ func (c *Client) Remove(hash []byte) (bool, error) {
 	return resp.Tag() == "removed", nil
 }
 
-// PushCRL installs a CRL at the directory through its admin endpoint.
-// Duplicates are acknowledged idempotently (like Publish), so CRL
-// rumor floods terminate.
+// PushCRL installs a CRL through the admin endpoint of a directory or
+// of any daemon serving AdminHandler. Duplicates are acknowledged
+// idempotently (like Publish), so CRL rumor floods terminate.
 func (c *Client) PushCRL(rl *cert.RevocationList) error {
 	resp, err := c.roundTrip(context.Background(), PathAdminCRL, rl.Sexp(), 0)
 	if err != nil {
@@ -250,8 +250,8 @@ func (c *Client) CRLs(have [][]byte) ([]*cert.RevocationList, error) {
 	return out, nil
 }
 
-// ReloadCRLs asks the directory to re-read its CRL file (the admin
-// reload endpoint), returning how many lists were newly installed.
+// ReloadCRLs asks the daemon to re-read its CRL file (the admin reload
+// endpoint), returning how many lists were newly installed.
 func (c *Client) ReloadCRLs() (added int, err error) {
 	resp, err := c.roundTrip(context.Background(), PathReload, sexp.List(sexp.String("reload-crl")), 0)
 	if err != nil {

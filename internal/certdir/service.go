@@ -62,12 +62,15 @@ import (
 // (or re-read the daemon's -crl file) without a restart; installation
 // verifies the CRL signature, evicts the delegations its SIGNER
 // signed (see Store.EvictRevoked for why the signer match matters),
-// bumps the proof-cache epoch, and fans the CRL out to
-// gossip peers. The gossip/crls endpoint serves the installed CRLs —
-// minus the ones the asking peer already has — so one domain's
-// revocation evicts at every peer directly instead of waiting for
-// per-directory tombstones; pullers verify every CRL before applying
-// it, exactly like certificates.
+// bumps the proof-cache epoch, and fans the CRL out to gossip peers.
+// The admin pair is the only CRL admin surface in the system:
+// sf-dbserver serves the same two paths with the same replies through
+// AdminHandler, installing into its revocation store alone (it has no
+// store to evict from and no peers). The gossip/crls endpoint serves
+// the installed CRLs — minus the ones the asking peer already has —
+// so one domain's revocation evicts at every peer directly instead of
+// waiting for per-directory tombstones; pullers verify every CRL
+// before applying it, exactly like certificates.
 //
 // Snapshot bootstrap adds one bulk endpoint: GET /certdir/snapshot
 // streams the directory's live contents as a framed record sequence
@@ -181,31 +184,29 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.URL.Path {
 	case PathPublish:
-		s.post(w, r, s.handlePublish)
+		post(w, r, s.Guard, s.handlePublish)
 	case PathQuery:
-		s.post(w, r, s.handleQuery)
+		post(w, r, s.Guard, s.handleQuery)
 	case PathRemove:
-		s.post(w, r, s.handleRemove)
+		post(w, r, s.Guard, s.handleRemove)
 	case PathFetch:
-		s.post(w, r, s.handleFetch)
+		post(w, r, s.Guard, s.handleFetch)
 	case PathGossipRoot:
-		s.post(w, r, s.handleMerkleRoot)
+		post(w, r, s.Guard, s.handleMerkleRoot)
 	case PathGossipNodes:
-		s.post(w, r, s.handleMerkleNodes)
+		post(w, r, s.Guard, s.handleMerkleNodes)
 	case PathGossipLeaves:
-		s.post(w, r, s.handleMerkleLeaves)
+		post(w, r, s.Guard, s.handleMerkleLeaves)
 	case PathSnapshot:
 		s.handleSnapshot(w, r)
 	case PathCRLs:
-		s.post(w, r, s.handleCRLs)
+		post(w, r, s.Guard, s.handleCRLs)
 	case PathEvents:
-		s.post(w, r, s.handleEvents)
-	case PathAdminCRL:
-		s.post(w, r, s.handleAdminCRL)
-	case PathReload:
-		s.post(w, r, s.handleReload)
+		post(w, r, s.Guard, s.handleEvents)
+	case PathAdminCRL, PathReload:
+		s.admin().ServeHTTP(w, r)
 	case PathStats:
-		s.reply(w, s.statsSexp())
+		reply(w, s.statsSexp())
 	default:
 		http.Error(w, "certdir: no such endpoint", http.StatusNotFound)
 	}
@@ -219,10 +220,11 @@ func spanName(path string) string {
 }
 
 // post parses the request body as one S-expression and runs the
-// handler; handler errors become 400s. Under an enforcing Guard,
-// mutating paths are authorized first — against the raw body bytes,
-// which the request principal covers, so a proof cannot be replayed
-// onto a different mutation.
+// handler; handler errors become 400s. Under an enforcing guard,
+// mutating paths are authorized first — after the body bound (an
+// over-limit body is a 413, never a 401) and against the raw body
+// bytes, which the request principal covers, so a proof cannot be
+// replayed onto a different mutation.
 //
 // The body lands in a pooled buffer and is parsed through a pooled
 // arena, so a served request allocates neither a body copy nor a
@@ -233,7 +235,7 @@ func spanName(path string) string {
 // deep-copies what it retains — plus one handler-local obligation:
 // anything a handler hands to an asynchronous consumer (handleRemove's
 // hash, which the replicator queues) must be copied explicitly.
-func (s *Service) post(w http.ResponseWriter, r *http.Request, h func(sexp.Sexp) (sexp.Sexp, error)) {
+func post(w http.ResponseWriter, r *http.Request, guard *httpauth.CtlGuard, h func(sexp.Sexp) (sexp.Sexp, error)) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "certdir: POST required", http.StatusMethodNotAllowed)
 		return
@@ -249,10 +251,10 @@ func (s *Service) post(w http.ResponseWriter, r *http.Request, h func(sexp.Sexp)
 		return
 	}
 	defer sexp.PutBuf(body)
-	if s.Guard != nil {
+	if guard != nil {
 		if ctl := CtlTagFor(r.URL.Path); ctl.Valid() {
-			if err := s.Guard.Authorize(r, body, ctl); err != nil {
-				s.Guard.Challenge(w, ctl, err)
+			if err := guard.Authorize(r, body, ctl); err != nil {
+				guard.Challenge(w, ctl, err)
 				return
 			}
 		}
@@ -269,7 +271,7 @@ func (s *Service) post(w http.ResponseWriter, r *http.Request, h func(sexp.Sexp)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.reply(w, resp)
+	reply(w, resp)
 }
 
 // readBody drains the request body into a pooled buffer, bounded by
@@ -297,7 +299,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	}
 }
 
-func (s *Service) reply(w http.ResponseWriter, e sexp.Sexp) {
+func reply(w http.ResponseWriter, e sexp.Sexp) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write(e.Canonical())
 }
@@ -569,11 +571,56 @@ func (s *Service) handleEvents(e sexp.Sexp) (sexp.Sexp, error) {
 	return sexp.List(kids...), nil
 }
 
-// handleAdminCRL installs one CRL without a restart (InstallCRLs:
-// verify, dedup, evict what its signer signed, fan out to peers).
-// Duplicates are acknowledged idempotently so gossip floods terminate.
-func (s *Service) handleAdminCRL(e sexp.Sexp) (sexp.Sexp, error) {
-	if s.Revocations == nil {
+// AdminHandler serves the CRL admin pair (PathAdminCRL, PathReload;
+// wire forms above) for a daemon that verifies but keeps no directory,
+// such as sf-dbserver. The directory Service serves the pair through
+// the same code, so one Client (PushCRL, ReloadCRLs) drives both.
+// install is the daemon's one CRL install function, the one it hands
+// server.Runtime.WireCRLFile; reload, when non-nil, is the function
+// WireCRLFile returns. guard, when non-nil, demands a (sf-ctl admin)
+// proof; hist, when non-nil, observes each newly installed CRL. Other
+// paths answer 404.
+func AdminHandler(install func([]*cert.RevocationList) (added, evicted int, err error), reload func() (added, total, evicted int, err error), guard *httpauth.CtlGuard, hist *obs.Histogram) http.Handler {
+	return crlAdmin{install: install, reload: reload, guard: guard, hist: hist}
+}
+
+// crlAdmin is the CRL admin pair behind AdminHandler and Service.
+type crlAdmin struct {
+	install func([]*cert.RevocationList) (added, evicted int, err error)
+	reload  func() (added, total, evicted int, err error)
+	guard   *httpauth.CtlGuard
+	hist    *obs.Histogram
+}
+
+// admin binds the pair to the directory: an install verifies, evicts
+// what the list's signer signed, and fans out to peers (InstallCRLs).
+// Without Revocations the install endpoint is disabled.
+func (s *Service) admin() crlAdmin {
+	a := crlAdmin{reload: s.ReloadCRLs, guard: s.Guard, hist: s.CRLHist}
+	if s.Revocations != nil {
+		a.install = func(lists []*cert.RevocationList) (int, int, error) {
+			res := InstallCRLs(s.Revocations, s.Store, s.Replicator, lists, s.now())
+			return res.Installed, res.Evicted, res.Err
+		}
+	}
+	return a
+}
+
+func (a crlAdmin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case PathAdminCRL:
+		post(w, r, a.guard, a.handleCRL)
+	case PathReload:
+		post(w, r, a.guard, a.handleReload)
+	default:
+		http.Error(w, "certdir: no such endpoint", http.StatusNotFound)
+	}
+}
+
+// handleCRL installs one CRL without a restart. Duplicates are
+// acknowledged idempotently so gossip floods terminate.
+func (a crlAdmin) handleCRL(e sexp.Sexp) (sexp.Sexp, error) {
+	if a.install == nil {
 		return nil, fmt.Errorf("certdir: revocation endpoints not enabled")
 	}
 	rl, err := cert.RevocationListFromSexp(e)
@@ -581,30 +628,30 @@ func (s *Service) handleAdminCRL(e sexp.Sexp) (sexp.Sexp, error) {
 		return nil, fmt.Errorf("certdir: admin crl: %w", err)
 	}
 	start := time.Now()
-	res := InstallCRLs(s.Revocations, s.Store, s.Replicator, []*cert.RevocationList{rl}, s.now())
-	if res.Err != nil {
-		return nil, fmt.Errorf("certdir: admin crl: %w", res.Err)
+	added, evicted, err := a.install([]*cert.RevocationList{rl})
+	if err != nil {
+		return nil, fmt.Errorf("certdir: admin crl: %w", err)
 	}
-	if res.Installed == 0 {
+	if added == 0 {
 		return sexp.List(sexp.String("crl-duplicate")), nil
 	}
-	s.CRLHist.Since(start)
+	a.hist.Since(start)
 	return sexp.List(
 		sexp.String("crl-installed"),
-		sexp.List(sexp.String("evicted"), sexp.String(strconv.Itoa(res.Evicted))),
+		sexp.List(sexp.String("evicted"), sexp.String(strconv.Itoa(evicted))),
 	), nil
 }
 
 // handleReload re-reads the daemon's CRL file via the wired callback;
 // (reload-crl) with no callback is a clean error, not a 500.
-func (s *Service) handleReload(e sexp.Sexp) (sexp.Sexp, error) {
+func (a crlAdmin) handleReload(e sexp.Sexp) (sexp.Sexp, error) {
 	if e.Tag() != "reload-crl" || e.Len() != 1 {
 		return nil, fmt.Errorf("certdir: reload wants (reload-crl)")
 	}
-	if s.ReloadCRLs == nil {
+	if a.reload == nil {
 		return nil, fmt.Errorf("certdir: no CRL file configured to reload")
 	}
-	added, total, evicted, err := s.ReloadCRLs()
+	added, total, evicted, err := a.reload()
 	if err != nil {
 		return nil, fmt.Errorf("certdir: reload: %w", err)
 	}

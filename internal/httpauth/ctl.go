@@ -14,10 +14,8 @@
 package httpauth
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -138,36 +136,6 @@ func (g *CtlGuard) Challenge(w http.ResponseWriter, ctl tag.Tag, err error) {
 		return
 	}
 	http.Error(w, err.Error(), http.StatusForbidden)
-}
-
-// Middleware wraps an http.Handler (sf-dbserver's admin mux) so every
-// request through it must pass the guard for ctl. The body is read
-// (bounded), checked, and restored for the inner handler. An
-// over-limit body is refused outright with 413 — truncating it would
-// hash a prefix the caller never signed and turn a size problem into
-// a baffling 403.
-func (g *CtlGuard) Middleware(ctl tag.Tag, maxBody int64, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var body []byte
-		if r.Body != nil && r.Body != http.NoBody {
-			var err error
-			body, err = io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-			if err != nil {
-				http.Error(w, "httpauth: bad body", http.StatusBadRequest)
-				return
-			}
-			if int64(len(body)) > maxBody {
-				http.Error(w, "httpauth: request body exceeds limit", http.StatusRequestEntityTooLarge)
-				return
-			}
-		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		if err := g.Authorize(r, body, ctl); err != nil {
-			g.Challenge(w, ctl, err)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
 }
 
 // CtlSigner signs outgoing control-plane requests: it proves the

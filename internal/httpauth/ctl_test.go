@@ -3,10 +3,7 @@ package httpauth
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -234,42 +231,6 @@ func TestCtlGuardRevokedCredential(t *testing.T) {
 	}
 }
 
-func TestCtlMiddleware(t *testing.T) {
-	w := newCtlWorld(t, cert.CtlAdmin)
-	guard := NewCtlGuard(w.operator, cert.NewRevocationStore())
-	var gotBody string
-	inner := http.HandlerFunc(func(wr http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		gotBody = string(b)
-		wr.WriteHeader(http.StatusOK)
-	})
-	h := guard.Middleware(cert.CtlTag(cert.CtlAdmin), 1<<20, inner)
-
-	// Unauthenticated: 401 with challenge headers.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "http://db.example/admin/crl", strings.NewReader("(crl)")))
-	if rec.Code != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated: got %d, want 401", rec.Code)
-	}
-	if rec.Header().Get(HdrServiceIssuer) == "" || rec.Header().Get(HdrMinimumTag) == "" {
-		t.Fatal("challenge headers missing")
-	}
-
-	// Signed: body reaches the inner handler intact.
-	req, body := ctlRequest(t, "(crl payload)")
-	if err := w.signer().Sign(req, body, cert.CtlTag(cert.CtlAdmin)); err != nil {
-		t.Fatal(err)
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("signed: got %d: %s", rec.Code, rec.Body)
-	}
-	if gotBody != "(crl payload)" {
-		t.Fatalf("inner handler saw body %q", gotBody)
-	}
-}
-
 // TestCtlSignerSweepsMintedEdges: each Sign mints a unique
 // request-hash edge; a long-lived signer must shed expired ones
 // instead of accumulating an edge per mutation forever.
@@ -291,24 +252,5 @@ func TestCtlSignerSweepsMintedEdges(t *testing.T) {
 	// survives.
 	if n := s.Prover.EdgeCount(); n > 5 {
 		t.Fatalf("signer prover holds %d edges after 20 signs; expired mints not swept", n)
-	}
-}
-
-// TestCtlMiddlewareOversizeBody: over-limit bodies are refused with
-// 413, not truncated into a misleading proof failure.
-func TestCtlMiddlewareOversizeBody(t *testing.T) {
-	w := newCtlWorld(t, cert.CtlAdmin)
-	guard := NewCtlGuard(w.operator, cert.NewRevocationStore())
-	h := guard.Middleware(cert.CtlTag(cert.CtlAdmin), 16, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		t.Error("inner handler ran on an oversize body")
-	}))
-	req, body := ctlRequest(t, strings.Repeat("x", 64))
-	if err := w.signer().Sign(req, body, cert.CtlTag(cert.CtlAdmin)); err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize body: got %d, want 413", rec.Code)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -271,7 +272,7 @@ func (s *drainService) Hold(args drainArgs, reply *drainReply) error {
 // connections) and drains dispatches before tearing channels down.
 func TestServeRMIGracefulShutdown(t *testing.T) {
 	rt := New("rmi-drain-test")
-	rt.Logf = func(string, ...any) {}
+	rt.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	rt.ShutdownTimeout = 5 * time.Second
 
 	svc := &drainService{entered: make(chan struct{}), release: make(chan struct{})}

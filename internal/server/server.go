@@ -1,10 +1,7 @@
 // Package server is the shared daemon runtime behind every sf-*
-// command. Before it existed, each daemon hand-rolled the same
-// scaffolding — listener setup, an admin mux, SIGHUP handling, CRL
-// file wiring, periodic sweeps, shutdown — and the five copies had
-// already drifted (sf-certd had hot CRL reload, sf-dbserver a
-// different admin surface, sf-gateway none of either). The runtime
-// owns that scaffolding once:
+// command: the scaffolding every daemon needs — listener setup, an
+// admin mux, SIGHUP handling, CRL file wiring, periodic sweeps,
+// shutdown — implemented once:
 //
 //   - Serve starts HTTP listeners whose lifecycle the runtime owns;
 //     Wait blocks until SIGINT/SIGTERM (or Shutdown) and then drains
@@ -19,8 +16,7 @@
 //     with ready-made collectors for the shared proof cache and the
 //     prover.
 //   - WireCRLFile is the one implementation of "-crl file + SIGHUP
-//     reload + admin reload endpoint" that sf-certd and sf-dbserver
-//     previously duplicated with different bugs.
+//     reload + admin reload endpoint" for sf-certd and sf-dbserver.
 //
 // The runtime is mechanism only: it never decides what is authorized.
 // Control-plane authorization (who may call the admin endpoints the
@@ -54,12 +50,9 @@ import (
 type Runtime struct {
 	// Name prefixes log lines ("sf-certd").
 	Name string
-	// Logf receives log lines; nil means Logger (or log.Printf when
-	// neither is set).
-	Logf func(format string, args ...any)
 	// Logger, when set, receives runtime log lines as structured slog
 	// records with a "daemon" attribute; daemons build one with
-	// NewLogger from their -log-format flag. Logf takes precedence.
+	// NewLogger from their -log-format flag. Nil means log.Printf.
 	Logger *slog.Logger
 	// ShutdownTimeout bounds graceful drain per listener; zero means
 	// 5 s.
@@ -88,10 +81,6 @@ func New(name string) *Runtime {
 }
 
 func (rt *Runtime) logf(format string, args ...any) {
-	if rt.Logf != nil {
-		rt.Logf(rt.Name+": "+format, args...)
-		return
-	}
 	if rt.Logger != nil {
 		rt.Logger.Info(fmt.Sprintf(format, args...), "daemon", rt.Name)
 		return

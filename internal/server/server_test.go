@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -19,7 +20,7 @@ import (
 func quietRuntime(t *testing.T, name string) *Runtime {
 	t.Helper()
 	rt := New(name)
-	rt.Logf = func(string, ...any) {}
+	rt.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	t.Cleanup(rt.Shutdown)
 	return rt
 }
