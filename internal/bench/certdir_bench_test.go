@@ -133,6 +133,40 @@ func benchQueryByIssuer(b *testing.B, size int) {
 func BenchmarkCertdirQueryByIssuer10k(b *testing.B)  { benchQueryByIssuer(b, 10_000) }
 func BenchmarkCertdirQueryByIssuer100k(b *testing.B) { benchQueryByIssuer(b, 100_000) }
 
+// BenchmarkCertdirQueryByIssuerTag is the prover's question to a
+// directory: one issuer holding 1 000 structured grants (db (owner
+// u<i>)), asked for the grants covering one of them, capped at the
+// prover's fetch limit. The issuer's tag-path index answers it from
+// the one grant on the query's path instead of testing all 1 000.
+func BenchmarkCertdirQueryByIssuerTag(b *testing.B) {
+	const grants = 1000
+	now := time.Now()
+	v := core.Until(now.Add(24 * time.Hour))
+	issuer := sfkey.FromSeed([]byte("bench-dir-tag-issuer"))
+	issuerP := principal.KeyOf(issuer.Public())
+	st := certdir.NewStore(0)
+	wants := make([]tag.Tag, grants)
+	for i := range wants {
+		wants[i] = tag.ListOf(tag.Literal("db"), tag.ListOf(tag.Literal("owner"), tag.Literal(fmt.Sprintf("u%d", i))))
+		subj := principal.KeyOf(sfkey.FromSeed([]byte(fmt.Sprintf("bench-dir-tag-subject-%d", i))).Public())
+		ct, err := cert.Delegate(issuer, subj, issuerP, wants[i], v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Publish(ct, now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got := st.ByIssuerFiltered(issuerP, now, certdir.QueryFilter{Tag: wants[i%grants], Limit: prover.DefaultRemoteLimit})
+		if len(got) != 1 {
+			b.Fatalf("answer has %d certificates, want 1", len(got))
+		}
+	}
+}
+
 func benchQueryBySubject(b *testing.B, size int) {
 	c := corpus(b, size)
 	st := populate(b, c)
@@ -197,11 +231,12 @@ func BenchmarkProverRemoteDiscovery(b *testing.B) {
 	}
 	ts := httptest.NewServer(certdir.NewService(st))
 	defer ts.Close()
+	cl := certdir.NewClient(ts.URL) // one client: a prover's directory connection pool outlives any one search
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := prover.New()
-		p.AddRemote(certdir.NewClient(ts.URL))
+		p.AddRemote(cl)
 		if _, err := p.FindProof(prins[3], prins[0], want, now); err != nil {
 			b.Fatal(err)
 		}

@@ -164,12 +164,12 @@ func BenchmarkFindProofParallel(b *testing.B) {
 }
 
 // benchHotIssuer builds the adversarial shape for the issuer index: a
-// single root holding fan single-hop grants, each restricted to a
-// distinct literal tag. Before the edge index grew tag buckets, every
-// FindProof against this issuer scanned all fan edges and ran
-// tag.Covers on each; with buckets it scans exactly the one grant
-// that can cover the query (plus an empty catch-all).
-func benchHotIssuer(b *testing.B, fan int) (*prover.Prover, principal.Principal, []principal.Principal, []tag.Tag) {
+// single root holding fan single-hop grants, each restricted to its own
+// tag — a distinct literal, or the emaildb shape (db (owner u<i>)),
+// whose grants all share the head atom db. The edge index visits only
+// the grants on the query's tag path, so either shape scans the one
+// grant that can cover the query, not the whole fan-in.
+func benchHotIssuer(b *testing.B, fan int, grant func(i int) tag.Tag) (*prover.Prover, principal.Principal, []principal.Principal, []tag.Tag) {
 	b.Helper()
 	root := sfkey.FromSeed([]byte("hotissuer-root"))
 	rootP := principal.KeyOf(root.Public())
@@ -178,7 +178,7 @@ func benchHotIssuer(b *testing.B, fan int) (*prover.Prover, principal.Principal,
 	tags := make([]tag.Tag, fan)
 	for i := 0; i < fan; i++ {
 		leaf := principal.KeyOf(sfkey.FromSeed([]byte(fmt.Sprintf("hotissuer-leaf-%d", i))).Public())
-		tg := tag.Literal(fmt.Sprintf("topic-%d", i))
+		tg := grant(i)
 		c, err := cert.Delegate(root, leaf, rootP, tg, core.Forever)
 		if err != nil {
 			b.Fatal(err)
@@ -189,17 +189,31 @@ func benchHotIssuer(b *testing.B, fan int) (*prover.Prover, principal.Principal,
 	return p, rootP, leaves, tags
 }
 
+// ownerTag is the emaildb grant shape (db (owner u<i>)).
+func ownerTag(i int) tag.Tag {
+	return tag.ListOf(tag.Literal("db"), tag.ListOf(tag.Literal("owner"), tag.Literal(fmt.Sprintf("u%d", i))))
+}
+
 func BenchmarkFindProofHotIssuer(b *testing.B) {
-	for _, fan := range []int{64, 1024, 16384} {
-		b.Run(fmt.Sprintf("fan=%d", fan), func(b *testing.B) {
-			p, root, leaves, tags := benchHotIssuer(b, fan)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				idx := i % fan
-				if _, err := p.FindProof(leaves[idx], root, tags[idx], benchNow); err != nil {
-					b.Fatal(err)
+	shapes := []struct {
+		name  string
+		grant func(i int) tag.Tag
+	}{
+		{"literal", func(i int) tag.Tag { return tag.Literal(fmt.Sprintf("topic-%d", i)) }},
+		{"owner", ownerTag},
+	}
+	for _, sh := range shapes {
+		for _, fan := range []int{64, 1024, 16384} {
+			b.Run(fmt.Sprintf("tag=%s/fan=%d", sh.name, fan), func(b *testing.B) {
+				p, root, leaves, tags := benchHotIssuer(b, fan, sh.grant)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					idx := i % fan
+					if _, err := p.FindProof(leaves[idx], root, tags[idx], benchNow); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

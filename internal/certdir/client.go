@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -24,14 +25,18 @@ import (
 // Client talks the directory wire protocol. Its ByIssuerForCtx and
 // BySubjectForCtx methods satisfy prover.RemoteSource, so a client
 // plugs straight into Prover.AddRemote for remote chain discovery.
+//
+// Build one with NewClient: it owns a connection pool sized for the
+// prover's fan-out, which queries, the events long poll and the
+// snapshot stream share. A Client written as a literal works, but falls
+// back to http.DefaultClient, whose two idle connections per host make
+// a wide discovery round re-dial. Time bounds come from contexts, not
+// from a client Timeout: roundTrip gives every request/reply a deadline
+// so a dead directory cannot wedge a prover, and a snapshot runs under
+// its caller's context.
 type Client struct {
 	// BaseURL is the directory root, e.g. "http://host:8360".
 	BaseURL string
-	// HTTP is the transport; nil means http.DefaultClient. Time bounds
-	// come from contexts, not from its Timeout: roundTrip gives every
-	// request/reply a deadline so a dead directory cannot wedge a
-	// prover, and a snapshot runs under its caller's context.
-	HTTP *http.Client
 	// Ctl, when set, signs every mutating request (publish, remove,
 	// admin endpoints — the paths CtlTagFor names) with a speaks-for
 	// proof for the directory's operator principal, as an enforcing
@@ -46,6 +51,8 @@ type Client struct {
 	// are paid only for actual differences. The
 	// sf_gossip_digest_bytes_total metric reads it.
 	gossipBytes *atomic.Int64
+
+	hc *http.Client // NewClient's pooled client; nil means http.DefaultClient
 }
 
 // digestPath reports whether a path carries anti-entropy summary
@@ -58,14 +65,41 @@ func digestPath(path string) bool {
 	return false
 }
 
-// NewClient returns a client for the directory at baseURL.
+// Connection pool of a NewClient client. A prover asks a directory up
+// to prover.DefaultRemoteFanout (32) questions at once, beside a held
+// events long poll and the replicator's pushes; the pool keeps twice
+// that idle per host, so a discovery round reuses its connections
+// instead of dialling most of them again.
+const (
+	poolIdlePerHost = 64
+	poolIdle        = 256
+	poolIdleTimeout = 90 * time.Second
+)
+
+// NewClient returns a client for the directory at baseURL with its own
+// connection pool. Otherwise the transport matches
+// http.DefaultTransport (proxy from the environment, dial and TLS
+// handshake timeouts, HTTP/2 when offered).
 func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: strings.TrimRight(baseURL, "/")}
+	tr := &http.Transport{
+		Proxy: http.ProxyFromEnvironment,
+		DialContext: (&net.Dialer{
+			Timeout:   30 * time.Second,
+			KeepAlive: 30 * time.Second,
+		}).DialContext,
+		ForceAttemptHTTP2:     true,
+		MaxIdleConns:          poolIdle,
+		MaxIdleConnsPerHost:   poolIdlePerHost,
+		IdleConnTimeout:       poolIdleTimeout,
+		TLSHandshakeTimeout:   10 * time.Second,
+		ExpectContinueTimeout: 1 * time.Second,
+	}
+	return &Client{BaseURL: strings.TrimRight(baseURL, "/"), hc: &http.Client{Transport: tr}}
 }
 
 func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
+	if c.hc != nil {
+		return c.hc
 	}
 	return http.DefaultClient
 }

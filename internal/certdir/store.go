@@ -84,12 +84,21 @@ type tombstone struct {
 
 // dirShard is an independently locked slice of the directory. A
 // certificate lives in exactly one shard, chosen by its issuer, and
-// appears in both of that shard's indexes.
+// appears in all of that shard's indexes.
 type dirShard struct {
 	mu        sync.RWMutex
-	byIssuer  map[string][]*entry
+	byIssuer  map[string]*issuerEntries
 	bySubject map[string][]*entry
 	byHash    map[string]*entry
+}
+
+// issuerEntries holds one issuer's certificates twice over: in
+// insertion order, and by delegation tag path (tag.Index), so a
+// tag-filtered query visits only the certificates whose tag can cover
+// the query's, in the same order a scan would meet them.
+type issuerEntries struct {
+	all  []*entry
+	tags tag.Index[*entry]
 }
 
 // Stats counts directory traffic; the service exposes them and the
@@ -172,7 +181,7 @@ func NewStore(n int) *Store {
 	}
 	for i := range s.shards {
 		s.shards[i] = &dirShard{
-			byIssuer:  make(map[string][]*entry),
+			byIssuer:  make(map[string]*issuerEntries),
 			bySubject: make(map[string][]*entry),
 			byHash:    make(map[string]*entry),
 		}
@@ -322,9 +331,7 @@ func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone bool, repl
 		}
 		e.seg = seg
 	}
-	sh.byHash[e.hashKey] = e
-	sh.byIssuer[e.issuerK] = append(sh.byIssuer[e.issuerK], e)
-	sh.bySubject[e.subjectK] = append(sh.bySubject[e.subjectK], e)
+	sh.addLocked(e)
 	// The tombstone clear happens under the shard lock, like Remove's
 	// tombstone add, so index and tombstone state cannot disagree for
 	// a concurrent observer holding the same shard.
@@ -365,14 +372,28 @@ func (s *Store) ByIssuer(p principal.Principal, now time.Time) []*cert.Cert {
 	return s.ByIssuerFiltered(p, now, QueryFilter{})
 }
 
-// ByIssuerFiltered is ByIssuer narrowed by f.
+// ByIssuerFiltered is ByIssuer narrowed by f. A tag filter reads the
+// issuer's tag-path index instead of scanning every certificate; the
+// answer is identical to a scan's, order and truncation included,
+// because the index yields a superset of the covering certificates in
+// insertion order and the same filter then runs over it.
 func (s *Store) ByIssuerFiltered(p principal.Principal, now time.Time, f QueryFilter) []*cert.Cert {
 	s.queries.Add(1)
 	k := p.Key()
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return appendLive(nil, sh.byIssuer[k], now, f)
+	ie := sh.byIssuer[k]
+	if ie == nil {
+		return nil
+	}
+	es := ie.all
+	if f.Tag.Valid() {
+		if cands, ok := ie.tags.Candidates(f.Tag); ok {
+			es = cands
+		}
+	}
+	return appendLive(nil, es, now, f)
 }
 
 // BySubject returns every stored certificate whose subject is p and
@@ -593,12 +614,28 @@ func (s *Store) tombstoneSnapshot() map[string]time.Time {
 	return out
 }
 
-// dropLocked unlinks an entry from all three indexes. Caller holds the
-// shard lock.
+// addLocked links an entry into every index. Caller holds the shard
+// lock.
+func (sh *dirShard) addLocked(e *entry) {
+	sh.byHash[e.hashKey] = e
+	ie := sh.byIssuer[e.issuerK]
+	if ie == nil {
+		ie = &issuerEntries{}
+		sh.byIssuer[e.issuerK] = ie
+	}
+	ie.all = append(ie.all, e)
+	ie.tags.Add(e.cert.Body.Tag, e)
+	sh.bySubject[e.subjectK] = append(sh.bySubject[e.subjectK], e)
+}
+
+// dropLocked unlinks an entry from every index. Caller holds the shard
+// lock.
 func (sh *dirShard) dropLocked(e *entry) {
 	delete(sh.byHash, e.hashKey)
-	sh.byIssuer[e.issuerK] = dropEntry(sh.byIssuer[e.issuerK], e)
-	if len(sh.byIssuer[e.issuerK]) == 0 {
+	ie := sh.byIssuer[e.issuerK]
+	ie.all = dropEntry(ie.all, e)
+	ie.tags.Remove(e.cert.Body.Tag, e)
+	if len(ie.all) == 0 {
 		delete(sh.byIssuer, e.issuerK)
 	}
 	sh.bySubject[e.subjectK] = dropEntry(sh.bySubject[e.subjectK], e)

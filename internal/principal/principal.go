@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,8 +38,10 @@ func Equal(a, b Principal) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	// Direct comparisons for the two principal kinds that dominate
-	// proof chains, avoiding the wire-form rebuild Key() implies.
+	// Direct comparisons for the principal kinds that make up proof
+	// chains (a gateway's handoffs are quotes, SDSI grants names),
+	// avoiding the wire-form rebuild Key() implies. Each agrees with
+	// Key equality: a kind's encoding is its fields', in order.
 	switch pa := a.(type) {
 	case Key:
 		if pb, ok := b.(Key); ok {
@@ -47,6 +50,14 @@ func Equal(a, b Principal) bool {
 	case Hash:
 		if pb, ok := b.(Hash); ok {
 			return pa.Alg == pb.Alg && bytes.Equal(pa.Digest, pb.Digest)
+		}
+	case Quote:
+		if pb, ok := b.(Quote); ok {
+			return Equal(pa.Quoter, pb.Quoter) && Equal(pa.Quotee, pb.Quotee)
+		}
+	case Name:
+		if pb, ok := b.(Name); ok {
+			return slices.Equal(pa.Path, pb.Path) && Equal(pa.Base, pb.Base)
 		}
 	}
 	return a.Key() == b.Key()

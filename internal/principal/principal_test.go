@@ -209,3 +209,25 @@ func TestKeyStability(t *testing.T) {
 		t.Fatal("Key differs across parse round trip")
 	}
 }
+
+// TestEqualAgreesWithKey pins Equal's direct comparisons to the
+// definition of sameness, Key equality, across kinds and nesting.
+func TestEqualAgreesWithKey(t *testing.T) {
+	a, b := testKey("eq-a"), testKey("eq-b")
+	ps := []Principal{
+		a, b, HashOfKey(a.Pub), HashOfKey(b.Pub),
+		NameOf(a, "staff"), NameOf(a, "staff", "alice"), NameOf(b, "staff"), NameOf(a),
+		Name{Base: a, Path: []string{}},
+		NameOf(NameOf(a, "staff"), "alice"),
+		QuoteOf(a, b), QuoteOf(b, a), QuoteOf(a, QuoteOf(a, b)), QuoteOf(a, NameOf(b, "x")),
+		QuoteOf(HashOfKey(a.Pub), b),
+		ConjOf(a, b), Pseudo{},
+	}
+	for _, x := range ps {
+		for _, y := range ps {
+			if got, want := Equal(x, y), x.Key() == y.Key(); got != want {
+				t.Errorf("Equal(%s, %s) = %v, Key equality says %v", x, y, got, want)
+			}
+		}
+	}
+}

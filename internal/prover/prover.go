@@ -109,31 +109,24 @@ type edgeShard struct {
 }
 
 // edgeSet holds one issuer's incoming edges twice over: the full
-// insertion-order slice, and a tag-bucket index so a search for a
-// specific tag scans only the edges that could cover it (same
-// tag.Bucket key) plus the catch-all tail (star forms and other
-// unbucketable grants). A hot issuer with thousands of disjoint
-// literal grants costs a lookup its own bucket, not the whole fan-in.
+// insertion-order slice, and a tag-path index (tag.Index) so a search
+// for a specific tag visits only the edges whose tag can cover it, in
+// insertion order. A hot issuer with thousands of grants — disjoint
+// literals, or one (db (owner X)) per principal — costs a lookup the
+// grants on its query's tag path (plus star-form grants), not the
+// whole fan-in.
 type edgeSet struct {
-	all      []*edge            // every edge, insertion order
-	buckets  map[string][]*edge // tag bucket -> bucketable edges
-	catchAll []*edge            // edges whose tags span buckets
+	all []*edge          // every edge, insertion order
+	idx tag.Index[*edge] // the same edges, by conclusion tag path
 }
 
 func (es *edgeSet) add(e *edge) {
 	es.all = append(es.all, e)
-	if e.bucketed {
-		if es.buckets == nil {
-			es.buckets = make(map[string][]*edge)
-		}
-		es.buckets[e.bucket] = append(es.buckets[e.bucket], e)
-	} else {
-		es.catchAll = append(es.catchAll, e)
-	}
+	es.idx.Add(e.proof.Conclusion().Tag, e)
 }
 
-// filter drops every edge failing keep and rebuilds the bucket index;
-// it reports the dropped edges. Called under the shard's write lock.
+// filter drops every edge failing keep and rebuilds the tag index; it
+// reports the dropped edges. Called under the shard's write lock.
 func (es *edgeSet) filter(keep func(*edge) bool) (dropped []*edge) {
 	kept := es.all[:0]
 	for _, e := range es.all {
@@ -150,12 +143,9 @@ func (es *edgeSet) filter(keep func(*edge) bool) (dropped []*edge) {
 		return nil
 	}
 	es.all = kept
-	es.buckets = nil
-	es.catchAll = nil
-	rest := es.all
-	es.all = es.all[:0]
-	for _, e := range rest {
-		es.add(e)
+	es.idx = tag.Index[*edge]{}
+	for _, e := range kept {
+		es.idx.Add(e.proof.Conclusion().Tag, e)
 	}
 	return dropped
 }
@@ -195,13 +185,12 @@ type Prover struct {
 
 type edge struct {
 	subject  principal.Principal
+	subjectK string // subject.Key(), computed once: the search reads it per scanned edge
 	issuer   principal.Principal
 	proof    core.Proof
 	shortcut bool
 	hash     [32]byte
 	expiry   time.Time // conclusion's NotAfter; zero when unbounded
-	bucket   string    // conclusion tag's bucket key, when bucketed
-	bucketed bool
 }
 
 // New returns an empty Prover.
@@ -259,10 +248,9 @@ func (p *Prover) addEdge(pr core.Proof, shortcut bool) bool {
 	c := pr.Conclusion()
 	ik := c.Issuer.Key()
 	e := &edge{
-		subject: c.Subject, issuer: c.Issuer, proof: pr,
+		subject: c.Subject, subjectK: c.Subject.Key(), issuer: c.Issuer, proof: pr,
 		shortcut: shortcut, hash: h, expiry: c.Validity.NotAfter,
 	}
-	e.bucket, e.bucketed = c.Tag.Bucket()
 	sh := p.shardFor(ik)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -279,13 +267,12 @@ func (p *Prover) addEdge(pr core.Proof, shortcut bool) bool {
 	return true
 }
 
-// edgesFor returns a snapshot of the edges into the given issuer that
-// could cover want: the bucket matching want's tag plus the catch-all
-// tail, or the full fan-in when want itself is unbucketable. The copy
-// is taken under the shard's read lock, so BFS walks a consistent
-// slice while writers append concurrently. Bucket narrowing is sound,
-// not just fast: tag.Bucket guarantees a covering grant shares the
-// query's bucket or lives in the catch-all.
+// edgesFor returns a snapshot, in insertion order, of the edges into
+// the given issuer that could cover want: the tag index's candidates,
+// or the full fan-in when want is not indexable. The copy is taken
+// under the shard's read lock, so BFS walks a consistent slice while
+// writers append concurrently. The narrowing is sound, not just fast:
+// tag.Index never omits an edge whose tag covers an indexable want.
 func (p *Prover) edgesFor(issuerKey string, want tag.Tag) []*edge {
 	sh := p.shardFor(issuerKey)
 	sh.mu.RLock()
@@ -294,20 +281,10 @@ func (p *Prover) edgesFor(issuerKey string, want tag.Tag) []*edge {
 	if es == nil {
 		return nil
 	}
-	b, ok := want.Bucket()
-	if !ok {
-		if len(es.all) == 0 {
-			return nil
-		}
-		return append([]*edge(nil), es.all...)
+	if out, ok := es.idx.Candidates(want); ok {
+		return out
 	}
-	bs := es.buckets[b]
-	if len(bs)+len(es.catchAll) == 0 {
-		return nil
-	}
-	out := make([]*edge, 0, len(bs)+len(es.catchAll))
-	out = append(out, bs...)
-	return append(out, es.catchAll...)
+	return append([]*edge(nil), es.all...)
 }
 
 // Stats returns a copy of the work counters.
@@ -441,14 +418,16 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 
 	type reach struct {
 		node principal.Principal
+		key  string // node.Key()
 		// proof of node => issuer; nil at the issuer itself.
 		path core.Proof
 		// hops counts graph edges on the path; single-hop results are
 		// already edges and need no shortcut recording.
 		hops int
 	}
-	visited := map[string]bool{issuer.Key(): true}
-	queue := []reach{{node: issuer}}
+	issuerK := issuer.Key()
+	visited := map[string]bool{issuerK: true}
+	queue := []reach{{node: issuer, key: issuerK}}
 
 	// tryComplete attempts to finish the proof at a reached node. It
 	// runs with no locks held: minting through a closure is a signing
@@ -459,7 +438,7 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 			return r.path, true
 		}
 		// (b) Reached a final (closure-backed) node: mint the last hop.
-		if cl, ok := p.closureFor(r.node.Key()); ok {
+		if cl, ok := p.closureFor(r.key); ok {
 			minted, err := cl.Delegate(subject, want, core.Between(now.Add(-time.Minute), now.Add(p.MintTTL)))
 			if err == nil {
 				p.stats.minted.Add(1)
@@ -543,11 +522,11 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 			}
 			return proof, nil
 		}
-		for _, e := range p.edgesFor(cur.node.Key(), want) {
+		for _, e := range p.edgesFor(cur.key, want) {
 			if p.DisableShortcuts && e.shortcut {
 				continue
 			}
-			if visited[e.subject.Key()] {
+			if visited[e.subjectK] {
 				continue
 			}
 			ec := e.proof.Conclusion()
@@ -567,8 +546,8 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 			if e.shortcut {
 				p.stats.shortcutHits.Add(1)
 			}
-			visited[e.subject.Key()] = true
-			queue = append(queue, reach{node: e.subject, path: path, hops: cur.hops + 1})
+			visited[e.subjectK] = true
+			queue = append(queue, reach{node: e.subject, key: e.subjectK, path: path, hops: cur.hops + 1})
 		}
 	}
 	return nil, fmt.Errorf("prover: no proof that %s speaks for %s regarding %s",
@@ -616,7 +595,7 @@ func (p *Prover) Principals() []principal.Principal {
 		sh.mu.RLock()
 		for _, es := range sh.edges {
 			for _, e := range es.all {
-				seen[e.subject.Key()] = e.subject
+				seen[e.subjectK] = e.subject
 				seen[e.issuer.Key()] = e.issuer
 			}
 		}

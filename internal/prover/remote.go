@@ -175,22 +175,25 @@ func (p *Prover) planQueries(frontier []principal.Principal, subject principal.P
 // starting at the issuer itself. It reads per-shard snapshots, like
 // the search it mirrors.
 func (p *Prover) reachable(issuer principal.Principal, want tag.Tag, now time.Time) []principal.Principal {
-	visited := map[string]bool{issuer.Key(): true}
+	issuerK := issuer.Key()
+	visited := map[string]bool{issuerK: true}
 	order := []principal.Principal{issuer}
+	keys := []string{issuerK}
 	for i := 0; i < len(order); i++ {
-		for _, e := range p.edgesFor(order[i].Key(), want) {
+		for _, e := range p.edgesFor(keys[i], want) {
 			if p.DisableShortcuts && e.shortcut {
 				continue
 			}
-			if visited[e.subject.Key()] {
+			if visited[e.subjectK] {
 				continue
 			}
 			ec := e.proof.Conclusion()
 			if !tag.Covers(ec.Tag, want) || !ec.Validity.Contains(now) {
 				continue
 			}
-			visited[e.subject.Key()] = true
+			visited[e.subjectK] = true
 			order = append(order, e.subject)
+			keys = append(keys, e.subjectK)
 		}
 	}
 	return order

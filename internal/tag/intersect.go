@@ -210,6 +210,11 @@ func Covers(t, u Tag) bool {
 // request tag r; identical to Covers but named for call-site clarity.
 func CoversRequest(t, r Tag) bool { return Covers(t, r) }
 
+// missingElem is the (*) a shorter list's missing trailing elements
+// read as. One value serves every comparison: tag expressions are never
+// mutated.
+var missingElem = starExpr()
+
 func covers(a, b sexp.Sexp) bool {
 	if a == nil || b == nil {
 		return false
@@ -271,14 +276,13 @@ func covers(a, b sexp.Sexp) bool {
 		if b.Len() > n {
 			n = b.Len()
 		}
-		star := starExpr()
 		for i := 0; i < n; i++ {
 			ea, eb := a.Nth(i), b.Nth(i)
 			if ea == nil {
-				ea = star
+				ea = missingElem
 			}
 			if eb == nil {
-				eb = star
+				eb = missingElem
 			}
 			if !covers(ea, eb) {
 				return false

@@ -222,31 +222,6 @@ func (t Tag) IsAll() bool {
 // Equal reports structural equality of two tags.
 func (t Tag) Equal(u Tag) bool { return sexp.Equal(t.expr, u.expr) }
 
-// Bucket returns a coarse partition key for tag indexes, such that for
-// any tags t and w, Covers(t, w) implies Bucket(t) == Bucket(w) or t
-// is unbucketable. An atom buckets by its bytes; a plain list with an
-// atom head buckets by the head (element-wise coverage forces equal
-// heads). Star forms and headless lists return ok=false: they can
-// cover tags across buckets, so an index must keep them in a
-// catch-all scanned on every lookup. Distinct tags may share a bucket
-// — the key narrows a candidate scan, it never decides coverage.
-func (t Tag) Bucket() (key string, ok bool) {
-	e := t.expr
-	if e == nil {
-		return "", false
-	}
-	if e.IsAtom() {
-		return string(e.Bytes()), true
-	}
-	if isStarForm(e) || e.Len() == 0 {
-		return "", false
-	}
-	if h := e.Nth(0); h.IsAtom() {
-		return string(h.Bytes()), true
-	}
-	return "", false
-}
-
 // Key returns a canonical map key for the tag.
 func (t Tag) Key() string { return t.expr.Key() }
 
