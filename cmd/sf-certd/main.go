@@ -71,13 +71,10 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for the write-ahead log (empty = memory-only)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval, or never")
 	fsyncEvery := flag.Duration("fsync-every", time.Second, "sync period under -fsync interval")
-	walSegBytes := flag.Int64("wal-segment-bytes", certdir.DefaultSegmentBytes, "size at which the active WAL segment is sealed and a new one started")
-	compactThreshold := flag.Float64("compact-threshold", certdir.DefaultCompactThreshold, "live-record ratio below which a sealed WAL segment is rewritten")
 	snapshotEvery := flag.Duration("snapshot-every", 0, "bootstrap snapshot write interval (0 disables; requires -data-dir)")
 	var peers peerList
 	flag.Var(&peers, "peer", "peer directory base URL (repeatable) to replicate with")
 	gossip := flag.Duration("gossip", certdir.DefaultGossipInterval, "anti-entropy round interval (0 disables pulls; pushes still run)")
-	pushRetries := flag.Int("push-retries", certdir.DefaultPushRetries, "push attempts per peer per mutation")
 	adminAuth := flag.Bool("admin-auth", false, "require speaks-for proofs on publish/remove/admin endpoints")
 	operatorFile := flag.String("operator", "", "file holding the operator principal S-expression (required with -admin-auth)")
 	ctlKeyFile := flag.String("ctl-key", "", "private key signing this daemon's gossip pushes (required with -admin-auth and -peer)")
@@ -102,10 +99,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("sf-certd: %v", err)
 		}
-		st, rec, err := certdir.OpenDurableOpts(*dataDir, *shards, policy, time.Now(), certdir.WALOptions{
-			SegmentBytes:     *walSegBytes,
-			CompactThreshold: *compactThreshold,
-		})
+		st, rec, err := certdir.OpenDurable(*dataDir, *shards, policy, time.Now())
 		if err != nil {
 			log.Fatalf("sf-certd: %v", err)
 		}
@@ -227,7 +221,6 @@ func main() {
 			// keeps pushes running while disabling pulls, as documented.
 			rep.Interval = time.Duration(1<<62 - 1)
 		}
-		rep.Retries = *pushRetries
 		rep.Logf = rt.Printf
 		rep.Start()
 		rt.OnShutdown(rep.Stop)
@@ -298,8 +291,7 @@ func main() {
 		if ws, ok := store.WALStats(); ok {
 			emit(server.Gauge("sf_certdir_wal_segments", "WAL segments on disk.", float64(ws.Segments)))
 			emit(server.Gauge("sf_certdir_wal_size_bytes", "WAL bytes on disk.", float64(ws.SizeBytes)))
-			emit(server.Counter("sf_certdir_wal_compactions_total", "WAL segment rewrites.", float64(ws.Compactions)))
-			emit(server.Counter("sf_certdir_wal_rotations_total", "WAL segment rotations.", float64(ws.Rotations)))
+			emit(server.Counter("sf_certdir_wal_compactions_total", "WAL compactions committed (log rewritten as one base segment).", float64(ws.Compactions)))
 		}
 		if svc.Guard != nil {
 			gs := svc.Guard.Stats()

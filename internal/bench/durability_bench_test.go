@@ -154,8 +154,9 @@ func BenchmarkCertdirGossipCatchUp1k(b *testing.B) {
 	}
 }
 
-// BenchmarkCertdirWALCompact10k rewrites a 10k-certificate log: the
-// cost Sweep and EvictRevoked pay whenever they drop entries.
+// BenchmarkCertdirWALCompact10k rewrites a 10k-certificate log as one
+// base segment: the cost Sweep and EvictRevoked pay once they leave the
+// log holding more than twice the live records.
 func BenchmarkCertdirWALCompact10k(b *testing.B) {
 	c := corpus(b, 10_000)
 	st := durableStore(b, certdir.SyncNever, c.now)

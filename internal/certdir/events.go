@@ -26,11 +26,6 @@ type Event struct {
 	Seq  uint64
 	Kind string // "remove" | "revoke"
 	Hash []byte // certificate body hash
-
-	// seg is the WAL segment holding this event's journal record
-	// (0 = not journaled); the segment compactor uses it to keep
-	// retained events durable and reclaim trimmed ones.
-	seg uint64
 }
 
 // Event kinds.
@@ -104,30 +99,21 @@ func (l *EventLog) append(kind string, hash []byte) {
 }
 
 // appendWith is append with a journal hook: journal (when non-nil) is
-// called under l.mu with the cursor token the new event will carry and
-// returns the WAL segment its record landed in. Running the hook under
-// the lock means ring order and journal order cannot disagree — the
-// same discipline Store.publish applies under its shard lock; the hook
-// is file I/O only, never network. Events trimmed off the ring are
-// returned so the caller can retire their journal records.
-func (l *EventLog) appendWith(kind string, hash []byte, journal func(token uint64) (seg uint64)) (evicted []Event) {
+// called under l.mu with the cursor token the new event will carry.
+// Running the hook under the lock means ring order and journal order
+// cannot disagree — the same discipline Store.publish applies under
+// its shard lock; the hook is file I/O only, never network.
+func (l *EventLog) appendWith(kind string, hash []byte, journal func(token uint64)) {
 	l.mu.Lock()
-	var seg uint64
 	if journal != nil {
-		seg = journal(l.token(l.next))
+		journal(l.token(l.next))
 	}
-	l.ring = append(l.ring, Event{
-		Seq:  l.next,
-		Kind: kind,
-		Hash: append([]byte(nil), hash...),
-		seg:  seg,
-	})
+	l.ring = append(l.ring, Event{Seq: l.next, Kind: kind, Hash: append([]byte(nil), hash...)})
 	l.next++
-	evicted = l.trimLocked()
+	l.trimLocked()
 	close(l.notify)
 	l.notify = make(chan struct{})
 	l.mu.Unlock()
-	return evicted
 }
 
 // restore re-installs one event from its WAL record during replay,
@@ -135,12 +121,11 @@ func (l *EventLog) appendWith(kind string, hash []byte, journal func(token uint6
 // minted before the restart keep working. Once adopted, the boot nonce
 // persists for the rest of the process: events appended after replay
 // continue the journaled incarnation rather than starting a new one.
-func (l *EventLog) restore(token uint64, kind string, hash []byte, seg uint64) (evicted []Event) {
+// The arguments are decodeEvent's: the token's nonce and sequence are
+// both non-zero, and the hash is a copy the ring may keep.
+func (l *EventLog) restore(token uint64, kind string, hash []byte) {
 	boot := token >> cursorSeqBits
 	seq := token & (1<<cursorSeqBits - 1)
-	if boot == 0 || seq == 0 {
-		return nil // corrupt token; drop rather than poison the cursor space
-	}
 	l.mu.Lock()
 	if boot != l.boot {
 		// First restored event (or a log spanning incarnations, which
@@ -148,37 +133,19 @@ func (l *EventLog) restore(token uint64, kind string, hash []byte, seg uint64) (
 		l.boot = boot
 		l.ring = l.ring[:0]
 	}
-	l.ring = append(l.ring, Event{
-		Seq:  seq,
-		Kind: kind,
-		Hash: append([]byte(nil), hash...),
-		seg:  seg,
-	})
+	l.ring = append(l.ring, Event{Seq: seq, Kind: kind, Hash: hash})
 	l.next = seq + 1
-	evicted = l.trimLocked()
+	l.trimLocked()
 	l.mu.Unlock()
-	return evicted
 }
 
-// trimLocked bounds the ring, returning what fell off. Caller holds l.mu.
-func (l *EventLog) trimLocked() (evicted []Event) {
-	if len(l.ring) <= l.max {
-		return nil
+// trimLocked bounds the ring. Caller holds l.mu.
+func (l *EventLog) trimLocked() {
+	if cut := len(l.ring) - l.max; cut > 0 {
+		// Copy rather than reslice so the trimmed prefix's backing
+		// memory (and the hashes it points at) is actually released.
+		l.ring = append([]Event(nil), l.ring[cut:]...)
 	}
-	cut := len(l.ring) - l.max
-	evicted = append([]Event(nil), l.ring[:cut]...)
-	// Copy rather than reslice so the trimmed prefix's backing
-	// memory (and the hashes it points at) is actually released.
-	l.ring = append([]Event(nil), l.ring[cut:]...)
-	return evicted
-}
-
-// snapshotTail copies the retained events and the current boot nonce;
-// the segment compactor reconstructs journal records from it.
-func (l *EventLog) snapshotTail() (events []Event, boot uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Event(nil), l.ring...), l.boot
 }
 
 // sinceLocked computes the answer for a cursor. Caller holds l.mu.

@@ -57,13 +57,6 @@ type Replicator struct {
 	// Interval is the anti-entropy period; 0 means
 	// DefaultGossipInterval. Set before Start.
 	Interval time.Duration
-	// Retries bounds push attempts per peer per mutation; 0 means
-	// DefaultPushRetries. Exhausted retries are not fatal — the next
-	// anti-entropy round repairs the gap.
-	Retries int
-	// Backoff is the wait between push retry attempts; 0 means
-	// DefaultPushBackoff.
-	Backoff time.Duration
 	// Clock supplies the replicator's notion of now; nil means
 	// time.Now.
 	Clock func() time.Time
@@ -82,6 +75,10 @@ type Replicator struct {
 	// RoundHist, when set, observes the wall-clock seconds of each
 	// anti-entropy round (Converge).
 	RoundHist *obs.Histogram
+
+	// backoff is the wait between push attempts; 0 means
+	// pushBackoff. Tests shorten it.
+	backoff time.Duration
 
 	queue chan repJob
 	stop  chan struct{}
@@ -107,10 +104,12 @@ const (
 	// timescale while keeping steady-state cost at a digest exchange
 	// per peer.
 	DefaultGossipInterval = 5 * time.Second
-	// DefaultPushRetries bounds push attempts per peer per mutation.
-	DefaultPushRetries = 3
-	// DefaultPushBackoff is the wait between push attempts.
-	DefaultPushBackoff = 100 * time.Millisecond
+	// pushAttempts bounds push attempts per peer per mutation.
+	// Exhausted attempts are not fatal — the next anti-entropy round
+	// repairs the gap.
+	pushAttempts = 3
+	// pushBackoff is the wait between push attempts.
+	pushBackoff = 100 * time.Millisecond
 	// pushQueueDepth bounds mutations awaiting fan-out; overflow is
 	// dropped (and counted) rather than blocking publishes —
 	// anti-entropy repairs whatever the queue sheds.
@@ -178,18 +177,11 @@ func (r *Replicator) interval() time.Duration {
 	return DefaultGossipInterval
 }
 
-func (r *Replicator) retries() int {
-	if r.Retries > 0 {
-		return r.Retries
+func (r *Replicator) pushWait() time.Duration {
+	if r.backoff > 0 {
+		return r.backoff
 	}
-	return DefaultPushRetries
-}
-
-func (r *Replicator) backoff() time.Duration {
-	if r.Backoff > 0 {
-		return r.Backoff
-	}
-	return DefaultPushBackoff
+	return pushBackoff
 }
 
 func (r *Replicator) logf(format string, args ...any) {
@@ -265,12 +257,12 @@ func (r *Replicator) pushLoop() {
 // failures up to the retry bound with backoff between attempts.
 func (r *Replicator) pushOne(peer *Client, j repJob) {
 	var err error
-	for attempt := 0; attempt < r.retries(); attempt++ {
+	for attempt := 0; attempt < pushAttempts; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-r.stop:
 				return
-			case <-time.After(r.backoff()):
+			case <-time.After(r.pushWait()):
 			}
 		}
 		switch {
@@ -287,7 +279,7 @@ func (r *Replicator) pushOne(peer *Client, j repJob) {
 		}
 	}
 	r.pushFailures.Add(1)
-	r.logf("certdir: push to %s failed after %d attempts: %v", peer.BaseURL, r.retries(), err)
+	r.logf("certdir: push to %s failed after %d attempts: %v", peer.BaseURL, pushAttempts, err)
 }
 
 // gossipLoop runs anti-entropy rounds until stopped.
@@ -481,7 +473,7 @@ func (r *Replicator) pullHashes(peer *Client, hashes [][]byte) (pulled int, err 
 // (Store.indexVerified, yielding to tombstones: a removal that raced
 // the pull must win) and counts the outcome.
 func (r *Replicator) indexPulled(certs []*cert.Cert) int {
-	added, rejected := r.store.indexVerified(certs, r.now(), true, 0)
+	added, rejected := r.store.indexVerified(certs, r.now(), true, false)
 	r.pulled.Add(int64(added))
 	r.pullRejected.Add(int64(rejected))
 	return added

@@ -35,7 +35,7 @@ func fastReplicator(st *Store, peers ...*node) *Replicator {
 		clients[i] = p.client
 	}
 	r := NewReplicator(st, clients)
-	r.Backoff = 5 * time.Millisecond
+	r.backoff = 5 * time.Millisecond
 	r.Interval = time.Hour // tests drive Converge explicitly; pushes are immediate
 	return r
 }
@@ -155,7 +155,7 @@ func TestAntiEntropyRespectsTombstones(t *testing.T) {
 
 	// A gossip pull must yield to the tombstone even when racing past
 	// the hash-list check (the atomic re-check inside publish).
-	if added, rejected := b.store.indexVerified([]*cert.Cert{c}, now, true, 0); added != 0 || rejected != 0 {
+	if added, rejected := b.store.indexVerified([]*cert.Cert{c}, now, true, false); added != 0 || rejected != 0 {
 		t.Fatalf("pulled index over a tombstone: added=%d rejected=%d, want 0/0", added, rejected)
 	}
 

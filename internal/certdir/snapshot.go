@@ -208,30 +208,29 @@ func WriteSnapshotFile(path string, st *Store, revs *cert.RevocationStore, now t
 // the certificate, so there is nothing to invalidate. Expired
 // retractions are dropped, exactly as Sweep would.
 //
-// Ordering: the tombstone is installed before the entry scan, so a
-// publish racing the adoption is either seen by the scan (and
-// dropped) or runs after it and clears the tombstone under its shard
-// lock — the store never holds both an entry and its tombstone.
+// Ordering: the record is journaled and the tombstone installed under
+// the tombstone lock, so a compaction's cut sees both or neither; and
+// both happen before the entry scan, so a publish racing the adoption
+// is either seen by the scan (and dropped) or runs after it and clears
+// the tombstone under its shard lock — the store never holds both an
+// entry and its tombstone.
 func (s *Store) AdoptTombstone(hash []byte, expiry time.Time, now time.Time) {
 	if !expiry.IsZero() && !now.Before(expiry) {
 		return
 	}
 	key := string(hash)
-	var seg uint64
+	s.tmu.Lock()
 	if s.wal != nil {
-		sg, err := s.wal.AppendRemove(hash, expiry)
-		if err != nil {
+		if err := s.wal.appendRecord(removeRecord(hash, expiry)); err != nil {
 			s.walErrors.Add(1)
-		} else {
-			seg = sg
 		}
 	}
-	s.addTombstone(key, expiry, seg)
+	s.tombstones[key] = expiry
+	s.tmu.Unlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if e, ok := sh.byHash[key]; ok {
 			sh.dropLocked(e)
-			s.segLiveDecr(e.seg)
 			s.merkleDrop(e.hashKey)
 			sh.mu.Unlock()
 			return

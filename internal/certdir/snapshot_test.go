@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -35,9 +36,17 @@ func snapshotBytes(t *testing.T, st *Store, revs *cert.RevocationStore, now time
 func copyWALDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
+	if err := copyFiles(dst, src); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// copyFiles copies the regular files of src into dst.
+func copyFiles(dst, src string) error {
 	ents, err := os.ReadDir(src)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	for _, e := range ents {
 		if !e.Type().IsRegular() {
@@ -45,13 +54,13 @@ func copyWALDir(t *testing.T, src string) string {
 		}
 		data, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
-	return dst
+	return nil
 }
 
 // snapshotServer serves fixed bytes at every path — a stand-in for a
@@ -254,11 +263,12 @@ func TestSnapshotMalformedRemoveRejected(t *testing.T) {
 	}
 }
 
-// crashTwinStore opens a small-segment durable store and applies a
-// publish/remove workload that forces several rotations.
+// crashTwinStore opens a durable store and applies a publish/remove
+// workload split across a base and an active segment by a compaction:
+// the removals in the active segment retract publishes in the base.
 func crashTwinStore(t *testing.T, dir, seed string, now time.Time) (*Store, []*cert.Cert) {
 	t.Helper()
-	st, _, err := OpenDurableOpts(dir, 4, SyncAlways, now, WALOptions{SegmentBytes: 1 << 10})
+	st, _, err := OpenDurable(dir, 4, SyncAlways, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,13 +278,16 @@ func crashTwinStore(t *testing.T, dir, seed string, now time.Time) (*Store, []*c
 			t.Fatal(err)
 		}
 	}
+	if err := st.CompactWAL(); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range certs[:8] {
 		if !st.Remove(c.Hash()) {
 			t.Fatal("remove failed")
 		}
 	}
 	if ws, _ := st.WALStats(); ws.Segments < 2 {
-		t.Fatalf("workload stayed in %d segment(s); rotations not exercised", ws.Segments)
+		t.Fatalf("workload stayed in %d segment(s); the compaction did not split the log", ws.Segments)
 	}
 	return st, certs
 }
@@ -325,7 +338,7 @@ func TestCrashMidRotationTwin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, rec, err := OpenDurableOpts(crash, 4, SyncAlways, now, WALOptions{SegmentBytes: 1 << 10})
+	re, rec, err := OpenDurable(crash, 4, SyncAlways, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +366,7 @@ func TestCrashMidCompactionTwin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, rec, err := OpenDurableOpts(crash, 4, SyncAlways, now, WALOptions{SegmentBytes: 1 << 10})
+	re, rec, err := OpenDurable(crash, 4, SyncAlways, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,6 +378,64 @@ func TestCrashMidCompactionTwin(t *testing.T) {
 	}
 	if got := snapshotBytes(t, re, nil, now); !bytes.Equal(got, want) {
 		t.Fatalf("recovered snapshot differs from twin (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestCrashAfterBaseRenameTwin: a crash after a compaction's commit
+// point (the rename of the new base) but before it deleted the
+// segments the base supersedes leaves them beside it. Recovery must
+// replay from the base alone — the superseded records must not apply
+// a second time — land byte-for-byte on the uncrashed twin's snapshot,
+// and delete the leftovers.
+func TestCrashAfterBaseRenameTwin(t *testing.T) {
+	now := time.Now()
+	dir := t.TempDir()
+	st, _ := crashTwinStore(t, dir, "crash-base", now)
+	before := copyWALDir(t, dir)
+	if err := st.CompactWAL(); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotBytes(t, st, nil, now)
+
+	crash := copyWALDir(t, dir)
+	ids, err := listSegments(crash)
+	if err != nil || len(ids) != 2 {
+		t.Fatalf("compacted log holds segments %v (err %v), want base + active", ids, err)
+	}
+	old, err := listSegments(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := 0
+	for _, id := range old {
+		if id >= ids[0] {
+			continue
+		}
+		data, err := os.ReadFile(segmentPath(before, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segmentPath(crash, id), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		restored++
+	}
+	if restored == 0 {
+		t.Fatalf("no superseded segment below base %d in %v", ids[0], old)
+	}
+
+	re, rec, err := OpenDurable(crash, 4, SyncAlways, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Torn || rec.Dropped != 0 || rec.Compacted {
+		t.Fatalf("recovery = %+v, want a clean replay of base + active", rec)
+	}
+	if got := snapshotBytes(t, re, nil, now); !bytes.Equal(got, want) {
+		t.Fatalf("recovered snapshot differs from twin (%d vs %d bytes)", len(got), len(want))
+	}
+	if left, _ := listSegments(crash); !reflect.DeepEqual(left, ids) {
+		t.Fatalf("segments after recovery = %v, want %v (superseded ones deleted)", left, ids)
 	}
 }
 

@@ -28,9 +28,11 @@
 // (WAL): every accepted publish and removal is journaled — under a
 // configurable fsync policy — before it is acknowledged, and a
 // restart replays the log, so the delegation graph survives process
-// lifetimes. Sweeps and revocation evictions compact the log back to
-// the live contents. See wal.go for the record format and crash
-// semantics.
+// lifetimes. The store does not track where a record lives in the
+// log: once sweeps and revocation evictions leave the log holding more
+// than twice the live records, CompactWAL rewrites it as one base
+// segment of exactly those records. See wal.go for the record format,
+// the layout and crash semantics.
 //
 // # Replication
 //
@@ -47,6 +49,8 @@ package certdir
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,14 +76,6 @@ type entry struct {
 	issuerK  string
 	subjectK string
 	expiry   time.Time // zero when unbounded
-	seg      uint64    // WAL segment holding the publish record; 0 = not journaled
-}
-
-// tombstone is one live retraction: the expiry bounding its life and
-// the WAL segment holding its remove record (0 when not journaled).
-type tombstone struct {
-	expiry time.Time
-	seg    uint64
 }
 
 // dirShard is an independently locked slice of the directory. A
@@ -135,7 +131,7 @@ type Store struct {
 	// anti-entropy pulls do not resurrect them. Cleared by an explicit
 	// re-publish, expired by Sweep.
 	tmu        sync.Mutex
-	tombstones map[string]tombstone
+	tombstones map[string]time.Time
 
 	// events is the invalidation stream served to subscribed provers:
 	// one event per removal or revocation eviction, so caches beyond
@@ -146,14 +142,8 @@ type Store struct {
 	// the Merkle anti-entropy endpoints (see merkle.go).
 	merkle merkleState
 
-	// segLive counts live WAL records (indexed entries, live
-	// tombstones, retained events) per segment; the threshold compactor
-	// rewrites segments whose ratio of live to total records drops
-	// below compactThreshold. segMu is a leaf lock: nothing is acquired
-	// while holding it.
-	segMu            sync.Mutex
-	segLive          map[uint64]int64
-	compactThreshold float64
+	// compactMu serialises WAL compactions (CompactWAL).
+	compactMu sync.Mutex
 
 	hooks atomic.Pointer[hookSet]
 
@@ -175,9 +165,8 @@ func NewStore(n int) *Store {
 	}
 	s := &Store{
 		shards:     make([]*dirShard, n),
-		tombstones: make(map[string]tombstone),
+		tombstones: make(map[string]time.Time),
 		events:     newEventLog(0),
-		segLive:    make(map[uint64]int64),
 	}
 	for i := range s.shards {
 		s.shards[i] = &dirShard{
@@ -242,7 +231,7 @@ func publishCtx(now time.Time) *core.VerifyContext {
 // Anti-entropy pulls go through indexVerified with pulled set instead,
 // which yields to tombstones rather than clearing them.
 func (s *Store) Publish(c *cert.Cert, now time.Time) (added bool, err error) {
-	return s.publish(c, now, false, 0)
+	return s.publish(c, now, false, false)
 }
 
 // verifyBatch is how many certificates a streaming loader (WAL replay,
@@ -266,16 +255,16 @@ const verifyBatch = 256
 // nor rejected) instead of resurrecting a delegation retracted here.
 // The tombstone check happens under the same shard lock Remove adds
 // tombstones under, so a pull racing a removal converges to removed in
-// either interleaving. replaySeg, when non-zero, marks WAL replay: the
-// record already exists in that segment, so nothing is journaled — and
-// no hook fires, the hook set being empty before attachWAL.
-func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled bool, replaySeg uint64) (added, rejected int) {
+// either interleaving. replay marks WAL replay: the record is already
+// in the log, so nothing is journaled — and no hook fires, the hook set
+// being empty before attachWAL.
+func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled, replay bool) (added, rejected int) {
 	if len(certs) == 0 {
 		return 0, 0
 	}
 	cert.VerifyBatch(publishCtx(now), certs)
 	for _, c := range certs {
-		ok, err := s.publish(c, now, pulled, replaySeg)
+		ok, err := s.publish(c, now, pulled, replay)
 		switch {
 		case err != nil:
 			rejected++
@@ -286,7 +275,7 @@ func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled bool, re
 	return added, rejected
 }
 
-func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone bool, replaySeg uint64) (added bool, err error) {
+func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone, replay bool) (added bool, err error) {
 	if c == nil {
 		s.rejected.Add(1)
 		return false, fmt.Errorf("certdir: nil certificate")
@@ -317,31 +306,23 @@ func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone bool, repl
 		sh.mu.Unlock()
 		return false, nil
 	}
-	if replaySeg != 0 {
-		e.seg = replaySeg
-	} else if s.wal != nil {
+	if !replay && s.wal != nil {
 		// Journal before indexing: an acknowledged publish must be on
 		// disk. The shard stays locked so the log's record order cannot
 		// contradict the index for this certificate.
-		seg, err := s.wal.AppendPublish(c)
-		if err != nil {
+		if err := s.wal.appendRecord(publishRecord(c)); err != nil {
 			sh.mu.Unlock()
 			s.walErrors.Add(1)
 			return false, err
 		}
-		e.seg = seg
 	}
 	sh.addLocked(e)
 	// The tombstone clear happens under the shard lock, like Remove's
 	// tombstone add, so index and tombstone state cannot disagree for
 	// a concurrent observer holding the same shard.
 	s.tmu.Lock()
-	if t, ok := s.tombstones[e.hashKey]; ok {
-		delete(s.tombstones, e.hashKey)
-		s.segLiveDecr(t.seg)
-	}
+	delete(s.tombstones, e.hashKey)
 	s.tmu.Unlock()
-	s.segLiveIncr(e.seg)
 	s.merkleAdd(e.hashKey)
 	sh.mu.Unlock()
 	s.published.Add(1)
@@ -454,24 +435,20 @@ func (s *Store) Remove(hash []byte) bool {
 			sh.mu.Unlock()
 			continue
 		}
-		var seg uint64
 		if s.wal != nil {
-			sg, err := s.wal.AppendRemove(hash, e.expiry)
-			if err != nil {
+			if err := s.wal.appendRecord(removeRecord(hash, e.expiry)); err != nil {
 				sh.mu.Unlock()
 				s.walErrors.Add(1)
 				return false
 			}
-			seg = sg
 		}
 		sh.dropLocked(e)
-		s.segLiveDecr(e.seg)
 		s.merkleDrop(e.hashKey)
 		// Tombstone before releasing the shard lock: a concurrent
 		// anti-entropy pull of this certificate serializes on the same
 		// shard and must find either the entry or the tombstone, never
 		// neither (which would let it resurrect the removal).
-		s.addTombstone(key, e.expiry, seg)
+		s.addTombstone(key, e.expiry)
 		sh.mu.Unlock()
 		s.removed.Add(1)
 		s.emitEvent(EventRemove, hash)
@@ -491,13 +468,12 @@ func (s *Store) Events() *EventLog { return s.events }
 // if a preceding replayed publish indexed it, and restore the
 // tombstone unless the certificate has expired anyway. No journaling,
 // no hooks — replay reconstructs state, it does not create history.
-func (s *Store) replayRemove(hash []byte, expiry, now time.Time, seg uint64) {
+func (s *Store) replayRemove(hash []byte, expiry, now time.Time) {
 	key := string(hash)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if e, ok := sh.byHash[key]; ok {
 			sh.dropLocked(e)
-			s.segLiveDecr(e.seg)
 			s.merkleDrop(e.hashKey)
 			if expiry.IsZero() {
 				expiry = e.expiry
@@ -508,18 +484,7 @@ func (s *Store) replayRemove(hash []byte, expiry, now time.Time, seg uint64) {
 		sh.mu.Unlock()
 	}
 	if expiry.IsZero() || now.Before(expiry) {
-		s.addTombstone(key, expiry, seg)
-	}
-}
-
-// restoreEvent re-applies a WAL event record during replay: the
-// EventLog adopts the journaled cursor token (boot nonce and sequence)
-// so subscriber cursors minted before the restart stay valid.
-func (s *Store) restoreEvent(token uint64, kind string, hash []byte, seg uint64) {
-	evicted := s.events.restore(token, kind, hash, seg)
-	s.segLiveIncr(seg)
-	for _, e := range evicted {
-		s.segLiveDecr(e.seg)
+		s.addTombstone(key, expiry)
 	}
 }
 
@@ -530,65 +495,23 @@ func (s *Store) restoreEvent(token uint64, kind string, hash []byte, seg uint64)
 // is counted, not escalated: invalidation delivery must not be held
 // hostage by a full disk.
 func (s *Store) emitEvent(kind string, hash []byte) {
-	evicted := s.events.appendWith(kind, hash, func(token uint64) uint64 {
-		if s.wal == nil {
-			return 0
+	var journal func(uint64)
+	if s.wal != nil {
+		journal = func(token uint64) {
+			if err := s.wal.appendRecord(eventRecord(token, kind, hash)); err != nil {
+				s.walErrors.Add(1)
+			}
 		}
-		seg, err := s.wal.AppendEvent(token, kind, hash)
-		if err != nil {
-			s.walErrors.Add(1)
-			return 0
-		}
-		s.segLiveIncr(seg)
-		return seg
-	})
-	for _, e := range evicted {
-		s.segLiveDecr(e.seg)
 	}
+	s.events.appendWith(kind, hash, journal)
 }
 
 // addTombstone records a retraction until the certificate's expiry
-// (forever for unbounded certificates). seg is the WAL segment holding
-// the remove record backing it, 0 when not journaled.
-func (s *Store) addTombstone(key string, expiry time.Time, seg uint64) {
+// (forever for unbounded certificates).
+func (s *Store) addTombstone(key string, expiry time.Time) {
 	s.tmu.Lock()
-	if old, ok := s.tombstones[key]; ok {
-		s.segLiveDecr(old.seg)
-	}
-	s.tombstones[key] = tombstone{expiry: expiry, seg: seg}
+	s.tombstones[key] = expiry
 	s.tmu.Unlock()
-	s.segLiveIncr(seg)
-}
-
-// segLiveIncr counts one live record in seg; 0 (unjournaled) is ignored.
-func (s *Store) segLiveIncr(seg uint64) {
-	if seg == 0 {
-		return
-	}
-	s.segMu.Lock()
-	s.segLive[seg]++
-	s.segMu.Unlock()
-}
-
-// segLiveDecr retires one live record in seg.
-func (s *Store) segLiveDecr(seg uint64) {
-	if seg == 0 {
-		return
-	}
-	s.segMu.Lock()
-	if n := s.segLive[seg] - 1; n > 0 {
-		s.segLive[seg] = n
-	} else {
-		delete(s.segLive, seg)
-	}
-	s.segMu.Unlock()
-}
-
-// segLiveCount reads seg's live-record count.
-func (s *Store) segLiveCount(seg uint64) int64 {
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
-	return s.segLive[seg]
 }
 
 // Tombstoned reports whether the certificate hash was removed here and
@@ -607,11 +530,7 @@ func (s *Store) Tombstoned(hash []byte) bool {
 func (s *Store) tombstoneSnapshot() map[string]time.Time {
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
-	out := make(map[string]time.Time, len(s.tombstones))
-	for k, v := range s.tombstones {
-		out[k] = v.expiry
-	}
-	return out
+	return maps.Clone(s.tombstones)
 }
 
 // addLocked links an entry into every index. Caller holds the shard
@@ -670,7 +589,6 @@ func (s *Store) Sweep(now time.Time) int {
 		}
 		for _, e := range dead {
 			sh.dropLocked(e)
-			s.segLiveDecr(e.seg)
 			s.merkleDrop(e.hashKey)
 		}
 		n += len(dead)
@@ -679,10 +597,9 @@ func (s *Store) Sweep(now time.Time) int {
 	s.swept.Add(int64(n))
 	tombs := 0
 	s.tmu.Lock()
-	for k, t := range s.tombstones {
-		if !t.expiry.IsZero() && now.After(t.expiry) {
+	for k, exp := range s.tombstones {
+		if !exp.IsZero() && now.After(exp) {
 			delete(s.tombstones, k)
-			s.segLiveDecr(t.seg)
 			tombs++
 		}
 	}
@@ -705,12 +622,10 @@ func (s *Store) Sweep(now time.Time) int {
 // Each drop is journaled as a removal record and tombstoned (a peer
 // that has not seen the CRL must not gossip the certificate back in),
 // and emits one revoke event so subscribed provers shed their copies
-// too. The journal record is what keeps the tombstone durable under
-// incremental compaction: a threshold rewrite only preserves records
-// it knows are live, so an eviction must leave a record like any other
-// retraction. A journal failure does not block the eviction — locally
-// refusing to serve a revoked delegation outranks tombstone
-// durability.
+// too. The journal record is what makes the tombstone survive a
+// restart, like any other retraction's. A journal failure does not
+// block the eviction — locally refusing to serve a revoked delegation
+// outranks tombstone durability.
 func (s *Store) EvictRevoked(revoked func(certHash []byte, signer sfkey.PublicKey) bool) int {
 	if revoked == nil {
 		return 0
@@ -726,20 +641,16 @@ func (s *Store) EvictRevoked(revoked func(certHash []byte, signer sfkey.PublicKe
 			}
 		}
 		for _, e := range del {
-			var seg uint64
 			if s.wal != nil {
-				if sg, err := s.wal.AppendRemove([]byte(e.hashKey), e.expiry); err != nil {
+				if err := s.wal.appendRecord(removeRecord([]byte(e.hashKey), e.expiry)); err != nil {
 					s.walErrors.Add(1)
-				} else {
-					seg = sg
 				}
 			}
 			sh.dropLocked(e)
-			s.segLiveDecr(e.seg)
 			s.merkleDrop(e.hashKey)
 			// Under the shard lock, like Remove: a concurrent pull must
 			// see the entry or its tombstone, never neither.
-			s.addTombstone(e.hashKey, e.expiry, seg)
+			s.addTombstone(e.hashKey, e.expiry)
 		}
 		sh.mu.Unlock()
 		n += len(del)
@@ -755,131 +666,101 @@ func (s *Store) EvictRevoked(revoked func(certHash []byte, signer sfkey.PublicKe
 	return n
 }
 
-// compactAfterDrop compacts the WAL incrementally after entries were
-// dropped; errors are tolerated (the log is merely larger than
-// necessary and still replays to the correct state, because replay
-// itself drops expired certificates and Publish dedups).
+// compactAfterDrop compacts the WAL after entries were dropped, once
+// the log holds more than twice the live records. A compaction then
+// never writes more records than it reclaims, so its cost stays
+// amortised O(1) per append. Errors are tolerated (the log is merely
+// larger than necessary and still replays to the correct state,
+// because replay itself drops expired certificates and Publish dedups).
 func (s *Store) compactAfterDrop() {
-	if s.wal == nil {
+	if s.wal == nil || s.wal.recordCount() <= 2*s.liveRecords() {
 		return
 	}
-	if err := s.MaybeCompactWAL(); err != nil {
+	if err := s.CompactWAL(); err != nil {
 		s.walErrors.Add(1)
 	}
 }
 
-// liveFrames assembles, per requested segment, the WAL frames of that
-// segment's surviving records: indexed certificates whose publish
-// record lives there, live tombstones whose remove record lives there,
-// and retained events journaled there.
-//
-// No lock is held across the whole assembly, and none needs to be: the
-// requested segments are sealed, so a record's liveness can only
-// decrease concurrently — and every death (removal, eviction, ring
-// trim) appends its own record to the ACTIVE segment, which replays
-// after every sealed segment. A racing death at worst leaves its
-// victim in the rewritten segment as a dead record, replayed and then
-// overridden by the death record, exactly as if no rewrite had
-// happened.
-func (s *Store) liveFrames(ids []uint64) map[uint64][]sexp.Sexp {
-	want := make(map[uint64]bool, len(ids))
-	out := make(map[uint64][]sexp.Sexp, len(ids))
-	for _, id := range ids {
-		want[id] = true
-		out[id] = nil
-	}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, e := range sh.byHash {
-			if want[e.seg] {
-				out[e.seg] = append(out[e.seg], publishRecord(e.cert))
-			}
-		}
-		sh.mu.RUnlock()
-	}
+// liveRecords counts the records a compacted log holds: indexed
+// certificates, live tombstones and retained events.
+func (s *Store) liveRecords() int64 {
 	s.tmu.Lock()
-	for k, t := range s.tombstones {
-		if want[t.seg] {
-			out[t.seg] = append(out[t.seg], removeRecord([]byte(k), t.expiry))
-		}
-	}
+	tombs := len(s.tombstones)
 	s.tmu.Unlock()
-	events, boot := s.events.snapshotTail()
-	for _, ev := range events {
-		if want[ev.seg] {
-			out[ev.seg] = append(out[ev.seg], eventRecord(boot<<cursorSeqBits|ev.Seq, ev.Kind, ev.Hash))
-		}
-	}
-	return out
+	return int64(s.Len() + tombs + s.events.Len())
 }
 
-// CompactWAL forcibly compacts the whole attached log: the active
-// segment is sealed and every sealed segment is rewritten down to its
-// live records (empty ones are removed). No-op on a memory-only store.
-// Sweeps and evictions use the cheaper MaybeCompactWAL; this is the
-// full pass for recovery (dead or torn records must not outlive the
-// boot that detected them) and for explicit operator/test use.
+// CompactWAL rewrites the attached log as one base segment holding
+// exactly the live records — indexed certificates, live tombstones and
+// retained events — followed by a fresh active segment. No-op on a
+// memory-only store. Sweeps and evictions call it once the log has
+// grown past twice the live records; recovery calls it so dead or torn
+// records do not outlive the boot that detected them.
+//
+// The cut is one instant: with every shard lock (read), the tombstone
+// lock and the event lock held — the locks every journaling mutation
+// appends under — the active segment is sealed and the live set
+// copied. A record therefore sits in the new base or in the new active
+// segment, never in both and never in neither. The file I/O runs after
+// the locks are released (WAL.commitBase); compactMu keeps one
+// compaction at a time.
 func (s *Store) CompactWAL() error {
 	if s.wal == nil {
 		return nil
 	}
-	if err := s.wal.rotateIfNonEmpty(); err != nil {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	sealed, cut, frames, err := s.cutWAL()
+	if err != nil {
 		return err
 	}
-	sealed := s.wal.sealedSegments()
-	ids := make([]uint64, len(sealed))
-	for i, sg := range sealed {
-		ids[i] = sg.id
-	}
-	frames := s.liveFrames(ids)
-	for _, id := range ids {
-		if err := s.wal.RewriteSegment(id, frames[id]); err != nil {
-			return err
-		}
-	}
-	s.wal.noteCompaction()
-	return nil
+	return s.wal.commitBase(sealed, cut, frames)
 }
 
-// MaybeCompactWAL rewrites only the segments whose live-record ratio
-// has fallen below the compaction threshold — the incremental pass
-// that keeps compaction I/O proportional to reclaimable garbage
-// instead of to store size. The active segment is first sealed if it
-// is itself mostly dead, so its garbage becomes reclaimable too.
-func (s *Store) MaybeCompactWAL() error {
-	if s.wal == nil {
-		return nil
+// cutWAL seals the active segment and copies the live set at one
+// instant (see CompactWAL), then renders the copy as the base's
+// frames with no lock held.
+func (s *Store) cutWAL() (sealed uint64, cut int64, frames []sexp.Sexp, err error) {
+	var (
+		certs  []*cert.Cert
+		tombs  map[string]time.Time
+		events []Event
+		boot   uint64
+	)
+	for _, sh := range s.shards {
+		sh.mu.RLock()
 	}
-	th := s.compactThreshold
-	if th <= 0 {
-		th = DefaultCompactThreshold
-	}
-	if act, records := s.wal.activeInfo(); records > 0 &&
-		float64(s.segLiveCount(act)) < th*float64(records) {
-		if err := s.wal.rotateIfNonEmpty(); err != nil {
-			return err
+	s.tmu.Lock()
+	s.events.mu.Lock()
+	sealed, cut, err = s.wal.seal()
+	if err == nil {
+		for _, sh := range s.shards {
+			for _, e := range sh.byHash {
+				certs = append(certs, e.cert)
+			}
 		}
+		tombs = maps.Clone(s.tombstones)
+		events, boot = slices.Clone(s.events.ring), s.events.boot
 	}
-	var ids []uint64
-	for _, sg := range s.wal.sealedSegments() {
-		if sg.records < 0 {
-			continue // contents unknown (opened without replay); CompactWAL handles
-		}
-		if sg.records == 0 || float64(s.segLiveCount(sg.id)) < th*float64(sg.records) {
-			ids = append(ids, sg.id)
-		}
+	s.events.mu.Unlock()
+	s.tmu.Unlock()
+	for _, sh := range s.shards {
+		sh.mu.RUnlock()
 	}
-	if len(ids) == 0 {
-		return nil
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	frames := s.liveFrames(ids)
-	for _, id := range ids {
-		if err := s.wal.RewriteSegment(id, frames[id]); err != nil {
-			return err
-		}
+	frames = make([]sexp.Sexp, 0, len(certs)+len(tombs)+len(events))
+	for _, c := range certs {
+		frames = append(frames, publishRecord(c))
 	}
-	s.wal.noteCompaction()
-	return nil
+	for k, exp := range tombs {
+		frames = append(frames, removeRecord([]byte(k), exp))
+	}
+	for _, ev := range events {
+		frames = append(frames, eventRecord(boot<<cursorSeqBits|ev.Seq, ev.Kind, ev.Hash))
+	}
+	return sealed, cut, frames, nil
 }
 
 // CloseWAL syncs and closes the attached log (no-op when memory-only).

@@ -22,9 +22,10 @@ import (
 // accepted publish and every removal is appended as one framed
 // S-expression (sexp.AppendFrame: length prefix + CRC32 + canonical
 // payload) before the mutation is acknowledged, and OpenDurable
-// replays the log into a fresh Store on startup. Three record shapes
+// replays the log into a fresh Store on startup. Four record shapes
 // appear on disk:
 //
+//	(wal-base)
 //	(wal-publish <signed-certificate proof>)
 //	(wal-remove <cert hash> <expiry unix seconds, "0" if unbounded>)
 //	(wal-event <cursor token> <kind> <cert hash>)
@@ -37,26 +38,26 @@ import (
 // the certificate would have expired anyway. Event records mirror the
 // EventLog tail so subscriber cursors stay valid across a restart.
 //
-// # Segments
+// # Base and active segments
 //
-// The log is a sequence of numbered segment files
-// (certdir-00000001.wal, certdir-00000002.wal, ...): appends go to the
-// highest-numbered (active) segment, and when it reaches the
-// configured size the segment is sealed and a new one started. Record
-// order across the log is segment order — a record in segment k
-// happened before every record in segment k+1 — so replay walks the
-// segments in ascending id order.
+// The log lives in numbered segment files (certdir-00000001.wal, ...):
+// an optional base segment, which opens with a (wal-base) frame and
+// holds exactly the live records at the moment it was cut, followed by
+// the active segment that takes appends. Replay starts at the
+// highest-numbered segment that opens with (wal-base) — or at the
+// lowest segment when none does — and walks the rest in ascending id
+// order.
 //
-// Sealing is what makes compaction incremental: a sealed segment's
-// records can only *die* (a certificate is removed, a tombstone
-// expires, an event falls off the retained ring — each of which
-// appends its own record to the active segment), never gain liveness,
-// so a sealed segment can be rewritten down to just its live records
-// without any coordination with concurrent appends. The Store tracks
-// per-segment live-record counts and rewrites only segments whose live
-// ratio falls below a threshold (MaybeCompactWAL), instead of the
-// whole log. Each rewrite keeps today's crash discipline: temp file,
-// fsync, atomic rename, directory sync.
+// Compaction (Store.CompactWAL) is the only thing that starts a new
+// segment. It seals the active segment and copies the live set at one
+// instant, so every record belongs either to the new base or to the
+// new active segment, never to both. Then, with no store lock held, it
+// writes the base to a *.compact temp, fsyncs it, renames it over the
+// segment it just sealed and fsyncs the directory. That rename is the
+// one commit point: before it the old segments are the log, after it
+// the new base and the active segment are, and the older segments the
+// base supersedes are deleted (at open too, should a crash have left
+// them behind, along with orphaned temps).
 //
 // Segments are the only layout. A data directory holding a single-file
 // certdir.wal — what releases before segmentation wrote — is refused
@@ -65,42 +66,11 @@ import (
 
 // Wire tags of the WAL record shapes.
 const (
+	walTagBase    = "wal-base"
 	walTagPublish = "wal-publish"
 	walTagRemove  = "wal-remove"
 	walTagEvent   = "wal-event"
 )
-
-// DefaultSegmentBytes is the rotation threshold when WALOptions does
-// not set one: big enough that a segment amortizes its per-file cost
-// over thousands of records, small enough that one rewrite is a few
-// milliseconds of I/O.
-const DefaultSegmentBytes = 4 << 20
-
-// DefaultCompactThreshold is the live-ratio below which a sealed
-// segment is rewritten by MaybeCompactWAL: at 0.5 a segment is
-// compacted once most of it is dead, so compaction I/O is always
-// reclaiming at least as many bytes as it writes.
-const DefaultCompactThreshold = 0.5
-
-// WALOptions tunes the segmented log; the zero value means defaults.
-type WALOptions struct {
-	// SegmentBytes is the size at which the active segment is sealed
-	// and a new one started (-wal-segment-bytes).
-	SegmentBytes int64
-	// CompactThreshold is the live-record ratio below which a sealed
-	// segment is rewritten (-compact-threshold).
-	CompactThreshold float64
-}
-
-func (o WALOptions) withDefaults() WALOptions {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.CompactThreshold <= 0 {
-		o.CompactThreshold = DefaultCompactThreshold
-	}
-	return o
-}
 
 // walSegmentName is the file name of segment id.
 func walSegmentName(id uint64) string {
@@ -140,12 +110,16 @@ func listSegments(dir string) ([]uint64, error) {
 	return ids, nil
 }
 
+// segmentPath is the path of segment id in dir.
+func segmentPath(dir string, id uint64) string {
+	return filepath.Join(dir, walSegmentName(id))
+}
+
 // refuseLegacyWAL fails the open of a data directory that holds a
 // pre-segmentation single-file log. Nothing reads that name any more,
 // so opening past it would acknowledge an empty directory while the
 // operator's delegations sit unread beside the new segments.
-// OpenWALOpts calls it before it creates or truncates anything, which
-// covers OpenDurable too: replay only reads.
+// OpenDurable calls it before it creates, reads or deletes anything.
 func refuseLegacyWAL(dir string) error {
 	legacy := filepath.Join(dir, "certdir.wal")
 	if _, err := os.Stat(legacy); err == nil {
@@ -202,121 +176,67 @@ func (p SyncPolicy) String() string {
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
-// segmentMeta is the WAL's bookkeeping for one segment file. records
-// is the total frame count (live or dead) when known, -1 when the
-// segment predates this process and was opened without replay; the
-// live-ratio compactor skips unknowns (a forced CompactWAL still
-// rewrites them).
-type segmentMeta struct {
-	size    int64
-	records int64
-}
-
-// WAL is the segmented append log backing a durable Store. All methods
-// are safe for concurrent use. Construct through OpenDurable (which
-// also replays), or OpenWALOpts for direct control in tests and tools.
+// WAL is the append log backing a durable Store: an optional base
+// segment plus the active one. All methods are safe for concurrent
+// use. OpenDurable constructs it after replaying the segments.
 type WAL struct {
-	mu           sync.Mutex
-	dir          string
-	policy       SyncPolicy
-	segmentBytes int64
-	active       uint64 // highest segment id; the one taking appends
-	f            *os.File
-	segs         map[uint64]*segmentMeta
+	mu      sync.Mutex
+	dir     string
+	policy  SyncPolicy
+	active  uint64 // highest segment id; the one taking appends
+	f       *os.File
+	sizes   map[uint64]int64 // bytes per segment file
+	records int64            // records in the log, live or dead
 
 	appends     atomic.Int64
 	syncs       atomic.Int64
 	compactions atomic.Int64
-	rotations   atomic.Int64
-	size        atomic.Int64 // total bytes across all segments
 }
 
 // WALStats is a snapshot of the log's counters for the stats endpoint.
 type WALStats struct {
-	Path        string // active segment file
-	SizeBytes   int64  // total log size across segments
-	Segments    int    // segment file count
-	Appends     int64  // records appended since open
-	Syncs       int64  // explicit fsyncs issued
-	Compactions int64  // compaction passes (forced or threshold)
-	Rotations   int64  // active-segment seals
+	SizeBytes   int64 // total log size across segments
+	Segments    int   // segment file count
+	Appends     int64 // records appended since open
+	Syncs       int64 // explicit fsyncs issued
+	Compactions int64 // committed compactions
 }
 
-// OpenWALOpts opens the segmented log in dir for appending, without
-// replaying it. truncateAt >= 0 cuts the LAST segment to that many
-// bytes — OpenDurable uses it to drop a torn tail.
-func OpenWALOpts(dir string, policy SyncPolicy, truncateAt int64, opts WALOptions) (*WAL, error) {
-	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("certdir: wal dir: %w", err)
-	}
-	if err := refuseLegacyWAL(dir); err != nil {
-		return nil, err
-	}
-	// A crash during a segment rewrite can leave a temp file behind;
-	// the rename never happened, so the original segment is intact and
-	// the temp is garbage.
-	if tmps, err := filepath.Glob(filepath.Join(dir, "*.compact")); err == nil {
-		for _, p := range tmps {
-			os.Remove(p)
-		}
-	}
-	ids, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
+// openWAL opens the log for appending once OpenDurable has replayed
+// segments ids (ascending, starting at the base; empty for a fresh
+// directory) and counted records in them. truncateAt >= 0 cuts the
+// last segment to that many bytes, dropping a torn tail.
+func openWAL(dir string, policy SyncPolicy, ids []uint64, truncateAt, records int64) (*WAL, error) {
 	if len(ids) == 0 {
 		ids = []uint64{1}
 	}
 	last := ids[len(ids)-1]
 	if truncateAt >= 0 {
-		if err := os.Truncate(filepath.Join(dir, walSegmentName(last)), truncateAt); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := os.Truncate(segmentPath(dir, last), truncateAt); err != nil {
 			return nil, fmt.Errorf("certdir: wal truncate: %w", err)
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(dir, walSegmentName(last)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(segmentPath(dir, last), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("certdir: wal open: %w", err)
 	}
-	// Persist the directory entry of a freshly created segment: fsync
-	// on the file alone does not make its name durable.
+	// Persist the directory entry of a freshly created segment (and
+	// OpenDurable's deletions): fsync on the file alone does not make its
+	// name durable.
 	if err := syncDir(dir); err != nil {
 		f.Close()
 		return nil, err
 	}
-	w := &WAL{
-		dir:          dir,
-		policy:       policy,
-		segmentBytes: opts.SegmentBytes,
-		active:       last,
-		f:            f,
-		segs:         make(map[uint64]*segmentMeta, len(ids)),
-	}
-	var total int64
+	w := &WAL{dir: dir, policy: policy, active: last, f: f, sizes: make(map[uint64]int64, len(ids)), records: records}
 	for _, id := range ids {
-		var size int64
-		if st, err := os.Stat(filepath.Join(dir, walSegmentName(id))); err == nil {
-			size = st.Size()
-		} else if !errors.Is(err, os.ErrNotExist) {
+		st, err := os.Stat(segmentPath(dir, id))
+		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("certdir: wal stat: %w", err)
 		}
-		m := &segmentMeta{size: size, records: -1}
-		if size == 0 {
-			m.records = 0
-		}
-		w.segs[id] = m
-		total += size
+		w.sizes[id] = st.Size()
 	}
-	w.size.Store(total)
 	return w, nil
-}
-
-// Path returns the active segment's file path.
-func (w *WAL) Path() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return filepath.Join(w.dir, walSegmentName(w.active))
 }
 
 // syncDir fsyncs a directory so renames and creations inside it are
@@ -336,103 +256,156 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// appendRecord frames and writes one record under the chosen sync
-// policy, sealing the active segment first when it is full, and
-// returns the segment id the record landed in. An error means the
-// record may not be durable and the caller must not apply (or
-// acknowledge) the mutation it describes.
-func (w *WAL) appendRecord(e sexp.Sexp) (uint64, error) {
+// appendRecord frames and writes one record to the active segment
+// under the chosen sync policy. An error means the record may not be
+// durable and the caller must not apply (or acknowledge) the mutation
+// it describes.
+func (w *WAL) appendRecord(e sexp.Sexp) error {
 	buf := sexp.AppendFrame(nil, e)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return 0, fmt.Errorf("certdir: wal is closed")
-	}
-	if w.segs[w.active].size >= w.segmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := w.f.Write(buf); err != nil {
-		return 0, fmt.Errorf("certdir: wal append: %w", err)
-	}
-	m := w.segs[w.active]
-	m.size += int64(len(buf))
-	if m.records >= 0 {
-		m.records++
-	}
-	w.appends.Add(1)
-	w.size.Add(int64(len(buf)))
-	if w.policy == SyncAlways {
-		w.syncs.Add(1)
-		if err := w.f.Sync(); err != nil {
-			return 0, fmt.Errorf("certdir: wal sync: %w", err)
-		}
-	}
-	return w.active, nil
-}
-
-// rotateLocked seals the active segment and starts the next one.
-// No-op on an empty active segment. Caller holds w.mu.
-func (w *WAL) rotateLocked() error {
-	if w.segs[w.active].size == 0 {
-		return nil
-	}
-	// Flush the sealed segment before moving on: from here it is only
-	// ever rewritten whole, never appended to.
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("certdir: wal rotate sync: %w", err)
-	}
-	next := w.active + 1
-	f, err := os.OpenFile(filepath.Join(w.dir, walSegmentName(next)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("certdir: wal rotate: %w", err)
-	}
-	if err := syncDir(w.dir); err != nil {
-		f.Close()
-		return err
-	}
-	w.f.Close()
-	w.f = f
-	w.active = next
-	w.segs[next] = &segmentMeta{records: 0}
-	w.rotations.Add(1)
-	return nil
-}
-
-// rotateIfNonEmpty seals the active segment if it holds anything;
-// forced compaction uses it so the whole log becomes rewritable.
-func (w *WAL) rotateIfNonEmpty() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("certdir: wal is closed")
 	}
-	return w.rotateLocked()
+	if _, err := w.f.Write(buf); err != nil {
+		return fmt.Errorf("certdir: wal append: %w", err)
+	}
+	w.sizes[w.active] += int64(len(buf))
+	w.records++
+	w.appends.Add(1)
+	if w.policy == SyncAlways {
+		w.syncs.Add(1)
+		if err := w.f.Sync(); err != nil {
+			return fmt.Errorf("certdir: wal sync: %w", err)
+		}
+	}
+	return nil
 }
 
-// AppendPublish logs an accepted publish, returning the segment the
-// record landed in.
-func (w *WAL) AppendPublish(c *cert.Cert) (uint64, error) {
-	return w.appendRecord(publishRecord(c))
+// seal ends the active segment and starts the next one, returning the
+// sealed segment's id and the record count at the cut. The store calls
+// it with every lock a journaling mutation holds, so no record lands
+// on the wrong side of the cut.
+func (w *WAL) seal() (sealed uint64, records int64, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil {
+		return 0, 0, fmt.Errorf("certdir: wal is closed")
+	}
+	// Flush the sealed segment before moving on: no later Sync reaches
+	// it, and records after the cut must not outlive records before it.
+	if err := w.f.Sync(); err != nil {
+		return 0, 0, fmt.Errorf("certdir: wal seal: %w", err)
+	}
+	next := w.active + 1
+	f, err := os.OpenFile(segmentPath(w.dir, next), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return 0, 0, fmt.Errorf("certdir: wal seal: %w", err)
+	}
+	if err := syncDir(w.dir); err != nil {
+		f.Close()
+		return 0, 0, err
+	}
+	w.f.Close()
+	w.f = f
+	sealed, w.active = w.active, next
+	w.sizes[next] = 0
+	return sealed, w.records, nil
 }
 
-// AppendRemove logs a removal together with the removed certificate's
-// expiry (zero time for unbounded), which bounds the tombstone's life.
-func (w *WAL) AppendRemove(hash []byte, expiry time.Time) (uint64, error) {
-	return w.appendRecord(removeRecord(hash, expiry))
+// commitBase makes frames the log's base: written after a (wal-base)
+// frame to a temp file, fsynced, renamed over the sealed segment, and
+// the directory fsynced — the commit point. Every older segment is
+// then deleted. cut is the record count seal reported; records
+// appended since stay counted. Appends proceed meanwhile: they go to
+// the active segment, which this never touches.
+func (w *WAL) commitBase(sealed uint64, cut int64, frames []sexp.Sexp) error {
+	path := segmentPath(w.dir, sealed)
+	tmp := path + ".compact"
+	size, err := writeBase(tmp, frames)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("certdir: wal compact: %w", err)
+	}
+	// Until the directory is synced the rename may not survive a power
+	// cut, and deleting the segments it supersedes would lose both.
+	if err := syncDir(w.dir); err != nil {
+		return err
+	}
+	var old []uint64
+	w.mu.Lock()
+	w.records += int64(len(frames)) - cut
+	w.sizes[sealed] = size
+	for id := range w.sizes {
+		if id < sealed {
+			old = append(old, id)
+			delete(w.sizes, id)
+		}
+	}
+	w.mu.Unlock()
+	// A segment that fails to go is superseded all the same; the next
+	// open deletes it.
+	for _, id := range old {
+		os.Remove(segmentPath(w.dir, id))
+	}
+	w.compactions.Add(1)
+	return nil
 }
 
-// AppendEvent logs one EventLog entry (cursor token, kind, hash) so
-// subscriber cursors survive a restart.
-func (w *WAL) AppendEvent(token uint64, kind string, hash []byte) (uint64, error) {
-	return w.appendRecord(eventRecord(token, kind, hash))
+// writeBase writes a base segment — a (wal-base) frame, then frames —
+// to path and fsyncs it, returning its size.
+func writeBase(path string, frames []sexp.Sexp) (size int64, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	bw := bufio.NewWriter(f)
+	var buf []byte
+	write := func(e sexp.Sexp) {
+		if err == nil {
+			buf = sexp.AppendFrame(buf[:0], e)
+			size += int64(len(buf))
+			_, err = bw.Write(buf)
+		}
+	}
+	write(baseRecord())
+	for _, e := range frames {
+		write(e)
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return size, err
 }
 
-// The publish and remove frames are shared by the WAL and the snapshot
-// stream; these four functions are the only code that knows their
-// layout. The decoders deep-copy what they return, so a caller may
-// recycle the buffer the frame was parsed from.
+// recordCount reports how many records the log holds, live or dead:
+// those replayed at open or written by the last committed base, plus
+// those appended since.
+func (w *WAL) recordCount() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.records
+}
+
+// The functions below are the only code that knows the record
+// layouts; the publish and remove frames are shared by the WAL and the
+// snapshot stream. The decoders deep-copy what they return, so a
+// caller may recycle the buffer the frame was parsed from.
+
+func baseRecord() sexp.Sexp { return sexp.List(sexp.String(walTagBase)) }
+
+// isBaseRecord reports whether e is the (wal-base) frame that opens a
+// base segment.
+func isBaseRecord(e sexp.Sexp) bool { return e.Tag() == walTagBase && e.Len() == 1 }
 
 func publishRecord(c *cert.Cert) sexp.Sexp {
 	return sexp.List(sexp.String(walTagPublish), c.Sexp())
@@ -486,6 +459,23 @@ func eventRecord(token uint64, kind string, hash []byte) sexp.Sexp {
 		sexp.String(strconv.FormatUint(token, 10)), sexp.String(kind), sexp.Atom(hash))
 }
 
+// decodeEvent extracts the cursor token, kind and certificate hash
+// from a wal-event frame. The token must carry both a boot nonce and a
+// sequence number (see EventLog), and the kind must be one the log
+// emits.
+func decodeEvent(e sexp.Sexp) (token uint64, kind string, hash []byte, err error) {
+	if e.Tag() != walTagEvent || e.Len() != 4 || !e.Nth(3).IsAtom() {
+		return 0, "", nil, fmt.Errorf("certdir: bad event frame %s", e)
+	}
+	token, err = strconv.ParseUint(e.Nth(1).Text(), 10, 64)
+	kind = e.Nth(2).Text()
+	if err != nil || token>>cursorSeqBits == 0 || token&(1<<cursorSeqBits-1) == 0 ||
+		(kind != EventRemove && kind != EventRevoke) {
+		return 0, "", nil, fmt.Errorf("certdir: bad event frame %s", e)
+	}
+	return token, kind, append([]byte(nil), e.Nth(3).Bytes()...), nil
+}
+
 // Sync forces buffered records to stable storage. Under SyncInterval
 // the owner calls it on a timer; under SyncAlways it is a no-op beyond
 // what every append already did.
@@ -514,143 +504,18 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// segmentInfo is a point-in-time view of one segment for the Store's
-// compaction planner.
-type segmentInfo struct {
-	id      uint64
-	size    int64
-	records int64 // -1 when unknown
-}
-
-// sealedSegments lists every non-active segment, ascending.
-func (w *WAL) sealedSegments() []segmentInfo {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]segmentInfo, 0, len(w.segs))
-	for id, m := range w.segs {
-		if id != w.active {
-			out = append(out, segmentInfo{id: id, size: m.size, records: m.records})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// activeInfo reports the active segment's id and known record count
-// (-1 when opened without replay).
-func (w *WAL) activeInfo() (id uint64, records int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.active, w.segs[w.active].records
-}
-
-// setReplayRecords installs per-segment total frame counts discovered
-// during replay, making those segments eligible for threshold
-// compaction.
-func (w *WAL) setReplayRecords(counts map[uint64]int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for id, n := range counts {
-		if m, ok := w.segs[id]; ok {
-			m.records = n
-		}
-	}
-}
-
-// noteCompaction counts one compaction pass (however many segments it
-// rewrote).
-func (w *WAL) noteCompaction() { w.compactions.Add(1) }
-
-// RewriteSegment atomically replaces a sealed segment with exactly the
-// given frames (its surviving live records), or removes the file when
-// none survive. The rewrite goes to a temp file first and replaces the
-// segment by rename, so a crash during compaction leaves either the
-// old segment or the new one, never a mix. The active segment cannot
-// be rewritten — seal it first (rotateIfNonEmpty).
-func (w *WAL) RewriteSegment(seg uint64, frames []sexp.Sexp) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("certdir: wal is closed")
-	}
-	if seg == w.active {
-		return fmt.Errorf("certdir: cannot rewrite active segment %d", seg)
-	}
-	m, ok := w.segs[seg]
-	if !ok {
-		return nil // already compacted away
-	}
-	path := filepath.Join(w.dir, walSegmentName(seg))
-	if len(frames) == 0 {
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("certdir: wal segment remove: %w", err)
-		}
-		if err := syncDir(w.dir); err != nil {
-			return err
-		}
-		w.size.Add(-m.size)
-		delete(w.segs, seg)
-		return nil
-	}
-	tmpPath := path + ".compact"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return fmt.Errorf("certdir: wal rewrite: %w", err)
-	}
-	bw := bufio.NewWriter(tmp)
-	var size int64
-	for _, e := range frames {
-		buf := sexp.AppendFrame(nil, e)
-		size += int64(len(buf))
-		if _, err := bw.Write(buf); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("certdir: wal rewrite: %w", err)
-		}
-	}
-	if err := bw.Flush(); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("certdir: wal rewrite: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("certdir: wal rewrite: %w", err)
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("certdir: wal rewrite: %w", err)
-	}
-	// The rename is not durable until the directory is synced: without
-	// this, a power cut could resurrect the pre-compaction segment and
-	// with it records the rewrite deliberately dropped.
-	if err := syncDir(w.dir); err != nil {
-		return err
-	}
-	w.size.Add(size - m.size)
-	m.size = size
-	m.records = int64(len(frames))
-	return nil
-}
-
 // Stats returns a snapshot of the log counters.
 func (w *WAL) Stats() WALStats {
 	w.mu.Lock()
-	path := filepath.Join(w.dir, walSegmentName(w.active))
-	segments := len(w.segs)
-	w.mu.Unlock()
-	return WALStats{
-		Path:        path,
-		SizeBytes:   w.size.Load(),
-		Segments:    segments,
-		Appends:     w.appends.Load(),
-		Syncs:       w.syncs.Load(),
-		Compactions: w.compactions.Load(),
-		Rotations:   w.rotations.Load(),
+	st := WALStats{Segments: len(w.sizes)}
+	for _, n := range w.sizes {
+		st.SizeBytes += n
 	}
+	w.mu.Unlock()
+	st.Appends = w.appends.Load()
+	st.Syncs = w.syncs.Load()
+	st.Compactions = w.compactions.Load()
+	return st
 }
 
 // RecoveryStats reports what OpenDurable found in the log.
@@ -660,51 +525,64 @@ type RecoveryStats struct {
 	Replayed int
 	// Dropped counts records the replay skipped: certificates that
 	// expired since they were logged, duplicates, and records that no
-	// longer verify. Dropping is expected hygiene, not data loss.
+	// longer verify or do not decode. Dropping is expected hygiene, not
+	// data loss.
 	Dropped int
 	// Events counts EventLog entries restored from event records.
 	Events int
 	// Torn reports that a segment ended mid-record — the signature of
-	// a crash during an append or a rewrite. A torn tail in the last
-	// segment is truncated away; a torn earlier segment is compacted.
+	// a crash during an append. A torn tail in the last segment is
+	// truncated away; a torn earlier segment is compacted.
 	Torn bool
 	// Compacted reports that the log was rewritten after replay
 	// because it contained torn or dead records.
 	Compacted bool
 }
 
-// OpenDurable opens a WAL-backed directory rooted at dir with default
-// segment options: it replays the segments (creating the first as
-// needed) into a fresh Store with n shards, truncates any torn tail,
-// attaches the log so subsequent publishes and removals are journaled,
-// and compacts the log when the replay found anything dead. Traffic
-// counters are reset after replay so Stats reflects traffic since this
-// open, not since the log began.
+// OpenDurable opens a WAL-backed directory rooted at dir: it replays
+// the log (from its base, if it has one) into a fresh Store with n
+// shards, truncates any torn tail, attaches the log so subsequent
+// publishes and removals are journaled, and compacts the log when the
+// replay found anything torn or dead. Traffic counters are reset after
+// replay so Stats reflects traffic since this open, not since the log
+// began.
 func OpenDurable(dir string, n int, policy SyncPolicy, now time.Time) (*Store, RecoveryStats, error) {
-	return OpenDurableOpts(dir, n, policy, now, WALOptions{})
-}
-
-// OpenDurableOpts is OpenDurable with explicit segment options.
-func OpenDurableOpts(dir string, n int, policy SyncPolicy, now time.Time, opts WALOptions) (*Store, RecoveryStats, error) {
-	opts = opts.withDefaults()
 	st := NewStore(n)
-	st.compactThreshold = opts.CompactThreshold
 	var rec RecoveryStats
+	if err := refuseLegacyWAL(dir); err != nil {
+		return nil, rec, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rec, fmt.Errorf("certdir: wal dir: %w", err)
+	}
+	// A crash mid-compaction leaves a *.compact temp behind; its rename
+	// never happened, so it was never the log.
+	if tmps, err := filepath.Glob(filepath.Join(dir, "*.compact")); err == nil {
+		for _, p := range tmps {
+			os.Remove(p)
+		}
 	}
 	ids, err := listSegments(dir)
 	if err != nil {
 		return nil, rec, err
 	}
+	// Segments below the base were superseded when it was committed; a
+	// crash before their deletion leaves them behind.
+	base := baseIndex(dir, ids)
+	for _, id := range ids[:base] {
+		if err := os.Remove(segmentPath(dir, id)); err != nil {
+			return nil, rec, fmt.Errorf("certdir: wal segment remove: %w", err)
+		}
+	}
+	ids = ids[base:]
 	truncateAt := int64(-1)
-	counts := make(map[uint64]int64, len(ids))
+	var records int64
 	for i, id := range ids {
-		good, frames, torn, err := replaySegment(st, filepath.Join(dir, walSegmentName(id)), id, now, &rec)
+		good, frames, torn, err := replaySegment(st, segmentPath(dir, id), now, &rec)
 		if err != nil {
 			return nil, rec, err
 		}
-		counts[id] = frames
+		records += frames
 		if torn {
 			rec.Torn = true
 			if i == len(ids)-1 {
@@ -712,15 +590,14 @@ func OpenDurableOpts(dir string, n int, policy SyncPolicy, now time.Time, opts W
 			}
 			// A tear in an earlier segment cannot be truncated away
 			// (later segments hold acknowledged records); the
-			// post-replay compaction rewrites the damaged segment from
-			// the replayed state instead.
+			// post-replay compaction rewrites the log from the replayed
+			// state instead.
 		}
 	}
-	w, err := OpenWALOpts(dir, policy, truncateAt, opts)
+	w, err := openWAL(dir, policy, ids, truncateAt, records)
 	if err != nil {
 		return nil, rec, err
 	}
-	w.setReplayRecords(counts)
 	st.attachWAL(w)
 	st.resetStats()
 	if rec.Torn || rec.Dropped > 0 {
@@ -732,10 +609,29 @@ func OpenDurableOpts(dir string, n int, policy SyncPolicy, now time.Time, opts W
 	return st, rec, nil
 }
 
+// baseIndex returns the index in ids of the highest-numbered segment
+// that opens with a (wal-base) frame; 0 when none does.
+func baseIndex(dir string, ids []uint64) int {
+	for i := len(ids) - 1; i > 0; i-- {
+		f, err := os.Open(segmentPath(dir, ids[i]))
+		if err != nil {
+			continue
+		}
+		var fr sexp.FrameReader
+		e, _, err := fr.Next(f)
+		f.Close()
+		if err == nil && isBaseRecord(e) {
+			return i
+		}
+	}
+	return 0
+}
+
 // replaySegment streams one segment into the store, returning the byte
-// offset of the last good frame, the frame count, and whether a torn
-// tail was found. The store must not have a WAL attached yet: replay
-// re-applies history, it does not write it.
+// offset of the last good frame, the record count (a leading
+// (wal-base) frame is not a record), and whether a torn tail was
+// found. The store must not have a WAL attached yet: replay re-applies
+// history, it does not write it.
 //
 // Records stream through one sexp.FrameReader (a reusable payload
 // buffer and parse arena instead of per-record allocations; the typed
@@ -743,7 +639,7 @@ func OpenDurableOpts(dir string, n int, policy SyncPolicy, now time.Time, opts W
 // consecutive publishes are indexed in verified batches
 // (Store.indexVerified). A removal or event flushes the pending batch
 // first — log order is publish order.
-func replaySegment(st *Store, path string, seg uint64, now time.Time, rec *RecoveryStats) (good, frames int64, torn bool, err error) {
+func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (good, frames int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, 0, false, nil
@@ -758,7 +654,7 @@ func replaySegment(st *Store, path string, seg uint64, now time.Time, rec *Recov
 	flush := func() {
 		// Expired-in-the-meantime certificates, duplicates and bad
 		// signatures are dropped here and compacted away.
-		added, _ := st.indexVerified(batch, now, false, seg)
+		added, _ := st.indexVerified(batch, now, false, true)
 		rec.Replayed += added
 		rec.Dropped += len(batch) - added
 		batch = batch[:0]
@@ -777,7 +673,11 @@ func replaySegment(st *Store, path string, seg uint64, now time.Time, rec *Recov
 			flush()
 			return good, frames, false, fmt.Errorf("certdir: wal replay: %w", err)
 		}
+		first := good == 0
 		good += int64(n)
+		if first && isBaseRecord(e) {
+			continue // the marker that opens a base is not a record
+		}
 		frames++
 		switch e.Tag() {
 		case walTagPublish:
@@ -797,21 +697,16 @@ func replaySegment(st *Store, path string, seg uint64, now time.Time, rec *Recov
 				rec.Dropped++
 				continue
 			}
-			st.replayRemove(hash, expiry, now, seg)
+			st.replayRemove(hash, expiry, now)
 			rec.Replayed++
 		case walTagEvent:
 			flush() // events observe the mutations logged before them
-			if e.Len() != 4 || !e.Nth(3).IsAtom() {
+			token, kind, hash, err := decodeEvent(e)
+			if err != nil {
 				rec.Dropped++
 				continue
 			}
-			token, terr := strconv.ParseUint(e.Nth(1).Text(), 10, 64)
-			kind := e.Nth(2).Text()
-			if terr != nil || token == 0 || (kind != EventRemove && kind != EventRevoke) {
-				rec.Dropped++
-				continue
-			}
-			st.restoreEvent(token, kind, e.Nth(3).Bytes(), seg)
+			st.events.restore(token, kind, hash)
 			rec.Events++
 		default:
 			rec.Dropped++

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -375,34 +377,81 @@ func TestOpenDurableRefusesLegacyWAL(t *testing.T) {
 	}
 }
 
-// TestWALCompactDuringPublishes hammers Publish concurrently with
-// compactions: every acknowledged publish must survive the log
-// rewrites (the snapshot-vs-append race), verified by replaying into
-// a fresh store. Run under -race in CI.
+// TestWALCompactDuringPublishes hammers Publish and Remove from
+// several goroutines concurrently with compactions: every acknowledged
+// mutation must survive the log rewrites exactly once (the cut-vs-append
+// race: a record in both the base and the active segment replays as a
+// dropped duplicate), verified by replaying into a fresh store. Run
+// under -race in CI.
 func TestWALCompactDuringPublishes(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Now()
-	certs := walCorpus(t, "wal-race", 60, core.Until(now.Add(time.Hour)))
+	certs := walCorpus(t, "wal-race", 240, core.Until(now.Add(time.Hour)))
 
 	st, _, err := OpenDurable(dir, 4, SyncNever, now)
 	if err != nil {
 		t.Fatal(err)
 	}
+	copies := t.TempDir()
+	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 40; i++ {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				if i >= 40 {
+					return
+				}
+			default:
+			}
 			if err := st.CompactWAL(); err != nil {
 				t.Error(err)
 				return
 			}
+			// Each cut must hold on its own: a later compaction would
+			// rewrite away a record this one put on both sides.
+			snap := filepath.Join(copies, strconv.Itoa(i))
+			if err := os.Mkdir(snap, 0o755); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := copyFiles(snap, dir); err != nil {
+				t.Error(err)
+				return
+			}
+			re, rec, err := OpenDurable(snap, 4, SyncNever, now)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			re.CloseWAL()
+			if rec.Dropped != 0 {
+				t.Errorf("replay after compaction %d = %+v, want nothing dropped", i, rec)
+				return
+			}
 		}
 	}()
-	for _, c := range certs {
-		if _, err := st.Publish(c, now); err != nil {
-			t.Fatal(err)
-		}
+	const writers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(certs); i += writers {
+				if _, err := st.Publish(certs[i], now); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%8 == 0 && !st.Remove(certs[i].Hash()) {
+					t.Error("remove failed")
+					return
+				}
+			}
+		}(w)
 	}
+	wg.Wait()
+	close(stop)
 	<-done
 	if err := st.CloseWAL(); err != nil {
 		t.Fatal(err)
@@ -416,6 +465,77 @@ func TestWALCompactDuringPublishes(t *testing.T) {
 		t.Fatalf("recovery = %+v, want clean", rec)
 	}
 	sameContents(t, re, st, now, certs)
+	if g, w := re.Stats().Tombstones, st.Stats().Tombstones; g != w {
+		t.Fatalf("tombstones: got %d want %d", g, w)
+	}
+}
+
+// TestWALCompactTrigger: a sweep or an eviction compacts the log once
+// it holds more than twice the live records (indexed certificates,
+// tombstones, retained events), and not before; a committed compaction
+// resets the count to the records the base holds.
+func TestWALCompactTrigger(t *testing.T) {
+	now := time.Now()
+	short := core.Between(now.Add(-time.Minute), now.Add(time.Minute))
+	long := core.Until(now.Add(time.Hour))
+	for _, tc := range []struct {
+		name         string
+		keep, expire int
+		compactions  int64
+	}{
+		{"log 10 live 4", 4, 6, 1},
+		{"log 10 live 5", 5, 5, 0},
+	} {
+		st, _, err := OpenDurable(t.TempDir(), 4, SyncNever, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		certs := append(walCorpus(t, "trig-keep", tc.keep, long), walCorpus(t, "trig-expire", tc.expire, short)...)
+		for _, c := range certs {
+			if _, err := st.Publish(c, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := st.Sweep(now.Add(30 * time.Minute)); n != tc.expire {
+			t.Fatalf("%s: swept %d, want %d", tc.name, n, tc.expire)
+		}
+		if ws, _ := st.WALStats(); ws.Compactions != tc.compactions {
+			t.Errorf("%s: %d compactions, want %d", tc.name, ws.Compactions, tc.compactions)
+		}
+		want := int64(tc.keep + tc.expire)
+		if tc.compactions > 0 {
+			want = int64(tc.keep)
+		}
+		if got := st.wal.recordCount(); got != want {
+			t.Errorf("%s: log counts %d records, want %d", tc.name, got, want)
+		}
+		if err := st.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One eviction among many live certificates: 102 records (100
+	// publishes, a removal, a revoke event) against 101 live ones.
+	st, _, err := OpenDurable(t.TempDir(), 4, SyncNever, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs := walCorpus(t, "trig-evict", 100, long)
+	for _, c := range certs {
+		if _, err := st.Publish(c, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := certs[0].Hash()
+	if n := st.EvictRevoked(func(h []byte, _ sfkey.PublicKey) bool { return bytes.Equal(h, victim) }); n != 1 {
+		t.Fatalf("evicted %d, want 1", n)
+	}
+	if ws, _ := st.WALStats(); ws.Compactions != 0 || st.wal.recordCount() != 102 {
+		t.Fatalf("one eviction: %d compactions, %d records; want 0, 102", ws.Compactions, st.wal.recordCount())
+	}
+	if err := st.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestParseSyncPolicy(t *testing.T) {
