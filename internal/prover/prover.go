@@ -31,6 +31,7 @@ package prover
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,10 +64,11 @@ type Stats struct {
 	Swept         int // expired edges evicted by Sweep
 	SweptVerdicts int // cached proof-cache verdicts evicted alongside swept edges
 
-	RemoteQueries  int // directory lookups issued
-	RemoteCerts    int // fresh proofs digested from directories
-	RemoteRejected int // remote proofs dropped as unverifiable
-	NegCacheHits   int // directory lookups skipped by the negative cache
+	RemoteQueries   int // directory lookups issued
+	RemoteCerts     int // fresh proofs digested from directories
+	RemoteRejected  int // remote proofs dropped as unverifiable
+	NegCacheHits    int // directory lookups skipped by the negative cache
+	RemoteFallbacks int // discoveries whose subject-side walk dead-ended into the issuer-side fan-out
 
 	NegCacheEvicted int // fresh negative entries displaced by newer ones (cache overflow)
 	Invalidated     int // edges dropped by directory invalidation events
@@ -82,10 +84,11 @@ type counters struct {
 	swept         atomic.Int64
 	sweptVerdicts atomic.Int64
 
-	remoteQueries  atomic.Int64
-	remoteCerts    atomic.Int64
-	remoteRejected atomic.Int64
-	negCacheHits   atomic.Int64
+	remoteQueries   atomic.Int64
+	remoteCerts     atomic.Int64
+	remoteRejected  atomic.Int64
+	negCacheHits    atomic.Int64
+	remoteFallbacks atomic.Int64
 
 	negCacheEvicted atomic.Int64
 	invalidated     atomic.Int64
@@ -231,6 +234,22 @@ func (p *Prover) closureFor(key string) (Closure, bool) {
 	return c, ok
 }
 
+// closurePrincipals lists the controlled principals in key order.
+func (p *Prover) closurePrincipals() []principal.Principal {
+	p.cmu.RLock()
+	keys := make([]string, 0, len(p.closures))
+	for k := range p.closures {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]principal.Principal, len(keys))
+	for i, k := range keys {
+		out[i] = p.closures[k].Principal()
+	}
+	p.cmu.RUnlock()
+	return out
+}
+
 // AddProof digests a proof into the graph: every lemma (subproof)
 // becomes an edge, and composite lemmas additionally become shortcut
 // edges for their overall conclusions (section 4.4).
@@ -290,16 +309,17 @@ func (p *Prover) edgesFor(issuerKey string, want tag.Tag) []*edge {
 // Stats returns a copy of the work counters.
 func (p *Prover) Stats() Stats {
 	return Stats{
-		Traversals:     int(p.stats.traversals.Load()),
-		Expanded:       int(p.stats.expanded.Load()),
-		ShortcutHits:   int(p.stats.shortcutHits.Load()),
-		Minted:         int(p.stats.minted.Load()),
-		Swept:          int(p.stats.swept.Load()),
-		SweptVerdicts:  int(p.stats.sweptVerdicts.Load()),
-		RemoteQueries:  int(p.stats.remoteQueries.Load()),
-		RemoteCerts:    int(p.stats.remoteCerts.Load()),
-		RemoteRejected: int(p.stats.remoteRejected.Load()),
-		NegCacheHits:   int(p.stats.negCacheHits.Load()),
+		Traversals:      int(p.stats.traversals.Load()),
+		Expanded:        int(p.stats.expanded.Load()),
+		ShortcutHits:    int(p.stats.shortcutHits.Load()),
+		Minted:          int(p.stats.minted.Load()),
+		Swept:           int(p.stats.swept.Load()),
+		SweptVerdicts:   int(p.stats.sweptVerdicts.Load()),
+		RemoteQueries:   int(p.stats.remoteQueries.Load()),
+		RemoteCerts:     int(p.stats.remoteCerts.Load()),
+		RemoteRejected:  int(p.stats.remoteRejected.Load()),
+		NegCacheHits:    int(p.stats.negCacheHits.Load()),
+		RemoteFallbacks: int(p.stats.remoteFallbacks.Load()),
 
 		NegCacheEvicted: int(p.stats.negCacheEvicted.Load()),
 		Invalidated:     int(p.stats.invalidated.Load()),

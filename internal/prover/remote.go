@@ -14,7 +14,9 @@ import (
 // certificate directory (certdir.Client implements this), a name
 // service, a gossip peer. The Prover consults sources only after the
 // local delegation graph dead-ends, so local proving stays
-// network-free.
+// network-free. It asks by subject first, walking up from the
+// requester's end of the chain, and by issuer only when that walk
+// dead-ends (see findRemote).
 //
 // Sources supply candidate proofs; they are not trusted. Every
 // fetched proof is verified before it is digested into the graph, so
@@ -37,17 +39,21 @@ type RemoteSource interface {
 	// unbounded).
 	ByIssuerForCtx(ctx context.Context, issuer principal.Principal, want tag.Tag, limit int) ([]core.Proof, error)
 	// BySubjectForCtx is the subject-side counterpart: the delegations
-	// the given principal can exercise.
+	// the given principal can exercise. Discovery's first questions
+	// are these.
 	BySubjectForCtx(ctx context.Context, subject principal.Principal, want tag.Tag, limit int) ([]core.Proof, error)
 }
 
 // Remote-discovery bounds.
 const (
 	DefaultNegativeTTL = 30 * time.Second
-	// DefaultRemoteFanout caps directory queries per FindProof call.
+	// DefaultRemoteFanout caps directory queries per FindProof call,
+	// subject-side and issuer-side together.
 	DefaultRemoteFanout = 32
-	// DefaultRemoteRounds caps fetch-then-research iterations per
-	// FindProof call; each round can extend the frontier by one hop.
+	// DefaultRemoteRounds caps the issuer-side fallback rounds per
+	// FindProof call; each can extend the issuer frontier by one hop.
+	// Subject-side rounds are bounded by the fanout alone: each asks
+	// at least one question never asked before in the call.
 	DefaultRemoteRounds = 4
 	// DefaultRemoteLimit caps certificates fetched per directory query.
 	// A productive round needs only the edges that extend the frontier;
@@ -97,21 +103,41 @@ type remoteAnswer struct {
 }
 
 // findRemote runs bounded fetch-then-research rounds after a local
-// miss. Each round queries the directories for the current search
-// frontier (every principal reachable backwards from the issuer,
-// plus the target subject), digests verified answers as graph edges,
-// and re-runs the local search; the frontier grows at least one hop
-// per productive round, so a k-hop remote chain needs at most k
-// rounds. No prover lock is held across network fetches.
+// miss, walking up from the subject first: a chain is built from the
+// delegations the requester holds, so the first questions ask what
+// the subject — and every principal its closures reach from it for
+// free (subjectStarts) — can exercise. Each subject-side round asks
+// by subject for the nodes not yet asked, digests the verified
+// answers, and makes the issuers of the newly digested usable edges
+// the next round's nodes; only verified edges steer, so a forged
+// answer cannot choose a question. When a round has no subject-side
+// node left to ask, the walk falls back to the issuer side: a
+// by-issuer question for every principal reachable backwards from
+// the issuer (find's frontier), growing the frontier at least one
+// hop per productive round, so a k-hop chain only the issuer side can
+// see needs at most k issuer rounds. Local search re-runs after every
+// productive round. No prover lock is held across network fetches.
 func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Principal, want tag.Tag, now time.Time, localErr error) (core.Proof, error) {
 	budget := DefaultRemoteFanout
 	asked := make(map[string]bool) // queries spent during this call
+	upward := p.subjectStarts(subject)
+	issuerRounds := 0
 	err := localErr
-	for round := 0; round < DefaultRemoteRounds && budget > 0; round++ {
-		frontier := p.reachable(issuer, want, now)
-		queries := p.planQueries(frontier, subject, want, now, asked, &budget)
-		if len(queries) == 0 {
-			break
+	for budget > 0 {
+		queries := p.planQueries(upward, want, now, asked, &budget)
+		fallback := len(queries) == 0
+		if fallback {
+			if issuerRounds == DefaultRemoteRounds {
+				break
+			}
+			if issuerRounds == 0 {
+				p.stats.remoteFallbacks.Add(1)
+			}
+			issuerRounds++
+			queries = p.planQueries(p.issuerFrontier(issuer, want, now), want, now, asked, &budget)
+			if len(queries) == 0 {
+				break
+			}
 		}
 		p.rmu.Lock()
 		remotes := append([]RemoteSource(nil), p.remotes...)
@@ -119,6 +145,7 @@ func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Princ
 		answers := fetchAll(ctx, remotes, queries, want)
 
 		p.stats.remoteQueries.Add(int64(len(queries) * len(remotes)))
+		upward = nil
 		added := 0
 		for i, q := range queries {
 			if len(answers[i].proofs) == 0 {
@@ -127,10 +154,20 @@ func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Princ
 				}
 				continue
 			}
-			added += p.digestRemote(answers[i].proofs, now)
+			for _, pr := range p.digestRemote(answers[i].proofs, now) {
+				added++
+				if c := pr.Conclusion(); !fallback && tag.Covers(c.Tag, want) && c.Validity.Contains(now) {
+					upward = append(upward, remoteQuery{axis: "s", prin: c.Issuer})
+				}
+			}
 		}
 		if added == 0 {
-			break
+			if fallback {
+				break
+			}
+			// An empty subject-side round costs the issuer side none
+			// of its rounds: the next round falls back.
+			continue
 		}
 		var proof core.Proof
 		proof, err = p.find(subject, issuer, want, now, p.MaxDepth)
@@ -141,21 +178,42 @@ func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Princ
 	return nil, err
 }
 
-// planQueries chooses this round's directory questions: the
-// issuer-side frontier in BFS order, then the subject itself, skipping
-// questions already asked this call or freshly answered empty.
-func (p *Prover) planQueries(frontier []principal.Principal, subject principal.Principal, want tag.Tag, now time.Time, asked map[string]bool, budget *int) []remoteQuery {
+// subjectStarts lists the walk's first questions: the subject, then
+// every principal the prover reaches from it for free through a
+// closure. A closure G mints S => G for a plain subject S; for a
+// quoted subject X|C, find's quoting reduction plus that mint proves
+// X|C => G|C. Closures come in key order, so a budget that cannot
+// cover them all cuts the list the same way every time.
+func (p *Prover) subjectStarts(subject principal.Principal) []remoteQuery {
+	out := []remoteQuery{{axis: "s", prin: subject}}
+	q, quoted := subject.(principal.Quote)
+	for _, g := range p.closurePrincipals() {
+		if quoted {
+			g = principal.QuoteOf(g, q.Quotee)
+		}
+		out = append(out, remoteQuery{axis: "s", prin: g})
+	}
+	return out
+}
+
+// planQueries chooses this round's directory questions from the
+// candidates, in order, skipping questions already asked this call or
+// freshly answered empty, until the call's budget runs out.
+func (p *Prover) planQueries(candidates []remoteQuery, want tag.Tag, now time.Time, asked map[string]bool, budget *int) []remoteQuery {
 	p.rmu.Lock()
 	defer p.rmu.Unlock()
 	var out []remoteQuery
-	add := func(q remoteQuery) {
-		if *budget <= 0 || asked[q.key()] {
-			return
+	for _, q := range candidates {
+		if *budget <= 0 {
+			break
+		}
+		if asked[q.key()] {
+			continue
 		}
 		if t, ok := p.negCache[q.negKey(want)]; ok {
 			if now.Sub(t) < p.negTTL() {
 				p.stats.negCacheHits.Add(1)
-				return
+				continue
 			}
 			delete(p.negCache, q.negKey(want))
 		}
@@ -163,21 +221,19 @@ func (p *Prover) planQueries(frontier []principal.Principal, subject principal.P
 		*budget--
 		out = append(out, q)
 	}
-	for _, node := range frontier {
-		add(remoteQuery{axis: "i", prin: node})
-	}
-	add(remoteQuery{axis: "s", prin: subject})
 	return out
 }
 
-// reachable collects every principal reachable backwards from issuer
+// issuerFrontier is the fallback's question list: a by-issuer
+// question for every principal reachable backwards from issuer
 // through usable edges (the BFS frontier of find), in BFS order
-// starting at the issuer itself. It reads per-shard snapshots, like
-// the search it mirrors.
-func (p *Prover) reachable(issuer principal.Principal, want tag.Tag, now time.Time) []principal.Principal {
+// starting at the issuer itself. The subject's by-subject question is
+// always among the walk's first, so the fallback need not repeat it.
+// It reads per-shard snapshots, like the search it mirrors.
+func (p *Prover) issuerFrontier(issuer principal.Principal, want tag.Tag, now time.Time) []remoteQuery {
 	issuerK := issuer.Key()
 	visited := map[string]bool{issuerK: true}
-	order := []principal.Principal{issuer}
+	order := []remoteQuery{{axis: "i", prin: issuer}}
 	keys := []string{issuerK}
 	for i := 0; i < len(order); i++ {
 		for _, e := range p.edgesFor(keys[i], want) {
@@ -192,7 +248,7 @@ func (p *Prover) reachable(issuer principal.Principal, want tag.Tag, now time.Ti
 				continue
 			}
 			visited[e.subjectK] = true
-			order = append(order, e.subject)
+			order = append(order, remoteQuery{axis: "i", prin: e.subject})
 			keys = append(keys, e.subjectK)
 		}
 	}
@@ -239,18 +295,18 @@ func fetchAll(ctx context.Context, remotes []RemoteSource, queries []remoteQuery
 }
 
 // digestRemote verifies fetched proofs and installs the good ones as
-// graph edges, returning how many were new. Verification consults the
-// shared verified-proof cache: a delegation fetched by several
-// concurrent searches (or previously screened by another layer) costs
-// one signature check process-wide.
-func (p *Prover) digestRemote(proofs []core.Proof, now time.Time) int {
+// graph edges, returning the ones that were new. Verification
+// consults the shared verified-proof cache: a delegation fetched by
+// several concurrent searches (or previously screened by another
+// layer) costs one signature check process-wide.
+func (p *Prover) digestRemote(proofs []core.Proof, now time.Time) []core.Proof {
 	ctx := core.NewVerifyContext()
 	ctx.Now = now
 	ctx.Cache = core.SharedProofCache()
 	// Revalidation demands are deferred to the relying verifier; the
 	// prover only screens out proofs that can never verify.
 	ctx.Revalidate = func([]byte, string) error { return nil }
-	added := 0
+	var added []core.Proof
 	for _, pr := range proofs {
 		if pr == nil {
 			continue
@@ -260,7 +316,7 @@ func (p *Prover) digestRemote(proofs []core.Proof, now time.Time) int {
 			continue
 		}
 		if p.addEdge(pr, false) {
-			added++
+			added = append(added, pr)
 			p.stats.remoteCerts.Add(1)
 		}
 	}

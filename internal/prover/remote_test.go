@@ -25,10 +25,15 @@ type fakeSource struct {
 	bySubject map[string][]core.Proof
 	calls     []fakeCall
 	err       error
+	// issuerOnly answers every by-subject question empty, so a chain
+	// is discoverable only from the issuer side.
+	issuerOnly bool
 }
 
 // fakeCall is what one query asked for.
 type fakeCall struct {
+	axis  string // "i" by issuer, "s" by subject
+	prin  string // the asked principal's key
 	want  tag.Tag
 	limit int
 	trace string // obs trace id of the query's context
@@ -55,10 +60,28 @@ func (f *fakeSource) log() []fakeCall {
 
 func (f *fakeSource) queryCount() int { return len(f.log()) }
 
-func (f *fakeSource) answer(ctx context.Context, index map[string][]core.Proof, p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
+// asked counts the logged questions on one axis.
+func (f *fakeSource) asked(axis string) int {
+	n := 0
+	for _, c := range f.log() {
+		if c.axis == axis {
+			n++
+		}
+	}
+	return n
+}
+
+func (f *fakeSource) answer(ctx context.Context, axis string, p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.calls = append(f.calls, fakeCall{want: want, limit: limit, trace: obs.FromContext(ctx).TraceID()})
+	f.calls = append(f.calls, fakeCall{axis: axis, prin: p.Key(), want: want, limit: limit, trace: obs.FromContext(ctx).TraceID()})
+	index := f.byIssuer
+	if axis == "s" {
+		if f.issuerOnly {
+			return nil, f.err
+		}
+		index = f.bySubject
+	}
 	var out []core.Proof
 	for _, pr := range index[p.Key()] {
 		if limit > 0 && len(out) == limit {
@@ -72,11 +95,11 @@ func (f *fakeSource) answer(ctx context.Context, index map[string][]core.Proof, 
 }
 
 func (f *fakeSource) ByIssuerForCtx(ctx context.Context, p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
-	return f.answer(ctx, f.byIssuer, p, want, limit)
+	return f.answer(ctx, "i", p, want, limit)
 }
 
 func (f *fakeSource) BySubjectForCtx(ctx context.Context, p principal.Principal, want tag.Tag, limit int) ([]core.Proof, error) {
-	return f.answer(ctx, f.bySubject, p, want, limit)
+	return f.answer(ctx, "s", p, want, limit)
 }
 
 // remoteChain builds keys k0..kn and certificates k(i+1) =t=> k(i),
@@ -155,9 +178,10 @@ func TestRemoteRejectsUnverifiable(t *testing.T) {
 }
 
 // TestRemoteFanoutBound gives the prover a local frontier wider than
-// DefaultRemoteFanout and a directory whose first answer extends it:
-// the budget covers the whole FindProof call, not one round, so the
-// second round never starts.
+// DefaultRemoteFanout and a directory whose first issuer-side answer
+// extends it: the budget covers the whole FindProof call — the
+// subject-side question and the issuer fan-out together — so the
+// second issuer round never starts.
 func TestRemoteFanoutBound(t *testing.T) {
 	now := time.Now()
 	v := core.Until(now.Add(time.Hour))
@@ -257,11 +281,11 @@ func TestNegativeCacheIsTagScoped(t *testing.T) {
 		return c
 	}
 
+	// The directory answers only by issuer, so both searches walk the
+	// issuer frontier through the org layer. Two org branches under
+	// the root: org1 serves only tag A members, org2 only tag B.
 	src := newFakeSource()
-	// Two org branches under the root. org1 serves only tag A members,
-	// org2 only tag B; both member chains are two hops so discovery
-	// must walk the issuer frontier (the subject-side query alone
-	// cannot complete them).
+	src.issuerOnly = true
 	src.add(mustCert(root, prin(org1), prin(root), tag.All()))
 	src.add(mustCert(root, prin(org2), prin(root), tag.All()))
 	src.add(mustCert(org1, prin(ka), prin(org1), tagA))
@@ -376,4 +400,201 @@ func TestRemoteMintsThroughClosure(t *testing.T) {
 	if st := p.Stats(); st.Minted != 1 || st.RemoteCerts != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// quotedWorld is the gateway's view of one cold admit: the database
+// delegates to orgs, an org grants a client C its mailbox tag, and C
+// hands the gateway "gw quoting C" the same tag. The prover holds the
+// gateway key and a channel key K as closures and the org roots
+// locally; every grant and handoff lives only in the directory. The
+// goal is "K quoting C speaks for the database".
+type quotedWorld struct {
+	db      principal.Principal
+	clients []principal.Principal
+	tags    []tag.Tag
+	roots   []*cert.Cert
+	gw, ch  *sfkey.PrivateKey
+	src     *fakeSource
+}
+
+func newQuotedWorld(tb testing.TB, orgs, clients int, now time.Time) *quotedWorld {
+	tb.Helper()
+	v := core.Until(now.Add(time.Hour))
+	key := func(name string, i int) *sfkey.PrivateKey {
+		return sfkey.FromSeed([]byte(fmt.Sprintf("quoted-%s-%d", name, i)))
+	}
+	must := func(c *cert.Cert, err error) *cert.Cert {
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return c
+	}
+	dbK := key("db", 0)
+	w := &quotedWorld{db: principal.KeyOf(dbK.Public()), gw: key("gw", 0), ch: key("channel", 0), src: newFakeSource()}
+	gwP := principal.KeyOf(w.gw.Public())
+	orgKeys := make([]*sfkey.PrivateKey, orgs)
+	for i := range orgKeys {
+		orgKeys[i] = key("org", i)
+		root := must(cert.Delegate(dbK, principal.KeyOf(orgKeys[i].Public()), w.db, tag.ListOf(tag.Literal("db")), v))
+		w.roots = append(w.roots, root)
+		w.src.add(root)
+	}
+	for i := 0; i < clients; i++ {
+		ck, org := key("client", i), orgKeys[i%orgs]
+		cP := principal.KeyOf(ck.Public())
+		t := tag.ListOf(tag.Literal("db"), tag.ListOf(tag.Literal("owner"), tag.Literal(fmt.Sprintf("u%05d", i))))
+		w.src.add(must(cert.Delegate(org, cP, principal.KeyOf(org.Public()), t, v)))
+		w.src.add(must(cert.Delegate(ck, principal.QuoteOf(gwP, cP), cP, t, v)))
+		w.clients = append(w.clients, cP)
+		w.tags = append(w.tags, t)
+	}
+	return w
+}
+
+// prover returns a fresh gateway-side prover over the world: both
+// closures, the org roots, the directory.
+func (w *quotedWorld) prover() *Prover {
+	p := New()
+	p.AddClosure(NewKeyClosure(w.gw))
+	p.AddClosure(NewKeyClosure(w.ch))
+	for _, r := range w.roots {
+		p.AddProof(r)
+	}
+	p.AddRemote(w.src)
+	return p
+}
+
+// subject is "K quoting client i".
+func (w *quotedWorld) subject(i int) principal.Principal {
+	return principal.QuoteOf(principal.KeyOf(w.ch.Public()), w.clients[i])
+}
+
+// TestRemoteWalksUpFromQuotedSubject pins the cold admit's discovery:
+// the walk starts at K|C and at gw|C (the gateway closure reached for
+// free), finds the handoff, steps to C, finds the grant, and meets
+// the local org root — three by-subject questions, no issuer fan-out.
+func TestRemoteWalksUpFromQuotedSubject(t *testing.T) {
+	now := time.Now()
+	w := newQuotedWorld(t, 24, 3, now)
+	p := w.prover()
+	proof, err := p.FindProof(w.subject(1), w.db, w.tags[1], now)
+	if err != nil {
+		t.Fatalf("FindProof: %v", err)
+	}
+	ctx := core.NewVerifyContext()
+	ctx.Now = now
+	if err := core.Authorize(ctx, proof, w.subject(1), w.db, w.tags[1]); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.src.queryCount(); n > 3 {
+		t.Fatalf("asked %d questions, want at most 3: %+v", n, w.src.log())
+	}
+	if n := w.src.asked("i"); n != 0 {
+		t.Fatalf("asked %d by-issuer questions, want none", n)
+	}
+	if st := p.Stats(); st.RemoteFallbacks != 0 || st.RemoteCerts != 2 {
+		t.Fatalf("stats = %+v, want no fallback and the grant and handoff digested", st)
+	}
+}
+
+// TestRemoteFallsBackToIssuerSide gives the prover a directory that
+// answers every by-subject question empty and a chain exactly
+// DefaultRemoteRounds hops long: the empty subject-side round must not
+// cost the issuer side one of its rounds.
+func TestRemoteFallsBackToIssuerSide(t *testing.T) {
+	now := time.Now()
+	v := core.Until(now.Add(time.Hour))
+	tg := tag.Prefix("doc")
+	prins, certs := remoteChain(t, "fallback", DefaultRemoteRounds, tg, v)
+	src := newFakeSource()
+	src.issuerOnly = true
+	for _, c := range certs {
+		src.add(c)
+	}
+	p := New()
+	p.AddRemote(src)
+
+	subject, issuer := prins[len(prins)-1], prins[0]
+	proof, err := p.FindProof(subject, issuer, tg, now)
+	if err != nil {
+		t.Fatalf("issuer-only chain not found: %v", err)
+	}
+	ctx := core.NewVerifyContext()
+	ctx.Now = now
+	if err := core.Authorize(ctx, proof, subject, issuer, tg); err != nil {
+		t.Fatal(err)
+	}
+	if n := src.asked("i"); n != DefaultRemoteRounds {
+		t.Fatalf("asked %d by-issuer questions, want one per hop (%d)", n, DefaultRemoteRounds)
+	}
+	if st := p.Stats(); st.RemoteFallbacks != 1 {
+		t.Fatalf("stats = %+v, want one fallback", st)
+	}
+}
+
+// TestRemoteForgedAnswerDoesNotSteer hands the walk a by-subject answer
+// holding a forged delegation from a stranger beside the real one: the
+// next round asks about the real issuer only. The forged certificate's
+// issuer must never be named in a question, on either axis.
+func TestRemoteForgedAnswerDoesNotSteer(t *testing.T) {
+	now := time.Now()
+	v := core.Until(now.Add(time.Hour))
+	tg := tag.All()
+	prins, certs := remoteChain(t, "steer", 2, tg, v)
+	strangerK := sfkey.FromSeed([]byte("steer-stranger"))
+	stranger := principal.KeyOf(strangerK.Public())
+	forged, err := cert.Delegate(strangerK, prins[2], stranger, tg, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.Signature[0] ^= 1
+
+	src := newFakeSource()
+	src.add(forged)
+	for _, c := range certs {
+		src.add(c)
+	}
+	p := New()
+	p.AddRemote(src)
+	if _, err := p.FindProof(prins[2], prins[0], tg, now); err != nil {
+		t.Fatalf("FindProof: %v", err)
+	}
+	if st := p.Stats(); st.RemoteRejected == 0 {
+		t.Fatalf("stats = %+v, forged answer never seen", st)
+	}
+	for _, c := range src.log() {
+		if c.prin == stranger.Key() {
+			t.Fatalf("a forged answer steered the walk: asked %s about its issuer", c.axis)
+		}
+	}
+}
+
+// BenchmarkFindRemoteColdQuoted times one cold admit's discovery at
+// the prover layer, without the mesh: a fresh gateway-side prover
+// (closures and org roots local) proves "K quoting C" for the database
+// against an in-memory directory of 24 orgs. questions/op is the
+// number of directory questions one discovery asks.
+func BenchmarkFindRemoteColdQuoted(b *testing.B) {
+	now := time.Now()
+	const clients = 64
+	w := newQuotedWorld(b, 24, clients, now)
+	// One unmeasured pass screens every certificate into the shared
+	// verdict cache, so ops differ only in the search.
+	for i := 0; i < clients; i++ {
+		if _, err := w.prover().FindProof(w.subject(i), w.db, w.tags[i], now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := w.src.queryCount()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := w.prover()
+		b.StartTimer()
+		if _, err := p.FindProof(w.subject(i%clients), w.db, w.tags[i%clients], now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(w.src.queryCount()-before)/float64(b.N), "questions/op")
 }

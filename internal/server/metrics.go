@@ -191,6 +191,7 @@ func ProverCollector(pv *prover.Prover) Collector {
 		emit(Counter("sf_prover_remote_certs_total", "Fresh proofs digested from directories.", float64(st.RemoteCerts)))
 		emit(Counter("sf_prover_remote_rejected_total", "Remote proofs dropped as unverifiable.", float64(st.RemoteRejected)))
 		emit(Counter("sf_prover_negcache_hits_total", "Directory lookups skipped by the negative cache.", float64(st.NegCacheHits)))
+		emit(Counter("sf_prover_remote_fallbacks_total", "Discoveries whose subject-side walk dead-ended into the issuer-side fan-out.", float64(st.RemoteFallbacks)))
 		emit(Counter("sf_prover_negcache_evicted_total", "Negative-cache entries displaced by overflow.", float64(st.NegCacheEvicted)))
 		emit(Counter("sf_prover_invalidated_total", "Edges dropped by directory invalidation events.", float64(st.Invalidated)))
 	}

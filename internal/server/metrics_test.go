@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -8,7 +9,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/principal"
 	"repro/internal/prover"
+	"repro/internal/sfkey"
+	"repro/internal/tag"
 )
 
 func scrape(t *testing.T, m *Metrics) string {
@@ -89,6 +93,39 @@ func TestProverCollector(t *testing.T) {
 	m.Register(ProverCollector(pv))
 	out := scrape(t, m)
 	for _, want := range []string{"sf_prover_edges 0", "sf_prover_traversals_total 0"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+// emptySource is a directory that holds nothing.
+type emptySource struct{}
+
+func (emptySource) ByIssuerForCtx(context.Context, principal.Principal, tag.Tag, int) ([]core.Proof, error) {
+	return nil, nil
+}
+
+func (emptySource) BySubjectForCtx(context.Context, principal.Principal, tag.Tag, int) ([]core.Proof, error) {
+	return nil, nil
+}
+
+// TestProverCollectorFallbacks drives one discovery whose subject-side
+// walk dead-ends at once: the export shows one fallback beside the two
+// questions asked (the subject, then the issuer).
+func TestProverCollectorFallbacks(t *testing.T) {
+	pv := prover.New()
+	pv.AddRemote(emptySource{})
+	key := func(seed string) principal.Principal {
+		return principal.KeyOf(sfkey.FromSeed([]byte(seed)).Public())
+	}
+	if _, err := pv.FindProof(key("fallback-stranger"), key("fallback-owner"), tag.All(), time.Now()); err == nil {
+		t.Fatal("proved a goal nobody delegated")
+	}
+	m := NewMetrics()
+	m.Register(ProverCollector(pv))
+	out := scrape(t, m)
+	for _, want := range []string{"sf_prover_remote_fallbacks_total 1", "sf_prover_remote_queries_total 2"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
