@@ -244,6 +244,16 @@ func TestColdAdmitTraceAcrossMesh(t *testing.T) {
 	if !linked {
 		t.Fatalf("no rmi.* span carries trace %s", trace)
 	}
+	// ...including the database's verification of the submitted chain,
+	// so a cold admit's signature checks are not hidden in the
+	// gateway's own time.
+	submits := spansByName(w.dbRec, "rmi._proofRecipient.Submit")
+	if len(submits) != 1 {
+		t.Fatalf("rmi._proofRecipient.Submit spans = %d, want 1", len(submits))
+	}
+	if submits[0].Trace != trace {
+		t.Fatalf("proof submit trace %q != admit trace %s", submits[0].Trace, trace)
+	}
 
 	// The database's admit record names the exact certs of the chain.
 	var admit *obs.Decision

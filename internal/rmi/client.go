@@ -2,7 +2,6 @@ package rmi
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/gob"
 	"fmt"
@@ -30,7 +29,7 @@ type Client struct {
 	enc    *gob.Encoder
 	dec    *gob.Decoder
 	prover *prover.Prover
-	nextID uint64
+	nextID int64
 
 	// Clock supplies proof-search time; nil means time.Now.
 	Clock func() time.Time
@@ -47,9 +46,10 @@ type ClientStats struct {
 }
 
 // NewClient wraps an established channel. The prover may be nil for
-// purely open (unauthenticated) services. Writes are buffered and
-// flushed once per message, so each invocation crosses the channel as
-// a single record.
+// purely open (unauthenticated) services. The client keeps one gob
+// stream each way for the channel's life, so type descriptors cross
+// once per connection. Writes are buffered and flushed once per call,
+// so each invocation crosses the channel as a single record.
 func NewClient(conn channel.Conn, pv *prover.Prover) *Client {
 	bw := bufio.NewWriter(conn)
 	return &Client{
@@ -134,10 +134,7 @@ func (c *Client) call(ctx context.Context, quotee principal.Principal, object, m
 	}
 	switch resp.Kind {
 	case kindOK:
-		if reply == nil {
-			return nil
-		}
-		return gob.NewDecoder(bytes.NewReader(resp.Result)).Decode(reply)
+		return c.readResult(reply)
 	case kindNeedAuth:
 		iss, mt, derr := decodeChallenge(resp.Issuer, resp.MinTag)
 		if derr != nil {
@@ -149,24 +146,32 @@ func (c *Client) call(ctx context.Context, quotee principal.Principal, object, m
 	}
 }
 
-func (c *Client) roundTrip(ctx context.Context, quotee principal.Principal, object, method string, args interface{}) (*callResponse, error) {
-	var argBuf bytes.Buffer
-	if err := gob.NewEncoder(&argBuf).Encode(args); err != nil {
-		return nil, fmt.Errorf("rmi: encode args: %w", err)
-	}
+// roundTrip writes one call, its header and then its argument value,
+// and reads the reply header. A kindOK header is followed by the
+// result value, which the caller must read with readResult before the
+// next exchange. A call that cannot be written or a reply that cannot
+// be read closes the channel: a gob stream cannot resynchronize.
+func (c *Client) roundTrip(ctx context.Context, quotee principal.Principal, object, method string, args interface{}) (_ *callResponse, err error) {
+	defer func() {
+		if err != nil {
+			c.conn.Close()
+		}
+	}()
 	c.nextID++
 	req := callRequest{
 		ID:     c.nextID,
 		Object: object,
 		Method: method,
-		Args:   argBuf.Bytes(),
 		Trace:  obs.Inject(ctx),
 	}
 	if quotee != nil {
 		req.Quotee = quotee.Sexp().Transport()
 	}
-	if err := c.enc.Encode(req); err != nil {
+	if err := c.enc.Encode(&req); err != nil {
 		return nil, fmt.Errorf("rmi: send: %w", err)
+	}
+	if err := c.enc.Encode(args); err != nil {
+		return nil, fmt.Errorf("rmi: encode args: %w", err)
 	}
 	if err := c.bw.Flush(); err != nil {
 		return nil, fmt.Errorf("rmi: send: %w", err)
@@ -179,6 +184,17 @@ func (c *Client) roundTrip(ctx context.Context, quotee principal.Principal, obje
 		return nil, fmt.Errorf("rmi: response id mismatch")
 	}
 	return &resp, nil
+}
+
+// readResult reads the result value that follows a kindOK reply
+// header into reply; a nil reply reads and discards it. A result that
+// does not decode closes the channel, as in roundTrip.
+func (c *Client) readResult(reply interface{}) error {
+	if err := c.dec.Decode(reply); err != nil {
+		c.conn.Close()
+		return fmt.Errorf("rmi: decode result: %w", err)
+	}
+	return nil
 }
 
 // satisfyChallenge is steps f-n of Figure 4: inspect the challenge,
@@ -205,30 +221,20 @@ func (c *Client) satisfyChallenge(ctx context.Context, quotee principal.Principa
 		return fmt.Errorf("rmi: cannot satisfy challenge: %w", err)
 	}
 	c.stats.Proofs++
-	return c.submitProofLocked(proof)
+	return c.submitProofLocked(ctx, proof)
 }
 
-func (c *Client) submitProofLocked(p core.Proof) error {
-	var argBuf bytes.Buffer
-	if err := gob.NewEncoder(&argBuf).Encode(submitArgs{Proof: p.Sexp().Transport()}); err != nil {
-		return err
-	}
-	c.nextID++
-	req := callRequest{ID: c.nextID, Object: proofRecipientObject, Method: "Submit", Args: argBuf.Bytes()}
-	if err := c.enc.Encode(req); err != nil {
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	var resp callResponse
-	if err := c.dec.Decode(&resp); err != nil {
+// submitProofLocked pushes a proof to the server's proof recipient on
+// the caller's trace, so the server's verification joins it.
+func (c *Client) submitProofLocked(ctx context.Context, p core.Proof) error {
+	resp, err := c.roundTrip(ctx, nil, proofRecipientObject, "Submit", submitArgs{Proof: p.Sexp().Transport()})
+	if err != nil {
 		return err
 	}
 	if resp.Kind != kindOK {
 		return fmt.Errorf("rmi: proof rejected: %s", resp.Err)
 	}
-	return nil
+	return c.readResult(nil)
 }
 
 // EstablishAuthority mints and submits a delegation from a controlled
@@ -252,5 +258,5 @@ func (c *Client) EstablishAuthority(from principal.Principal, t tag.Tag, ttl tim
 	if err != nil {
 		return err
 	}
-	return c.submitProofLocked(proof)
+	return c.submitProofLocked(context.Background(), proof)
 }

@@ -189,12 +189,26 @@ func TestUnknownObjectAndMethod(t *testing.T) {
 	w := newWorld(t, grant)
 	c := w.authorizedClient(t, grant)
 	var reply EchoReply
-	if err := c.Call("nosuch", "Echo", EchoArgs{}, &reply); err == nil {
+	// After each error a good call on the same client must succeed:
+	// the server discarded the argument value that followed the bad
+	// header, so the stream stayed in step.
+	good := func(msg string) {
+		t.Helper()
+		if err := c.Call("echo", "Echo", EchoArgs{Msg: msg}, &reply); err != nil {
+			t.Fatalf("call after error: %v", err)
+		}
+		if reply.Msg != msg {
+			t.Fatalf("reply = %+v, want %q", reply, msg)
+		}
+	}
+	if err := c.Call("nosuch", "Echo", EchoArgs{Msg: "lost"}, &reply); err == nil {
 		t.Fatal("unknown object succeeded")
 	}
-	if err := c.Call("echo", "NoSuch", EchoArgs{}, &reply); err == nil {
+	good("after unknown object")
+	if err := c.Call("echo", "NoSuch", EchoArgs{Msg: "lost"}, &reply); err == nil {
 		t.Fatal("unknown method succeeded")
 	}
+	good("after unknown method")
 }
 
 func TestOpenObjectOverPlainChannel(t *testing.T) {

@@ -2,12 +2,9 @@ package rmi
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"sync"
 	"time"
@@ -150,7 +147,11 @@ func (s *Server) Serve(l channel.Listener) error {
 }
 
 // ServeConn dispatches one connection; it returns when the peer
-// disconnects. Responses are buffered and flushed once per message.
+// disconnects. Each direction is one gob stream for the connection's
+// life: a call's header is followed by its argument value, and an ok
+// reply's header by its result value. An argument that does not decode
+// or a result that does not encode closes the connection, because the
+// stream cannot resynchronize. Each reply is flushed as one record.
 func (s *Server) ServeConn(conn channel.Conn) {
 	s.mu.Lock()
 	if s.draining {
@@ -175,10 +176,6 @@ func (s *Server) ServeConn(conn channel.Conn) {
 	for {
 		var req callRequest
 		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
-				// Connection torn down; nothing to report to.
-				_ = err
-			}
 			return
 		}
 		s.mu.Lock()
@@ -188,10 +185,15 @@ func (s *Server) ServeConn(conn channel.Conn) {
 		}
 		s.inflight.Add(1)
 		s.mu.Unlock()
-		resp := s.dispatch(conn, &req)
 		// The call stays in flight until its reply is on the wire, so
 		// Drain cannot close the connection between dispatch and reply.
-		err := enc.Encode(resp)
+		resp, result, err := s.dispatch(conn, dec, &req)
+		if err == nil {
+			err = enc.Encode(resp)
+		}
+		if err == nil && resp.Kind == kindOK {
+			err = enc.EncodeValue(result)
+		}
 		if err == nil {
 			err = bw.Flush()
 		}
@@ -256,7 +258,11 @@ func speakerFor(conn channel.Conn, req *callRequest) (principal.Principal, error
 	return principal.QuoteOf(base, qe), nil
 }
 
-func (s *Server) dispatch(conn channel.Conn, req *callRequest) *callResponse {
+// dispatch reads the argument value that follows req on dec, runs the
+// call, and returns the reply header and, for kindOK, the result value
+// to send after it. An error means the argument did not decode and the
+// connection must close.
+func (s *Server) dispatch(conn channel.Conn, dec *gob.Decoder, req *callRequest) (*callResponse, reflect.Value, error) {
 	s.mu.Lock()
 	s.stats.Calls++
 	obj, ok := s.objects[req.Object]
@@ -270,26 +276,27 @@ func (s *Server) dispatch(conn channel.Conn, req *callRequest) *callResponse {
 	}
 
 	if req.Object == proofRecipientObject {
-		return s.handleProofSubmit(req, resp)
+		return s.handleProofSubmit(dec, resp)
 	}
+	var m reflect.Method
 	if !ok {
-		resp.Kind = kindError
 		resp.Err = fmt.Sprintf("rmi: no object %q", req.Object)
-		return resp
-	}
-	m, ok := obj.method[req.Method]
-	if !ok {
-		resp.Kind = kindError
+	} else if m, ok = obj.method[req.Method]; !ok {
 		resp.Err = fmt.Sprintf("rmi: %q has no method %q", req.Object, req.Method)
-		return resp
+	}
+	if !ok {
+		// The argument value follows the header whatever it names;
+		// discard it to keep the stream in step.
+		if err := dec.DecodeValue(reflect.Value{}); err != nil {
+			return nil, reflect.Value{}, fmt.Errorf("rmi: discard args: %w", err)
+		}
+		resp.Kind = kindError
+		return resp, reflect.Value{}, nil
 	}
 
-	// Decode arguments.
 	argv := reflect.New(m.Type.In(1))
-	if err := gob.NewDecoder(bytes.NewReader(req.Args)).DecodeValue(argv); err != nil {
-		resp.Kind = kindError
-		resp.Err = fmt.Sprintf("rmi: decode args: %v", err)
-		return resp
+	if err := dec.DecodeValue(argv); err != nil {
+		return nil, reflect.Value{}, fmt.Errorf("rmi: decode args: %w", err)
 	}
 
 	// The checkAuth() prologue (Figure 4, step l): a filed, already
@@ -300,7 +307,7 @@ func (s *Server) dispatch(conn channel.Conn, req *callRequest) *callResponse {
 		if err != nil {
 			resp.Kind = kindError
 			resp.Err = err.Error()
-			return resp
+			return resp, reflect.Value{}, nil
 		}
 		reqTag := obj.tagFor(req.Object, req.Method, argv.Elem().Interface())
 		trace, _, _ := obs.ParseHeader(req.Trace)
@@ -318,7 +325,7 @@ func (s *Server) dispatch(conn channel.Conn, req *callRequest) *callResponse {
 			attempt.Challenge("no valid proof on file")
 			resp.Kind = kindNeedAuth
 			resp.Issuer, resp.MinTag = encodeChallenge(obj.issuer, reqTag)
-			return resp
+			return resp, reflect.Value{}, nil
 		}
 		span.SetAttr("verdict", "admit")
 		attempt.Cite(proof)
@@ -331,38 +338,27 @@ func (s *Server) dispatch(conn channel.Conn, req *callRequest) *callResponse {
 	if errv := out[0].Interface(); errv != nil {
 		resp.Kind = kindError
 		resp.Err = errv.(error).Error()
-		return resp
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).EncodeValue(replyv); err != nil {
-		resp.Kind = kindError
-		resp.Err = fmt.Sprintf("rmi: encode reply: %v", err)
-		return resp
+		return resp, reflect.Value{}, nil
 	}
 	resp.Kind = kindOK
-	resp.Result = buf.Bytes()
-	return resp
+	return resp, replyv, nil
 }
 
-// handleProofSubmit is the proofRecipient (Figure 4, step n): parse,
-// verify once, and file the proof under its subject.
-func (s *Server) handleProofSubmit(req *callRequest, resp *callResponse) *callResponse {
+// handleProofSubmit is the proofRecipient (Figure 4, step n): read the
+// submitted proof from dec, parse, verify once, and file it under its
+// subject.
+func (s *Server) handleProofSubmit(dec *gob.Decoder, resp *callResponse) (*callResponse, reflect.Value, error) {
 	var args submitArgs
-	if err := gob.NewDecoder(bytes.NewReader(req.Args)).Decode(&args); err != nil {
-		resp.Kind = kindError
-		resp.Err = fmt.Sprintf("rmi: decode proof submit: %v", err)
-		return resp
+	if err := dec.Decode(&args); err != nil {
+		return nil, reflect.Value{}, fmt.Errorf("rmi: decode proof submit: %w", err)
 	}
 	if err := s.AcceptProof(args.Proof); err != nil {
 		resp.Kind = kindError
 		resp.Err = err.Error()
-		return resp
+		return resp, reflect.Value{}, nil
 	}
-	var buf bytes.Buffer
-	gob.NewEncoder(&buf).Encode(submitReply{Stored: true})
 	resp.Kind = kindOK
-	resp.Result = buf.Bytes()
-	return resp
+	return resp, reflect.ValueOf(submitReply{Stored: true}), nil
 }
 
 // AcceptProof parses, verifies, and files a transport-encoded proof;

@@ -12,7 +12,6 @@
 package rmi
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/principal"
@@ -20,15 +19,22 @@ import (
 	"repro/internal/tag"
 )
 
-// callRequest is one invocation on the wire. Args carries the
-// gob-encoded argument struct. Quotee, when nonempty, is the
+// callRequest is the header of one invocation. The channel carries
+// one gob stream per direction for its whole life: each callRequest
+// is followed on the stream by the argument value itself, so gob sends
+// the type descriptors of callRequest and of each argument type once
+// per connection, not once per call. Quotee, when nonempty, is the
 // S-expression of the principal the caller claims to quote; the
 // channel principal then becomes "channel | quotee" (section 6.3).
 type callRequest struct {
-	ID     uint64
+	// ID is signed: the earlier wire, which wrapped each argument in a
+	// byte field of an unsigned-ID header, then fails to decode here,
+	// so a peer still speaking it loses its connection at the first
+	// call instead of leaving the server waiting for a value it will
+	// never send.
+	ID     int64
 	Object string
 	Method string
-	Args   []byte
 	Quotee []byte
 	// Trace carries the caller's Sf-Trace context (obs.TraceHeader
 	// format) so the server's dispatch span joins the caller's trace.
@@ -42,22 +48,18 @@ const (
 	kindNeedAuth = "needauth"
 )
 
-// callResponse answers one invocation. For kindNeedAuth, Issuer and
-// MinTag carry the challenge: the principal the caller must speak for
-// and the minimum restriction set the delegation must allow (the
-// SfNeedAuthorizationException of Figure 4, step l).
+// callResponse is the header of one reply. When Kind is kindOK the
+// result value follows it on the stream; no value follows any other
+// kind. For kindNeedAuth, Issuer and MinTag carry the challenge: the
+// principal the caller must speak for and the minimum restriction set
+// the delegation must allow (the SfNeedAuthorizationException of
+// Figure 4, step l).
 type callResponse struct {
-	ID     uint64
+	ID     int64
 	Kind   string
-	Result []byte
 	Err    string
 	Issuer []byte
 	MinTag []byte
-}
-
-func init() {
-	gob.Register(callRequest{})
-	gob.Register(callResponse{})
 }
 
 // NeedAuthorization is the client-visible form of the server's
