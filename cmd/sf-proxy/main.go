@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cert"
 	"repro/internal/core"
 	"repro/internal/httpauth"
 	"repro/internal/principal"
@@ -183,6 +184,14 @@ func (p *proxy) serveUI(w http.ResponseWriter, r *http.Request) {
 		proof, err := core.ParseProof([]byte(raw))
 		if err != nil {
 			http.Error(w, "bad certificate: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		// A pasted delegation carries no authority until its chain
+		// verifies: the prover must not digest a forged one.
+		ctx := core.NewVerifyContext()
+		ctx.Now = time.Now()
+		if err := cert.VerifyChain(ctx, proof); err != nil {
+			http.Error(w, "certificate does not verify: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		p.pv.AddProof(proof)

@@ -13,7 +13,8 @@
 //  1. Begin captures the revocation epoch BEFORE any verification, so
 //     the audit record names the epoch the decision started under; a
 //     CRL landing mid-request never retroactively claims the verdict.
-//  2. Proof bytes are parsed through the pooled arena.
+//  2. Proof bytes are parsed once (core.ParseProof); the parsed proof
+//     owns its storage.
 //  3. The chain's signatures are verified OUTSIDE the pipeline mutex,
 //     against a throwaway context; portable verdicts land in the proof
 //     cache.
@@ -105,7 +106,7 @@ func (p *Pipeline) stamp(ctx *core.VerifyContext) *core.VerifyContext {
 	return ctx
 }
 
-// parse decodes a transport-encoded proof through the pooled arena.
+// parse decodes a transport-encoded proof into an owned core.Proof.
 func parse(raw []byte) (core.Proof, error) {
 	proof, err := core.ParseProof(raw)
 	if err != nil {

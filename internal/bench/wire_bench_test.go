@@ -65,17 +65,10 @@ func BenchmarkWireEncode(b *testing.B) {
 // through a directory endpoint or a WAL record.
 func BenchmarkWireCertRoundTrip(b *testing.B) {
 	wire := wireProof(b)
-	// The parse borrows a pooled arena — the same pattern the bulk
-	// paths (WAL replay, gossip verify-before-index, RMI service) use;
-	// the typed decoders copy everything they retain, so the arena can
-	// be recycled immediately after decoding.
-	a := sexp.GetArena()
-	defer sexp.PutArena(a)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Reset()
-		e, err := a.ParseOne(wire)
+		e, err := sexp.ParseOne(wire)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -361,10 +361,11 @@ func TestCertInsideLargerProof(t *testing.T) {
 	}
 }
 
-// TestParseProofPooledNoEscape: ParseProof recycles its pooled arena
-// the moment it returns, so nothing in the returned proof may alias
-// arena scratch or the caller's input buffer. Clobber both, churn the
-// pool, and the proof must still verify and re-encode identically.
+// TestParseProofPooledNoEscape: the parser's pooled arena is recycled
+// the moment sexp.ParseOne returns, so nothing in the proof ParseProof
+// returns may alias arena scratch or the caller's input buffer.
+// Clobber the input, churn the pool through further parses, and the
+// proof must still verify and re-encode identically.
 func TestParseProofPooledNoEscape(t *testing.T) {
 	alice, kAlice := keys("pp-alice")
 	bob, kBob := keys("pp-bob")
@@ -392,11 +393,9 @@ func TestParseProofPooledNoEscape(t *testing.T) {
 		buf[i] = 0xAA
 	}
 	for i := 0; i < 64; i++ {
-		a := sexp.GetArena()
-		if _, err := a.ParseOne([]byte(`(churn (deep (nested expressions to overwrite recycled scratch)))`)); err != nil {
+		if _, err := sexp.ParseOne([]byte(`(churn (deep (nested expressions to overwrite recycled scratch)))`)); err != nil {
 			t.Fatal(err)
 		}
-		sexp.PutArena(a)
 	}
 	if err := p.Verify(core.NewVerifyContext()); err != nil {
 		t.Fatalf("pooled-parsed proof no longer verifies: %v", err)

@@ -226,21 +226,15 @@ func spanName(path string) string {
 // bytes, which the request principal covers, so a proof cannot be
 // replayed onto a different mutation.
 //
-// The body lands in a pooled buffer and is parsed through a pooled
-// arena, so a served request allocates neither a body copy nor a
-// parse tree: parse results borrow from buffer and arena, both of
-// which outlive the handler (they are released only after the reply
-// is written). The ownership rule this leans on is the same one WAL
-// replay uses — every typed decoder (cert, CRL, principal, tag)
-// deep-copies what it retains — plus one handler-local obligation:
-// anything a handler hands to an asynchronous consumer (handleRemove's
-// hash, which the replicator queues) must be copied explicitly.
+// The body is read through http.MaxBytesReader, which also closes the
+// connection on abuse, unlike a silent LimitReader truncation that
+// would hand the parser half an S-expression.
 func post(w http.ResponseWriter, r *http.Request, guard *httpauth.CtlGuard, h func(sexp.Sexp) (sexp.Sexp, error)) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "certdir: POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := readBody(w, r)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -250,7 +244,6 @@ func post(w http.ResponseWriter, r *http.Request, guard *httpauth.CtlGuard, h fu
 		http.Error(w, "certdir: bad body", http.StatusBadRequest)
 		return
 	}
-	defer sexp.PutBuf(body)
 	if guard != nil {
 		if ctl := CtlTagFor(r.URL.Path); ctl.Valid() {
 			if err := guard.Authorize(r, body, ctl); err != nil {
@@ -259,9 +252,7 @@ func post(w http.ResponseWriter, r *http.Request, guard *httpauth.CtlGuard, h fu
 			}
 		}
 	}
-	a := sexp.GetArena()
-	defer sexp.PutArena(a)
-	e, err := a.ParseOne(body)
+	e, err := sexp.ParseOne(body)
 	if err != nil {
 		http.Error(w, "certdir: bad S-expression: "+err.Error(), http.StatusBadRequest)
 		return
@@ -272,31 +263,6 @@ func post(w http.ResponseWriter, r *http.Request, guard *httpauth.CtlGuard, h fu
 		return
 	}
 	reply(w, resp)
-}
-
-// readBody drains the request body into a pooled buffer, bounded by
-// maxBody through http.MaxBytesReader (which also closes the
-// connection on abuse, unlike a silent LimitReader truncation that
-// would hand the parser half an S-expression). On success the caller
-// owns the buffer and must PutBuf it; on error the buffer is already
-// returned.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	rd := http.MaxBytesReader(w, r.Body, maxBody)
-	buf := sexp.GetBuf()
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := rd.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			sexp.PutBuf(buf)
-			return nil, err
-		}
-	}
 }
 
 func reply(w http.ResponseWriter, e sexp.Sexp) {
@@ -403,11 +369,7 @@ func (s *Service) handleRemove(e sexp.Sexp) (sexp.Sexp, error) {
 	if e.Tag() != "remove" || e.Len() != 2 || !e.Nth(1).IsAtom() {
 		return nil, fmt.Errorf("certdir: remove wants (remove <hash>)")
 	}
-	// The hash outlives this handler: Remove hands it to the
-	// replicator's push queue (and the event ring), so it must not
-	// alias the pooled request buffer.
-	hash := append([]byte(nil), e.Nth(1).Bytes()...)
-	if s.Store.Remove(hash) {
+	if s.Store.Remove(e.Nth(1).Bytes()) {
 		return sexp.List(sexp.String("removed")), nil
 	}
 	return sexp.List(sexp.String("absent")), nil

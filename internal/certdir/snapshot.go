@@ -123,8 +123,7 @@ func (s *Store) WriteSnapshot(w io.Writer, revs *cert.RevocationStore, now time.
 	}
 
 	n := 0
-	buf := sexp.GetBuf()
-	defer sexp.PutBuf(buf)
+	var buf []byte
 	emit := func(e sexp.Sexp) error {
 		buf = sexp.AppendFrame(buf[:0], e)
 		wn, err := w.Write(buf)

@@ -633,10 +633,10 @@ func baseIndex(dir string, ids []uint64) int {
 // found. The store must not have a WAL attached yet: replay re-applies
 // history, it does not write it.
 //
-// Records stream through one sexp.FrameReader (a reusable payload
-// buffer and parse arena instead of per-record allocations; the typed
-// decoders copy what they keep, so recycling the arena is safe), and
-// consecutive publishes are indexed in verified batches
+// Records stream through one sexp.FrameReader, whose record borrows
+// the reader's storage only until the next Next; the typed decoders
+// copy what they keep, so nothing retained aliases it. Consecutive
+// publishes are indexed in verified batches
 // (Store.indexVerified). A removal or event flushes the pending batch
 // first — log order is publish order.
 func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (good, frames int64, torn bool, err error) {

@@ -254,15 +254,10 @@ func ProofFromSexp(e sexp.Sexp) (Proof, error) {
 }
 
 // ParseProof decodes a proof from text (canonical, advanced, or
-// transport encoding) through a pooled parse arena. The intermediate
-// expression tree is scratch: the typed decoders deep-copy everything
-// they keep and SetWire receives a freshly encoded canonical form, so
-// nothing of the arena (or of b) escapes into the returned proof and
-// the arena goes back to the pool on return.
+// transport encoding). The parse result owns its storage, so nothing
+// of b is retained by the returned proof.
 func ParseProof(b []byte) (Proof, error) {
-	a := sexp.GetArena()
-	defer sexp.PutArena(a)
-	e, err := a.ParseOne(b)
+	e, err := sexp.ParseOne(b)
 	if err != nil {
 		return nil, err
 	}

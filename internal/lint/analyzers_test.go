@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,10 +11,6 @@ import (
 // line) and at least one clean negative (the sanctioned shape of the
 // same code, unannotated): CheckDir fails on any diagnostic without a
 // want AND on any want without a diagnostic.
-
-func TestPoolCheck(t *testing.T) {
-	CheckDir(t, "testdata/src/poolcheck", "poolcheck", PoolCheck)
-}
 
 func TestLockScope(t *testing.T) {
 	CheckDir(t, "testdata/src/lockscope", "lockscope", LockScope)
@@ -103,5 +101,48 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("sf-vet finding: %s", d)
+	}
+}
+
+// TestAnalyzersDocumented keeps the catalog and its documentation in
+// step: the analyzers All() returns are exactly the backticked names
+// in the first column of ARCHITECTURE.md's "Enforced invariants"
+// table.
+func TestAnalyzersDocumented(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(filepath.Join(root, "docs", "ARCHITECTURE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Enforced invariants")
+	if !ok {
+		t.Fatal(`ARCHITECTURE.md has no "Enforced invariants" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented := make(map[string]bool)
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		first := strings.TrimSpace(cells[1])
+		if len(first) > 2 && first[0] == '`' && first[len(first)-1] == '`' {
+			documented[first[1:len(first)-1]] = true
+		}
+	}
+	registered := make(map[string]bool)
+	for _, a := range All() {
+		registered[a.Name] = true
+		if !documented[a.Name] {
+			t.Errorf("analyzer %q is missing from ARCHITECTURE.md's Enforced invariants table", a.Name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("ARCHITECTURE.md's Enforced invariants table lists %q, which All() does not return", name)
+		}
 	}
 }

@@ -5,7 +5,6 @@ package lint
 // "Enforced invariants").
 func All() []*Analyzer {
 	return []*Analyzer{
-		PoolCheck,
 		LockScope,
 		TrustFlow,
 		ClockCheck,

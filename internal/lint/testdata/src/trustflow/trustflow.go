@@ -69,6 +69,30 @@ func digestUnverified(pv *prover.Prover, raw []byte) error {
 	return nil
 }
 
+// importUnverified is the pasted-proof shape: ParseProof decodes in
+// one call, and the result still carries no authority.
+func importUnverified(pv *prover.Prover, raw []byte) error {
+	p, err := core.ParseProof(raw)
+	if err != nil {
+		return err
+	}
+	pv.AddProof(p) // want "wire-decoded value reaches prover.Prover.AddProof"
+	return nil
+}
+
+// importVerified checks the chain first: clean.
+func importVerified(pv *prover.Prover, ctx *core.VerifyContext, raw []byte) error {
+	p, err := core.ParseProof(raw)
+	if err != nil {
+		return err
+	}
+	if err := cert.VerifyChain(ctx, p); err != nil {
+		return err
+	}
+	pv.AddProof(p)
+	return nil
+}
+
 // digestQueried feeds a directory's query answer straight into the
 // graph: the directory chose those proofs.
 func digestQueried(pv *prover.Prover, dir *certdir.Client, iss principal.Principal) error {

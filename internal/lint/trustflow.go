@@ -15,8 +15,8 @@ import (
 // bytes that skip verification and land in the store or the prover's
 // delegation graph plant authority an attacker chose.
 //
-// Sources (taint): sexp.Parse*/Arena.Parse*,
-// core.ProofFromSexp, cert *FromSexp/Decode* decoders,
+// Sources (taint): sexp.Parse*/Read*,
+// core.ProofFromSexp/ParseProof, cert *FromSexp/Decode* decoders,
 // certdir.Client.Fetch and its By* query methods, and both methods of
 // prover.RemoteSource. Cleansers: any Verify*-named call that
 // mentions the value (or a container of it) — including VerifyBatch
@@ -54,7 +54,7 @@ func isWireSource(info *types.Info, call *ast.CallExpr) bool {
 	case pathHasSuffix(fn.Pkg().Path(), "internal/sexp"):
 		return strings.HasPrefix(name, "Parse") || strings.HasPrefix(name, "Read")
 	case pathHasSuffix(fn.Pkg().Path(), "internal/core"):
-		return name == "ProofFromSexp"
+		return name == "ProofFromSexp" || name == "ParseProof"
 	case pathHasSuffix(fn.Pkg().Path(), "internal/cert"):
 		return strings.HasSuffix(name, "FromSexp") || strings.HasPrefix(name, "Decode")
 	case pathHasSuffix(fn.Pkg().Path(), "internal/certdir"):

@@ -8,9 +8,9 @@ import (
 
 // Encoding is append-based: every node knows how to append its
 // canonical and advanced forms onto a caller's buffer, Canonical()
-// allocates exactly once at the size FormatLen precomputes, and hot
-// paths (framing, hashing, signing) borrow pooled buffers so a warm
-// encode allocates nothing.
+// allocates exactly once at the size FormatLen precomputes, and
+// hashing and transport encoding borrow pooled scratch so a warm call
+// allocates at most its result.
 
 // bufPool recycles encode scratch. Buffers are stored via pointer so
 // Put does not allocate a slice header box.
@@ -29,15 +29,6 @@ func putBuf(b []byte) {
 	}
 	bufPool.Put(&b)
 }
-
-// GetBuf borrows a pooled byte buffer (length 0) for append-based
-// encoding; pair with PutBuf on the final slice once its contents
-// have been consumed.
-func GetBuf() []byte { return getBuf() }
-
-// PutBuf returns an encode buffer (or any append-grown descendant of
-// one) to the pool.
-func PutBuf(b []byte) { putBuf(b) }
 
 // transportOf builds the transport encoding: the canonical form,
 // base64-encoded and wrapped in braces. Transport form survives

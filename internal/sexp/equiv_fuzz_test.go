@@ -337,7 +337,9 @@ func refWriteVerbatim(buf *bytes.Buffer, b []byte) {
 // are then pushed around the full encoding cycle: the new encoder's
 // canonical, transport, and advanced renderings must each parse —
 // under the REFERENCE parser — back to the same canonical bytes,
-// which pins encoder output, not just parser behavior.
+// which pins encoder output, not just parser behavior. Last, the
+// parsed tree must own its storage: overwriting the parsed input
+// leaves its canonical form unchanged.
 func FuzzParserEquivalence(f *testing.F) {
 	seeds := [][]byte{
 		[]byte("(3:abc(1:x))"),
@@ -364,7 +366,9 @@ func FuzzParserEquivalence(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		ref, refErr := refParseOne(in)
-		got, gotErr := ParseOne(in)
+		// Parse a private copy of the input: the last check overwrites it.
+		priv := append([]byte(nil), in...)
+		got, gotErr := ParseOne(priv)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("accept mismatch on %q: ref err=%v, new err=%v", in, refErr, gotErr)
 		}
@@ -401,6 +405,14 @@ func FuzzParserEquivalence(f *testing.F) {
 		}
 		if !bytes.Equal(again.Canonical(), newCan) {
 			t.Fatalf("canonical not a fixed point: %q -> %q", newCan, again.Canonical())
+		}
+		// Parse results own their storage: overwriting the parsed
+		// bytes must leave the tree unchanged.
+		for i := range priv {
+			priv[i] = '!'
+		}
+		if after := got.Canonical(); !bytes.Equal(after, newCan) {
+			t.Fatalf("parse of %q aliases its input: canonical %q became %q", in, newCan, after)
 		}
 	})
 }

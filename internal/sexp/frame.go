@@ -56,7 +56,7 @@ func AppendFrame(dst []byte, e Sexp) []byte {
 // (the typed decoders in cert/core already copy everything they keep).
 type FrameReader struct {
 	payload []byte
-	arena   Arena
+	arena   arena
 }
 
 // Next reads one framed expression from r, returning it with the total
@@ -89,8 +89,8 @@ func (fr *FrameReader) Next(r io.Reader) (e Sexp, n int, err error) {
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(hdr[4:8]); got != want {
 		return nil, hn + pn, fmt.Errorf("%w: CRC mismatch (%08x != %08x)", ErrFrameCorrupt, got, want)
 	}
-	fr.arena.Reset()
-	if e, err = fr.arena.ParseOne(payload); err != nil {
+	fr.arena.reset()
+	if e, err = fr.arena.parseOne(payload); err != nil {
 		return nil, hn + pn, fmt.Errorf("%w: %v", ErrFrameCorrupt, err)
 	}
 	return e, hn + pn, nil

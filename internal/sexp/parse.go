@@ -26,17 +26,18 @@ const (
 // ErrTruncated is returned when input ends mid-expression.
 var ErrTruncated = errors.New("sexp: truncated input")
 
-// Arena is reusable parser scratch: node slabs the parsed tree lives
-// in and a byte slab that decoded atoms (quoted escapes, |base64|,
-// #hex#, transport payloads) borrow from. Parsing through a warm
-// Arena allocates nothing on the happy path.
+// arena is the parser's scratch: node slabs the tree is built in and
+// a byte slab that decoded atoms (quoted escapes, |base64|, #hex#,
+// transport payloads) borrow from. Parsing through a warm arena
+// allocates nothing on the happy path.
 //
-// Everything an Arena's Parse returns — nodes and atom octets alike —
-// is valid only until the next Reset (or the Put that implies it).
-// Callers that retain any part of a parse must Copy it first; the
-// typed decoders (cert, principal, tag, ...) already copy what they
-// keep. An Arena is not safe for concurrent use.
-type Arena struct {
+// Everything an arena's parse returns — nodes and atom octets alike —
+// borrows from the arena and from the input, so it is valid only
+// until the next reset. Parse and ParseOne therefore hand out a
+// compact Copy and reset before returning; FrameReader keeps its own
+// arena and documents the borrow. An arena is not safe for concurrent
+// use.
+type arena struct {
 	atoms []AtomVal
 	lists []ListVal
 	elems []Sexp
@@ -45,9 +46,9 @@ type Arena struct {
 	buf   []byte
 }
 
-// Reset invalidates every expression the Arena has returned and
+// reset invalidates every expression the arena has returned and
 // reclaims its scratch for the next parse.
-func (a *Arena) Reset() {
+func (a *arena) reset() {
 	a.atoms = a.atoms[:0]
 	a.lists = a.lists[:0]
 	a.elems = a.elems[:0]
@@ -56,36 +57,42 @@ func (a *Arena) Reset() {
 	a.buf = a.buf[:0]
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
-
-// GetArena borrows a pooled Arena. Pair with PutArena once nothing
-// from its parses is referenced anymore.
-func GetArena() *Arena { return arenaPool.Get().(*Arena) }
-
-// PutArena resets a and returns it to the pool. Expressions parsed
-// through a are invalid afterwards.
-func PutArena(a *Arena) {
-	a.Reset()
-	arenaPool.Put(a)
-}
+// arenaPool recycles parse scratch across Parse/ParseOne calls; the
+// proof parse of every admit and the directory's request bodies run
+// through it.
+var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
 // Parse decodes one S-expression in canonical, transport, or advanced
 // form (auto-detected) and returns it along with the number of input
-// bytes consumed. The result borrows from in (see the package
-// comment on buffer ownership).
+// bytes consumed. The result owns its storage: it shares nothing with
+// in or with the parser's scratch.
 func Parse(in []byte) (Sexp, int, error) {
-	return new(Arena).Parse(in)
+	a := arenaPool.Get().(*arena)
+	s, n, err := a.parse(in)
+	if err == nil {
+		s = s.Copy()
+	}
+	a.reset()
+	arenaPool.Put(a)
+	return s, n, err
 }
 
 // ParseOne is Parse but requires the input to contain exactly one
 // expression with nothing but whitespace after it.
 func ParseOne(in []byte) (Sexp, error) {
-	return new(Arena).ParseOne(in)
+	a := arenaPool.Get().(*arena)
+	s, err := a.parseOne(in)
+	if err == nil {
+		s = s.Copy()
+	}
+	a.reset()
+	arenaPool.Put(a)
+	return s, err
 }
 
-// Parse decodes one expression from in, borrowing octets from in and
-// node storage from the arena. Valid until the arena's next Reset.
-func (a *Arena) Parse(in []byte) (Sexp, int, error) {
+// parse decodes one expression from in, borrowing octets from in and
+// node storage from the arena. Valid until the arena's next reset.
+func (a *arena) parse(in []byte) (Sexp, int, error) {
 	if len(in) > MaxTotal {
 		return nil, 0, fmt.Errorf("sexp: input exceeds %d bytes", MaxTotal)
 	}
@@ -93,17 +100,13 @@ func (a *Arena) Parse(in []byte) (Sexp, int, error) {
 	if pos < len(in) && in[pos] == '{' {
 		return a.parseTransport(in, pos)
 	}
-	s, n, err := a.run(in, pos)
-	if err != nil {
-		return nil, n, err
-	}
-	return s, n, nil
+	return a.run(in, pos)
 }
 
-// ParseOne is Parse but requires exactly one expression with nothing
+// parseOne is parse but requires exactly one expression with nothing
 // but whitespace after it.
-func (a *Arena) ParseOne(in []byte) (Sexp, error) {
-	s, n, err := a.Parse(in)
+func (a *arena) parseOne(in []byte) (Sexp, error) {
+	s, n, err := a.parse(in)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +120,7 @@ func (a *Arena) ParseOne(in []byte) (Sexp, error) {
 
 // parseTransport decodes a {base64} wrapper into the arena's byte
 // slab and parses the canonical payload inside it.
-func (a *Arena) parseTransport(in []byte, pos int) (Sexp, int, error) {
+func (a *arena) parseTransport(in []byte, pos int) (Sexp, int, error) {
 	start := pos
 	pos++ // '{'
 	end := pos
@@ -154,7 +157,7 @@ func (a *Arena) parseTransport(in []byte, pos int) (Sexp, int, error) {
 // run is the iterative parse loop: '(' pushes a mark, ')' pops one
 // and moves the children collected since into an elems window, atoms
 // land on the stack. Depth is the mark count, bounded by MaxDepth.
-func (a *Arena) run(in []byte, pos int) (Sexp, int, error) {
+func (a *arena) run(in []byte, pos int) (Sexp, int, error) {
 	baseMark := len(a.marks)
 	baseStack := len(a.stack)
 	fail := func(err error) (Sexp, int, error) {
@@ -226,7 +229,7 @@ func (a *Arena) run(in []byte, pos int) (Sexp, int, error) {
 // token, quoted-string, |base64| and #hex# forms. Verbatim octets and
 // escape-free tokens/strings borrow from in; decoded forms borrow
 // from the arena's byte slab.
-func (a *Arena) atomBody(in []byte, pos int) ([]byte, int, error) {
+func (a *arena) atomBody(in []byte, pos int) ([]byte, int, error) {
 	if pos >= len(in) {
 		return nil, pos, ErrTruncated
 	}
@@ -255,7 +258,7 @@ func (a *Arena) atomBody(in []byte, pos int) ([]byte, int, error) {
 // followed by ':', they begin a bare token instead (numbers such as
 // "10" inside range tags); canonical encodings always carry the
 // colon, so the forms stay unambiguous.
-func (a *Arena) parseVerbatim(in []byte, pos int) ([]byte, int, error) {
+func (a *arena) parseVerbatim(in []byte, pos int) ([]byte, int, error) {
 	start := pos
 	n := 0
 	tooBig := false
@@ -283,7 +286,7 @@ func (a *Arena) parseVerbatim(in []byte, pos int) ([]byte, int, error) {
 	return in[pos : pos+n], pos + n, nil
 }
 
-func (a *Arena) parseQuoted(in []byte, pos int) ([]byte, int, error) {
+func (a *arena) parseQuoted(in []byte, pos int) ([]byte, int, error) {
 	pos++ // opening quote
 	// Fast path: no escapes before the closing quote borrows from in.
 	scan := pos
@@ -336,7 +339,7 @@ func (a *Arena) parseQuoted(in []byte, pos int) ([]byte, int, error) {
 	return nil, pos, ErrTruncated
 }
 
-func (a *Arena) parseBase64(in []byte, pos int) ([]byte, int, error) {
+func (a *arena) parseBase64(in []byte, pos int) ([]byte, int, error) {
 	pos++ // opening |
 	start := pos
 	for pos < len(in) && in[pos] != '|' {
@@ -365,7 +368,7 @@ func (a *Arena) parseBase64(in []byte, pos int) ([]byte, int, error) {
 	return a.buf[decStart : decStart+n : decStart+n], pos, nil
 }
 
-func (a *Arena) parseHex(in []byte, pos int) ([]byte, int, error) {
+func (a *arena) parseHex(in []byte, pos int) ([]byte, int, error) {
 	pos++ // opening #
 	start := pos
 	for pos < len(in) && in[pos] != '#' {

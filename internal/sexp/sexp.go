@@ -24,14 +24,13 @@
 //
 // # Buffer ownership
 //
-// The parser borrows from its input: atom octets returned by Bytes()
-// are spans of the buffer given to Parse/ParseOne (or of an Arena's
-// scratch). A parsed expression is therefore valid only as long as
-// the input buffer is, and only until an owning Arena is reset.
-// Callers that retain octets beyond that window must copy them —
-// Copy() returns a deep copy with owned storage, and Text()/Key()
-// copy inherently. The constructors (Atom, String, List, ...) always
-// build owned nodes.
+// Parse results are owned: Parse and ParseOne build the tree in a
+// pooled scratch arena private to this package and return a compact
+// Copy of it, so nothing they return aliases the input or the pool.
+// The one borrow is FrameReader.Next, whose record shares the reader's
+// payload buffer and arena until the next call to Next; callers that
+// retain a record past that point must Copy it. The constructors
+// (Atom, String, List, ...) always build owned nodes.
 package sexp
 
 import (
@@ -58,7 +57,7 @@ type Sexp interface {
 	// or when the node is an atom.
 	Nth(i int) Sexp
 	// Bytes returns the atom octets (nil for lists). The slice may
-	// borrow from a parse input buffer; see the package comment.
+	// borrow from a FrameReader; see the package comment.
 	Bytes() []byte
 	// Hint returns the optional display hint of an atom ("" when
 	// absent, and always "" for lists).
@@ -71,7 +70,7 @@ type Sexp interface {
 	// Text returns the atom octets as a string ("" for lists).
 	Text() string
 	// Copy returns a deep copy with owned storage, safe to retain
-	// after the original's backing buffer or arena is gone.
+	// after the original's backing buffer or FrameReader is reused.
 	Copy() Sexp
 	// Hash returns the SHA-256 hash of the canonical encoding. Two
 	// expressions hash equal exactly when Equal reports true.
@@ -117,7 +116,7 @@ type Sexp interface {
 }
 
 // AtomVal is an octet-string atom, optionally display-hinted. Octets
-// may borrow from a parse input buffer (see the package comment);
+// may borrow from a FrameReader (see the package comment); parsed and
 // constructor-built atoms own their storage.
 type AtomVal struct {
 	octets []byte

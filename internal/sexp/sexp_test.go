@@ -276,16 +276,20 @@ func TestCopyIsDeep(t *testing.T) {
 }
 
 func TestCopyOutlivesArena(t *testing.T) {
-	a := GetArena()
+	a := new(arena)
 	in := []byte("(4:cert(6:issuer2:ki)[4:mime]3:xyz)")
-	s, err := a.ParseOne(in)
+	s, err := a.parseOne(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp := s.Copy()
 	want := s.Canonical()
-	PutArena(a)
-	// Scribble over the input buffer the parse borrowed from.
+	// Refill the arena's slabs with another parse, then scribble over
+	// the input buffer the first parse borrowed from.
+	a.reset()
+	if _, err := a.parseOne([]byte(`(8:somethin"quoted\nelse"(|YWJj|))`)); err != nil {
+		t.Fatal(err)
+	}
 	for i := range in {
 		in[i] = 0
 	}
@@ -416,14 +420,13 @@ func TestQuickCopyEqual(t *testing.T) {
 func TestQuickArenaAgreesWithFresh(t *testing.T) {
 	// One warm arena parsing many expressions must give the same trees
 	// as a fresh parse each time.
-	a := GetArena()
-	defer PutArena(a)
+	a := new(arena)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := randomSexp(r, 4)
 		enc := e.Canonical()
-		a.Reset()
-		got, err := a.ParseOne(enc)
+		a.reset()
+		got, err := a.parseOne(enc)
 		if err != nil {
 			return false
 		}
