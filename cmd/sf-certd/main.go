@@ -281,7 +281,7 @@ func main() {
 		emit(server.Gauge("sf_crls", "Revocation lists installed.", float64(len(revocations.Lists()))))
 		if svc.Replicator != nil {
 			rs := svc.Replicator.Stats()
-			emit(server.Counter("sf_certdir_gossip_pushes_total", "Successful per-peer pushes.", float64(rs.Pushes)))
+			emit(server.Counter("sf_certdir_gossip_pushes_total", "Mutations delivered to peers by push, per peer (a pushed run of n certificates counts n).", float64(rs.Pushes)))
 			emit(server.Counter("sf_certdir_gossip_pulled_total", "Certificates pulled by anti-entropy.", float64(rs.Pulled)))
 			emit(server.Counter("sf_certdir_gossip_crls_pulled_total", "CRLs pulled by anti-entropy.", float64(rs.CRLsPulled)))
 			emit(server.Counter("sf_gossip_digest_bytes_total", "Anti-entropy summary bytes moved (request + reply).", float64(rs.DigestBytes)))

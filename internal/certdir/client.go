@@ -161,14 +161,35 @@ func (c *Client) roundTrip(ctx context.Context, path string, req sexp.Sexp, wait
 	return e, nil
 }
 
-// Publish uploads a certificate to the directory.
-func (c *Client) Publish(ct *cert.Cert) error {
-	resp, err := c.roundTrip(context.Background(), PathPublish, ct.Sexp(), 0)
+// Publish uploads certificates to the directory in one request. One
+// certificate travels as itself; the directory answers (published) or
+// (duplicate), and refuses a certificate that does not verify with a
+// 400. More travel as one (certs <cert>...) run, which the directory
+// indexes as one verified batch and answers with (published (added n)
+// (rejected r)): a refused certificate does not stop the others, and
+// Publish reports it as an error once the rest are in.
+func (c *Client) Publish(certs ...*cert.Cert) error {
+	var body sexp.Sexp
+	switch len(certs) {
+	case 0:
+		return nil
+	case 1:
+		body = certs[0].Sexp()
+	default:
+		body = certsSexp(certs)
+	}
+	resp, err := c.roundTrip(context.Background(), PathPublish, body, 0)
 	if err != nil {
 		return err
 	}
-	switch resp.Tag() {
-	case "published", "duplicate":
+	rej := resp.Child("rejected")
+	switch {
+	case resp.Tag() == "duplicate" || resp.Tag() == "published" && rej == nil:
+		return nil
+	case resp.Tag() == "published" && rej.Len() == 2:
+		if n := rej.Nth(1).Text(); n != "0" {
+			return fmt.Errorf("certdir: publish: %s of %d certificates refused", n, len(certs))
+		}
 		return nil
 	}
 	return fmt.Errorf("certdir: unexpected publish reply %s", resp)
@@ -200,16 +221,17 @@ func (c *Client) query(ctx context.Context, by string, p principal.Principal, f 
 	return out, nil
 }
 
-// parseCerts decodes a (certs <proof>...) reply.
-func parseCerts(resp sexp.Sexp) ([]*cert.Cert, error) {
-	if resp.Tag() != "certs" {
-		return nil, fmt.Errorf("certdir: unexpected query reply %s", resp)
+// parseCerts decodes a (certs <proof>...) list: a query or fetch
+// reply, or a publish run.
+func parseCerts(e sexp.Sexp) ([]*cert.Cert, error) {
+	if e.Tag() != "certs" {
+		return nil, fmt.Errorf("certdir: want (certs <proof>...), got %s", e)
 	}
-	var out []*cert.Cert
-	for i := 1; i < resp.Len(); i++ {
-		ct, err := certFromSexp(resp.Nth(i))
+	out := make([]*cert.Cert, 0, e.Len()-1)
+	for i := 1; i < e.Len(); i++ {
+		ct, err := certFromSexp(e.Nth(i))
 		if err != nil {
-			return nil, fmt.Errorf("certdir: reply certificate %d: %w", i, err)
+			return nil, fmt.Errorf("certdir: certificate %d: %w", i, err)
 		}
 		out = append(out, ct)
 	}
@@ -348,7 +370,7 @@ func (c *Client) Events(after uint64, wait time.Duration) (hashes [][]byte, next
 
 // Fetch pulls the certificates with the given content hashes; absent
 // or expired ones are omitted from the answer. The caller re-verifies
-// everything before trusting it (Store.Publish does when pulling).
+// everything before trusting it (Store.indexVerified does when pulling).
 func (c *Client) Fetch(hashes [][]byte) ([]*cert.Cert, error) {
 	kids := make([]sexp.Sexp, 0, len(hashes)+1)
 	kids = append(kids, sexp.String("fetch"))

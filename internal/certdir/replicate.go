@@ -23,10 +23,12 @@ import (
 //
 //   - Push-on-publish. Every newly indexed certificate (and every
 //     acknowledged removal) is fanned out to all peers immediately,
-//     with bounded retry. Pushes are rumor mongering: a peer that
-//     accepts a pushed certificate pushes it onward to its own peers,
-//     and the publish dedup (added == false) terminates the flood, so
-//     a mesh converges without a routing layer.
+//     with bounded retry; certificates already queued together travel
+//     as one run in one publish request, in queue order with the
+//     removals and CRLs around them. Pushes are rumor mongering: a
+//     peer that accepts a pushed certificate pushes it onward to its
+//     own peers, and the publish dedup (added == false) terminates the
+//     flood, so a mesh converges without a routing layer.
 //   - Anti-entropy. A periodic round compares Merkle summaries (count
 //     and XOR of content hashes per tree node, see merkle.go) with each
 //     peer and pulls whatever is missing: the repair path for pushes
@@ -39,7 +41,7 @@ import (
 //     publishes are.
 //
 // Trust: replication extends availability, not authority. Everything a
-// peer supplies goes through Store.Publish, which re-verifies the
+// peer supplies goes through Store.indexVerified, which re-verifies the
 // signature before indexing — exactly the verify-before-digest
 // discipline prover.RemoteSource applies — so a compromised peer can
 // withhold delegations but cannot plant them. Under an enforcing
@@ -124,10 +126,11 @@ const (
 	leafBatch = 16
 )
 
-// repJob is one queued fan-out: a publish (cert != nil), a CRL
-// install (crl != nil), or a removal.
+// repJob is one fan-out: a run of publishes (certs non-empty; a
+// queued job holds one certificate, a pushed one the run pushLoop
+// gathered), a CRL install (crl != nil), or a removal.
 type repJob struct {
-	cert         *cert.Cert
+	certs        []*cert.Cert
 	crl          *cert.RevocationList
 	removeHash   []byte
 	removeExpiry time.Time
@@ -137,8 +140,8 @@ type repJob struct {
 // endpoint.
 type ReplicatorStats struct {
 	Peers        int
-	Pushes       int64 // successful per-peer pushes (publish + crl + remove)
-	PushFailures int64 // pushes abandoned after all retries
+	Pushes       int64 // mutations delivered, per peer (a pushed run of n certificates counts n)
+	PushFailures int64 // mutations abandoned after all retries, counted like Pushes
 	QueueDrops   int64 // mutations shed by a full fan-out queue
 	Rounds       int64 // anti-entropy rounds completed
 	Pulled       int64 // certificates pulled and indexed by anti-entropy
@@ -196,7 +199,7 @@ func (r *Replicator) Start() {
 	r.queue = make(chan repJob, pushQueueDepth)
 	r.stop = make(chan struct{})
 	r.store.SetHooks(
-		func(c *cert.Cert) { r.enqueue(repJob{cert: c}) },
+		func(c *cert.Cert) { r.enqueue(repJob{certs: []*cert.Cert{c}}) },
 		func(hash []byte, expiry time.Time) {
 			r.enqueue(repJob{removeHash: hash, removeExpiry: expiry})
 		},
@@ -238,24 +241,68 @@ func (r *Replicator) EnqueueCRL(rl *cert.RevocationList) {
 	r.enqueue(repJob{crl: rl})
 }
 
-// pushLoop fans queued mutations out to every peer with bounded retry.
+// pushLoop fans queued mutations out to every peer with bounded
+// retry, in queue order. A publish takes along the publishes already
+// queued behind it (gatherRun), so a burst costs one request per peer
+// rather than one per certificate, while a lone publish still goes out
+// at once. Removals and CRLs go one by one; the job that ends a run is
+// pushed right after it.
 func (r *Replicator) pushLoop() {
 	defer r.wg.Done()
+	var (
+		j    repJob
+		held bool // j ended the previous run and has not been pushed
+	)
 	for {
-		select {
-		case <-r.stop:
-			return
-		case j := <-r.queue:
-			for _, peer := range r.peers {
-				r.pushOne(peer, j)
+		if !held {
+			select {
+			case <-r.stop:
+				return
+			case j = <-r.queue:
 			}
+		}
+		run := j
+		j, held = r.gatherRun(&run)
+		for _, peer := range r.peers {
+			r.pushOne(peer, run)
 		}
 	}
 }
 
-// pushOne delivers one mutation to one peer, retrying transport
-// failures up to the retry bound with backoff between attempts.
+// gatherRun extends a publish job with the publish jobs queued right
+// behind it, taken without waiting, up to verifyBatch certificates and
+// a maxBody request body. The first job taken that does not join the
+// run — a removal, a CRL, or a certificate past a bound — is returned
+// with held set, to be pushed next.
+func (r *Replicator) gatherRun(j *repJob) (next repJob, held bool) {
+	if len(j.certs) == 0 {
+		return repJob{}, false
+	}
+	size := certsSexp(j.certs).FormatLen()
+	for len(j.certs) < verifyBatch {
+		select {
+		case next = <-r.queue:
+		default:
+			return repJob{}, false
+		}
+		if len(next.certs) == 0 {
+			return next, true
+		}
+		if size += next.certs[0].Sexp().FormatLen(); size > maxBody {
+			return next, true
+		}
+		j.certs = append(j.certs, next.certs[0])
+	}
+	return repJob{}, false
+}
+
+// pushOne delivers one mutation, or one run of publishes as a single
+// request, to one peer, retrying failures up to the retry bound with
+// backoff between attempts; publish dedup makes a retried run
+// idempotent. Pushes and failures count certificates (a run of n
+// counts n), so the counters mean the same however runs form.
 func (r *Replicator) pushOne(peer *Client, j repJob) {
+	n := int64(max(len(j.certs), 1))
 	var err error
 	for attempt := 0; attempt < pushAttempts; attempt++ {
 		if attempt > 0 {
@@ -266,19 +313,19 @@ func (r *Replicator) pushOne(peer *Client, j repJob) {
 			}
 		}
 		switch {
-		case j.cert != nil:
-			err = peer.Publish(j.cert)
+		case len(j.certs) > 0:
+			err = peer.Publish(j.certs...)
 		case j.crl != nil:
 			err = peer.PushCRL(j.crl)
 		default:
 			_, err = peer.Remove(j.removeHash)
 		}
 		if err == nil {
-			r.pushes.Add(1)
+			r.pushes.Add(n)
 			return
 		}
 	}
-	r.pushFailures.Add(1)
+	r.pushFailures.Add(n)
 	r.logf("certdir: push to %s failed after %d attempts: %v", peer.BaseURL, pushAttempts, err)
 }
 
@@ -473,7 +520,7 @@ func (r *Replicator) pullHashes(peer *Client, hashes [][]byte) (pulled int, err 
 // (Store.indexVerified, yielding to tombstones: a removal that raced
 // the pull must win) and counts the outcome.
 func (r *Replicator) indexPulled(certs []*cert.Cert) int {
-	added, rejected := r.store.indexVerified(certs, r.now(), true, false)
+	added, rejected, _ := r.store.indexVerified(certs, r.now(), true, false)
 	r.pulled.Add(int64(added))
 	r.pullRejected.Add(int64(rejected))
 	return added

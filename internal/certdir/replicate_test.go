@@ -1,14 +1,21 @@
 package certdir
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cert"
 	"repro/internal/core"
 	"repro/internal/principal"
+	"repro/internal/sexp"
 	"repro/internal/sfkey"
 	"repro/internal/tag"
 )
@@ -86,6 +93,187 @@ func TestPushOnPublish(t *testing.T) {
 	}
 }
 
+// gatedPeer serves a directory that holds the first request it gets
+// until release is closed (entered is closed when it arrives), so the
+// mutations an origin makes meanwhile queue up behind that push. It
+// records every request in arrival order.
+type gatedPeer struct {
+	url              string
+	entered, release chan struct{}
+	mu               sync.Mutex
+	requests         []pushedRequest
+}
+
+// pushedRequest is one request a gatedPeer received: its path, the
+// certificates a (certs ...) publish run carried (0 otherwise) and the
+// body size.
+type pushedRequest struct {
+	path        string
+	certs, size int
+}
+
+func newGatedPeer(t *testing.T, svc *Service) *gatedPeer {
+	t.Helper()
+	g := &gatedPeer{entered: make(chan struct{}), release: make(chan struct{})}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		req := pushedRequest{path: r.URL.Path, size: len(body)}
+		if e, err := sexp.ParseOne(body); err == nil && e.Tag() == "certs" {
+			req.certs = e.Len() - 1
+		}
+		g.mu.Lock()
+		g.requests = append(g.requests, req)
+		first := len(g.requests) == 1
+		g.mu.Unlock()
+		if first {
+			close(g.entered)
+			<-g.release
+		}
+		svc.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	g.url = ts.URL
+	return g
+}
+
+func (g *gatedPeer) received() []pushedRequest {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Clone(g.requests)
+}
+
+// TestPushKeepsQueueOrderAcrossRuns queues mutations behind a push the
+// peer holds open: publish X, remove X, re-publish X; publish Y, then
+// the CRL by Y's signer that revokes Y. The peer must receive them in
+// queue order, the re-publish of X and Y as one run between the
+// removal and the CRL, and end with X live, Y evicted and the origin's
+// Merkle root. Pushing a run ahead of the removal would leave X
+// tombstoned at the peer; pushing it behind the CRL would leave Y live.
+func TestPushKeepsQueueOrderAcrossRuns(t *testing.T) {
+	now := time.Now()
+	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
+	a, b := NewStore(4), NewStore(4)
+	aRevs := cert.NewRevocationStore()
+	bSvc := NewService(b)
+	bSvc.Revocations = cert.NewRevocationStore()
+	peer := newGatedPeer(t, bSvc)
+	rep := NewReplicator(a, []*Client{NewClient(peer.url)})
+	rep.backoff = 5 * time.Millisecond
+	rep.Interval = time.Hour
+	rep.Revocations = aRevs
+	rep.Start()
+	defer rep.Stop()
+
+	issuer := sfkey.FromSeed([]byte("fifo-issuer"))
+	mint := func(name string) *cert.Cert {
+		return delegate(t, issuer, principal.KeyOf(sfkey.FromSeed([]byte("fifo-"+name)).Public()), tag.Literal(name), v)
+	}
+	publish := func(c *cert.Cert) {
+		t.Helper()
+		if added, err := a.Publish(c, now); err != nil || !added {
+			t.Fatalf("publish: added=%v err=%v", added, err)
+		}
+	}
+	z, x, y := mint("z"), mint("x"), mint("y")
+	publish(z)
+	<-peer.entered // the push worker is busy with z; what follows queues up
+	publish(x)
+	if !a.Remove(x.Hash()) {
+		t.Fatal("remove failed")
+	}
+	publish(x)
+	publish(y)
+	if res := InstallCRLs(aRevs, a, rep, []*cert.RevocationList{cert.NewRevocationList(issuer, v, y.Hash())}, now); res.Installed != 1 || res.Evicted != 1 {
+		t.Fatalf("local CRL install: %+v", res)
+	}
+	close(peer.release)
+
+	waitUntil(t, "every queued mutation pushed", func() bool {
+		st := rep.Stats()
+		return st.Pushes+st.PushFailures == 6
+	})
+	var got []string
+	for _, req := range peer.received() {
+		got = append(got, fmt.Sprintf("%s %d", req.path, req.certs))
+	}
+	want := []string{PathPublish + " 0", PathPublish + " 0", PathRemove + " 0", PathPublish + " 2", PathAdminCRL + " 0"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("peer saw requests %q, want %q (path, certificates in a run)", got, want)
+	}
+	if st := rep.Stats(); st.PushFailures != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if !b.HasHash(x.Hash()) || b.Tombstoned(x.Hash()) {
+		t.Fatal("re-published X is not live at the peer")
+	}
+	if b.HasHash(y.Hash()) {
+		t.Fatal("revoked Y is live at the peer")
+	}
+	if ra, rb := a.MerkleRoot(), b.MerkleRoot(); ra != rb {
+		t.Fatalf("Merkle roots differ: origin %d/%x, peer %d/%x", ra.Count, ra.XOR, rb.Count, rb.XOR)
+	}
+}
+
+// TestPushRunBounds queues 300 small certificates and then 100 with a
+// 16 KiB tag behind a push the peer holds open. Runs must stop at
+// verifyBatch certificates and at maxBody bytes of body, and every
+// certificate must arrive.
+func TestPushRunBounds(t *testing.T) {
+	now := time.Now()
+	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
+	a, b := NewStore(4), NewStore(4)
+	peer := newGatedPeer(t, NewService(b))
+	rep := NewReplicator(a, []*Client{NewClient(peer.url)})
+	rep.Interval = time.Hour
+	rep.Start()
+	defer rep.Stop()
+
+	issuer := sfkey.FromSeed([]byte("bounds-issuer"))
+	subject := principal.KeyOf(sfkey.FromSeed([]byte("bounds-subject")).Public())
+	big := strings.Repeat("x", 16<<10)
+	publish := func(name string) {
+		t.Helper()
+		if _, err := a.Publish(delegate(t, issuer, subject, tag.Literal(name), v), now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish("held")
+	<-peer.entered
+	const small, large = 300, 100
+	for i := 0; i < small; i++ {
+		publish(fmt.Sprintf("small-%d", i))
+	}
+	for i := 0; i < large; i++ {
+		publish(fmt.Sprintf("%s-%d", big, i))
+	}
+	close(peer.release)
+
+	waitUntil(t, "every certificate pushed", func() bool {
+		st := rep.Stats()
+		return st.Pushes+st.PushFailures == 1+small+large
+	})
+	if st := rep.Stats(); st.PushFailures != 0 || b.Len() != 1+small+large {
+		t.Fatalf("peer holds %d of %d, stats %+v", b.Len(), 1+small+large, rep.Stats())
+	}
+	reqs := peer.received()
+	if len(reqs) < 2 || reqs[1].certs != verifyBatch {
+		t.Fatalf("first run after the held push carried %+v, want %d certificates", reqs[1:2], verifyBatch)
+	}
+	sizeCut := false
+	for i, req := range reqs {
+		if req.certs > verifyBatch || req.size > maxBody {
+			t.Fatalf("request %d: %d certificates in %d bytes", i, req.certs, req.size)
+		}
+		if i > 1 && i < len(reqs)-1 && req.certs < verifyBatch {
+			sizeCut = true // a run the queue did not run dry on
+		}
+	}
+	if !sizeCut {
+		t.Fatalf("no run was cut by the body bound: %+v", reqs)
+	}
+}
+
 func TestAntiEntropyPull(t *testing.T) {
 	now := time.Now()
 	a, b := newNode(t), newNode(t)
@@ -155,7 +343,7 @@ func TestAntiEntropyRespectsTombstones(t *testing.T) {
 
 	// A gossip pull must yield to the tombstone even when racing past
 	// the hash-list check (the atomic re-check inside publish).
-	if added, rejected := b.store.indexVerified([]*cert.Cert{c}, now, true, false); added != 0 || rejected != 0 {
+	if added, rejected, _ := b.store.indexVerified([]*cert.Cert{c}, now, true, false); added != 0 || rejected != 0 {
 		t.Fatalf("pulled index over a tombstone: added=%d rejected=%d, want 0/0", added, rejected)
 	}
 

@@ -24,6 +24,7 @@ import (
 // language as the rest of the system (section 2.4).
 //
 //	POST /certdir/publish   (proof signed-certificate ...)      -> (published) | (duplicate)
+//	POST /certdir/publish   (certs <proof>...)                  -> (published (added n) (rejected r))
 //	POST /certdir/query     (query issuer|subject <principal>
 //	                               [(limit <n>)] [(tag <texpr>)]) -> (certs <proof>...)
 //	POST /certdir/remove    (remove <hash octets>)              -> (removed) | (absent)
@@ -279,25 +280,34 @@ func (s *Service) handlePublish(e sexp.Sexp) (sexp.Sexp, error) {
 	return resp, err
 }
 
+// doPublish indexes one certificate or a (certs <cert>...) run
+// through Store.indexVerified, which verifies before it indexes. An
+// explicit publish outranks a removal tombstone (pulled is false),
+// whether a client sent it or a peer pushed it. One certificate is
+// answered (published) or (duplicate), and a refusal is an error; a
+// run is answered with its tallies, a refused certificate not
+// stopping the others.
 func (s *Service) doPublish(e sexp.Sexp) (sexp.Sexp, error) {
+	if e.Tag() == "certs" {
+		certs, err := parseCerts(e)
+		if err != nil {
+			return nil, fmt.Errorf("certdir: publish: %w", err)
+		}
+		added, rejected, _ := s.Store.indexVerified(certs, s.now(), false, false)
+		row := func(name string, v int) sexp.Sexp {
+			return sexp.List(sexp.String(name), sexp.String(strconv.Itoa(v)))
+		}
+		return sexp.List(sexp.String("published"), row("added", added), row("rejected", rejected)), nil
+	}
 	c, err := certFromSexp(e)
 	if err != nil {
 		return nil, fmt.Errorf("certdir: publish: %w", err)
 	}
-	// Screen the wire-decoded certificate here, at the trust boundary,
-	// before it reaches the store (verify-before-index). Store.publish
-	// re-checks as defense in depth, but the verdict is memoized in
-	// the shared proof cache so that check is a lookup, and the
-	// rejected counter advances exactly once per refusal either way.
-	if err := c.Verify(publishCtx(s.now())); err != nil {
-		s.Store.rejected.Add(1)
-		return nil, fmt.Errorf("certdir: refusing certificate: %w", err)
-	}
-	added, err := s.Store.Publish(c, s.now())
-	if err != nil {
+	added, _, err := s.Store.indexVerified([]*cert.Cert{c}, s.now(), false, false)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if !added {
+	case added == 0:
 		return sexp.List(sexp.String("duplicate")), nil
 	}
 	return sexp.List(sexp.String("published")), nil

@@ -235,20 +235,23 @@ func (s *Store) Publish(c *cert.Cert, now time.Time) (added bool, err error) {
 }
 
 // verifyBatch is how many certificates a streaming loader (WAL replay,
-// snapshot bootstrap) gathers before handing them to indexVerified.
-// Big enough to amortize the batch machinery, small enough that the
-// decoded certificates pending a flush stay a bounded memory cost.
+// snapshot bootstrap) gathers before handing them to indexVerified,
+// and the longest run one replication push carries. Big enough to
+// amortize the batch machinery, small enough that the decoded
+// certificates pending a flush stay a bounded memory cost.
 const verifyBatch = 256
 
-// indexVerified is the one way certificates enter the store in bulk —
+// indexVerified is the one way certificates enter the store from
+// outside — the publish endpoint (one certificate or a pushed run),
 // WAL replay, snapshot bootstrap, and anti-entropy pulls all end here.
 // The batch is signature-checked as one unit first (cert.VerifyBatch
 // seeds the shared proof cache), so each publish's own
 // verify-before-index is a cache lookup; publish still re-verifies, so
 // neither a hostile peer nor a log tampered with at rest can plant
-// authority. It reports how many certificates were newly indexed and
-// how many were refused (bad signature, not valid at now); the rest
-// were duplicates or yielded to a tombstone.
+// authority. It reports how many certificates were newly indexed, how
+// many were refused (bad signature, not valid at now, WAL failure) and
+// why the first of those was; the rest were duplicates or yielded to a
+// tombstone. A refusal does not stop the certificates after it.
 //
 // pulled marks certificates arriving via anti-entropy gossip: a live
 // removal tombstone wins, and the certificate is skipped (neither added
@@ -258,9 +261,9 @@ const verifyBatch = 256
 // either interleaving. replay marks WAL replay: the record is already
 // in the log, so nothing is journaled — and no hook fires, the hook set
 // being empty before attachWAL.
-func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled, replay bool) (added, rejected int) {
+func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled, replay bool) (added, rejected int, refused error) {
 	if len(certs) == 0 {
-		return 0, 0
+		return 0, 0, nil
 	}
 	cert.VerifyBatch(publishCtx(now), certs)
 	for _, c := range certs {
@@ -268,11 +271,14 @@ func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled, replay 
 		switch {
 		case err != nil:
 			rejected++
+			if refused == nil {
+				refused = err
+			}
 		case ok:
 			added++
 		}
 	}
-	return added, rejected
+	return added, rejected, refused
 }
 
 func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone, replay bool) (added bool, err error) {

@@ -654,7 +654,7 @@ func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (g
 	flush := func() {
 		// Expired-in-the-meantime certificates, duplicates and bad
 		// signatures are dropped here and compacted away.
-		added, _ := st.indexVerified(batch, now, false, true)
+		added, _, _ := st.indexVerified(batch, now, false, true)
 		rec.Replayed += added
 		rec.Dropped += len(batch) - added
 		batch = batch[:0]

@@ -41,24 +41,22 @@ func Equal(a, b Principal) bool {
 	// Direct comparisons for the principal kinds that make up proof
 	// chains (a gateway's handoffs are quotes, SDSI grants names),
 	// avoiding the wire-form rebuild Key() implies. Each agrees with
-	// Key equality: a kind's encoding is its fields', in order.
+	// Key equality: a kind's encoding is its fields', in order, under
+	// a head tag no other kind uses, so two different kinds are never
+	// equal.
 	switch pa := a.(type) {
 	case Key:
-		if pb, ok := b.(Key); ok {
-			return pa.Pub.Equal(pb.Pub)
-		}
+		pb, ok := b.(Key)
+		return ok && pa.Pub.Equal(pb.Pub)
 	case Hash:
-		if pb, ok := b.(Hash); ok {
-			return pa.Alg == pb.Alg && bytes.Equal(pa.Digest, pb.Digest)
-		}
+		pb, ok := b.(Hash)
+		return ok && pa.Alg == pb.Alg && bytes.Equal(pa.Digest, pb.Digest)
 	case Quote:
-		if pb, ok := b.(Quote); ok {
-			return Equal(pa.Quoter, pb.Quoter) && Equal(pa.Quotee, pb.Quotee)
-		}
+		pb, ok := b.(Quote)
+		return ok && Equal(pa.Quoter, pb.Quoter) && Equal(pa.Quotee, pb.Quotee)
 	case Name:
-		if pb, ok := b.(Name); ok {
-			return slices.Equal(pa.Path, pb.Path) && Equal(pa.Base, pb.Base)
-		}
+		pb, ok := b.(Name)
+		return ok && slices.Equal(pa.Path, pb.Path) && Equal(pa.Base, pb.Base)
 	}
 	return a.Key() == b.Key()
 }

@@ -231,3 +231,25 @@ func TestEqualAgreesWithKey(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualAcrossKindsAllocatesNothing pins the mismatched-kind fast
+// path: a prover comparing a key node with a quoted subject must not
+// rebuild either side's canonical encoding to learn they differ.
+func TestEqualAcrossKindsAllocatesNothing(t *testing.T) {
+	a, b := testKey("kinds-a"), testKey("kinds-b")
+	ps := []Principal{a, HashOfKey(a.Pub), QuoteOf(b, a), NameOf(a, "staff")}
+	for i, x := range ps {
+		for j, y := range ps {
+			if i == j {
+				continue
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				if Equal(x, y) {
+					t.Fatalf("Equal(%s, %s)", x, y)
+				}
+			}); n != 0 {
+				t.Errorf("Equal(%s, %s) allocates %.0f times, want 0", x, y, n)
+			}
+		}
+	}
+}

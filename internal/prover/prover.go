@@ -445,7 +445,7 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 		// already edges and need no shortcut recording.
 		hops int
 	}
-	issuerK := issuer.Key()
+	issuerK, subjectK := issuer.Key(), subject.Key()
 	visited := map[string]bool{issuerK: true}
 	queue := []reach{{node: issuer, key: issuerK}}
 
@@ -454,7 +454,7 @@ func (p *Prover) find(subject, issuer principal.Principal, want tag.Tag, now tim
 	// operation and must not serialize concurrent searches.
 	tryComplete := func(r reach) (core.Proof, bool) {
 		// (a) Reached the subject itself.
-		if principal.Equal(r.node, subject) && r.path != nil {
+		if r.key == subjectK && r.path != nil {
 			return r.path, true
 		}
 		// (b) Reached a final (closure-backed) node: mint the last hop.
