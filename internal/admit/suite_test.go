@@ -592,3 +592,49 @@ func TestPresentedProofsAreNotRetained(t *testing.T) {
 		})
 	}
 }
+
+// TestFiledProofRecheckCostsNoSignatures: a CRL flushes every verdict,
+// so the next decision on a filed proof re-authorizes it under the
+// pipeline mutex — with revocation lookups only, since the filed
+// certificates' signatures already verified when they were submitted.
+func TestFiledProofRecheckCostsNoSignatures(t *testing.T) {
+	w := newWorld()
+	for _, tg := range targets {
+		if tg.name != "pipeline/on-file" && tg.name != "rmi.Server" {
+			continue
+		}
+		t.Run(tg.name, func(t *testing.T) {
+			cfg := privateConfig()
+			r := tg.build(t, w, cfg)
+			deleg := w.delegate(t, tg.covering, core.Forever)
+			decide := r.prepare(t, presentation{as: w.userKey, deleg: deleg})
+			if err := decide(); err != nil {
+				t.Fatalf("before any CRL: %v", err)
+			}
+			install := func(by *sfkey.PrivateKey) {
+				t.Helper()
+				epoch := cfg.cache.Epoch()
+				if _, errs := cfg.rs.Add(cert.NewRevocationList(by, core.Forever, deleg.Hash())); errs[0] != nil {
+					t.Fatal(errs[0])
+				}
+				if cfg.cache.Epoch() != epoch+1 {
+					t.Fatal("CRL did not bump the epoch")
+				}
+			}
+			decideCost := func() (int64, error) {
+				start := sfkey.SigVerifies()
+				err := decide()
+				return sfkey.SigVerifies() - start, err
+			}
+
+			install(w.impostorKey) // a stranger's CRL voids nothing
+			if n, err := decideCost(); err != nil || n != 0 {
+				t.Fatalf("after a stranger's CRL: err=%v, %d signature checks (want admit, 0)", err, n)
+			}
+			install(w.issuerKey) // the grant's own signer revokes it
+			if n, err := decideCost(); err == nil || n != 0 {
+				t.Fatalf("after the signer's CRL: err=%v, %d signature checks (want deny, 0)", err, n)
+			}
+		})
+	}
+}

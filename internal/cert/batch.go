@@ -22,7 +22,8 @@ import (
 
 // VerifyBatch verifies certs against ctx and returns one error slot
 // per certificate (nil for the ones that verify). Certificates with a
-// cached positive verdict skip the signature batch entirely.
+// cached positive verdict, or whose decoded signature already verified,
+// skip the signature batch entirely.
 func VerifyBatch(ctx *core.VerifyContext, certs []*Cert) []error {
 	errs := make([]error, len(certs))
 	var bv sfkey.BatchVerifier
@@ -32,8 +33,8 @@ func VerifyBatch(ctx *core.VerifyContext, certs []*Cert) []error {
 			errs[i] = fmt.Errorf("cert: nil certificate")
 			continue
 		}
-		if ctx.PeekVerified(c) {
-			continue // Verify below short-circuits on the cached verdict
+		if ctx.PeekVerified(c) || c.sigKnownGood() {
+			continue // Verify below short-circuits on the cached verdict or skips the math
 		}
 		bv.Add(c.Signer, c.signingBytes(), c.Signature)
 		pos = append(pos, i)

@@ -12,6 +12,7 @@ package cert
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/principal"
@@ -52,10 +53,27 @@ type Cert struct {
 	memo *certMemo
 }
 
+// certMemo is what decodeCert derives once from the received bytes.
+// Signing bytes, hash and wire span are fixed by those bytes, so they
+// hold for the object's lifetime.
+//
+// sigOK additionally records that signature verified under signer over
+// signing: a fact about a key, a message and a signature that no CRL or
+// epoch bump can change, so a re-check (after a bump discarded every
+// cached verdict) skips only the Ed25519 call — issuer rooting,
+// revocation and revalidation still run each time. signer and sig are
+// private copies of the decoded Signer.Raw and Signature, and the flag
+// is set and trusted only while the exported fields still equal them:
+// a flipped byte, a swapped signer, or a struct copy (which shares the
+// memo) given a new signature is verified from scratch, and never
+// flagged.
 type certMemo struct {
 	signing []byte
 	hash    []byte
 	wire    sexp.Sexp
+	signer  []byte
+	sig     []byte
+	sigOK   atomic.Bool
 }
 
 // Sign issues a certificate for body with the given private key. The
@@ -140,19 +158,22 @@ func (c *Cert) Verify(ctx *core.VerifyContext) error {
 // check is the uncached verification body. sigOK, when non-nil,
 // carries the verdict of a batched signature check (VerifyBatch) that
 // already covered this certificate; nil means check the signature
-// here. Everything else — issuer rooting, revocation, revalidation —
-// is evaluated at call time either way, so a batched certificate obeys
-// exactly the revocation state an individually verified one would.
+// here, unless the decoded certificate's signature is known good
+// (certMemo). Everything else — issuer rooting, revocation,
+// revalidation — is evaluated at call time either way, so a batched or
+// re-checked certificate obeys exactly the revocation state a freshly
+// verified one would.
 func (c *Cert) check(ctx *core.VerifyContext, sigOK *bool) error {
 	if !issuerRootedAt(c.Body.Issuer, c.Signer) {
 		return fmt.Errorf("cert: issuer %s not rooted at signer %s", c.Body.Issuer, c.Signer.Fingerprint())
 	}
-	if sigOK != nil {
-		if !*sigOK {
+	if !c.sigKnownGood() {
+		if sigOK != nil && !*sigOK || sigOK == nil && !c.Signer.Verify(c.signingBytes(), c.Signature) {
 			return fmt.Errorf("cert: bad signature by %s", c.Signer.Fingerprint())
 		}
-	} else if !c.Signer.Verify(c.signingBytes(), c.Signature) {
-		return fmt.Errorf("cert: bad signature by %s", c.Signer.Fingerprint())
+		if c.asDecoded() {
+			c.memo.sigOK.Store(true)
+		}
 	}
 	if ctx.Revoked != nil && ctx.Revoked(c.Hash(), c.Signer) {
 		return fmt.Errorf("cert: certificate revoked")
@@ -166,6 +187,18 @@ func (c *Cert) check(ctx *core.VerifyContext, sigOK *bool) error {
 		}
 	}
 	return nil
+}
+
+// asDecoded reports whether c is a decoded certificate still carrying
+// the signer and signature it was decoded with (certMemo's guard).
+func (c *Cert) asDecoded() bool {
+	return c.memo != nil && bytes.Equal(c.Signature, c.memo.sig) && bytes.Equal(c.Signer.Raw, c.memo.signer)
+}
+
+// sigKnownGood reports whether c's signature has already verified, so
+// a re-check may skip the public-key operation.
+func (c *Cert) sigKnownGood() bool {
+	return c.memo != nil && c.memo.sigOK.Load() && c.asDecoded()
 }
 
 // ContextDependent reports whether this certificate's verdict depends
@@ -234,6 +267,8 @@ func decodeCert(e sexp.Sexp) (core.Proof, error) {
 		signing: signing,
 		hash:    sfkey.HashBytes(signing),
 		wire:    sexp.Raw(e.Canonical()),
+		signer:  append([]byte(nil), pub.Raw...),
+		sig:     append([]byte(nil), c.Signature...),
 	}
 	return c, nil
 }

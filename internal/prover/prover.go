@@ -194,6 +194,7 @@ type edge struct {
 	shortcut bool
 	hash     [32]byte
 	expiry   time.Time // conclusion's NotAfter; zero when unbounded
+	leaves   [][]byte  // body hashes of the proof's certificate leaves, for Invalidate
 }
 
 // New returns an empty Prover.
@@ -269,6 +270,7 @@ func (p *Prover) addEdge(pr core.Proof, shortcut bool) bool {
 	e := &edge{
 		subject: c.Subject, subjectK: c.Subject.Key(), issuer: c.Issuer, proof: pr,
 		shortcut: shortcut, hash: h, expiry: c.Validity.NotAfter,
+		leaves: leafHashes(pr, nil),
 	}
 	sh := p.shardFor(ik)
 	sh.mu.Lock()

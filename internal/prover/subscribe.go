@@ -126,6 +126,20 @@ func (s *Subscription) Stop() {
 // prover need not import the cert package.
 type bodyHashed interface{ Hash() []byte }
 
+// leafHashes appends the body hashes of pr's certificate leaves to
+// out. addEdge records them once per edge, so Invalidate tests set
+// membership instead of re-deriving (for a locally built certificate,
+// re-encoding) every leaf on every event.
+func leafHashes(pr core.Proof, out [][]byte) [][]byte {
+	if bh, ok := pr.(bodyHashed); ok {
+		out = append(out, bh.Hash())
+	}
+	for _, c := range pr.Children() {
+		out = leafHashes(c, out)
+	}
+	return out
+}
+
 // Invalidate drops every cached edge whose proof rests on any of the
 // given certificate body hashes — the certificate itself and every
 // composed shortcut containing it — and evicts those proofs' verdicts
@@ -141,14 +155,19 @@ func (p *Prover) Invalidate(bodyHashes [][]byte, cache *core.ProofCache) int {
 	for _, h := range bodyHashes {
 		revoked[string(h)] = true
 	}
+	live := func(e *edge) bool {
+		for _, h := range e.leaves {
+			if revoked[string(h)] {
+				return false
+			}
+		}
+		return true
+	}
 	dropped := 0
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		for ik, es := range sh.edges {
-			gone := es.filter(func(e *edge) bool {
-				return !dependsOn(e.proof, revoked)
-			})
-			for _, e := range gone {
+			for _, e := range es.filter(live) {
 				delete(sh.seen, e.hash)
 				if cache != nil {
 					cache.Evict(e.hash)
@@ -163,18 +182,4 @@ func (p *Prover) Invalidate(bodyHashes [][]byte, cache *core.ProofCache) int {
 	}
 	p.stats.invalidated.Add(int64(dropped))
 	return dropped
-}
-
-// dependsOn walks a proof tree looking for a leaf whose certificate
-// body hash is in the revoked set.
-func dependsOn(pr core.Proof, revoked map[string]bool) bool {
-	if bh, ok := pr.(bodyHashed); ok && revoked[string(bh.Hash())] {
-		return true
-	}
-	for _, c := range pr.Children() {
-		if dependsOn(c, revoked) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,11 +1,15 @@
 package prover
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cert"
 	"repro/internal/core"
+	"repro/internal/principal"
+	"repro/internal/sfkey"
 	"repro/internal/tag"
 )
 
@@ -102,6 +106,40 @@ func TestInvalidateDropsDependentEdges(t *testing.T) {
 	p.AddProof(certs[0])
 	if _, err := p.FindProof(prins[2], prins[0], want, now); err != nil {
 		t.Fatalf("re-added edge unusable: %v", err)
+	}
+}
+
+// TestInvalidateAllocsFlatInEdges: invalidating a hash no edge rests
+// on costs the same allocations however large the graph is — leaf
+// body hashes are recorded when an edge is built, not re-derived (for
+// a locally signed certificate, re-encoded) per edge per event.
+func TestInvalidateAllocsFlatInEdges(t *testing.T) {
+	root := sfkey.FromSeed([]byte("inv-allocs"))
+	kRoot := principal.KeyOf(root.Public())
+	allocs := func(n int) float64 {
+		p := New()
+		for i := 0; i < n; i++ {
+			// Distinct issuers rooted at one key: n edges in n edge sets.
+			iss := principal.NameOf(kRoot, fmt.Sprintf("i%d", i))
+			c, err := cert.Delegate(root, principal.NameOf(kRoot, fmt.Sprintf("s%d", i)), iss, tag.All(), core.Forever)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.AddProof(c)
+		}
+		if p.EdgeCount() != n {
+			t.Fatalf("EdgeCount = %d, want %d", p.EdgeCount(), n)
+		}
+		unrelated := [][]byte{make([]byte, 32)}
+		return testing.AllocsPerRun(20, func() {
+			if p.Invalidate(unrelated, nil) != 0 {
+				t.Fatal("unrelated hash dropped an edge")
+			}
+		})
+	}
+	small, large := allocs(8), allocs(256)
+	if large != small {
+		t.Fatalf("Invalidate allocates %v with 8 edges but %v with 256: not flat in N", small, large)
 	}
 }
 
