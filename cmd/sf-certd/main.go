@@ -11,8 +11,8 @@
 //	sf-certd -addr 127.0.0.1:8360 -admin-auth -operator operator.prin \
 //	         -ctl-key dirA.key -ctl-cert dirA-ctl.cert -peer http://dir-b:8360
 //
-// With -data-dir the directory is durable: accepted publishes and
-// removals are journaled to a write-ahead log before they are
+// With -data-dir the directory is durable: accepted publishes,
+// removals and CRLs are journaled to a write-ahead log before they are
 // acknowledged, and a restart replays the log. With one or more -peer
 // flags the directory replicates: publishes fan out to the peers
 // immediately and a periodic anti-entropy round pulls whatever a push
@@ -104,8 +104,8 @@ func main() {
 			log.Fatalf("sf-certd: %v", err)
 		}
 		store = st
-		rt.Printf("replayed %d WAL records from %s (%d dropped, %d events, torn=%v, compacted=%v, %d certs live)",
-			rec.Replayed, *dataDir, rec.Dropped, rec.Events, rec.Torn, rec.Compacted, store.Len())
+		rt.Printf("replayed %d WAL records from %s (%d dropped, %d events, %d CRLs, torn=%v, compacted=%v, %d certs live)",
+			rec.Replayed, *dataDir, rec.Dropped, rec.Events, len(store.CRLs()), rec.Torn, rec.Compacted, store.Len())
 		if policy == certdir.SyncInterval {
 			rt.Every(*fsyncEvery, func() {
 				if err := store.SyncWAL(); err != nil {
@@ -124,7 +124,11 @@ func main() {
 		store = certdir.NewStore(*shards)
 	}
 
+	// The CRLs a durable directory replayed are in force before it
+	// serves: a control credential revoked before a restart stays
+	// revoked after it.
 	revocations := cert.NewRevocationStore()
+	certdir.InstallCRLs(revocations, store, nil, store.CRLs(), time.Now())
 	rt.Every(*sweep, func() {
 		now := time.Now()
 		expired := store.Sweep(now)
@@ -230,7 +234,7 @@ func main() {
 		// a node joining an established mesh for the first time — tries
 		// snapshot bootstrap first: one bulk transfer instead of pulling
 		// the whole directory through gossip fetches. Failure just means
-		// gossip does the whole job, as before snapshots existed.
+		// gossip does the whole job.
 		empty := store.Len() == 0
 		go func() {
 			if empty {

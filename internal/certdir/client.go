@@ -1,7 +1,6 @@
 package certdir
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -479,70 +478,25 @@ func (c *Client) MerkleLeafHashes(leaves []int) (map[int][][]byte, error) {
 	return out, nil
 }
 
-// Snapshot streams the peer's bootstrap snapshot, calling visit for
-// each frame in order: the snap-header, the record frames, and the
-// snap-end trailer (snapshot.go documents the format). The frame
-// passed to visit borrows the reader's buffer and is valid only for
-// the duration of the call — typed decoders deep-copy what they keep,
-// the same ownership rule WAL replay relies on. A stream that ends
-// without a trailer, carries data after it, or whose trailer count
-// disagrees with the frames delivered is an error: the caller must
-// treat the bootstrap as partial and fall back to gossip.
-func (c *Client) Snapshot(ctx context.Context, visit func(sexp.Sexp) error) error {
+// Snapshot opens the peer's bootstrap snapshot stream (snapshot.go
+// documents the format); the caller reads it to the end and closes it.
+// The transfer is bulk — sized by the peer's whole store — so it gets
+// no requestTimeout: ctx alone bounds it.
+func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+PathSnapshot, nil)
 	if err != nil {
-		return fmt.Errorf("certdir: snapshot: %w", err)
+		return nil, fmt.Errorf("certdir: snapshot: %w", err)
 	}
-	// The transfer is bulk — sized by the peer's whole store — so it
-	// gets no requestTimeout: ctx alone bounds it.
 	resp, err := c.httpClient().Do(hreq)
 	if err != nil {
-		return fmt.Errorf("certdir: snapshot: %w", err)
+		return nil, fmt.Errorf("certdir: snapshot: %w", err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("certdir: snapshot: status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		resp.Body.Close()
+		return nil, fmt.Errorf("certdir: snapshot: status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	br := bufio.NewReaderSize(resp.Body, 64<<10)
-	var fr sexp.FrameReader
-	sawHeader := false
-	records := 0 // frames between header and trailer
-	for {
-		e, _, err := fr.Next(br)
-		if err == io.EOF {
-			return fmt.Errorf("certdir: snapshot: stream ended without trailer")
-		}
-		if err != nil {
-			return fmt.Errorf("certdir: snapshot: %w", err)
-		}
-		if !sawHeader {
-			if e.Tag() != snapTagHeader {
-				return fmt.Errorf("certdir: snapshot: stream does not start with a header")
-			}
-			sawHeader = true
-			if err := visit(e); err != nil {
-				return err
-			}
-			continue
-		}
-		if e.Tag() == snapTagEnd {
-			if n, ok := snapTrailerCount(e); !ok || n != records {
-				return fmt.Errorf("certdir: snapshot: trailer disagrees with %d delivered records: %s", records, e)
-			}
-			if err := visit(e); err != nil {
-				return err
-			}
-			if _, _, err := fr.Next(br); err != io.EOF {
-				return fmt.Errorf("certdir: snapshot: data after trailer")
-			}
-			return nil
-		}
-		records++
-		if err := visit(e); err != nil {
-			return err
-		}
-	}
+	return resp.Body, nil
 }
 
 // ByIssuerForCtx implements prover.RemoteSource: the prover pushes the

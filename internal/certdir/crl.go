@@ -20,11 +20,13 @@ type CRLInstall struct {
 // daemon's -crl file, an anti-entropy pull, a snapshot bootstrap, or
 // a verifier's CRLFollower. The lists are verified and installed as
 // one batch (one signature batch, one proof-cache epoch bump, dedup by
-// content hash — cert.RevocationStore.Add), then the store is scanned
-// ONCE with cert.RevocationStore.RevokedAt for what the lists void
-// (eviction tombstones and emits revoke events), then each new list is
-// rumored onward to rep's peers; the install dedup is what terminates
-// that flood. A refused list is counted and skipped: CRLs arriving
+// content hash — cert.RevocationStore.Add), then the store journals
+// each new list (Store.keepCRL: it survives a restart and rides the
+// next snapshot), then the store is scanned ONCE with
+// cert.RevocationStore.RevokedAt for what the lists void (eviction
+// tombstones and emits revoke events), then each new list is rumored
+// onward to rep's peers; the install dedup is what terminates that
+// flood. A refused list is counted and skipped: CRLs arriving
 // over the network carry a valid signature or they do nothing, and a
 // valid one voids only certificates its own key signed, so neither a
 // compromised peer nor a stranger can fabricate a revocation.
@@ -45,6 +47,9 @@ func InstallCRLs(revs *cert.RevocationStore, st *Store, rep *Replicator, lists [
 			}
 		case added[i]:
 			res.Installed++
+			if st != nil {
+				st.keepCRL(rl)
+			}
 			if rep != nil {
 				rep.EnqueueCRL(rl)
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
@@ -32,15 +31,11 @@ func crlPeer(t *testing.T, lists ...*cert.RevocationList) *Client {
 			}
 			w.Write(sexp.List(kids...).Canonical())
 		case PathSnapshot:
-			body := sexp.AppendFrame(nil, sexp.List(sexp.String(snapTagHeader),
-				sexp.List(sexp.String("version"), sexp.String("1")),
-				sexp.List(sexp.String("cursor"), sexp.String("0"))))
+			var records []sexp.Sexp
 			for _, rl := range lists {
-				body = sexp.AppendFrame(body, sexp.List(sexp.String(snapTagCRL), rl.Sexp()))
+				records = append(records, crlRecord(rl))
 			}
-			body = sexp.AppendFrame(body, sexp.List(sexp.String(snapTagEnd),
-				sexp.List(sexp.String("count"), sexp.String(strconv.Itoa(len(lists))))))
-			w.Write(body)
+			w.Write(snapshotStream(records...))
 		default:
 			http.Error(w, "crlPeer: no such endpoint", http.StatusNotFound)
 		}
@@ -175,6 +170,9 @@ func TestCRLInstallPathsAgree(t *testing.T) {
 		// one is not, and only the victim is gone.
 		if !d.revs.Has(fresh.Hash()) || d.revs.Has(forged.Hash()) || len(d.revs.Lists()) != 1 {
 			t.Errorf("%s: revocation store holds %d lists, want exactly the fresh one", p.name, len(d.revs.Lists()))
+		}
+		if p.hasStore && (len(d.store.CRLs()) != 1 || d.store.CRLs()[0].Hash() != fresh.Hash()) {
+			t.Errorf("%s: store keeps %d lists, want exactly the fresh one", p.name, len(d.store.CRLs()))
 		}
 		if p.hasStore && (d.store.HasHash(victim.Hash()) || !d.store.HasHash(survivor.Hash()) || !d.store.Tombstoned(victim.Hash())) {
 			t.Errorf("%s: store end state wrong (victim stored=%v tombstoned=%v, survivor stored=%v)", p.name,

@@ -1,6 +1,9 @@
 package certdir
 
 import (
+	"bytes"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/httpauth"
 	"repro/internal/principal"
 	"repro/internal/prover"
+	"repro/internal/sexp"
 	"repro/internal/sfkey"
 	"repro/internal/tag"
 )
@@ -290,4 +294,84 @@ func TestCtlOperatorRevocationLockout(t *testing.T) {
 		t.Fatalf("daemon credential broken by admin lockout: %v", err)
 	}
 	waitFor(t, "publish replication after lockout", func() bool { return dB.store.Len() >= 1 })
+}
+
+// TestCtlRevocationSurvivesRestart: a CRL installed over the admin
+// endpoint of a durable, guarded directory is in force after a restart.
+// The directory is booted twice over one data directory the way
+// sf-certd boots: replay the log, install the replayed lists into a
+// fresh revocation store, guard with it, serve. After the restart a
+// publish under the revoked credential is still refused, the stats
+// endpoint reports the list, and the lone directory's next snapshot
+// carries it.
+func TestCtlRevocationSurvivesRestart(t *testing.T) {
+	now := time.Now()
+	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
+	op := sfkey.FromSeed([]byte("ctl-restart-operator"))
+	operator := principal.KeyOf(op.Public())
+	dir := t.TempDir()
+	boot := func() (*Store, string) {
+		st, _, err := OpenDurable(dir, 4, SyncAlways, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.CloseWAL() })
+		revs := cert.NewRevocationStore()
+		InstallCRLs(revs, st, nil, st.CRLs(), now)
+		svc := NewService(st)
+		svc.Revocations = revs
+		svc.Guard = httpauth.NewCtlGuard(operator, revs)
+		ts := httptest.NewServer(svc)
+		t.Cleanup(ts.Close)
+		return st, ts.URL
+	}
+
+	pubKey := sfkey.FromSeed([]byte("ctl-restart-publisher"))
+	cred, err := cert.DelegateCtl(op, principal.KeyOf(pubKey.Public()), time.Hour, cert.CtlPublish)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issuer := sfkey.FromSeed([]byte("ctl-restart-issuer"))
+	delegation := func(name string) *cert.Cert {
+		return delegate(t, issuer, principal.KeyOf(sfkey.FromSeed([]byte(name)).Public()), tag.Prefix("files/"), v)
+	}
+	lockout := cert.NewRevocationList(op, v, cred.Hash())
+
+	st, url := boot()
+	if err := signedClient(url, operator, pubKey, cred).Publish(delegation("ctl-restart-before")); err != nil {
+		t.Fatalf("publish before the revocation refused: %v", err)
+	}
+	if err := signedClient(url, operator, op).PushCRL(lockout); err != nil {
+		t.Fatalf("operator CRL install refused: %v", err)
+	}
+	if err := signedClient(url, operator, pubKey, cred).Publish(delegation("ctl-restart-revoked")); err == nil {
+		t.Fatal("revoked credential accepted before the restart")
+	}
+	if err := st.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, url = boot()
+	if err := signedClient(url, operator, pubKey, cred).Publish(delegation("ctl-restart-after")); err == nil {
+		t.Fatal("revoked credential accepted after the restart")
+	}
+	resp, err := http.Get(url + PathStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := sexp.ParseOne(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Child("crls"); got == nil || got.Nth(1).Text() != "1" {
+		t.Fatalf("stats after the restart = %s, want (crls 1)", stats)
+	}
+	if snap := snapshotBytes(t, st, now); !bytes.Contains(snap, sexp.AppendFrame(nil, crlRecord(lockout))) {
+		t.Fatal("the next snapshot does not carry the list")
+	}
 }

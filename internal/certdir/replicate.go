@@ -10,14 +10,12 @@ import (
 
 	"repro/internal/cert"
 	"repro/internal/obs"
-	"repro/internal/sexp"
 )
 
 // Replicator keeps a Store converged with peer directories in other
 // administrative domains, so a delegation published at one domain's
 // directory becomes discoverable at another's without every prover
-// having to merge directories client-side (the job prover.RemoteSource
-// fan-out did alone before replication existed).
+// having to merge directories client-side.
 //
 // Two mechanisms cooperate:
 //
@@ -551,53 +549,26 @@ func (r *Replicator) BootstrapFromPeer(ctx context.Context) (pulled int, err err
 	return pulled, errors.Join(errs...)
 }
 
+// bootstrapFrom reads peer's snapshot through replay's frame loop.
+// Only the application differs from replay: certificates index as
+// gossip pulls do, retractions become adopted tombstones, events are
+// skipped, and the CRLs install as one batch at the end.
 func (r *Replicator) bootstrapFrom(ctx context.Context, peer *Client) (pulled int, err error) {
-	var (
-		batch []*cert.Cert
-		lists []*cert.RevocationList
-	)
-	flush := func() {
-		pulled += r.indexPulled(batch)
-		batch = batch[:0]
-	}
-	err = peer.Snapshot(ctx, func(e sexp.Sexp) error {
-		switch e.Tag() {
-		case snapTagHeader, snapTagEnd:
-			return nil
-		case walTagPublish:
-			c, err := decodePublish(e)
-			if err != nil {
-				return err
-			}
-			batch = append(batch, c)
-			if len(batch) >= verifyBatch {
-				flush()
-			}
-			return nil
-		case walTagRemove:
-			hash, expiry, err := decodeRemove(e)
-			if err != nil {
-				return err
-			}
-			flush() // retractions apply after the publishes streamed before them
-			r.store.AdoptTombstone(hash, expiry, r.now())
-			return nil
-		case snapTagCRL:
-			if e.Len() != 2 {
-				return fmt.Errorf("certdir: bad crl frame %s", e)
-			}
-			rl, err := cert.RevocationListFromSexp(e.Nth(1))
-			if err != nil {
-				return fmt.Errorf("certdir: crl frame: %w", err)
-			}
-			lists = append(lists, rl)
-			return nil
-		}
-		return fmt.Errorf("certdir: unknown snapshot frame %q", e.Tag())
-	})
-	flush()
+	body, err := peer.Snapshot(ctx)
 	if err != nil {
-		return pulled, err
+		return 0, err
+	}
+	defer body.Close()
+	var lists []*cert.RevocationList
+	_, _, _, err = readRecords(body, recordSink{
+		snapshot: true,
+		publish:  func(batch []*cert.Cert) { pulled += r.indexPulled(batch) },
+		remove:   func(hash []byte, expiry time.Time) { r.store.AdoptTombstone(hash, expiry, r.now()) },
+		crl:      func(rl *cert.RevocationList) { lists = append(lists, rl) },
+		bad:      func(err error) error { return err },
+	})
+	if err != nil {
+		return pulled, fmt.Errorf("certdir: snapshot: %w", err)
 	}
 	if r.Revocations != nil {
 		r.countCRLs(InstallCRLs(r.Revocations, r.store, r, lists, r.now()))

@@ -33,8 +33,8 @@ import (
 // The optional query clauses bound the answer server-side: (limit n)
 // caps the number of certificates returned, (tag t) keeps only
 // delegations whose tag covers t (the prover's edge-usability test),
-// so heavy issuers don't ship irrelevant delegations. Requests
-// without the clauses behave exactly as before the clauses existed.
+// so heavy issuers don't ship irrelevant delegations. Without them the
+// answer is every live certificate, unbounded.
 //
 // Anti-entropy replication (see Replicator and merkle.go) adds four
 // peer-facing endpoints: a Merkle tree descent that locates the
@@ -74,10 +74,10 @@ import (
 // before applying it, exactly like certificates.
 //
 // Snapshot bootstrap adds one bulk endpoint: GET /certdir/snapshot
-// streams the directory's live contents as a framed record sequence
-// (see snapshot.go for the format) so a cold peer loads the whole
-// store in one verify-before-index transfer instead of thousands of
-// gossip fetch rounds. Like every gossip surface it reveals only what
+// streams the directory's live contents as a base segment of WAL
+// records with a trailer (see snapshot.go) so a cold peer loads the
+// whole store in one verify-before-index transfer instead of thousands
+// of gossip fetch rounds. Like every gossip surface it reveals only what
 // query already serves, and the bootstrapper re-verifies everything.
 const (
 	PathPublish      = "/certdir/publish"
@@ -145,7 +145,7 @@ type Service struct {
 	// each CRL newly installed via the admin endpoint.
 	CRLHist *obs.Histogram
 	// SnapshotPath, when set, is the snapshot file the daemon's
-	// snapshot loop maintains (temp+fsync+rename, like the WAL); the
+	// snapshot loop maintains (WriteSnapshotFile); the
 	// snapshot endpoint serves it as written. Unset — or before the
 	// first snapshot exists — the endpoint streams a live snapshot
 	// straight from the store.
@@ -477,7 +477,7 @@ func (s *Service) handleMerkleLeaves(e sexp.Sexp) (sexp.Sexp, error) {
 // handleSnapshot streams the bootstrap snapshot. Unlike every other
 // endpoint the reply is a frame sequence, not one S-expression, and
 // is not bounded by sexp.MaxTotal — the cold peer reads it frame by
-// frame (Client.Snapshot). When the daemon maintains a snapshot file
+// frame, as replay reads a segment. When the daemon maintains a snapshot file
 // (SnapshotPath) it is served as written — one fsynced, atomically
 // renamed artifact — otherwise the store streams a live snapshot.
 // Read-only and unguarded, like the rest of the gossip pull surface:
@@ -499,7 +499,7 @@ func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// A mid-stream failure cannot be reported in a status line at this
 	// point; the truncated stream fails the reader's trailer check,
 	// which is how the bootstrapper detects partial transfers anyway.
-	s.Store.WriteSnapshot(w, s.Revocations, s.now())
+	s.Store.WriteSnapshot(w, s.now())
 }
 
 // handleEvents serves the invalidation stream: (events <after>

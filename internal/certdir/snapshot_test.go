@@ -21,10 +21,10 @@ import (
 
 // snapshotBytes captures a store's full snapshot stream in memory —
 // the byte-for-byte comparator the crash-twin tests are built on.
-func snapshotBytes(t *testing.T, st *Store, revs *cert.RevocationStore, now time.Time) []byte {
+func snapshotBytes(t *testing.T, st *Store, now time.Time) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if _, err := st.WriteSnapshot(&b, revs, now); err != nil {
+	if _, err := st.WriteSnapshot(&b, now); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -63,6 +63,16 @@ func copyFiles(dst, src string) error {
 	return nil
 }
 
+// snapshotStream frames records as a complete snapshot: the base
+// marker, the records, and the trailer that counts them.
+func snapshotStream(records ...sexp.Sexp) []byte {
+	var body []byte
+	for _, e := range append(append([]sexp.Sexp{baseRecord()}, records...), endRecord(len(records))) {
+		body = sexp.AppendFrame(body, e)
+	}
+	return body
+}
+
 // snapshotServer serves fixed bytes at every path — a stand-in for a
 // peer whose snapshot stream was severed or tampered with.
 func snapshotServer(t *testing.T, body []byte) *Client {
@@ -95,11 +105,8 @@ func TestSnapshotBootstrapRoundTrip(t *testing.T) {
 	revoked := certs[10] // issuer seed snap-boot-issuer-0 (10 % 5)
 	rl := cert.NewRevocationList(sfkey.FromSeed([]byte("snap-boot-issuer-0")),
 		core.Until(now.Add(time.Hour)), revoked.Hash())
-	if _, errs := rs.Add(rl); errs[0] != nil {
-		t.Fatal(errs[0])
-	}
-	if n := src.EvictRevoked(rs.RevokedAt(now)); n != 1 {
-		t.Fatalf("evicted %d, want 1", n)
+	if res := InstallCRLs(rs, src, nil, []*cert.RevocationList{rl}, now); res.Err != nil || res.Evicted != 1 {
+		t.Fatalf("install = %+v, want 1 evicted", res)
 	}
 
 	svc := NewService(src)
@@ -141,11 +148,8 @@ func TestSnapshotBootstrapRoundTrip(t *testing.T) {
 func TestSnapshotDeterministicBytes(t *testing.T) {
 	now := time.Now()
 	certs := walCorpus(t, "snap-det", 40, core.Until(now.Add(time.Hour)))
-	rs := cert.NewRevocationStore()
-	if _, errs := rs.Add(cert.NewRevocationList(sfkey.FromSeed([]byte("snap-det-issuer-1")),
-		core.Until(now.Add(time.Hour)), certs[1].Hash())); errs[0] != nil {
-		t.Fatal(errs[0])
-	}
+	rl := cert.NewRevocationList(sfkey.FromSeed([]byte("snap-det-issuer-1")),
+		core.Until(now.Add(time.Hour)), certs[1].Hash())
 
 	a, b := NewStore(4), NewStore(8)
 	for _, c := range certs {
@@ -164,8 +168,13 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	for i := 25; i >= 20; i-- {
 		b.Remove(certs[i].Hash())
 	}
+	for _, st := range []*Store{a, b} {
+		if res := InstallCRLs(cert.NewRevocationStore(), st, nil, []*cert.RevocationList{rl}, now); res.Installed != 1 {
+			t.Fatalf("install = %+v, want the list installed", res)
+		}
+	}
 
-	ab, bb := snapshotBytes(t, a, rs, now), snapshotBytes(t, b, rs, now)
+	ab, bb := snapshotBytes(t, a, now), snapshotBytes(t, b, now)
 	if !bytes.Equal(ab, bb) {
 		t.Fatalf("snapshot bytes differ (%d vs %d bytes) for identical content", len(ab), len(bb))
 	}
@@ -182,15 +191,11 @@ func TestSnapshotTruncatedRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full := snapshotBytes(t, src, nil, now)
-
-	header := sexp.AppendFrame(nil, sexp.List(sexp.String(snapTagHeader),
-		sexp.List(sexp.String("version"), sexp.String("1")),
-		sexp.List(sexp.String("cursor"), sexp.String("0"))))
+	full := snapshotBytes(t, src, now)
 
 	for name, body := range map[string][]byte{
 		"mid-frame":  full[:len(full)-25],
-		"no-trailer": header, // clean EOF, but the trailer never arrived
+		"no-trailer": sexp.AppendFrame(nil, baseRecord()), // clean EOF, but the trailer never arrived
 	} {
 		dst := NewStore(4)
 		rep := NewReplicator(dst, []*Client{snapshotServer(t, body)})
@@ -212,13 +217,7 @@ func TestSnapshotForgedCertRejected(t *testing.T) {
 	forged.Signature = append([]byte(nil), good.Signature...)
 	forged.Signature[0] ^= 1
 
-	var body []byte
-	body = sexp.AppendFrame(body, sexp.List(sexp.String(snapTagHeader),
-		sexp.List(sexp.String("version"), sexp.String("1")),
-		sexp.List(sexp.String("cursor"), sexp.String("0"))))
-	body = sexp.AppendFrame(body, sexp.List(sexp.String(walTagPublish), forged.Sexp()))
-	body = sexp.AppendFrame(body, sexp.List(sexp.String(snapTagEnd),
-		sexp.List(sexp.String("count"), sexp.String("1"))))
+	body := snapshotStream(publishRecord(&forged))
 
 	dst := NewStore(4)
 	rep := NewReplicator(dst, []*Client{snapshotServer(t, body)})
@@ -245,15 +244,8 @@ func TestSnapshotMalformedRemoveRejected(t *testing.T) {
 		"non-integer expiry": sexp.List(sexp.String(walTagRemove), sexp.Atom(hash), sexp.String("never")),
 		"short hash":         sexp.List(sexp.String(walTagRemove), sexp.Atom(hash[:8]), sexp.String("0")),
 	} {
-		body := sexp.AppendFrame(nil, sexp.List(sexp.String(snapTagHeader),
-			sexp.List(sexp.String("version"), sexp.String("1")),
-			sexp.List(sexp.String("cursor"), sexp.String("0"))))
-		body = sexp.AppendFrame(body, bad)
-		body = sexp.AppendFrame(body, sexp.List(sexp.String(snapTagEnd),
-			sexp.List(sexp.String("count"), sexp.String("1"))))
-
 		dst := NewStore(4)
-		rep := NewReplicator(dst, []*Client{snapshotServer(t, body)})
+		rep := NewReplicator(dst, []*Client{snapshotServer(t, snapshotStream(bad))})
 		if _, err := rep.BootstrapFromPeer(context.Background()); err == nil {
 			t.Errorf("%s: malformed remove frame accepted", name)
 		}
@@ -263,9 +255,46 @@ func TestSnapshotMalformedRemoveRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotTrailerRequired: the snapshot reader is replay's frame
+// loop in its strict mode. A stream must open with (wal-base) and end
+// with a trailer counting exactly the records before it; one whose
+// trailer is missing, miscounts or is followed by more data fails the
+// bootstrap, so the joiner falls back to gossip.
+func TestSnapshotTrailerRequired(t *testing.T) {
+	now := time.Now()
+	certs := walCorpus(t, "snap-trailer", 3, core.Until(now.Add(time.Hour)))
+	var records []byte
+	for _, c := range certs {
+		records = sexp.AppendFrame(records, publishRecord(c))
+	}
+	base := sexp.AppendFrame(nil, baseRecord())
+	frame := func(e sexp.Sexp) []byte { return sexp.AppendFrame(nil, e) }
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for name, body := range map[string][]byte{
+		"no trailer":         join(base, records),
+		"trailer counts 2":   join(base, records, frame(endRecord(2))),
+		"trailer counts 4":   join(base, records, frame(endRecord(4))),
+		"trailer without n":  join(base, records, frame(sexp.List(sexp.String(walTagEnd)))),
+		"data after trailer": join(base, records, frame(endRecord(3)), frame(publishRecord(certs[0]))),
+		"no base marker":     join(records, frame(endRecord(3))),
+	} {
+		rep := NewReplicator(NewStore(4), []*Client{snapshotServer(t, body)})
+		if _, err := rep.BootstrapFromPeer(context.Background()); err == nil {
+			t.Errorf("%s: bootstrap accepted the stream", name)
+		}
+	}
+	// The same records with a matching trailer bootstrap fine.
+	dst := NewStore(4)
+	rep := NewReplicator(dst, []*Client{snapshotServer(t, join(base, records, frame(endRecord(3))))})
+	if pulled, err := rep.BootstrapFromPeer(context.Background()); err != nil || pulled != 3 {
+		t.Fatalf("complete stream: pulled %d, err %v; want 3, nil", pulled, err)
+	}
+}
+
 // crashTwinStore opens a durable store and applies a publish/remove
 // workload split across a base and an active segment by a compaction:
-// the removals in the active segment retract publishes in the base.
+// the removals in the active segment retract publishes in the base,
+// and a CRL installed there evicts one more.
 func crashTwinStore(t *testing.T, dir, seed string, now time.Time) (*Store, []*cert.Cert) {
 	t.Helper()
 	st, _, err := OpenDurable(dir, 4, SyncAlways, now)
@@ -285,6 +314,11 @@ func crashTwinStore(t *testing.T, dir, seed string, now time.Time) (*Store, []*c
 		if !st.Remove(c.Hash()) {
 			t.Fatal("remove failed")
 		}
+	}
+	rl := cert.NewRevocationList(sfkey.FromSeed([]byte(seed+"-issuer-0")), // certs[10]'s issuer (10 % 5)
+		core.Until(now.Add(time.Hour)), certs[10].Hash())
+	if res := InstallCRLs(cert.NewRevocationStore(), st, nil, []*cert.RevocationList{rl}, now); res.Evicted != 1 {
+		t.Fatalf("CRL install = %+v, want 1 evicted", res)
 	}
 	if ws, _ := st.WALStats(); ws.Segments < 2 {
 		t.Fatalf("workload stayed in %d segment(s); the compaction did not split the log", ws.Segments)
@@ -317,7 +351,7 @@ func TestCrashMidRotationTwin(t *testing.T) {
 	now := time.Now()
 	dir := t.TempDir()
 	st, certs := crashTwinStore(t, dir, "crash-rot", now)
-	want := snapshotBytes(t, st, nil, now)
+	want := snapshotBytes(t, st, now)
 
 	crash := copyWALDir(t, dir)
 	// The record that was mid-write when the power went: a valid frame
@@ -345,23 +379,26 @@ func TestCrashMidRotationTwin(t *testing.T) {
 	if !rec.Torn {
 		t.Fatalf("recovery = %+v, want torn tail detected", rec)
 	}
-	if got := snapshotBytes(t, re, nil, now); !bytes.Equal(got, want) {
+	if got := snapshotBytes(t, re, now); !bytes.Equal(got, want) {
 		t.Fatalf("recovered snapshot differs from twin (%d vs %d bytes)", len(got), len(want))
+	}
+	if n := len(re.CRLs()); n != 1 {
+		t.Fatalf("recovered store holds %d CRLs, want the one installed before the crash", n)
 	}
 }
 
 // TestCrashMidCompactionTwin: a crash during compaction leaves a
-// *.compact temp beside intact segments. Recovery discards the temp
+// *.tmp temp beside intact segments. Recovery discards the temp
 // (the rename never happened, so it was never the log) and replays
 // the originals untouched.
 func TestCrashMidCompactionTwin(t *testing.T) {
 	now := time.Now()
 	dir := t.TempDir()
 	st, _ := crashTwinStore(t, dir, "crash-cmp", now)
-	want := snapshotBytes(t, st, nil, now)
+	want := snapshotBytes(t, st, now)
 
 	crash := copyWALDir(t, dir)
-	tmp := activeSegment(t, crash) + ".compact"
+	tmp := activeSegment(t, crash) + ".tmp"
 	if err := os.WriteFile(tmp, []byte("half-written compaction output"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -373,11 +410,14 @@ func TestCrashMidCompactionTwin(t *testing.T) {
 	if rec.Torn || rec.Dropped != 0 {
 		t.Fatalf("recovery = %+v, want clean replay", rec)
 	}
-	if left, _ := filepath.Glob(filepath.Join(crash, "*.compact")); len(left) != 0 {
+	if left, _ := filepath.Glob(filepath.Join(crash, "*.tmp")); len(left) != 0 {
 		t.Fatalf("compaction temps survived recovery: %v", left)
 	}
-	if got := snapshotBytes(t, re, nil, now); !bytes.Equal(got, want) {
+	if got := snapshotBytes(t, re, now); !bytes.Equal(got, want) {
 		t.Fatalf("recovered snapshot differs from twin (%d vs %d bytes)", len(got), len(want))
+	}
+	if n := len(re.CRLs()); n != 1 {
+		t.Fatalf("recovered store holds %d CRLs, want the one installed before the crash", n)
 	}
 }
 
@@ -395,7 +435,7 @@ func TestCrashAfterBaseRenameTwin(t *testing.T) {
 	if err := st.CompactWAL(); err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotBytes(t, st, nil, now)
+	want := snapshotBytes(t, st, now)
 
 	crash := copyWALDir(t, dir)
 	ids, err := listSegments(crash)
@@ -431,8 +471,11 @@ func TestCrashAfterBaseRenameTwin(t *testing.T) {
 	if rec.Torn || rec.Dropped != 0 || rec.Compacted {
 		t.Fatalf("recovery = %+v, want a clean replay of base + active", rec)
 	}
-	if got := snapshotBytes(t, re, nil, now); !bytes.Equal(got, want) {
+	if got := snapshotBytes(t, re, now); !bytes.Equal(got, want) {
 		t.Fatalf("recovered snapshot differs from twin (%d vs %d bytes)", len(got), len(want))
+	}
+	if n := len(re.CRLs()); n != 1 {
+		t.Fatalf("recovered store holds %d CRLs, want the one installed before the crash", n)
 	}
 	if left, _ := listSegments(crash); !reflect.DeepEqual(left, ids) {
 		t.Fatalf("segments after recovery = %v, want %v (superseded ones deleted)", left, ids)

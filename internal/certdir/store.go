@@ -25,13 +25,13 @@
 // # Durability
 //
 // A Store opened with OpenDurable is backed by a write-ahead log
-// (WAL): every accepted publish and removal is journaled — under a
-// configurable fsync policy — before it is acknowledged, and a
-// restart replays the log, so the delegation graph survives process
-// lifetimes. The store does not track where a record lives in the
-// log: once sweeps and revocation evictions leave the log holding more
-// than twice the live records, CompactWAL rewrites it as one base
-// segment of exactly those records. See wal.go for the record format,
+// (WAL): every accepted publish, removal and newly installed CRL is
+// journaled — under a configurable fsync policy — before it is
+// acknowledged, and a restart replays the log, so the delegation graph
+// and its revocations survive process lifetimes. The store does not
+// track where a record lives in the log: once sweeps and revocation
+// evictions leave the log holding more than twice the live records,
+// CompactWAL rewrites it as one base segment of exactly those records. See wal.go for the record format,
 // the layout and crash semantics.
 //
 // # Replication
@@ -48,9 +48,11 @@
 package certdir
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,9 +131,13 @@ type Store struct {
 	// tombstones remembers removed (or revocation-evicted) certificate
 	// hashes with the expiry of the certificate they retract, so
 	// anti-entropy pulls do not resurrect them. Cleared by an explicit
-	// re-publish, expired by Sweep.
+	// re-publish, expired by Sweep. crls holds the revocation lists
+	// installed here (InstallCRLs), by content hash, until Sweep finds
+	// them lapsed. Both are journaled under tmu, so a compaction's cut
+	// copies them at one instant.
 	tmu        sync.Mutex
 	tombstones map[string]time.Time
+	crls       map[[32]byte]*cert.RevocationList
 
 	// events is the invalidation stream served to subscribed provers:
 	// one event per removal or revocation eviction, so caches beyond
@@ -166,6 +172,7 @@ func NewStore(n int) *Store {
 	s := &Store{
 		shards:     make([]*dirShard, n),
 		tombstones: make(map[string]time.Time),
+		crls:       make(map[[32]byte]*cert.RevocationList),
 		events:     newEventLog(0),
 	}
 	for i := range s.shards {
@@ -531,12 +538,55 @@ func (s *Store) Tombstoned(hash []byte) bool {
 	return ok
 }
 
-// tombstoneSnapshot copies the live tombstones (key -> expiry); the
-// snapshot writer serializes it.
-func (s *Store) tombstoneSnapshot() map[string]time.Time {
+// keepCRL makes a verified revocation list directory state, reporting
+// whether it was new: journaled and kept, so it outlives a restart
+// (OpenDurable replays it; the daemon re-installs Store.CRLs) and rides
+// the next snapshot. A list already held is not journaled again.
+// InstallCRLs calls it for each list cert.RevocationStore.Add
+// installed, replay for each wal-crl record that verifies. A journal
+// failure is counted, not escalated: the list is in force in this
+// process already, and only its survival of a restart is lost.
+func (s *Store) keepCRL(rl *cert.RevocationList) bool {
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
-	return maps.Clone(s.tombstones)
+	if s.crls[rl.Hash()] != nil {
+		return false
+	}
+	if s.wal != nil {
+		if err := s.wal.appendRecord(crlRecord(rl)); err != nil {
+			s.walErrors.Add(1)
+		}
+	}
+	s.crls[rl.Hash()] = rl
+	return true
+}
+
+// lapsed reports whether a list's validity ended before now, the rule
+// cert.RevocationStore.Sweep applies too.
+func lapsed(rl *cert.RevocationList, now time.Time) bool {
+	na := rl.Validity.NotAfter
+	return !na.IsZero() && na.Before(now)
+}
+
+// CRLs returns the revocation lists the store holds, in content-hash
+// order. A daemon opening a durable directory installs them into its
+// cert.RevocationStore before it serves.
+func (s *Store) CRLs() []*cert.RevocationList {
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	return s.crlsLocked()
+}
+
+func (s *Store) crlsLocked() []*cert.RevocationList {
+	lists := make([]*cert.RevocationList, 0, len(s.crls))
+	for _, rl := range s.crls {
+		lists = append(lists, rl)
+	}
+	slices.SortFunc(lists, func(a, b *cert.RevocationList) int {
+		ha, hb := a.Hash(), b.Hash()
+		return bytes.Compare(ha[:], hb[:])
+	})
+	return lists
 }
 
 // addLocked links an entry into every index. Caller holds the shard
@@ -579,10 +629,10 @@ func dropEntry(es []*entry, e *entry) []*entry {
 }
 
 // Sweep drops every certificate expired at now (and every tombstone
-// whose certificate has expired), returns the count of dropped
-// certificates, and compacts the WAL when anything was dropped. Run it
-// periodically (cmd/sf-certd does) so the indexes don't accumulate
-// dead delegations.
+// whose certificate has expired, and every lapsed CRL), returns the
+// count of dropped certificates, and compacts the WAL when anything
+// was dropped. Run it periodically (cmd/sf-certd does) so the indexes
+// don't accumulate dead delegations.
 func (s *Store) Sweep(now time.Time) int {
 	n := 0
 	for _, sh := range s.shards {
@@ -601,16 +651,22 @@ func (s *Store) Sweep(now time.Time) int {
 		sh.mu.Unlock()
 	}
 	s.swept.Add(int64(n))
-	tombs := 0
+	dropped := 0
 	s.tmu.Lock()
 	for k, exp := range s.tombstones {
 		if !exp.IsZero() && now.After(exp) {
 			delete(s.tombstones, k)
-			tombs++
+			dropped++
+		}
+	}
+	for h, rl := range s.crls {
+		if lapsed(rl, now) {
+			delete(s.crls, h)
+			dropped++
 		}
 	}
 	s.tmu.Unlock()
-	if n+tombs > 0 {
+	if n+dropped > 0 {
 		s.compactAfterDrop()
 	}
 	return n
@@ -688,25 +744,24 @@ func (s *Store) compactAfterDrop() {
 }
 
 // liveRecords counts the records a compacted log holds: indexed
-// certificates, live tombstones and retained events.
+// certificates, live tombstones, held CRLs and retained events.
 func (s *Store) liveRecords() int64 {
 	s.tmu.Lock()
-	tombs := len(s.tombstones)
+	kept := len(s.tombstones) + len(s.crls)
 	s.tmu.Unlock()
-	return int64(s.Len() + tombs + s.events.Len())
+	return int64(s.Len() + kept + s.events.Len())
 }
 
 // CompactWAL rewrites the attached log as one base segment holding
-// exactly the live records — indexed certificates, live tombstones and
-// retained events — followed by a fresh active segment. No-op on a
-// memory-only store. Sweeps and evictions call it once the log has
-// grown past twice the live records; recovery calls it so dead or torn
-// records do not outlive the boot that detected them.
+// exactly the live records — indexed certificates, live tombstones,
+// held CRLs and retained events — followed by a fresh active segment.
+// No-op on a memory-only store. Sweeps and evictions call it once the
+// log has grown past twice the live records; recovery calls it so dead
+// or torn records do not outlive the boot that detected them.
 //
-// The cut is one instant: with every shard lock (read), the tombstone
-// lock and the event lock held — the locks every journaling mutation
-// appends under — the active segment is sealed and the live set
-// copied. A record therefore sits in the new base or in the new active
+// The cut is one instant (collect): the active segment is sealed and
+// the live set copied under the locks every journaling mutation
+// appends under, so a record sits in the new base or in the new active
 // segment, never in both and never in neither. The file I/O runs after
 // the locks are released (WAL.commitBase); compactMu keeps one
 // compaction at a time.
@@ -716,37 +771,54 @@ func (s *Store) CompactWAL() error {
 	}
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	sealed, cut, frames, err := s.cutWAL()
+	var (
+		sealed uint64
+		cut    int64
+	)
+	frames, events, err := s.collect(time.Time{}, func() (err error) {
+		sealed, cut, err = s.wal.seal()
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	return s.wal.commitBase(sealed, cut, frames)
+	return s.wal.commitBase(sealed, cut, append(frames, events...))
 }
 
-// cutWAL seals the active segment and copies the live set at one
-// instant (see CompactWAL), then renders the copy as the base's
-// frames with no lock held.
-func (s *Store) cutWAL() (sealed uint64, cut int64, frames []sexp.Sexp, err error) {
+// collect copies the directory's state at one instant — every shard's
+// read lock, the tombstone lock and the event lock held, the locks
+// every journaling mutation appends under — and renders it as records
+// with no lock held: the certificates, then the tombstones, then the
+// CRLs, each in content-hash order, so two stores holding the same
+// state render the same records whatever their shard count or history.
+// Certificates and tombstones that expire before now are left out; a
+// zero now keeps them all. The retained events come back separately,
+// oldest first: a compaction base keeps them, a snapshot does not.
+// seal, when set, runs inside the instant: it is the compaction cut.
+func (s *Store) collect(now time.Time, seal func() error) (records, events []sexp.Sexp, err error) {
 	var (
-		certs  []*cert.Cert
-		tombs  map[string]time.Time
-		events []Event
-		boot   uint64
+		ents  []*entry
+		tombs map[string]time.Time
+		crls  []*cert.RevocationList
+		evs   []Event
+		boot  uint64
 	)
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 	}
 	s.tmu.Lock()
 	s.events.mu.Lock()
-	sealed, cut, err = s.wal.seal()
+	if seal != nil {
+		err = seal()
+	}
 	if err == nil {
 		for _, sh := range s.shards {
 			for _, e := range sh.byHash {
-				certs = append(certs, e.cert)
+				ents = append(ents, e)
 			}
 		}
-		tombs = maps.Clone(s.tombstones)
-		events, boot = slices.Clone(s.events.ring), s.events.boot
+		tombs, crls = maps.Clone(s.tombstones), s.crlsLocked()
+		evs, boot = slices.Clone(s.events.ring), s.events.boot
 	}
 	s.events.mu.Unlock()
 	s.tmu.Unlock()
@@ -754,19 +826,33 @@ func (s *Store) cutWAL() (sealed uint64, cut int64, frames []sexp.Sexp, err erro
 		sh.mu.RUnlock()
 	}
 	if err != nil {
-		return 0, 0, nil, err
+		return nil, nil, err
 	}
-	frames = make([]sexp.Sexp, 0, len(certs)+len(tombs)+len(events))
-	for _, c := range certs {
-		frames = append(frames, publishRecord(c))
+	live := func(expiry time.Time) bool { return now.IsZero() || expiry.IsZero() || now.Before(expiry) }
+	records = make([]sexp.Sexp, 0, len(ents)+len(tombs)+len(crls))
+	slices.SortFunc(ents, func(a, b *entry) int { return strings.Compare(a.hashKey, b.hashKey) })
+	for _, e := range ents {
+		if live(e.expiry) {
+			records = append(records, publishRecord(e.cert))
+		}
 	}
+	keys := make([]string, 0, len(tombs))
 	for k, exp := range tombs {
-		frames = append(frames, removeRecord([]byte(k), exp))
+		if live(exp) {
+			keys = append(keys, k)
+		}
 	}
-	for _, ev := range events {
-		frames = append(frames, eventRecord(boot<<cursorSeqBits|ev.Seq, ev.Kind, ev.Hash))
+	slices.Sort(keys)
+	for _, k := range keys {
+		records = append(records, removeRecord([]byte(k), tombs[k]))
 	}
-	return sealed, cut, frames, nil
+	for _, rl := range crls {
+		records = append(records, crlRecord(rl))
+	}
+	for _, ev := range evs {
+		events = append(events, eventRecord(boot<<cursorSeqBits|ev.Seq, ev.Kind, ev.Hash))
+	}
+	return records, events, nil
 }
 
 // CloseWAL syncs and closes the attached log (no-op when memory-only).

@@ -19,24 +19,32 @@ import (
 )
 
 // The write-ahead log makes a directory survive restarts: every
-// accepted publish and every removal is appended as one framed
-// S-expression (sexp.AppendFrame: length prefix + CRC32 + canonical
-// payload) before the mutation is acknowledged, and OpenDurable
-// replays the log into a fresh Store on startup. Four record shapes
-// appear on disk:
+// accepted publish, removal and newly installed CRL is appended as one
+// framed S-expression (sexp.AppendFrame: length prefix + CRC32 +
+// canonical payload) before the mutation is acknowledged, and
+// OpenDurable replays the log into a fresh Store on startup. These
+// record shapes are the only encoding of directory state, on disk and
+// on the wire (a snapshot is a base segment with a trailer, see
+// snapshot.go):
 //
 //	(wal-base)
 //	(wal-publish <signed-certificate proof>)
 //	(wal-remove <cert hash> <expiry unix seconds, "0" if unbounded>)
+//	(wal-crl <crl>)
 //	(wal-event <cursor token> <kind> <cert hash>)
+//	(wal-end (count <records>))
 //
 // A crash can tear at most the final record of a segment; replay
 // truncates a torn tail away, and everything acknowledged before the
 // crash is intact. Removal records carry the certificate's expiry so
 // the tombstone that stops gossip from resurrecting a retracted
 // delegation (see Replicator) survives restarts and compactions until
-// the certificate would have expired anyway. Event records mirror the
-// EventLog tail so subscriber cursors stay valid across a restart.
+// the certificate would have expired anyway. CRL records keep a
+// directory's revocations, and with them its control-plane lockouts,
+// across a restart until the list lapses; replay verifies each one.
+// Event records mirror the EventLog tail so subscriber cursors stay
+// valid across a restart. Only a snapshot carries the (wal-end)
+// trailer; a segment ends without one.
 //
 // # Base and active segments
 //
@@ -52,12 +60,12 @@ import (
 // segment. It seals the active segment and copies the live set at one
 // instant, so every record belongs either to the new base or to the
 // new active segment, never to both. Then, with no store lock held, it
-// writes the base to a *.compact temp, fsyncs it, renames it over the
-// segment it just sealed and fsyncs the directory. That rename is the
-// one commit point: before it the old segments are the log, after it
-// the new base and the active segment are, and the older segments the
-// base supersedes are deleted (at open too, should a crash have left
-// them behind, along with orphaned temps).
+// writes the base over the segment it just sealed (writeBase: temp
+// file, fsync, rename, directory fsync). That rename is the one commit
+// point: before it the old segments are the log, after it the new base
+// and the active segment are, and the older segments the base
+// supersedes are deleted (at open too, should a crash have left them
+// behind, along with orphaned temps).
 //
 // Segments are the only layout. A data directory holding a single-file
 // certdir.wal — what releases before segmentation wrote — is refused
@@ -69,7 +77,9 @@ const (
 	walTagBase    = "wal-base"
 	walTagPublish = "wal-publish"
 	walTagRemove  = "wal-remove"
+	walTagCRL     = "wal-crl"
 	walTagEvent   = "wal-event"
+	walTagEnd     = "wal-end"
 )
 
 // walSegmentName is the file name of segment id.
@@ -313,27 +323,15 @@ func (w *WAL) seal() (sealed uint64, records int64, err error) {
 	return sealed, w.records, nil
 }
 
-// commitBase makes frames the log's base: written after a (wal-base)
-// frame to a temp file, fsynced, renamed over the sealed segment, and
-// the directory fsynced — the commit point. Every older segment is
-// then deleted. cut is the record count seal reported; records
-// appended since stay counted. Appends proceed meanwhile: they go to
-// the active segment, which this never touches.
+// commitBase makes frames the log's base: writeBase puts them over the
+// sealed segment — the commit point — and every older segment is then
+// deleted. cut is the record count seal reported; records appended
+// since stay counted. Appends proceed meanwhile: they go to the active
+// segment, which this never touches.
 func (w *WAL) commitBase(sealed uint64, cut int64, frames []sexp.Sexp) error {
-	path := segmentPath(w.dir, sealed)
-	tmp := path + ".compact"
-	size, err := writeBase(tmp, frames)
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
+	size, err := writeBase(segmentPath(w.dir, sealed), frames)
 	if err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("certdir: wal compact: %w", err)
-	}
-	// Until the directory is synced the rename may not survive a power
-	// cut, and deleting the segments it supersedes would lose both.
-	if err := syncDir(w.dir); err != nil {
-		return err
 	}
 	var old []uint64
 	w.mu.Lock()
@@ -355,27 +353,19 @@ func (w *WAL) commitBase(sealed uint64, cut int64, frames []sexp.Sexp) error {
 	return nil
 }
 
-// writeBase writes a base segment — a (wal-base) frame, then frames —
-// to path and fsyncs it, returning its size.
+// writeBase makes path a base — a (wal-base) frame, then frames — the
+// one durable way: written to a temp file, fsynced, renamed over path,
+// and the directory fsynced. A reader of path, or a crash, finds the
+// old file or the new one, never part of one. Compaction and the
+// snapshot artifact both write through it. Returns the bytes written.
 func writeBase(path string, frames []sexp.Sexp) (size int64, err error) {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, err
 	}
-	bw := bufio.NewWriter(f)
-	var buf []byte
-	write := func(e sexp.Sexp) {
-		if err == nil {
-			buf = sexp.AppendFrame(buf[:0], e)
-			size += int64(len(buf))
-			_, err = bw.Write(buf)
-		}
-	}
-	write(baseRecord())
-	for _, e := range frames {
-		write(e)
-	}
-	if err == nil {
+	bw := bufio.NewWriterSize(f, 1<<20)
+	if size, err = writeFrames(bw, frames); err == nil {
 		err = bw.Flush()
 	}
 	if err == nil {
@@ -384,7 +374,31 @@ func writeBase(path string, frames []sexp.Sexp) (size int64, err error) {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	return size, err
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, err
+	}
+	// Until the directory is synced the rename may not survive a power
+	// cut, and deleting what it supersedes would lose both.
+	return size, syncDir(filepath.Dir(path))
+}
+
+// writeFrames writes a (wal-base) frame and then frames to w,
+// returning the bytes written.
+func writeFrames(w io.Writer, frames []sexp.Sexp) (size int64, err error) {
+	var buf []byte
+	for _, e := range append([]sexp.Sexp{baseRecord()}, frames...) {
+		buf = sexp.AppendFrame(buf[:0], e)
+		n, err := w.Write(buf)
+		size += int64(n)
+		if err != nil {
+			return size, err
+		}
+	}
+	return size, nil
 }
 
 // recordCount reports how many records the log holds, live or dead:
@@ -397,9 +411,9 @@ func (w *WAL) recordCount() int64 {
 }
 
 // The functions below are the only code that knows the record
-// layouts; the publish and remove frames are shared by the WAL and the
-// snapshot stream. The decoders deep-copy what they return, so a
-// caller may recycle the buffer the frame was parsed from.
+// layouts, which the WAL and the snapshot stream share. The decoders
+// deep-copy what they return, so a caller may recycle the buffer the
+// frame was parsed from.
 
 func baseRecord() sexp.Sexp { return sexp.List(sexp.String(walTagBase)) }
 
@@ -452,6 +466,38 @@ func decodeRemove(e sexp.Sexp) (hash []byte, expiry time.Time, err error) {
 		expiry = time.Unix(sec, 0)
 	}
 	return append([]byte(nil), e.Nth(1).Bytes()...), expiry, nil
+}
+
+func crlRecord(rl *cert.RevocationList) sexp.Sexp {
+	return sexp.List(sexp.String(walTagCRL), rl.Sexp())
+}
+
+// decodeCRL extracts the list from a wal-crl frame. The signature is
+// NOT checked here; whoever installs the list verifies.
+func decodeCRL(e sexp.Sexp) (*cert.RevocationList, error) {
+	if e.Tag() != walTagCRL || e.Len() != 2 {
+		return nil, fmt.Errorf("certdir: bad crl frame %s", e)
+	}
+	rl, err := cert.RevocationListFromSexp(e.Nth(1))
+	if err != nil {
+		return nil, fmt.Errorf("certdir: crl frame: %w", err)
+	}
+	return rl, nil
+}
+
+func endRecord(records int) sexp.Sexp {
+	return sexp.List(sexp.String(walTagEnd),
+		sexp.List(sexp.String("count"), sexp.String(strconv.Itoa(records))))
+}
+
+// decodeEnd extracts the record count from a wal-end trailer.
+func decodeEnd(e sexp.Sexp) (int64, bool) {
+	c := e.Child("count")
+	if e.Len() != 2 || c == nil || c.Len() != 2 {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(c.Nth(1).Text(), 10, 64)
+	return n, err == nil && n >= 0
 }
 
 func eventRecord(token uint64, kind string, hash []byte) sexp.Sexp {
@@ -521,11 +567,12 @@ func (w *WAL) Stats() WALStats {
 // RecoveryStats reports what OpenDurable found in the log.
 type RecoveryStats struct {
 	// Replayed counts records applied to the store: certificates
-	// re-indexed and removals (with their tombstones) re-applied.
+	// re-indexed, removals (with their tombstones) re-applied, and CRLs
+	// kept (Store.CRLs).
 	Replayed int
-	// Dropped counts records the replay skipped: certificates that
-	// expired since they were logged, duplicates, and records that no
-	// longer verify or do not decode. Dropping is expected hygiene, not
+	// Dropped counts records the replay skipped: certificates and CRLs
+	// that expired since they were logged, duplicates, and records that
+	// no longer verify or do not decode. Dropping is expected hygiene, not
 	// data loss.
 	Dropped int
 	// Events counts EventLog entries restored from event records.
@@ -555,9 +602,9 @@ func OpenDurable(dir string, n int, policy SyncPolicy, now time.Time) (*Store, R
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rec, fmt.Errorf("certdir: wal dir: %w", err)
 	}
-	// A crash mid-compaction leaves a *.compact temp behind; its rename
-	// never happened, so it was never the log.
-	if tmps, err := filepath.Glob(filepath.Join(dir, "*.compact")); err == nil {
+	// A crash mid-compaction (or mid-snapshot write) leaves a *.tmp
+	// behind; its rename never happened, so it was never the log.
+	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err == nil {
 		for _, p := range tmps {
 			os.Remove(p)
 		}
@@ -631,15 +678,10 @@ func baseIndex(dir string, ids []uint64) int {
 // offset of the last good frame, the record count (a leading
 // (wal-base) frame is not a record), and whether a torn tail was
 // found. The store must not have a WAL attached yet: replay re-applies
-// history, it does not write it.
-//
-// Records stream through one sexp.FrameReader, whose record borrows
-// the reader's storage only until the next Next; the typed decoders
-// copy what they keep, so nothing retained aliases it. Consecutive
-// publishes are indexed in verified batches
-// (Store.indexVerified). A removal or event flushes the pending batch
-// first — log order is publish order.
-func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (good, frames int64, torn bool, err error) {
+// history, it does not write it. A record that does not decode, or no
+// longer applies (an expired certificate, a duplicate, a forged
+// signature), is counted as dropped and compacted away.
+func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (good, records int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, 0, false, nil
@@ -648,68 +690,147 @@ func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (g
 		return 0, 0, false, fmt.Errorf("certdir: wal replay: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	good, records, torn, err = readRecords(f, recordSink{
+		publish: func(batch []*cert.Cert) {
+			added, _, _ := st.indexVerified(batch, now, false, true)
+			rec.Replayed += added
+			rec.Dropped += len(batch) - added
+		},
+		remove: func(hash []byte, expiry time.Time) {
+			st.replayRemove(hash, expiry, now)
+			rec.Replayed++
+		},
+		crl: func(rl *cert.RevocationList) {
+			// A forged record grants nothing, exactly like a forged
+			// certificate; a lapsed one is what Sweep would drop.
+			if rl.Verify() == nil && !lapsed(rl, now) && st.keepCRL(rl) {
+				rec.Replayed++
+			} else {
+				rec.Dropped++
+			}
+		},
+		event: func(token uint64, kind string, hash []byte) {
+			st.events.restore(token, kind, hash)
+			rec.Events++
+		},
+		bad: func(error) error {
+			rec.Dropped++
+			return nil
+		},
+	})
+	if err != nil {
+		err = fmt.Errorf("certdir: wal replay: %w", err)
+	}
+	return good, records, torn, err
+}
+
+// recordSink is what the records of one stream do to a store. WAL
+// replay and snapshot bootstrap read through the same frame loop
+// (readRecords) and differ only here.
+type recordSink struct {
+	publish func(batch []*cert.Cert) // a run of consecutive publishes
+	remove  func(hash []byte, expiry time.Time)
+	crl     func(rl *cert.RevocationList)
+	event   func(token uint64, kind string, hash []byte) // nil skips events
+	// bad hears of a record that does not decode: nil skips it, an
+	// error ends the stream.
+	bad func(error) error
+	// snapshot demands a whole snapshot: the stream opens with
+	// (wal-base) and ends with a (wal-end) trailer whose count matches
+	// the records before it. A segment may end anywhere, torn included.
+	snapshot bool
+}
+
+// readRecords is the one decoder of directory state. It returns the
+// byte offset after the last whole frame, the record count (neither
+// the (wal-base) marker nor the trailer is a record), and whether the
+// stream ended mid-frame.
+//
+// Records stream through one sexp.FrameReader, whose record borrows
+// the reader's storage only until the next Next; the typed decoders
+// copy what they keep, so nothing retained aliases it. Consecutive
+// publishes are handed over in batches of up to verifyBatch, so each
+// is verified as one unit (Store.indexVerified); any other record
+// flushes the pending batch first — stream order is the order the
+// mutations happened in.
+func readRecords(r io.Reader, k recordSink) (good, records int64, torn bool, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
 	var fr sexp.FrameReader
 	var batch []*cert.Cert
 	flush := func() {
-		// Expired-in-the-meantime certificates, duplicates and bad
-		// signatures are dropped here and compacted away.
-		added, _, _ := st.indexVerified(batch, now, false, true)
-		rec.Replayed += added
-		rec.Dropped += len(batch) - added
-		batch = batch[:0]
+		if len(batch) > 0 {
+			k.publish(batch)
+			batch = batch[:0]
+		}
 	}
+	defer flush()
 	for {
-		e, n, err := fr.Next(r)
-		if err == io.EOF {
-			flush()
-			return good, frames, false, nil
-		}
-		if errors.Is(err, sexp.ErrFrameCorrupt) {
-			flush()
-			return good, frames, true, nil
-		}
-		if err != nil {
-			flush()
-			return good, frames, false, fmt.Errorf("certdir: wal replay: %w", err)
+		e, n, err := fr.Next(br)
+		switch {
+		case err == io.EOF && k.snapshot:
+			return good, records, false, errors.New("stream ended without a trailer")
+		case err == io.EOF:
+			return good, records, false, nil
+		case errors.Is(err, sexp.ErrFrameCorrupt) && !k.snapshot:
+			return good, records, true, nil
+		case err != nil:
+			return good, records, false, err
 		}
 		first := good == 0
 		good += int64(n)
 		if first && isBaseRecord(e) {
 			continue // the marker that opens a base is not a record
 		}
-		frames++
+		if first && k.snapshot {
+			return good, records, false, errors.New("stream does not open with (wal-base)")
+		}
+		if k.snapshot && e.Tag() == walTagEnd {
+			if count, ok := decodeEnd(e); !ok || count != records {
+				return good, records, false, fmt.Errorf("trailer disagrees with the %d records before it: %s", records, e)
+			}
+			if _, _, err := fr.Next(br); err != io.EOF {
+				return good, records, false, errors.New("data after the trailer")
+			}
+			return good, records, false, nil
+		}
+		records++
+		if e.Tag() != walTagPublish {
+			flush()
+		}
+		var bad error
 		switch e.Tag() {
 		case walTagPublish:
 			c, err := decodePublish(e)
-			if err != nil {
-				rec.Dropped++
-				continue
-			}
-			batch = append(batch, c)
-			if len(batch) >= verifyBatch {
-				flush()
+			if bad = err; err == nil {
+				if batch = append(batch, c); len(batch) >= verifyBatch {
+					flush()
+				}
 			}
 		case walTagRemove:
-			flush() // removals apply after the publishes logged before them
 			hash, expiry, err := decodeRemove(e)
-			if err != nil {
-				rec.Dropped++
-				continue
+			if bad = err; err == nil {
+				k.remove(hash, expiry)
 			}
-			st.replayRemove(hash, expiry, now)
-			rec.Replayed++
+		case walTagCRL:
+			rl, err := decodeCRL(e)
+			if bad = err; err == nil {
+				k.crl(rl)
+			}
 		case walTagEvent:
-			flush() // events observe the mutations logged before them
-			token, kind, hash, err := decodeEvent(e)
-			if err != nil {
-				rec.Dropped++
+			if k.event == nil {
 				continue
 			}
-			st.events.restore(token, kind, hash)
-			rec.Events++
+			token, kind, hash, err := decodeEvent(e)
+			if bad = err; err == nil {
+				k.event(token, kind, hash)
+			}
 		default:
-			rec.Dropped++
+			bad = fmt.Errorf("certdir: unknown record %q", e.Tag())
+		}
+		if bad != nil {
+			if err := k.bad(bad); err != nil {
+				return good, records, false, err
+			}
 		}
 	}
 }

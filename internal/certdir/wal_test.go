@@ -554,3 +554,64 @@ func TestParseSyncPolicy(t *testing.T) {
 		t.Error("bad policy accepted")
 	}
 }
+
+// TestWALCRLLapses: a CRL is directory state until it lapses. Sweep
+// drops a list whose NotAfter has passed, the next base leaves it out,
+// and a restart replays only the list still in force — until that one
+// has lapsed too, when replay drops it.
+func TestWALCRLLapses(t *testing.T) {
+	now := time.Now()
+	dir := t.TempDir()
+	st, _, err := OpenDurable(dir, 4, SyncNever, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issuer := sfkey.FromSeed([]byte("wal-lapse-issuer"))
+	short := cert.NewRevocationList(issuer, core.Between(now.Add(-time.Minute), now.Add(time.Minute)), []byte("short"))
+	long := cert.NewRevocationList(issuer, core.Until(now.Add(time.Hour)), []byte("long"))
+	if res := InstallCRLs(cert.NewRevocationStore(), st, nil, []*cert.RevocationList{short, long}, now); res.Installed != 2 {
+		t.Fatalf("install = %+v, want 2 installed", res)
+	}
+	later := now.Add(30 * time.Minute)
+	st.Sweep(later)
+	if got := st.CRLs(); len(got) != 1 || got[0] != long {
+		t.Fatalf("after the sweep the store keeps %d lists, want only the unlapsed one", len(got))
+	}
+	if err := st.CompactWAL(); err != nil {
+		t.Fatal(err)
+	}
+	var log []byte
+	ids, _ := listSegments(dir)
+	for _, id := range ids {
+		data, err := os.ReadFile(segmentPath(dir, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, data...)
+	}
+	if bytes.Contains(log, sexp.AppendFrame(nil, crlRecord(short))) || !bytes.Contains(log, sexp.AppendFrame(nil, crlRecord(long))) {
+		t.Fatal("the base after the sweep does not hold exactly the unlapsed list")
+	}
+	if err := st.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, rec, err := OpenDurable(dir, 4, SyncNever, later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.CRLs(); rec.Dropped != 0 || len(got) != 1 || got[0].Hash() != long.Hash() {
+		t.Fatalf("replay = %+v with %d lists, want the unlapsed list alone", rec, len(got))
+	}
+	if err := re.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	re, rec, err = OpenDurable(dir, 4, SyncNever, now.Add(2*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseWAL()
+	if rec.Dropped != 1 || len(re.CRLs()) != 0 {
+		t.Fatalf("replay after both lapsed = %+v with %d lists, want the last one dropped", rec, len(re.CRLs()))
+	}
+}
