@@ -17,119 +17,11 @@
 // runtime schedules it — the old every-256-digests heuristic idled
 // exactly when traffic stopped and cleanup mattered). -admin-addr
 // serves /metrics.
+//
+// The boot lives in internal/daemon (daemon.Gateway), where tests run
+// it; this command is its flag glue.
 package main
 
-import (
-	"flag"
-	"log"
-	"time"
+import "repro/internal/daemon"
 
-	"repro/internal/certdir"
-	"repro/internal/channel/secure"
-	"repro/internal/core"
-	"repro/internal/gateway"
-	"repro/internal/obs"
-	"repro/internal/principal"
-	"repro/internal/prover"
-	"repro/internal/rmi"
-	"repro/internal/server"
-	"repro/internal/sfkey"
-)
-
-func main() {
-	keyFile := flag.String("key", "", "gateway private key file")
-	dbAddr := flag.String("db", "127.0.0.1:7001", "database server address")
-	dbIssuerS := flag.String("db-issuer", "", "database issuer principal S-expression")
-	addr := flag.String("addr", "127.0.0.1:8081", "HTTP listen address")
-	adminAddr := flag.String("admin-addr", "", "admin/metrics HTTP listen address (empty = disabled)")
-	certdirURL := flag.String("certdir", "", "certificate directory base URL for remote chain discovery (empty = local-only)")
-	sweepEvery := flag.Duration("sweep", time.Minute, "prover expired-edge sweep interval (0 disables)")
-	logFormat := flag.String("log-format", "text", "log output format: text or json")
-	obsFlags := server.RegisterObsFlags()
-	flag.Parse()
-
-	if *keyFile == "" || *dbIssuerS == "" {
-		log.Fatal("sf-gateway: -key and -db-issuer are required")
-	}
-	priv, err := sfkey.LoadPrivateKeyFile(*keyFile)
-	if err != nil {
-		log.Fatalf("sf-gateway: %v", err)
-	}
-	dbIssuer, err := principal.Parse(*dbIssuerS)
-	if err != nil {
-		log.Fatalf("sf-gateway: db issuer: %v", err)
-	}
-
-	rt := server.New("sf-gateway")
-	if rt.Logger, err = server.NewLogger(*logFormat); err != nil {
-		log.Fatalf("sf-gateway: %v", err)
-	}
-	if err := obsFlags.Wire(rt); err != nil {
-		log.Fatalf("sf-gateway: audit log: %v", err)
-	}
-
-	pv := gateway.NewProver(priv)
-	// Directory lookups the prover makes mid-admit are the expensive
-	// leg of a cold admit; time them under their own histogram.
-	pv.RemoteHist = obs.NewHistogram("sf_prover_remote_seconds", "Prover remote chain-discovery latency per FindProof miss.")
-	rt.Metrics().RegisterHistogram(pv.RemoteHist)
-	id, err := secure.NewIdentity()
-	if err != nil {
-		log.Fatalf("sf-gateway: %v", err)
-	}
-	// The gateway controls its channel identity too, so its prover can
-	// link channel key -> gateway key when the database challenges it.
-	pv.AddClosure(prover.NewKeyClosure(id.Priv))
-	db, err := rmi.Dial(secure.Dialer{ID: id}, *dbAddr, pv)
-	if err != nil {
-		log.Fatalf("sf-gateway: dial db: %v", err)
-	}
-	// With -certdir the gateway's prover discovers delegation chains it
-	// was never handed (remote discovery) and subscribes to the
-	// directory's invalidation stream, so a digested client delegation
-	// that is later revoked or retracted is dropped from the prover's
-	// graph — and its verdict from the shared proof cache — instead of
-	// being quoted to the database until it expires.
-	if *certdirURL != "" {
-		dir := certdir.NewClient(*certdirURL)
-		pv.AddRemote(dir)
-		sub := pv.Subscribe(dir, core.SharedProofCache())
-		rt.OnShutdown(sub.Stop)
-		rt.Printf("using certificate directory %s (discovery + invalidation)", *certdirURL)
-	}
-	// Timer-based graph hygiene: the gateway and its RMI invoker share
-	// this long-lived prover, so expired edges are evicted on the
-	// clock, not on request count.
-	rt.Every(*sweepEvery, func() { pv.Sweep(time.Now()) })
-
-	rt.Metrics().Register(server.ProofCacheCollector(core.SharedProofCache()))
-	rt.Metrics().Register(server.ProverCollector(pv))
-
-	gw := gateway.New(priv, db, dbIssuer, pv)
-	gw.Obs = rt.Tracer()
-	gw.Audit = rt.Audit()
-	lat := rt.Latencies()
-	gw.ColdAdmit = lat.ColdAdmit
-	gw.WarmAdmit = lat.WarmAdmit
-	rt.Metrics().Register(func(emit func(server.Metric)) {
-		st := gw.Stats()
-		emit(server.Counter("sf_gateway_requests_total", "HTTP requests received.", float64(st.Requests)))
-		emit(server.Counter("sf_gateway_challenges_total", "Challenges issued.", float64(st.Challenges)))
-		emit(server.Counter("sf_gateway_digested_total", "Client proofs digested.", float64(st.Digested)))
-		emit(server.Counter("sf_gateway_forwarded_total", "Requests forwarded to the database.", float64(st.Forwarded)))
-		emit(server.Counter("sf_gateway_denied_total", "Requests denied.", float64(st.Denied)))
-	})
-
-	bound, err := rt.Serve(*addr, gw)
-	if err != nil {
-		log.Fatalf("sf-gateway: %v", err)
-	}
-	if _, err := rt.ServeAdmin(*adminAddr); err != nil {
-		log.Fatalf("sf-gateway: %v", err)
-	}
-	rt.Printf("bridging %s on %s (gateway key %s)",
-		*dbAddr, bound, priv.Public().Fingerprint())
-	if err := rt.Wait(); err != nil {
-		log.Fatalf("sf-gateway: %v", err)
-	}
-}
+func main() { daemon.Main(daemon.Gateway) }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"net/http"
 	"net/http/httptest"
@@ -10,8 +11,8 @@ import (
 
 	"repro/internal/cert"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/principal"
-	"repro/internal/prover"
 	"repro/internal/sexp"
 	"repro/internal/sfkey"
 	"repro/internal/tag"
@@ -19,7 +20,7 @@ import (
 
 // TestImportVerifiesChain: /import digests a pasted delegation only
 // when its chain verifies; a forged one answers 400 and leaves the
-// prover's graph empty.
+// prover's graph empty. Each row boots the proxy the way main does.
 func TestImportVerifiesChain(t *testing.T) {
 	owner := sfkey.FromSeed([]byte("sf-proxy-owner"))
 	user := sfkey.FromSeed([]byte("sf-proxy-user"))
@@ -35,22 +36,81 @@ func TestImportVerifiesChain(t *testing.T) {
 		name   string
 		wire   []byte
 		status int
-		edges  int
+		edges  string
 	}{
-		{"forged", sexp.Raw(forged).Transport(), http.StatusBadRequest, 0},
-		{"verified", good.Sexp().Transport(), http.StatusOK, 1},
+		{"forged", sexp.Raw(forged).Transport(), http.StatusBadRequest, "0"},
+		{"verified", good.Sexp().Transport(), http.StatusOK, "1"},
 	} {
-		p := &proxy{priv: user, pv: prover.New()}
+		n, err := daemon.Proxy([]string{"-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
 		form := url.Values{"cert": {string(tc.wire)}}.Encode()
-		req := httptest.NewRequest(http.MethodPost, "http://"+uiHost+"/import", strings.NewReader(form))
+		req, err := http.NewRequest(http.MethodPost, "http://"+n.Addr+"/import", strings.NewReader(form))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Host = "security.localhost"
 		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-		rec := httptest.NewRecorder()
-		p.ServeHTTP(rec, req)
-		if rec.Code != tc.status {
-			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.status, rec.Body)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := p.pv.EdgeCount(); got != tc.edges {
-			t.Errorf("%s: prover holds %d edges, want %d", tc.name, got, tc.edges)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
+		if got := proverEdges(t, n.AdminAddr); got != tc.edges {
+			t.Errorf("%s: prover holds %s edges, want %s", tc.name, got, tc.edges)
+		}
+		n.Shutdown()
+	}
+}
+
+// proverEdges reads the sf_prover_edges gauge from a proxy's /metrics.
+func proverEdges(t *testing.T, admin string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + admin + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "sf_prover_edges "); ok {
+			return v
+		}
+	}
+	t.Fatalf("no sf_prover_edges on %s/metrics", admin)
+	return ""
+}
+
+// TestForwardDropsProxyConnection: a forwarded request carries the
+// browser's headers to the origin, except Proxy-Connection, which is
+// meant for the proxy alone.
+func TestForwardDropsProxyConnection(t *testing.T) {
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Seen", r.Header.Get("X-Custom")+"|"+r.Header.Get("Proxy-Connection"))
+	}))
+	defer origin.Close()
+	n, err := daemon.Proxy([]string{"-addr", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Shutdown()
+	req, err := http.NewRequest(http.MethodGet, "http://"+n.Addr+"/page", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Host = strings.TrimPrefix(origin.URL, "http://")
+	req.Header.Set("X-Custom", "kept")
+	req.Header.Set("Proxy-Connection", "keep-alive")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Seen"); got != "kept|" {
+		t.Fatalf("origin saw X-Custom|Proxy-Connection = %q, want %q", got, "kept|")
 	}
 }

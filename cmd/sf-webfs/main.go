@@ -8,84 +8,12 @@
 //	sf-webfs -root ./public -owner-key alice.key -addr :8080
 //	sf-webfs -owner-key alice.key -share-prefix /pub/ -share-to '<principal sexp>'
 //
-// Like every sf-* daemon it boots through the shared server runtime:
-// -admin-addr serves /metrics (proof-cache counters), and SIGTERM
-// drains the listener gracefully.
+// Like every sf-* daemon it boots through internal/daemon
+// (daemon.WebFS) on the shared server runtime: -admin-addr serves
+// /metrics (proof-cache counters), and SIGTERM drains the listener
+// gracefully. This command is the boot's flag glue.
 package main
 
-import (
-	"flag"
-	"fmt"
-	"log"
-	"os"
-	"time"
+import "repro/internal/daemon"
 
-	"repro/internal/core"
-	"repro/internal/principal"
-	"repro/internal/server"
-	"repro/internal/sfkey"
-	"repro/internal/webfs"
-)
-
-func main() {
-	root := flag.String("root", ".", "directory to serve")
-	keyFile := flag.String("owner-key", "", "owner private key file (sf-keygen output)")
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	adminAddr := flag.String("admin-addr", "", "admin/metrics HTTP listen address (empty = disabled)")
-	service := flag.String("service", "files", "service name used in tags")
-	sharePrefix := flag.String("share-prefix", "", "emit a delegation for this path prefix and exit")
-	shareTo := flag.String("share-to", "", "recipient principal S-expression for -share-prefix")
-	shareTTL := flag.Duration("share-ttl", 24*time.Hour, "delegation lifetime")
-	logFormat := flag.String("log-format", "text", "log output format: text or json")
-	obsFlags := server.RegisterObsFlags()
-	flag.Parse()
-
-	if *keyFile == "" {
-		log.Fatal("sf-webfs: -owner-key is required")
-	}
-	priv, err := sfkey.LoadPrivateKeyFile(*keyFile)
-	if err != nil {
-		log.Fatalf("sf-webfs: %v", err)
-	}
-	ownerHash := principal.HashOfKey(priv.Public())
-
-	if *sharePrefix != "" {
-		if *shareTo == "" {
-			log.Fatal("sf-webfs: -share-prefix needs -share-to")
-		}
-		recipient, err := principal.Parse(*shareTo)
-		if err != nil {
-			log.Fatalf("sf-webfs: recipient: %v", err)
-		}
-		c, err := webfs.ShareSubtree(priv, ownerHash, recipient, *service, *sharePrefix, *shareTTL)
-		if err != nil {
-			log.Fatalf("sf-webfs: %v", err)
-		}
-		fmt.Println(string(c.Sexp().Transport()))
-		return
-	}
-
-	rt := server.New("sf-webfs")
-	if rt.Logger, err = server.NewLogger(*logFormat); err != nil {
-		log.Fatalf("sf-webfs: %v", err)
-	}
-	if err := obsFlags.Wire(rt); err != nil {
-		log.Fatalf("sf-webfs: audit log: %v", err)
-	}
-	rt.Metrics().Register(server.ProofCacheCollector(core.SharedProofCache()))
-
-	srv := webfs.New(ownerHash, *service, os.DirFS(*root))
-	srv.Protected().Obs = rt.Tracer()
-	srv.Protected().Audit = rt.Audit()
-	bound, err := rt.Serve(*addr, srv)
-	if err != nil {
-		log.Fatalf("sf-webfs: %v", err)
-	}
-	if _, err := rt.ServeAdmin(*adminAddr); err != nil {
-		log.Fatalf("sf-webfs: %v", err)
-	}
-	rt.Printf("serving %s on %s; controlled by %s", *root, bound, ownerHash)
-	if err := rt.Wait(); err != nil {
-		log.Fatalf("sf-webfs: %v", err)
-	}
-}
+func main() { daemon.Main(daemon.WebFS) }

@@ -63,7 +63,7 @@ func main() {
 	credB := mustCred(dirBKey)
 	credPub := mustCred(registrar, cert.CtlPublish)
 
-	// Both directory daemons (what cmd/sf-certd -admin-auth runs), one
+	// Both directory daemons (what sf-certd -admin-auth runs), one
 	// per administrative domain, here in-process on loopback ports.
 	// Directory A is durable: its write-ahead log lives in dataDir.
 	dataDir, err := os.MkdirTemp("", "certdir-demo-")

@@ -31,9 +31,9 @@ type CRLFollower struct {
 	// Interval between pulls; DefaultGossipInterval when zero.
 	// Set before Start.
 	Interval time.Duration
-	// OnError, when set, observes every failed Pull, whether a caller's
-	// ticker or Start's loop drove it (the follower itself retries
-	// forever; a directory briefly down just delays the next pull).
+	// OnError, when set, observes every failed Pull, whether a caller
+	// or Start's loop drove it (the follower itself retries forever; a
+	// directory briefly down just delays the next pull).
 	OnError func(error)
 
 	pulled   atomic.Int64 // CRLs newly installed
@@ -53,8 +53,8 @@ func NewCRLFollower(c *Client, st *cert.RevocationStore) *CRLFollower {
 // Pull performs one incremental round: fetch the CRLs the store does
 // not hold, verify, install. Returns how many lists were newly
 // installed; a failed round is also reported to OnError. Safe to call
-// directly (sf-dbserver drives it from the runtime ticker); Start
-// wraps it in a loop for harnesses without a runtime.
+// directly; Start wraps it in the loop every follower runs,
+// sf-dbserver's -crl-follow included.
 func (f *CRLFollower) Pull() (added int, err error) {
 	// No store to evict from, so no eviction instant to supply.
 	res, err := pullMissingCRLs(f.Client, f.Store, nil, nil, time.Time{})

@@ -61,7 +61,7 @@ type Replicator struct {
 	// time.Now.
 	Clock func() time.Time
 	// Logf, when set, receives one line per failed push and failed
-	// round (cmd/sf-certd wires log.Printf).
+	// round (sf-certd wires its runtime logger).
 	Logf func(format string, args ...any)
 	// Revocations, when set, extends gossip to CRLs themselves: newly
 	// installed CRLs fan out to peers (EnqueueCRL), and every

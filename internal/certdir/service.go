@@ -111,7 +111,7 @@ type Service struct {
 	Store *Store
 	// Replicator, when set, contributes its counters to the stats
 	// endpoint and receives newly installed CRLs for fan-out. The
-	// service never drives its loops — cmd/sf-certd does.
+	// service never drives its loops — sf-certd does.
 	Replicator *Replicator
 	// Clock supplies the service's notion of now; nil means time.Now.
 	Clock func() time.Time
@@ -120,7 +120,7 @@ type Service struct {
 	// them land here, bumping the shared proof-cache epoch.
 	Revocations *cert.RevocationStore
 	// ReloadCRLs, when set, is invoked by the admin reload endpoint
-	// (cmd/sf-certd wires it to re-read the -crl file, evict, and
+	// (sf-certd wires it to re-read the -crl file, evict, and
 	// gossip the new lists; SIGHUP runs the same function).
 	ReloadCRLs func() (added, total, evicted int, err error)
 	// Guard, when set, closes the control plane: every MUTATING

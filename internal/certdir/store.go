@@ -631,7 +631,7 @@ func dropEntry(es []*entry, e *entry) []*entry {
 // Sweep drops every certificate expired at now (and every tombstone
 // whose certificate has expired, and every lapsed CRL), returns the
 // count of dropped certificates, and compacts the WAL when anything
-// was dropped. Run it periodically (cmd/sf-certd does) so the indexes
+// was dropped. Run it periodically (sf-certd does) so the indexes
 // don't accumulate dead delegations.
 func (s *Store) Sweep(now time.Time) int {
 	n := 0
@@ -864,7 +864,7 @@ func (s *Store) CloseWAL() error {
 	return s.wal.Close()
 }
 
-// SyncWAL forces journaled records to disk; cmd/sf-certd calls it on a
+// SyncWAL forces journaled records to disk; sf-certd calls it on a
 // timer under the "interval" fsync policy.
 func (s *Store) SyncWAL() error {
 	if s.wal == nil {

@@ -151,7 +151,7 @@ const (
 	// survives an immediate power cut. The default.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval performs no per-append fsync; the owner calls Sync
-	// on a timer (cmd/sf-certd does, flag -fsync-every). A crash can
+	// on a timer (sf-certd does, flag -fsync-every). A crash can
 	// lose up to one interval of acknowledged records — never corrupt
 	// older ones.
 	SyncInterval

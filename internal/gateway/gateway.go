@@ -289,7 +289,7 @@ func (g *Gateway) admit(attempt *admit.Attempt, auth string, reqPrin principal.H
 		if err != nil {
 			return nil, false, fmt.Errorf("gateway: delegation proof: %w", err)
 		}
-		// Graph hygiene is the daemon's job: cmd/sf-gateway sweeps the
+		// Graph hygiene is the daemon's job: sf-gateway sweeps the
 		// prover on a timer through the shared runtime.
 		g.Prover.AddProof(p)
 		cold = true

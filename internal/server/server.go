@@ -51,8 +51,8 @@ type Runtime struct {
 	// Name prefixes log lines ("sf-certd").
 	Name string
 	// Logger, when set, receives runtime log lines as structured slog
-	// records with a "daemon" attribute; daemons build one with
-	// NewLogger from their -log-format flag. Nil means log.Printf.
+	// records with a "daemon" attribute; internal/daemon builds one
+	// from each daemon's -log-format flag. Nil means log.Printf.
 	Logger *slog.Logger
 	// ShutdownTimeout bounds graceful drain per listener; zero means
 	// 5 s.
@@ -86,20 +86,6 @@ func (rt *Runtime) logf(format string, args ...any) {
 		return
 	}
 	log.Printf(rt.Name+": "+format, args...)
-}
-
-// NewLogger builds the slog logger behind every daemon's -log-format
-// flag: "text" (the default) renders human-readable lines, "json"
-// renders one JSON object per line for log pipelines.
-func NewLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "", "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("unknown log format %q (want text or json)", format)
-	}
 }
 
 // Printf logs one line under the daemon's name; daemons use it so
@@ -223,48 +209,35 @@ func (rt *Runtime) Audit() *obs.AuditLog {
 	return rt.audit
 }
 
-// ObsFlags bundles the observability knobs every daemon exposes the
-// same way: the audit JSONL sink, its size-rotation bound, and the
-// trace head-sampling rate. RegisterObsFlags declares them before
-// flag.Parse; Wire applies them to the runtime after.
-type ObsFlags struct {
-	AuditLog    *string
-	AuditLogMax *int64
-	TraceSample *int
-}
-
-// RegisterObsFlags declares the shared observability flags on the
-// default flag set.
-func RegisterObsFlags() *ObsFlags {
-	return &ObsFlags{
-		AuditLog:    flag.String("audit-log", "", "append authorization decisions as JSONL to this file (empty = ring only)"),
-		AuditLogMax: flag.Int64("audit-log-max", 0, "rotate -audit-log to <path>.1 once it reaches this many bytes (0 = never)"),
-		TraceSample: flag.Int("trace-sample", 1, "record 1 in N freshly started traces; incoming Sf-Trace headers are always honored (1 = record all)"),
-	}
-}
-
-// Wire applies the parsed flags: sets the tracer's sampling rate and,
-// when -audit-log is set, opens the (possibly rotating) sink, hooks
-// SIGHUP to reopen it (so external logrotate works), and closes it on
-// shutdown.
-func (f *ObsFlags) Wire(rt *Runtime) error {
-	rt.Tracer().SetSampleRate(*f.TraceSample)
-	if *f.AuditLog == "" {
+// RegisterObsFlags declares the observability flags every daemon
+// exposes the same way — the audit JSONL sink, its size-rotation bound,
+// and the trace head-sampling rate — on fs, the daemon's own flag set,
+// so several daemons can boot in one process. Once fs is parsed, wire
+// applies them: it sets the tracer's sampling rate and, when -audit-log
+// is set, opens the (possibly rotating) sink, hooks SIGHUP to reopen it
+// (so external logrotate works), and closes it on shutdown.
+func RegisterObsFlags(fs *flag.FlagSet) (wire func(*Runtime) error) {
+	auditLog := fs.String("audit-log", "", "append authorization decisions as JSONL to this file (empty = ring only)")
+	auditLogMax := fs.Int64("audit-log-max", 0, "rotate -audit-log to <path>.1 once it reaches this many bytes (0 = never)")
+	traceSample := fs.Int("trace-sample", 1, "record 1 in N freshly started traces; incoming Sf-Trace headers are always honored (1 = record all)")
+	return func(rt *Runtime) error {
+		rt.Tracer().SetSampleRate(*traceSample)
+		if *auditLog == "" {
+			return nil
+		}
+		if err := rt.Audit().OpenSinkRotating(*auditLog, *auditLogMax); err != nil {
+			return err
+		}
+		rt.OnSIGHUP(func() {
+			if err := rt.Audit().Reopen(); err != nil {
+				rt.logf("SIGHUP audit reopen: %v", err)
+				return
+			}
+			rt.logf("SIGHUP reopened audit log %s", *auditLog)
+		})
+		rt.OnShutdown(func() { rt.Audit().CloseSink() })
 		return nil
 	}
-	path := *f.AuditLog
-	if err := rt.Audit().OpenSinkRotating(path, *f.AuditLogMax); err != nil {
-		return err
-	}
-	rt.OnSIGHUP(func() {
-		if err := rt.Audit().Reopen(); err != nil {
-			rt.logf("SIGHUP audit reopen: %v", err)
-			return
-		}
-		rt.logf("SIGHUP reopened audit log %s", path)
-	})
-	rt.OnShutdown(func() { rt.Audit().CloseSink() })
-	return nil
 }
 
 // Latencies is the standard set of mesh latency histograms every
