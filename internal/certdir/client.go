@@ -278,33 +278,6 @@ func (c *Client) PushCRL(rl *cert.RevocationList) error {
 	return fmt.Errorf("certdir: unexpected crl reply %s", resp)
 }
 
-// CRLs fetches the CRLs the directory holds, minus the ones whose
-// content hashes are in have. The caller verifies every returned list
-// before applying it (InstallCRLs does).
-func (c *Client) CRLs(have [][]byte) ([]*cert.RevocationList, error) {
-	kids := make([]sexp.Sexp, 0, len(have)+1)
-	kids = append(kids, sexp.String("crls"))
-	for _, h := range have {
-		kids = append(kids, sexp.Atom(h))
-	}
-	resp, err := c.roundTrip(context.Background(), PathCRLs, sexp.List(kids...), 0)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag() != "crls" {
-		return nil, fmt.Errorf("certdir: unexpected crls reply %s", resp)
-	}
-	var out []*cert.RevocationList
-	for i := 1; i < resp.Len(); i++ {
-		rl, err := cert.RevocationListFromSexp(resp.Nth(i))
-		if err != nil {
-			return nil, fmt.Errorf("certdir: reply crl %d: %w", i, err)
-		}
-		out = append(out, rl)
-	}
-	return out, nil
-}
-
 // ReloadCRLs asks the daemon to re-read its CRL file (the admin reload
 // endpoint), returning how many lists were newly installed.
 func (c *Client) ReloadCRLs() (added int, err error) {
@@ -322,49 +295,77 @@ func (c *Client) ReloadCRLs() (added int, err error) {
 }
 
 // Events long-polls the directory's invalidation stream: after is the
-// last sequence consumed (0 on first call), wait how long the
-// directory may hold the poll open. It returns the certificate body
-// hashes to invalidate, the new cursor, and reset — true when the
-// stream could not be served continuously (the subscriber lagged past
-// the retained tail or the directory restarted), in which case the
-// caller must invalidate coarsely. The signature is primitive-typed
-// on purpose: it is what prover.InvalidationSource requires, so this
-// client satisfies it structurally without the prover importing
-// certdir.
-func (c *Client) Events(after uint64, wait time.Duration) (hashes [][]byte, next uint64, reset bool, err error) {
+// last cursor consumed (0 on first call), wait how long the directory
+// may hold the poll open, and ctx ends the poll early. It returns the
+// certificate body hashes to invalidate, the new cursor, and reset —
+// true when the stream could not be served continuously (the
+// subscriber lagged past the retained tail or the directory
+// restarted), in which case the caller must invalidate coarsely. The
+// signature is primitive-typed on purpose: it is what
+// prover.InvalidationSource requires, so this client satisfies it
+// structurally without the prover importing certdir.
+func (c *Client) Events(ctx context.Context, after uint64, wait time.Duration) (hashes [][]byte, next uint64, reset bool, err error) {
+	b, err := c.follow(ctx, after, wait)
+	for _, ev := range b.events {
+		hashes = append(hashes, ev.Hash)
+	}
+	return hashes, b.next, b.reset, err
+}
+
+// follow polls the events stream for the given kinds; naming none asks
+// for remove and revoke, in the request form every directory has
+// served. The lists in a crl answer come from a possibly hostile
+// directory: the caller verifies each before applying it
+// (InstallCRLs does).
+func (c *Client) follow(ctx context.Context, after uint64, wait time.Duration, kinds ...string) (streamBatch, error) {
 	req := []sexp.Sexp{sexp.String("events"), sexp.String(strconv.FormatUint(after, 10))}
 	if wait > 0 {
 		req = append(req, sexp.List(sexp.String("wait"),
 			sexp.String(strconv.FormatInt(wait.Milliseconds(), 10))))
 	}
-	resp, err := c.roundTrip(context.Background(), PathEvents, sexp.List(req...), max(wait, 0))
+	if len(kinds) > 0 {
+		k := []sexp.Sexp{sexp.String("kinds")}
+		for _, kind := range kinds {
+			k = append(k, sexp.String(kind))
+		}
+		req = append(req, sexp.List(k...))
+	}
+	resp, err := c.roundTrip(ctx, PathEvents, sexp.List(req...), max(wait, 0))
 	if err != nil {
-		return nil, 0, false, err
+		return streamBatch{}, err
 	}
-	if resp.Tag() != "events" {
-		return nil, 0, false, fmt.Errorf("certdir: unexpected events reply %s", resp)
-	}
+	return decodeEventsReply(resp)
+}
+
+// decodeEventsReply decodes (events (next <n>) [(reset)] (ev <kind>
+// <hash>|<crl>)...). Rows it does not know are skipped.
+func decodeEventsReply(resp sexp.Sexp) (r streamBatch, err error) {
 	nx := resp.Child("next")
-	if nx == nil || nx.Len() != 2 {
-		return nil, 0, false, fmt.Errorf("certdir: events reply missing cursor")
+	if resp.Tag() != "events" || nx == nil || nx.Len() != 2 {
+		return r, fmt.Errorf("certdir: unexpected events reply %s", resp)
 	}
-	next, err = strconv.ParseUint(nx.Nth(1).Text(), 10, 64)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("certdir: bad events cursor: %w", err)
+	if r.next, err = strconv.ParseUint(nx.Nth(1).Text(), 10, 64); err != nil {
+		return streamBatch{}, fmt.Errorf("certdir: bad events cursor: %w", err)
 	}
 	for i := 1; i < resp.Len(); i++ {
 		row := resp.Nth(i)
-		switch row.Tag() {
-		case "reset":
-			reset = true
-		case "ev":
-			if row.Len() != 3 || !row.Nth(2).IsAtom() {
-				return nil, 0, false, fmt.Errorf("certdir: bad event row %s", row)
+		switch {
+		case row.Tag() == "reset":
+			r.reset = true
+		case row.Tag() != "ev":
+		case row.Len() == 3 && row.Nth(1).Text() == EventCRL:
+			rl, err := cert.RevocationListFromSexp(row.Nth(2))
+			if err != nil {
+				return streamBatch{}, fmt.Errorf("certdir: event crl %d: %w", i, err)
 			}
-			hashes = append(hashes, append([]byte(nil), row.Nth(2).Bytes()...))
+			r.crls = append(r.crls, rl)
+		case row.Len() == 3 && row.Nth(2).IsAtom():
+			r.events = append(r.events, Event{Kind: row.Nth(1).Text(), Hash: append([]byte(nil), row.Nth(2).Bytes()...)})
+		default:
+			return streamBatch{}, fmt.Errorf("certdir: bad event row %s", row)
 		}
 	}
-	return hashes, next, reset, nil
+	return r, nil
 }
 
 // Fetch pulls the certificates with the given content hashes; absent

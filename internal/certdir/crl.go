@@ -17,12 +17,13 @@ type CRLInstall struct {
 
 // InstallCRLs is the one way revocation lists take effect in the
 // directory tier, whatever brought them: the admin endpoint, the
-// daemon's -crl file, an anti-entropy pull, a snapshot bootstrap, or
-// a verifier's CRLFollower. The lists are verified and installed as
-// one batch (one signature batch, one proof-cache epoch bump, dedup by
-// content hash — cert.RevocationStore.Add), then the store journals
-// each new list (Store.keepCRL: it survives a restart and rides the
-// next snapshot), then the store is scanned ONCE with
+// daemon's -crl file, a read of a peer's event stream, a snapshot
+// bootstrap, or a verifier's CRLFollower. The lists are verified and
+// installed as one batch (one signature batch, one proof-cache epoch
+// bump, dedup by content hash — cert.RevocationStore.Add), then the
+// store keeps each new list (Store.keepCRL: it survives a restart,
+// rides the next snapshot, and goes out on the store's event stream
+// as a crl event), then the store is scanned ONCE with
 // cert.RevocationStore.RevokedAt for what the lists void (eviction
 // tombstones and emits revoke events), then each new list is rumored
 // onward to rep's peers; the install dedup is what terminates that
@@ -48,7 +49,7 @@ func InstallCRLs(revs *cert.RevocationStore, st *Store, rep *Replicator, lists [
 		case added[i]:
 			res.Installed++
 			if st != nil {
-				st.keepCRL(rl)
+				st.keepCRL(rl, false)
 			}
 			if rep != nil {
 				rep.EnqueueCRL(rl)
@@ -59,22 +60,4 @@ func InstallCRLs(revs *cert.RevocationStore, st *Store, rep *Replicator, lists [
 		res.Evicted = st.EvictRevoked(revs.RevokedAt(now))
 	}
 	return res
-}
-
-// pullMissingCRLs fetches the lists peer holds and revs does not — diffed by
-// content hash, so converged parties exchange only the hash list — and
-// installs them through InstallCRLs. Replicator rounds and CRLFollower
-// pulls are both this call.
-func pullMissingCRLs(peer *Client, revs *cert.RevocationStore, st *Store, rep *Replicator, now time.Time) (CRLInstall, error) {
-	held := revs.Lists()
-	have := make([][]byte, len(held))
-	for i, rl := range held {
-		h := rl.Hash()
-		have[i] = h[:]
-	}
-	lists, err := peer.CRLs(have)
-	if err != nil {
-		return CRLInstall{}, err
-	}
-	return InstallCRLs(revs, st, rep, lists, now), nil
 }

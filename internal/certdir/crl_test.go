@@ -15,8 +15,8 @@ import (
 	"repro/internal/tag"
 )
 
-// crlPeer is a peer that serves exactly the given lists — at the CRL
-// gossip endpoint (ignoring what the asker says it holds, as a lagging
+// crlPeer is a peer that serves exactly the given lists — as the crl
+// rows of its event stream (ignoring the asker's cursor, as a lagging
 // or hostile peer would) and as the CRL frames of a snapshot stream —
 // whether or not they verify. A real directory cannot be made to hold
 // a forged list, so the pull paths are fed from this stand-in.
@@ -24,10 +24,10 @@ func crlPeer(t *testing.T, lists ...*cert.RevocationList) *Client {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case PathCRLs:
-			kids := []sexp.Sexp{sexp.String("crls")}
+		case PathEvents:
+			kids := []sexp.Sexp{sexp.String("events"), sexp.List(sexp.String("next"), sexp.String("1"))}
 			for _, rl := range lists {
-				kids = append(kids, rl.Sexp())
+				kids = append(kids, sexp.List(sexp.String("ev"), sexp.String(EventCRL), rl.Sexp()))
 			}
 			w.Write(sexp.List(kids...).Canonical())
 		case PathSnapshot:
@@ -45,8 +45,9 @@ func crlPeer(t *testing.T, lists ...*cert.RevocationList) *Client {
 }
 
 // TestCRLInstallPathsAgree: however a revocation list reaches a
-// process — admin endpoint, anti-entropy pull, snapshot bootstrap, or
-// a verifier's follower — it goes through InstallCRLs, so a fresh
+// process — admin endpoint, a replicator's read of a peer's stream,
+// snapshot bootstrap, or a verifier's follower — it goes through
+// InstallCRLs, so a fresh
 // list, a re-delivered one and a forged one have the same installed /
 // rejected / evicted outcome on every path. Only the follower differs,
 // and only in evicting nothing: it has no store.
@@ -118,14 +119,14 @@ func TestCRLInstallPathsAgree(t *testing.T) {
 		}},
 		{"follower pull", false, func(t *testing.T, d *dir, rl *cert.RevocationList) (int, int) {
 			f := NewCRLFollower(crlPeer(t, rl), d.revs)
-			added, err := f.Pull()
+			_, res, err := f.poll(context.Background(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := f.Stats(); int(s.Pulled) != added {
-				t.Fatalf("follower stats %+v disagree with Pull's %d", s, added)
+			if s := f.Stats(); int(s.Pulled) != res.Installed {
+				t.Fatalf("follower stats %+v disagree with the poll's %d", s, res.Installed)
 			}
-			return added, int(f.Stats().Rejected)
+			return res.Installed, int(f.Stats().Rejected)
 		}},
 	}
 	steps := []struct {
@@ -185,8 +186,8 @@ func TestCRLInstallPathsAgree(t *testing.T) {
 // signed by the key that signed the certificate, and the directory's
 // eviction, a following verifier and the directory's own guard all
 // reach that one verdict. Each row posts a CRL naming a delegation to
-// an open directory's admin endpoint and has a CRLFollower pull it
-// into a verifier's store; the signer is the issuing key k or a
+// an open directory's admin endpoint and has a CRLFollower read it off
+// the directory's stream into a verifier's store; the signer is the issuing key k or a
 // stranger, and the delegation's issuer is k's key, k's hash or a
 // name under k — every form a certificate signed by k may carry.
 func TestOneRevocationRule(t *testing.T) {
@@ -232,8 +233,8 @@ func TestOneRevocationRule(t *testing.T) {
 					t.Fatal(err)
 				}
 				verifierRevs := cert.NewRevocationStore()
-				if added, err := NewCRLFollower(cl, verifierRevs).Pull(); err != nil || added != 1 {
-					t.Fatalf("follower pull: added %d, err %v", added, err)
+				if _, res, err := NewCRLFollower(cl, verifierRevs).poll(context.Background(), 0); err != nil || res.Installed != 1 {
+					t.Fatalf("follower poll: installed %d, err %v", res.Installed, err)
 				}
 
 				want := sg.priv == k

@@ -1,37 +1,43 @@
 package certdir
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/cert"
 )
 
-// Event is one invalidation fact the directory emits towards its
-// subscribers: a certificate (named by body hash, cert.Hash) stopped
-// being servable here before its natural expiry — retracted by its
-// publisher ("remove") or voided by a CRL ("revoke"). Expiry is NOT
-// an event: every consumer already checks validity windows, so the
-// stream carries only the facts a subscriber cannot infer from the
+// Event is one record of the directory's stream: a certificate
+// (named by body hash, cert.Hash) stopped being servable here before
+// its natural expiry — retracted by its publisher ("remove") or voided
+// by a CRL ("revoke") — or the directory newly kept a revocation list
+// ("crl", named by the list's content hash). Publishes and expiry are
+// NOT events: every consumer already checks validity windows, so the
+// stream carries only the facts a follower cannot infer from the
 // certificates it holds.
 //
-// The stream is how the directory closes the last invalidation window
-// named in the ROADMAP: provers cache fetched certificates until
-// expiry, so without a push channel a revoked delegation keeps
-// proving at every prover that fetched it. A subscriber
-// (prover.Subscription) long-polls EventsSince and drops matching
-// cached edges and proof-cache verdicts the moment the directory
-// learns of the revocation.
+// The stream is how a revocation reaches every party beyond the
+// directory without a timer in the path. Provers cache fetched
+// certificates until expiry, so a subscriber (prover.Subscription)
+// long-polls the remove and revoke kinds and drops matching cached
+// edges and proof-cache verdicts the moment the directory learns of
+// the revocation; verifiers (CRLFollower) and peer directories
+// (Replicator) read the crl kind and install each list as it arrives.
 type Event struct {
 	Seq  uint64
-	Kind string // "remove" | "revoke"
-	Hash []byte // certificate body hash
+	Kind string // "remove" | "revoke" | "crl"
+	Hash []byte // certificate body hash, or the list's content hash
 }
 
 // Event kinds.
 const (
 	EventRemove = "remove"
 	EventRevoke = "revoke"
+	EventCRL    = "crl"
 )
 
 // DefaultEventLogSize bounds the retained event tail. Events are a
@@ -40,9 +46,9 @@ const (
 // a reset (it flushes coarsely) instead of silently missing events.
 const DefaultEventLogSize = 4096
 
-// EventLog is the bounded, append-only sequence of invalidation
-// events behind the directory's /certdir/events endpoint. Sequence
-// numbers start at 1 and never repeat within a process; the log
+// EventLog is the bounded, append-only sequence of events behind the
+// directory's /certdir/events endpoint. Sequence numbers start at 1
+// and never repeat within a process; the log
 // retains only the most recent DefaultEventLogSize events, so a
 // subscriber that lags past the retained tail — or that carries a
 // cursor from a previous directory incarnation — is told to reset
@@ -93,17 +99,13 @@ func (l *EventLog) token(seq uint64) uint64 {
 	return l.boot<<cursorSeqBits | seq
 }
 
-// append records one event and wakes every waiting long-poll.
-func (l *EventLog) append(kind string, hash []byte) {
-	l.appendWith(kind, hash, nil)
-}
-
-// appendWith is append with a journal hook: journal (when non-nil) is
-// called under l.mu with the cursor token the new event will carry.
+// append records one event and wakes every waiting long-poll. journal
+// (when non-nil) is called under l.mu with the cursor token the new
+// event will carry.
 // Running the hook under the lock means ring order and journal order
 // cannot disagree — the same discipline Store.publish applies under
 // its shard lock; the hook is file I/O only, never network.
-func (l *EventLog) appendWith(kind string, hash []byte, journal func(token uint64)) {
+func (l *EventLog) append(kind string, hash []byte, journal func(token uint64)) {
 	l.mu.Lock()
 	if journal != nil {
 		journal(l.token(l.next))
@@ -195,40 +197,72 @@ func (l *EventLog) sinceLocked(after uint64) (evs []Event, next uint64, reset bo
 	return evs, next, reset
 }
 
-// EventsSince returns the events after the cursor (see sinceLocked for
-// cursor semantics), without waiting.
-func (l *EventLog) EventsSince(after uint64) (evs []Event, next uint64, reset bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sinceLocked(after)
+// streamBatch is one answer of the stream, as the directory reads it
+// and as a client decodes it: the remove and revoke events after the
+// cursor, oldest first, the revocation lists, and the cursor to ask
+// from next. Decoded lists are not yet verified.
+type streamBatch struct {
+	events []Event
+	crls   []*cert.RevocationList
+	next   uint64
+	reset  bool
 }
 
-// Wait is EventsSince with a long-poll: when the cursor is already
-// current it blocks until an event is appended or the timeout lapses,
-// whichever comes first. A zero timeout never blocks.
-func (l *EventLog) Wait(after uint64, timeout time.Duration) (evs []Event, next uint64, reset bool) {
-	//sfvet:ignore clockcheck the long-poll deadline is a real-time I/O timeout, not certificate-validity time
-	deadline := time.Now().Add(timeout)
+// follow answers one poll of the stream for the given kinds,
+// long-polling up to wait while there is nothing of those kinds to
+// answer: each append after a read wakes it to read again, and the
+// last read is the answer. ctx ends the poll early; a zero wait never
+// blocks. See sinceLocked for cursor and reset semantics.
+//
+// For the crl kind, a fresh cursor (0) or a reset is answered with
+// every list the store holds instead of the retained crl events, read
+// at one instant with the cursor it returns: a list kept after that
+// instant has its event after the cursor. So a follower that installs
+// every answer holds every live list, whatever it missed. A crl event
+// whose list has lapsed since is skipped.
+func (s *Store) follow(ctx context.Context, after uint64, kinds []string, wait time.Duration) streamBatch {
+	ctx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
 	for {
-		l.mu.Lock()
-		evs, next, reset = l.sinceLocked(after)
-		notify := l.notify
-		l.mu.Unlock()
-		if len(evs) > 0 || reset {
-			return evs, next, reset
+		b, appended := s.readStream(after, kinds)
+		if b.reset || len(b.events)+len(b.crls) > 0 || ctx.Err() != nil {
+			return b
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return evs, next, reset
-		}
-		t := time.NewTimer(remain)
 		select {
-		case <-notify:
-			t.Stop()
-		case <-t.C:
-			return l.EventsSince(after)
+		case <-appended:
+		case <-ctx.Done():
 		}
 	}
+}
+
+// readStream reads the stream at one instant: under the event lock,
+// and for the crl kind under the CRL lock first, the order keepCRL and
+// collect take them in. appended is closed by the next append.
+func (s *Store) readStream(after uint64, kinds []string) (b streamBatch, appended <-chan struct{}) {
+	crl := slices.Contains(kinds, EventCRL)
+	if crl {
+		s.tmu.Lock()
+		defer s.tmu.Unlock()
+	}
+	s.events.mu.Lock()
+	evs, next, reset := s.events.sinceLocked(after)
+	appended = s.events.notify
+	s.events.mu.Unlock()
+	b.next, b.reset = next, reset
+	full := crl && (after == 0 || reset)
+	if full {
+		b.crls = s.crlsLocked()
+	}
+	for _, ev := range evs {
+		switch {
+		case !slices.Contains(kinds, ev.Kind):
+		case ev.Kind != EventCRL:
+			b.events = append(b.events, ev)
+		case !full && s.crls[[32]byte(ev.Hash)] != nil:
+			b.crls = append(b.crls, s.crls[[32]byte(ev.Hash)])
+		}
+	}
+	return b, appended
 }
 
 // Len reports how many events are currently retained.

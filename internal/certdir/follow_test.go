@@ -1,6 +1,7 @@
 package certdir
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -10,111 +11,154 @@ import (
 	"repro/internal/sfkey"
 )
 
-// A follower pulls exactly the CRLs its store lacks, installing them
-// bumps the shared proof-cache epoch (that is the whole point — a
-// following verifier's cached verdicts die), and tampered lists are
-// refused.
+// A follower installs exactly the CRLs its store lacks, poll by poll,
+// and installing bumps the shared proof-cache epoch (that is the whole
+// point — a following verifier's cached verdicts die).
 func TestCRLFollowerPull(t *testing.T) {
 	now := time.Now()
 	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
 	issuer := sfkey.FromSeed([]byte("follow-issuer"))
-
-	st := NewStore(4)
-	svc := NewService(st)
-	svc.Revocations = cert.NewRevocationStore()
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-	cl := NewClient(ts.URL)
+	_, _, cl := startRevocableDirectory(t)
 
 	rs := cert.NewRevocationStore()
 	f := NewCRLFollower(cl, rs)
-
-	if added, err := f.Pull(); err != nil || added != 0 {
-		t.Fatalf("empty pull: added=%d err=%v", added, err)
+	f.Interval = 10 * time.Millisecond // an idle poll returns after this hold
+	poll := func(after uint64, want int) uint64 {
+		t.Helper()
+		next, res, err := f.poll(context.Background(), after)
+		if err != nil || res.Installed != want {
+			t.Fatalf("poll from %d: installed %d, err %v; want %d", after, res.Installed, err, want)
+		}
+		return next
 	}
 
+	cursor := poll(0, 0)
 	rl1 := cert.NewRevocationList(issuer, v, []byte("h1"))
 	if err := cl.PushCRL(rl1); err != nil {
 		t.Fatal(err)
 	}
 	epoch := core.SharedProofCache().Epoch()
-	if added, err := f.Pull(); err != nil || added != 1 {
-		t.Fatalf("first pull: added=%d err=%v", added, err)
-	}
+	cursor = poll(cursor, 1)
 	if !rs.Has(rl1.Hash()) {
-		t.Fatal("follower store missing pulled CRL")
+		t.Fatal("follower store missing the followed CRL")
 	}
 	if got := core.SharedProofCache().Epoch(); got <= epoch {
 		t.Fatalf("install did not bump shared epoch: %d -> %d", epoch, got)
 	}
 
-	// A second round with nothing new is incremental: the peer is told
-	// what we have and ships nothing.
-	if added, err := f.Pull(); err != nil || added != 0 {
-		t.Fatalf("idle pull: added=%d err=%v", added, err)
+	// A poll with nothing new ships nothing and keeps the cursor.
+	if next := poll(cursor, 0); next != cursor {
+		t.Fatalf("idle poll moved the cursor %d -> %d", cursor, next)
 	}
 
 	rl2 := cert.NewRevocationList(issuer, v, []byte("h2"))
 	if err := cl.PushCRL(rl2); err != nil {
 		t.Fatal(err)
 	}
-	if added, err := f.Pull(); err != nil || added != 1 {
-		t.Fatalf("second pull: added=%d err=%v", added, err)
-	}
-	if s := f.Stats(); s.Pulled != 2 || s.Rejected != 0 || s.Rounds != 4 {
+	poll(cursor, 1)
+	if s := f.Stats(); s.Pulled != 2 || s.Rejected != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
 
-// A direct Pull against a dead directory reports to OnError: callers
-// that drive Pull from their own ticker (sf-dbserver's -crl-follow)
-// rely on it to log the failure.
+// A poll against a dead directory reports to OnError, which
+// sf-dbserver's -crl-follow relies on to log the failure; the running
+// loop reports too, and keeps retrying.
 func TestCRLFollowerPullReportsError(t *testing.T) {
 	ts := httptest.NewServer(NewService(NewStore(4)))
 	url := ts.URL
 	ts.Close()
 
 	f := NewCRLFollower(NewClient(url), cert.NewRevocationStore())
-	var seen []error
-	f.OnError = func(err error) { seen = append(seen, err) }
-	_, err := f.Pull()
+	seen := make(chan error, 16)
+	f.OnError = func(err error) { seen <- err }
+	_, _, err := f.poll(context.Background(), 0)
 	if err == nil {
-		t.Fatal("pull from a closed listener succeeded")
+		t.Fatal("poll of a closed listener succeeded")
 	}
-	if len(seen) != 1 || seen[0] != err {
-		t.Fatalf("OnError saw %v, want exactly the pull's error %v", seen, err)
+	if got := <-seen; got != err {
+		t.Fatalf("OnError saw %v, want exactly the poll's error %v", got, err)
+	}
+	f.Start()
+	defer f.Stop()
+	select {
+	case <-seen:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the follow loop reported no error against a dead directory")
 	}
 }
 
-// The Start/Stop loop pulls on its own and survives a directory that
-// briefly errors.
+// The Start/Stop loop follows on its own and delivers a CRL pushed
+// after it started.
 func TestCRLFollowerLoop(t *testing.T) {
 	now := time.Now()
 	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
 	issuer := sfkey.FromSeed([]byte("follow-loop-issuer"))
-
-	st := NewStore(4)
-	svc := NewService(st)
-	svc.Revocations = cert.NewRevocationStore()
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
+	_, _, cl := startRevocableDirectory(t)
 
 	rs := cert.NewRevocationStore()
-	f := NewCRLFollower(NewClient(ts.URL), rs)
+	f := NewCRLFollower(cl, rs)
 	f.Interval = 20 * time.Millisecond
 	f.Start()
 	defer f.Stop()
 
 	rl := cert.NewRevocationList(issuer, v, []byte("h"))
-	if err := NewClient(ts.URL).PushCRL(rl); err != nil {
+	if err := cl.PushCRL(rl); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for !rs.Has(rl.Hash()) {
 		if time.Now().After(deadline) {
-			t.Fatal("follower never pulled the CRL")
+			t.Fatal("follower never installed the CRL")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	f.Stop() // idempotent with the deferred Stop
+}
+
+// TestCRLFollowerNoTimer: revocation reaches a following verifier as
+// soon as the directory installs it, not on a timer. The follower's
+// poll is held for up to 30 s; a list pushed meanwhile arrives within
+// a second, and Stop ends the held poll at once.
+func TestCRLFollowerNoTimer(t *testing.T) {
+	now := time.Now()
+	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
+	issuer := sfkey.FromSeed([]byte("follow-notimer-issuer"))
+	_, _, cl := startRevocableDirectory(t)
+
+	rs := cert.NewRevocationStore()
+	f := NewCRLFollower(cl, rs)
+	f.Interval = 30 * time.Second
+	f.Start()
+	defer f.Stop()
+	waitHas := func(rl *cert.RevocationList, within time.Duration) {
+		t.Helper()
+		deadline := time.Now().Add(within)
+		for !rs.Has(rl.Hash()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("CRL not installed within %s", within)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	// The first poll gets the directory's whole set at once.
+	first := cert.NewRevocationList(issuer, v, []byte("first"))
+	if err := cl.PushCRL(first); err != nil {
+		t.Fatal(err)
+	}
+	waitHas(first, 5*time.Second)
+	time.Sleep(50 * time.Millisecond) // the next poll is now held
+
+	second := cert.NewRevocationList(issuer, v, []byte("second"))
+	if err := cl.PushCRL(second); err != nil {
+		t.Fatal(err)
+	}
+	waitHas(second, time.Second)
+
+	time.Sleep(50 * time.Millisecond) // a poll is held again
+	start := time.Now()
+	f.Stop()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Stop took %s with a poll in flight", d)
+	}
 }

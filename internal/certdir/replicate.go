@@ -47,9 +47,10 @@ import (
 // a replicator's pushes are publishes, removes, and CRL installs at
 // the peer, so its Clients must carry a CtlSigner (Client.Ctl) whose
 // credential the peer's operator delegated — sf-certd wires this from
-// -ctl-key/-ctl-cert. Pulls (root, nodes, leaves, fetch, crls) are
-// read-only and never need a credential, which is what lets a mesh
-// migrate to -admin-auth one node at a time.
+// -ctl-key/-ctl-cert. Pulls (root, nodes, leaves, fetch, and the crl
+// read of the events stream) are read-only and never need a
+// credential, which is what lets a mesh migrate to -admin-auth one
+// node at a time.
 type Replicator struct {
 	store *Store
 	peers []*Client
@@ -65,10 +66,11 @@ type Replicator struct {
 	Logf func(format string, args ...any)
 	// Revocations, when set, extends gossip to CRLs themselves: newly
 	// installed CRLs fan out to peers (EnqueueCRL), and every
-	// anti-entropy round pulls the CRLs this node is missing,
-	// verify-before-apply, evicting what each one's signer signed. Set
-	// before Start. Without it, revocations still replicate — but only
-	// as per-directory tombstones after each node's own sweep, which
+	// anti-entropy round reads the crl records of each peer's event
+	// stream from where the last round left off, verify-before-apply,
+	// evicting what each one's signer signed. Set before Start.
+	// Without it, revocations still replicate — but only as
+	// per-directory tombstones after each node's own sweep, which
 	// leaves peers serving the revoked delegation until their own CRL
 	// arrives by other means.
 	Revocations *cert.RevocationStore
@@ -83,6 +85,9 @@ type Replicator struct {
 	queue chan repJob
 	stop  chan struct{}
 	wg    sync.WaitGroup
+	// crlCursors holds this node's cursor (uint64) on each peer's
+	// (*Client) event stream, for crl records.
+	crlCursors sync.Map
 
 	pushes       atomic.Int64
 	pushFailures atomic.Int64
@@ -229,9 +234,9 @@ func (r *Replicator) enqueue(j repJob) {
 // EnqueueCRL fans a newly installed CRL out to every peer (rumor
 // mongering, like publishes: an accepting peer pushes it onward, and
 // the install dedup terminates the flood). Dropped or failed pushes
-// are repaired by the next anti-entropy round's CRL pull. Callers
-// install the CRL locally first — the fan-out is availability, the
-// local install is what revokes.
+// are repaired by the next anti-entropy round's read of the peer's
+// stream. Callers install the CRL locally first — the fan-out is
+// availability, the local install is what revokes.
 func (r *Replicator) EnqueueCRL(rl *cert.RevocationList) {
 	if r.queue == nil {
 		return // not started: the first anti-entropy round will carry it
@@ -372,16 +377,25 @@ func (r *Replicator) Converge() (pulled int, err error) {
 	return pulled, errors.Join(errs...)
 }
 
-// pullCRLs asks one peer for the CRLs this node is missing and installs
-// them (InstallCRLs: verify, evict what each signer signed, rumor
-// onward), counting the outcome.
+// pullCRLs reads the crl records of one peer's event stream from this
+// node's cursor for that peer, without waiting, and installs them
+// (InstallCRLs: verify, evict what each signer signed, rumor onward),
+// counting the outcome. The first read, and a read after a reset, is
+// answered with the peer's whole CRL set; a converged pair exchanges
+// only a cursor.
 func (r *Replicator) pullCRLs(peer *Client) error {
 	if r.Revocations == nil {
 		return nil
 	}
-	res, err := pullMissingCRLs(peer, r.Revocations, r.store, r, r.now())
-	r.countCRLs(res)
-	return err
+	after, _ := r.crlCursors.Load(peer)
+	c, _ := after.(uint64)
+	rep, err := peer.follow(context.Background(), c, 0, EventCRL)
+	if err != nil {
+		return err
+	}
+	r.countCRLs(InstallCRLs(r.Revocations, r.store, r, rep.crls, r.now()))
+	r.crlCursors.Store(peer, rep.next)
+	return nil
 }
 
 // countCRLs folds one pulled install into the replication counters.

@@ -1,6 +1,7 @@
 package certdir
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -14,24 +15,31 @@ import (
 
 // --- EventLog ---
 
+// since reads l from a cursor without waiting.
+func since(l *EventLog, after uint64) (evs []Event, next uint64, reset bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.sinceLocked(after)
+}
+
 func TestEventLogCursor(t *testing.T) {
 	l := newEventLog(8)
-	evs, next, reset := l.EventsSince(0)
+	evs, next, reset := since(l, 0)
 	if len(evs) != 0 || next != l.token(0) || reset {
 		t.Fatalf("empty log: evs=%d next=%d reset=%v", len(evs), next, reset)
 	}
-	l.append(EventRemove, []byte("h1"))
-	l.append(EventRevoke, []byte("h2"))
+	l.append(EventRemove, []byte("h1"), nil)
+	l.append(EventRevoke, []byte("h2"), nil)
 	// Cursor 0 replays the retained tail.
-	evs, next, reset = l.EventsSince(0)
+	evs, next, reset = since(l, 0)
 	if len(evs) != 2 || next != l.token(2) || reset {
 		t.Fatalf("cursor 0: evs=%d next=%d reset=%v", len(evs), next, reset)
 	}
-	evs, next, reset = l.EventsSince(l.token(1))
+	evs, next, reset = since(l, l.token(1))
 	if len(evs) != 1 || evs[0].Kind != EventRevoke || string(evs[0].Hash) != "h2" || next != l.token(2) || reset {
 		t.Fatalf("cursor 1: evs=%v next=%d reset=%v", evs, next, reset)
 	}
-	if evs, _, _ := l.EventsSince(l.token(2)); len(evs) != 0 {
+	if evs, _, _ := since(l, l.token(2)); len(evs) != 0 {
 		t.Fatalf("current cursor returned %d events", len(evs))
 	}
 }
@@ -39,10 +47,10 @@ func TestEventLogCursor(t *testing.T) {
 func TestEventLogOverflowResets(t *testing.T) {
 	l := newEventLog(4)
 	for i := 0; i < 10; i++ {
-		l.append(EventRemove, []byte{byte(i)})
+		l.append(EventRemove, []byte{byte(i)}, nil)
 	}
 	// Cursor 2 predates the retained tail (only 7..10 survive).
-	evs, next, reset := l.EventsSince(l.token(2))
+	evs, next, reset := since(l, l.token(2))
 	if !reset {
 		t.Fatal("lagging cursor did not reset")
 	}
@@ -50,12 +58,12 @@ func TestEventLogOverflowResets(t *testing.T) {
 		t.Fatalf("reset answer: %d events next=%d, want 4 retained and token(10)", len(evs), next)
 	}
 	// A same-boot cursor beyond the emitted count resets too.
-	if _, _, reset := l.EventsSince(l.token(99)); !reset {
+	if _, _, reset := since(l, l.token(99)); !reset {
 		t.Fatal("future cursor did not reset")
 	}
 	// Cursor 0 (fresh subscriber) never resets: it has no state the
 	// trimmed events could have invalidated.
-	if _, _, reset := l.EventsSince(0); reset {
+	if _, _, reset := since(l, 0); reset {
 		t.Fatal("fresh cursor reset on a trimmed log")
 	}
 }
@@ -69,18 +77,18 @@ func TestEventLogOverflowResets(t *testing.T) {
 func TestEventLogRestartResets(t *testing.T) {
 	old := newEventLog(8)
 	for i := 0; i < 10; i++ {
-		old.append(EventRemove, []byte{byte(i)})
+		old.append(EventRemove, []byte{byte(i)}, nil)
 	}
-	_, cursor, _ := old.EventsSince(0)
+	_, cursor, _ := since(old, 0)
 
 	restarted := newEventLog(8)
 	if restarted.boot == old.boot {
 		t.Skip("one-in-16-million boot nonce collision")
 	}
 	for i := 0; i < 12; i++ {
-		restarted.append(EventRevoke, []byte{byte(i)})
+		restarted.append(EventRevoke, []byte{byte(i)}, nil)
 	}
-	evs, next, reset := restarted.EventsSince(cursor)
+	evs, next, reset := since(restarted, cursor)
 	if !reset {
 		t.Fatal("cursor from a previous incarnation did not reset")
 	}
@@ -92,17 +100,19 @@ func TestEventLogRestartResets(t *testing.T) {
 	}
 }
 
+// invalidations are the kinds a request naming none asks for.
+var invalidations = []string{EventRemove, EventRevoke}
+
 func TestEventLogLongPoll(t *testing.T) {
-	l := newEventLog(8)
-	l.append(EventRemove, []byte("x")) // seq 1
+	st := NewStore(4)
+	st.emitEvent(EventRemove, []byte("x")) // seq 1
 	done := make(chan []Event, 1)
 	go func() {
-		evs, _, _ := l.Wait(l.token(1), 5*time.Second)
-		done <- evs
+		done <- st.follow(context.Background(), st.events.token(1), invalidations, 5*time.Second).events
 	}()
 	// The waiter must block until this append.
 	time.Sleep(20 * time.Millisecond)
-	l.append(EventRevoke, []byte("y"))
+	st.emitEvent(EventRevoke, []byte("y"))
 	select {
 	case evs := <-done:
 		if len(evs) != 1 || string(evs[0].Hash) != "y" {
@@ -113,12 +123,34 @@ func TestEventLogLongPoll(t *testing.T) {
 	}
 	// Timeout path: current cursor, nothing appended.
 	start := time.Now()
-	evs, _, _ := l.Wait(l.token(2), 50*time.Millisecond)
-	if len(evs) != 0 {
+	if evs := st.follow(context.Background(), st.events.token(2), invalidations, 50*time.Millisecond).events; len(evs) != 0 {
 		t.Fatalf("timed-out wait returned %v", evs)
 	}
 	if time.Since(start) < 40*time.Millisecond {
 		t.Fatal("wait returned before its timeout with no events")
+	}
+}
+
+// TestFollowEndsWithContext: a long poll returns as soon as its
+// caller's context is done, not when its wait runs out.
+func TestFollowEndsWithContext(t *testing.T) {
+	st := NewStore(4)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		st.follow(ctx, 0, invalidations, time.Minute)
+		close(done)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	start := time.Now()
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("poll outlived its context by 5s")
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("poll took %s to notice its context ended", d)
 	}
 }
 
@@ -148,8 +180,8 @@ func TestStoreEmitsInvalidationEvents(t *testing.T) {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 
-	evs, next, reset := st.Events().EventsSince(0)
-	if reset || next != st.Events().token(2) || len(evs) != 2 {
+	evs, next, reset := since(st.events, 0)
+	if reset || next != st.events.token(2) || len(evs) != 2 {
 		t.Fatalf("events: %v next=%d reset=%v, want remove+revoke", evs, next, reset)
 	}
 	if evs[0].Kind != EventRemove || string(evs[0].Hash) != string(removed.Hash()) {
@@ -160,7 +192,7 @@ func TestStoreEmitsInvalidationEvents(t *testing.T) {
 	}
 	// Sweep expiries are not events.
 	st.Sweep(now.Add(2 * time.Hour))
-	if got := st.Events().Emitted(); got != 2 {
+	if got := st.events.Emitted(); got != 2 {
 		t.Fatalf("sweep emitted events (emitted=%d)", got)
 	}
 }
@@ -238,7 +270,7 @@ func TestAdminCRLEndpoint(t *testing.T) {
 		t.Fatalf("duplicate push not idempotent: %v", err)
 	}
 	// The eviction emitted an event for subscribers.
-	hashes, _, reset, err := cl.Events(0, 0)
+	hashes, _, reset, err := cl.Events(context.Background(), 0, 0)
 	if err != nil || reset {
 		t.Fatalf("events: %v reset=%v", err, reset)
 	}
@@ -247,25 +279,41 @@ func TestAdminCRLEndpoint(t *testing.T) {
 	}
 }
 
-func TestCRLGossipEndpointDiff(t *testing.T) {
+// TestCRLStreamCursorDiff: a crl read from a cursor carries exactly
+// the lists kept after it. A fresh cursor gets the whole set; the
+// cursor it returns gets only what came later; a current cursor gets
+// nothing.
+func TestCRLStreamCursorDiff(t *testing.T) {
 	now := time.Now()
 	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
 	alice := sfkey.FromSeed([]byte("crls-alice"))
-	_, rs, cl := startRevocableDirectory(t)
+	st, rs, cl := startRevocableDirectory(t)
+	read := func(after uint64) streamBatch {
+		t.Helper()
+		r, err := cl.follow(context.Background(), after, 0, EventCRL)
+		if err != nil || r.reset {
+			t.Fatalf("crl read from %d: reset=%v err=%v", after, r.reset, err)
+		}
+		return r
+	}
 
 	a := cert.NewRevocationList(alice, v, []byte("hash-1-32-bytes-hash-1-32-bytes-"))
 	b := cert.NewRevocationList(alice, v, []byte("hash-2-32-bytes-hash-2-32-bytes-"))
-	if _, errs := rs.Add(a, b); errs[0] != nil || errs[1] != nil {
-		t.Fatal(errs)
+	InstallCRLs(rs, st, nil, []*cert.RevocationList{a}, now)
+	first := read(0)
+	if len(first.crls) != 1 || first.crls[0].Hash() != a.Hash() {
+		t.Fatalf("fresh cursor = %d lists, want only a", len(first.crls))
 	}
-	all, err := cl.CRLs(nil)
-	if err != nil || len(all) != 2 {
-		t.Fatalf("CRLs(nil) = %d lists, err %v", len(all), err)
+	InstallCRLs(rs, st, nil, []*cert.RevocationList{b}, now)
+	if all := read(0); len(all.crls) != 2 {
+		t.Fatalf("fresh cursor = %d lists, want a and b", len(all.crls))
 	}
-	ha := a.Hash()
-	diff, err := cl.CRLs([][]byte{ha[:]})
-	if err != nil || len(diff) != 1 || diff[0].Hash() != b.Hash() {
-		t.Fatalf("CRLs(have a) = %d lists, want only b (err %v)", len(diff), err)
+	diff := read(first.next)
+	if len(diff.crls) != 1 || diff.crls[0].Hash() != b.Hash() {
+		t.Fatalf("read after a = %d lists, want only b", len(diff.crls))
+	}
+	if idle := read(diff.next); len(idle.crls) != 0 || idle.next != diff.next {
+		t.Fatalf("current cursor = %d lists, cursor %d -> %d, want none and unchanged", len(idle.crls), diff.next, idle.next)
 	}
 }
 

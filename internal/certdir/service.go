@@ -1,6 +1,7 @@
 package certdir
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -50,28 +51,33 @@ import (
 // fetched certificates are re-verified by the puller before indexing,
 // and serving summaries or hashes reveals only content hashes of
 // certificates the directory would hand out anyway.
-// Revocation propagation adds four endpoints:
+// Revocation propagation adds three endpoints:
 //
-//	POST /certdir/events       (events <after> [(wait <ms>)]) -> (events (next <n>) [(reset)] (ev remove|revoke <hash>)...)
-//	POST /certdir/admin/crl    (crl ...)                      -> (crl-installed (evicted n)) | (crl-duplicate)
-//	POST /certdir/admin/reload (reload-crl)                   -> (reloaded (added n) (total m) (evicted k))
-//	POST /certdir/gossip/crls  (crls <have-hash>...)          -> (crls <crl>...)
+//	POST /certdir/events       (events <after> [(wait <ms>)] [(kinds <kind>...)])
+//	                             -> (events (next <n>) [(reset)] (ev remove|revoke <hash>)... (ev crl <crl>)...)
+//	POST /certdir/admin/crl    (crl ...)    -> (crl-installed (evicted n)) | (crl-duplicate)
+//	POST /certdir/admin/reload (reload-crl) -> (reloaded (added n) (total m) (evicted k))
 //
-// The events stream is the directory->prover invalidation channel: a
+// The events stream is the directory's one live channel outward: a
 // long-poll cursor protocol over the store's EventLog (see events.go
-// for cursor and reset semantics). The admin endpoints install a CRL
-// (or re-read the daemon's -crl file) without a restart; installation
-// verifies the CRL signature, evicts the delegations its SIGNER
-// signed (see Store.EvictRevoked for why the signer match matters),
-// bumps the proof-cache epoch, and fans the CRL out to gossip peers.
-// The admin pair is the only CRL admin surface in the system:
-// sf-dbserver serves the same two paths with the same replies through
+// for cursor and reset semantics) whose records are removals,
+// revocation evictions and newly kept CRLs. A request names the kinds
+// it wants; naming none asks for remove and revoke, the rows provers
+// follow. Verifiers (CRLFollower) follow the crl kind, and peer
+// directories read it once per anti-entropy round; a crl row carries
+// the list itself, and a fresh cursor or a reset is answered with
+// every list the directory holds, so one domain's revocation evicts
+// at every peer directly instead of waiting for per-directory
+// tombstones. Readers verify every CRL before applying it, exactly
+// like certificates. The admin endpoints install a CRL (or re-read
+// the daemon's -crl file) without a restart; installation verifies
+// the CRL signature, evicts the delegations its SIGNER signed (see
+// Store.EvictRevoked for why the signer match matters), bumps the
+// proof-cache epoch, and fans the CRL out to gossip peers. The admin
+// pair is the only CRL admin surface in the system: sf-dbserver
+// serves the same two paths with the same replies through
 // AdminHandler, installing into its revocation store alone (it has no
-// store to evict from and no peers). The gossip/crls endpoint serves
-// the installed CRLs — minus the ones the asking peer already has —
-// so one domain's revocation evicts at every peer directly instead of
-// waiting for per-directory tombstones; pullers verify every CRL
-// before applying it, exactly like certificates.
+// store to evict from and no peers).
 //
 // Snapshot bootstrap adds one bulk endpoint: GET /certdir/snapshot
 // streams the directory's live contents as a base segment of WAL
@@ -89,7 +95,6 @@ const (
 	PathGossipNodes  = "/certdir/gossip/nodes"
 	PathGossipLeaves = "/certdir/gossip/leaves"
 	PathSnapshot     = "/certdir/snapshot"
-	PathCRLs         = "/certdir/gossip/crls"
 	PathEvents       = "/certdir/events"
 	PathAdminCRL     = "/certdir/admin/crl"
 	PathReload       = "/certdir/admin/reload"
@@ -115,9 +120,9 @@ type Service struct {
 	Replicator *Replicator
 	// Clock supplies the service's notion of now; nil means time.Now.
 	Clock func() time.Time
-	// Revocations, when set, enables the revocation endpoints
-	// (admin/crl, admin/reload, gossip/crls): CRLs installed through
-	// them land here, bumping the shared proof-cache epoch.
+	// Revocations, when set, enables the CRL admin endpoints
+	// (admin/crl, admin/reload): CRLs installed through them land
+	// here, bumping the shared proof-cache epoch.
 	Revocations *cert.RevocationStore
 	// ReloadCRLs, when set, is invoked by the admin reload endpoint
 	// (sf-certd wires it to re-read the -crl file, evict, and
@@ -200,10 +205,8 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		post(w, r, s.Guard, s.handleMerkleLeaves)
 	case PathSnapshot:
 		s.handleSnapshot(w, r)
-	case PathCRLs:
-		post(w, r, s.Guard, s.handleCRLs)
 	case PathEvents:
-		post(w, r, s.Guard, s.handleEvents)
+		post(w, r, s.Guard, func(e sexp.Sexp) (sexp.Sexp, error) { return s.handleEvents(r.Context(), e) })
 	case PathAdminCRL, PathReload:
 		s.admin().ServeHTTP(w, r)
 	case PathStats:
@@ -502,43 +505,58 @@ func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.Store.WriteSnapshot(w, s.now())
 }
 
-// handleEvents serves the invalidation stream: (events <after>
-// [(wait <ms>)]) answers with every retained event after the cursor,
-// long-polling up to the requested wait when the cursor is current.
-// See events.go for cursor and reset semantics.
-func (s *Service) handleEvents(e sexp.Sexp) (sexp.Sexp, error) {
+// handleEvents serves the directory's event stream: (events <after>
+// [(wait <ms>)] [(kinds <kind>...)]) answers with the retained events
+// of the asked kinds after the cursor, long-polling up to the
+// requested wait while there are none. A request naming no kind asks
+// for remove and revoke, the invalidation rows provers follow. A crl
+// row carries the list itself; crl rows follow the others. ctx is the
+// request's: a poll ends when its caller goes. See Store.follow and
+// events.go for cursor and reset semantics.
+func (s *Service) handleEvents(ctx context.Context, e sexp.Sexp) (sexp.Sexp, error) {
 	if e.Tag() != "events" || e.Len() < 2 || !e.Nth(1).IsAtom() {
-		return nil, fmt.Errorf("certdir: events wants (events <after> [(wait <ms>)])")
+		return nil, fmt.Errorf("certdir: events wants (events <after> [(wait <ms>)] [(kinds <kind>...)])")
 	}
 	after, err := strconv.ParseUint(e.Nth(1).Text(), 10, 64)
 	if err != nil {
 		return nil, fmt.Errorf("certdir: bad events cursor %q", e.Nth(1).Text())
 	}
 	var wait time.Duration
+	kinds := []string{EventRemove, EventRevoke}
 	for i := 2; i < e.Len(); i++ {
-		c := e.Nth(i)
-		if c.Tag() != "wait" || c.Len() != 2 || !c.Nth(1).IsAtom() {
+		switch c := e.Nth(i); {
+		case c.Tag() == "wait" && c.Len() == 2 && c.Nth(1).IsAtom():
+			ms, err := strconv.Atoi(c.Nth(1).Text())
+			if err != nil || ms < 0 {
+				return nil, fmt.Errorf("certdir: bad events wait %q", c.Nth(1).Text())
+			}
+			wait = time.Duration(ms) * time.Millisecond
+		case c.Tag() == "kinds" && c.Len() > 1:
+			kinds = nil
+			for j := 1; j < c.Len(); j++ {
+				k := c.Nth(j).Text()
+				if k != EventRemove && k != EventRevoke && k != EventCRL {
+					return nil, fmt.Errorf("certdir: unknown event kind %q", k)
+				}
+				kinds = append(kinds, k)
+			}
+		default:
 			return nil, fmt.Errorf("certdir: unknown events clause %s", c)
 		}
-		ms, err := strconv.Atoi(c.Nth(1).Text())
-		if err != nil || ms < 0 {
-			return nil, fmt.Errorf("certdir: bad events wait %q", c.Nth(1).Text())
-		}
-		wait = time.Duration(ms) * time.Millisecond
 	}
-	if wait > maxEventWait {
-		wait = maxEventWait
-	}
-	evs, next, reset := s.Store.Events().Wait(after, wait)
+	b := s.Store.follow(ctx, after, kinds, min(wait, maxEventWait))
 	kids := []sexp.Sexp{
 		sexp.String("events"),
-		sexp.List(sexp.String("next"), sexp.String(strconv.FormatUint(next, 10))),
+		sexp.List(sexp.String("next"), sexp.String(strconv.FormatUint(b.next, 10))),
 	}
-	if reset {
+	if b.reset {
 		kids = append(kids, sexp.List(sexp.String("reset")))
 	}
-	for _, ev := range evs {
+	for _, ev := range b.events {
 		kids = append(kids, sexp.List(sexp.String("ev"), sexp.String(ev.Kind), sexp.Atom(ev.Hash)))
+	}
+	for _, rl := range b.crls {
+		kids = append(kids, sexp.List(sexp.String("ev"), sexp.String(EventCRL), rl.Sexp()))
 	}
 	return sexp.List(kids...), nil
 }
@@ -634,38 +652,6 @@ func (a crlAdmin) handleReload(e sexp.Sexp) (sexp.Sexp, error) {
 		row("added", added), row("total", total), row("evicted", evicted)), nil
 }
 
-// handleCRLs serves the installed CRLs minus the ones the asking peer
-// already holds: (crls <have-hash>...). CRLs are public, signed
-// statements; serving them reveals nothing the signer did not already
-// publish.
-func (s *Service) handleCRLs(e sexp.Sexp) (sexp.Sexp, error) {
-	if e.Tag() != "crls" {
-		return nil, fmt.Errorf("certdir: crls wants (crls <have-hash>...)")
-	}
-	if s.Revocations == nil {
-		// A directory without revocation state has nothing to serve;
-		// answer empty so peers with CRLs enabled interoperate.
-		return sexp.List(sexp.String("crls")), nil
-	}
-	have := make(map[[32]byte]bool, e.Len()-1)
-	for i := 1; i < e.Len(); i++ {
-		h := e.Nth(i)
-		if !h.IsAtom() || len(h.Bytes()) != 32 {
-			return nil, fmt.Errorf("certdir: crls hash %d is not a 32-byte atom", i)
-		}
-		var k [32]byte
-		copy(k[:], h.Bytes())
-		have[k] = true
-	}
-	kids := []sexp.Sexp{sexp.String("crls")}
-	for _, rl := range s.Revocations.Lists() {
-		if !have[rl.Hash()] {
-			kids = append(kids, rl.Sexp())
-		}
-	}
-	return sexp.List(kids...), nil
-}
-
 func (s *Service) statsSexp() sexp.Sexp {
 	st := s.Store.Stats()
 	row := func(name string, v int64) sexp.Sexp {
@@ -683,7 +669,7 @@ func (s *Service) statsSexp() sexp.Sexp {
 		row("evicted", st.Evicted),
 		row("tombstones", st.Tombstones),
 		row("wal-errors", st.WALErrors),
-		row("events-emitted", int64(s.Store.Events().Emitted())),
+		row("events-emitted", int64(s.Store.events.Emitted())),
 	}
 	if s.Revocations != nil {
 		kids = append(kids, row("crls", int64(len(s.Revocations.Lists()))))

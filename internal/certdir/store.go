@@ -139,9 +139,10 @@ type Store struct {
 	tombstones map[string]time.Time
 	crls       map[[32]byte]*cert.RevocationList
 
-	// events is the invalidation stream served to subscribed provers:
-	// one event per removal or revocation eviction, so caches beyond
-	// the directory's reach can drop what it can no longer vouch for.
+	// events is the stream served to followers: one event per removal,
+	// revocation eviction or newly kept CRL, so caches and verifiers
+	// beyond the directory's reach learn what it can no longer vouch
+	// for.
 	events *EventLog
 
 	// merkle is the incrementally maintained leaf-summary array behind
@@ -473,10 +474,6 @@ func (s *Store) Remove(hash []byte) bool {
 	return false
 }
 
-// Events exposes the store's invalidation stream; the service's
-// long-poll endpoint and tests read it.
-func (s *Store) Events() *EventLog { return s.events }
-
 // replayRemove re-applies a WAL removal record: drop the certificate
 // if a preceding replayed publish indexed it, and restore the
 // tombstone unless the certificate has expired anyway. No journaling,
@@ -501,12 +498,11 @@ func (s *Store) replayRemove(hash []byte, expiry, now time.Time) {
 	}
 }
 
-// emitEvent appends one invalidation event, journaling it (under the
-// event lock, so ring order and log order agree) when a WAL is
-// attached. A journal failure degrades durability — the event still
+// emitEvent appends one event, journaling it (under the event lock,
+// so ring order and log order agree) when a WAL is attached. A journal failure degrades durability — the event still
 // reaches live subscribers, but a restart resets their cursors — and
-// is counted, not escalated: invalidation delivery must not be held
-// hostage by a full disk.
+// is counted, not escalated: event delivery must not be held hostage
+// by a full disk.
 func (s *Store) emitEvent(kind string, hash []byte) {
 	var journal func(uint64)
 	if s.wal != nil {
@@ -516,7 +512,7 @@ func (s *Store) emitEvent(kind string, hash []byte) {
 			}
 		}
 	}
-	s.events.appendWith(kind, hash, journal)
+	s.events.append(kind, hash, journal)
 }
 
 // addTombstone records a retraction until the certificate's expiry
@@ -541,23 +537,32 @@ func (s *Store) Tombstoned(hash []byte) bool {
 // keepCRL makes a verified revocation list directory state, reporting
 // whether it was new: journaled and kept, so it outlives a restart
 // (OpenDurable replays it; the daemon re-installs Store.CRLs) and rides
-// the next snapshot. A list already held is not journaled again.
-// InstallCRLs calls it for each list cert.RevocationStore.Add
-// installed, replay for each wal-crl record that verifies. A journal
-// failure is counted, not escalated: the list is in force in this
-// process already, and only its survival of a restart is lost.
-func (s *Store) keepCRL(rl *cert.RevocationList) bool {
+// the next snapshot, and announced as a crl event to the stream's
+// followers. A list already held is neither journaled nor announced
+// again. InstallCRLs calls it for each list cert.RevocationStore.Add
+// installed; replay calls it with replay set for each wal-crl record
+// that verifies, and the event comes back from its own record. A
+// journal failure is counted, not escalated: the list is in force in
+// this process already, and only its survival of a restart is lost.
+func (s *Store) keepCRL(rl *cert.RevocationList, replay bool) bool {
+	h := rl.Hash()
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
-	if s.crls[rl.Hash()] != nil {
+	if s.crls[h] != nil {
 		return false
+	}
+	// The event is journaled before the list: a torn tail then loses
+	// the list with or without its event, but never keeps a list whose
+	// event a follower's cursor would need.
+	if !replay {
+		s.emitEvent(EventCRL, h[:])
 	}
 	if s.wal != nil {
 		if err := s.wal.appendRecord(crlRecord(rl)); err != nil {
 			s.walErrors.Add(1)
 		}
 	}
-	s.crls[rl.Hash()] = rl
+	s.crls[h] = rl
 	return true
 }
 

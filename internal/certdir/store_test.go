@@ -14,7 +14,7 @@ import (
 )
 
 // delegate signs subject =t=> key(priv) valid within v.
-func delegate(t *testing.T, priv *sfkey.PrivateKey, subject principal.Principal, tg tag.Tag, v core.Validity) *cert.Cert {
+func delegate(t testing.TB, priv *sfkey.PrivateKey, subject principal.Principal, tg tag.Tag, v core.Validity) *cert.Cert {
 	t.Helper()
 	c, err := cert.Delegate(priv, subject, principal.KeyOf(priv.Public()), tg, v)
 	if err != nil {

@@ -507,19 +507,19 @@ func eventRecord(token uint64, kind string, hash []byte) sexp.Sexp {
 
 // decodeEvent extracts the cursor token, kind and certificate hash
 // from a wal-event frame. The token must carry both a boot nonce and a
-// sequence number (see EventLog), and the kind must be one the log
-// emits.
+// sequence number (see EventLog), the kind must be one the log emits,
+// and a crl event must name a full content hash.
 func decodeEvent(e sexp.Sexp) (token uint64, kind string, hash []byte, err error) {
 	if e.Tag() != walTagEvent || e.Len() != 4 || !e.Nth(3).IsAtom() {
 		return 0, "", nil, fmt.Errorf("certdir: bad event frame %s", e)
 	}
 	token, err = strconv.ParseUint(e.Nth(1).Text(), 10, 64)
-	kind = e.Nth(2).Text()
+	kind, hash = e.Nth(2).Text(), e.Nth(3).Bytes()
 	if err != nil || token>>cursorSeqBits == 0 || token&(1<<cursorSeqBits-1) == 0 ||
-		(kind != EventRemove && kind != EventRevoke) {
+		(kind != EventRemove && kind != EventRevoke && (kind != EventCRL || len(hash) != sha256.Size)) {
 		return 0, "", nil, fmt.Errorf("certdir: bad event frame %s", e)
 	}
-	return token, kind, append([]byte(nil), e.Nth(3).Bytes()...), nil
+	return token, kind, append([]byte(nil), hash...), nil
 }
 
 // Sync forces buffered records to stable storage. Under SyncInterval
@@ -703,7 +703,7 @@ func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (g
 		crl: func(rl *cert.RevocationList) {
 			// A forged record grants nothing, exactly like a forged
 			// certificate; a lapsed one is what Sweep would drop.
-			if rl.Verify() == nil && !lapsed(rl, now) && st.keepCRL(rl) {
+			if rl.Verify() == nil && !lapsed(rl, now) && st.keepCRL(rl, true) {
 				rec.Replayed++
 			} else {
 				rec.Dropped++

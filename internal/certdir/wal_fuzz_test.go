@@ -22,7 +22,9 @@ var fuzzWALNow = time.Unix(1_800_000_000, 0)
 // — three publishes, a removal and its event — as an active segment,
 // with its last record torn, and as the base a compaction wrote; a
 // segment holding a CRL record, the same with the list's signature
-// forged, and a complete snapshot stream (base, records, trailer).
+// forged, a CRL install as it is journaled now (the list's crl event,
+// the list, and the eviction it caused), and a complete snapshot
+// stream (base, records, trailer).
 func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := t.TempDir()

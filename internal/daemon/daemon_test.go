@@ -154,7 +154,7 @@ func TestMetricNamesGolden(t *testing.T) {
 	dir := up(t, Certd, append(local, "-data-dir", data, "-peer", "http://127.0.0.1:1", "-gossip", "0",
 		"-admin-auth", "-operator", opFile, "-ctl-key", ctlKey)...)
 	dbs := up(t, DBServer,
-		append(local, "-key", dbKey, "-crl-follow", "http://127.0.0.1:1", "-crl-follow-every", "1h")...)
+		append(local, "-key", dbKey, "-crl-follow", "http://127.0.0.1:1")...)
 	gw := up(t, Gateway, append(local, "-key", gwKey, "-db", dbs.Addr,
 		"-db-issuer", string(principal.KeyOf(db.Public()).Sexp().Advanced()))...)
 	px := up(t, Proxy, local...)
@@ -229,7 +229,6 @@ func TestDBServerRefusals(t *testing.T) {
 	key, _ := writeKey(t, keys, "refuse-db")
 	checkRefusals(t, DBServer, data, true, []refusal{
 		{[]string{}, "-key"},
-		{[]string{"-key", key, "-crl-follow", "http://127.0.0.1:1", "-crl-follow-every", "0"}, "-crl-follow-every"},
 		{[]string{"-key", key, "-admin-auth"}, "-operator"},
 		{[]string{"-key", key, "-grant-owner", "alice"}, "-grant-to"},
 		{[]string{"-key", key, "-grant-owner", "alice", "-grant-to", "(not a principal"}, "-grant-to"},
@@ -305,7 +304,10 @@ func TestOneShotDelegationsVerify(t *testing.T) {
 // then sf-dbserver following its CRLs, then sf-gateway discovering
 // chains in it. A CRL installed at the directory reaches the
 // database's sf_crls gauge, and an unauthenticated request at the
-// gateway is challenged in the database issuer's name.
+// gateway is challenged in the database issuer's name. Shutting the
+// three down takes well under a second: the gateway's subscription
+// and the database's follower cancel the polls they hold at the
+// directory, so the directory has nothing left to drain.
 func TestMeshBoot(t *testing.T) {
 	keys, data := t.TempDir(), t.TempDir()
 	dbKey, db := writeKey(t, keys, "mesh-db")
@@ -316,7 +318,7 @@ func TestMeshBoot(t *testing.T) {
 	dirURL := "http://" + dir.Addr
 	dbs := up(t, DBServer,
 		"-key", dbKey, "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
-		"-crl-follow", dirURL, "-crl-follow-every", "50ms")
+		"-crl-follow", dirURL)
 	gw := up(t, Gateway, "-key", gwKey, "-db", dbs.Addr, "-db-issuer", string(issuer.Sexp().Advanced()),
 		"-addr", "127.0.0.1:0", "-certdir", dirURL)
 
@@ -342,6 +344,14 @@ func TestMeshBoot(t *testing.T) {
 	}
 	if got, want := resp.Header.Get(httpauth.HdrServiceIssuer), string(issuer.Sexp().Transport()); got != want {
 		t.Fatalf("challenge names issuer %q, want the database's %q", got, want)
+	}
+
+	start := time.Now()
+	for _, n := range []*Node{gw, dbs, dir} {
+		n.Shutdown()
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("shutting down the mesh took %s, want well under 1s", d)
 	}
 }
 

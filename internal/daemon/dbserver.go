@@ -32,7 +32,6 @@ func DBServer(args []string) (n *Node, err error) {
 	seedDemo := fs.Bool("seed-demo", false, "insert demonstration messages")
 	crlFile := fs.String("crl", "", "file of CRL S-expressions (one per line or concatenated)")
 	crlFollow := fs.String("crl-follow", "", "comma-separated certdir base URLs to pull CRLs from")
-	crlFollowEvery := fs.Duration("crl-follow-every", certdir.DefaultGossipInterval, "CRL pull interval for -crl-follow")
 	adminAddr := fs.String("admin-addr", "", "revocation admin + metrics HTTP listen address (empty = disabled)")
 	adminAuth := fs.Bool("admin-auth", false, "require speaks-for proofs on the admin endpoints")
 	operatorFile := fs.String("operator", "", "file holding the operator principal S-expression (required with -admin-auth)")
@@ -46,8 +45,6 @@ func DBServer(args []string) (n *Node, err error) {
 		return nil, errors.New("-admin-auth requires -operator")
 	case *grantOwner != "" && *grantTo == "":
 		return nil, errors.New("-grant-owner needs -grant-to")
-	case *crlFollow != "" && *crlFollowEvery <= 0:
-		return nil, fmt.Errorf("-crl-follow requires a positive -crl-follow-every (got %s): nothing would ever be pulled", *crlFollowEvery)
 	}
 	priv, err := sfkey.LoadPrivateKeyFile(*keyFile)
 	if err != nil {
@@ -120,23 +117,22 @@ func DBServer(args []string) (n *Node, err error) {
 	}
 
 	// -crl-follow closes the operator-in-the-loop gap: the database
-	// pulls CRLs from the certificate directories, so a revocation
-	// published anywhere in the mesh bites here within one gossip
-	// round plus one pull interval.
+	// follows the certificate directories' event streams, so a
+	// revocation published anywhere in the mesh bites here as soon as
+	// a followed directory installs it.
 	var followers []*certdir.CRLFollower
 	for _, u := range strings.Split(*crlFollow, ",") {
 		if u = strings.TrimSpace(u); u == "" {
 			continue
 		}
 		f := certdir.NewCRLFollower(certdir.NewClient(u), rs)
-		f.Interval = *crlFollowEvery
 		f.OnError = func(err error) { rt.Printf("crl-follow %s: %v", u, err) }
 		f.Start()
 		rt.OnShutdown(f.Stop)
 		followers = append(followers, f)
 	}
 	if *crlFollow != "" {
-		rt.Printf("following CRLs from %d directories every %s", len(followers), *crlFollowEvery)
+		rt.Printf("following CRLs from %d directories", len(followers))
 	}
 
 	rt.Metrics().Register(func(emit func(server.Metric)) {

@@ -1,7 +1,7 @@
 package prover
 
 import (
-	"sync"
+	"context"
 	"time"
 
 	"repro/internal/core"
@@ -12,13 +12,13 @@ import (
 // that yields the body hashes of certificates the directory stopped
 // serving before their expiry — retracted by their publisher or
 // voided by a CRL. after is the last cursor consumed (0 on first
-// call); wait bounds how long the source may hold the poll open;
-// reset reports that the stream could not be served continuously (the
-// subscriber lagged past the source's retained tail, or the directory
-// restarted), in which case the subscriber cannot know what it missed
-// and must invalidate coarsely.
+// call); wait bounds how long the source may hold the poll open, and
+// ctx ends it early; reset reports that the stream could not be served
+// continuously (the subscriber lagged past the source's retained tail,
+// or the directory restarted), in which case the subscriber cannot
+// know what it missed and must invalidate coarsely.
 type InvalidationSource interface {
-	Events(after uint64, wait time.Duration) (hashes [][]byte, next uint64, reset bool, err error)
+	Events(ctx context.Context, after uint64, wait time.Duration) (hashes [][]byte, next uint64, reset bool, err error)
 }
 
 // Subscription tunables.
@@ -39,9 +39,8 @@ const (
 // retried forever — the directory coming back is exactly the moment
 // the prover most needs to hear what changed).
 type Subscription struct {
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	stop context.CancelFunc
+	done chan struct{}
 }
 
 // Done is closed when the drain goroutine has fully exited; callers
@@ -71,21 +70,19 @@ func (p *Prover) SubscribeWait(src InvalidationSource, cache *core.ProofCache, w
 	if cache == nil {
 		cache = core.SharedProofCache()
 	}
-	s := &Subscription{stop: make(chan struct{}), done: make(chan struct{})}
+	ctx, stop := context.WithCancel(context.Background())
+	s := &Subscription{stop: stop, done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		var cursor uint64
-		for {
-			select {
-			case <-s.stop:
+		for ctx.Err() == nil {
+			hashes, next, reset, err := src.Events(ctx, cursor, wait)
+			if ctx.Err() != nil {
 				return
-			default:
 			}
-			hashes, next, reset, err := src.Events(cursor, wait)
 			if err != nil {
 				select {
-				case <-s.stop:
-					return
+				case <-ctx.Done():
 				case <-time.After(eventRetryBackoff):
 				}
 				continue
@@ -110,16 +107,12 @@ func (p *Prover) SubscribeWait(src InvalidationSource, cache *core.ProofCache, w
 	return s
 }
 
-// Stop halts the subscription and returns immediately. The drain
-// goroutine exits as soon as its in-flight long poll returns (up to
-// the poll wait later); it mutates nothing after observing the stop,
-// so callers need not wait — use Done to synchronize when they must.
-// Waiting here instead would stall every caller's shutdown (the demo,
-// a daemon handling SIGTERM) on a long poll that, by design, usually
-// has nothing left to say.
-func (s *Subscription) Stop() {
-	s.stopOnce.Do(func() { close(s.stop) })
-}
+// Stop halts the subscription and returns immediately. It cancels the
+// long poll in flight, so the directory stops holding it and the drain
+// goroutine exits at once; the goroutine mutates nothing after the
+// stop, so callers need not wait — use Done to synchronize when they
+// must. Idempotent.
+func (s *Subscription) Stop() { s.stop() }
 
 // bodyHashed is the shape of proof leaves that carry a certificate
 // body hash — cert.Cert's Hash method — matched structurally so the

@@ -1,6 +1,7 @@
 package prover
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -162,9 +163,9 @@ func (c *chanSource) push(a chanAnswer) {
 	c.mu.Unlock()
 }
 
-func (c *chanSource) Events(after uint64, wait time.Duration) ([][]byte, uint64, bool, error) {
+func (c *chanSource) Events(ctx context.Context, after uint64, wait time.Duration) ([][]byte, uint64, bool, error) {
 	deadline := time.Now().Add(wait)
-	for {
+	for ctx.Err() == nil {
 		c.mu.Lock()
 		if len(c.script) > 0 {
 			a := c.script[0]
@@ -179,6 +180,26 @@ func (c *chanSource) Events(after uint64, wait time.Duration) ([][]byte, uint64,
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return nil, after, false, ctx.Err()
+}
+
+// TestSubscriptionStopCancelsPoll: Stop cancels the long poll in
+// flight, so the drain goroutine is gone at once rather than when the
+// poll's wait runs out.
+func TestSubscriptionStopCancelsPoll(t *testing.T) {
+	sub := New().SubscribeWait(&chanSource{}, core.NewProofCache(8), time.Minute)
+	time.Sleep(20 * time.Millisecond) // let the poll start
+	start := time.Now()
+	sub.Stop()
+	select {
+	case <-sub.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("subscription still polling 5s after Stop")
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("subscription took %s to stop with a poll in flight", d)
+	}
+	sub.Stop() // idempotent
 }
 
 // TestSubscriptionInvalidatesAndResets: the subscription loop applies
