@@ -3,11 +3,12 @@
 // plane itself guarded by the same speaks-for machinery. Both
 // directories enforce an OPERATOR principal: publishes, removals, and
 // admin calls must prove "this request speaks for the operator
-// regarding (sf-ctl publish|admin)", and the directories' own gossip
-// pushes are signed with delegated daemon credentials. A gateway on
-// "host B" publishes a delegation chain to its own domain's directory
-// A; gossip replication makes the chain visible at domain B's
-// directory; a user key on "host A" — whose prover has never seen any
+// regarding (sf-ctl publish|admin)", and the one write a directory
+// makes at its peer — an anti-entropy removal repair — is signed with
+// a delegated daemon credential. A gateway on "host B" publishes a
+// delegation chain to its own domain's directory A; directory B
+// follows A's record stream, which makes the chain visible there; a
+// user key on "host A" — whose prover has never seen any
 // of those delegations and only knows directory B — discovers the
 // chain over HTTP, assembles the proof, and the gateway verifies it.
 // Directory A is then restarted and recovers its contents from its
@@ -15,9 +16,9 @@
 // peer. Finally the team revokes the user's delegation LIVE — a CRL
 // installed through directory B's AUTHENTICATED admin endpoint, by a
 // team holding an operator-delegated (sf-ctl admin) credential — and
-// within one gossip exchange the revocation has evicted at both
-// directories and the user's prover, subscribed to its directory's
-// invalidation stream, can no longer prove the chain.
+// as soon as the directories' follows carry it the revocation has
+// evicted at both directories and the user's prover, subscribed to
+// its directory's invalidation stream, can no longer prove the chain.
 //
 // Run: go run ./examples/certdir
 package main
@@ -48,8 +49,9 @@ func main() {
 	// 0. The operator of both directory domains, and the daemon/client
 	// credentials it mints. Control-plane authority is delegated with
 	// ordinary certificates: daemons get both operation classes (their
-	// gossip pushes are publishes and CRL installs at the peer), the
-	// registrar gets publish only, the team gets admin only.
+	// removal repairs are removes at the peer, a publish-class
+	// operation), the registrar gets publish only, the team gets admin
+	// only.
 	operator := genKey("operator")
 	dirAKey := genKey("dirA-daemon")
 	dirBKey := genKey("dirB-daemon")
@@ -86,10 +88,10 @@ func main() {
 		return c
 	}
 
-	// Each domain's directory gossips with the other, authenticating
-	// its pushes with its daemon credential: pushes fan out on publish,
-	// anti-entropy rounds repair anything missed, and CRLs replicate
-	// alongside the certificates they void.
+	// Each domain's directory follows the other's record stream —
+	// publishes, removals and CRLs, applied as they happen — and
+	// anti-entropy rounds repair anything a follow missed, signing the
+	// removal repairs they push with the daemon credential.
 	repA := certdir.NewReplicator(storeA, []*certdir.Client{signed(urlB, dirAKey.priv, credA)})
 	repA.Revocations = svcA.Revocations
 	repB := certdir.NewReplicator(storeB, []*certdir.Client{signed(urlA, dirBKey.priv, credB)})
@@ -140,11 +142,12 @@ func main() {
 		fmt.Printf("published to A (signed by registrar): %s\n", d.desc)
 	}
 
-	// 2. Push replication: within one gossip exchange the chain is in
-	// directory B too, server-side — no client had to merge anything.
-	// The pushes passed B's guard because A signs them.
+	// 2. Replication: B's held poll on A's record stream answers with
+	// each publish as it happens, so the chain is in directory B too,
+	// server-side — no client had to merge anything. B verifies every
+	// certificate it takes; following needs no credential.
 	waitFor("replication A -> B", func() bool { return storeB.Len() == 3 })
-	fmt.Printf("\ndirectory B now stores %d certs (pushed by A, signed pushes)\n", storeB.Len())
+	fmt.Printf("\ndirectory B now stores %d certs (followed from A's record stream)\n", storeB.Len())
 
 	// 3. Domain beta: the user's prover. Its local delegation graph is
 	// empty and it has never heard of directory A. Besides querying
@@ -208,8 +211,9 @@ func main() {
 	// evicts the delegation immediately (tombstoned against gossip
 	// resurrection), bumps the shared proof-cache epoch, and emits an
 	// invalidation event; the user's subscribed prover drops its
-	// cached chain. Directory A pulls the CRL in its next anti-entropy
-	// round and evicts too.
+	// cached chain. Directory A's restarted replicator follows B from
+	// the start of B's stream, whose first answer carries every list B
+	// holds, and evicts too.
 	credAdmin := mustCred(team, cert.CtlAdmin)
 	teamAdmin := signed(urlB, team.priv, credAdmin)
 	teamToUser := chain[2]
@@ -230,11 +234,11 @@ func main() {
 	fmt.Printf("prover can no longer prove the chain (%d cached edges invalidated)\n", st.Invalidated)
 
 	before := storeA2.Len()
-	_, err = repA2.Converge()
-	check(err)
-	rst := repA2.Stats()
-	fmt.Printf("directory A pulled %d CRL(s) by gossip and now stores %d certs (was %d)\n",
-		rst.CRLsPulled, storeA2.Len(), before)
+	repA2.Start()
+	defer repA2.Stop()
+	waitFor("CRL followed B -> A", func() bool { return repA2.Stats().CRLsPulled == 1 })
+	fmt.Printf("directory A followed %d CRL(s) from B and now stores %d certs (was %d)\n",
+		repA2.Stats().CRLsPulled, storeA2.Len(), before)
 }
 
 // serve exposes a store on a loopback port with the revocation
@@ -252,7 +256,7 @@ func serve(st *certdir.Store, operator principal.Principal) (svc *certdir.Servic
 	return svc, "http://" + ln.Addr().String(), func() { srv.Close() }
 }
 
-// waitFor polls cond (push replication is asynchronous) with a
+// waitFor polls cond (replication is asynchronous) with a
 // generous deadline.
 func waitFor(what string, cond func() bool) {
 	deadline := time.Now().Add(10 * time.Second)

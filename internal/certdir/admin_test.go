@@ -71,7 +71,7 @@ func TestAdminSurface(t *testing.T) {
 		}},
 		{"storeless", func(rs *cert.RevocationStore, guard *httpauth.CtlGuard, hist *obs.Histogram) http.Handler {
 			install := func(lists []*cert.RevocationList) (int, int, error) {
-				res := InstallCRLs(rs, nil, nil, lists, time.Now())
+				res := InstallCRLs(rs, nil, lists, time.Now())
 				return res.Installed, res.Evicted, res.Err
 			}
 			return AdminHandler(install, nil, guard, hist)

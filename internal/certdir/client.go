@@ -26,7 +26,7 @@ import (
 // plugs straight into Prover.AddRemote for remote chain discovery.
 //
 // Build one with NewClient: it owns a connection pool sized for the
-// prover's fan-out, which queries, the events long poll and the
+// prover's fan-out, which queries, the events long polls and the
 // snapshot stream share. A Client written as a literal works, but falls
 // back to http.DefaultClient, whose two idle connections per host make
 // a wide discovery round re-dial. Time bounds come from contexts, not
@@ -66,9 +66,9 @@ func digestPath(path string) bool {
 
 // Connection pool of a NewClient client. A prover asks a directory up
 // to prover.DefaultRemoteFanout (32) questions at once, beside a held
-// events long poll and the replicator's pushes; the pool keeps twice
-// that idle per host, so a discovery round reuses its connections
-// instead of dialling most of them again.
+// events long poll; the pool keeps twice that idle per host, so a
+// discovery round reuses its connections instead of dialling most of
+// them again.
 const (
 	poolIdlePerHost = 64
 	poolIdle        = 256
@@ -160,35 +160,16 @@ func (c *Client) roundTrip(ctx context.Context, path string, req sexp.Sexp, wait
 	return e, nil
 }
 
-// Publish uploads certificates to the directory in one request. One
-// certificate travels as itself; the directory answers (published) or
-// (duplicate), and refuses a certificate that does not verify with a
-// 400. More travel as one (certs <cert>...) run, which the directory
-// indexes as one verified batch and answers with (published (added n)
-// (rejected r)): a refused certificate does not stop the others, and
-// Publish reports it as an error once the rest are in.
-func (c *Client) Publish(certs ...*cert.Cert) error {
-	var body sexp.Sexp
-	switch len(certs) {
-	case 0:
-		return nil
-	case 1:
-		body = certs[0].Sexp()
-	default:
-		body = certsSexp(certs)
-	}
-	resp, err := c.roundTrip(context.Background(), PathPublish, body, 0)
+// Publish uploads one certificate to the directory. The directory
+// answers (published) or (duplicate), both of which are success, and
+// refuses a certificate that does not verify with a 400.
+func (c *Client) Publish(ct *cert.Cert) error {
+	resp, err := c.roundTrip(context.Background(), PathPublish, ct.Sexp(), 0)
 	if err != nil {
 		return err
 	}
-	rej := resp.Child("rejected")
-	switch {
-	case resp.Tag() == "duplicate" || resp.Tag() == "published" && rej == nil:
-		return nil
-	case resp.Tag() == "published" && rej.Len() == 2:
-		if n := rej.Nth(1).Text(); n != "0" {
-			return fmt.Errorf("certdir: publish: %s of %d certificates refused", n, len(certs))
-		}
+	switch resp.Tag() {
+	case "published", "duplicate":
 		return nil
 	}
 	return fmt.Errorf("certdir: unexpected publish reply %s", resp)
@@ -221,7 +202,7 @@ func (c *Client) query(ctx context.Context, by string, p principal.Principal, f 
 }
 
 // parseCerts decodes a (certs <proof>...) list: a query or fetch
-// reply, or a publish run.
+// reply.
 func parseCerts(e sexp.Sexp) ([]*cert.Cert, error) {
 	if e.Tag() != "certs" {
 		return nil, fmt.Errorf("certdir: want (certs <proof>...), got %s", e)
@@ -265,7 +246,7 @@ func (c *Client) Remove(hash []byte) (bool, error) {
 
 // PushCRL installs a CRL through the admin endpoint of a directory or
 // of any daemon serving AdminHandler. Duplicates are acknowledged
-// idempotently (like Publish), so CRL rumor floods terminate.
+// idempotently, like Publish.
 func (c *Client) PushCRL(rl *cert.RevocationList) error {
 	resp, err := c.roundTrip(context.Background(), PathAdminCRL, rl.Sexp(), 0)
 	if err != nil {
@@ -306,17 +287,19 @@ func (c *Client) ReloadCRLs() (added int, err error) {
 // structurally without the prover importing certdir.
 func (c *Client) Events(ctx context.Context, after uint64, wait time.Duration) (hashes [][]byte, next uint64, reset bool, err error) {
 	b, err := c.follow(ctx, after, wait)
-	for _, ev := range b.events {
-		hashes = append(hashes, ev.Hash)
+	for _, row := range b.rows {
+		if row.Kind == EventRemove || row.Kind == EventRevoke {
+			hashes = append(hashes, row.Hash)
+		}
 	}
 	return hashes, b.next, b.reset, err
 }
 
 // follow polls the events stream for the given kinds; naming none asks
 // for remove and revoke, in the request form every directory has
-// served. The lists in a crl answer come from a possibly hostile
-// directory: the caller verifies each before applying it
-// (InstallCRLs does).
+// served. The certificates and lists in an answer come from a possibly
+// hostile directory: the caller verifies each before applying it
+// (Store.indexVerified and InstallCRLs do).
 func (c *Client) follow(ctx context.Context, after uint64, wait time.Duration, kinds ...string) (streamBatch, error) {
 	req := []sexp.Sexp{sexp.String("events"), sexp.String(strconv.FormatUint(after, 10))}
 	if wait > 0 {
@@ -338,7 +321,8 @@ func (c *Client) follow(ctx context.Context, after uint64, wait time.Duration, k
 }
 
 // decodeEventsReply decodes (events (next <n>) [(reset)] (ev <kind>
-// <hash>|<crl>)...). Rows it does not know are skipped.
+// <hash>|<cert>|<crl>)...), keeping the rows in order. Rows it does not
+// know are skipped.
 func decodeEventsReply(resp sexp.Sexp) (r streamBatch, err error) {
 	nx := resp.Child("next")
 	if resp.Tag() != "events" || nx == nil || nx.Len() != 2 {
@@ -358,9 +342,15 @@ func decodeEventsReply(resp sexp.Sexp) (r streamBatch, err error) {
 			if err != nil {
 				return streamBatch{}, fmt.Errorf("certdir: event crl %d: %w", i, err)
 			}
-			r.crls = append(r.crls, rl)
+			r.rows = append(r.rows, streamRow{Event: Event{Kind: EventCRL}, crl: rl})
+		case row.Len() == 3 && row.Nth(1).Text() == EventPublish:
+			c, err := certFromSexp(row.Nth(2))
+			if err != nil {
+				return streamBatch{}, fmt.Errorf("certdir: event publish %d: %w", i, err)
+			}
+			r.rows = append(r.rows, streamRow{Event: Event{Kind: EventPublish}, cert: c})
 		case row.Len() == 3 && row.Nth(2).IsAtom():
-			r.events = append(r.events, Event{Kind: row.Nth(1).Text(), Hash: append([]byte(nil), row.Nth(2).Bytes()...)})
+			r.rows = append(r.rows, streamRow{Event: Event{Kind: row.Nth(1).Text(), Hash: append([]byte(nil), row.Nth(2).Bytes()...)}})
 		default:
 			return streamBatch{}, fmt.Errorf("certdir: bad event row %s", row)
 		}

@@ -17,42 +17,48 @@ type CRLInstall struct {
 
 // InstallCRLs is the one way revocation lists take effect in the
 // directory tier, whatever brought them: the admin endpoint, the
-// daemon's -crl file, a read of a peer's event stream, a snapshot
-// bootstrap, or a verifier's CRLFollower. The lists are verified and
-// installed as one batch (one signature batch, one proof-cache epoch
-// bump, dedup by content hash — cert.RevocationStore.Add), then the
-// store keeps each new list (Store.keepCRL: it survives a restart,
-// rides the next snapshot, and goes out on the store's event stream
-// as a crl event), then the store is scanned ONCE with
-// cert.RevocationStore.RevokedAt for what the lists void (eviction
-// tombstones and emits revoke events), then each new list is rumored
-// onward to rep's peers; the install dedup is what terminates that
-// flood. A refused list is counted and skipped: CRLs arriving
-// over the network carry a valid signature or they do nothing, and a
-// valid one voids only certificates its own key signed, so neither a
-// compromised peer nor a stranger can fabricate a revocation.
+// daemon's -crl file, a peer's record stream, a snapshot bootstrap, or
+// a verifier's CRLFollower. Lists the revocation store already holds
+// are skipped by content hash before anything is verified, so a
+// stream that repeats the whole set costs no signature work. The rest
+// are installed as one batch (cert.RevocationStore.Add: one signature
+// batch, one proof-cache epoch bump), then the store keeps each new
+// list (Store.keepCRL: it survives a restart, rides the next
+// snapshot, and goes out on the store's record stream as a crl event,
+// which is how it reaches the peers that follow this directory), then
+// the store is scanned ONCE with cert.RevocationStore.RevokedAt for
+// what the lists void (eviction tombstones and emits revoke events). A
+// refused list is counted and skipped: CRLs arriving over the network
+// carry a valid signature or they do nothing, and a valid one voids
+// only certificates its own key signed, so neither a compromised peer
+// nor a stranger can fabricate a revocation.
 //
-// st and rep may each be nil: a verifier following a directory has no
-// store to evict from, and an unreplicated directory has no peers. now
-// is the instant eviction judges CRL freshness at, unused without a
-// store.
-func InstallCRLs(revs *cert.RevocationStore, st *Store, rep *Replicator, lists []*cert.RevocationList, now time.Time) CRLInstall {
-	var res CRLInstall
-	added, errs := revs.Add(lists...)
+// st may be nil: a verifier following a directory has no store to
+// evict from. now is the instant eviction judges CRL freshness at,
+// unused without a store.
+func InstallCRLs(revs *cert.RevocationStore, st *Store, lists []*cert.RevocationList, now time.Time) CRLInstall {
+	var (
+		res   CRLInstall
+		fresh []*cert.RevocationList
+		pos   []int // fresh index -> lists index
+	)
 	for i, rl := range lists {
+		if rl == nil || !revs.Has(rl.Hash()) {
+			fresh, pos = append(fresh, rl), append(pos, i)
+		}
+	}
+	added, errs := revs.Add(fresh...)
+	for i, rl := range fresh {
 		switch {
 		case errs[i] != nil:
 			res.Rejected++
 			if res.Err == nil {
-				res.Err = fmt.Errorf("crl %d: %w", i+1, errs[i])
+				res.Err = fmt.Errorf("crl %d: %w", pos[i]+1, errs[i])
 			}
 		case added[i]:
 			res.Installed++
 			if st != nil {
 				st.keepCRL(rl, false)
-			}
-			if rep != nil {
-				rep.EnqueueCRL(rl)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func crlPeer(t *testing.T, lists ...*cert.RevocationList) *Client {
 }
 
 // TestCRLInstallPathsAgree: however a revocation list reaches a
-// process — admin endpoint, a replicator's read of a peer's stream,
+// process — admin endpoint, a replicator's follow of a peer's stream,
 // snapshot bootstrap, or a verifier's follower — it goes through
 // InstallCRLs, so a fresh
 // list, a re-delivered one and a forged one have the same installed /
@@ -98,9 +98,13 @@ func TestCRLInstallPathsAgree(t *testing.T) {
 			}
 			return 0, 0
 		}},
-		{"replicator pull", true, func(t *testing.T, d *dir, rl *cert.RevocationList) (int, int) {
+		{"replicator follow", true, func(t *testing.T, d *dir, rl *cert.RevocationList) (int, int) {
 			peer := crlPeer(t, rl)
-			installed, rejected, err := pulled(d, func() error { return d.rep.pullCRLs(peer) })
+			installed, rejected, err := pulled(d, func() error {
+				b, err := peer.follow(context.Background(), 0, 0, EventPublish, EventRemove, EventCRL)
+				d.rep.apply(peer, 0, b)
+				return err
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,14 +123,11 @@ func TestCRLInstallPathsAgree(t *testing.T) {
 		}},
 		{"follower pull", false, func(t *testing.T, d *dir, rl *cert.RevocationList) (int, int) {
 			f := NewCRLFollower(crlPeer(t, rl), d.revs)
-			_, res, err := f.poll(context.Background(), 0)
+			_, installed, err := pollOnce(f, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := f.Stats(); int(s.Pulled) != res.Installed {
-				t.Fatalf("follower stats %+v disagree with the poll's %d", s, res.Installed)
-			}
-			return res.Installed, int(f.Stats().Rejected)
+			return installed, int(f.Stats().Rejected)
 		}},
 	}
 	steps := []struct {
@@ -233,8 +234,8 @@ func TestOneRevocationRule(t *testing.T) {
 					t.Fatal(err)
 				}
 				verifierRevs := cert.NewRevocationStore()
-				if _, res, err := NewCRLFollower(cl, verifierRevs).poll(context.Background(), 0); err != nil || res.Installed != 1 {
-					t.Fatalf("follower poll: installed %d, err %v", res.Installed, err)
+				if _, installed, err := pollOnce(NewCRLFollower(cl, verifierRevs), 0); err != nil || installed != 1 {
+					t.Fatalf("follower poll: installed %d, err %v", installed, err)
 				}
 
 				want := sg.priv == k

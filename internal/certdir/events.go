@@ -1,6 +1,7 @@
 package certdir
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -11,39 +12,43 @@ import (
 	"repro/internal/cert"
 )
 
-// Event is one record of the directory's stream: a certificate
-// (named by body hash, cert.Hash) stopped being servable here before
-// its natural expiry — retracted by its publisher ("remove") or voided
-// by a CRL ("revoke") — or the directory newly kept a revocation list
-// ("crl", named by the list's content hash). Publishes and expiry are
-// NOT events: every consumer already checks validity windows, so the
-// stream carries only the facts a follower cannot infer from the
-// certificates it holds.
+// Event is one record of the directory's stream: a certificate (named
+// by body hash, cert.Hash) was newly indexed here ("publish"), or
+// stopped being servable here before its natural expiry — retracted by
+// its publisher ("remove") or voided by a CRL ("revoke") — or the
+// directory newly kept a revocation list ("crl", named by the list's
+// content hash). Expiry is NOT an event: every consumer already checks
+// validity windows.
 //
-// The stream is how a revocation reaches every party beyond the
-// directory without a timer in the path. Provers cache fetched
-// certificates until expiry, so a subscriber (prover.Subscription)
-// long-polls the remove and revoke kinds and drops matching cached
-// edges and proof-cache verdicts the moment the directory learns of
-// the revocation; verifiers (CRLFollower) and peer directories
-// (Replicator) read the crl kind and install each list as it arrives.
+// The stream is the directory's one live channel outward, and nothing
+// on it runs on a timer. Provers cache fetched certificates until
+// expiry, so a subscriber (prover.Subscription) long-polls the remove
+// and revoke kinds and drops matching cached edges and proof-cache
+// verdicts the moment the directory learns of the revocation;
+// verifiers (CRLFollower) follow the crl kind; peer directories
+// (Replicator) follow publish, remove and crl, and apply each record
+// as it arrives.
 type Event struct {
 	Seq  uint64
-	Kind string // "remove" | "revoke" | "crl"
+	Kind string // "publish" | "remove" | "revoke" | "crl"
 	Hash []byte // certificate body hash, or the list's content hash
 }
 
 // Event kinds.
 const (
-	EventRemove = "remove"
-	EventRevoke = "revoke"
-	EventCRL    = "crl"
+	EventPublish = "publish"
+	EventRemove  = "remove"
+	EventRevoke  = "revoke"
+	EventCRL     = "crl"
 )
 
 // DefaultEventLogSize bounds the retained event tail. Events are a
-// few dozen bytes each; 4096 of them cover hours of realistic
-// revocation traffic, and a subscriber that falls further behind gets
-// a reset (it flushes coarsely) instead of silently missing events.
+// few dozen bytes each. A follower that falls further behind than the
+// tail gets a reset instead of silently missing events: a prover
+// flushes coarsely, a verifier re-reads every list, and a peer
+// directory repairs with one Merkle round. A held poll cannot fall
+// behind on kinds it did not ask for (see Store.follow), so publish
+// volume alone never resets a prover or a verifier.
 const DefaultEventLogSize = 4096
 
 // EventLog is the bounded, append-only sequence of events behind the
@@ -63,7 +68,7 @@ const DefaultEventLogSize = 4096
 // sequence (the case a bare comparison would silently swallow).
 type EventLog struct {
 	mu     sync.Mutex
-	ring   []Event
+	ring   []Event       // ascending Seq
 	next   uint64        // seq the next appended event will get
 	boot   uint64        // per-incarnation nonce in every cursor's high bits
 	notify chan struct{} // closed on append, then replaced
@@ -101,21 +106,24 @@ func (l *EventLog) token(seq uint64) uint64 {
 
 // append records one event and wakes every waiting long-poll. journal
 // (when non-nil) is called under l.mu with the cursor token the new
-// event will carry.
-// Running the hook under the lock means ring order and journal order
-// cannot disagree — the same discipline Store.publish applies under
-// its shard lock; the hook is file I/O only, never network.
-func (l *EventLog) append(kind string, hash []byte, journal func(token uint64)) {
+// event will carry; when it fails, nothing is appended and its error
+// is returned. Running the hook under the lock means ring order and
+// journal order cannot disagree; the hook is file I/O only, never
+// network.
+func (l *EventLog) append(kind string, hash []byte, journal func(token uint64) error) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if journal != nil {
-		journal(l.token(l.next))
+		if err := journal(l.token(l.next)); err != nil {
+			return err
+		}
 	}
 	l.ring = append(l.ring, Event{Seq: l.next, Kind: kind, Hash: append([]byte(nil), hash...)})
 	l.next++
 	l.trimLocked()
 	close(l.notify)
 	l.notify = make(chan struct{})
-	l.mu.Unlock()
+	return nil
 }
 
 // restore re-installs one event from its WAL record during replay,
@@ -124,33 +132,59 @@ func (l *EventLog) append(kind string, hash []byte, journal func(token uint64)) 
 // persists for the rest of the process: events appended after replay
 // continue the journaled incarnation rather than starting a new one.
 // The arguments are decodeEvent's: the token's nonce and sequence are
-// both non-zero, and the hash is a copy the ring may keep.
+// both non-zero, and the hash is a copy the ring may keep. Replay
+// meets events in record order, which is not sequence order where a
+// compaction base put publish events in their certificates' records;
+// settle restores the order once replay is done.
 func (l *EventLog) restore(token uint64, kind string, hash []byte) {
 	boot := token >> cursorSeqBits
-	seq := token & (1<<cursorSeqBits - 1)
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if boot != l.boot {
 		// First restored event (or a log spanning incarnations, which
 		// compaction never produces): adopt the newest incarnation seen.
 		l.boot = boot
 		l.ring = l.ring[:0]
 	}
-	l.ring = append(l.ring, Event{Seq: seq, Kind: kind, Hash: hash})
-	l.next = seq + 1
-	l.trimLocked()
-	l.mu.Unlock()
-}
-
-// trimLocked bounds the ring. Caller holds l.mu.
-func (l *EventLog) trimLocked() {
-	if cut := len(l.ring) - l.max; cut > 0 {
-		// Copy rather than reslice so the trimmed prefix's backing
-		// memory (and the hashes it points at) is actually released.
-		l.ring = append([]Event(nil), l.ring[cut:]...)
+	l.ring = append(l.ring, Event{Seq: token & (1<<cursorSeqBits - 1), Kind: kind, Hash: hash})
+	if len(l.ring) > 2*l.max {
+		l.settleLocked()
 	}
 }
 
-// sinceLocked computes the answer for a cursor. Caller holds l.mu.
+// settle puts restored events in sequence order, keeps one event per
+// sequence number (only a damaged log repeats one) and the newest max,
+// and continues the sequence after the last. OpenDurable calls it once
+// replay is done.
+func (l *EventLog) settle() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.settleLocked()
+}
+
+func (l *EventLog) settleLocked() {
+	slices.SortStableFunc(l.ring, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	l.ring = slices.CompactFunc(l.ring, func(a, b Event) bool { return a.Seq == b.Seq })
+	if n := len(l.ring); n > 0 {
+		l.next = l.ring[n-1].Seq + 1
+	}
+	l.trimLocked()
+}
+
+// trimLocked bounds the ring. Caller holds l.mu. The trimmed prefix is
+// cleared and sliced off rather than copied away, so trimming costs
+// O(1) per append; append's occasional reallocation releases the
+// prefix's memory.
+func (l *EventLog) trimLocked() {
+	if cut := len(l.ring) - l.max; cut > 0 {
+		clear(l.ring[:cut])
+		l.ring = l.ring[cut:]
+	}
+}
+
+// sinceLocked computes the answer for a cursor. Caller holds l.mu. It
+// costs O(log n) plus the events it returns, so re-reading a held poll
+// after each append stays cheap however full the ring is.
 //
 // Cursor semantics: after is the cursor (token) from the subscriber's
 // previous poll; 0 is the fresh-subscription cursor and simply
@@ -189,45 +223,56 @@ func (l *EventLog) sinceLocked(after uint64) (evs []Event, next uint64, reset bo
 			}
 		}
 	}
-	for _, e := range l.ring {
-		if e.Seq > seq {
-			evs = append(evs, e)
-		}
-	}
-	return evs, next, reset
+	i, _ := slices.BinarySearchFunc(l.ring, seq+1, func(e Event, s uint64) int { return cmp.Compare(e.Seq, s) })
+	return slices.Clone(l.ring[i:]), next, reset
 }
 
 // streamBatch is one answer of the stream, as the directory reads it
-// and as a client decodes it: the remove and revoke events after the
-// cursor, oldest first, the revocation lists, and the cursor to ask
-// from next. Decoded lists are not yet verified.
+// and as a client decodes it: its rows in log order, and the cursor to
+// ask from next. Decoded certificates and lists are not yet verified.
 type streamBatch struct {
-	events []Event
-	crls   []*cert.RevocationList
-	next   uint64
-	reset  bool
+	rows  []streamRow
+	next  uint64
+	reset bool
+}
+
+// streamRow is one row of an answer: an event, with the certificate a
+// publish row carries or the list a crl row carries. Remove and revoke
+// rows carry the hash alone.
+type streamRow struct {
+	Event
+	cert *cert.Cert
+	crl  *cert.RevocationList
+}
+
+// lists returns the revocation lists an answer carries, in order.
+func (b streamBatch) lists() []*cert.RevocationList {
+	var out []*cert.RevocationList
+	for _, row := range b.rows {
+		if row.crl != nil {
+			out = append(out, row.crl)
+		}
+	}
+	return out
 }
 
 // follow answers one poll of the stream for the given kinds,
 // long-polling up to wait while there is nothing of those kinds to
-// answer: each append after a read wakes it to read again, and the
-// last read is the answer. ctx ends the poll early; a zero wait never
-// blocks. See sinceLocked for cursor and reset semantics.
-//
-// For the crl kind, a fresh cursor (0) or a reset is answered with
-// every list the store holds instead of the retained crl events, read
-// at one instant with the cursor it returns: a list kept after that
-// instant has its event after the cursor. So a follower that installs
-// every answer holds every live list, whatever it missed. A crl event
-// whose list has lapsed since is skipped.
+// answer: each append after a read wakes it to read again from where
+// that read ended, so a held poll moves past the events it did not ask
+// for and never falls behind the ring on them, and the last read is
+// the answer. ctx ends the poll early; a zero wait never blocks. See
+// sinceLocked for cursor and reset semantics and readStream for what
+// an answer holds.
 func (s *Store) follow(ctx context.Context, after uint64, kinds []string, wait time.Duration) streamBatch {
 	ctx, cancel := context.WithTimeout(ctx, wait)
 	defer cancel()
 	for {
 		b, appended := s.readStream(after, kinds)
-		if b.reset || len(b.events)+len(b.crls) > 0 || ctx.Err() != nil {
+		if b.reset || len(b.rows) > 0 || ctx.Err() != nil {
 			return b
 		}
+		after = b.next
 		select {
 		case <-appended:
 		case <-ctx.Done():
@@ -235,41 +280,74 @@ func (s *Store) follow(ctx context.Context, after uint64, kinds []string, wait t
 	}
 }
 
-// readStream reads the stream at one instant: under the event lock,
-// and for the crl kind under the CRL lock first, the order keepCRL and
-// collect take them in. appended is closed by the next append.
+// readStream reads the stream at one instant — under the CRL lock and
+// the event lock, in the order keepCRL and collect take them — and
+// then resolves what the rows name. appended is closed by the next
+// append.
+//
+// Each row reports the present state of what it names. A publish row
+// carries the certificate the store holds at read time and is skipped
+// once the store no longer holds it; a remove row is skipped once the
+// certificate is held again (re-published); a crl row carries the list
+// and is skipped once the list has lapsed. So a follower that applies
+// an answer in order ends where the directory stands, whatever it
+// replays. For the crl kind, a fresh cursor (0) or a reset is answered
+// with every list the store holds instead of the retained crl events,
+// after the other rows and read with the cursor: a list kept after
+// that instant has its event after the cursor. So a follower that
+// installs every answer holds every live list, whatever it missed.
+//
+// An answer carries at most verifyBatch certificates and maxBody bytes
+// of them. A longer one is cut before the first row past either bound,
+// and its cursor is the last event it included: the rest comes on the
+// next poll.
 func (s *Store) readStream(after uint64, kinds []string) (b streamBatch, appended <-chan struct{}) {
-	crl := slices.Contains(kinds, EventCRL)
-	if crl {
-		s.tmu.Lock()
-		defer s.tmu.Unlock()
-	}
+	s.tmu.Lock()
 	s.events.mu.Lock()
 	evs, next, reset := s.events.sinceLocked(after)
-	appended = s.events.notify
+	appended, boot := s.events.notify, s.events.boot
 	s.events.mu.Unlock()
-	b.next, b.reset = next, reset
-	full := crl && (after == 0 || reset)
+	full := slices.Contains(kinds, EventCRL) && (after == 0 || reset)
+	var lists []*cert.RevocationList
 	if full {
-		b.crls = s.crlsLocked()
+		lists = s.crlsLocked()
 	}
+	s.tmu.Unlock()
+	// Rows are resolved with no lock but each shard's or the CRL lock
+	// held in turn: a publish takes its shard lock before the others.
+	b = streamBatch{next: next, reset: reset}
+	n, size := 0, 0
+scan:
 	for _, ev := range evs {
+		row := streamRow{Event: ev}
 		switch {
-		case !slices.Contains(kinds, ev.Kind):
-		case ev.Kind != EventCRL:
-			b.events = append(b.events, ev)
-		case !full && s.crls[[32]byte(ev.Hash)] != nil:
-			b.crls = append(b.crls, s.crls[[32]byte(ev.Hash)])
+		case !slices.Contains(kinds, ev.Kind), ev.Kind == EventRemove && s.held(ev.Hash) != nil:
+			continue
+		case ev.Kind == EventPublish:
+			if row.cert = s.held(ev.Hash); row.cert == nil {
+				continue
+			}
+			if size += row.cert.Sexp().FormatLen(); n == verifyBatch || n > 0 && size > maxBody {
+				b.next = boot<<cursorSeqBits | (ev.Seq - 1)
+				break scan
+			}
+			n++
+		case ev.Kind == EventCRL:
+			s.tmu.Lock()
+			row.crl = s.crls[[32]byte(ev.Hash)]
+			s.tmu.Unlock()
+			if full || row.crl == nil {
+				continue
+			}
 		}
+		b.rows = append(b.rows, row)
+	}
+	// The whole set goes last: a list newly installed from it evicts
+	// what the rows before it indexed.
+	for _, rl := range lists {
+		b.rows = append(b.rows, streamRow{Event: Event{Kind: EventCRL}, crl: rl})
 	}
 	return b, appended
-}
-
-// Len reports how many events are currently retained.
-func (l *EventLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ring)
 }
 
 // Emitted reports how many events have ever been appended; the stats

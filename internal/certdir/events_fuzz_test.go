@@ -16,11 +16,14 @@ import (
 // FuzzEventsReply feeds arbitrary bytes to the client's events-reply
 // decoder, the code that reads a possibly hostile directory's stream
 // on behalf of provers, verifiers and peer directories. It must never
-// panic, and every list a decoded reply would install must verify:
-// InstallCRLs into a fresh revocation store keeps nothing forged. The
-// seeds are real replies of a directory: its crl rows for a fresh
-// cursor, its remove and revoke rows for a no-kind request, a reset,
-// and the crl reply with one list's signature forged.
+// panic, and everything a decoded reply would apply must verify: the
+// certificates and lists a peer directory's follow (Replicator.apply)
+// indexes into a fresh store and installs into a fresh revocation
+// store. The seeds are
+// real replies of a directory: its crl rows for a fresh cursor, its
+// remove and revoke rows for a no-kind request, a reset, its publish
+// rows, and the crl and publish replies with one list's and one
+// certificate's signature forged.
 func FuzzEventsReply(f *testing.F) {
 	now := time.Now()
 	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
@@ -31,7 +34,8 @@ func FuzzEventsReply(f *testing.F) {
 	svc.Revocations = cert.NewRevocationStore()
 	removed := delegate(f, alice, bobP, tag.Prefix("a"), v)
 	revoked := delegate(f, alice, bobP, tag.Prefix("b"), v)
-	for _, c := range []*cert.Cert{removed, revoked} {
+	kept := delegate(f, alice, bobP, tag.Prefix("c"), v)
+	for _, c := range []*cert.Cert{removed, revoked, kept} {
 		if _, err := st.Publish(c, now); err != nil {
 			f.Fatal(err)
 		}
@@ -41,7 +45,7 @@ func FuzzEventsReply(f *testing.F) {
 		cert.NewRevocationList(alice, v, revoked.Hash()),
 		cert.NewRevocationList(alice, v, []byte("fuzzevents-other")),
 	}
-	InstallCRLs(svc.Revocations, st, nil, lists, now)
+	InstallCRLs(svc.Revocations, st, lists, now)
 	reply := func(req string) []byte {
 		e, err := sexp.ParseOne([]byte(req))
 		if err != nil {
@@ -53,16 +57,26 @@ func FuzzEventsReply(f *testing.F) {
 		}
 		return r.Canonical()
 	}
+	// forge swaps a reply's rows for one row of the given kind whose
+	// signed body is forged.
+	forge := func(reply []byte, kind string, body sexp.Sexp) []byte {
+		e, _ := sexp.ParseOne(reply)
+		return sexp.List(e.Nth(0), e.Child("next"), sexp.List(sexp.String("ev"), sexp.String(kind), body)).Canonical()
+	}
 	crls := reply("(6:events1:0(5:kinds3:crl))")
 	f.Add(crls)
 	f.Add(reply("(6:events1:0)"))
 	f.Add(reply("(6:events1:1(5:kinds6:remove6:revoke3:crl))")) // a cursor of no incarnation: reset
-	forged := *lists[1]
-	forged.Signature = append([]byte(nil), forged.Signature...)
-	forged.Signature[0] ^= 1
-	e, _ := sexp.ParseOne(crls)
-	f.Add(sexp.List(e.Nth(0), e.Nth(1), e.Nth(2),
-		sexp.List(sexp.String("ev"), sexp.String(EventCRL), forged.Sexp())).Canonical())
+	forgedList := *lists[1]
+	forgedList.Signature = append([]byte(nil), forgedList.Signature...)
+	forgedList.Signature[0] ^= 1
+	f.Add(forge(crls, EventCRL, forgedList.Sexp()))
+	publishes := reply("(6:events1:0(5:kinds7:publish6:remove3:crl))")
+	f.Add(publishes)
+	forgedCert := *kept
+	forgedCert.Signature = append([]byte(nil), forgedCert.Signature...)
+	forgedCert.Signature[0] ^= 1
+	f.Add(forge(publishes, EventPublish, forgedCert.Sexp()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := sexp.ParseOne(data)
@@ -73,12 +87,27 @@ func FuzzEventsReply(f *testing.F) {
 		if err != nil {
 			return
 		}
-		revs := cert.NewRevocationStore()
-		res := InstallCRLs(revs, nil, nil, r.crls, now)
-		if res.Installed+res.Rejected > len(r.crls) {
-			t.Fatalf("install of %d lists reports %+v", len(r.crls), res)
+		// A reset's Merkle round needs a peer; what the answer itself
+		// applies is the property.
+		r.reset = false
+		into := NewStore(4)
+		rep := NewReplicator(into, nil)
+		rep.Clock = func() time.Time { return now }
+		rep.Revocations = cert.NewRevocationStore()
+		rep.apply(nil, 1, r)
+		ctx := publishCtx(now)
+		ctx.Cache = nil
+		for _, sh := range into.shards {
+			for _, e := range sh.byHash {
+				if err := e.cert.Verify(ctx); err != nil {
+					t.Fatalf("a decoded reply indexed a certificate that does not verify: %v", err)
+				}
+			}
 		}
-		for _, rl := range revs.Lists() {
+		if st := rep.Stats(); st.CRLsPulled+st.CRLsRejected > int64(len(r.lists())) {
+			t.Fatalf("install of %d lists reports %+v", len(r.lists()), st)
+		}
+		for _, rl := range rep.Revocations.Lists() {
 			if err := rl.Verify(); err != nil {
 				t.Fatalf("a decoded reply installed a list that does not verify: %v", err)
 			}

@@ -9,8 +9,100 @@ import (
 	"repro/internal/cert"
 )
 
+// streamFollower is the one loop that follows a directory's record
+// stream (events.go): it long-polls the kinds it names from a cursor,
+// starting at 0, and hands every answer to apply before it polls
+// again. Peer directories (Replicator) and verifiers (CRLFollower) both
+// run it; they differ only in the kinds and in apply.
+type streamFollower struct {
+	client *Client
+	kinds  []string
+	// hold bounds how long one poll is held open at the directory.
+	hold time.Duration
+	// apply applies one answer; after is the cursor it was asked from.
+	apply func(after uint64, b streamBatch)
+	// onErr, when set, hears of every failed poll.
+	onErr func(error)
+}
+
+// followRetry is the pause after a failed poll, and after an answer
+// that made no progress.
+const followRetry = time.Second
+
+// loops runs the goroutines of a follower or a replicator until stop.
+type loops struct {
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+}
+
+// start runs each function in its own goroutine with a context that
+// stop cancels.
+func (l *loops) start(runs ...func(context.Context)) {
+	ctx, cancel := context.WithCancel(context.Background())
+	l.cancel = cancel
+	for _, run := range runs {
+		l.wg.Add(1)
+		go func() {
+			defer l.wg.Done()
+			run(ctx)
+		}()
+	}
+}
+
+// stop cancels the goroutines start launched, and the polls they hold,
+// and waits for them to exit. It is a no-op before start and when
+// repeated.
+func (l *loops) stop() {
+	if l.cancel != nil {
+		l.cancel()
+	}
+	l.wg.Wait()
+}
+
+// poll reads the stream once from the cursor after and applies the
+// answer. A failed poll is reported to onErr, unless ctx ended it.
+func (f streamFollower) poll(ctx context.Context, after uint64) (streamBatch, error) {
+	b, err := f.client.follow(ctx, after, f.hold, f.kinds...)
+	switch {
+	case err == nil:
+		f.apply(after, b)
+	case f.onErr != nil && ctx.Err() == nil:
+		f.onErr(err)
+	}
+	return b, err
+}
+
+// run polls until ctx ends. It waits followRetry after a failed poll,
+// after a reset that follows a reset, and after an answer that came
+// back with the cursor it was asked from in less than half its hold (an
+// idle poll that ran its hold out is not one): a directory answering
+// every poll at once without progress (a hostile one that ignores the
+// cursor, one that always resets) then costs a few polls a second, not
+// a tight loop.
+func (f streamFollower) run(ctx context.Context) {
+	var (
+		cursor uint64
+		reset  bool // the last answer was a reset
+	)
+	for ctx.Err() == nil {
+		start := time.Now()
+		b, err := f.poll(ctx, cursor)
+		stalled := err != nil
+		if err == nil {
+			stalled = b.reset && reset || b.next == cursor && time.Since(start) < f.hold/2
+			cursor, reset = b.next, b.reset
+		}
+		if stalled {
+			select {
+			case <-ctx.Done():
+			case <-time.After(followRetry):
+			}
+		}
+	}
+}
+
 // CRLFollower keeps an end verifier's RevocationStore current by
-// following a certificate directory's event stream for crl records —
+// following a certificate directory's record stream for crl records —
 // the verifier-side leg of revocation. Directories already spread CRLs
 // among themselves (Replicator) and provers already drop invalidated
 // chains (Subscribe), but an enforcing server such as sf-dbserver
@@ -22,12 +114,12 @@ import (
 // revocation (the install bumps the shared proof-cache epoch, so no
 // cached verdict survives it).
 //
-// Every list goes through InstallCRLs with no store and no peers:
-// verify-before-apply, so a hostile or corrupted directory cannot
-// plant a CRL its signer never issued. The first poll, and the poll
-// after a stream reset (the follower lagged past the directory's
-// retained tail, or the directory restarted without its journal), is
-// answered with the directory's whole CRL set.
+// Every list goes through InstallCRLs with no store: verify-before-
+// apply, so a hostile or corrupted directory cannot plant a CRL its
+// signer never issued. The first poll, and the poll after a stream
+// reset (the follower lagged past the directory's retained tail, or
+// the directory restarted without its journal), is answered with the
+// directory's whole CRL set.
 type CRLFollower struct {
 	Client *Client
 	Store  *cert.RevocationStore
@@ -44,77 +136,35 @@ type CRLFollower struct {
 	pulled   atomic.Int64 // CRLs newly installed
 	rejected atomic.Int64 // CRLs refused (bad signature)
 
-	mu   sync.Mutex
-	stop func() // cancels the running loop and waits for it; nil when stopped
+	loops
 }
-
-// followRetry is the pause after a failed poll.
-const followRetry = time.Second
 
 // NewCRLFollower follows c's CRLs into st.
 func NewCRLFollower(c *Client, st *cert.RevocationStore) *CRLFollower {
 	return &CRLFollower{Client: c, Store: st}
 }
 
-// poll reads the stream once from the cursor after and installs what
-// it carries, returning the cursor to poll from next and what the
-// install did. A failed poll is reported to OnError.
-func (f *CRLFollower) poll(ctx context.Context, after uint64) (next uint64, res CRLInstall, err error) {
+// stream is the follower's loop: the crl kind, each answer's lists
+// installed and counted. No store to evict from, so no eviction instant
+// to supply.
+func (f *CRLFollower) stream() streamFollower {
 	hold := f.Interval
 	if hold <= 0 {
 		hold = maxEventWait
 	}
-	r, err := f.Client.follow(ctx, after, hold, EventCRL)
-	if err != nil {
-		if f.OnError != nil && ctx.Err() == nil {
-			f.OnError(err)
-		}
-		return after, res, err
-	}
-	// No store to evict from, so no eviction instant to supply.
-	res = InstallCRLs(f.Store, nil, nil, r.crls, time.Time{})
-	f.pulled.Add(int64(res.Installed))
-	f.rejected.Add(int64(res.Rejected))
-	return r.next, res, nil
+	return streamFollower{client: f.Client, kinds: []string{EventCRL}, hold: hold, onErr: f.OnError, apply: func(_ uint64, b streamBatch) {
+		res := InstallCRLs(f.Store, nil, b.lists(), time.Time{})
+		f.pulled.Add(int64(res.Installed))
+		f.rejected.Add(int64(res.Rejected))
+	}}
 }
 
-// Start launches the follow loop. Stop halts it.
-func (f *CRLFollower) Start() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.stop != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	f.stop = func() { cancel(); <-done }
-	go func() {
-		defer close(done)
-		var cursor uint64
-		for ctx.Err() == nil {
-			next, _, err := f.poll(ctx, cursor)
-			if err != nil {
-				select {
-				case <-ctx.Done():
-				case <-time.After(followRetry):
-				}
-			}
-			cursor = next
-		}
-	}()
-}
+// Start launches the follow loop, once. Stop halts it.
+func (f *CRLFollower) Start() { f.start(f.stream().run) }
 
 // Stop halts the loop started by Start, cancelling the poll in flight,
 // and waits for it to exit.
-func (f *CRLFollower) Stop() {
-	f.mu.Lock()
-	stop := f.stop
-	f.stop = nil
-	f.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-}
+func (f *CRLFollower) Stop() { f.stop() }
 
 // FollowerStats is a point-in-time counter snapshot.
 type FollowerStats struct {

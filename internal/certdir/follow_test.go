@@ -2,14 +2,26 @@ package certdir
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cert"
 	"repro/internal/core"
+	"repro/internal/sexp"
 	"repro/internal/sfkey"
 )
+
+// pollOnce runs one poll of f's loop from the cursor after, returning
+// the cursor to poll from next and how many lists the poll newly
+// installed.
+func pollOnce(f *CRLFollower, after uint64) (next uint64, installed int, err error) {
+	before := f.Stats().Pulled
+	b, err := f.stream().poll(context.Background(), after)
+	return b.next, int(f.Stats().Pulled - before), err
+}
 
 // A follower installs exactly the CRLs its store lacks, poll by poll,
 // and installing bumps the shared proof-cache epoch (that is the whole
@@ -25,9 +37,9 @@ func TestCRLFollowerPull(t *testing.T) {
 	f.Interval = 10 * time.Millisecond // an idle poll returns after this hold
 	poll := func(after uint64, want int) uint64 {
 		t.Helper()
-		next, res, err := f.poll(context.Background(), after)
-		if err != nil || res.Installed != want {
-			t.Fatalf("poll from %d: installed %d, err %v; want %d", after, res.Installed, err, want)
+		next, installed, err := pollOnce(f, after)
+		if err != nil || installed != want {
+			t.Fatalf("poll from %d: installed %d, err %v; want %d", after, installed, err, want)
 		}
 		return next
 	}
@@ -72,7 +84,7 @@ func TestCRLFollowerPullReportsError(t *testing.T) {
 	f := NewCRLFollower(NewClient(url), cert.NewRevocationStore())
 	seen := make(chan error, 16)
 	f.OnError = func(err error) { seen <- err }
-	_, _, err := f.poll(context.Background(), 0)
+	_, _, err := pollOnce(f, 0)
 	if err == nil {
 		t.Fatal("poll of a closed listener succeeded")
 	}
@@ -160,5 +172,42 @@ func TestCRLFollowerNoTimer(t *testing.T) {
 	f.Stop()
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Fatalf("Stop took %s with a poll in flight", d)
+	}
+}
+
+// TestFollowerPacesASpinningDirectory: a directory that answers every
+// poll at once with a reset and the same list — as a hostile one can —
+// gets a few polls a second from a follower, not a tight loop, and the
+// list is verified once: the follower skips a list it already holds
+// before any signature work.
+func TestFollowerPacesASpinningDirectory(t *testing.T) {
+	now := time.Now()
+	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
+	rl := cert.NewRevocationList(sfkey.FromSeed([]byte("spin-issuer")), v, []byte("spin-revoked"))
+	reply := sexp.List(sexp.String("events"),
+		sexp.List(sexp.String("next"), sexp.String("1")),
+		sexp.List(sexp.String("reset")),
+		sexp.List(sexp.String("ev"), sexp.String(EventCRL), rl.Sexp())).Canonical()
+	var polls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		polls.Add(1)
+		w.Write(reply)
+	}))
+	defer ts.Close()
+
+	rs := cert.NewRevocationStore()
+	f := NewCRLFollower(NewClient(ts.URL), rs)
+	sigs := sfkey.SigVerifies()
+	f.Start()
+	time.Sleep(1500 * time.Millisecond)
+	f.Stop()
+	if n := polls.Load(); n > 5 {
+		t.Fatalf("%d polls in 1.5 s against a directory that answers at once", n)
+	}
+	if !rs.Has(rl.Hash()) || f.Stats().Pulled != 1 {
+		t.Fatalf("list not installed once: stats %+v", f.Stats())
+	}
+	if n := sfkey.SigVerifies() - sigs; n != 1 {
+		t.Fatalf("%d signature verifications, want the list's one", n)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,40 +16,54 @@ import (
 // directory becomes discoverable at another's without every prover
 // having to merge directories client-side.
 //
-// Two mechanisms cooperate:
+// State moves three ways:
 //
-//   - Push-on-publish. Every newly indexed certificate (and every
-//     acknowledged removal) is fanned out to all peers immediately,
-//     with bounded retry; certificates already queued together travel
-//     as one run in one publish request, in queue order with the
-//     removals and CRLs around them. Pushes are rumor mongering: a
-//     peer that accepts a pushed certificate pushes it onward to its
-//     own peers, and the publish dedup (added == false) terminates the
-//     flood, so a mesh converges without a routing layer.
+//   - Follow. One loop per peer long-polls the peer's record stream
+//     (events.go) for publishes, removals and CRLs from a cursor, and
+//     applies each answer in the peer's log order: publishes index as
+//     explicit publishes (they clear tombstones, as a client's publish
+//     does), removals go through Store.Remove, CRLs through
+//     InstallCRLs. What this store applies lands in its own log, so a
+//     chain or a directed ring of follows converges too: C learns A's
+//     publish from B's log. The echo — A reading back from B what B
+//     took from A — costs bytes but no signature work, because
+//     certificates already held are dropped before verification, and
+//     no event, because nothing changes. The cost is one held poll per
+//     peer per directory.
 //   - Anti-entropy. A periodic round compares Merkle summaries (count
 //     and XOR of content hashes per tree node, see merkle.go) with each
-//     peer and pulls whatever is missing: the repair path for pushes
-//     lost to crashes, queue overflow, or partitions. Locally removed
+//     peer and pulls whatever is missing: the repair path for records
+//     a follow could not deliver — shed from a peer's retained tail
+//     (the follow then gets a reset and runs one Merkle round with
+//     that peer at once) or lost to a restart. Locally removed
 //     certificates are tombstoned (Store.Tombstoned) and never pulled
 //     back; when a round finds a peer still serving a tombstoned
-//     certificate, it re-pushes the removal, so retractions — whose
-//     push may have been dropped, exhausted its retries, or been
-//     refused by the peer — are repaired by anti-entropy exactly like
-//     publishes are.
+//     certificate, it pushes the removal to the peer, so a retraction
+//     the peer missed is repaired by anti-entropy exactly like a
+//     publish is.
+//   - Snapshot bootstrap (BootstrapFromPeer), for a directory that
+//     starts empty.
+//
+// The first answer of a follow (from cursor 0) and every reset replay
+// the peer's retained tail: history this store may already have moved
+// past. Their publishes therefore index like pulls — yielding to a
+// local tombstone — while later answers are live and index like
+// publishes. Every row reports the peer's present state (see
+// Store.readStream), so a replay never removes what the peer has
+// since re-published.
 //
 // Trust: replication extends availability, not authority. Everything a
-// peer supplies goes through Store.indexVerified, which re-verifies the
-// signature before indexing — exactly the verify-before-digest
-// discipline prover.RemoteSource applies — so a compromised peer can
-// withhold delegations but cannot plant them. Under an enforcing
-// control plane (Service.Guard) the arrow also points the other way:
-// a replicator's pushes are publishes, removes, and CRL installs at
-// the peer, so its Clients must carry a CtlSigner (Client.Ctl) whose
-// credential the peer's operator delegated — sf-certd wires this from
-// -ctl-key/-ctl-cert. Pulls (root, nodes, leaves, fetch, and the crl
-// read of the events stream) are read-only and never need a
+// peer supplies goes through Store.indexVerified or InstallCRLs, which
+// verify before anything takes effect — exactly the
+// verify-before-digest discipline prover.RemoteSource applies — so a
+// compromised peer can withhold delegations but cannot plant them.
+// Following and Merkle reads are read-only and never need a
 // credential, which is what lets a mesh migrate to -admin-auth one
-// node at a time.
+// node at a time. The one write a replicator makes at a peer is the
+// removal repair above, a remove at the peer: under an enforcing
+// control plane (Service.Guard) its Clients must carry a CtlSigner
+// (Client.Ctl) whose credential the peer's operator delegated —
+// sf-certd wires this from -ctl-key/-ctl-cert.
 type Replicator struct {
 	store *Store
 	peers []*Client
@@ -61,16 +74,16 @@ type Replicator struct {
 	// Clock supplies the replicator's notion of now; nil means
 	// time.Now.
 	Clock func() time.Time
-	// Logf, when set, receives one line per failed push and failed
-	// round (sf-certd wires its runtime logger).
+	// Logf, when set, receives one line per failed poll, failed
+	// removal repair and failed round (sf-certd wires its runtime
+	// logger).
 	Logf func(format string, args ...any)
-	// Revocations, when set, extends gossip to CRLs themselves: newly
-	// installed CRLs fan out to peers (EnqueueCRL), and every
-	// anti-entropy round reads the crl records of each peer's event
-	// stream from where the last round left off, verify-before-apply,
-	// evicting what each one's signer signed. Set before Start.
-	// Without it, revocations still replicate — but only as
-	// per-directory tombstones after each node's own sweep, which
+	// Revocations, when set, extends replication to CRLs themselves:
+	// the crl records each follow reads — the whole set on its first
+	// poll and on every reset — are installed verify-before-apply,
+	// evicting what each one's signer signed. Set before Start. Without
+	// it, the lists are ignored, and revocations still replicate — but only
+	// as per-directory tombstones after each node's own sweep, which
 	// leaves peers serving the revoked delegation until their own CRL
 	// arrives by other means.
 	Revocations *cert.RevocationStore
@@ -78,20 +91,11 @@ type Replicator struct {
 	// anti-entropy round (Converge).
 	RoundHist *obs.Histogram
 
-	// backoff is the wait between push attempts; 0 means
-	// pushBackoff. Tests shorten it.
-	backoff time.Duration
-
-	queue chan repJob
-	stop  chan struct{}
-	wg    sync.WaitGroup
-	// crlCursors holds this node's cursor (uint64) on each peer's
-	// (*Client) event stream, for crl records.
-	crlCursors sync.Map
+	loops
 
 	pushes       atomic.Int64
 	pushFailures atomic.Int64
-	queueDrops   atomic.Int64
+	resets       atomic.Int64
 	rounds       atomic.Int64
 	pulled       atomic.Int64
 	pullRejected atomic.Int64
@@ -105,20 +109,10 @@ type Replicator struct {
 // Replication defaults.
 const (
 	// DefaultGossipInterval is the anti-entropy period. One round per
-	// few seconds makes "visible within one gossip round" a human
+	// few seconds keeps the repair of whatever a follow shed on a human
 	// timescale while keeping steady-state cost at a digest exchange
 	// per peer.
 	DefaultGossipInterval = 5 * time.Second
-	// pushAttempts bounds push attempts per peer per mutation.
-	// Exhausted attempts are not fatal — the next anti-entropy round
-	// repairs the gap.
-	pushAttempts = 3
-	// pushBackoff is the wait between push attempts.
-	pushBackoff = 100 * time.Millisecond
-	// pushQueueDepth bounds mutations awaiting fan-out; overflow is
-	// dropped (and counted) rather than blocking publishes —
-	// anti-entropy repairs whatever the queue sheds.
-	pushQueueDepth = 1024
 	// fetchBatch bounds hashes per gossip fetch round trip.
 	fetchBatch = 64
 	// nodeBatch bounds tree-node indexes per Merkle descent round trip.
@@ -129,29 +123,19 @@ const (
 	leafBatch = 16
 )
 
-// repJob is one fan-out: a run of publishes (certs non-empty; a
-// queued job holds one certificate, a pushed one the run pushLoop
-// gathered), a CRL install (crl != nil), or a removal.
-type repJob struct {
-	certs        []*cert.Cert
-	crl          *cert.RevocationList
-	removeHash   []byte
-	removeExpiry time.Time
-}
-
 // ReplicatorStats is a snapshot of replication counters for the stats
 // endpoint.
 type ReplicatorStats struct {
 	Peers        int
-	Pushes       int64 // mutations delivered, per peer (a pushed run of n certificates counts n)
-	PushFailures int64 // mutations abandoned after all retries, counted like Pushes
-	QueueDrops   int64 // mutations shed by a full fan-out queue
+	Pushes       int64 // removal repairs delivered to peers by anti-entropy
+	PushFailures int64 // removal repairs that failed
+	QueueDrops   int64 // follow resets: records shed from a peer's retained tail, repaired by a Merkle round
 	Rounds       int64 // anti-entropy rounds completed
-	Pulled       int64 // certificates pulled and indexed by anti-entropy
-	PullRejected int64 // pulled certificates refused by verification
+	Pulled       int64 // certificates indexed from peers (follow and anti-entropy)
+	PullRejected int64 // certificates from peers refused by verification
 	RoundErrors  int64 // per-peer round failures (unreachable peer etc.)
-	CRLsPulled   int64 // CRLs pulled and installed by anti-entropy
-	CRLsRejected int64 // pulled CRLs refused (bad signature)
+	CRLsPulled   int64 // CRLs installed from peers
+	CRLsRejected int64 // CRLs from peers refused (bad signature)
 	DigestBytes  int64 // anti-entropy summary bytes moved (request + reply)
 	Descents     int64 // Merkle node-summary round trips
 }
@@ -183,163 +167,84 @@ func (r *Replicator) interval() time.Duration {
 	return DefaultGossipInterval
 }
 
-func (r *Replicator) pushWait() time.Duration {
-	if r.backoff > 0 {
-		return r.backoff
-	}
-	return pushBackoff
-}
-
 func (r *Replicator) logf(format string, args ...any) {
 	if r.Logf != nil {
 		r.Logf(format, args...)
 	}
 }
 
-// Start registers the store hooks and launches the push worker and the
-// anti-entropy loop. Call Stop to halt both.
+// Start launches one follow loop per peer and the anti-entropy loop,
+// once. Call Stop to halt them.
 func (r *Replicator) Start() {
-	r.queue = make(chan repJob, pushQueueDepth)
-	r.stop = make(chan struct{})
-	r.store.SetHooks(
-		func(c *cert.Cert) { r.enqueue(repJob{certs: []*cert.Cert{c}}) },
-		func(hash []byte, expiry time.Time) {
-			r.enqueue(repJob{removeHash: hash, removeExpiry: expiry})
-		},
-	)
-	r.wg.Add(2)
-	go r.pushLoop()
-	go r.gossipLoop()
-}
-
-// Stop detaches the hooks and halts the loops, draining nothing: any
-// queued push is abandoned to the next anti-entropy round of a
-// restarted replicator.
-func (r *Replicator) Stop() {
-	r.store.SetHooks(nil, nil)
-	close(r.stop)
-	r.wg.Wait()
-}
-
-// enqueue hands a mutation to the push worker without ever blocking
-// the publishing goroutine.
-func (r *Replicator) enqueue(j repJob) {
-	select {
-	case r.queue <- j:
-	default:
-		r.queueDrops.Add(1)
+	runs := []func(context.Context){r.gossipLoop}
+	for _, peer := range r.peers {
+		runs = append(runs, streamFollower{
+			client: peer,
+			kinds:  []string{EventPublish, EventRemove, EventCRL},
+			hold:   maxEventWait,
+			apply:  func(after uint64, b streamBatch) { r.apply(peer, after, b) },
+			onErr:  func(err error) { r.logf("certdir: following %s: %v", peer.BaseURL, err) },
+		}.run)
 	}
+	r.start(runs...)
 }
 
-// EnqueueCRL fans a newly installed CRL out to every peer (rumor
-// mongering, like publishes: an accepting peer pushes it onward, and
-// the install dedup terminates the flood). Dropped or failed pushes
-// are repaired by the next anti-entropy round's read of the peer's
-// stream. Callers install the CRL locally first — the fan-out is
-// availability, the local install is what revokes.
-func (r *Replicator) EnqueueCRL(rl *cert.RevocationList) {
-	if r.queue == nil {
-		return // not started: the first anti-entropy round will carry it
-	}
-	r.enqueue(repJob{crl: rl})
-}
+// Stop halts the loops, cancelling the polls in flight, and waits for
+// them to exit.
+func (r *Replicator) Stop() { r.stop() }
 
-// pushLoop fans queued mutations out to every peer with bounded
-// retry, in queue order. A publish takes along the publishes already
-// queued behind it (gatherRun), so a burst costs one request per peer
-// rather than one per certificate, while a lone publish still goes out
-// at once. Removals and CRLs go one by one; the job that ends a run is
-// pushed right after it.
-func (r *Replicator) pushLoop() {
-	defer r.wg.Done()
-	var (
-		j    repJob
-		held bool // j ended the previous run and has not been pushed
-	)
-	for {
-		if !held {
-			select {
-			case <-r.stop:
-				return
-			case j = <-r.queue:
+// apply applies one answer of peer's stream, asked from the cursor
+// after, in the peer's log order: each run of consecutive publishes
+// indexes as one verified batch, each run of lists installs as one
+// batch. A reset means records were shed from the peer's tail (or the
+// peer restarted); after its lists are installed, one Merkle round
+// with that peer repairs the rest.
+func (r *Replicator) apply(peer *Client, after uint64, b streamBatch) {
+	replay := after == 0 || b.reset
+	for rows := b.rows; len(rows) > 0; {
+		n := 1
+		for n < len(rows) && rows[n].Kind == rows[0].Kind {
+			n++
+		}
+		run := rows[:n]
+		rows = rows[n:]
+		switch run[0].Kind {
+		case EventPublish:
+			// The echo of this store's own publishes is dropped before
+			// any signature work.
+			var certs []*cert.Cert
+			for _, row := range run {
+				if row.cert != nil && !r.store.HasHash(row.cert.Hash()) {
+					certs = append(certs, row.cert)
+				}
+			}
+			r.index(certs, replay)
+		case EventRemove:
+			for _, row := range run {
+				r.store.Remove(row.Hash)
+			}
+		case EventCRL:
+			if r.Revocations != nil {
+				r.countCRLs(InstallCRLs(r.Revocations, r.store, streamBatch{rows: run}.lists(), r.now()))
 			}
 		}
-		run := j
-		j, held = r.gatherRun(&run)
-		for _, peer := range r.peers {
-			r.pushOne(peer, run)
+	}
+	if b.reset {
+		r.resets.Add(1)
+		if _, err := r.pullFrom(peer); err != nil {
+			r.roundErrors.Add(1)
+			r.logf("certdir: anti-entropy with %s after a reset: %v", peer.BaseURL, err)
 		}
 	}
 }
 
-// gatherRun extends a publish job with the publish jobs queued right
-// behind it, taken without waiting, up to verifyBatch certificates and
-// a maxBody request body. The first job taken that does not join the
-// run — a removal, a CRL, or a certificate past a bound — is returned
-// with held set, to be pushed next.
-func (r *Replicator) gatherRun(j *repJob) (next repJob, held bool) {
-	if len(j.certs) == 0 {
-		return repJob{}, false
-	}
-	size := certsSexp(j.certs).FormatLen()
-	for len(j.certs) < verifyBatch {
-		select {
-		case next = <-r.queue:
-		default:
-			return repJob{}, false
-		}
-		if len(next.certs) == 0 {
-			return next, true
-		}
-		if size += next.certs[0].Sexp().FormatLen(); size > maxBody {
-			return next, true
-		}
-		j.certs = append(j.certs, next.certs[0])
-	}
-	return repJob{}, false
-}
-
-// pushOne delivers one mutation, or one run of publishes as a single
-// request, to one peer, retrying failures up to the retry bound with
-// backoff between attempts; publish dedup makes a retried run
-// idempotent. Pushes and failures count certificates (a run of n
-// counts n), so the counters mean the same however runs form.
-func (r *Replicator) pushOne(peer *Client, j repJob) {
-	n := int64(max(len(j.certs), 1))
-	var err error
-	for attempt := 0; attempt < pushAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-r.stop:
-				return
-			case <-time.After(r.pushWait()):
-			}
-		}
-		switch {
-		case len(j.certs) > 0:
-			err = peer.Publish(j.certs...)
-		case j.crl != nil:
-			err = peer.PushCRL(j.crl)
-		default:
-			_, err = peer.Remove(j.removeHash)
-		}
-		if err == nil {
-			r.pushes.Add(n)
-			return
-		}
-	}
-	r.pushFailures.Add(n)
-	r.logf("certdir: push to %s failed after %d attempts: %v", peer.BaseURL, pushAttempts, err)
-}
-
-// gossipLoop runs anti-entropy rounds until stopped.
-func (r *Replicator) gossipLoop() {
-	defer r.wg.Done()
+// gossipLoop runs anti-entropy rounds until ctx ends.
+func (r *Replicator) gossipLoop(ctx context.Context) {
 	t := time.NewTicker(r.interval())
 	defer t.Stop()
 	for {
 		select {
-		case <-r.stop:
+		case <-ctx.Done():
 			return
 		case <-t.C:
 			r.Converge()
@@ -351,20 +256,14 @@ func (r *Replicator) gossipLoop() {
 // now, returning how many certificates it pulled and the joined
 // per-peer errors (a partially failed round still pulls from the
 // reachable peers). The gossip loop calls it on the interval; tests
-// and sf-certd's startup call it directly.
+// and sf-certd's startup call it directly. CRLs are not part of a
+// round: a follow's first poll and every reset carry the peer's whole
+// set.
 func (r *Replicator) Converge() (pulled int, err error) {
 	start := time.Now()
 	defer r.RoundHist.Since(start)
 	var errs []error
 	for _, peer := range r.peers {
-		// CRLs first: once a peer's CRLs are applied here, the revoked
-		// certificates are tombstoned, so the certificate pull that
-		// follows in the same round cannot resurrect them.
-		if cerr := r.pullCRLs(peer); cerr != nil {
-			r.roundErrors.Add(1)
-			r.logf("certdir: crl anti-entropy with %s: %v", peer.BaseURL, cerr)
-			errs = append(errs, fmt.Errorf("%s: crls: %w", peer.BaseURL, cerr))
-		}
 		n, perr := r.pullFrom(peer)
 		pulled += n
 		if perr != nil {
@@ -377,28 +276,8 @@ func (r *Replicator) Converge() (pulled int, err error) {
 	return pulled, errors.Join(errs...)
 }
 
-// pullCRLs reads the crl records of one peer's event stream from this
-// node's cursor for that peer, without waiting, and installs them
-// (InstallCRLs: verify, evict what each signer signed, rumor onward),
-// counting the outcome. The first read, and a read after a reset, is
-// answered with the peer's whole CRL set; a converged pair exchanges
-// only a cursor.
-func (r *Replicator) pullCRLs(peer *Client) error {
-	if r.Revocations == nil {
-		return nil
-	}
-	after, _ := r.crlCursors.Load(peer)
-	c, _ := after.(uint64)
-	rep, err := peer.follow(context.Background(), c, 0, EventCRL)
-	if err != nil {
-		return err
-	}
-	r.countCRLs(InstallCRLs(r.Revocations, r.store, r, rep.crls, r.now()))
-	r.crlCursors.Store(peer, rep.next)
-	return nil
-}
-
-// countCRLs folds one pulled install into the replication counters.
+// countCRLs folds one install of lists from a peer into the
+// replication counters.
 func (r *Replicator) countCRLs(res CRLInstall) {
 	r.crlsPulled.Add(int64(res.Installed))
 	r.crlsRejected.Add(int64(res.Rejected))
@@ -427,8 +306,8 @@ func (r *Replicator) pullFrom(peer *Client) (pulled int, err error) {
 	}
 	// Descend. The frontier holds inner nodes whose summaries disagree
 	// AND under which the peer holds something (a subtree empty at the
-	// peer has nothing to pull; local-only certificates travel by push
-	// or by the peer's own pull).
+	// peer has nothing to pull; local-only certificates travel by the
+	// peer's own follow or pull).
 	frontier := []int{0}
 	var diffLeaves []int
 	for len(frontier) > 0 {
@@ -490,16 +369,15 @@ func (r *Replicator) pullFrom(peer *Client) (pulled int, err error) {
 }
 
 // pullHashes is the tail of a descent: given the content hashes a peer
-// serves in the differing leaves, repair tombstoned ones (re-push the
+// serves in the differing leaves, repair tombstoned ones (push the
 // removal the peer evidently missed), skip what is already indexed,
 // and pull the rest in verified batches.
 func (r *Replicator) pullHashes(peer *Client, hashes [][]byte) (pulled int, err error) {
 	var missing [][]byte
 	for _, h := range hashes {
 		if r.store.Tombstoned(h) {
-			// The peer still serves a delegation retracted here:
-			// repair the removal now rather than waiting for a push
-			// that already failed or was shed.
+			// The peer still serves a delegation retracted here: it
+			// missed the removal, so push it now.
 			if _, err := peer.Remove(h); err != nil {
 				r.pushFailures.Add(1)
 				r.logf("certdir: anti-entropy removal to %s: %v", peer.BaseURL, err)
@@ -523,16 +401,18 @@ func (r *Replicator) pullHashes(peer *Client, hashes [][]byte) (pulled int, err 
 		if err != nil {
 			return pulled, err
 		}
-		pulled += r.indexPulled(certs)
+		pulled += r.index(certs, true)
 	}
 	return pulled, nil
 }
 
-// indexPulled verifies and indexes certificates a peer supplied
-// (Store.indexVerified, yielding to tombstones: a removal that raced
-// the pull must win) and counts the outcome.
-func (r *Replicator) indexPulled(certs []*cert.Cert) int {
-	added, rejected, _ := r.store.indexVerified(certs, r.now(), true, false)
+// index verifies and indexes certificates a peer supplied
+// (Store.indexVerified) and counts the outcome. pulled yields to local
+// tombstones — a removal that raced a pull must win, and a replayed
+// tail is history this store may have moved past — while a live
+// follow's publishes are explicit, like a client's.
+func (r *Replicator) index(certs []*cert.Cert, pulled bool) int {
+	added, rejected, _ := r.store.indexVerified(certs, r.now(), pulled, false)
 	r.pulled.Add(int64(added))
 	r.pullRejected.Add(int64(rejected))
 	return added
@@ -576,7 +456,7 @@ func (r *Replicator) bootstrapFrom(ctx context.Context, peer *Client) (pulled in
 	var lists []*cert.RevocationList
 	_, _, _, err = readRecords(body, recordSink{
 		snapshot: true,
-		publish:  func(batch []*cert.Cert) { pulled += r.indexPulled(batch) },
+		publish:  func(batch []*cert.Cert) { pulled += r.index(batch, true) },
 		remove:   func(hash []byte, expiry time.Time) { r.store.AdoptTombstone(hash, expiry, r.now()) },
 		crl:      func(rl *cert.RevocationList) { lists = append(lists, rl) },
 		bad:      func(err error) error { return err },
@@ -585,7 +465,7 @@ func (r *Replicator) bootstrapFrom(ctx context.Context, peer *Client) (pulled in
 		return pulled, fmt.Errorf("certdir: snapshot: %w", err)
 	}
 	if r.Revocations != nil {
-		r.countCRLs(InstallCRLs(r.Revocations, r.store, r, lists, r.now()))
+		r.countCRLs(InstallCRLs(r.Revocations, r.store, lists, r.now()))
 	}
 	return pulled, nil
 }
@@ -596,7 +476,7 @@ func (r *Replicator) Stats() ReplicatorStats {
 		Peers:        len(r.peers),
 		Pushes:       r.pushes.Load(),
 		PushFailures: r.pushFailures.Load(),
-		QueueDrops:   r.queueDrops.Load(),
+		QueueDrops:   r.resets.Load(),
 		Rounds:       r.rounds.Load(),
 		Pulled:       r.pulled.Load(),
 		PullRejected: r.pullRejected.Load(),

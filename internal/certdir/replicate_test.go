@@ -1,12 +1,10 @@
 package certdir
 
 import (
-	"bytes"
+	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +13,6 @@ import (
 	"repro/internal/cert"
 	"repro/internal/core"
 	"repro/internal/principal"
-	"repro/internal/sexp"
 	"repro/internal/sfkey"
 	"repro/internal/tag"
 )
@@ -35,15 +32,15 @@ func newNode(t *testing.T) *node {
 	return &node{store: st, client: NewClient(ts.URL)}
 }
 
-// fastReplicator wires a replicator with test-friendly timings.
+// fastReplicator wires a replicator that follows its peers and runs no
+// timed anti-entropy round: tests drive Converge explicitly.
 func fastReplicator(st *Store, peers ...*node) *Replicator {
 	clients := make([]*Client, len(peers))
 	for i, p := range peers {
 		clients[i] = p.client
 	}
 	r := NewReplicator(st, clients)
-	r.backoff = 5 * time.Millisecond
-	r.Interval = time.Hour // tests drive Converge explicitly; pushes are immediate
+	r.Interval = time.Hour
 	return r
 }
 
@@ -65,71 +62,61 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func TestPushOnPublish(t *testing.T) {
+// TestFollowOnPublish: with anti-entropy effectively off (a 1 h
+// interval), a publish at A is indexed at B within a second, because B
+// follows A's record stream; a removal at A follows the same way and
+// tombstones B.
+func TestFollowOnPublish(t *testing.T) {
 	now := time.Now()
 	a, b := newNode(t), newNode(t)
-	rep := fastReplicator(a.store, b)
+	rep := fastReplicator(b.store, a)
 	rep.Start()
 	defer rep.Stop()
 
 	priv := sfkey.FromSeed([]byte("push-issuer"))
 	c := delegate(t, priv, principal.KeyOf(sfkey.FromSeed([]byte("push-subj")).Public()),
 		tag.Prefix("files"), core.Until(now.Add(time.Hour)))
+	time.Sleep(50 * time.Millisecond) // B's poll is held at A
+	start := time.Now()
 	if _, err := a.store.Publish(c, now); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "push A->B", func() bool { return b.store.HasHash(c.Hash()) })
+	waitUntil(t, "follow A->B", func() bool { return b.store.HasHash(c.Hash()) })
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("publish took %s to reach the follower", d)
+	}
 
-	// Removal fans out too, and tombstones the peer.
+	// Removal follows too, and tombstones the peer.
 	if !a.store.Remove(c.Hash()) {
 		t.Fatal("remove failed")
 	}
-	waitUntil(t, "remove push A->B", func() bool { return !b.store.HasHash(c.Hash()) })
+	waitUntil(t, "remove A->B", func() bool { return !b.store.HasHash(c.Hash()) })
 	if !b.store.Tombstoned(c.Hash()) {
 		t.Fatal("peer removal left no tombstone")
 	}
-	if st := rep.Stats(); st.Pushes < 2 || st.PushFailures != 0 {
+	if st := rep.Stats(); st.Pulled != 1 || st.PushFailures != 0 || st.Rounds != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 // gatedPeer serves a directory that holds the first request it gets
 // until release is closed (entered is closed when it arrives), so the
-// mutations an origin makes meanwhile queue up behind that push. It
-// records every request in arrival order.
+// mutations the directory makes meanwhile are all behind the cursor of
+// that request when the directory reads it.
 type gatedPeer struct {
 	url              string
 	entered, release chan struct{}
-	mu               sync.Mutex
-	requests         []pushedRequest
-}
-
-// pushedRequest is one request a gatedPeer received: its path, the
-// certificates a (certs ...) publish run carried (0 otherwise) and the
-// body size.
-type pushedRequest struct {
-	path        string
-	certs, size int
+	first            sync.Once
 }
 
 func newGatedPeer(t *testing.T, svc *Service) *gatedPeer {
 	t.Helper()
 	g := &gatedPeer{entered: make(chan struct{}), release: make(chan struct{})}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		req := pushedRequest{path: r.URL.Path, size: len(body)}
-		if e, err := sexp.ParseOne(body); err == nil && e.Tag() == "certs" {
-			req.certs = e.Len() - 1
-		}
-		g.mu.Lock()
-		g.requests = append(g.requests, req)
-		first := len(g.requests) == 1
-		g.mu.Unlock()
-		if first {
+		g.first.Do(func() {
 			close(g.entered)
 			<-g.release
-		}
+		})
 		svc.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
@@ -137,31 +124,46 @@ func newGatedPeer(t *testing.T, svc *Service) *gatedPeer {
 	return g
 }
 
-func (g *gatedPeer) received() []pushedRequest {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return slices.Clone(g.requests)
+// logOf lists a store's retained events as "kind hash" strings, oldest
+// first.
+func logOf(st *Store) []string {
+	st.events.mu.Lock()
+	defer st.events.mu.Unlock()
+	var out []string
+	for _, ev := range st.events.ring {
+		out = append(out, fmt.Sprintf("%s %x", ev.Kind, ev.Hash))
+	}
+	return out
 }
 
-// TestPushKeepsQueueOrderAcrossRuns queues mutations behind a push the
-// peer holds open: publish X, remove X, re-publish X; publish Y, then
-// the CRL by Y's signer that revokes Y. The peer must receive them in
-// queue order, the re-publish of X and Y as one run between the
-// removal and the CRL, and end with X live, Y evicted and the origin's
-// Merkle root. Pushing a run ahead of the removal would leave X
-// tombstoned at the peer; pushing it behind the CRL would leave Y live.
-func TestPushKeepsQueueOrderAcrossRuns(t *testing.T) {
+// isSubsequence reports whether sub occurs in seq in order.
+func isSubsequence(sub, seq []string) bool {
+	for _, x := range seq {
+		if len(sub) > 0 && sub[0] == x {
+			sub = sub[1:]
+		}
+	}
+	return len(sub) == 0
+}
+
+// TestFollowAppliesInLogOrder: B follows A, whose directory holds B's
+// first poll while A publishes X, removes X and re-publishes X, then
+// publishes Y and installs the CRL by Y's signer that revokes Y. B
+// must apply what A's stream delivers in A's log order and end with X
+// live, Y evicted and A's Merkle root; B's own log is then A's log in
+// the same order, less what an answer skips. Applying the re-publish
+// ahead of the removal would leave X tombstoned at B; applying a
+// publish behind the CRL that voids it would leave it live.
+func TestFollowAppliesInLogOrder(t *testing.T) {
 	now := time.Now()
 	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
 	a, b := NewStore(4), NewStore(4)
-	aRevs := cert.NewRevocationStore()
-	bSvc := NewService(b)
-	bSvc.Revocations = cert.NewRevocationStore()
-	peer := newGatedPeer(t, bSvc)
-	rep := NewReplicator(a, []*Client{NewClient(peer.url)})
-	rep.backoff = 5 * time.Millisecond
+	aSvc := NewService(a)
+	aSvc.Revocations = cert.NewRevocationStore()
+	peer := newGatedPeer(t, aSvc)
+	rep := NewReplicator(b, []*Client{NewClient(peer.url)})
 	rep.Interval = time.Hour
-	rep.Revocations = aRevs
+	rep.Revocations = cert.NewRevocationStore()
 	rep.Start()
 	defer rep.Stop()
 
@@ -169,41 +171,28 @@ func TestPushKeepsQueueOrderAcrossRuns(t *testing.T) {
 	mint := func(name string) *cert.Cert {
 		return delegate(t, issuer, principal.KeyOf(sfkey.FromSeed([]byte("fifo-"+name)).Public()), tag.Literal(name), v)
 	}
-	publish := func(c *cert.Cert) {
+	publish := func(st *Store, c *cert.Cert) {
 		t.Helper()
-		if added, err := a.Publish(c, now); err != nil || !added {
+		if added, err := st.Publish(c, now); err != nil || !added {
 			t.Fatalf("publish: added=%v err=%v", added, err)
 		}
 	}
 	z, x, y := mint("z"), mint("x"), mint("y")
-	publish(z)
-	<-peer.entered // the push worker is busy with z; what follows queues up
-	publish(x)
+	<-peer.entered // B's first poll waits; everything below precedes A's read of it
+	publish(a, z)
+	publish(a, x)
 	if !a.Remove(x.Hash()) {
 		t.Fatal("remove failed")
 	}
-	publish(x)
-	publish(y)
-	if res := InstallCRLs(aRevs, a, rep, []*cert.RevocationList{cert.NewRevocationList(issuer, v, y.Hash())}, now); res.Installed != 1 || res.Evicted != 1 {
+	publish(a, x)
+	publish(a, y)
+	rl := cert.NewRevocationList(issuer, v, y.Hash())
+	if res := InstallCRLs(aSvc.Revocations, a, []*cert.RevocationList{rl}, now); res.Installed != 1 || res.Evicted != 1 {
 		t.Fatalf("local CRL install: %+v", res)
 	}
 	close(peer.release)
 
-	waitUntil(t, "every queued mutation pushed", func() bool {
-		st := rep.Stats()
-		return st.Pushes+st.PushFailures == 6
-	})
-	var got []string
-	for _, req := range peer.received() {
-		got = append(got, fmt.Sprintf("%s %d", req.path, req.certs))
-	}
-	want := []string{PathPublish + " 0", PathPublish + " 0", PathRemove + " 0", PathPublish + " 2", PathAdminCRL + " 0"}
-	if !slices.Equal(got, want) {
-		t.Fatalf("peer saw requests %q, want %q (path, certificates in a run)", got, want)
-	}
-	if st := rep.Stats(); st.PushFailures != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
+	waitUntil(t, "B applies A's stream", func() bool { return b.HasHash(z.Hash()) && len(b.CRLs()) == 1 })
 	if !b.HasHash(x.Hash()) || b.Tombstoned(x.Hash()) {
 		t.Fatal("re-published X is not live at the peer")
 	}
@@ -213,33 +202,55 @@ func TestPushKeepsQueueOrderAcrossRuns(t *testing.T) {
 	if ra, rb := a.MerkleRoot(), b.MerkleRoot(); ra != rb {
 		t.Fatalf("Merkle roots differ: origin %d/%x, peer %d/%x", ra.Count, ra.XOR, rb.Count, rb.XOR)
 	}
+	if la, lb := logOf(a), logOf(b); !isSubsequence(lb, la) {
+		t.Fatalf("B's log is not A's in order:\nA %q\nB %q", la, lb)
+	}
+	if st := rep.Stats(); st.PushFailures != 0 || st.CRLsPulled != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+
+	// One answer can hold a publish and the list that voids it: a read
+	// that lands between the list's keep and its eviction. A follower
+	// applying the answer in order installs the list after indexing the
+	// certificate, and so evicts it.
+	cursor := a.follow(context.Background(), 0, []string{EventPublish}, 0).next
+	w := mint("w")
+	publish(a, w)
+	rlW := cert.NewRevocationList(issuer, v, w.Hash())
+	a.keepCRL(rlW, false)
+	ans := a.follow(context.Background(), cursor, []string{EventPublish, EventRemove, EventCRL}, 0)
+	if len(ans.rows) != 2 || ans.rows[0].Kind != EventPublish || ans.rows[1].Kind != EventCRL {
+		t.Fatalf("answer holds %d rows, want the publish and then the list", len(ans.rows))
+	}
+	c := NewStore(4)
+	repC := NewReplicator(c, nil)
+	repC.Revocations = cert.NewRevocationStore()
+	repC.apply(nil, cursor, ans)
+	if c.HasHash(w.Hash()) || !c.Tombstoned(w.Hash()) {
+		t.Fatal("a publish applied after the list that voids it")
+	}
 }
 
-// TestPushRunBounds queues 300 small certificates and then 100 with a
-// 16 KiB tag behind a push the peer holds open. Runs must stop at
-// verifyBatch certificates and at maxBody bytes of body, and every
-// certificate must arrive.
-func TestPushRunBounds(t *testing.T) {
+// TestFollowReplyBounds: an answer of the stream carries at most
+// verifyBatch certificates and maxBody bytes of them, and its cursor
+// stops at the last event it included, so the rest arrives on the
+// next poll. A directory holds 1 + 300 small certificates and 100 with
+// a 16 KiB tag: the first answer stops at verifyBatch, a later one at
+// the byte bound, and a follower ends holding all of them.
+func TestFollowReplyBounds(t *testing.T) {
 	now := time.Now()
 	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
-	a, b := NewStore(4), NewStore(4)
-	peer := newGatedPeer(t, NewService(b))
-	rep := NewReplicator(a, []*Client{NewClient(peer.url)})
-	rep.Interval = time.Hour
-	rep.Start()
-	defer rep.Stop()
-
+	a := newNode(t)
 	issuer := sfkey.FromSeed([]byte("bounds-issuer"))
 	subject := principal.KeyOf(sfkey.FromSeed([]byte("bounds-subject")).Public())
 	big := strings.Repeat("x", 16<<10)
 	publish := func(name string) {
 		t.Helper()
-		if _, err := a.Publish(delegate(t, issuer, subject, tag.Literal(name), v), now); err != nil {
+		if _, err := a.store.Publish(delegate(t, issuer, subject, tag.Literal(name), v), now); err != nil {
 			t.Fatal(err)
 		}
 	}
-	publish("held")
-	<-peer.entered
+	publish("first")
 	const small, large = 300, 100
 	for i := 0; i < small; i++ {
 		publish(fmt.Sprintf("small-%d", i))
@@ -247,30 +258,93 @@ func TestPushRunBounds(t *testing.T) {
 	for i := 0; i < large; i++ {
 		publish(fmt.Sprintf("%s-%d", big, i))
 	}
-	close(peer.release)
 
-	waitUntil(t, "every certificate pushed", func() bool {
-		st := rep.Stats()
-		return st.Pushes+st.PushFailures == 1+small+large
-	})
-	if st := rep.Stats(); st.PushFailures != 0 || b.Len() != 1+small+large {
-		t.Fatalf("peer holds %d of %d, stats %+v", b.Len(), 1+small+large, rep.Stats())
-	}
-	reqs := peer.received()
-	if len(reqs) < 2 || reqs[1].certs != verifyBatch {
-		t.Fatalf("first run after the held push carried %+v, want %d certificates", reqs[1:2], verifyBatch)
-	}
-	sizeCut := false
-	for i, req := range reqs {
-		if req.certs > verifyBatch || req.size > maxBody {
-			t.Fatalf("request %d: %d certificates in %d bytes", i, req.certs, req.size)
+	var (
+		cursor  uint64
+		answers []int
+		seen    = map[string]bool{}
+		sizeCut bool
+	)
+	for {
+		ans, err := a.client.follow(context.Background(), cursor, 0, EventPublish)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i > 1 && i < len(reqs)-1 && req.certs < verifyBatch {
-			sizeCut = true // a run the queue did not run dry on
+		if len(ans.rows) == 0 {
+			break
+		}
+		size := 0
+		for _, row := range ans.rows {
+			size += row.cert.Sexp().FormatLen()
+			seen[string(row.cert.Hash())] = true
+		}
+		if len(ans.rows) > verifyBatch || size > maxBody {
+			t.Fatalf("answer %d: %d certificates in %d bytes", len(answers), len(ans.rows), size)
+		}
+		if len(answers) > 0 && len(ans.rows) < verifyBatch && len(seen) < 1+small+large {
+			sizeCut = true // an answer the stream did not run dry on
+		}
+		answers = append(answers, len(ans.rows))
+		cursor = ans.next
+	}
+	if len(seen) != 1+small+large || answers[0] != verifyBatch || !sizeCut {
+		t.Fatalf("answers carried %v (%d distinct), want %d in all, the first %d, one cut by size",
+			answers, len(seen), 1+small+large, verifyBatch)
+	}
+
+	b := newNode(t)
+	rep := fastReplicator(b.store, a)
+	rep.Start()
+	defer rep.Stop()
+	waitUntil(t, "every certificate followed", func() bool { return b.store.Len() == 1+small+large })
+	if st := rep.Stats(); st.Pulled != 1+small+large || st.PullRejected != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestFollowReplayKeepsLocalState: a follow's first answer replays the
+// peer's retained tail, history this directory may have moved past. A
+// publish in it yields to a local tombstone, and a removal the peer
+// has since undone by re-publishing is skipped, so the replay neither
+// resurrects a retraction made here nor drops a certificate the peer
+// holds again.
+func TestFollowReplayKeepsLocalState(t *testing.T) {
+	now := time.Now()
+	a, b := newNode(t), newNode(t)
+	issuer := sfkey.FromSeed([]byte("replay-issuer"))
+	mint := func(name string) *cert.Cert {
+		return delegate(t, issuer, principal.KeyOf(sfkey.FromSeed([]byte("replay-"+name)).Public()),
+			tag.Literal(name), core.Until(now.Add(time.Hour)))
+	}
+	publish := func(st *Store, c *cert.Cert) {
+		t.Helper()
+		if added, err := st.Publish(c, now); err != nil || !added {
+			t.Fatalf("publish: added=%v err=%v", added, err)
 		}
 	}
-	if !sizeCut {
-		t.Fatalf("no run was cut by the body bound: %+v", reqs)
+	x, y, z := mint("x"), mint("y"), mint("z")
+	for _, st := range []*Store{a.store, b.store} {
+		publish(st, x)
+		publish(st, y)
+	}
+	if !b.store.Remove(x.Hash()) { // B retracted X; A never heard of it
+		t.Fatal("remove failed")
+	}
+	if !a.store.Remove(y.Hash()) { // A retracted Y and published it again
+		t.Fatal("remove failed")
+	}
+	publish(a.store, y)
+
+	rep := fastReplicator(b.store, a)
+	rep.Start()
+	defer rep.Stop()
+	publish(a.store, z)
+	waitUntil(t, "B follows A", func() bool { return b.store.HasHash(z.Hash()) })
+	if b.store.HasHash(x.Hash()) || !b.store.Tombstoned(x.Hash()) {
+		t.Fatal("the replayed tail resurrected a certificate removed here")
+	}
+	if !b.store.HasHash(y.Hash()) {
+		t.Fatal("the replayed tail removed a certificate the peer holds again")
 	}
 }
 
@@ -353,60 +427,83 @@ func TestAntiEntropyRespectsTombstones(t *testing.T) {
 	}
 }
 
-// TestThreeNodeConvergence floods concurrent publishes through a full
-// mesh; run under -race (CI does) to exercise the hook, queue, and
-// gossip paths together.
+// TestThreeNodeConvergence floods concurrent publishes through three
+// directories, run under -race (CI does) to exercise the follow and
+// gossip paths together: as a full mesh whose anti-entropy rounds run
+// while it converges, and as a directed ring of follows (0 follows 1,
+// 1 follows 2, 2 follows 0) with no Merkle round at all, where a
+// publish reaches the third directory only through the second's log.
 func TestThreeNodeConvergence(t *testing.T) {
-	now := time.Now()
-	nodes := []*node{newNode(t), newNode(t), newNode(t)}
-	reps := make([]*Replicator, len(nodes))
-	for i, n := range nodes {
-		var peers []*node
-		for j, p := range nodes {
-			if j != i {
-				peers = append(peers, p)
-			}
-		}
-		reps[i] = fastReplicator(n.store, peers...)
-		reps[i].Start()
-		defer reps[i].Stop()
-	}
-
-	const perNode = 15
-	done := make(chan error, len(nodes))
-	for i, n := range nodes {
-		go func(i int, n *node) {
-			for j := 0; j < perNode; j++ {
-				priv := sfkey.FromSeed([]byte(fmt.Sprintf("mesh-%d-issuer-%d", i, j%2)))
-				subj := principal.KeyOf(sfkey.FromSeed([]byte(fmt.Sprintf("mesh-%d-subj-%d", i, j))).Public())
-				c, err := certDelegate(priv, subj, fmt.Sprintf("mesh-%d-%d", i, j), now)
-				if err == nil {
-					_, err = n.store.Publish(c, now)
+	for _, tc := range []struct {
+		name   string
+		peers  func(i int) []int
+		merkle bool
+	}{
+		{"mesh", func(i int) []int { return []int{(i + 1) % 3, (i + 2) % 3} }, true},
+		{"ring", func(i int) []int { return []int{(i + 1) % 3} }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Now()
+			nodes := []*node{newNode(t), newNode(t), newNode(t)}
+			reps := make([]*Replicator, len(nodes))
+			for i, n := range nodes {
+				var peers []*node
+				for _, j := range tc.peers(i) {
+					peers = append(peers, nodes[j])
 				}
-				if err != nil {
-					done <- err
-					return
+				reps[i] = fastReplicator(n.store, peers...)
+				reps[i].Start()
+				defer reps[i].Stop()
+			}
+
+			const perNode = 15
+			done := make(chan error, len(nodes))
+			for i, n := range nodes {
+				go func(i int, n *node) {
+					for j := 0; j < perNode; j++ {
+						priv := sfkey.FromSeed([]byte(fmt.Sprintf("mesh-%d-issuer-%d", i, j%2)))
+						subj := principal.KeyOf(sfkey.FromSeed([]byte(fmt.Sprintf("mesh-%d-subj-%d", i, j))).Public())
+						c, err := certDelegate(priv, subj, fmt.Sprintf("mesh-%d-%d", i, j), now)
+						if err == nil {
+							_, err = n.store.Publish(c, now)
+						}
+						if err != nil {
+							done <- err
+							return
+						}
+					}
+					done <- nil
+				}(i, n)
+			}
+			for range nodes {
+				if err := <-done; err != nil {
+					t.Fatal(err)
 				}
 			}
-			done <- nil
-		}(i, n)
-	}
-	for range nodes {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	total := perNode * len(nodes)
-	waitUntil(t, "mesh convergence", func() bool {
-		for _, rep := range reps {
-			rep.Converge() // repair anything the push flood shed
-		}
-		for _, n := range nodes {
-			if n.store.Len() != total {
-				return false
+			total := perNode * len(nodes)
+			waitUntil(t, tc.name+" convergence", func() bool {
+				if tc.merkle {
+					for _, rep := range reps {
+						rep.Converge()
+					}
+				}
+				for _, n := range nodes {
+					if n.store.Len() != total {
+						return false
+					}
+				}
+				return true
+			})
+			// In the ring each publish comes back to its origin, which
+			// drops it as held before any verification: no duplicate
+			// reaches the store.
+			for i, rep := range reps {
+				st, dups := rep.Stats(), nodes[i].store.Stats().Duplicates
+				if !tc.merkle && (st.Rounds != 0 || st.QueueDrops != 0 || dups != 0) {
+					t.Fatalf("node %d ran %d rounds, %d resets and indexed %d duplicates in a ring of follows", i, st.Rounds, st.QueueDrops, dups)
+				}
 			}
-		}
-		return true
-	})
+		})
+	}
 }

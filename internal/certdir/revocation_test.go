@@ -106,9 +106,9 @@ var invalidations = []string{EventRemove, EventRevoke}
 func TestEventLogLongPoll(t *testing.T) {
 	st := NewStore(4)
 	st.emitEvent(EventRemove, []byte("x")) // seq 1
-	done := make(chan []Event, 1)
+	done := make(chan []streamRow, 1)
 	go func() {
-		done <- st.follow(context.Background(), st.events.token(1), invalidations, 5*time.Second).events
+		done <- st.follow(context.Background(), st.events.token(1), invalidations, 5*time.Second).rows
 	}()
 	// The waiter must block until this append.
 	time.Sleep(20 * time.Millisecond)
@@ -123,7 +123,7 @@ func TestEventLogLongPoll(t *testing.T) {
 	}
 	// Timeout path: current cursor, nothing appended.
 	start := time.Now()
-	if evs := st.follow(context.Background(), st.events.token(2), invalidations, 50*time.Millisecond).events; len(evs) != 0 {
+	if evs := st.follow(context.Background(), st.events.token(2), invalidations, 50*time.Millisecond).rows; len(evs) != 0 {
 		t.Fatalf("timed-out wait returned %v", evs)
 	}
 	if time.Since(start) < 40*time.Millisecond {
@@ -180,8 +180,11 @@ func TestStoreEmitsInvalidationEvents(t *testing.T) {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 
-	evs, next, reset := since(st.events, 0)
-	if reset || next != st.events.token(2) || len(evs) != 2 {
+	// The two publishes are events too (seq 1, 2); the invalidation
+	// kinds a prover asks for are the removal and the eviction.
+	ans := st.follow(context.Background(), 0, invalidations, 0)
+	evs, next, reset := ans.rows, ans.next, ans.reset
+	if reset || next != st.events.token(4) || len(evs) != 2 {
 		t.Fatalf("events: %v next=%d reset=%v, want remove+revoke", evs, next, reset)
 	}
 	if evs[0].Kind != EventRemove || string(evs[0].Hash) != string(removed.Hash()) {
@@ -192,7 +195,7 @@ func TestStoreEmitsInvalidationEvents(t *testing.T) {
 	}
 	// Sweep expiries are not events.
 	st.Sweep(now.Add(2 * time.Hour))
-	if got := st.events.Emitted(); got != 2 {
+	if got := st.events.Emitted(); got != 4 {
 		t.Fatalf("sweep emitted events (emitted=%d)", got)
 	}
 }
@@ -299,26 +302,26 @@ func TestCRLStreamCursorDiff(t *testing.T) {
 
 	a := cert.NewRevocationList(alice, v, []byte("hash-1-32-bytes-hash-1-32-bytes-"))
 	b := cert.NewRevocationList(alice, v, []byte("hash-2-32-bytes-hash-2-32-bytes-"))
-	InstallCRLs(rs, st, nil, []*cert.RevocationList{a}, now)
+	InstallCRLs(rs, st, []*cert.RevocationList{a}, now)
 	first := read(0)
-	if len(first.crls) != 1 || first.crls[0].Hash() != a.Hash() {
-		t.Fatalf("fresh cursor = %d lists, want only a", len(first.crls))
+	if len(first.lists()) != 1 || first.lists()[0].Hash() != a.Hash() {
+		t.Fatalf("fresh cursor = %d lists, want only a", len(first.lists()))
 	}
-	InstallCRLs(rs, st, nil, []*cert.RevocationList{b}, now)
-	if all := read(0); len(all.crls) != 2 {
-		t.Fatalf("fresh cursor = %d lists, want a and b", len(all.crls))
+	InstallCRLs(rs, st, []*cert.RevocationList{b}, now)
+	if all := read(0); len(all.lists()) != 2 {
+		t.Fatalf("fresh cursor = %d lists, want a and b", len(all.lists()))
 	}
 	diff := read(first.next)
-	if len(diff.crls) != 1 || diff.crls[0].Hash() != b.Hash() {
-		t.Fatalf("read after a = %d lists, want only b", len(diff.crls))
+	if len(diff.lists()) != 1 || diff.lists()[0].Hash() != b.Hash() {
+		t.Fatalf("read after a = %d lists, want only b", len(diff.lists()))
 	}
-	if idle := read(diff.next); len(idle.crls) != 0 || idle.next != diff.next {
-		t.Fatalf("current cursor = %d lists, cursor %d -> %d, want none and unchanged", len(idle.crls), diff.next, idle.next)
+	if idle := read(diff.next); len(idle.lists()) != 0 || idle.next != diff.next {
+		t.Fatalf("current cursor = %d lists, cursor %d -> %d, want none and unchanged", len(idle.lists()), diff.next, idle.next)
 	}
 }
 
 // TestCRLGossipPropagates: a CRL installed at directory A reaches
-// directory B in one anti-entropy round, evicting the revoked
+// directory B in one poll of B's follow of A, evicting the revoked
 // certificate there — revocation travels with the credentials, not
 // behind them.
 func TestCRLGossipPropagates(t *testing.T) {
@@ -339,8 +342,8 @@ func TestCRLGossipPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// B replicates from A (pull side only; no loops running — the test
-	// drives rounds by hand for determinism).
+	// B replicates from A (no loops running — the test drives one
+	// poll of B's follow by hand for determinism).
 	repB := NewReplicator(stB, []*Client{clA})
 	repB.Revocations = rsB
 
@@ -353,13 +356,19 @@ func TestCRLGossipPropagates(t *testing.T) {
 		t.Fatal("revocation did not evict at A")
 	}
 
-	// One anti-entropy round at B: the CRL arrives first, evicts, and
-	// the certificate pull cannot resurrect the revoked delegation.
+	// One poll of A's stream at B: the CRL arrives and evicts, and the
+	// answer carries no publish of the revoked delegation to resurrect
+	// it (A no longer holds it), nor does an anti-entropy round after.
+	ans, err := clA.follow(context.Background(), 0, 0, EventPublish, EventRemove, EventCRL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repB.apply(clA, 0, ans)
 	if _, err := repB.Converge(); err != nil {
 		t.Fatal(err)
 	}
 	if !rsB.Has(rl.Hash()) {
-		t.Fatal("CRL did not reach B in one gossip round")
+		t.Fatal("CRL did not reach B in one poll")
 	}
 	if stB.Len() != 0 {
 		t.Fatalf("B still stores %d certificates after the CRL round", stB.Len())

@@ -9,6 +9,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cert"
@@ -25,7 +26,6 @@ import (
 // language as the rest of the system (section 2.4).
 //
 //	POST /certdir/publish   (proof signed-certificate ...)      -> (published) | (duplicate)
-//	POST /certdir/publish   (certs <proof>...)                  -> (published (added n) (rejected r))
 //	POST /certdir/query     (query issuer|subject <principal>
 //	                               [(limit <n>)] [(tag <texpr>)]) -> (certs <proof>...)
 //	POST /certdir/remove    (remove <hash octets>)              -> (removed) | (absent)
@@ -51,31 +51,35 @@ import (
 // fetched certificates are re-verified by the puller before indexing,
 // and serving summaries or hashes reveals only content hashes of
 // certificates the directory would hand out anyway.
-// Revocation propagation adds three endpoints:
+// The record stream and the revocation admin pair add three
+// endpoints:
 //
 //	POST /certdir/events       (events <after> [(wait <ms>)] [(kinds <kind>...)])
-//	                             -> (events (next <n>) [(reset)] (ev remove|revoke <hash>)... (ev crl <crl>)...)
+//	                             -> (events (next <n>) [(reset)] (ev publish <cert>|remove <hash>|revoke <hash>|crl <crl>)...)
 //	POST /certdir/admin/crl    (crl ...)    -> (crl-installed (evicted n)) | (crl-duplicate)
 //	POST /certdir/admin/reload (reload-crl) -> (reloaded (added n) (total m) (evicted k))
 //
 // The events stream is the directory's one live channel outward: a
 // long-poll cursor protocol over the store's EventLog (see events.go
-// for cursor and reset semantics) whose records are removals,
-// revocation evictions and newly kept CRLs. A request names the kinds
-// it wants; naming none asks for remove and revoke, the rows provers
-// follow. Verifiers (CRLFollower) follow the crl kind, and peer
-// directories read it once per anti-entropy round; a crl row carries
-// the list itself, and a fresh cursor or a reset is answered with
-// every list the directory holds, so one domain's revocation evicts
-// at every peer directly instead of waiting for per-directory
-// tombstones. Readers verify every CRL before applying it, exactly
-// like certificates. The admin endpoints install a CRL (or re-read
+// for cursor and reset semantics, and Store.readStream for what an
+// answer holds) whose records are publishes, removals, revocation
+// evictions and newly kept CRLs, in log order. A request names the
+// kinds it wants; naming none asks for remove and revoke, the rows
+// provers follow. Verifiers (CRLFollower) follow the crl kind, and
+// peer directories (Replicator) follow publish, remove and crl: that
+// is how a publish, a retraction or a CRL at one directory reaches
+// its peers. A publish row carries the certificate and a crl row the
+// list itself, and for the crl kind a fresh cursor or a reset is
+// answered with every list the directory holds, so one domain's
+// revocation evicts at every peer directly instead of waiting for
+// per-directory tombstones. Readers verify every certificate and CRL
+// before applying it. The admin endpoints install a CRL (or re-read
 // the daemon's -crl file) without a restart; installation verifies
 // the CRL signature, evicts the delegations its SIGNER signed (see
 // Store.EvictRevoked for why the signer match matters), bumps the
-// proof-cache epoch, and fans the CRL out to gossip peers. The admin
-// pair is the only CRL admin surface in the system: sf-dbserver
-// serves the same two paths with the same replies through
+// proof-cache epoch, and puts the CRL on the stream its peers follow.
+// The admin pair is the only CRL admin surface in the system:
+// sf-dbserver serves the same two paths with the same replies through
 // AdminHandler, installing into its revocation store alone (it has no
 // store to evict from and no peers).
 //
@@ -115,8 +119,7 @@ const maxBody = 1 << 20
 type Service struct {
 	Store *Store
 	// Replicator, when set, contributes its counters to the stats
-	// endpoint and receives newly installed CRLs for fan-out. The
-	// service never drives its loops — sf-certd does.
+	// endpoint. The service never drives its loops — sf-certd does.
 	Replicator *Replicator
 	// Clock supplies the service's notion of now; nil means time.Now.
 	Clock func() time.Time
@@ -129,14 +132,13 @@ type Service struct {
 	// gossip the new lists; SIGHUP runs the same function).
 	ReloadCRLs func() (added, total, evicted int, err error)
 	// Guard, when set, closes the control plane: every MUTATING
-	// endpoint — publish, remove, and the admin endpoints (which is
-	// also where peers push gossip: a gossip push IS a publish,
-	// remove, or admin CRL install at the receiver) — requires a
-	// speaks-for proof that the request speaks for the directory's
-	// operator principal regarding the operation's control tag
-	// (cert.CtlTag). Read-only endpoints (query, stats, events, and
-	// the gossip pull surface, which reveals nothing query does not)
-	// stay open. Nil leaves the directory open, the pre-auth
+	// endpoint — publish, remove (which is also where a peer's
+	// anti-entropy repairs a missed removal), and the admin endpoints
+	// — requires a speaks-for proof that the request speaks for the
+	// directory's operator principal regarding the operation's control
+	// tag (cert.CtlTag). Read-only endpoints (query, stats, events,
+	// which peers follow, and the gossip pull surface, which reveals
+	// nothing query does not) stay open. Nil leaves the directory open, the pre-auth
 	// behavior; docs/OPERATIONS.md describes the migration.
 	Guard *httpauth.CtlGuard
 	// Obs, when set, records one span per served endpoint, continuing
@@ -155,6 +157,9 @@ type Service struct {
 	// first snapshot exists — the endpoint streams a live snapshot
 	// straight from the store.
 	SnapshotPath string
+
+	closingOnce sync.Once
+	closingCtx  context.Context // see closing
 }
 
 // NewService wraps a store.
@@ -206,7 +211,10 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case PathSnapshot:
 		s.handleSnapshot(w, r)
 	case PathEvents:
-		post(w, r, s.Guard, func(e sexp.Sexp) (sexp.Sexp, error) { return s.handleEvents(r.Context(), e) })
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		defer context.AfterFunc(s.closing(r), cancel)()
+		post(w, r, s.Guard, func(e sexp.Sexp) (sexp.Sexp, error) { return s.handleEvents(ctx, e) })
 	case PathAdminCRL, PathReload:
 		s.admin().ServeHTTP(w, r)
 	case PathStats:
@@ -214,6 +222,22 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "certdir: no such endpoint", http.StatusNotFound)
 	}
+}
+
+// closing returns a context that ends when the server serving r begins
+// to shut down (http.Server.Shutdown). A held events poll ends with it,
+// so the server's drain does not wait out the holds of the peers and
+// subscribers that follow this directory.
+func (s *Service) closing(r *http.Request) context.Context {
+	s.closingOnce.Do(func() {
+		s.closingCtx = context.Background()
+		if srv, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok {
+			var cancel context.CancelFunc
+			s.closingCtx, cancel = context.WithCancel(s.closingCtx)
+			srv.RegisterOnShutdown(cancel)
+		}
+	})
+	return s.closingCtx
 }
 
 // spanName maps a wire path to its span name: "certdir." plus the
@@ -274,43 +298,22 @@ func reply(w http.ResponseWriter, e sexp.Sexp) {
 	w.Write(e.Canonical())
 }
 
+// handlePublish indexes one certificate through Store.indexVerified,
+// which verifies before it indexes. An explicit publish outranks a
+// removal tombstone (pulled is false). It is answered (published) or
+// (duplicate), each observed by PublishHist; a refusal is an error.
 func (s *Service) handlePublish(e sexp.Sexp) (sexp.Sexp, error) {
 	start := time.Now()
-	resp, err := s.doPublish(e)
-	if err == nil {
-		s.PublishHist.Since(start)
-	}
-	return resp, err
-}
-
-// doPublish indexes one certificate or a (certs <cert>...) run
-// through Store.indexVerified, which verifies before it indexes. An
-// explicit publish outranks a removal tombstone (pulled is false),
-// whether a client sent it or a peer pushed it. One certificate is
-// answered (published) or (duplicate), and a refusal is an error; a
-// run is answered with its tallies, a refused certificate not
-// stopping the others.
-func (s *Service) doPublish(e sexp.Sexp) (sexp.Sexp, error) {
-	if e.Tag() == "certs" {
-		certs, err := parseCerts(e)
-		if err != nil {
-			return nil, fmt.Errorf("certdir: publish: %w", err)
-		}
-		added, rejected, _ := s.Store.indexVerified(certs, s.now(), false, false)
-		row := func(name string, v int) sexp.Sexp {
-			return sexp.List(sexp.String(name), sexp.String(strconv.Itoa(v)))
-		}
-		return sexp.List(sexp.String("published"), row("added", added), row("rejected", rejected)), nil
-	}
 	c, err := certFromSexp(e)
 	if err != nil {
 		return nil, fmt.Errorf("certdir: publish: %w", err)
 	}
 	added, _, err := s.Store.indexVerified([]*cert.Cert{c}, s.now(), false, false)
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, err
-	case added == 0:
+	}
+	s.PublishHist.Since(start)
+	if added == 0 {
 		return sexp.List(sexp.String("duplicate")), nil
 	}
 	return sexp.List(sexp.String("published")), nil
@@ -507,12 +510,12 @@ func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents serves the directory's event stream: (events <after>
 // [(wait <ms>)] [(kinds <kind>...)]) answers with the retained events
-// of the asked kinds after the cursor, long-polling up to the
-// requested wait while there are none. A request naming no kind asks
-// for remove and revoke, the invalidation rows provers follow. A crl
-// row carries the list itself; crl rows follow the others. ctx is the
-// request's: a poll ends when its caller goes. See Store.follow and
-// events.go for cursor and reset semantics.
+// of the asked kinds after the cursor, in log order, long-polling up
+// to the requested wait while there are none. A request naming no kind
+// asks for remove and revoke, the invalidation rows provers follow. A
+// publish row carries the certificate and a crl row the list itself.
+// ctx is the request's: a poll ends when its caller goes. See
+// Store.follow and events.go for cursor and reset semantics.
 func (s *Service) handleEvents(ctx context.Context, e sexp.Sexp) (sexp.Sexp, error) {
 	if e.Tag() != "events" || e.Len() < 2 || !e.Nth(1).IsAtom() {
 		return nil, fmt.Errorf("certdir: events wants (events <after> [(wait <ms>)] [(kinds <kind>...)])")
@@ -535,7 +538,7 @@ func (s *Service) handleEvents(ctx context.Context, e sexp.Sexp) (sexp.Sexp, err
 			kinds = nil
 			for j := 1; j < c.Len(); j++ {
 				k := c.Nth(j).Text()
-				if k != EventRemove && k != EventRevoke && k != EventCRL {
+				if k != EventPublish && k != EventRemove && k != EventRevoke && k != EventCRL {
 					return nil, fmt.Errorf("certdir: unknown event kind %q", k)
 				}
 				kinds = append(kinds, k)
@@ -552,11 +555,17 @@ func (s *Service) handleEvents(ctx context.Context, e sexp.Sexp) (sexp.Sexp, err
 	if b.reset {
 		kids = append(kids, sexp.List(sexp.String("reset")))
 	}
-	for _, ev := range b.events {
-		kids = append(kids, sexp.List(sexp.String("ev"), sexp.String(ev.Kind), sexp.Atom(ev.Hash)))
-	}
-	for _, rl := range b.crls {
-		kids = append(kids, sexp.List(sexp.String("ev"), sexp.String(EventCRL), rl.Sexp()))
+	for _, row := range b.rows {
+		var body sexp.Sexp
+		switch {
+		case row.cert != nil:
+			body = row.cert.Sexp()
+		case row.crl != nil:
+			body = row.crl.Sexp()
+		default:
+			body = sexp.Atom(row.Hash)
+		}
+		kids = append(kids, sexp.List(sexp.String("ev"), sexp.String(row.Kind), body))
 	}
 	return sexp.List(kids...), nil
 }
@@ -583,13 +592,14 @@ type crlAdmin struct {
 }
 
 // admin binds the pair to the directory: an install verifies, evicts
-// what the list's signer signed, and fans out to peers (InstallCRLs).
+// what the list's signer signed, and puts the list on the record
+// stream peers follow (InstallCRLs).
 // Without Revocations the install endpoint is disabled.
 func (s *Service) admin() crlAdmin {
 	a := crlAdmin{reload: s.ReloadCRLs, guard: s.Guard, hist: s.CRLHist}
 	if s.Revocations != nil {
 		a.install = func(lists []*cert.RevocationList) (int, int, error) {
-			res := InstallCRLs(s.Revocations, s.Store, s.Replicator, lists, s.now())
+			res := InstallCRLs(s.Revocations, s.Store, lists, s.now())
 			return res.Installed, res.Evicted, res.Err
 		}
 	}
@@ -608,7 +618,7 @@ func (a crlAdmin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCRL installs one CRL without a restart. Duplicates are
-// acknowledged idempotently so gossip floods terminate.
+// acknowledged idempotently.
 func (a crlAdmin) handleCRL(e sexp.Sexp) (sexp.Sexp, error) {
 	if a.install == nil {
 		return nil, fmt.Errorf("certdir: revocation endpoints not enabled")

@@ -153,36 +153,3 @@ func TestServiceStats(t *testing.T) {
 		t.Fatalf("published = %s", e)
 	}
 }
-
-// TestPublishRun: a (certs ...) run is indexed as one verified batch.
-// A forged certificate in it is refused and counted once, the others
-// are indexed, and the client reports the refusal.
-func TestPublishRun(t *testing.T) {
-	now := time.Now()
-	st, cl := startDirectory(t)
-	issuer := sfkey.FromSeed([]byte("run-issuer"))
-	var run []*cert.Cert
-	for i := 0; i < 4; i++ {
-		subject := principal.KeyOf(sfkey.FromSeed([]byte{'r', byte(i)}).Public())
-		run = append(run, delegate(t, issuer, subject, tag.All(), core.Until(now.Add(time.Hour))))
-	}
-	run[2].Signature[0] ^= 1
-
-	err := cl.Publish(run...)
-	if err == nil || !strings.Contains(err.Error(), "1 of 4 certificates refused") {
-		t.Fatalf("run with a forged certificate: %v", err)
-	}
-	if got := st.Stats(); st.Len() != 3 || got.Published != 3 || got.Rejected != 1 {
-		t.Fatalf("stored %d, stats %+v; want 3 stored, 3 published, 1 rejected", st.Len(), got)
-	}
-	if st.HasHash(run[2].Hash()) {
-		t.Fatal("forged certificate indexed")
-	}
-	// A clean re-push is a run of duplicates: accepted, nothing added.
-	if err := cl.Publish(run[0], run[1], run[3]); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Stats(); got.Duplicates != 3 || got.Rejected != 1 {
-		t.Fatalf("stats after re-push %+v", got)
-	}
-}

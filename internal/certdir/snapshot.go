@@ -45,7 +45,7 @@ const SnapshotFileName = "certdir.snap"
 // snapshotFrames renders the store's snapshot at now: the collector's
 // records, live at now, and the trailer that counts them.
 func (s *Store) snapshotFrames(now time.Time) []sexp.Sexp {
-	records, _, _ := s.collect(now, nil)
+	records, _ := s.collect(now, nil)
 	return append(records, endRecord(len(records)))
 }
 

@@ -105,7 +105,7 @@ func TestSnapshotBootstrapRoundTrip(t *testing.T) {
 	revoked := certs[10] // issuer seed snap-boot-issuer-0 (10 % 5)
 	rl := cert.NewRevocationList(sfkey.FromSeed([]byte("snap-boot-issuer-0")),
 		core.Until(now.Add(time.Hour)), revoked.Hash())
-	if res := InstallCRLs(rs, src, nil, []*cert.RevocationList{rl}, now); res.Err != nil || res.Evicted != 1 {
+	if res := InstallCRLs(rs, src, []*cert.RevocationList{rl}, now); res.Err != nil || res.Evicted != 1 {
 		t.Fatalf("install = %+v, want 1 evicted", res)
 	}
 
@@ -169,7 +169,7 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 		b.Remove(certs[i].Hash())
 	}
 	for _, st := range []*Store{a, b} {
-		if res := InstallCRLs(cert.NewRevocationStore(), st, nil, []*cert.RevocationList{rl}, now); res.Installed != 1 {
+		if res := InstallCRLs(cert.NewRevocationStore(), st, []*cert.RevocationList{rl}, now); res.Installed != 1 {
 			t.Fatalf("install = %+v, want the list installed", res)
 		}
 	}
@@ -217,7 +217,7 @@ func TestSnapshotForgedCertRejected(t *testing.T) {
 	forged.Signature = append([]byte(nil), good.Signature...)
 	forged.Signature[0] ^= 1
 
-	body := snapshotStream(publishRecord(&forged))
+	body := snapshotStream(publishRecord(&forged, 0))
 
 	dst := NewStore(4)
 	rep := NewReplicator(dst, []*Client{snapshotServer(t, body)})
@@ -265,7 +265,7 @@ func TestSnapshotTrailerRequired(t *testing.T) {
 	certs := walCorpus(t, "snap-trailer", 3, core.Until(now.Add(time.Hour)))
 	var records []byte
 	for _, c := range certs {
-		records = sexp.AppendFrame(records, publishRecord(c))
+		records = sexp.AppendFrame(records, publishRecord(c, 0))
 	}
 	base := sexp.AppendFrame(nil, baseRecord())
 	frame := func(e sexp.Sexp) []byte { return sexp.AppendFrame(nil, e) }
@@ -275,7 +275,7 @@ func TestSnapshotTrailerRequired(t *testing.T) {
 		"trailer counts 2":   join(base, records, frame(endRecord(2))),
 		"trailer counts 4":   join(base, records, frame(endRecord(4))),
 		"trailer without n":  join(base, records, frame(sexp.List(sexp.String(walTagEnd)))),
-		"data after trailer": join(base, records, frame(endRecord(3)), frame(publishRecord(certs[0]))),
+		"data after trailer": join(base, records, frame(endRecord(3)), frame(publishRecord(certs[0], 0))),
 		"no base marker":     join(records, frame(endRecord(3))),
 	} {
 		rep := NewReplicator(NewStore(4), []*Client{snapshotServer(t, body)})
@@ -317,7 +317,7 @@ func crashTwinStore(t *testing.T, dir, seed string, now time.Time) (*Store, []*c
 	}
 	rl := cert.NewRevocationList(sfkey.FromSeed([]byte(seed+"-issuer-0")), // certs[10]'s issuer (10 % 5)
 		core.Until(now.Add(time.Hour)), certs[10].Hash())
-	if res := InstallCRLs(cert.NewRevocationStore(), st, nil, []*cert.RevocationList{rl}, now); res.Evicted != 1 {
+	if res := InstallCRLs(cert.NewRevocationStore(), st, []*cert.RevocationList{rl}, now); res.Evicted != 1 {
 		t.Fatalf("CRL install = %+v, want 1 evicted", res)
 	}
 	if ws, _ := st.WALStats(); ws.Segments < 2 {

@@ -37,13 +37,13 @@
 // # Replication
 //
 // A Replicator connects a Store to peer directories in other
-// administrative domains and keeps them converged two ways: accepted
-// publishes and removals fan out to peers immediately (push, with
-// bounded retry), and a periodic anti-entropy round descends a Merkle
-// tree of content-hash summaries to pull anything a push missed. Removed
-// certificates leave tombstones so gossip cannot resurrect a
-// retracted delegation. Everything pulled from a peer is re-verified
-// before it is indexed: replication, like publish, extends
+// administrative domains and keeps them converged: it follows each
+// peer's record stream (events.go) and applies every publish, removal
+// and CRL as it arrives, and a periodic anti-entropy round descends a
+// Merkle tree of content-hash summaries to repair anything the stream
+// shed. Removed certificates leave tombstones so gossip cannot
+// resurrect a retracted delegation. Everything taken from a peer is
+// re-verified before it is indexed: replication, like publish, extends
 // availability without extending trust.
 package certdir
 
@@ -113,13 +113,6 @@ type Stats struct {
 	Tombstones int64 // live removal tombstones held back from gossip
 }
 
-// hookSet bundles the replication callbacks; it is swapped atomically
-// so hot-path reads need no lock.
-type hookSet struct {
-	onAdd    func(*cert.Cert)
-	onRemove func(hash []byte, expiry time.Time)
-}
-
 // Store is the sharded, concurrency-safe certificate directory.
 type Store struct {
 	shards []*dirShard
@@ -139,10 +132,10 @@ type Store struct {
 	tombstones map[string]time.Time
 	crls       map[[32]byte]*cert.RevocationList
 
-	// events is the stream served to followers: one event per removal,
-	// revocation eviction or newly kept CRL, so caches and verifiers
-	// beyond the directory's reach learn what it can no longer vouch
-	// for.
+	// events is the stream served to followers: one event per newly
+	// indexed certificate, removal, revocation eviction or newly kept
+	// CRL, so peers, caches and verifiers beyond the directory's reach
+	// learn what it now vouches for and what it no longer does.
 	events *EventLog
 
 	// merkle is the incrementally maintained leaf-summary array behind
@@ -151,8 +144,6 @@ type Store struct {
 
 	// compactMu serialises WAL compactions (CompactWAL).
 	compactMu sync.Mutex
-
-	hooks atomic.Pointer[hookSet]
 
 	published  atomic.Int64
 	duplicates atomic.Int64
@@ -204,16 +195,6 @@ func (s *Store) WALStats() (WALStats, bool) {
 	return s.wal.Stats(), true
 }
 
-// SetHooks registers replication callbacks: onAdd fires after every
-// newly indexed certificate (client publish, peer push, or gossip
-// pull alike), onRemove after every acknowledged removal. Callbacks
-// run synchronously on the mutating goroutine with no store lock held,
-// so they must be fast and non-blocking (the Replicator's only
-// enqueue). Either may be nil.
-func (s *Store) SetHooks(onAdd func(*cert.Cert), onRemove func(hash []byte, expiry time.Time)) {
-	s.hooks.Store(&hookSet{onAdd: onAdd, onRemove: onRemove})
-}
-
 // publishCtx verifies certificates on the way in. The directory
 // confirms anything demanding revalidation: revalidation is the
 // verifier's duty at use time, not the directory's at publish time.
@@ -244,14 +225,14 @@ func (s *Store) Publish(c *cert.Cert, now time.Time) (added bool, err error) {
 
 // verifyBatch is how many certificates a streaming loader (WAL replay,
 // snapshot bootstrap) gathers before handing them to indexVerified,
-// and the longest run one replication push carries. Big enough to
+// and the most one answer of the record stream carries. Big enough to
 // amortize the batch machinery, small enough that the decoded
 // certificates pending a flush stay a bounded memory cost.
 const verifyBatch = 256
 
 // indexVerified is the one way certificates enter the store from
-// outside — the publish endpoint (one certificate or a pushed run),
-// WAL replay, snapshot bootstrap, and anti-entropy pulls all end here.
+// outside — the publish endpoint, a peer's record stream, WAL replay,
+// snapshot bootstrap, and anti-entropy pulls all end here.
 // The batch is signature-checked as one unit first (cert.VerifyBatch
 // seeds the shared proof cache), so each publish's own
 // verify-before-index is a cache lookup; publish still re-verifies, so
@@ -267,8 +248,8 @@ const verifyBatch = 256
 // The tombstone check happens under the same shard lock Remove adds
 // tombstones under, so a pull racing a removal converges to removed in
 // either interleaving. replay marks WAL replay: the record is already
-// in the log, so nothing is journaled — and no hook fires, the hook set
-// being empty before attachWAL.
+// in the log, so nothing is journaled and no event is appended (the
+// record's own token restores it).
 func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled, replay bool) (added, rejected int, refused error) {
 	if len(certs) == 0 {
 		return 0, 0, nil
@@ -320,11 +301,19 @@ func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone, replay bo
 		sh.mu.Unlock()
 		return false, nil
 	}
-	if !replay && s.wal != nil {
-		// Journal before indexing: an acknowledged publish must be on
-		// disk. The shard stays locked so the log's record order cannot
-		// contradict the index for this certificate.
-		if err := s.wal.appendRecord(publishRecord(c)); err != nil {
+	if !replay {
+		// The publish event, journaled before indexing: an acknowledged
+		// publish must be on disk. Its token rides in the publish's own
+		// record, so a publish costs one record (and, under SyncAlways,
+		// one fsync). The shard stays locked so the log's record order
+		// cannot contradict the index for this certificate, and a
+		// follower woken by the event waits on this shard until the
+		// certificate it names is indexed.
+		var journal func(uint64) error
+		if s.wal != nil {
+			journal = func(token uint64) error { return s.wal.appendRecord(publishRecord(c, token)) }
+		}
+		if err := s.events.append(EventPublish, []byte(e.hashKey), journal); err != nil {
 			sh.mu.Unlock()
 			s.walErrors.Add(1)
 			return false, err
@@ -340,9 +329,6 @@ func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone, replay bo
 	s.merkleAdd(e.hashKey)
 	sh.mu.Unlock()
 	s.published.Add(1)
-	if h := s.hooks.Load(); h != nil && h.onAdd != nil {
-		h.onAdd(c)
-	}
 	return true, nil
 }
 
@@ -466,9 +452,6 @@ func (s *Store) Remove(hash []byte) bool {
 		sh.mu.Unlock()
 		s.removed.Add(1)
 		s.emitEvent(EventRemove, hash)
-		if h := s.hooks.Load(); h != nil && h.onRemove != nil {
-			h.onRemove(hash, e.expiry)
-		}
 		return true
 	}
 	return false
@@ -477,7 +460,7 @@ func (s *Store) Remove(hash []byte) bool {
 // replayRemove re-applies a WAL removal record: drop the certificate
 // if a preceding replayed publish indexed it, and restore the
 // tombstone unless the certificate has expired anyway. No journaling,
-// no hooks — replay reconstructs state, it does not create history.
+// no events — replay reconstructs state, it does not create history.
 func (s *Store) replayRemove(hash []byte, expiry, now time.Time) {
 	key := string(hash)
 	for _, sh := range s.shards {
@@ -504,12 +487,13 @@ func (s *Store) replayRemove(hash []byte, expiry, now time.Time) {
 // is counted, not escalated: event delivery must not be held hostage
 // by a full disk.
 func (s *Store) emitEvent(kind string, hash []byte) {
-	var journal func(uint64)
+	var journal func(uint64) error
 	if s.wal != nil {
-		journal = func(token uint64) {
+		journal = func(token uint64) error {
 			if err := s.wal.appendRecord(eventRecord(token, kind, hash)); err != nil {
 				s.walErrors.Add(1)
 			}
+			return nil
 		}
 	}
 	s.events.append(kind, hash, journal)
@@ -749,12 +733,21 @@ func (s *Store) compactAfterDrop() {
 }
 
 // liveRecords counts the records a compacted log holds: indexed
-// certificates, live tombstones, held CRLs and retained events.
+// certificates, live tombstones, held CRLs and the retained events
+// other than publishes (a retained publish rides in its certificate's
+// record).
 func (s *Store) liveRecords() int64 {
 	s.tmu.Lock()
 	kept := len(s.tombstones) + len(s.crls)
 	s.tmu.Unlock()
-	return int64(s.Len() + kept + s.events.Len())
+	s.events.mu.Lock()
+	for _, ev := range s.events.ring {
+		if ev.Kind != EventPublish {
+			kept++
+		}
+	}
+	s.events.mu.Unlock()
+	return int64(s.Len() + kept)
 }
 
 // CompactWAL rewrites the attached log as one base segment holding
@@ -780,14 +773,14 @@ func (s *Store) CompactWAL() error {
 		sealed uint64
 		cut    int64
 	)
-	frames, events, err := s.collect(time.Time{}, func() (err error) {
+	frames, err := s.collect(time.Time{}, func() (err error) {
 		sealed, cut, err = s.wal.seal()
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	return s.wal.commitBase(sealed, cut, append(frames, events...))
+	return s.wal.commitBase(sealed, cut, frames)
 }
 
 // collect copies the directory's state at one instant — every shard's
@@ -797,10 +790,16 @@ func (s *Store) CompactWAL() error {
 // CRLs, each in content-hash order, so two stores holding the same
 // state render the same records whatever their shard count or history.
 // Certificates and tombstones that expire before now are left out; a
-// zero now keeps them all. The retained events come back separately,
-// oldest first: a compaction base keeps them, a snapshot does not.
-// seal, when set, runs inside the instant: it is the compaction cut.
-func (s *Store) collect(now time.Time, seal func() error) (records, events []sexp.Sexp, err error) {
+// zero now keeps them all.
+//
+// seal, when set, runs inside the instant: it is the compaction cut,
+// and the records then carry the retained events too, so cursors
+// survive the compaction. Each certificate's record carries the token
+// of its newest retained publish event, as a live publish's record
+// does, and the other events follow the rest as event records, oldest
+// first; a publish event whose certificate is gone is left out, since
+// a read would skip it anyway. A snapshot carries no events.
+func (s *Store) collect(now time.Time, seal func() error) (records []sexp.Sexp, err error) {
 	var (
 		ents  []*entry
 		tombs map[string]time.Time
@@ -831,14 +830,23 @@ func (s *Store) collect(now time.Time, seal func() error) (records, events []sex
 		sh.mu.RUnlock()
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	published := map[string]uint64{} // certificate hash -> its newest retained publish event's token
+	if seal == nil {
+		evs = nil
+	}
+	for _, ev := range evs {
+		if ev.Kind == EventPublish {
+			published[string(ev.Hash)] = boot<<cursorSeqBits | ev.Seq
+		}
 	}
 	live := func(expiry time.Time) bool { return now.IsZero() || expiry.IsZero() || now.Before(expiry) }
-	records = make([]sexp.Sexp, 0, len(ents)+len(tombs)+len(crls))
+	records = make([]sexp.Sexp, 0, len(ents)+len(tombs)+len(crls)+len(evs))
 	slices.SortFunc(ents, func(a, b *entry) int { return strings.Compare(a.hashKey, b.hashKey) })
 	for _, e := range ents {
 		if live(e.expiry) {
-			records = append(records, publishRecord(e.cert))
+			records = append(records, publishRecord(e.cert, published[e.hashKey]))
 		}
 	}
 	keys := make([]string, 0, len(tombs))
@@ -855,9 +863,11 @@ func (s *Store) collect(now time.Time, seal func() error) (records, events []sex
 		records = append(records, crlRecord(rl))
 	}
 	for _, ev := range evs {
-		events = append(events, eventRecord(boot<<cursorSeqBits|ev.Seq, ev.Kind, ev.Hash))
+		if ev.Kind != EventPublish {
+			records = append(records, eventRecord(boot<<cursorSeqBits|ev.Seq, ev.Kind, ev.Hash))
+		}
 	}
-	return records, events, nil
+	return records, nil
 }
 
 // CloseWAL syncs and closes the attached log (no-op when memory-only).
@@ -880,17 +890,19 @@ func (s *Store) SyncWAL() error {
 
 // HasHash reports whether the certificate with the given body hash is
 // currently stored.
-func (s *Store) HasHash(hash []byte) bool {
-	key := string(hash)
+func (s *Store) HasHash(hash []byte) bool { return s.held(hash) != nil }
+
+// held returns the stored certificate with the given body hash, or nil.
+func (s *Store) held(hash []byte) *cert.Cert {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		_, ok := sh.byHash[key]
+		e := sh.byHash[string(hash)]
 		sh.mu.RUnlock()
-		if ok {
-			return true
+		if e != nil {
+			return e.cert
 		}
 	}
-	return false
+	return nil
 }
 
 // ByHashes returns the stored certificates matching the given hashes
@@ -923,20 +935,6 @@ func (s *Store) Len() int {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// ShardCounts returns the number of certificates per shard, in shard
-// order — the operator's view of issuer skew, and the recovery tests'
-// way of asserting a replayed store is shaped identically to a
-// never-crashed one.
-func (s *Store) ShardCounts() []int {
-	out := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		out[i] = len(sh.byHash)
-		sh.mu.RUnlock()
-	}
-	return out
 }
 
 // Stats returns a snapshot of the traffic counters.

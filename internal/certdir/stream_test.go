@@ -5,9 +5,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,7 +82,8 @@ func TestEventsNoKindReplyUnchanged(t *testing.T) {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 	cursor := func(seq uint64) string { return strconv.FormatUint(st.events.token(seq), 10) }
-	want := canon("events", []any{"next", cursor(2)},
+	// Three publishes (seq 1-3), then the removal and the eviction.
+	want := canon("events", []any{"next", cursor(5)},
 		[]any{"ev", "remove", string(certs[0].Hash())},
 		[]any{"ev", "revoke", string(certs[1].Hash())})
 	if got := postEvents(t, ts.URL, canon("events", "0")); string(got) != want {
@@ -87,9 +91,9 @@ func TestEventsNoKindReplyUnchanged(t *testing.T) {
 	}
 
 	// A CRL install: a crl event, then the revoke it caused.
-	InstallCRLs(svc.Revocations, st, nil, []*cert.RevocationList{cert.NewRevocationList(alice, v, certs[2].Hash())}, now)
-	want = canon("events", []any{"next", cursor(4)}, []any{"ev", "revoke", string(certs[2].Hash())})
-	if got := postEvents(t, ts.URL, canon("events", cursor(2))); string(got) != want {
+	InstallCRLs(svc.Revocations, st, []*cert.RevocationList{cert.NewRevocationList(alice, v, certs[2].Hash())}, now)
+	want = canon("events", []any{"next", cursor(7)}, []any{"ev", "revoke", string(certs[2].Hash())})
+	if got := postEvents(t, ts.URL, canon("events", cursor(5))); string(got) != want {
 		t.Fatalf("no-kind reply after a CRL install\n got %q\nwant %q", got, want)
 	}
 }
@@ -128,16 +132,16 @@ func TestCRLOnlyPollIgnoresOtherKinds(t *testing.T) {
 	}
 	select {
 	case r := <-got:
-		t.Fatalf("crl-only poll returned on other kinds: %d lists, cursor %d -> %d", len(r.crls), start.next, r.next)
+		t.Fatalf("crl-only poll returned on other kinds: %d lists, cursor %d -> %d", len(r.lists()), start.next, r.next)
 	case <-time.After(200 * time.Millisecond):
 	}
 
 	rl := cert.NewRevocationList(alice, v, []byte("crlonly-revoked"))
-	InstallCRLs(rs, st, nil, []*cert.RevocationList{rl}, now)
+	InstallCRLs(rs, st, []*cert.RevocationList{rl}, now)
 	select {
 	case r := <-got:
-		if r.reset || len(r.crls) != 1 || r.crls[0].Hash() != rl.Hash() || len(r.events) != 0 {
-			t.Fatalf("crl-only poll answered reset=%v %d lists %d other events, want exactly the new list", r.reset, len(r.crls), len(r.events))
+		if r.reset || len(r.lists()) != 1 || r.lists()[0].Hash() != rl.Hash() || len(r.rows)-len(r.lists()) != 0 {
+			t.Fatalf("crl-only poll answered reset=%v %d lists %d other events, want exactly the new list", r.reset, len(r.lists()), len(r.rows)-len(r.lists()))
 		}
 	case <-time.After(time.Second):
 		t.Fatal("crl-only poll did not answer the install within 1s")
@@ -158,7 +162,7 @@ func TestCRLStreamResets(t *testing.T) {
 		lists[i] = cert.NewRevocationList(alice, v, []byte{byte(i)})
 	}
 	install := func(st *Store, revs *cert.RevocationStore, rls ...*cert.RevocationList) {
-		if res := InstallCRLs(revs, st, nil, rls, now); res.Err != nil {
+		if res := InstallCRLs(revs, st, rls, now); res.Err != nil {
 			t.Fatal(res.Err)
 		}
 	}
@@ -168,15 +172,15 @@ func TestCRLStreamResets(t *testing.T) {
 	holds := func(what string, b streamBatch, reset bool, want ...*cert.RevocationList) {
 		t.Helper()
 		got := map[[32]byte]bool{}
-		for _, rl := range b.crls {
+		for _, rl := range b.lists() {
 			got[rl.Hash()] = true
 		}
-		ok := b.reset == reset && len(b.crls) == len(want)
+		ok := b.reset == reset && len(b.lists()) == len(want)
 		for _, rl := range want {
 			ok = ok && got[rl.Hash()]
 		}
 		if !ok {
-			t.Fatalf("%s: reset=%v with %d lists, want reset=%v with %d", what, b.reset, len(b.crls), reset, len(want))
+			t.Fatalf("%s: reset=%v with %d lists, want reset=%v with %d", what, b.reset, len(b.lists()), reset, len(want))
 		}
 	}
 
@@ -226,6 +230,57 @@ func TestCRLStreamResets(t *testing.T) {
 		install(re, revs, lists[2])
 		holds("cursor from before the restart", read(re, cursor), false, lists[1], lists[2])
 	})
+
+	// The publish kind is journaled inside each publish's own record,
+	// and a compaction folds the retained publish events into the
+	// certificates' records of its base: a cursor from before the
+	// restart continues with exactly the publishes after it, whether
+	// they were journaled in the base, in the active segment, or after
+	// the restart.
+	t.Run("durable restart, publish kind", func(t *testing.T) {
+		dir := t.TempDir()
+		bobP := principal.KeyOf(sfkey.FromSeed([]byte("resets-bob")).Public())
+		certs := make([]*cert.Cert, 4)
+		for i := range certs {
+			certs[i] = delegate(t, alice, bobP, tag.Literal(strconv.Itoa(i)), v)
+		}
+		st, _, err := OpenDurable(dir, 4, SyncNever, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		publish := func(st *Store, cs ...*cert.Cert) {
+			for _, c := range cs {
+				if _, err := st.Publish(c, now); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		publish(st, certs[0])
+		cursor := st.follow(context.Background(), 0, []string{EventPublish}, 0).next
+		publish(st, certs[1])
+		if err := st.CompactWAL(); err != nil {
+			t.Fatal(err)
+		}
+		publish(st, certs[2])
+		if err := st.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		re, _, err := OpenDurable(dir, 4, SyncNever, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.CloseWAL()
+		publish(re, certs[3])
+		b := re.follow(context.Background(), cursor, []string{EventPublish}, 0)
+		var got []string
+		for _, row := range b.rows {
+			got = append(got, string(row.cert.Hash()))
+		}
+		want := []string{string(certs[1].Hash()), string(certs[2].Hash()), string(certs[3].Hash())}
+		if b.reset || !slices.Equal(got, want) {
+			t.Fatalf("cursor from before the restart: reset=%v with %d publishes, want no reset and the 3 after it in order", b.reset, len(got))
+		}
+	})
 }
 
 // TestEventsPollEndsWithCaller: a long poll the caller abandons stops
@@ -247,4 +302,131 @@ func TestEventsPollEndsWithCaller(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("the directory held an abandoned poll for %s", d)
 	}
+}
+
+// TestFilteredPollSurvivesPublishFlood: publishes dominate the ring,
+// and twice DefaultEventLogSize of them pass while a remove-only
+// subscription and a crl-only follower hold polls. Neither may see a
+// reset — a held poll moves past the kinds it did not ask for — and
+// each gets the removal or the list made after the flood. Under the
+// race detector the ring shrinks to 256 events and the flood with it,
+// as raceEnabled scales the anti-entropy tests: signing and verifying
+// 8 192 certificates there takes longer than the race job's soak of
+// this test may, and a held poll wakes the same way however big the
+// ring is.
+func TestFilteredPollSurvivesPublishFlood(t *testing.T) {
+	now := time.Now()
+	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
+	alice := sfkey.FromSeed([]byte("flood-alice"))
+	bobP := principal.KeyOf(sfkey.FromSeed([]byte("flood-bob")).Public())
+	st, _, cl := startRevocableDirectory(t)
+	if raceEnabled {
+		st.events.max = 256
+	}
+	target := delegate(t, alice, bobP, tag.Prefix("target"), v)
+	if _, err := st.Publish(target, now); err != nil {
+		t.Fatal(err)
+	}
+	flood := make([]*cert.Cert, 2*st.events.max)
+	for i := range flood {
+		flood[i] = delegate(t, alice, bobP, tag.Literal(strconv.Itoa(i)), v)
+	}
+
+	// A removal and a list before the flood, so that each follower's
+	// first answer moves it off the fresh cursor, which never resets.
+	early := delegate(t, alice, bobP, tag.Prefix("early"), v)
+	if _, err := st.Publish(early, now); err != nil || !st.Remove(early.Hash()) {
+		t.Fatalf("early removal: %v", err)
+	}
+	InstallCRLs(cert.NewRevocationStore(), st, []*cert.RevocationList{cert.NewRevocationList(alice, v, []byte("flood-early"))}, now)
+
+	// follow runs one filtered follower until it sees what done wants,
+	// reporting every reset.
+	type seen struct {
+		mu              sync.Mutex
+		answers, resets int
+		done            bool
+	}
+	follow := func(ctx context.Context, s *seen, kind string, done func(streamBatch) bool) {
+		streamFollower{client: cl, kinds: []string{kind}, hold: 5 * time.Second, apply: func(after uint64, b streamBatch) {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			s.answers++
+			if b.reset {
+				s.resets++
+			}
+			s.done = s.done || done(b)
+		}}.run(ctx)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var removes, crls seen
+	rl := cert.NewRevocationList(alice, v, []byte("flood-revoked"))
+	go follow(ctx, &removes, EventRemove, func(b streamBatch) bool {
+		return len(b.rows) == 1 && string(b.rows[0].Hash) == string(target.Hash())
+	})
+	go follow(ctx, &crls, EventCRL, func(b streamBatch) bool {
+		return len(b.lists()) == 1 && b.lists()[0].Hash() == rl.Hash()
+	})
+	for _, s := range []*seen{&removes, &crls} {
+		waitUntil(t, "the first answer", func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return s.answers > 0
+		})
+	}
+	time.Sleep(50 * time.Millisecond) // both polls are held again, past cursor 0
+
+	for _, c := range flood {
+		if _, err := st.Publish(c, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !st.Remove(target.Hash()) {
+		t.Fatal("remove failed")
+	}
+	if res := InstallCRLs(cert.NewRevocationStore(), st, []*cert.RevocationList{rl}, now); res.Installed != 1 {
+		t.Fatalf("install: %+v", res)
+	}
+	for _, s := range []*seen{&removes, &crls} {
+		waitUntil(t, "the record made after the flood", func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return s.done
+		})
+		s.mu.Lock()
+		if s.resets != 0 {
+			t.Errorf("a filtered follower saw %d resets during a publish flood", s.resets)
+		}
+		s.mu.Unlock()
+	}
+}
+
+// TestEventsPollEndsWithShutdown: a directory's server that begins to
+// shut down ends the polls its followers hold, so its drain does not
+// wait out a 30 s hold.
+func TestEventsPollEndsWithShutdown(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: NewService(NewStore(4))}
+	go srv.Serve(ln)
+	cl := NewClient("http://" + ln.Addr().String())
+	done := make(chan struct{})
+	go func() {
+		cl.follow(context.Background(), 0, 30*time.Second, EventCRL)
+		close(done)
+	}()
+	time.Sleep(50 * time.Millisecond) // the poll is held
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("shutdown waited %s for a held poll", d)
+	}
+	<-done
 }

@@ -28,7 +28,7 @@ import (
 // snapshot.go):
 //
 //	(wal-base)
-//	(wal-publish <signed-certificate proof>)
+//	(wal-publish <signed-certificate proof> [<cursor token>])
 //	(wal-remove <cert hash> <expiry unix seconds, "0" if unbounded>)
 //	(wal-crl <crl>)
 //	(wal-event <cursor token> <kind> <cert hash>)
@@ -43,8 +43,10 @@ import (
 // directory's revocations, and with them its control-plane lockouts,
 // across a restart until the list lapses; replay verifies each one.
 // Event records mirror the EventLog tail so subscriber cursors stay
-// valid across a restart. Only a snapshot carries the (wal-end)
-// trailer; a segment ends without one.
+// valid across a restart; a live publish carries its event's token in
+// its own record instead, so journaling a publish costs one record and
+// one fsync, not two. Only a snapshot carries the (wal-end) trailer; a
+// segment ends without one.
 //
 // # Base and active segments
 //
@@ -421,8 +423,14 @@ func baseRecord() sexp.Sexp { return sexp.List(sexp.String(walTagBase)) }
 // base segment.
 func isBaseRecord(e sexp.Sexp) bool { return e.Tag() == walTagBase && e.Len() == 1 }
 
-func publishRecord(c *cert.Cert) sexp.Sexp {
-	return sexp.List(sexp.String(walTagPublish), c.Sexp())
+// publishRecord journals a publish; token is its event's cursor token,
+// 0 for a record that carries no event (a compaction base, a
+// snapshot).
+func publishRecord(c *cert.Cert, token uint64) sexp.Sexp {
+	if token == 0 {
+		return sexp.List(sexp.String(walTagPublish), c.Sexp())
+	}
+	return sexp.List(sexp.String(walTagPublish), c.Sexp(), sexp.String(strconv.FormatUint(token, 10)))
 }
 
 func removeRecord(hash []byte, expiry time.Time) sexp.Sexp {
@@ -433,17 +441,32 @@ func removeRecord(hash []byte, expiry time.Time) sexp.Sexp {
 	return sexp.List(sexp.String(walTagRemove), sexp.Atom(hash), sexp.String(exp))
 }
 
-// decodePublish extracts the certificate from a wal-publish frame. The
+// decodePublish extracts the certificate, and its event's cursor token
+// (0 when the record carries none), from a wal-publish frame. The
 // signature is NOT checked here; indexing verifies.
-func decodePublish(e sexp.Sexp) (*cert.Cert, error) {
-	if e.Tag() != walTagPublish || e.Len() != 2 {
-		return nil, fmt.Errorf("certdir: bad publish frame %s", e)
+func decodePublish(e sexp.Sexp) (c *cert.Cert, token uint64, err error) {
+	if e.Tag() != walTagPublish || e.Len() != 2 && e.Len() != 3 {
+		return nil, 0, fmt.Errorf("certdir: bad publish frame %s", e)
 	}
-	c, err := certFromSexp(e.Nth(1))
-	if err != nil {
-		return nil, fmt.Errorf("certdir: publish frame: %w", err)
+	if e.Len() == 3 {
+		if token, err = decodeToken(e.Nth(2)); err != nil {
+			return nil, 0, fmt.Errorf("certdir: publish frame: %w", err)
+		}
 	}
-	return c, nil
+	if c, err = certFromSexp(e.Nth(1)); err != nil {
+		return nil, 0, fmt.Errorf("certdir: publish frame: %w", err)
+	}
+	return c, token, nil
+}
+
+// decodeToken reads a journaled cursor token, which must carry both a
+// boot nonce and a sequence number (see EventLog).
+func decodeToken(e sexp.Sexp) (uint64, error) {
+	token, err := strconv.ParseUint(e.Text(), 10, 64)
+	if err != nil || token>>cursorSeqBits == 0 || token&(1<<cursorSeqBits-1) == 0 {
+		return 0, fmt.Errorf("bad cursor token %s", e)
+	}
+	return token, nil
 }
 
 // decodeRemove extracts the retracted certificate's hash and expiry
@@ -506,17 +529,17 @@ func eventRecord(token uint64, kind string, hash []byte) sexp.Sexp {
 }
 
 // decodeEvent extracts the cursor token, kind and certificate hash
-// from a wal-event frame. The token must carry both a boot nonce and a
-// sequence number (see EventLog), the kind must be one the log emits,
-// and a crl event must name a full content hash.
+// from a wal-event frame. The token must be one decodeToken accepts,
+// the kind must be one the log emits, and a crl or publish event must
+// name a full content hash.
 func decodeEvent(e sexp.Sexp) (token uint64, kind string, hash []byte, err error) {
 	if e.Tag() != walTagEvent || e.Len() != 4 || !e.Nth(3).IsAtom() {
 		return 0, "", nil, fmt.Errorf("certdir: bad event frame %s", e)
 	}
-	token, err = strconv.ParseUint(e.Nth(1).Text(), 10, 64)
+	token, err = decodeToken(e.Nth(1))
 	kind, hash = e.Nth(2).Text(), e.Nth(3).Bytes()
-	if err != nil || token>>cursorSeqBits == 0 || token&(1<<cursorSeqBits-1) == 0 ||
-		(kind != EventRemove && kind != EventRevoke && (kind != EventCRL || len(hash) != sha256.Size)) {
+	full := len(hash) == sha256.Size
+	if err != nil || !(kind == EventRemove || kind == EventRevoke || (kind == EventCRL || kind == EventPublish) && full) {
 		return 0, "", nil, fmt.Errorf("certdir: bad event frame %s", e)
 	}
 	return token, kind, append([]byte(nil), hash...), nil
@@ -641,6 +664,7 @@ func OpenDurable(dir string, n int, policy SyncPolicy, now time.Time) (*Store, R
 			// state instead.
 		}
 	}
+	st.events.settle()
 	w, err := openWAL(dir, policy, ids, truncateAt, records)
 	if err != nil {
 		return nil, rec, err
@@ -800,8 +824,11 @@ func readRecords(r io.Reader, k recordSink) (good, records int64, torn bool, err
 		var bad error
 		switch e.Tag() {
 		case walTagPublish:
-			c, err := decodePublish(e)
+			c, token, err := decodePublish(e)
 			if bad = err; err == nil {
+				if token != 0 && k.event != nil {
+					k.event(token, EventPublish, c.Hash())
+				}
 				if batch = append(batch, c); len(batch) >= verifyBatch {
 					flush()
 				}

@@ -23,8 +23,9 @@ var fuzzWALNow = time.Unix(1_800_000_000, 0)
 // with its last record torn, and as the base a compaction wrote; a
 // segment holding a CRL record, the same with the list's signature
 // forged, a CRL install as it is journaled now (the list's crl event,
-// the list, and the eviction it caused), and a complete snapshot
-// stream (base, records, trailer).
+// the list, and the eviction it caused), a complete snapshot stream
+// (base, records, trailer), and a log whose publish records carry
+// their events' cursor tokens, as publishes are journaled now.
 func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := t.TempDir()

@@ -46,15 +46,15 @@ func delegate2(t *testing.T, priv *sfkey.PrivateKey, subject principal.Principal
 }
 
 // sameContents asserts two stores hold identical certificate sets with
-// identical shapes: total length, per-shard counts, and per-issuer /
-// per-subject answers.
+// identical shapes: total length, the same certificates in each shard,
+// and per-issuer / per-subject answers.
 func sameContents(t *testing.T, got, want *Store, now time.Time, certs []*cert.Cert) {
 	t.Helper()
 	if g, w := got.Len(), want.Len(); g != w {
 		t.Fatalf("Len: got %d want %d", g, w)
 	}
-	if g, w := got.ShardCounts(), want.ShardCounts(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("ShardCounts: got %v want %v", g, w)
+	if g, w := shardHashes(got), shardHashes(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("shard contents differ: got %d shards, want %d", len(g), len(w))
 	}
 	seenPrins := map[string]principal.Principal{}
 	for _, c := range certs {
@@ -69,6 +69,21 @@ func sameContents(t *testing.T, got, want *Store, now time.Time, certs []*cert.C
 			t.Fatalf("BySubject(%s): got %d certs want %d", p, len(g), len(w))
 		}
 	}
+}
+
+// shardHashes lists each shard's certificate hashes, sorted, in shard
+// order.
+func shardHashes(st *Store) [][]string {
+	out := make([][]string, len(st.shards))
+	for i, sh := range st.shards {
+		sh.mu.RLock()
+		for k := range sh.byHash {
+			out[i] = append(out[i], k)
+		}
+		sh.mu.RUnlock()
+		sort.Strings(out[i])
+	}
+	return out
 }
 
 func hashSet(cs []*cert.Cert) []string {
@@ -329,7 +344,7 @@ func TestWALReplayDropsMalformedRemove(t *testing.T) {
 		"short hash":         sexp.List(sexp.String(walTagRemove), sexp.Atom(c.Hash()[:8]), sexp.String("0")),
 	} {
 		dir := t.TempDir()
-		raw := sexp.AppendFrame(nil, publishRecord(c))
+		raw := sexp.AppendFrame(nil, publishRecord(c, 0))
 		raw = sexp.AppendFrame(raw, bad)
 		if err := os.WriteFile(filepath.Join(dir, walSegmentName(1)), raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -361,7 +376,7 @@ func TestOpenDurableRefusesLegacyWAL(t *testing.T) {
 		principal.KeyOf(sfkey.FromSeed([]byte("wal-legacy-s")).Public()),
 		tag.All(), core.Until(now.Add(time.Hour)))
 	legacy := filepath.Join(dir, "certdir.wal")
-	raw := sexp.AppendFrame(nil, publishRecord(c))
+	raw := sexp.AppendFrame(nil, publishRecord(c, 0))
 	if err := os.WriteFile(legacy, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +584,7 @@ func TestWALCRLLapses(t *testing.T) {
 	issuer := sfkey.FromSeed([]byte("wal-lapse-issuer"))
 	short := cert.NewRevocationList(issuer, core.Between(now.Add(-time.Minute), now.Add(time.Minute)), []byte("short"))
 	long := cert.NewRevocationList(issuer, core.Until(now.Add(time.Hour)), []byte("long"))
-	if res := InstallCRLs(cert.NewRevocationStore(), st, nil, []*cert.RevocationList{short, long}, now); res.Installed != 2 {
+	if res := InstallCRLs(cert.NewRevocationStore(), st, []*cert.RevocationList{short, long}, now); res.Installed != 2 {
 		t.Fatalf("install = %+v, want 2 installed", res)
 	}
 	later := now.Add(30 * time.Minute)

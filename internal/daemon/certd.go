@@ -42,9 +42,10 @@ func Certd(args []string) (n *Node, err error) {
 	ctlCertFile := fs.String("ctl-cert", "", "certificate chain file delegating control authority to -ctl-key")
 
 	fs.Parse(args) // ExitOnError: an unparsable list never returns
-	// The signer (outbound: authenticates this daemon's pushes to
-	// its peers) and the guard (inbound: closes this daemon's own
-	// mutating endpoints) are independent: the documented migration
+	// The signer (outbound: authenticates the removal repairs this
+	// daemon's anti-entropy pushes to its peers) and the guard
+	// (inbound: closes this daemon's own mutating endpoints) are
+	// independent: the documented migration
 	// runs a mesh signing-but-not-enforcing first, then enables
 	// -admin-auth one node at a time, so -ctl-key works without
 	// -admin-auth.
@@ -56,7 +57,7 @@ func Certd(args []string) (n *Node, err error) {
 	case *adminAuth && *operatorFile == "":
 		return nil, errors.New("-admin-auth requires -operator")
 	case *adminAuth && len(peers) > 0 && *ctlKeyFile == "":
-		return nil, errors.New("-admin-auth with -peer requires -ctl-key (peers will reject unsigned pushes)")
+		return nil, errors.New("-admin-auth with -peer requires -ctl-key (peers will reject unsigned removal repairs)")
 	case *snapshotEvery > 0 && *dataDir == "":
 		return nil, errors.New("-snapshot-every requires -data-dir")
 	}
@@ -127,7 +128,7 @@ func Certd(args []string) (n *Node, err error) {
 	// serves: a control credential revoked before a restart stays
 	// revoked after it.
 	revocations := cert.NewRevocationStore()
-	certdir.InstallCRLs(revocations, store, nil, store.CRLs(), time.Now())
+	certdir.InstallCRLs(revocations, store, store.CRLs(), time.Now())
 	rt.Every(*sweep, func() {
 		now := time.Now()
 		expired := store.Sweep(now)
@@ -178,8 +179,8 @@ func Certd(args []string) (n *Node, err error) {
 		rep.Interval = *gossip
 		if *gossip <= 0 {
 			// A zero ticker panics; an effectively-infinite interval
-			// keeps pushes running while disabling pulls, as
-			// documented.
+			// keeps the follows running while disabling Merkle rounds,
+			// as documented.
 			rep.Interval = time.Duration(1<<62 - 1)
 		}
 		rep.Logf = rt.Printf
@@ -187,7 +188,8 @@ func Certd(args []string) (n *Node, err error) {
 		rt.OnShutdown(rep.Stop)
 		svc.Replicator = rep
 		// One eager round so a restarted or freshly added node
-		// catches up before its first ticker tick. A completely
+		// catches up on what is older than its peers' retained
+		// record tails before its first ticker tick. A completely
 		// empty store — a node joining an established mesh for the
 		// first time — tries snapshot bootstrap first: one bulk
 		// transfer instead of pulling the whole directory through
@@ -215,11 +217,11 @@ func Certd(args []string) (n *Node, err error) {
 	// function — re-read the file and install it the way every CRL
 	// is installed (new lists only; dedup keeps a no-op reload from
 	// flushing the proof cache), which evicts what the new lists
-	// void right now rather than at the next sweep and fans them
-	// out to peers.
+	// void right now rather than at the next sweep and puts them on
+	// the record stream the peers follow.
 	if *crlFile != "" {
 		reload, err := rt.WireCRLFile(*crlFile, func(lists []*cert.RevocationList) (int, int, error) {
-			res := certdir.InstallCRLs(revocations, store, svc.Replicator, lists, time.Now())
+			res := certdir.InstallCRLs(revocations, store, lists, time.Now())
 			return res.Installed, res.Evicted, res.Err
 		})
 		if err != nil {
@@ -240,9 +242,9 @@ func Certd(args []string) (n *Node, err error) {
 		emit(server.Gauge("sf_crls", "Revocation lists installed.", float64(len(revocations.Lists()))))
 		if svc.Replicator != nil {
 			rs := svc.Replicator.Stats()
-			emit(server.Counter("sf_certdir_gossip_pushes_total", "Mutations delivered to peers by push, per peer (a pushed run of n certificates counts n).", float64(rs.Pushes)))
-			emit(server.Counter("sf_certdir_gossip_pulled_total", "Certificates pulled by anti-entropy.", float64(rs.Pulled)))
-			emit(server.Counter("sf_certdir_gossip_crls_pulled_total", "CRLs pulled by anti-entropy.", float64(rs.CRLsPulled)))
+			emit(server.Counter("sf_certdir_gossip_pushes_total", "Removal repairs delivered to peers by anti-entropy (a peer still serving a certificate removed here).", float64(rs.Pushes)))
+			emit(server.Counter("sf_certdir_gossip_pulled_total", "Certificates indexed from peers, by following their record streams and by anti-entropy.", float64(rs.Pulled)))
+			emit(server.Counter("sf_certdir_gossip_crls_pulled_total", "CRLs installed from peers' record streams.", float64(rs.CRLsPulled)))
 			emit(server.Counter("sf_gossip_digest_bytes_total", "Anti-entropy summary bytes moved (request + reply).", float64(rs.DigestBytes)))
 			emit(server.Counter("sf_gossip_rounds_total", "Anti-entropy rounds completed.", float64(rs.Rounds)))
 			emit(server.Counter("sf_gossip_descents_total", "Merkle node-summary round trips.", float64(rs.Descents)))

@@ -106,7 +106,7 @@ func DBServer(args []string) (n *Node, err error) {
 	// the proof-cache epoch, so every cached verdict resting on a
 	// revoked certificate dies and the next RMI call re-verifies.
 	install := func(lists []*cert.RevocationList) (int, int, error) {
-		res := certdir.InstallCRLs(rs, nil, nil, lists, time.Now())
+		res := certdir.InstallCRLs(rs, nil, lists, time.Now())
 		return res.Installed, res.Evicted, res.Err
 	}
 	var reload func() (added, total, evicted int, err error)
