@@ -28,8 +28,8 @@ import (
 // — and revokes them with an ordinary CRL, so a compromised admin
 // credential is locked out through the very pipeline it administers.
 // CtlAllTag covers both operations; directory daemons use it for the
-// credential backing their own gossip pushes (a push is a publish,
-// remove, or CRL install at the peer).
+// credential backing the removal repairs their anti-entropy pushes to
+// peers (a repair is a remove at the peer).
 const (
 	// CtlAdmin names the admin operation class (CRL install/reload).
 	CtlAdmin = "admin"

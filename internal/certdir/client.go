@@ -320,7 +320,7 @@ func (c *Client) follow(ctx context.Context, after uint64, wait time.Duration, k
 	return decodeEventsReply(resp)
 }
 
-// decodeEventsReply decodes (events (next <n>) [(reset)] (ev <kind>
+// decodeEventsReply decodes (events (next <n>) [(reset)] [(more)] (ev <kind>
 // <hash>|<cert>|<crl>)...), keeping the rows in order. Rows it does not
 // know are skipped.
 func decodeEventsReply(resp sexp.Sexp) (r streamBatch, err error) {
@@ -336,6 +336,8 @@ func decodeEventsReply(resp sexp.Sexp) (r streamBatch, err error) {
 		switch {
 		case row.Tag() == "reset":
 			r.reset = true
+		case row.Tag() == "more":
+			r.more = true
 		case row.Tag() != "ev":
 		case row.Len() == 3 && row.Nth(1).Text() == EventCRL:
 			rl, err := cert.RevocationListFromSexp(row.Nth(2))

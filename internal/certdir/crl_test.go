@@ -102,7 +102,7 @@ func TestCRLInstallPathsAgree(t *testing.T) {
 			peer := crlPeer(t, rl)
 			installed, rejected, err := pulled(d, func() error {
 				b, err := peer.follow(context.Background(), 0, 0, EventPublish, EventRemove, EventCRL)
-				d.rep.apply(peer, 0, b)
+				d.rep.apply(peer, true, b)
 				return err
 			})
 			if err != nil {

@@ -229,11 +229,14 @@ func (l *EventLog) sinceLocked(after uint64) (evs []Event, next uint64, reset bo
 
 // streamBatch is one answer of the stream, as the directory reads it
 // and as a client decodes it: its rows in log order, and the cursor to
-// ask from next. Decoded certificates and lists are not yet verified.
+// ask from next. more marks an answer cut at a bound: the rest of the
+// tail it read comes on the next poll. Decoded certificates and lists
+// are not yet verified.
 type streamBatch struct {
 	rows  []streamRow
 	next  uint64
 	reset bool
+	more  bool
 }
 
 // streamRow is one row of an answer: an event, with the certificate a
@@ -299,8 +302,8 @@ func (s *Store) follow(ctx context.Context, after uint64, kinds []string, wait t
 //
 // An answer carries at most verifyBatch certificates and maxBody bytes
 // of them. A longer one is cut before the first row past either bound,
-// and its cursor is the last event it included: the rest comes on the
-// next poll.
+// marked more, and its cursor is the last event it included: the rest
+// comes on the next poll.
 func (s *Store) readStream(after uint64, kinds []string) (b streamBatch, appended <-chan struct{}) {
 	s.tmu.Lock()
 	s.events.mu.Lock()
@@ -328,7 +331,7 @@ scan:
 				continue
 			}
 			if size += row.cert.Sexp().FormatLen(); n == verifyBatch || n > 0 && size > maxBody {
-				b.next = boot<<cursorSeqBits | (ev.Seq - 1)
+				b.next, b.more = boot<<cursorSeqBits|(ev.Seq-1), true
 				break scan
 			}
 			n++

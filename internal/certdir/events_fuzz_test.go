@@ -94,7 +94,7 @@ func FuzzEventsReply(f *testing.F) {
 		rep := NewReplicator(into, nil)
 		rep.Clock = func() time.Time { return now }
 		rep.Revocations = cert.NewRevocationStore()
-		rep.apply(nil, 1, r)
+		rep.apply(nil, false, r)
 		ctx := publishCtx(now)
 		ctx.Cache = nil
 		for _, sh := range into.shards {

@@ -19,8 +19,9 @@ type streamFollower struct {
 	kinds  []string
 	// hold bounds how long one poll is held open at the directory.
 	hold time.Duration
-	// apply applies one answer; after is the cursor it was asked from.
-	apply func(after uint64, b streamBatch)
+	// apply applies one answer; replay marks one that replays the
+	// directory's retained tail (see poll).
+	apply func(replay bool, b streamBatch)
 	// onErr, when set, hears of every failed poll.
 	onErr func(error)
 }
@@ -60,16 +61,21 @@ func (l *loops) stop() {
 }
 
 // poll reads the stream once from the cursor after and applies the
-// answer. A failed poll is reported to onErr, unless ctx ended it.
-func (f streamFollower) poll(ctx context.Context, after uint64) (streamBatch, error) {
-	b, err := f.client.follow(ctx, after, f.hold, f.kinds...)
+// answer. The answer replays the directory's retained tail — history
+// the follower may have moved past — when after is 0, when it is a
+// reset, and when it continues a replay the directory cut at its
+// bounds (replaying); replay reports which. A failed poll is reported
+// to onErr, unless ctx ended it.
+func (f streamFollower) poll(ctx context.Context, after uint64, replaying bool) (b streamBatch, replay bool, err error) {
+	b, err = f.client.follow(ctx, after, f.hold, f.kinds...)
+	replay = after == 0 || replaying || b.reset
 	switch {
 	case err == nil:
-		f.apply(after, b)
+		f.apply(replay, b)
 	case f.onErr != nil && ctx.Err() == nil:
 		f.onErr(err)
 	}
-	return b, err
+	return b, replay, err
 }
 
 // run polls until ctx ends. It waits followRetry after a failed poll,
@@ -83,14 +89,15 @@ func (f streamFollower) run(ctx context.Context) {
 	var (
 		cursor uint64
 		reset  bool // the last answer was a reset
+		more   bool // the last answer was a replay cut short
 	)
 	for ctx.Err() == nil {
 		start := time.Now()
-		b, err := f.poll(ctx, cursor)
+		b, replay, err := f.poll(ctx, cursor, more)
 		stalled := err != nil
 		if err == nil {
 			stalled = b.reset && reset || b.next == cursor && time.Since(start) < f.hold/2
-			cursor, reset = b.next, b.reset
+			cursor, reset, more = b.next, b.reset, replay && b.more
 		}
 		if stalled {
 			select {
@@ -152,7 +159,7 @@ func (f *CRLFollower) stream() streamFollower {
 	if hold <= 0 {
 		hold = maxEventWait
 	}
-	return streamFollower{client: f.Client, kinds: []string{EventCRL}, hold: hold, onErr: f.OnError, apply: func(_ uint64, b streamBatch) {
+	return streamFollower{client: f.Client, kinds: []string{EventCRL}, hold: hold, onErr: f.OnError, apply: func(_ bool, b streamBatch) {
 		res := InstallCRLs(f.Store, nil, b.lists(), time.Time{})
 		f.pulled.Add(int64(res.Installed))
 		f.rejected.Add(int64(res.Rejected))

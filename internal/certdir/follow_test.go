@@ -19,7 +19,7 @@ import (
 // installed.
 func pollOnce(f *CRLFollower, after uint64) (next uint64, installed int, err error) {
 	before := f.Stats().Pulled
-	b, err := f.stream().poll(context.Background(), after)
+	b, _, err := f.stream().poll(context.Background(), after, false)
 	return b.next, int(f.Stats().Pulled - before), err
 }
 

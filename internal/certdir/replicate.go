@@ -35,20 +35,23 @@ import (
 //     peer and pulls whatever is missing: the repair path for records
 //     a follow could not deliver — shed from a peer's retained tail
 //     (the follow then gets a reset and runs one Merkle round with
-//     that peer at once) or lost to a restart. Locally removed
-//     certificates are tombstoned (Store.Tombstoned) and never pulled
-//     back; when a round finds a peer still serving a tombstoned
-//     certificate, it pushes the removal to the peer, so a retraction
-//     the peer missed is repaired by anti-entropy exactly like a
-//     publish is.
+//     that peer at once) or lost to a restart. Removed certificates
+//     are tombstoned (Store.Tombstoned) and never pulled back; when a
+//     round finds a peer still serving a certificate removed here, it
+//     pushes the removal to the peer, so a retraction the peer missed
+//     is repaired by anti-entropy exactly like a publish is. A
+//     removal this store only heard of from a peer is not pushed (see
+//     Trust).
 //   - Snapshot bootstrap (BootstrapFromPeer), for a directory that
 //     starts empty.
 //
 // The first answer of a follow (from cursor 0) and every reset replay
 // the peer's retained tail: history this store may already have moved
-// past. Their publishes therefore index like pulls — yielding to a
-// local tombstone — while later answers are live and index like
-// publishes. Every row reports the peer's present state (see
+// past. So do the answers that continue one the peer cut at its bounds,
+// up to the first it did not cut (which may also carry a few events
+// appended meanwhile). Their publishes therefore index like pulls —
+// yielding to a local tombstone — while later answers are live and
+// index like publishes. Every row reports the peer's present state (see
 // Store.readStream), so a replay never removes what the peer has
 // since re-published.
 //
@@ -64,6 +67,17 @@ import (
 // control plane (Service.Guard) its Clients must carry a CtlSigner
 // (Client.Ctl) whose credential the peer's operator delegated —
 // sf-certd wires this from -ctl-key/-ctl-cert.
+//
+// Following a peer does mean taking its removals on its word: they go
+// through Store.Remove with no control-plane check, so a peer on the
+// list — a compromised one included — can retract delegations here
+// (never plant one), where under an enforcing control plane a client
+// would need a credential from this directory's operator. Listing a
+// peer is therefore a trust decision about retractions. Such a removal
+// goes out on this store's own stream, which is how a chain or a ring
+// of follows converges, but the removal repair never pushes it under
+// this directory's credential: a retraction heard from a peer is left
+// to the directory where it was made.
 type Replicator struct {
 	store *Store
 	peers []*Client
@@ -182,7 +196,7 @@ func (r *Replicator) Start() {
 			client: peer,
 			kinds:  []string{EventPublish, EventRemove, EventCRL},
 			hold:   maxEventWait,
-			apply:  func(after uint64, b streamBatch) { r.apply(peer, after, b) },
+			apply:  func(replay bool, b streamBatch) { r.apply(peer, replay, b) },
 			onErr:  func(err error) { r.logf("certdir: following %s: %v", peer.BaseURL, err) },
 		}.run)
 	}
@@ -193,14 +207,14 @@ func (r *Replicator) Start() {
 // them to exit.
 func (r *Replicator) Stop() { r.stop() }
 
-// apply applies one answer of peer's stream, asked from the cursor
-// after, in the peer's log order: each run of consecutive publishes
-// indexes as one verified batch, each run of lists installs as one
-// batch. A reset means records were shed from the peer's tail (or the
-// peer restarted); after its lists are installed, one Merkle round
-// with that peer repairs the rest.
-func (r *Replicator) apply(peer *Client, after uint64, b streamBatch) {
-	replay := after == 0 || b.reset
+// apply applies one answer of peer's stream in the peer's log order:
+// each run of consecutive publishes indexes as one verified batch, each
+// run of lists installs as one batch. replay marks an answer that
+// replays the peer's tail (streamFollower.poll). A reset means records
+// were shed from the peer's tail (or the peer restarted); after its
+// lists are installed, one Merkle round with that peer repairs the
+// rest.
+func (r *Replicator) apply(peer *Client, replay bool, b streamBatch) {
 	for rows := b.rows; len(rows) > 0; {
 		n := 1
 		for n < len(rows) && rows[n].Kind == rows[0].Kind {
@@ -221,7 +235,7 @@ func (r *Replicator) apply(peer *Client, after uint64, b streamBatch) {
 			r.index(certs, replay)
 		case EventRemove:
 			for _, row := range run {
-				r.store.Remove(row.Hash)
+				r.store.remove(row.Hash, true)
 			}
 		case EventCRL:
 			if r.Revocations != nil {
@@ -369,15 +383,19 @@ func (r *Replicator) pullFrom(peer *Client) (pulled int, err error) {
 }
 
 // pullHashes is the tail of a descent: given the content hashes a peer
-// serves in the differing leaves, repair tombstoned ones (push the
-// removal the peer evidently missed), skip what is already indexed,
-// and pull the rest in verified batches.
+// serves in the differing leaves, skip tombstoned ones and repair those
+// retracted here (push the removal the peer evidently missed), skip
+// what is already indexed, and pull the rest in verified batches.
 func (r *Replicator) pullHashes(peer *Client, hashes [][]byte) (pulled int, err error) {
 	var missing [][]byte
 	for _, h := range hashes {
-		if r.store.Tombstoned(h) {
+		if t, ok := r.store.tombstone(h); ok {
 			// The peer still serves a delegation retracted here: it
-			// missed the removal, so push it now.
+			// missed the removal, so push it now. A retraction heard
+			// from a peer is left to the directory that made it.
+			if t.heard {
+				continue
+			}
 			if _, err := peer.Remove(h); err != nil {
 				r.pushFailures.Add(1)
 				r.logf("certdir: anti-entropy removal to %s: %v", peer.BaseURL, err)
@@ -457,7 +475,7 @@ func (r *Replicator) bootstrapFrom(ctx context.Context, peer *Client) (pulled in
 	_, _, _, err = readRecords(body, recordSink{
 		snapshot: true,
 		publish:  func(batch []*cert.Cert) { pulled += r.index(batch, true) },
-		remove:   func(hash []byte, expiry time.Time) { r.store.AdoptTombstone(hash, expiry, r.now()) },
+		remove:   func(hash []byte, t tombstone) { r.store.AdoptTombstone(hash, t.expiry, r.now()) },
 		crl:      func(rl *cert.RevocationList) { lists = append(lists, rl) },
 		bad:      func(err error) error { return err },
 	})

@@ -225,16 +225,16 @@ func TestFollowAppliesInLogOrder(t *testing.T) {
 	c := NewStore(4)
 	repC := NewReplicator(c, nil)
 	repC.Revocations = cert.NewRevocationStore()
-	repC.apply(nil, cursor, ans)
+	repC.apply(nil, false, ans)
 	if c.HasHash(w.Hash()) || !c.Tombstoned(w.Hash()) {
 		t.Fatal("a publish applied after the list that voids it")
 	}
 }
 
 // TestFollowReplyBounds: an answer of the stream carries at most
-// verifyBatch certificates and maxBody bytes of them, and its cursor
-// stops at the last event it included, so the rest arrives on the
-// next poll. A directory holds 1 + 300 small certificates and 100 with
+// verifyBatch certificates and maxBody bytes of them, and a cut answer
+// is marked more and its cursor stops at the last event it included,
+// so the rest arrives on the next poll. A directory holds 1 + 300 small certificates and 100 with
 // a 16 KiB tag: the first answer stops at verifyBatch, a later one at
 // the byte bound, and a follower ends holding all of them.
 func TestFollowReplyBounds(t *testing.T) {
@@ -281,6 +281,9 @@ func TestFollowReplyBounds(t *testing.T) {
 		if len(ans.rows) > verifyBatch || size > maxBody {
 			t.Fatalf("answer %d: %d certificates in %d bytes", len(answers), len(ans.rows), size)
 		}
+		if cut := len(seen) < 1+small+large; ans.more != cut {
+			t.Fatalf("answer %d: marked more=%v, want %v", len(answers), ans.more, cut)
+		}
 		if len(answers) > 0 && len(ans.rows) < verifyBatch && len(seen) < 1+small+large {
 			sizeCut = true // an answer the stream did not run dry on
 		}
@@ -307,7 +310,9 @@ func TestFollowReplyBounds(t *testing.T) {
 // publish in it yields to a local tombstone, and a removal the peer
 // has since undone by re-publishing is skipped, so the replay neither
 // resurrects a retraction made here nor drops a certificate the peer
-// holds again.
+// holds again. The tail holds more certificates than one answer
+// carries, so the rows that matter arrive after the peer has cut it:
+// the replay lasts until the peer answers without cutting.
 func TestFollowReplayKeepsLocalState(t *testing.T) {
 	now := time.Now()
 	a, b := newNode(t), newNode(t)
@@ -321,6 +326,11 @@ func TestFollowReplayKeepsLocalState(t *testing.T) {
 		if added, err := st.Publish(c, now); err != nil || !added {
 			t.Fatalf("publish: added=%v err=%v", added, err)
 		}
+	}
+	fillers := make([]*cert.Cert, verifyBatch+8)
+	for i := range fillers {
+		fillers[i] = mint(fmt.Sprintf("filler-%d", i))
+		publish(a.store, fillers[i])
 	}
 	x, y, z := mint("x"), mint("y"), mint("z")
 	for _, st := range []*Store{a.store, b.store} {
@@ -345,6 +355,11 @@ func TestFollowReplayKeepsLocalState(t *testing.T) {
 	}
 	if !b.store.HasHash(y.Hash()) {
 		t.Fatal("the replayed tail removed a certificate the peer holds again")
+	}
+	for _, c := range fillers {
+		if !b.store.HasHash(c.Hash()) {
+			t.Fatal("the replayed tail lost a certificate")
+		}
 	}
 }
 
@@ -424,6 +439,58 @@ func TestAntiEntropyRespectsTombstones(t *testing.T) {
 	// An explicit re-publish at B outranks the old retraction.
 	if added, err := b.store.Publish(c, now); err != nil || !added {
 		t.Fatalf("re-publish: %v %v", added, err)
+	}
+}
+
+// TestHeardRemovalNotRelayed: a removal this directory applied from a
+// peer's stream leaves a tombstone, so anti-entropy never pulls the
+// certificate back, but the removal repair does not push it on to a
+// third directory under this one's credential: that is left to the
+// directory where the removal was made. The mark survives a restart.
+func TestHeardRemovalNotRelayed(t *testing.T) {
+	now := time.Now()
+	a, c := newNode(t), newNode(t)
+	dir := t.TempDir()
+	b, _, err := OpenDurable(dir, 4, SyncNever, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := delegate(t, sfkey.FromSeed([]byte("heard-issuer")), principal.KeyOf(sfkey.FromSeed([]byte("heard-subj")).Public()),
+		tag.All(), core.Until(now.Add(time.Hour)))
+	for _, st := range []*Store{a.store, b, c.store} {
+		if _, err := st.Publish(x, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cursor := a.store.follow(context.Background(), 0, []string{EventRemove}, 0).next
+	if !a.store.Remove(x.Hash()) {
+		t.Fatal("remove failed")
+	}
+	ans, err := a.client.follow(context.Background(), cursor, 0, EventPublish, EventRemove, EventCRL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewReplicator(b, []*Client{a.client}).apply(a.client, false, ans)
+	if b.HasHash(x.Hash()) || !b.Tombstoned(x.Hash()) {
+		t.Fatal("the peer's removal did not apply")
+	}
+	if err := b.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	b, _, err = OpenDurable(dir, 4, SyncNever, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.CloseWAL()
+	rep := NewReplicator(b, []*Client{c.client})
+	if _, err := rep.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	if b.HasHash(x.Hash()) {
+		t.Fatal("anti-entropy pulled back a removed certificate")
+	}
+	if st := rep.Stats(); !c.store.HasHash(x.Hash()) || st.Pushes != 0 {
+		t.Fatalf("a removal heard from a peer was relayed (%d pushes)", st.Pushes)
 	}
 }
 

@@ -363,7 +363,7 @@ func TestCRLGossipPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repB.apply(clA, 0, ans)
+	repB.apply(clA, true, ans)
 	if _, err := repB.Converge(); err != nil {
 		t.Fatal(err)
 	}

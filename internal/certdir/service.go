@@ -9,7 +9,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cert"
@@ -55,7 +54,7 @@ import (
 // endpoints:
 //
 //	POST /certdir/events       (events <after> [(wait <ms>)] [(kinds <kind>...)])
-//	                             -> (events (next <n>) [(reset)] (ev publish <cert>|remove <hash>|revoke <hash>|crl <crl>)...)
+//	                             -> (events (next <n>) [(reset)] [(more)] (ev publish <cert>|remove <hash>|revoke <hash>|crl <crl>)...)
 //	POST /certdir/admin/crl    (crl ...)    -> (crl-installed (evicted n)) | (crl-duplicate)
 //	POST /certdir/admin/reload (reload-crl) -> (reloaded (added n) (total m) (evicted k))
 //
@@ -157,9 +156,6 @@ type Service struct {
 	// first snapshot exists — the endpoint streams a live snapshot
 	// straight from the store.
 	SnapshotPath string
-
-	closingOnce sync.Once
-	closingCtx  context.Context // see closing
 }
 
 // NewService wraps a store.
@@ -211,10 +207,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case PathSnapshot:
 		s.handleSnapshot(w, r)
 	case PathEvents:
-		ctx, cancel := context.WithCancel(r.Context())
-		defer cancel()
-		defer context.AfterFunc(s.closing(r), cancel)()
-		post(w, r, s.Guard, func(e sexp.Sexp) (sexp.Sexp, error) { return s.handleEvents(ctx, e) })
+		post(w, r, s.Guard, func(e sexp.Sexp) (sexp.Sexp, error) { return s.handleEvents(r.Context(), e) })
 	case PathAdminCRL, PathReload:
 		s.admin().ServeHTTP(w, r)
 	case PathStats:
@@ -222,22 +215,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "certdir: no such endpoint", http.StatusNotFound)
 	}
-}
-
-// closing returns a context that ends when the server serving r begins
-// to shut down (http.Server.Shutdown). A held events poll ends with it,
-// so the server's drain does not wait out the holds of the peers and
-// subscribers that follow this directory.
-func (s *Service) closing(r *http.Request) context.Context {
-	s.closingOnce.Do(func() {
-		s.closingCtx = context.Background()
-		if srv, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok {
-			var cancel context.CancelFunc
-			s.closingCtx, cancel = context.WithCancel(s.closingCtx)
-			srv.RegisterOnShutdown(cancel)
-		}
-	})
-	return s.closingCtx
 }
 
 // spanName maps a wire path to its span name: "certdir." plus the
@@ -514,8 +491,10 @@ func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // to the requested wait while there are none. A request naming no kind
 // asks for remove and revoke, the invalidation rows provers follow. A
 // publish row carries the certificate and a crl row the list itself.
-// ctx is the request's: a poll ends when its caller goes. See
-// Store.follow and events.go for cursor and reset semantics.
+// ctx is the request's: a poll ends when its caller goes, or when the
+// server's owner cancels the request context (sf-certd does when it
+// begins to stop, so its drain does not wait out a follower's hold).
+// See Store.follow and events.go for cursor and reset semantics.
 func (s *Service) handleEvents(ctx context.Context, e sexp.Sexp) (sexp.Sexp, error) {
 	if e.Tag() != "events" || e.Len() < 2 || !e.Nth(1).IsAtom() {
 		return nil, fmt.Errorf("certdir: events wants (events <after> [(wait <ms>)] [(kinds <kind>...)])")
@@ -554,6 +533,9 @@ func (s *Service) handleEvents(ctx context.Context, e sexp.Sexp) (sexp.Sexp, err
 	}
 	if b.reset {
 		kids = append(kids, sexp.List(sexp.String("reset")))
+	}
+	if b.more {
+		kids = append(kids, sexp.List(sexp.String("more")))
 	}
 	for _, row := range b.rows {
 		var body sexp.Sexp

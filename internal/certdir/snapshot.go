@@ -72,8 +72,9 @@ func WriteSnapshotFile(path string, st *Store, revs *cert.RevocationStore, now t
 // AdoptTombstone installs a retraction learned from a snapshot: the
 // certificate was removed at the serving directory, so the
 // bootstrapping one must refuse to pull it back even though it never
-// indexed it. Journaled like a local Remove (so the tombstone survives
-// a restart) but emits no event — this node's subscribers never saw
+// indexed it. The retraction is heard, not made here (see tombstone).
+// Journaled like a local Remove (so the tombstone survives a restart)
+// but emits no event — this node's subscribers never saw
 // the certificate, so there is nothing to invalidate. Expired
 // retractions are dropped, exactly as Sweep would.
 //
@@ -90,11 +91,11 @@ func (s *Store) AdoptTombstone(hash []byte, expiry time.Time, now time.Time) {
 	key := string(hash)
 	s.tmu.Lock()
 	if s.wal != nil {
-		if err := s.wal.appendRecord(removeRecord(hash, expiry)); err != nil {
+		if err := s.wal.appendRecord(removeRecord(hash, tombstone{expiry, true})); err != nil {
 			s.walErrors.Add(1)
 		}
 	}
-	s.tombstones[key] = expiry
+	s.tombstones[key] = tombstone{expiry, true}
 	s.tmu.Unlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -356,7 +356,7 @@ func TestCrashMidRotationTwin(t *testing.T) {
 	crash := copyWALDir(t, dir)
 	// The record that was mid-write when the power went: a valid frame
 	// cut short. It was never acknowledged, so the twin never saw it.
-	torn := sexp.AppendFrame(nil, removeRecord(certs[20].Hash(), now.Add(time.Hour)))
+	torn := sexp.AppendFrame(nil, removeRecord(certs[20].Hash(), tombstone{expiry: now.Add(time.Hour)}))
 	f, err := os.OpenFile(activeSegment(t, crash), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)

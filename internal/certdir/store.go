@@ -122,14 +122,13 @@ type Store struct {
 	wal *WAL
 
 	// tombstones remembers removed (or revocation-evicted) certificate
-	// hashes with the expiry of the certificate they retract, so
-	// anti-entropy pulls do not resurrect them. Cleared by an explicit
-	// re-publish, expired by Sweep. crls holds the revocation lists
+	// hashes (see tombstone), so anti-entropy pulls do not resurrect
+	// them. Cleared by an explicit re-publish, expired by Sweep. crls holds the revocation lists
 	// installed here (InstallCRLs), by content hash, until Sweep finds
 	// them lapsed. Both are journaled under tmu, so a compaction's cut
 	// copies them at one instant.
 	tmu        sync.Mutex
-	tombstones map[string]time.Time
+	tombstones map[string]tombstone
 	crls       map[[32]byte]*cert.RevocationList
 
 	// events is the stream served to followers: one event per newly
@@ -163,7 +162,7 @@ func NewStore(n int) *Store {
 	}
 	s := &Store{
 		shards:     make([]*dirShard, n),
-		tombstones: make(map[string]time.Time),
+		tombstones: make(map[string]tombstone),
 		crls:       make(map[[32]byte]*cert.RevocationList),
 		events:     newEventLog(0),
 	}
@@ -426,7 +425,11 @@ func appendLive(dst []*cert.Cert, es []*entry, now time.Time, f QueryFilter) []*
 // WAL cannot journal the removal, the certificate is kept and Remove
 // reports false rather than acknowledging a retraction that would
 // silently reappear after a restart.
-func (s *Store) Remove(hash []byte) bool {
+func (s *Store) Remove(hash []byte) bool { return s.remove(hash, false) }
+
+// remove is Remove; heard marks a removal this directory applies from
+// a peer's stream rather than one made here (see tombstone).
+func (s *Store) remove(hash []byte, heard bool) bool {
 	key := string(hash)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -436,7 +439,7 @@ func (s *Store) Remove(hash []byte) bool {
 			continue
 		}
 		if s.wal != nil {
-			if err := s.wal.appendRecord(removeRecord(hash, e.expiry)); err != nil {
+			if err := s.wal.appendRecord(removeRecord(hash, tombstone{e.expiry, heard})); err != nil {
 				sh.mu.Unlock()
 				s.walErrors.Add(1)
 				return false
@@ -448,7 +451,7 @@ func (s *Store) Remove(hash []byte) bool {
 		// anti-entropy pull of this certificate serializes on the same
 		// shard and must find either the entry or the tombstone, never
 		// neither (which would let it resurrect the removal).
-		s.addTombstone(key, e.expiry)
+		s.addTombstone(key, tombstone{e.expiry, heard})
 		sh.mu.Unlock()
 		s.removed.Add(1)
 		s.emitEvent(EventRemove, hash)
@@ -461,23 +464,23 @@ func (s *Store) Remove(hash []byte) bool {
 // if a preceding replayed publish indexed it, and restore the
 // tombstone unless the certificate has expired anyway. No journaling,
 // no events — replay reconstructs state, it does not create history.
-func (s *Store) replayRemove(hash []byte, expiry, now time.Time) {
+func (s *Store) replayRemove(hash []byte, t tombstone, now time.Time) {
 	key := string(hash)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if e, ok := sh.byHash[key]; ok {
 			sh.dropLocked(e)
 			s.merkleDrop(e.hashKey)
-			if expiry.IsZero() {
-				expiry = e.expiry
+			if t.expiry.IsZero() {
+				t.expiry = e.expiry
 			}
 			sh.mu.Unlock()
 			break
 		}
 		sh.mu.Unlock()
 	}
-	if expiry.IsZero() || now.Before(expiry) {
-		s.addTombstone(key, expiry)
+	if t.expiry.IsZero() || now.Before(t.expiry) {
+		s.addTombstone(key, t)
 	}
 }
 
@@ -499,11 +502,23 @@ func (s *Store) emitEvent(kind string, hash []byte) {
 	s.events.append(kind, hash, journal)
 }
 
+// tombstone is one retraction: the expiry of the certificate it
+// retracts, and whether this directory only heard of it from a peer —
+// a removal on a followed stream, or one a bootstrap snapshot carried —
+// rather than made it. Anti-entropy repairs a peer that still serves a
+// retracted certificate only for retractions made here: a peer's
+// removal is not relayed under this directory's control-plane
+// credential (Replicator.pullHashes).
+type tombstone struct {
+	expiry time.Time
+	heard  bool
+}
+
 // addTombstone records a retraction until the certificate's expiry
 // (forever for unbounded certificates).
-func (s *Store) addTombstone(key string, expiry time.Time) {
+func (s *Store) addTombstone(key string, t tombstone) {
 	s.tmu.Lock()
-	s.tombstones[key] = expiry
+	s.tombstones[key] = t
 	s.tmu.Unlock()
 }
 
@@ -512,10 +527,16 @@ func (s *Store) addTombstone(key string, expiry time.Time) {
 // pulling: a lagging peer must not resurrect a local removal. An
 // explicit Publish of the same certificate clears the tombstone.
 func (s *Store) Tombstoned(hash []byte) bool {
-	s.tmu.Lock()
-	_, ok := s.tombstones[string(hash)]
-	s.tmu.Unlock()
+	_, ok := s.tombstone(hash)
 	return ok
+}
+
+// tombstone returns the live retraction of the certificate hash.
+func (s *Store) tombstone(hash []byte) (t tombstone, ok bool) {
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	t, ok = s.tombstones[string(hash)]
+	return t, ok
 }
 
 // keepCRL makes a verified revocation list directory state, reporting
@@ -642,8 +663,8 @@ func (s *Store) Sweep(now time.Time) int {
 	s.swept.Add(int64(n))
 	dropped := 0
 	s.tmu.Lock()
-	for k, exp := range s.tombstones {
-		if !exp.IsZero() && now.After(exp) {
+	for k, t := range s.tombstones {
+		if !t.expiry.IsZero() && now.After(t.expiry) {
 			delete(s.tombstones, k)
 			dropped++
 		}
@@ -693,7 +714,7 @@ func (s *Store) EvictRevoked(revoked func(certHash []byte, signer sfkey.PublicKe
 		}
 		for _, e := range del {
 			if s.wal != nil {
-				if err := s.wal.appendRecord(removeRecord([]byte(e.hashKey), e.expiry)); err != nil {
+				if err := s.wal.appendRecord(removeRecord([]byte(e.hashKey), tombstone{expiry: e.expiry})); err != nil {
 					s.walErrors.Add(1)
 				}
 			}
@@ -701,7 +722,7 @@ func (s *Store) EvictRevoked(revoked func(certHash []byte, signer sfkey.PublicKe
 			s.merkleDrop(e.hashKey)
 			// Under the shard lock, like Remove: a concurrent pull must
 			// see the entry or its tombstone, never neither.
-			s.addTombstone(e.hashKey, e.expiry)
+			s.addTombstone(e.hashKey, tombstone{expiry: e.expiry})
 		}
 		sh.mu.Unlock()
 		n += len(del)
@@ -797,12 +818,15 @@ func (s *Store) CompactWAL() error {
 // survive the compaction. Each certificate's record carries the token
 // of its newest retained publish event, as a live publish's record
 // does, and the other events follow the rest as event records, oldest
-// first; a publish event whose certificate is gone is left out, since
-// a read would skip it anyway. A snapshot carries no events.
+// first. A publish event whose certificate is gone is left out, since
+// a read would skip it anyway, unless it is the newest event: that one
+// is kept as an event record, so replay continues the sequence after
+// it instead of handing its numbers out again to events a cursor at
+// the old head would then never see. A snapshot carries no events.
 func (s *Store) collect(now time.Time, seal func() error) (records []sexp.Sexp, err error) {
 	var (
 		ents  []*entry
-		tombs map[string]time.Time
+		tombs map[string]tombstone
 		crls  []*cert.RevocationList
 		evs   []Event
 		boot  uint64
@@ -847,11 +871,12 @@ func (s *Store) collect(now time.Time, seal func() error) (records []sexp.Sexp, 
 	for _, e := range ents {
 		if live(e.expiry) {
 			records = append(records, publishRecord(e.cert, published[e.hashKey]))
+			delete(published, e.hashKey)
 		}
 	}
 	keys := make([]string, 0, len(tombs))
-	for k, exp := range tombs {
-		if live(exp) {
+	for k, t := range tombs {
+		if live(t.expiry) {
 			keys = append(keys, k)
 		}
 	}
@@ -862,8 +887,8 @@ func (s *Store) collect(now time.Time, seal func() error) (records []sexp.Sexp, 
 	for _, rl := range crls {
 		records = append(records, crlRecord(rl))
 	}
-	for _, ev := range evs {
-		if ev.Kind != EventPublish {
+	for i, ev := range evs {
+		if ev.Kind != EventPublish || i == len(evs)-1 && published[string(ev.Hash)] != 0 {
 			records = append(records, eventRecord(boot<<cursorSeqBits|ev.Seq, ev.Kind, ev.Hash))
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -281,6 +280,57 @@ func TestCRLStreamResets(t *testing.T) {
 			t.Fatalf("cursor from before the restart: reset=%v with %d publishes, want no reset and the 3 after it in order", b.reset, len(got))
 		}
 	})
+
+	// The newest events are publishes of certificates that expire, and
+	// the sweep that drops them compacts: the base still records the
+	// head, so the events after the restart take new sequence numbers
+	// and the cursor at the old head gets every one of them.
+	t.Run("durable restart, head publishes swept", func(t *testing.T) {
+		dir := t.TempDir()
+		bobP := principal.KeyOf(sfkey.FromSeed([]byte("resets-bob")).Public())
+		mint := func(name string, v core.Validity) *cert.Cert {
+			return delegate(t, alice, bobP, tag.Literal(name), v)
+		}
+		st, _, err := OpenDurable(dir, 4, SyncNever, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*cert.Cert{mint("kept", v), mint("brief-0", core.Between(now.Add(-time.Minute), now.Add(time.Second))),
+			mint("brief-1", core.Between(now.Add(-time.Minute), now.Add(time.Second)))} {
+			if _, err := st.Publish(c, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cursor := st.follow(context.Background(), 0, []string{EventPublish}, 0).next
+		later := now.Add(2 * time.Second)
+		if records := st.wal.recordCount(); st.Sweep(later) != 2 || st.wal.recordCount() >= records {
+			t.Fatal("the sweep dropped no certificates or did not compact")
+		}
+		if err := st.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		re, _, err := OpenDurable(dir, 4, SyncNever, later)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.CloseWAL()
+		var want []string
+		for i := range 3 {
+			c := mint("after-"+strconv.Itoa(i), v)
+			if _, err := re.Publish(c, later); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, string(c.Hash()))
+		}
+		b := re.follow(context.Background(), cursor, []string{EventPublish}, 0)
+		var got []string
+		for _, row := range b.rows {
+			got = append(got, string(row.cert.Hash()))
+		}
+		if b.reset || !slices.Equal(got, want) {
+			t.Fatalf("cursor at the old head: reset=%v with %d publishes, want no reset and the %d after the restart in order", b.reset, len(got), len(want))
+		}
+	})
 }
 
 // TestEventsPollEndsWithCaller: a long poll the caller abandons stops
@@ -348,7 +398,7 @@ func TestFilteredPollSurvivesPublishFlood(t *testing.T) {
 		done            bool
 	}
 	follow := func(ctx context.Context, s *seen, kind string, done func(streamBatch) bool) {
-		streamFollower{client: cl, kinds: []string{kind}, hold: 5 * time.Second, apply: func(after uint64, b streamBatch) {
+		streamFollower{client: cl, kinds: []string{kind}, hold: 5 * time.Second, apply: func(_ bool, b streamBatch) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			s.answers++
@@ -400,33 +450,4 @@ func TestFilteredPollSurvivesPublishFlood(t *testing.T) {
 		}
 		s.mu.Unlock()
 	}
-}
-
-// TestEventsPollEndsWithShutdown: a directory's server that begins to
-// shut down ends the polls its followers hold, so its drain does not
-// wait out a 30 s hold.
-func TestEventsPollEndsWithShutdown(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: NewService(NewStore(4))}
-	go srv.Serve(ln)
-	cl := NewClient("http://" + ln.Addr().String())
-	done := make(chan struct{})
-	go func() {
-		cl.follow(context.Background(), 0, 30*time.Second, EventCRL)
-		close(done)
-	}()
-	time.Sleep(50 * time.Millisecond) // the poll is held
-	start := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("shutdown waited %s for a held poll", d)
-	}
-	<-done
 }

@@ -29,7 +29,7 @@ import (
 //
 //	(wal-base)
 //	(wal-publish <signed-certificate proof> [<cursor token>])
-//	(wal-remove <cert hash> <expiry unix seconds, "0" if unbounded>)
+//	(wal-remove <cert hash> <expiry unix seconds, "0" if unbounded> [heard])
 //	(wal-crl <crl>)
 //	(wal-event <cursor token> <kind> <cert hash>)
 //	(wal-end (count <records>))
@@ -433,10 +433,13 @@ func publishRecord(c *cert.Cert, token uint64) sexp.Sexp {
 	return sexp.List(sexp.String(walTagPublish), c.Sexp(), sexp.String(strconv.FormatUint(token, 10)))
 }
 
-func removeRecord(hash []byte, expiry time.Time) sexp.Sexp {
+func removeRecord(hash []byte, t tombstone) sexp.Sexp {
 	exp := "0"
-	if !expiry.IsZero() {
-		exp = strconv.FormatInt(expiry.Unix(), 10)
+	if !t.expiry.IsZero() {
+		exp = strconv.FormatInt(t.expiry.Unix(), 10)
+	}
+	if t.heard {
+		return sexp.List(sexp.String(walTagRemove), sexp.Atom(hash), sexp.String(exp), sexp.String("heard"))
 	}
 	return sexp.List(sexp.String(walTagRemove), sexp.Atom(hash), sexp.String(exp))
 }
@@ -469,26 +472,27 @@ func decodeToken(e sexp.Sexp) (uint64, error) {
 	return token, nil
 }
 
-// decodeRemove extracts the retracted certificate's hash and expiry
-// (zero for unbounded) from a wal-remove frame. The hash must be a
-// full content hash and the expiry an integer: read leniently, a
-// garbled expiry would turn into "never expires" and the frame into a
-// tombstone no sweep ever reclaims.
-func decodeRemove(e sexp.Sexp) (hash []byte, expiry time.Time, err error) {
-	if e.Tag() != walTagRemove || e.Len() != 3 || !e.Nth(1).IsAtom() || !e.Nth(2).IsAtom() {
-		return nil, expiry, fmt.Errorf("certdir: bad remove frame %s", e)
+// decodeRemove extracts the retracted certificate's hash and its
+// tombstone (expiry zero for unbounded) from a wal-remove frame. The
+// hash must be a full content hash and the expiry an integer: read
+// leniently, a garbled expiry would turn into "never expires" and the
+// frame into a tombstone no sweep ever reclaims.
+func decodeRemove(e sexp.Sexp) (hash []byte, t tombstone, err error) {
+	t.heard = e.Len() == 4 && e.Nth(3).Text() == "heard"
+	if e.Tag() != walTagRemove || e.Len() != 3 && !t.heard || !e.Nth(1).IsAtom() || !e.Nth(2).IsAtom() {
+		return nil, t, fmt.Errorf("certdir: bad remove frame %s", e)
 	}
 	if len(e.Nth(1).Bytes()) != sha256.Size {
-		return nil, expiry, fmt.Errorf("certdir: remove frame hash is %d bytes, want %d", len(e.Nth(1).Bytes()), sha256.Size)
+		return nil, t, fmt.Errorf("certdir: remove frame hash is %d bytes, want %d", len(e.Nth(1).Bytes()), sha256.Size)
 	}
 	sec, err := strconv.ParseInt(e.Nth(2).Text(), 10, 64)
 	if err != nil {
-		return nil, expiry, fmt.Errorf("certdir: remove frame expiry %q is not an integer", e.Nth(2).Text())
+		return nil, t, fmt.Errorf("certdir: remove frame expiry %q is not an integer", e.Nth(2).Text())
 	}
 	if sec != 0 {
-		expiry = time.Unix(sec, 0)
+		t.expiry = time.Unix(sec, 0)
 	}
-	return append([]byte(nil), e.Nth(1).Bytes()...), expiry, nil
+	return append([]byte(nil), e.Nth(1).Bytes()...), t, nil
 }
 
 func crlRecord(rl *cert.RevocationList) sexp.Sexp {
@@ -720,8 +724,8 @@ func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (g
 			rec.Replayed += added
 			rec.Dropped += len(batch) - added
 		},
-		remove: func(hash []byte, expiry time.Time) {
-			st.replayRemove(hash, expiry, now)
+		remove: func(hash []byte, t tombstone) {
+			st.replayRemove(hash, t, now)
 			rec.Replayed++
 		},
 		crl: func(rl *cert.RevocationList) {
@@ -753,7 +757,7 @@ func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (g
 // (readRecords) and differ only here.
 type recordSink struct {
 	publish func(batch []*cert.Cert) // a run of consecutive publishes
-	remove  func(hash []byte, expiry time.Time)
+	remove  func(hash []byte, t tombstone)
 	crl     func(rl *cert.RevocationList)
 	event   func(token uint64, kind string, hash []byte) // nil skips events
 	// bad hears of a record that does not decode: nil skips it, an
@@ -834,9 +838,9 @@ func readRecords(r io.Reader, k recordSink) (good, records int64, torn bool, err
 				}
 			}
 		case walTagRemove:
-			hash, expiry, err := decodeRemove(e)
+			hash, t, err := decodeRemove(e)
 			if bad = err; err == nil {
-				k.remove(hash, expiry)
+				k.remove(hash, t)
 			}
 		case walTagCRL:
 			rl, err := decodeCRL(e)

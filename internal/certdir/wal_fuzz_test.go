@@ -24,8 +24,9 @@ var fuzzWALNow = time.Unix(1_800_000_000, 0)
 // segment holding a CRL record, the same with the list's signature
 // forged, a CRL install as it is journaled now (the list's crl event,
 // the list, and the eviction it caused), a complete snapshot stream
-// (base, records, trailer), and a log whose publish records carry
-// their events' cursor tokens, as publishes are journaled now.
+// (base, records, trailer), a log whose publish records carry their
+// events' cursor tokens, as publishes are journaled now, and a log
+// holding a removal heard from a peer.
 func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := t.TempDir()

@@ -519,7 +519,10 @@ func TestWALCompactTrigger(t *testing.T) {
 		}
 		want := int64(tc.keep + tc.expire)
 		if tc.compactions > 0 {
-			want = int64(tc.keep)
+			// The kept certificates, and one event record for the
+			// newest event, a publish of a certificate the sweep
+			// dropped: it keeps the stream's head across the restart.
+			want = int64(tc.keep) + 1
 		}
 		if got := st.wal.recordCount(); got != want {
 			t.Errorf("%s: log counts %d records, want %d", tc.name, got, want)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"path/filepath"
 	"time"
 
@@ -261,7 +262,17 @@ func Certd(args []string) (n *Node, err error) {
 		}
 	})
 
-	if n, err = b.serve(*addr, svc, *adminAddr); err == nil {
+	// A request's context ends when the daemon begins to stop. Only a
+	// poll held at the events endpoint waits on it: it answers at once,
+	// so the drain does not wait out the holds of the peers and
+	// subscribers that follow this directory.
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithCancel(r.Context())
+		defer cancel()
+		defer context.AfterFunc(rt.Stopping(), cancel)()
+		svc.ServeHTTP(w, r.WithContext(ctx))
+	})
+	if n, err = b.serve(*addr, h, *adminAddr); err == nil {
 		rt.Printf("directory listening on %s (%d shards)", n.Addr, *shards)
 	}
 	return n, err

@@ -3,10 +3,12 @@ package daemon
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -352,6 +354,41 @@ func TestMeshBoot(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("shutting down the mesh took %s, want well under 1s", d)
+	}
+}
+
+// TestCertdShutdownEndsHeldPolls: a directory that begins to stop
+// answers the polls its followers hold at once, so its drain does not
+// wait out a follower's 30 s hold (the runtime would otherwise cut the
+// drain at its 5 s timeout).
+func TestCertdShutdownEndsHeldPolls(t *testing.T) {
+	dir := up(t, Certd, "-addr", "127.0.0.1:0")
+	wrote := make(chan struct{})
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		WroteRequest: func(httptrace.WroteRequestInfo) { close(wrote) },
+	})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+dir.Addr+certdir.PathEvents,
+		strings.NewReader("(events 0 (wait 30000) (kinds crl))"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			_, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		answered <- err
+	}()
+	<-wrote // the directory serves the poll, even once its drain begins
+	start := time.Now()
+	dir.Shutdown()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("shutdown waited %s for a held poll", d)
+	}
+	if err := <-answered; err != nil {
+		t.Fatalf("the held poll was cut instead of answered: %v", err)
 	}
 }
 

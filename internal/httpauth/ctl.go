@@ -1,5 +1,5 @@
 // Control-plane authorization: the management surface of every daemon
-// (admin endpoints, directory publish/remove, gossip pushes) is
+// (admin endpoints, directory publish/remove, anti-entropy repairs) is
 // guarded by the same speaks-for machinery that guards the data
 // plane. A mutating request must carry an Authorization header in the
 // SnowflakeProof scheme whose proof shows that the REQUEST HASH
@@ -155,7 +155,7 @@ type CtlSigner struct {
 
 	// lastSweep (unix nanos) schedules the prover hygiene below: each
 	// Sign mints a unique request-hash edge into the prover's graph,
-	// so a long-lived signer (a daemon's gossip pusher) would leak an
+	// so a long-lived signer (a directory's replicator) would leak an
 	// edge per mutation without periodic Sweep.
 	lastSweep atomic.Int64
 }

@@ -68,7 +68,8 @@ type Runtime struct {
 	audit    *obs.AuditLog
 	lat      *Latencies
 	hupOnce  sync.Once
-	stop     chan struct{}
+	stopping context.Context // ends when Shutdown begins (Stopping)
+	stop     context.CancelFunc
 	done     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -77,8 +78,14 @@ type Runtime struct {
 
 // New returns a runtime for the named daemon.
 func New(name string) *Runtime {
-	return &Runtime{Name: name, stop: make(chan struct{}), done: make(chan struct{})}
+	stopping, stop := context.WithCancel(context.Background())
+	return &Runtime{Name: name, stopping: stopping, stop: stop, done: make(chan struct{})}
 }
+
+// Stopping returns a context that ends when Shutdown begins, before the
+// listeners drain. A handler that holds a request open (a long poll)
+// ends the hold with it, so the drain does not wait the hold out.
+func (rt *Runtime) Stopping() context.Context { return rt.stopping }
 
 func (rt *Runtime) logf(format string, args ...any) {
 	if rt.Logger != nil {
@@ -130,7 +137,7 @@ func (rt *Runtime) ServeRMI(l channel.Listener, srv *rmi.Server) {
 	rt.wg.Add(2)
 	go func() {
 		defer rt.wg.Done()
-		<-rt.stop
+		<-rt.stopping.Done()
 		l.Close()
 		timeout := rt.ShutdownTimeout
 		if timeout <= 0 {
@@ -142,7 +149,7 @@ func (rt *Runtime) ServeRMI(l channel.Listener, srv *rmi.Server) {
 		defer rt.wg.Done()
 		if err := srv.Serve(l); err != nil {
 			select {
-			case <-rt.stop:
+			case <-rt.stopping.Done():
 				// Listener closed by shutdown; expected.
 			default:
 				rt.Fail(fmt.Errorf("rmi listener: %w", err))
@@ -337,7 +344,7 @@ func (rt *Runtime) Every(interval time.Duration, fn func()) {
 		defer t.Stop()
 		for {
 			select {
-			case <-rt.stop:
+			case <-rt.stopping.Done():
 				return
 			case <-t.C:
 				fn()
@@ -360,7 +367,7 @@ func (rt *Runtime) OnSIGHUP(fn func()) {
 			defer rt.wg.Done()
 			for {
 				select {
-				case <-rt.stop:
+				case <-rt.stopping.Done():
 					signal.Stop(ch)
 					return
 				case <-ch:
@@ -396,7 +403,7 @@ func (rt *Runtime) Wait() error {
 	select {
 	case s := <-ch:
 		rt.logf("received %s, shutting down", s)
-	case <-rt.stop:
+	case <-rt.stopping.Done():
 	}
 	signal.Stop(ch)
 	rt.Shutdown()
@@ -413,7 +420,7 @@ func (rt *Runtime) Wait() error {
 // drive the runtime through it directly.
 func (rt *Runtime) Shutdown() {
 	rt.stopOnce.Do(func() {
-		close(rt.stop)
+		rt.stop()
 		timeout := rt.ShutdownTimeout
 		if timeout <= 0 {
 			timeout = 5 * time.Second
