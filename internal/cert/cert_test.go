@@ -292,6 +292,42 @@ func TestCRLWireRoundTripAndTamper(t *testing.T) {
 	}
 }
 
+// TestCRLHashFollowsContent: a copy of a list whose signature is then
+// changed hashes as what it now holds, not as the list it was copied
+// from, so a held list's hash cannot vouch for a forged copy.
+func TestCRLHashFollowsContent(t *testing.T) {
+	alice, _ := keys("alice")
+	rl := NewRevocationList(alice, core.Forever, sfkey.HashBytes([]byte("cert1")))
+	forged := *rl
+	forged.Signature = append([]byte(nil), rl.Signature...)
+	forged.Signature[0] ^= 1
+	if forged.Hash() == rl.Hash() {
+		t.Fatal("forged copy reports the original's hash")
+	}
+	if forged.Hash() != forged.Sexp().Hash() || rl.Hash() != rl.Sexp().Hash() {
+		t.Fatal("Hash differs from the hash of the list's encoding")
+	}
+	store := NewRevocationStore()
+	if _, errs := store.Add(rl); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if store.Has(forged.Hash()) {
+		t.Fatal("store reports the forged copy as held")
+	}
+	// Add skips a held list before any signature check, and refuses
+	// the forged copy on its signature instead of taking it as held.
+	before := sfkey.SigVerifies()
+	if added, errs := store.Add(rl); added[0] || errs[0] != nil {
+		t.Fatalf("re-adding the held list: added %v, err %v", added[0], errs[0])
+	}
+	if n := sfkey.SigVerifies() - before; n != 0 {
+		t.Fatalf("re-adding the held list checked %d signatures, want 0", n)
+	}
+	if _, errs := store.Add(&forged); errs[0] == nil {
+		t.Fatal("store took the forged copy")
+	}
+}
+
 func TestRevalidation(t *testing.T) {
 	alice, kAlice := keys("alice")
 	_, kBob := keys("bob")

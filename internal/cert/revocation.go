@@ -15,17 +15,11 @@ import (
 // listed certificates (identified by their body hashes) are void. Its
 // validity window bounds the list's freshness, mirroring SPKI CRL
 // semantics expressed in the logic (section 4.1).
-// A RevocationList is immutable once constructed (NewRevocationList
-// or RevocationListFromSexp); its content hash is computed once there
-// and gossip re-reads it every round.
 type RevocationList struct {
 	Signer    sfkey.PublicKey
 	Hashes    [][]byte
 	Validity  core.Validity
 	Signature []byte
-
-	hash    [32]byte // cached Hash(); set by the constructors
-	hashSet bool
 }
 
 // NewRevocationList signs a CRL voiding the given certificate hashes.
@@ -35,7 +29,6 @@ func NewRevocationList(priv *sfkey.PrivateKey, v core.Validity, hashes ...[]byte
 		rl.Hashes = append(rl.Hashes, append([]byte(nil), h...))
 	}
 	rl.Signature = priv.Sign(rl.signingBytes())
-	rl.hash, rl.hashSet = rl.Sexp().Hash(), true
 	return rl
 }
 
@@ -76,13 +69,11 @@ func (rl *RevocationList) Sexp() sexp.Sexp {
 
 // Hash returns the CRL's content identity — the hash of its canonical
 // encoding (body and signature alike) — used to deduplicate installs
-// and to diff CRL sets during gossip. Constructed lists carry it
-// precomputed; the fallback (a hand-assembled literal) computes fresh
-// each call rather than racing to memoize.
+// and to key the lists a directory keeps. It is computed from the
+// fields on every call, so a copy whose fields were changed reports
+// its own content, never the original's. Only installs ask, and a CRL
+// is small.
 func (rl *RevocationList) Hash() [32]byte {
-	if rl.hashSet {
-		return rl.hash
-	}
 	return rl.Sexp().Hash()
 }
 
@@ -115,7 +106,6 @@ func RevocationListFromSexp(e sexp.Sexp) (*RevocationList, error) {
 			rl.Hashes = append(rl.Hashes, append([]byte(nil), c.Nth(1).Bytes()...))
 		}
 	}
-	rl.hash, rl.hashSet = rl.Sexp().Hash(), true
 	return rl, nil
 }
 
@@ -194,11 +184,12 @@ func (s *RevocationStore) AttachCache(c *core.ProofCache) {
 // any bad list instead of condemning the batch), and however many
 // lists are newly installed, attached proof caches are flushed by ONE
 // epoch bump. Installing a list already held (same content hash) is a
-// no-op that bumps nothing, so re-reading an unchanged CRL file or
-// re-receiving a gossiped CRL never flushes the proof cache. Outcomes
-// are reported per list, aligned with lists: added[i] true for newly
-// installed lists, errs[i] non-nil for rejected ones (bad signature),
-// both false/nil for deduplicated re-installs.
+// no-op that checks no signature and bumps nothing, so re-reading an
+// unchanged CRL file or re-receiving a followed CRL costs no signature
+// work and never flushes the proof cache. Outcomes are reported per
+// list, aligned with lists: added[i] true for newly installed lists,
+// errs[i] non-nil for rejected ones (bad signature), both false/nil
+// for deduplicated re-installs.
 //
 // A list that is not yet fresh (future NotBefore) schedules a second
 // bump for the moment it becomes fresh: verdicts cached in the
@@ -208,14 +199,23 @@ func (s *RevocationStore) Add(lists ...*RevocationList) (added []bool, errs []er
 	errs = make([]error, len(lists))
 	var bv sfkey.BatchVerifier
 	pos := make([]int, 0, len(lists)) // batch index -> lists index
+	hashes := make([][32]byte, len(lists))
 	for i, rl := range lists {
-		if rl == nil {
-			errs[i] = fmt.Errorf("cert: nil CRL")
-			continue
+		if rl != nil {
+			hashes[i] = rl.Hash()
 		}
-		bv.Add(rl.Signer, rl.signingBytes(), rl.Signature)
-		pos = append(pos, i)
 	}
+	s.mu.RLock()
+	for i, rl := range lists {
+		switch {
+		case rl == nil:
+			errs[i] = fmt.Errorf("cert: nil CRL")
+		case !s.seen[hashes[i]]:
+			bv.Add(rl.Signer, rl.signingBytes(), rl.Signature)
+			pos = append(pos, i)
+		}
+	}
+	s.mu.RUnlock()
 	for _, bi := range bv.Verify() {
 		errs[pos[bi]] = fmt.Errorf("cert: bad CRL signature")
 	}
@@ -225,14 +225,10 @@ func (s *RevocationStore) Add(lists ...*RevocationList) (added []bool, errs []er
 		s.seen = make(map[[32]byte]bool)
 	}
 	for i, rl := range lists {
-		if rl == nil || errs[i] != nil {
+		if rl == nil || errs[i] != nil || s.seen[hashes[i]] {
 			continue
 		}
-		h := rl.Hash()
-		if s.seen[h] {
-			continue
-		}
-		s.seen[h] = true
+		s.seen[hashes[i]] = true
 		s.lists = append(s.lists, rl)
 		s.indexLocked(rl)
 		added[i] = true

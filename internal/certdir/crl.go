@@ -18,11 +18,11 @@ type CRLInstall struct {
 // InstallCRLs is the one way revocation lists take effect in the
 // directory tier, whatever brought them: the admin endpoint, the
 // daemon's -crl file, a peer's record stream, a snapshot bootstrap, or
-// a verifier's CRLFollower. Lists the revocation store already holds
-// are skipped by content hash before anything is verified, so a
-// stream that repeats the whole set costs no signature work. The rest
-// are installed as one batch (cert.RevocationStore.Add: one signature
-// batch, one proof-cache epoch bump), then the store keeps each new
+// a verifier's CRLFollower. They are installed as one batch
+// (cert.RevocationStore.Add: lists already held are skipped by content
+// hash before any signature check, so a stream that repeats the whole
+// set costs no signature work; one signature batch for the rest, one
+// proof-cache epoch bump), then the store keeps each new
 // list (Store.keepCRL: it survives a restart, rides the next
 // snapshot, and goes out on the store's record stream as a crl event,
 // which is how it reaches the peers that follow this directory), then
@@ -37,23 +37,14 @@ type CRLInstall struct {
 // evict from. now is the instant eviction judges CRL freshness at,
 // unused without a store.
 func InstallCRLs(revs *cert.RevocationStore, st *Store, lists []*cert.RevocationList, now time.Time) CRLInstall {
-	var (
-		res   CRLInstall
-		fresh []*cert.RevocationList
-		pos   []int // fresh index -> lists index
-	)
+	var res CRLInstall
+	added, errs := revs.Add(lists...)
 	for i, rl := range lists {
-		if rl == nil || !revs.Has(rl.Hash()) {
-			fresh, pos = append(fresh, rl), append(pos, i)
-		}
-	}
-	added, errs := revs.Add(fresh...)
-	for i, rl := range fresh {
 		switch {
 		case errs[i] != nil:
 			res.Rejected++
 			if res.Err == nil {
-				res.Err = fmt.Errorf("crl %d: %w", pos[i]+1, errs[i])
+				res.Err = fmt.Errorf("crl %d: %w", i+1, errs[i])
 			}
 		case added[i]:
 			res.Installed++

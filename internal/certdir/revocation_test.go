@@ -388,3 +388,27 @@ func TestCRLGossipPropagates(t *testing.T) {
 		t.Fatal("forged CRL verified")
 	}
 }
+
+// TestInstallCRLsRefusesForgedCopy: a forged copy of a list already
+// held is refused on its signature, not skipped as held: its hash is
+// its own, not the original's.
+func TestInstallCRLsRefusesForgedCopy(t *testing.T) {
+	now := time.Now()
+	alice := sfkey.FromSeed([]byte("forged-copy-alice"))
+	rl := cert.NewRevocationList(alice, core.Between(now.Add(-time.Minute), now.Add(time.Hour)),
+		[]byte("hash-f-32-bytes-hash-f-32-bytes-"))
+	rs := cert.NewRevocationStore()
+	if res := InstallCRLs(rs, nil, []*cert.RevocationList{rl}, now); res.Installed != 1 {
+		t.Fatalf("original: %+v, want installed", res)
+	}
+	forged := *rl
+	forged.Signature = append([]byte(nil), rl.Signature...)
+	forged.Signature[0] ^= 1
+	res := InstallCRLs(rs, nil, []*cert.RevocationList{&forged}, now)
+	if res.Rejected != 1 || res.Installed != 0 || res.Err == nil {
+		t.Fatalf("forged copy: %+v, want rejected", res)
+	}
+	if len(rs.Lists()) != 1 {
+		t.Fatalf("store holds %d lists, want the original only", len(rs.Lists()))
+	}
+}

@@ -36,10 +36,10 @@ func Certd(args []string) (n *Node, err error) {
 		peers = append(peers, p)
 		return nil
 	})
-	gossip := fs.Duration("gossip", certdir.DefaultGossipInterval, "anti-entropy round interval (0 disables pulls; pushes still run)")
+	gossip := fs.Duration("gossip", certdir.DefaultGossipInterval, "anti-entropy round interval (0 disables the rounds; following peers still runs)")
 	adminAuth := fs.Bool("admin-auth", false, "require speaks-for proofs on publish/remove/admin endpoints")
 	operatorFile := fs.String("operator", "", "file holding the operator principal S-expression (required with -admin-auth)")
-	ctlKeyFile := fs.String("ctl-key", "", "private key signing this daemon's gossip pushes (required with -admin-auth and -peer)")
+	ctlKeyFile := fs.String("ctl-key", "", "private key signing this daemon's anti-entropy removal repairs at its peers (required with -admin-auth and -peer)")
 	ctlCertFile := fs.String("ctl-cert", "", "certificate chain file delegating control authority to -ctl-key")
 
 	fs.Parse(args) // ExitOnError: an unparsable list never returns

@@ -44,8 +44,11 @@ type Gateway struct {
 	*admit.Pipeline
 	// Key is the gateway's own key (G).
 	Key *sfkey.PrivateKey
-	// DB is the RMI connection to the database server; its prover
-	// must be Prover below.
+	// DB is the RMI client for the database server; its prover must
+	// be Prover below. Each request's forward holds a channel of its
+	// own for its whole exchange, a cold admit's proof search
+	// included, so requests never queue behind one another here, and
+	// a channel that breaks is replaced by a fresh dial.
 	DB *rmi.Client
 	// DBIssuer is the principal controlling the database (S).
 	DBIssuer principal.Principal
@@ -58,8 +61,8 @@ type Gateway struct {
 	Obs *obs.Recorder
 	// ColdAdmit / WarmAdmit, when set, observe end-to-end admit
 	// seconds: cold when the request carried a delegation proof to
-	// digest or the prover went to a directory mid-request, warm when
-	// admission rode cached state alone.
+	// digest or its own forward sent the prover to a directory, warm
+	// when admission rode cached state alone.
 	ColdAdmit *obs.Histogram
 	WarmAdmit *obs.Histogram
 
@@ -207,7 +210,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mu.Lock()
 	g.stats.Forwarded++
 	g.mu.Unlock()
-	preRemote := g.Prover.Stats().RemoteQueries
+	ctx, queries := prover.WithQueryTally(ctx)
 	switch op.op {
 	case "select":
 		var reply emaildb.SelectReply
@@ -230,9 +233,9 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Admitted end to end. Cold when the client handed over a
-	// delegation to digest or the forward drove the prover to a
-	// directory; warm when cached state carried the whole request.
-	cold = cold || g.Prover.Stats().RemoteQueries > preRemote
+	// delegation to digest or this request's forward drove the prover
+	// to a directory; warm when cached state carried the whole request.
+	cold = cold || queries.Load() > 0
 	if cold {
 		g.ColdAdmit.Since(start)
 	} else {

@@ -42,6 +42,13 @@ type tracedMesh struct {
 
 func newTracedMesh(t *testing.T) *tracedMesh {
 	t.Helper()
+	return newTracedMeshServing(t, nil)
+}
+
+// newTracedMeshServing is newTracedMesh with the database serving
+// wrap(service) in place of the bare service (nil wrap: the service).
+func newTracedMeshServing(t *testing.T, wrap func(*emaildb.Service) interface{}) *tracedMesh {
+	t.Helper()
 	w := &tracedMesh{
 		dbKey:    sfkey.FromSeed([]byte("trace-db-key")),
 		gwKey:    sfkey.FromSeed([]byte("trace-gw-key")),
@@ -74,7 +81,16 @@ func newTracedMesh(t *testing.T) *tracedMesh {
 	dbSrv.Obs = w.dbRec
 	dbSrv.Audit = w.dbAudit
 	w.dbRevocations = cert.NewRevocationStore()
-	if err := emaildb.RegisterWithRevocation(dbSrv, svc, w.dbIssuer, w.dbRevocations); err != nil {
+	if wrap == nil {
+		err = emaildb.RegisterWithRevocation(dbSrv, svc, w.dbIssuer, w.dbRevocations)
+	} else {
+		if dbSrv.Cache != nil {
+			w.dbRevocations.AttachCache(dbSrv.Cache)
+		}
+		dbSrv.Revocations = w.dbRevocations
+		err = dbSrv.Register(emaildb.ObjectName, wrap(svc), w.dbIssuer, emaildb.TagFor)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	l, err := secure.Listen("127.0.0.1:0", &secure.Identity{Priv: w.dbKey})
@@ -129,6 +145,12 @@ func (w *tracedMesh) publish(t *testing.T, c *cert.Cert) {
 // prover must discover the chain from the directory.
 func (w *tracedMesh) signedRequest(t *testing.T, method, url string) *http.Request {
 	t.Helper()
+	return signedRequestBy(t, w.aliceKey, "alice", method, url)
+}
+
+// signedRequestBy is signedRequest for any mailbox owner's key.
+func signedRequestBy(t *testing.T, key *sfkey.PrivateKey, owner, method, url string) *http.Request {
+	t.Helper()
 	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +160,9 @@ func (w *tracedMesh) signedRequest(t *testing.T, method, url string) *http.Reque
 		t.Fatal(err)
 	}
 	apv := prover.New()
-	apv.AddClosure(prover.NewKeyClosure(w.aliceKey))
+	apv.AddClosure(prover.NewKeyClosure(key))
 	now := time.Now()
-	rp, err := apv.Delegate(w.alice, reqPrin, emaildb.OwnerTag("alice"),
+	rp, err := apv.Delegate(principal.KeyOf(key.Public()), reqPrin, emaildb.OwnerTag(owner),
 		core.Between(now.Add(-time.Minute), now.Add(5*time.Minute)))
 	if err != nil {
 		t.Fatal(err)

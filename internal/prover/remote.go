@@ -3,6 +3,7 @@ package prover
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -76,6 +77,19 @@ func (p *Prover) AddRemote(r RemoteSource) {
 	p.remotes = append(p.remotes, r)
 }
 
+// tallyKey keys the per-context query counter of WithQueryTally.
+type tallyKey struct{}
+
+// WithQueryTally returns a context under which every proof search
+// adds the directory queries it issues to the returned counter. A
+// caller serving one request learns the discovery that request caused,
+// which Stats().RemoteQueries cannot tell apart from the discovery of
+// requests running beside it.
+func WithQueryTally(ctx context.Context) (context.Context, *atomic.Int64) {
+	n := new(atomic.Int64)
+	return context.WithValue(ctx, tallyKey{}, n), n
+}
+
 // remoteQuery is one directory question: an axis ("i" by issuer, "s"
 // by subject) and a principal.
 type remoteQuery struct {
@@ -108,15 +122,17 @@ type remoteAnswer struct {
 // the subject — and every principal its closures reach from it for
 // free (subjectStarts) — can exercise. Each subject-side round asks
 // by subject for the nodes not yet asked, digests the verified
-// answers, and makes the issuers of the newly digested usable edges
-// the next round's nodes; only verified edges steer, so a forged
+// answers, and makes the issuers of the usable edges among them the
+// next round's nodes, whether this search digested them or a search
+// running beside it did first; only verified edges steer, so a forged
 // answer cannot choose a question. When a round has no subject-side
 // node left to ask, the walk falls back to the issuer side: a
 // by-issuer question for every principal reachable backwards from
 // the issuer (find's frontier), growing the frontier at least one
 // hop per productive round, so a k-hop chain only the issuer side can
 // see needs at most k issuer rounds. Local search re-runs after every
-// productive round. No prover lock is held across network fetches.
+// productive round (one with a verified answer). No prover lock is
+// held across network fetches.
 func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Principal, want tag.Tag, now time.Time, localErr error) (core.Proof, error) {
 	budget := DefaultRemoteFanout
 	asked := make(map[string]bool) // queries spent during this call
@@ -144,9 +160,13 @@ func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Princ
 		p.rmu.Unlock()
 		answers := fetchAll(ctx, remotes, queries, want)
 
-		p.stats.remoteQueries.Add(int64(len(queries) * len(remotes)))
+		asks := int64(len(queries) * len(remotes))
+		p.stats.remoteQueries.Add(asks)
+		if t, ok := ctx.Value(tallyKey{}).(*atomic.Int64); ok {
+			t.Add(asks)
+		}
 		upward = nil
-		added := 0
+		verified := 0
 		for i, q := range queries {
 			if len(answers[i].proofs) == 0 {
 				if answers[i].answered {
@@ -155,13 +175,13 @@ func (p *Prover) findRemote(ctx context.Context, subject, issuer principal.Princ
 				continue
 			}
 			for _, pr := range p.digestRemote(answers[i].proofs, now) {
-				added++
+				verified++
 				if c := pr.Conclusion(); !fallback && tag.Covers(c.Tag, want) && c.Validity.Contains(now) {
 					upward = append(upward, remoteQuery{axis: "s", prin: c.Issuer})
 				}
 			}
 		}
-		if added == 0 {
+		if verified == 0 {
 			if fallback {
 				break
 			}
@@ -295,7 +315,10 @@ func fetchAll(ctx context.Context, remotes []RemoteSource, queries []remoteQuery
 }
 
 // digestRemote verifies fetched proofs and installs the good ones as
-// graph edges, returning the ones that were new. Verification
+// graph edges, returning every one that verified, new or already
+// held: a search running beside this one may have digested the same
+// answer first, and this search must still steer by it and search
+// again locally. Verification
 // consults the shared verified-proof cache: a delegation fetched by
 // several concurrent searches (or previously screened by another
 // layer) costs one signature check process-wide.
@@ -306,7 +329,7 @@ func (p *Prover) digestRemote(proofs []core.Proof, now time.Time) []core.Proof {
 	// Revalidation demands are deferred to the relying verifier; the
 	// prover only screens out proofs that can never verify.
 	ctx.Revalidate = func([]byte, string) error { return nil }
-	var added []core.Proof
+	var good []core.Proof
 	for _, pr := range proofs {
 		if pr == nil {
 			continue
@@ -316,11 +339,11 @@ func (p *Prover) digestRemote(proofs []core.Proof, now time.Time) []core.Proof {
 			continue
 		}
 		if p.addEdge(pr, false) {
-			added = append(added, pr)
 			p.stats.remoteCerts.Add(1)
 		}
+		good = append(good, pr)
 	}
-	return added
+	return good
 }
 
 func (p *Prover) negTTL() time.Duration {

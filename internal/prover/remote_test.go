@@ -28,6 +28,9 @@ type fakeSource struct {
 	// issuerOnly answers every by-subject question empty, so a chain
 	// is discoverable only from the issuer side.
 	issuerOnly bool
+	// onAsk, when set, runs as each question arrives, before it is
+	// answered.
+	onAsk func(axis string, p principal.Principal)
 }
 
 // fakeCall is what one query asked for.
@@ -75,6 +78,9 @@ func (f *fakeSource) answer(ctx context.Context, axis string, p principal.Princi
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.calls = append(f.calls, fakeCall{axis: axis, prin: p.Key(), want: want, limit: limit, trace: obs.FromContext(ctx).TraceID()})
+	if f.onAsk != nil {
+		f.onAsk(axis, p)
+	}
 	index := f.byIssuer
 	if axis == "s" {
 		if f.issuerOnly {
@@ -148,6 +154,60 @@ func TestRemoteCompletesPartialChain(t *testing.T) {
 	}
 	if st := p.Stats(); st.RemoteCerts != 2 {
 		t.Fatalf("stats = %+v, want 2 remote certs", st)
+	}
+}
+
+// TestRemoteSteersByAnswersDigestedBeside: an answer that a search
+// running beside this one digested first still steers this search and
+// sends it back to local search, so two overlapping searches that
+// share a link both find their chains.
+func TestRemoteSteersByAnswersDigestedBeside(t *testing.T) {
+	now := time.Now()
+	v := core.Until(now.Add(time.Hour))
+	tg := tag.Prefix("doc")
+	prins, certs := remoteChain(t, "beside", 2, tg, v)
+
+	p := New()
+	src := newFakeSource()
+	src.add(certs[0])
+	src.add(certs[1])
+	// The other search digests the shared link k1 => k0 just as this
+	// one asks for it.
+	src.onAsk = func(axis string, q principal.Principal) {
+		if axis == "s" && principal.Equal(q, prins[1]) {
+			p.AddProof(certs[0])
+		}
+	}
+	p.AddRemote(src)
+	if _, err := p.FindProof(prins[2], prins[0], tg, now); err != nil {
+		t.Fatalf("FindProof: %v", err)
+	}
+	if st := p.Stats(); st.RemoteQueries != 2 || st.RemoteCerts != 1 {
+		t.Fatalf("stats = %+v, want 2 queries and 1 newly digested cert", st)
+	}
+}
+
+// TestQueryTallyCountsOwnSearches: a context's tally holds the
+// directory queries of searches made under it, and no others.
+func TestQueryTallyCountsOwnSearches(t *testing.T) {
+	now := time.Now()
+	tg := tag.Prefix("doc")
+	prins, certs := remoteChain(t, "tally", 1, tg, core.Until(now.Add(time.Hour)))
+	p := New()
+	src := newFakeSource()
+	src.add(certs[0])
+	p.AddRemote(src)
+
+	ctxA, a := WithQueryTally(context.Background())
+	_, b := WithQueryTally(context.Background())
+	if _, err := p.FindProofCtx(ctxA, prins[1], prins[0], tg, now); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.FindProofCtx(ctxA, prins[1], prins[0], tg, now); err != nil {
+		t.Fatal(err)
+	}
+	if a.Load() != 1 || b.Load() != 0 || p.Stats().RemoteQueries != 1 {
+		t.Fatalf("tallies a=%d b=%d, prover %d; want the one query on a", a.Load(), b.Load(), p.Stats().RemoteQueries)
 	}
 }
 

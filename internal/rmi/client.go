@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -16,25 +18,33 @@ import (
 	"repro/internal/tag"
 )
 
-// Client invokes remote objects over one authenticated channel. Its
-// Call method is the invoker of Figure 4: it makes the remote call,
-// catches the server's NeedAuthorization challenge, obtains a proof
-// from the Prover, pushes it to the server's proof recipient, and
-// retries — all invisible to the caller, who only established
-// identity by attaching a Prover.
+// Client invokes remote objects over authenticated channels. Its Call
+// method is the invoker of Figure 4: it makes the remote call, catches
+// the server's NeedAuthorization challenge, obtains a proof from the
+// Prover, pushes it to the server's proof recipient, and retries — all
+// invisible to the caller, who only established identity by attaching
+// a Prover.
+//
+// A call holds one channel for its whole exchange, challenge and proof
+// search included, so calls never wait on each other: each takes an
+// idle channel or dials a new one. At most GOMAXPROCS channels stay
+// idle between calls; a channel whose stream broke is closed and never
+// reused.
 type Client struct {
-	mu     sync.Mutex
-	conn   channel.Conn
-	bw     *bufio.Writer
-	enc    *gob.Encoder
-	dec    *gob.Decoder
-	prover *prover.Prover
-	nextID int64
+	dialer  channel.Dialer // nil: only the channel NewClient wrapped
+	addr    string
+	prover  *prover.Prover
+	maxIdle int
 
 	// Clock supplies proof-search time; nil means time.Now.
 	Clock func() time.Time
 
-	stats ClientStats
+	mu     sync.Mutex
+	freed  *sync.Cond // signalled when a channel goes idle or closes
+	idle   []*clientConn
+	open   map[*clientConn]struct{} // idle and in use
+	closed bool
+	stats  ClientStats
 }
 
 // ClientStats counts invoker work.
@@ -43,45 +53,172 @@ type ClientStats struct {
 	Challenges int
 	Proofs     int
 	Retries    int
+	Dials      int // channels dialed, Dial's first included
 }
+
+// clientConn is one channel and its gob stream each way. Type
+// descriptors cross once per channel. Writes are buffered and flushed
+// once per call, so each invocation crosses the channel as a single
+// record. One exchange runs on it at a time.
+type clientConn struct {
+	conn   channel.Conn
+	bw     *bufio.Writer
+	enc    *gob.Encoder
+	dec    *gob.Decoder
+	nextID int64
+	broken bool // a send or receive failed: the stream is out of step
+}
+
+func newClientConn(conn channel.Conn) *clientConn {
+	bw := bufio.NewWriter(conn)
+	return &clientConn{conn: conn, bw: bw, enc: gob.NewEncoder(bw), dec: gob.NewDecoder(conn)}
+}
+
+var errClosed = errors.New("rmi: client closed")
 
 // NewClient wraps an established channel. The prover may be nil for
-// purely open (unauthenticated) services. The client keeps one gob
-// stream each way for the channel's life, so type descriptors cross
-// once per connection. Writes are buffered and flushed once per call,
-// so each invocation crosses the channel as a single record.
+// purely open (unauthenticated) services. The client has no way to
+// open another channel, so overlapping calls wait for this one, and
+// once it breaks every call fails.
 func NewClient(conn channel.Conn, pv *prover.Prover) *Client {
-	bw := bufio.NewWriter(conn)
-	return &Client{
-		conn:   conn,
-		bw:     bw,
-		enc:    gob.NewEncoder(bw),
-		dec:    gob.NewDecoder(conn),
-		prover: pv,
-	}
+	c := newClient(nil, "", pv)
+	cc := newClientConn(conn)
+	c.addConn(cc)
+	c.put(cc)
+	return c
 }
 
-// Dial connects through any channel mechanism and wraps the result.
+// Dial connects through any channel mechanism. The first channel is
+// opened now, so an unreachable server fails here; later channels are
+// dialed as overlapping calls need them.
 func Dial(d channel.Dialer, addr string, pv *prover.Prover) (*Client, error) {
-	conn, err := d.Dial(addr)
+	c := newClient(d, addr, pv)
+	cc, err := c.dial()
 	if err != nil {
 		return nil, err
 	}
-	return NewClient(conn, pv), nil
+	c.put(cc)
+	return c, nil
 }
 
-// Close tears down the channel.
-func (c *Client) Close() error { return c.conn.Close() }
+func newClient(d channel.Dialer, addr string, pv *prover.Prover) *Client {
+	c := &Client{
+		dialer:  d,
+		addr:    addr,
+		prover:  pv,
+		maxIdle: runtime.GOMAXPROCS(0),
+		open:    make(map[*clientConn]struct{}),
+	}
+	c.freed = sync.NewCond(&c.mu)
+	return c
+}
 
-// Conn exposes the underlying channel (for inspecting keys).
-func (c *Client) Conn() channel.Conn { return c.conn }
+// Close tears down every channel, idle or in use; calls in flight
+// fail and later calls return an error.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	all := make([]*clientConn, 0, len(c.open))
+	for cc := range c.open {
+		all = append(all, cc)
+	}
+	c.open = make(map[*clientConn]struct{})
+	c.idle = nil
+	c.freed.Broadcast()
+	c.mu.Unlock()
+	var first error
+	for _, cc := range all {
+		if err := cc.conn.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
 
-// ChannelSpeaker returns the principal the server will see as the
-// utterer of this client's requests: the channel's local key (K2).
-func (c *Client) ChannelSpeaker() principal.Principal {
-	lk := c.conn.LocalKey()
+// dial opens a fresh channel and registers it as in use.
+func (c *Client) dial() (*clientConn, error) {
+	conn, err := c.dialer.Dial(c.addr)
+	if err != nil {
+		return nil, fmt.Errorf("rmi: dial %s: %w", c.addr, err)
+	}
+	cc := newClientConn(conn)
+	if !c.addConn(cc) {
+		conn.Close()
+		return nil, errClosed
+	}
+	return cc, nil
+}
+
+// addConn registers a channel the client now owns; false when the
+// client is already closed.
+func (c *Client) addConn(cc *clientConn) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return false
+	}
+	c.open[cc] = struct{}{}
+	if c.dialer != nil {
+		c.stats.Dials++
+	}
+	return true
+}
+
+// get takes a channel for one exchange: the most recently used idle
+// one, else a new one from the dialer. Without a dialer it waits for
+// the one channel to come back.
+func (c *Client) get() (*clientConn, error) {
+	c.mu.Lock()
+	for {
+		if c.closed {
+			c.mu.Unlock()
+			return nil, errClosed
+		}
+		if n := len(c.idle); n > 0 {
+			cc := c.idle[n-1]
+			c.idle = c.idle[:n-1]
+			c.mu.Unlock()
+			return cc, nil
+		}
+		if c.dialer != nil {
+			break
+		}
+		if len(c.open) == 0 {
+			c.mu.Unlock()
+			return nil, errors.New("rmi: channel closed")
+		}
+		c.freed.Wait()
+	}
+	c.mu.Unlock()
+	return c.dial()
+}
+
+// put ends an exchange: the channel goes back to the idle set, unless
+// its stream broke, the client closed, or the idle set is full, in
+// which case it is closed.
+func (c *Client) put(cc *clientConn) {
+	c.mu.Lock()
+	keep := !cc.broken && !c.closed && len(c.idle) < c.maxIdle
+	if keep {
+		c.idle = append(c.idle, cc)
+	} else {
+		delete(c.open, cc)
+	}
+	c.freed.Broadcast()
+	c.mu.Unlock()
+	if !keep {
+		cc.conn.Close()
+	}
+}
+
+// speakerOf returns the principal the server will see as the utterer
+// of requests on conn: the channel's local key (K2), or the channel
+// itself when it carries none. Keyed channels of one client all share
+// that key, so a proof filed for one serves every channel.
+func speakerOf(conn channel.Conn) principal.Principal {
+	lk := conn.LocalKey()
 	if zeroKey(lk) {
-		return c.conn.Principal()
+		return conn.Principal()
 	}
 	return principal.KeyOf(lk)
 }
@@ -91,6 +228,13 @@ func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
+}
+
+// count applies f to the counters under the lock.
+func (c *Client) count(f func(*ClientStats)) {
+	c.mu.Lock()
+	f(&c.stats)
+	c.mu.Unlock()
 }
 
 // Call invokes object.method(args, reply).
@@ -114,27 +258,30 @@ func (c *Client) CallQuotingCtx(ctx context.Context, quotee principal.Principal,
 }
 
 func (c *Client) call(ctx context.Context, quotee principal.Principal, object, method string, args, reply interface{}) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Calls++
+	c.count(func(s *ClientStats) { s.Calls++ })
+	cc, err := c.get()
+	if err != nil {
+		return err
+	}
+	defer c.put(cc)
 
-	resp, err := c.roundTrip(ctx, quotee, object, method, args)
+	resp, err := cc.roundTrip(ctx, quotee, object, method, args)
 	if err != nil {
 		return err
 	}
 	if resp.Kind == kindNeedAuth {
-		c.stats.Challenges++
-		if err := c.satisfyChallenge(ctx, quotee, resp); err != nil {
+		c.count(func(s *ClientStats) { s.Challenges++ })
+		if err := c.satisfyChallenge(ctx, cc, quotee, resp); err != nil {
 			return err
 		}
-		c.stats.Retries++
-		if resp, err = c.roundTrip(ctx, quotee, object, method, args); err != nil {
+		c.count(func(s *ClientStats) { s.Retries++ })
+		if resp, err = cc.roundTrip(ctx, quotee, object, method, args); err != nil {
 			return err
 		}
 	}
 	switch resp.Kind {
 	case kindOK:
-		return c.readResult(reply)
+		return cc.readResult(reply)
 	case kindNeedAuth:
 		iss, mt, derr := decodeChallenge(resp.Issuer, resp.MinTag)
 		if derr != nil {
@@ -150,16 +297,17 @@ func (c *Client) call(ctx context.Context, quotee principal.Principal, object, m
 // and reads the reply header. A kindOK header is followed by the
 // result value, which the caller must read with readResult before the
 // next exchange. A call that cannot be written or a reply that cannot
-// be read closes the channel: a gob stream cannot resynchronize.
-func (c *Client) roundTrip(ctx context.Context, quotee principal.Principal, object, method string, args interface{}) (_ *callResponse, err error) {
+// be read marks the channel broken: a gob stream cannot
+// resynchronize.
+func (cc *clientConn) roundTrip(ctx context.Context, quotee principal.Principal, object, method string, args interface{}) (_ *callResponse, err error) {
 	defer func() {
 		if err != nil {
-			c.conn.Close()
+			cc.broken = true
 		}
 	}()
-	c.nextID++
+	cc.nextID++
 	req := callRequest{
-		ID:     c.nextID,
+		ID:     cc.nextID,
 		Object: object,
 		Method: method,
 		Trace:  obs.Inject(ctx),
@@ -167,17 +315,17 @@ func (c *Client) roundTrip(ctx context.Context, quotee principal.Principal, obje
 	if quotee != nil {
 		req.Quotee = quotee.Sexp().Transport()
 	}
-	if err := c.enc.Encode(&req); err != nil {
+	if err := cc.enc.Encode(&req); err != nil {
 		return nil, fmt.Errorf("rmi: send: %w", err)
 	}
-	if err := c.enc.Encode(args); err != nil {
+	if err := cc.enc.Encode(args); err != nil {
 		return nil, fmt.Errorf("rmi: encode args: %w", err)
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err := cc.bw.Flush(); err != nil {
 		return nil, fmt.Errorf("rmi: send: %w", err)
 	}
 	var resp callResponse
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := cc.dec.Decode(&resp); err != nil {
 		return nil, fmt.Errorf("rmi: receive: %w", err)
 	}
 	if resp.ID != req.ID {
@@ -188,19 +336,20 @@ func (c *Client) roundTrip(ctx context.Context, quotee principal.Principal, obje
 
 // readResult reads the result value that follows a kindOK reply
 // header into reply; a nil reply reads and discards it. A result that
-// does not decode closes the channel, as in roundTrip.
-func (c *Client) readResult(reply interface{}) error {
-	if err := c.dec.Decode(reply); err != nil {
-		c.conn.Close()
+// does not decode marks the channel broken, as in roundTrip.
+func (cc *clientConn) readResult(reply interface{}) error {
+	if err := cc.dec.Decode(reply); err != nil {
+		cc.broken = true
 		return fmt.Errorf("rmi: decode result: %w", err)
 	}
 	return nil
 }
 
 // satisfyChallenge is steps f-n of Figure 4: inspect the challenge,
-// query the Prover for a proof that our channel key (possibly quoting)
-// speaks for the required issuer, and push it to the proof recipient.
-func (c *Client) satisfyChallenge(ctx context.Context, quotee principal.Principal, resp *callResponse) error {
+// query the Prover for a proof that the channel's key (possibly
+// quoting) speaks for the required issuer, and push it to the proof
+// recipient on the same channel.
+func (c *Client) satisfyChallenge(ctx context.Context, cc *clientConn, quotee principal.Principal, resp *callResponse) error {
 	if c.prover == nil {
 		return fmt.Errorf("rmi: server demands authorization but client has no prover")
 	}
@@ -208,33 +357,36 @@ func (c *Client) satisfyChallenge(ctx context.Context, quotee principal.Principa
 	if err != nil {
 		return err
 	}
-	var speaker principal.Principal = c.ChannelSpeaker()
+	speaker := speakerOf(cc.conn)
 	if quotee != nil {
 		speaker = principal.QuoteOf(speaker, quotee)
 	}
-	now := time.Now()
-	if c.Clock != nil {
-		now = c.Clock()
-	}
-	proof, err := c.prover.FindProofCtx(ctx, speaker, issuer, minTag, now)
+	proof, err := c.prover.FindProofCtx(ctx, speaker, issuer, minTag, c.now())
 	if err != nil {
 		return fmt.Errorf("rmi: cannot satisfy challenge: %w", err)
 	}
-	c.stats.Proofs++
-	return c.submitProofLocked(ctx, proof)
+	c.count(func(s *ClientStats) { s.Proofs++ })
+	return cc.submitProof(ctx, proof)
 }
 
-// submitProofLocked pushes a proof to the server's proof recipient on
-// the caller's trace, so the server's verification joins it.
-func (c *Client) submitProofLocked(ctx context.Context, p core.Proof) error {
-	resp, err := c.roundTrip(ctx, nil, proofRecipientObject, "Submit", submitArgs{Proof: p.Sexp().Transport()})
+func (c *Client) now() time.Time {
+	if c.Clock != nil {
+		return c.Clock()
+	}
+	return time.Now()
+}
+
+// submitProof pushes a proof to the server's proof recipient on the
+// caller's trace, so the server's verification joins it.
+func (cc *clientConn) submitProof(ctx context.Context, p core.Proof) error {
+	resp, err := cc.roundTrip(ctx, nil, proofRecipientObject, "Submit", submitArgs{Proof: p.Sexp().Transport()})
 	if err != nil {
 		return err
 	}
 	if resp.Kind != kindOK {
 		return fmt.Errorf("rmi: proof rejected: %s", resp.Err)
 	}
-	return c.readResult(nil)
+	return cc.readResult(nil)
 }
 
 // EstablishAuthority mints and submits a delegation from a controlled
@@ -244,19 +396,19 @@ func (c *Client) submitProofLocked(ctx context.Context, p core.Proof) error {
 // cost (section 7.2). Most callers instead rely on the automatic
 // challenge path of Call.
 func (c *Client) EstablishAuthority(from principal.Principal, t tag.Tag, ttl time.Duration) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.prover == nil {
 		return fmt.Errorf("rmi: no prover attached")
 	}
-	now := time.Now()
-	if c.Clock != nil {
-		now = c.Clock()
+	cc, err := c.get()
+	if err != nil {
+		return err
 	}
-	proof, err := c.prover.Delegate(from, c.ChannelSpeaker(), t,
+	defer c.put(cc)
+	now := c.now()
+	proof, err := c.prover.Delegate(from, speakerOf(cc.conn), t,
 		core.Between(now.Add(-time.Minute), now.Add(ttl)))
 	if err != nil {
 		return err
 	}
-	return c.submitProofLocked(context.Background(), proof)
+	return cc.submitProof(context.Background(), proof)
 }

@@ -252,15 +252,9 @@ func (l *ListVal) Tag() string {
 }
 
 func (l *ListVal) Copy() Sexp {
-	nodes, octets := 0, 0
-	countNodes(l, &nodes, &octets)
-	c := &compactCopier{
-		atoms:  make([]AtomVal, 0, nodes),
-		lists:  make([]ListVal, 0, nodes),
-		elems:  make([]Sexp, 0, nodes),
-		octets: make([]byte, 0, octets),
-	}
-	return c.copy(l)
+	var n nodeCounts
+	n.add(l)
+	return newCompactCopier(n).copy(l)
 }
 
 func (l *ListVal) FormatLen() int {
@@ -476,25 +470,31 @@ func equalRaw(r *RawVal, other Sexp) bool {
 	return eq
 }
 
-// countNodes tallies the nodes and atom-octet bytes of a subtree for
-// Copy's exact-size arena.
-func countNodes(s Sexp, nodes, octets *int) {
-	*nodes++
+// nodeCounts tallies what a subtree puts in each of Copy's slabs:
+// atoms, lists, child slots and octet bytes (atoms' and raw spans').
+type nodeCounts struct {
+	atoms, lists, elems, octets int
+}
+
+func (n *nodeCounts) add(s Sexp) {
 	switch v := s.(type) {
 	case *AtomVal:
-		*octets += len(v.octets)
+		n.atoms++
+		n.octets += len(v.octets)
 	case *ListVal:
+		n.lists++
+		n.elems += len(v.elems)
 		for _, c := range v.elems {
-			countNodes(c, nodes, octets)
+			n.add(c)
 		}
 	case *RawVal:
-		*octets += len(v.canon)
+		n.octets += len(v.canon)
 	}
 }
 
 // compactCopier deep-copies a tree into a handful of exact-size slabs
 // so Copy costs O(4) allocations instead of O(nodes). Slabs are
-// pre-sized by countNodes, so appends never relocate and node
+// pre-sized by nodeCounts, so appends never relocate and node
 // pointers stay valid.
 type compactCopier struct {
 	atoms  []AtomVal
@@ -502,6 +502,15 @@ type compactCopier struct {
 	elems  []Sexp
 	octets []byte
 	stack  []Sexp
+}
+
+func newCompactCopier(n nodeCounts) *compactCopier {
+	return &compactCopier{
+		atoms:  make([]AtomVal, 0, n.atoms),
+		lists:  make([]ListVal, 0, n.lists),
+		elems:  make([]Sexp, 0, n.elems),
+		octets: make([]byte, 0, n.octets),
+	}
 }
 
 func (c *compactCopier) copy(s Sexp) Sexp {

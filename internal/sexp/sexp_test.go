@@ -275,6 +275,40 @@ func TestCopyIsDeep(t *testing.T) {
 	}
 }
 
+// TestCopySlabsExact: Copy sizes each slab by what the tree puts in
+// it, so a list reserves no atom and an atom no list, and every slab
+// is filled to its capacity.
+func TestCopySlabsExact(t *testing.T) {
+	tree := List(String("cert"),
+		List(String("issuer"), Atom([]byte("key-bytes"))),
+		List(String("tag"), List(String("rmi"), List(String("object"), String("echo")))),
+		Raw(List(String("valid"), String("forever")).Canonical()))
+	var n nodeCounts
+	n.add(tree)
+	// 7 atoms, 5 lists, 4+2+2+2+2 child slots, and the raw span's 18
+	// octets beside the atoms' 4+6+9+3+3+6+4.
+	if want := (nodeCounts{atoms: 7, lists: 5, elems: 12, octets: 35 + 18}); n != want {
+		t.Fatalf("counts = %+v, want %+v", n, want)
+	}
+	c := newCompactCopier(n)
+	cp := c.copy(tree)
+	if cap(c.atoms) != n.atoms || len(c.atoms) != n.atoms {
+		t.Fatalf("atom slab len/cap %d/%d, want %d", len(c.atoms), cap(c.atoms), n.atoms)
+	}
+	if cap(c.lists) != n.lists || len(c.lists) != n.lists {
+		t.Fatalf("list slab len/cap %d/%d, want %d", len(c.lists), cap(c.lists), n.lists)
+	}
+	if cap(c.elems) != n.elems || len(c.elems) != n.elems {
+		t.Fatalf("elem slab len/cap %d/%d, want %d", len(c.elems), cap(c.elems), n.elems)
+	}
+	if cap(c.octets) != n.octets || len(c.octets) != n.octets {
+		t.Fatalf("octet slab len/cap %d/%d, want %d", len(c.octets), cap(c.octets), n.octets)
+	}
+	if !Equal(cp, tree) || !Equal(tree.Copy(), tree) {
+		t.Fatal("copy differs from the original")
+	}
+}
+
 func TestCopyOutlivesArena(t *testing.T) {
 	a := new(arena)
 	in := []byte("(4:cert(6:issuer2:ki)[4:mime]3:xyz)")
