@@ -71,8 +71,9 @@ func (rl *RevocationList) Sexp() sexp.Sexp {
 // encoding (body and signature alike) — used to deduplicate installs
 // and to key the lists a directory keeps. It is computed from the
 // fields on every call, so a copy whose fields were changed reports
-// its own content, never the original's. Only installs ask, and a CRL
-// is small.
+// its own content, never the original's. Each install asks once per
+// list (RevocationStore.Add, and a directory keeping the list), and a
+// CRL is small.
 func (rl *RevocationList) Hash() [32]byte {
 	return rl.Sexp().Hash()
 }

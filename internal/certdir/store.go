@@ -587,15 +587,18 @@ func (s *Store) CRLs() []*cert.RevocationList {
 	return s.crlsLocked()
 }
 
+// crlsLocked sorts by the keys of s.crls, which are the lists' content
+// hashes, so no list is encoded again.
 func (s *Store) crlsLocked() []*cert.RevocationList {
-	lists := make([]*cert.RevocationList, 0, len(s.crls))
-	for _, rl := range s.crls {
-		lists = append(lists, rl)
+	keys := make([][32]byte, 0, len(s.crls))
+	for h := range s.crls {
+		keys = append(keys, h)
 	}
-	slices.SortFunc(lists, func(a, b *cert.RevocationList) int {
-		ha, hb := a.Hash(), b.Hash()
-		return bytes.Compare(ha[:], hb[:])
-	})
+	slices.SortFunc(keys, func(a, b [32]byte) int { return bytes.Compare(a[:], b[:]) })
+	lists := make([]*cert.RevocationList, len(keys))
+	for i, h := range keys {
+		lists[i] = s.crls[h]
+	}
 	return lists
 }
 

@@ -27,25 +27,34 @@ import (
 //
 // A call holds one channel for its whole exchange, challenge and proof
 // search included, so calls never wait on each other: each takes an
-// idle channel or dials a new one. At most GOMAXPROCS channels stay
-// idle between calls; a channel whose stream broke is closed and never
-// reused.
+// idle channel or dials a new one. Channels stay open between calls,
+// so the pool grows to the peak overlap, up to openPerProc channels
+// per core; at that cap a call waits for a channel to come back. A
+// channel whose stream broke is closed and never reused.
 type Client struct {
-	dialer  channel.Dialer // nil: only the channel NewClient wrapped
+	dialer  channel.Dialer
 	addr    string
 	prover  *prover.Prover
-	maxIdle int
+	maxOpen int
 
 	// Clock supplies proof-search time; nil means time.Now.
 	Clock func() time.Time
 
-	mu     sync.Mutex
-	freed  *sync.Cond // signalled when a channel goes idle or closes
-	idle   []*clientConn
-	open   map[*clientConn]struct{} // idle and in use
-	closed bool
-	stats  ClientStats
+	mu      sync.Mutex
+	freed   *sync.Cond // signalled when a channel goes idle or a slot frees
+	idle    []*clientConn
+	open    map[*clientConn]struct{} // idle and in use
+	dialing int                      // dials in progress, counted against maxOpen
+	closed  bool
+	stats   ClientStats
 }
+
+// openPerProc channels per core bound what one client holds open, and
+// so the dials and handshakes a flood of overlapping calls can cost
+// the server. A call holds its channel through a proof search, which
+// waits on directory round trips rather than a core, so the bound is
+// a small multiple of the cores rather than the cores themselves.
+const openPerProc = 4
 
 // ClientStats counts invoker work.
 type ClientStats struct {
@@ -69,48 +78,27 @@ type clientConn struct {
 	broken bool // a send or receive failed: the stream is out of step
 }
 
-func newClientConn(conn channel.Conn) *clientConn {
-	bw := bufio.NewWriter(conn)
-	return &clientConn{conn: conn, bw: bw, enc: gob.NewEncoder(bw), dec: gob.NewDecoder(conn)}
-}
-
 var errClosed = errors.New("rmi: client closed")
 
-// NewClient wraps an established channel. The prover may be nil for
-// purely open (unauthenticated) services. The client has no way to
-// open another channel, so overlapping calls wait for this one, and
-// once it breaks every call fails.
-func NewClient(conn channel.Conn, pv *prover.Prover) *Client {
-	c := newClient(nil, "", pv)
-	cc := newClientConn(conn)
-	c.addConn(cc)
-	c.put(cc)
-	return c
-}
-
-// Dial connects through any channel mechanism. The first channel is
+// Dial connects through any channel mechanism. The prover may be nil
+// for purely open (unauthenticated) services. The first channel is
 // opened now, so an unreachable server fails here; later channels are
 // dialed as overlapping calls need them.
 func Dial(d channel.Dialer, addr string, pv *prover.Prover) (*Client, error) {
-	c := newClient(d, addr, pv)
-	cc, err := c.dial()
+	c := &Client{
+		dialer:  d,
+		addr:    addr,
+		prover:  pv,
+		maxOpen: openPerProc * runtime.GOMAXPROCS(0),
+		open:    make(map[*clientConn]struct{}),
+	}
+	c.freed = sync.NewCond(&c.mu)
+	cc, err := c.get()
 	if err != nil {
 		return nil, err
 	}
 	c.put(cc)
 	return c, nil
-}
-
-func newClient(d channel.Dialer, addr string, pv *prover.Prover) *Client {
-	c := &Client{
-		dialer:  d,
-		addr:    addr,
-		prover:  pv,
-		maxIdle: runtime.GOMAXPROCS(0),
-		open:    make(map[*clientConn]struct{}),
-	}
-	c.freed = sync.NewCond(&c.mu)
-	return c
 }
 
 // Close tears down every channel, idle or in use; calls in flight
@@ -135,38 +123,9 @@ func (c *Client) Close() error {
 	return first
 }
 
-// dial opens a fresh channel and registers it as in use.
-func (c *Client) dial() (*clientConn, error) {
-	conn, err := c.dialer.Dial(c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("rmi: dial %s: %w", c.addr, err)
-	}
-	cc := newClientConn(conn)
-	if !c.addConn(cc) {
-		conn.Close()
-		return nil, errClosed
-	}
-	return cc, nil
-}
-
-// addConn registers a channel the client now owns; false when the
-// client is already closed.
-func (c *Client) addConn(cc *clientConn) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return false
-	}
-	c.open[cc] = struct{}{}
-	if c.dialer != nil {
-		c.stats.Dials++
-	}
-	return true
-}
-
 // get takes a channel for one exchange: the most recently used idle
-// one, else a new one from the dialer. Without a dialer it waits for
-// the one channel to come back.
+// one, else a new one from the dialer while the client holds fewer
+// than maxOpen; at the cap it waits for a channel to come back.
 func (c *Client) get() (*clientConn, error) {
 	c.mu.Lock()
 	for {
@@ -180,25 +139,45 @@ func (c *Client) get() (*clientConn, error) {
 			c.mu.Unlock()
 			return cc, nil
 		}
-		if c.dialer != nil {
+		if len(c.open)+c.dialing < c.maxOpen {
 			break
-		}
-		if len(c.open) == 0 {
-			c.mu.Unlock()
-			return nil, errors.New("rmi: channel closed")
 		}
 		c.freed.Wait()
 	}
+	c.dialing++
 	c.mu.Unlock()
 	return c.dial()
 }
 
+// dial opens the fresh channel get reserved a slot for and registers
+// it as in use. A failed dial gives the slot back.
+func (c *Client) dial() (*clientConn, error) {
+	conn, err := c.dialer.Dial(c.addr)
+	c.mu.Lock()
+	c.dialing--
+	if err != nil {
+		c.freed.Broadcast()
+		c.mu.Unlock()
+		return nil, fmt.Errorf("rmi: dial %s: %w", c.addr, err)
+	}
+	if c.closed {
+		c.mu.Unlock()
+		conn.Close()
+		return nil, errClosed
+	}
+	bw := bufio.NewWriter(conn)
+	cc := &clientConn{conn: conn, bw: bw, enc: gob.NewEncoder(bw), dec: gob.NewDecoder(conn)}
+	c.open[cc] = struct{}{}
+	c.stats.Dials++
+	c.mu.Unlock()
+	return cc, nil
+}
+
 // put ends an exchange: the channel goes back to the idle set, unless
-// its stream broke, the client closed, or the idle set is full, in
-// which case it is closed.
+// its stream broke or the client closed, in which case it is closed.
 func (c *Client) put(cc *clientConn) {
 	c.mu.Lock()
-	keep := !cc.broken && !c.closed && len(c.idle) < c.maxIdle
+	keep := !cc.broken && !c.closed
 	if keep {
 		c.idle = append(c.idle, cc)
 	} else {

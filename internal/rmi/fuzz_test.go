@@ -96,12 +96,7 @@ func recordExchange(t testing.TB) []byte {
 	}
 	pv := prover.New()
 	pv.AddProof(grant)
-	conn, err := host.Dial("counter", fuzzChanKey.Public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tap := &tapConn{Conn: conn}
-	c := NewClient(tap, pv)
+	c, tap := dialTapped(t, local.Dialer{Host: host, Key: fuzzChanKey.Public()}, "counter", pv)
 	defer c.Close()
 	var reply CountReply
 	if err := c.Call("counter", "Inc", CountArgs{By: 1}, &reply); err != nil {

@@ -244,19 +244,65 @@ func TestBrokenChannelRedialsAfterRestart(t *testing.T) {
 	}
 }
 
-// TestIdleBoundAndCloseLeaveNoChannelOpen: finished calls keep at most
-// the idle bound of channels and close the surplus; Close then closes
-// every channel, idle or in use, and the server sees them all go.
-func TestIdleBoundAndCloseLeaveNoChannelOpen(t *testing.T) {
+// TestOpenChannelsCapped: more overlapping calls than the cap never
+// open more channels than the cap; the calls over it wait for a channel
+// to come back, and every call completes once the held ones are
+// released.
+func TestOpenChannelsCapped(t *testing.T) {
+	_, gate, l := gateServer(t, "127.0.0.1:0")
+	d := &trackingDialer{inner: plain.Dialer{}}
+	c, err := Dial(d, l.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.maxOpen = 2
+
+	const overlap = 5
+	var held []<-chan error
+	for i := 0; i < overlap; i++ {
+		held = append(held, hold(c, "held"))
+	}
+	for i := 0; i < c.maxOpen; i++ {
+		gate.awaitEntered(t)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a call over the cap to dial
+	if n := d.openChannels(); n != c.maxOpen {
+		t.Fatalf("%d channels open with %d calls in flight, want the cap %d", n, overlap, c.maxOpen)
+	}
+	select {
+	case <-gate.entered:
+		t.Fatal("a call over the cap reached the server while the cap's calls were held")
+	default:
+	}
+	close(gate.release)
+	for _, h := range held {
+		select {
+		case err := <-h:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a call waiting at the cap never got a channel")
+		}
+	}
+	if st := c.Stats(); st.Dials != c.maxOpen || st.Calls != overlap {
+		t.Fatalf("stats = %+v, want %d calls over %d channels", st, overlap, c.maxOpen)
+	}
+}
+
+// TestCloseLeavesNoChannelOpen: finished calls keep their channels for
+// the next ones; Close then closes every channel, idle or in use, and
+// the server sees them all go.
+func TestCloseLeavesNoChannelOpen(t *testing.T) {
 	srv, gate, l := gateServer(t, "127.0.0.1:0")
 	d := &trackingDialer{inner: plain.Dialer{}}
 	c, err := Dial(d, l.Addr().String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.maxIdle = 2
 
-	const overlap = 4
+	const overlap = 3
 	var held []<-chan error
 	for i := 0; i < overlap; i++ {
 		held = append(held, hold(c, "held"))
@@ -268,11 +314,8 @@ func TestIdleBoundAndCloseLeaveNoChannelOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := c.Stats(); st.Dials != overlap {
-		t.Fatalf("dials = %d, want %d", st.Dials, overlap)
-	}
-	if n := d.openChannels(); n != c.maxIdle {
-		t.Fatalf("%d channels open after the calls, want the idle bound %d", n, c.maxIdle)
+	if n := d.openChannels(); n != overlap {
+		t.Fatalf("%d channels open after the calls, want all %d kept", n, overlap)
 	}
 
 	gate.release = make(chan struct{})

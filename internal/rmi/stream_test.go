@@ -5,18 +5,20 @@ import (
 	"encoding/gob"
 	"errors"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/channel"
 	"repro/internal/channel/local"
 	"repro/internal/principal"
+	"repro/internal/prover"
 	"repro/internal/sfkey"
 )
 
 // tapConn keeps the bytes a channel end writes and counts those it
-// reads. The rmi.Client that owns it reads and writes from the calling
-// goroutine only, so the counters need no lock.
+// reads. The rmi.Client that owns it runs one exchange at a time on a
+// channel, so the counters need no lock.
 type tapConn struct {
 	channel.Conn
 	wrote bytes.Buffer
@@ -34,8 +36,41 @@ func (c *tapConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// tapDialer wraps every channel it opens in a tapConn; taps[0] is the
+// channel Dial opens first.
+type tapDialer struct {
+	inner channel.Dialer
+	mu    sync.Mutex
+	taps  []*tapConn
+}
+
+func (d *tapDialer) Dial(addr string) (channel.Conn, error) {
+	conn, err := d.inner.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	tap := &tapConn{Conn: conn}
+	d.mu.Lock()
+	d.taps = append(d.taps, tap)
+	d.mu.Unlock()
+	return tap, nil
+}
+
+// dialTapped dials addr through a tapDialer and returns the client
+// and the tap on its first channel.
+func dialTapped(t testing.TB, inner channel.Dialer, addr string, pv *prover.Prover) (*Client, *tapConn) {
+	t.Helper()
+	d := &tapDialer{inner: inner}
+	c, err := Dial(d, addr, pv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, d.taps[0]
+}
+
 // localOpenServer serves an open echo object on an in-process channel
-// and returns a function that opens a tapped client connection to it.
+// and returns a function that opens a tapped client to it.
 func localOpenServer(t *testing.T) func() (*Client, *tapConn) {
 	t.Helper()
 	host := local.NewHost()
@@ -49,16 +84,8 @@ func localOpenServer(t *testing.T) func() (*Client, *tapConn) {
 	}
 	t.Cleanup(func() { l.Close() })
 	go srv.Serve(l)
-	return func() (*Client, *tapConn) {
-		conn, err := host.Dial("echo-svc", sfkey.FromSeed([]byte("stream-client")).Public())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tap := &tapConn{Conn: conn}
-		c := NewClient(tap, nil)
-		t.Cleanup(func() { c.Close() })
-		return c, tap
-	}
+	d := local.Dialer{Host: host, Key: sfkey.FromSeed([]byte("stream-client")).Public()}
+	return func() (*Client, *tapConn) { return dialTapped(t, d, "echo-svc", nil) }
 }
 
 // typeInfoBytes is what gob's type descriptors for v's type cost on a
@@ -120,6 +147,8 @@ func TestTypeInfoCrossesOncePerConnection(t *testing.T) {
 // TestUndecodableArgumentsCloseOnlyThatConnection: an argument value
 // the method's type cannot take closes the connection it came on — the
 // stream cannot resynchronize — while the server keeps serving others.
+// The client does not reuse the closed connection: its next call dials
+// a fresh one.
 func TestUndecodableArgumentsCloseOnlyThatConnection(t *testing.T) {
 	dial := localOpenServer(t)
 	a, _ := dial()
@@ -134,8 +163,11 @@ func TestUndecodableArgumentsCloseOnlyThatConnection(t *testing.T) {
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("undecodable argument: err = %v, want the connection closed (EOF)", err)
 	}
-	if err := a.Call("echo", "Echo", EchoArgs{Msg: "after"}, &reply); err == nil {
-		t.Fatal("call on the closed connection succeeded")
+	if err := a.Call("echo", "Echo", EchoArgs{Msg: "after"}, &reply); err != nil {
+		t.Fatalf("call after the closed connection: %v", err)
+	}
+	if st := a.Stats(); st.Dials != 2 {
+		t.Fatalf("dials = %d, want the closed connection replaced by a fresh one", st.Dials)
 	}
 
 	if err := b.Call("echo", "Echo", EchoArgs{Msg: "after"}, &reply); err != nil {
@@ -143,6 +175,9 @@ func TestUndecodableArgumentsCloseOnlyThatConnection(t *testing.T) {
 	}
 	if reply.Msg != "after" {
 		t.Fatalf("reply = %+v", reply)
+	}
+	if st := b.Stats(); st.Dials != 1 {
+		t.Fatalf("dials = %d, want B's one connection kept", st.Dials)
 	}
 }
 
