@@ -61,14 +61,22 @@ type Pipeline struct {
 	layer string
 
 	mu     sync.Mutex
-	vctx   core.EpochContext       // persistent memo, discarded on epoch bumps
-	proofs map[string][]core.Proof // verified proofs on file, by subject key
+	vctx   core.EpochContext  // persistent memo, discarded on epoch bumps
+	proofs map[string][]filed // verified proofs on file, by subject key
+}
+
+// filed is a proof on file with its audit citation, the hashes of its
+// leaf lemmas (core.LeafHashes), computed once when the proof is filed
+// rather than on every request it admits.
+type filed struct {
+	proof core.Proof
+	cite  []string
 }
 
 // New returns a pipeline whose audit records carry the given layer
 // name (gateway | httpauth | ctlguard | rmi).
 func New(layer string) *Pipeline {
-	return &Pipeline{layer: layer, proofs: make(map[string][]core.Proof)}
+	return &Pipeline{layer: layer, proofs: make(map[string][]filed)}
 }
 
 // memoMax bounds the persistent context's memo. Every presented proof
@@ -173,54 +181,60 @@ func (p *Pipeline) AuthorizeProof(proof core.Proof, speaker, issuer principal.Pr
 
 // AuthorizeOnFile is the checkAuth prologue of Figure 4: find a filed,
 // already verified proof that speaker speaks for issuer regarding
-// request, under one lock acquisition, and return it — nil when none
+// request, under one lock acquisition, and return its citation for
+// Attempt.CiteFiled (shared: do not modify it); ok is false when none
 // does. Conclusions carry their own expiry and the persistent context
 // memoizes the chain, so the warm cost is a map lookup plus tag
 // matching. It memoizes nothing that is not on file, so the memo bound
 // does not apply here.
-func (p *Pipeline) AuthorizeOnFile(speaker, issuer principal.Principal, request tag.Tag) core.Proof {
+func (p *Pipeline) AuthorizeOnFile(speaker, issuer principal.Principal, request tag.Tag) (cite []string, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ctx := p.stamp(p.vctx.Refresh(p.cache()))
-	for _, proof := range p.proofs[speaker.Key()] {
-		if core.Authorize(ctx, proof, speaker, issuer, request) == nil {
-			return proof
+	for _, f := range p.proofs[speaker.Key()] {
+		if core.Authorize(ctx, f.proof, speaker, issuer, request) == nil {
+			return f.cite, true
 		}
 	}
-	return nil
+	return nil, false
 }
 
 // Submit is the proofRecipient of Figure 4: verify once, outside the
-// lock, and file the proof under its conclusion's subject for
-// AuthorizeOnFile and Filed to find.
+// lock, and file the proof, with its citation, under its conclusion's
+// subject for AuthorizeOnFile and Filed to find.
 func (p *Pipeline) Submit(raw []byte) error {
 	proof, err := p.Verify(raw)
 	if err != nil {
 		return err
 	}
+	f := filed{proof: proof, cite: core.LeafHashes(proof)}
 	subj := proof.Conclusion().Subject.Key()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.proofs[subj] = append(p.proofs[subj], proof)
+	p.proofs[subj] = append(p.proofs[subj], f)
 	return nil
 }
 
-// Filed returns the proofs on file for subject. The slice is
-// append-only; callers must not modify it.
+// Filed returns the proofs on file for subject, in filing order.
 func (p *Pipeline) Filed(subject principal.Principal) []core.Proof {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.proofs[subject.Key()]
+	fs := p.proofs[subject.Key()]
+	out := make([]core.Proof, len(fs))
+	for i, f := range fs {
+		out[i] = f.proof
+	}
+	return out
 }
 
-// ForgetProofs drops the proofs on file and the persistent context;
-// the measurement harness uses it to isolate the proof parse+verify
-// cost ("we make the server forget its copy after each use", section
-// 7.2).
+// ForgetProofs drops the proofs on file, their citations and the
+// persistent context; the measurement harness uses it to isolate the
+// proof parse+verify cost ("we make the server forget its copy after
+// each use", section 7.2).
 func (p *Pipeline) ForgetProofs() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.proofs = make(map[string][]core.Proof)
+	p.proofs = make(map[string][]filed)
 	p.vctx.Reset()
 }
 
@@ -260,6 +274,14 @@ func (a *Attempt) For(who principal.Principal, what tag.Tag) { a.who, a.what = w
 func (a *Attempt) Cite(p core.Proof) {
 	if a.p.Audit != nil {
 		a.d.CertHashes = append(a.d.CertHashes, core.LeafHashes(p)...)
+	}
+}
+
+// CiteFiled records the citation AuthorizeOnFile handed back, hashed
+// when its proof was filed.
+func (a *Attempt) CiteFiled(c []string) {
+	if a.p.Audit != nil {
+		a.d.CertHashes = append(a.d.CertHashes, c...)
 	}
 }
 

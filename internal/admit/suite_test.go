@@ -172,12 +172,12 @@ var targets = []target{
 				return func() error {
 					a := p.Begin("suite.Op", "")
 					a.For(speaker, barePipelineTag)
-					proof := p.AuthorizeOnFile(speaker, w.issuer, barePipelineTag)
-					if proof == nil {
+					cite, ok := p.AuthorizeOnFile(speaker, w.issuer, barePipelineTag)
+					if !ok {
 						a.Challenge("no valid proof on file")
 						return errDenied
 					}
-					a.Cite(proof)
+					a.CiteFiled(cite)
 					a.Admit(false)
 					return nil
 				}

@@ -1,11 +1,14 @@
 package secure
 
 import (
+	"bufio"
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/channel"
@@ -13,8 +16,13 @@ import (
 	"repro/internal/sfkey"
 )
 
-// maxFrame bounds a single encrypted record.
-const maxFrame = 1 << 20
+// A record on the wire is a 4-byte big-endian length followed by that
+// many bytes of AES-GCM ciphertext. maxFrame bounds a record's
+// plaintext.
+const (
+	hdrLen   = 4
+	maxFrame = 1 << 20
+)
 
 // Conn is an established secure channel; it implements channel.Conn.
 type Conn struct {
@@ -25,11 +33,22 @@ type Conn struct {
 
 	send cipher.AEAD
 	recv cipher.AEAD
-	// counters provide unique nonces per direction.
-	sendSeq uint64
-	recvSeq uint64
+	// Counters provide unique nonces per direction; a nonce is four
+	// zero bytes and the big-endian counter.
+	sendSeq, recvSeq     uint64
+	sendNonce, recvNonce [12]byte
 
-	readBuf []byte // plaintext not yet consumed
+	// wmu serializes writers: a nonce must never seal two records, and
+	// records must not interleave on the transport.
+	wmu  sync.Mutex
+	wbuf []byte // the record being written: header, then ciphertext
+
+	rmu     sync.Mutex    // serializes readers
+	br      *bufio.Reader // the transport, buffered after the handshake
+	rhdr    [hdrLen]byte  // the header of the record being read
+	rbuf    []byte        // the last record's ciphertext, opened in place
+	readBuf []byte        // plaintext not yet consumed, within rbuf
+	rerr    error         // the error that ended the read stream
 }
 
 var _ channel.Conn = (*Conn)(nil)
@@ -67,6 +86,7 @@ func newConn(raw net.Conn, id *Identity, isClient bool) (*Conn, error) {
 		sessionID: hs.sessionID,
 		send:      send,
 		recv:      recv,
+		br:        bufio.NewReader(raw),
 	}, nil
 }
 
@@ -97,80 +117,92 @@ func (c *Conn) Principal() principal.Channel {
 // Kind implements channel.Conn.
 func (c *Conn) Kind() string { return principal.ChannelSecure }
 
-func (c *Conn) nonce(seq uint64) []byte {
-	n := make([]byte, 12)
-	binary.BigEndian.PutUint64(n[4:], seq)
-	return n
-}
-
-// Write encrypts p as a single framed record.
+// Write encrypts p as one framed record, len ‖ Seal(p), and hands it
+// to the transport in a single write; p over maxFrame becomes several
+// records. The record is sealed in place in a buffer the Conn keeps,
+// so a steady stream of writes allocates nothing.
 func (c *Conn) Write(p []byte) (int, error) {
-	if len(p) > maxFrame {
-		// Split oversized writes into frames.
-		total := 0
-		for len(p) > 0 {
-			n := len(p)
-			if n > maxFrame {
-				n = maxFrame
-			}
-			if _, err := c.Write(p[:n]); err != nil {
-				return total, err
-			}
-			total += n
-			p = p[n:]
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	total := 0
+	for {
+		n := min(len(p), maxFrame)
+		if err := c.writeRecord(p[:n]); err != nil {
+			return total, err
 		}
-		return total, nil
+		total += n
+		p = p[n:]
+		if len(p) == 0 {
+			return total, nil
+		}
 	}
-	ct := c.send.Seal(nil, c.nonce(c.sendSeq), p, nil)
-	c.sendSeq++
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(ct)))
-	if _, err := c.raw.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := c.raw.Write(ct); err != nil {
-		return 0, err
-	}
-	return len(p), nil
 }
 
-// Read returns decrypted bytes, buffering record remainders.
+func (c *Conn) writeRecord(p []byte) error {
+	size := len(p) + c.send.Overhead()
+	if cap(c.wbuf) < hdrLen+size {
+		c.wbuf = make([]byte, hdrLen, hdrLen+size)
+	}
+	binary.BigEndian.PutUint32(c.wbuf[:hdrLen], uint32(size))
+	binary.BigEndian.PutUint64(c.sendNonce[4:], c.sendSeq)
+	rec := c.send.Seal(c.wbuf[:hdrLen], c.sendNonce[:], p, nil)
+	c.sendSeq++
+	_, err := c.raw.Write(rec)
+	return err
+}
+
+// Read returns decrypted bytes, buffering record remainders. A record
+// that holds no plaintext (a peer's Write(nil)) is skipped, so Read
+// never reports (0, nil) to a non-empty p. The first error — a failed
+// transport read, an oversized frame, a record that does not
+// authenticate — ends the stream: every later Read returns it.
 func (c *Conn) Read(p []byte) (int, error) {
-	if len(c.readBuf) == 0 {
-		var hdr [4]byte
-		if _, err := readFull(c.raw, hdr[:]); err != nil {
-			return 0, err
+	if len(p) == 0 {
+		return 0, nil
+	}
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	for len(c.readBuf) == 0 {
+		if c.rerr != nil {
+			return 0, c.rerr
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > maxFrame+uint32(c.recv.Overhead()) {
-			return 0, fmt.Errorf("secure: oversized frame %d", n)
-		}
-		ct := make([]byte, n)
-		if _, err := readFull(c.raw, ct); err != nil {
-			return 0, err
-		}
-		pt, err := c.recv.Open(nil, c.nonce(c.recvSeq), ct, nil)
-		if err != nil {
-			return 0, fmt.Errorf("secure: record authentication failed: %w", err)
-		}
-		c.recvSeq++
-		c.readBuf = pt
+		c.rerr = c.readRecord()
 	}
 	n := copy(p, c.readBuf)
 	c.readBuf = c.readBuf[n:]
 	return n, nil
 }
 
-func readFull(r net.Conn, b []byte) (int, error) {
-	total := 0
-	for total < len(b) {
-		n, err := r.Read(b[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
+// readRecord reads the next record from the buffered transport and
+// opens it in place. It is called only once the previous record's
+// plaintext is consumed, so the ciphertext buffer is free to reuse.
+// The length is checked before any buffer of that size exists.
+func (c *Conn) readRecord() error {
+	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
+		return err
 	}
-	return total, nil
+	n := binary.BigEndian.Uint32(c.rhdr[:])
+	if n > uint32(maxFrame+c.recv.Overhead()) {
+		return fmt.Errorf("secure: oversized frame %d", n)
+	}
+	if cap(c.rbuf) < int(n) {
+		c.rbuf = make([]byte, n)
+	}
+	ct := c.rbuf[:n]
+	if _, err := io.ReadFull(c.br, ct); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	binary.BigEndian.PutUint64(c.recvNonce[4:], c.recvSeq)
+	pt, err := c.recv.Open(ct[:0], c.recvNonce[:], ct, nil)
+	if err != nil {
+		return fmt.Errorf("secure: record authentication failed: %w", err)
+	}
+	c.recvSeq++
+	c.readBuf = pt
+	return nil
 }
 
 // Close implements net.Conn.

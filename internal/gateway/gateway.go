@@ -17,7 +17,6 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"html/template"
 	"io"
 	"net/http"
 	"strconv"
@@ -304,22 +303,73 @@ func (g *Gateway) admit(attempt *admit.Attempt, auth string, reqPrin principal.H
 	return concl.Issuer, cold, nil
 }
 
-var mailboxTmpl = template.Must(template.New("mailbox").Parse(`<!DOCTYPE html>
-<html><head><title>{{.Owner}}'s mail</title></head><body>
-<h1>Mailbox: {{.Owner}}</h1>
-<table border="1">
-<tr><th>ID</th><th>From</th><th>Subject</th><th>Date</th><th>Read</th></tr>
-{{range .Msgs}}<tr><td>{{.ID}}</td><td>{{.From}}</td><td>{{.Subject}}</td><td>{{.Date.Format "2006-01-02 15:04"}}</td><td>{{if .Read}}yes{{else}}no{{end}}</td></tr>
-{{end}}</table>
-<p>{{len .Msgs}} message(s). Rendered by the Snowflake quoting gateway.</p>
-</body></html>`))
-
 // renderMailbox builds the HTML view — the abstraction boundary: an
-// email view assembled from relational rows.
+// email view assembled from relational rows. The page is appended into
+// one buffer and written once. Its bytes are those of the html/template
+// page in mailbox_test.go, for every input: text is escaped as that
+// template escapes the text and <title> contexts (appendHTML); IDs,
+// counts and dates are digits, '-', ':' and spaces, which it leaves
+// as they are.
 func renderMailbox(w http.ResponseWriter, owner string, msgs []emaildb.Message) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	mailboxTmpl.Execute(w, struct {
-		Owner string
-		Msgs  []emaildb.Message
-	}{Owner: owner, Msgs: msgs})
+	b := make([]byte, 0, 512+128*len(msgs))
+	b = append(b, "<!DOCTYPE html>\n<html><head><title>"...)
+	b = appendHTML(b, owner)
+	b = append(b, "'s mail</title></head><body>\n<h1>Mailbox: "...)
+	b = appendHTML(b, owner)
+	b = append(b, "</h1>\n<table border=\"1\">\n"+
+		"<tr><th>ID</th><th>From</th><th>Subject</th><th>Date</th><th>Read</th></tr>\n"...)
+	for _, m := range msgs {
+		b = append(b, "<tr><td>"...)
+		b = strconv.AppendInt(b, m.ID, 10)
+		b = append(b, "</td><td>"...)
+		b = appendHTML(b, m.From)
+		b = append(b, "</td><td>"...)
+		b = appendHTML(b, m.Subject)
+		b = append(b, "</td><td>"...)
+		b = m.Date.AppendFormat(b, "2006-01-02 15:04")
+		if m.Read {
+			b = append(b, "</td><td>yes</td></tr>\n"...)
+		} else {
+			b = append(b, "</td><td>no</td></tr>\n"...)
+		}
+	}
+	b = append(b, "</table>\n<p>"...)
+	b = strconv.AppendInt(b, int64(len(msgs)), 10)
+	b = append(b, " message(s). Rendered by the Snowflake quoting gateway.</p>\n</body></html>"...)
+	w.Write(b)
+}
+
+// appendHTML appends s escaped as html/template escapes text and
+// RCDATA: six characters become entities, NUL becomes U+FFFD, and
+// every other byte is copied verbatim, invalid UTF-8 included. All
+// seven are ASCII, so a byte loop finds exactly the runes html/template
+// replaces (a range over s would rewrite invalid bytes as U+FFFD).
+func appendHTML(b []byte, s string) []byte {
+	done := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case 0:
+			esc = "\uFFFD"
+		case '"':
+			esc = "&#34;"
+		case '&':
+			esc = "&amp;"
+		case '\'':
+			esc = "&#39;"
+		case '+':
+			esc = "&#43;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		default:
+			continue
+		}
+		b = append(b, s[done:i]...)
+		b = append(b, esc...)
+		done = i + 1
+	}
+	return append(b, s[done:]...)
 }

@@ -313,14 +313,14 @@ func (s *Server) dispatch(conn channel.Conn, dec *gob.Decoder, req *callRequest)
 		trace, _, _ := obs.ParseHeader(req.Trace)
 		attempt := s.Begin(req.Object+"."+req.Method, trace)
 		attempt.For(speaker, reqTag)
-		proof := s.AuthorizeOnFile(speaker, obj.issuer, reqTag)
+		cite, ok := s.AuthorizeOnFile(speaker, obj.issuer, reqTag)
 		s.mu.Lock()
 		s.stats.AuthChecks++
-		if proof == nil {
+		if !ok {
 			s.stats.AuthFailures++
 		}
 		s.mu.Unlock()
-		if proof == nil {
+		if !ok {
 			span.SetAttr("verdict", "challenge")
 			attempt.Challenge("no valid proof on file")
 			resp.Kind = kindNeedAuth
@@ -328,7 +328,7 @@ func (s *Server) dispatch(conn channel.Conn, dec *gob.Decoder, req *callRequest)
 			return resp, reflect.Value{}, nil
 		}
 		span.SetAttr("verdict", "admit")
-		attempt.Cite(proof)
+		attempt.CiteFiled(cite)
 		attempt.Admit(false)
 	}
 
