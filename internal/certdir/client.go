@@ -48,8 +48,10 @@ type Client struct {
 	// anti-entropy summary paths, the traffic two already-converged
 	// peers keep exchanging forever. Fetch payloads are excluded: they
 	// are paid only for actual differences. The
-	// sf_gossip_digest_bytes_total metric reads it.
-	gossipBytes *atomic.Int64
+	// sf_gossip_digest_bytes_total metric reads it. Atomic because a
+	// client shared by several replicators is wired by one while
+	// another's loops already use it.
+	gossipBytes atomic.Pointer[atomic.Int64]
 
 	hc *http.Client // NewClient's pooled client; nil means http.DefaultClient
 }
@@ -147,8 +149,8 @@ func (c *Client) roundTrip(ctx context.Context, path string, req sexp.Sexp, wait
 	if len(reply) > sexp.MaxTotal {
 		return nil, fmt.Errorf("certdir: %s: reply exceeds %d bytes", path, sexp.MaxTotal)
 	}
-	if c.gossipBytes != nil && digestPath(path) {
-		c.gossipBytes.Add(int64(len(body) + len(reply)))
+	if n := c.gossipBytes.Load(); n != nil && digestPath(path) {
+		n.Add(int64(len(body) + len(reply)))
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("certdir: %s: status %d: %s", path, resp.StatusCode, strings.TrimSpace(string(reply)))
@@ -281,12 +283,13 @@ func (c *Client) ReloadCRLs() (added int, err error) {
 // certificate body hashes to invalidate, the new cursor, and reset —
 // true when the stream could not be served continuously (the
 // subscriber lagged past the retained tail or the directory
-// restarted), in which case the caller must invalidate coarsely. The
-// signature is primitive-typed on purpose: it is what
-// prover.InvalidationSource requires, so this client satisfies it
-// structurally without the prover importing certdir.
+// restarted), in which case the caller must invalidate coarsely. It
+// asks for the remove and revoke kinds by name. The signature is
+// primitive-typed on purpose: it is what prover.InvalidationSource
+// requires, so this client satisfies it structurally without the
+// prover importing certdir.
 func (c *Client) Events(ctx context.Context, after uint64, wait time.Duration) (hashes [][]byte, next uint64, reset bool, err error) {
-	b, err := c.follow(ctx, after, wait)
+	b, err := c.follow(ctx, eventsRequest{after: after, wait: wait, kinds: []string{EventRemove, EventRevoke}})
 	for _, row := range b.rows {
 		if row.Kind == EventRemove || row.Kind == EventRevoke {
 			hashes = append(hashes, row.Hash)
@@ -295,34 +298,22 @@ func (c *Client) Events(ctx context.Context, after uint64, wait time.Duration) (
 	return hashes, b.next, b.reset, err
 }
 
-// follow polls the events stream for the given kinds; naming none asks
-// for remove and revoke, in the request form every directory has
-// served. The certificates and lists in an answer come from a possibly
-// hostile directory: the caller verifies each before applying it
-// (Store.indexVerified and InstallCRLs do).
-func (c *Client) follow(ctx context.Context, after uint64, wait time.Duration, kinds ...string) (streamBatch, error) {
-	req := []sexp.Sexp{sexp.String("events"), sexp.String(strconv.FormatUint(after, 10))}
-	if wait > 0 {
-		req = append(req, sexp.List(sexp.String("wait"),
-			sexp.String(strconv.FormatInt(wait.Milliseconds(), 10))))
-	}
-	if len(kinds) > 0 {
-		k := []sexp.Sexp{sexp.String("kinds")}
-		for _, kind := range kinds {
-			k = append(k, sexp.String(kind))
-		}
-		req = append(req, sexp.List(k...))
-	}
-	resp, err := c.roundTrip(ctx, PathEvents, sexp.List(req...), max(wait, 0))
+// follow polls the events stream once. The certificates and lists in
+// an answer come from a possibly hostile directory: the caller
+// verifies each before applying it (Store.indexVerified and
+// InstallCRLs do).
+func (c *Client) follow(ctx context.Context, q eventsRequest) (streamBatch, error) {
+	resp, err := c.roundTrip(ctx, PathEvents, q.sexp(), max(q.wait, 0))
 	if err != nil {
 		return streamBatch{}, err
 	}
 	return decodeEventsReply(resp)
 }
 
-// decodeEventsReply decodes (events (next <n>) [(reset)] [(more)] (ev <kind>
-// <hash>|<cert>|<crl>)...), keeping the rows in order. Rows it does not
-// know are skipped.
+// decodeEventsReply decodes (events (next <n>) [(id <hex>)] [(reset)]
+// [(more)] (ev <kind> <hash>|<cert>|<crl>)...), keeping the rows in
+// order. Rows it does not know are skipped, and so is an id that is
+// not a store id (validStoreID).
 func decodeEventsReply(resp sexp.Sexp) (r streamBatch, err error) {
 	nx := resp.Child("next")
 	if resp.Tag() != "events" || nx == nil || nx.Len() != 2 {
@@ -338,6 +329,10 @@ func decodeEventsReply(resp sexp.Sexp) (r streamBatch, err error) {
 			r.reset = true
 		case row.Tag() == "more":
 			r.more = true
+		case row.Tag() == "id":
+			if row.Len() == 2 && row.Nth(1).IsAtom() && validStoreID(row.Nth(1).Bytes()) {
+				r.id = row.Nth(1).Text()
+			}
 		case row.Tag() != "ev":
 		case row.Len() == 3 && row.Nth(1).Text() == EventCRL:
 			rl, err := cert.RevocationListFromSexp(row.Nth(2))

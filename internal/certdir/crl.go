@@ -37,6 +37,13 @@ type CRLInstall struct {
 // evict from. now is the instant eviction judges CRL freshness at,
 // unused without a store.
 func InstallCRLs(revs *cert.RevocationStore, st *Store, lists []*cert.RevocationList, now time.Time) CRLInstall {
+	return installCRLs(revs, st, lists, now, "")
+}
+
+// installCRLs is InstallCRLs; from tags the crl events of the lists
+// the store newly keeps with the id of the peer they came from
+// (Event.from).
+func installCRLs(revs *cert.RevocationStore, st *Store, lists []*cert.RevocationList, now time.Time, from string) CRLInstall {
 	var res CRLInstall
 	added, errs := revs.Add(lists...)
 	for i, rl := range lists {
@@ -49,7 +56,7 @@ func InstallCRLs(revs *cert.RevocationStore, st *Store, lists []*cert.Revocation
 		case added[i]:
 			res.Installed++
 			if st != nil {
-				st.keepCRL(rl, false)
+				st.keepCRL(rl, false, from)
 			}
 		}
 	}

@@ -101,7 +101,7 @@ func TestCRLInstallPathsAgree(t *testing.T) {
 		{"replicator follow", true, func(t *testing.T, d *dir, rl *cert.RevocationList) (int, int) {
 			peer := crlPeer(t, rl)
 			installed, rejected, err := pulled(d, func() error {
-				b, err := peer.follow(context.Background(), 0, 0, EventPublish, EventRemove, EventCRL)
+				b, err := peer.follow(context.Background(), eventsRequest{kinds: []string{EventPublish, EventRemove, EventCRL}})
 				d.rep.apply(peer, true, b)
 				return err
 			})

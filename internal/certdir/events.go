@@ -5,11 +5,15 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/cert"
+	"repro/internal/sexp"
 )
 
 // Event is one record of the directory's stream: a certificate (named
@@ -32,6 +36,12 @@ type Event struct {
 	Seq  uint64
 	Kind string // "publish" | "remove" | "revoke" | "crl"
 	Hash []byte // certificate body hash, or the list's content hash
+
+	// from is the id of the peer directory whose stream (or Merkle
+	// round) this record was applied from, "" for a record made here
+	// or restored from the WAL. The stream never answers that peer with
+	// it (split horizon, see Store.readStream).
+	from string
 }
 
 // Event kinds.
@@ -73,7 +83,19 @@ type EventLog struct {
 	boot   uint64        // per-incarnation nonce in every cursor's high bits
 	notify chan struct{} // closed on append, then replaced
 	max    int
+
+	// skip holds, per requester id, a channel closed by the next
+	// append not tagged with that id, and by every max/2-th append. A
+	// held poll that names the id (from) waits on it, so the records it
+	// would skip do not wake it, yet it re-reads, and moves its cursor,
+	// before they could push that cursor out of the ring. At most
+	// maxSkipWaiters ids wait this way, the rest on notify.
+	skip map[string]chan struct{}
 }
+
+// maxSkipWaiters bounds EventLog.skip, which a poll naming a made-up
+// id would otherwise grow until the next append.
+const maxSkipWaiters = 64
 
 // cursorSeqBits is how much of a cursor token holds the sequence
 // number; 2^40 events outlasts any process while leaving 24 bits of
@@ -104,13 +126,14 @@ func (l *EventLog) token(seq uint64) uint64 {
 	return l.boot<<cursorSeqBits | seq
 }
 
-// append records one event and wakes every waiting long-poll. journal
-// (when non-nil) is called under l.mu with the cursor token the new
-// event will carry; when it fails, nothing is appended and its error
-// is returned. Running the hook under the lock means ring order and
-// journal order cannot disagree; the hook is file I/O only, never
-// network.
-func (l *EventLog) append(kind string, hash []byte, journal func(token uint64) error) error {
+// append records one event and wakes the waiting long polls it can
+// answer (see skip). from tags it with the peer it was applied from
+// (see Event). journal (when non-nil) is called under l.mu with the
+// cursor token the new event will carry; when it fails, nothing is
+// appended and its error is returned. Running the hook under the lock
+// means ring order and journal order cannot disagree; the hook is file
+// I/O only, never network.
+func (l *EventLog) append(kind string, hash []byte, from string, journal func(token uint64) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if journal != nil {
@@ -118,12 +141,41 @@ func (l *EventLog) append(kind string, hash []byte, journal func(token uint64) e
 			return err
 		}
 	}
-	l.ring = append(l.ring, Event{Seq: l.next, Kind: kind, Hash: append([]byte(nil), hash...)})
+	l.ring = append(l.ring, Event{Seq: l.next, Kind: kind, Hash: append([]byte(nil), hash...), from: from})
 	l.next++
 	l.trimLocked()
 	close(l.notify)
 	l.notify = make(chan struct{})
+	all := l.next%uint64(max(l.max/2, 1)) == 0
+	for id, ch := range l.skip {
+		if id != from || all {
+			close(ch)
+			delete(l.skip, id)
+		}
+	}
 	return nil
+}
+
+// wakeLocked returns the channel the next append that can answer a
+// poll from the given requester closes: for a requester that names no
+// id, every append. Caller holds l.mu.
+func (l *EventLog) wakeLocked(from string) <-chan struct{} {
+	if from == "" {
+		return l.notify
+	}
+	ch, ok := l.skip[from]
+	switch {
+	case ok:
+	case len(l.skip) >= maxSkipWaiters:
+		return l.notify
+	default:
+		if l.skip == nil {
+			l.skip = make(map[string]chan struct{})
+		}
+		ch = make(chan struct{})
+		l.skip[from] = ch
+	}
+	return ch
 }
 
 // restore re-installs one event from its WAL record during replay,
@@ -230,13 +282,15 @@ func (l *EventLog) sinceLocked(after uint64) (evs []Event, next uint64, reset bo
 // streamBatch is one answer of the stream, as the directory reads it
 // and as a client decodes it: its rows in log order, and the cursor to
 // ask from next. more marks an answer cut at a bound: the rest of the
-// tail it read comes on the next poll. Decoded certificates and lists
-// are not yet verified.
+// tail it read comes on the next poll. id is the answering store's id
+// as a decoded reply carried it, "" when it carried none. Decoded
+// certificates and lists are not yet verified.
 type streamBatch struct {
 	rows  []streamRow
 	next  uint64
 	reset bool
 	more  bool
+	id    string
 }
 
 // streamRow is one row of an answer: an event, with the certificate a
@@ -259,19 +313,120 @@ func (b streamBatch) lists() []*cert.RevocationList {
 	return out
 }
 
-// follow answers one poll of the stream for the given kinds,
-// long-polling up to wait while there is nothing of those kinds to
-// answer: each append after a read wakes it to read again from where
-// that read ended, so a held poll moves past the events it did not ask
-// for and never falls behind the ring on them, and the last read is
+// eventsRequest is one poll of the stream, as a client encodes it and
+// the directory decodes it:
+//
+//	(events <after> [(wait <ms>)] (kinds <kind>...) [(from <id>)])
+//
+// after is the cursor, wait how long the directory may hold the poll
+// while there is nothing to answer, kinds the rows asked for, and from
+// the requesting directory's store id, which leaves out of the answer
+// the rows the answering store applied from it (see readStream).
+type eventsRequest struct {
+	after uint64
+	wait  time.Duration
+	kinds []string
+	from  string
+}
+
+// maxStoreID bounds a store id on the wire, in hex digits.
+const maxStoreID = 64
+
+// newStoreID returns a fresh random store id, or "" (no split horizon)
+// if the system has no randomness to give.
+func newStoreID() string {
+	var id [16]byte
+	if _, err := rand.Read(id[:]); err != nil {
+		return ""
+	}
+	return hex.EncodeToString(id[:])
+}
+
+// validStoreID reports whether a wire atom is a store id: 1 to
+// maxStoreID hex digits, an even number of them.
+func validStoreID(id []byte) bool {
+	if len(id) == 0 || len(id) > maxStoreID {
+		return false
+	}
+	_, err := hex.DecodeString(string(id))
+	return err == nil
+}
+
+// sexp encodes the request. A zero wait is left out, and so is an
+// empty from.
+func (q eventsRequest) sexp() sexp.Sexp {
+	kids := []sexp.Sexp{sexp.String("events"), sexp.String(strconv.FormatUint(q.after, 10))}
+	if q.wait > 0 {
+		kids = append(kids, sexp.List(sexp.String("wait"), sexp.String(strconv.FormatInt(q.wait.Milliseconds(), 10))))
+	}
+	k := []sexp.Sexp{sexp.String("kinds")}
+	for _, kind := range q.kinds {
+		k = append(k, sexp.String(kind))
+	}
+	kids = append(kids, sexp.List(k...))
+	if q.from != "" {
+		kids = append(kids, sexp.List(sexp.String("from"), sexp.String(q.from)))
+	}
+	return sexp.List(kids...)
+}
+
+// decodeEventsRequest decodes a poll. It refuses a clause it does not
+// know, an unknown kind, a malformed wait or from, and a request that
+// names no kind. A wait over maxEventWait is cut to it, and a clause
+// given twice takes its last value.
+func decodeEventsRequest(e sexp.Sexp) (q eventsRequest, err error) {
+	if e.Tag() != "events" || e.Len() < 2 || !e.Nth(1).IsAtom() {
+		return q, fmt.Errorf("certdir: events wants (events <after> [(wait <ms>)] (kinds <kind>...) [(from <id>)])")
+	}
+	if q.after, err = strconv.ParseUint(e.Nth(1).Text(), 10, 64); err != nil {
+		return q, fmt.Errorf("certdir: bad events cursor %q", e.Nth(1).Text())
+	}
+	for i := 2; i < e.Len(); i++ {
+		switch c := e.Nth(i); {
+		case c.Tag() == "wait" && c.Len() == 2 && c.Nth(1).IsAtom():
+			ms, err := strconv.Atoi(c.Nth(1).Text())
+			if err != nil || ms < 0 {
+				return q, fmt.Errorf("certdir: bad events wait %q", c.Nth(1).Text())
+			}
+			q.wait = time.Duration(min(ms, int(maxEventWait/time.Millisecond))) * time.Millisecond
+		case c.Tag() == "kinds" && c.Len() > 1:
+			q.kinds = nil
+			for j := 1; j < c.Len(); j++ {
+				k := c.Nth(j).Text()
+				if k != EventPublish && k != EventRemove && k != EventRevoke && k != EventCRL {
+					return q, fmt.Errorf("certdir: unknown event kind %q", k)
+				}
+				q.kinds = append(q.kinds, k)
+			}
+		case c.Tag() == "from":
+			if c.Len() != 2 || !c.Nth(1).IsAtom() || !validStoreID(c.Nth(1).Bytes()) {
+				return q, fmt.Errorf("certdir: bad events from %s", c)
+			}
+			q.from = c.Nth(1).Text()
+		default:
+			return q, fmt.Errorf("certdir: unknown events clause %s", c)
+		}
+	}
+	if len(q.kinds) == 0 {
+		return q, fmt.Errorf("certdir: events names no kind; provers ask (kinds remove revoke)")
+	}
+	return q, nil
+}
+
+// follow answers one poll of the stream, q, long-polling up to q.wait
+// while there is nothing to answer: each append after a read wakes it
+// to read again from where that read ended, so a held poll moves past
+// the events it did not ask for, and the rows readStream skips for the
+// requester, and never falls behind the ring on them; the last read is
 // the answer. ctx ends the poll early; a zero wait never blocks. See
 // sinceLocked for cursor and reset semantics and readStream for what
 // an answer holds.
-func (s *Store) follow(ctx context.Context, after uint64, kinds []string, wait time.Duration) streamBatch {
-	ctx, cancel := context.WithTimeout(ctx, wait)
+func (s *Store) follow(ctx context.Context, q eventsRequest) streamBatch {
+	ctx, cancel := context.WithTimeout(ctx, q.wait)
 	defer cancel()
+	after := q.after
 	for {
-		b, appended := s.readStream(after, kinds)
+		b, appended := s.readStream(after, q.kinds, q.from)
 		if b.reset || len(b.rows) > 0 || ctx.Err() != nil {
 			return b
 		}
@@ -300,15 +455,21 @@ func (s *Store) follow(ctx context.Context, after uint64, kinds []string, wait t
 // that instant has its event after the cursor. So a follower that
 // installs every answer holds every live list, whatever it missed.
 //
+// Split horizon: when from names the requester's store id, the rows
+// this store applied from that requester (Event.from) are skipped. The
+// requester holds them already; skipping them spares it the echo of its
+// own records. Skipped rows still advance the cursor and do not count
+// toward the bounds below.
+//
 // An answer carries at most verifyBatch certificates and maxBody bytes
 // of them. A longer one is cut before the first row past either bound,
 // marked more, and its cursor is the last event it included: the rest
 // comes on the next poll.
-func (s *Store) readStream(after uint64, kinds []string) (b streamBatch, appended <-chan struct{}) {
+func (s *Store) readStream(after uint64, kinds []string, from string) (b streamBatch, appended <-chan struct{}) {
 	s.tmu.Lock()
 	s.events.mu.Lock()
 	evs, next, reset := s.events.sinceLocked(after)
-	appended, boot := s.events.notify, s.events.boot
+	appended, boot := s.events.wakeLocked(from), s.events.boot
 	s.events.mu.Unlock()
 	full := slices.Contains(kinds, EventCRL) && (after == 0 || reset)
 	var lists []*cert.RevocationList
@@ -324,7 +485,7 @@ scan:
 	for _, ev := range evs {
 		row := streamRow{Event: ev}
 		switch {
-		case !slices.Contains(kinds, ev.Kind), ev.Kind == EventRemove && s.held(ev.Hash) != nil:
+		case !slices.Contains(kinds, ev.Kind), from != "" && ev.from == from, ev.Kind == EventRemove && s.held(ev.Hash) != nil:
 			continue
 		case ev.Kind == EventPublish:
 			if row.cert = s.held(ev.Hash); row.cert == nil {

@@ -1,7 +1,13 @@
 package certdir
 
 import (
+	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,11 +25,13 @@ import (
 // panic, and everything a decoded reply would apply must verify: the
 // certificates and lists a peer directory's follow (Replicator.apply)
 // indexes into a fresh store and installs into a fresh revocation
-// store. The seeds are
-// real replies of a directory: its crl rows for a fresh cursor, its
-// remove and revoke rows for a no-kind request, a reset, its publish
-// rows, and the crl and publish replies with one list's and one
-// certificate's signature forged.
+// store. A decoded id is a store id (validStoreID) or none: the
+// decoder bounds it at maxStoreID and ignores a malformed one. The
+// seeds are real replies of a directory, each naming its id: its crl
+// rows for a fresh cursor, its remove and revoke rows for a prover's
+// request, a reset, its publish rows, the crl and publish replies with
+// one list's and one certificate's signature forged, and the publish
+// reply with its id overlong and with it not hex.
 func FuzzEventsReply(f *testing.F) {
 	now := time.Now()
 	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
@@ -65,7 +73,7 @@ func FuzzEventsReply(f *testing.F) {
 	}
 	crls := reply("(6:events1:0(5:kinds3:crl))")
 	f.Add(crls)
-	f.Add(reply("(6:events1:0)"))
+	f.Add(reply("(6:events1:0(5:kinds6:remove6:revoke))"))
 	f.Add(reply("(6:events1:1(5:kinds6:remove6:revoke3:crl))")) // a cursor of no incarnation: reset
 	forgedList := *lists[1]
 	forgedList.Signature = append([]byte(nil), forgedList.Signature...)
@@ -77,6 +85,17 @@ func FuzzEventsReply(f *testing.F) {
 	forgedCert.Signature = append([]byte(nil), forgedCert.Signature...)
 	forgedCert.Signature[0] ^= 1
 	f.Add(forge(publishes, EventPublish, forgedCert.Sexp()))
+	// withID swaps a reply's id for the given atom.
+	withID := func(reply []byte, id string) []byte {
+		e, _ := sexp.ParseOne(reply)
+		kids := []sexp.Sexp{e.Nth(0), e.Child("next"), sexp.List(sexp.String("id"), sexp.String(id))}
+		for i := 3; i < e.Len(); i++ {
+			kids = append(kids, e.Nth(i))
+		}
+		return sexp.List(kids...).Canonical()
+	}
+	f.Add(withID(publishes, strings.Repeat("ab", maxStoreID/2+1)))
+	f.Add(withID(publishes, "not-hex"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := sexp.ParseOne(data)
@@ -86,6 +105,9 @@ func FuzzEventsReply(f *testing.F) {
 		r, err := decodeEventsReply(e)
 		if err != nil {
 			return
+		}
+		if r.id != "" && !validStoreID([]byte(r.id)) {
+			t.Fatalf("decoded id %q is not a store id", r.id)
 		}
 		// A reset's Merkle round needs a peer; what the answer itself
 		// applies is the property.
@@ -110,6 +132,92 @@ func FuzzEventsReply(f *testing.F) {
 		for _, rl := range rep.Revocations.Lists() {
 			if err := rl.Verify(); err != nil {
 				t.Fatalf("a decoded reply installed a list that does not verify: %v", err)
+			}
+		}
+	})
+}
+
+// FuzzEventsRequest feeds arbitrary bodies to the directory's events
+// endpoint, whose request decoder reads the cursor, wait, kinds and
+// from clauses of a possibly hostile poll. It must never panic or
+// answer 5xx. A poll it answers decodes to a request that encodes back
+// to itself, and the answer decodes, names the store's id, carries
+// only rows of the asked kinds, and none of the rows the store applied
+// from the peer the poll names. The poll's context has ended, so no
+// answer is held. The seeds are the polls of a prover, a verifier and
+// a peer directory, and polls with no kind, an overlong from, a from
+// that is not hex, a negative wait and an unknown clause.
+func FuzzEventsRequest(f *testing.F) {
+	now := time.Now()
+	st := NewStore(4)
+	svc := NewService(st)
+	peer := strings.Repeat("ab", 16)
+	heard := map[string]bool{}
+	if _, err := st.Publish(mintSplit(f, "request-local", now), now); err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range []string{"request-heard", "request-removed"} {
+		c := mintSplit(f, name, now)
+		if added, _, err := st.indexVerified([]*cert.Cert{c}, now, false, false, peer); added != 1 {
+			f.Fatalf("index from the peer: %v", err)
+		}
+		heard[string(c.Hash())] = true
+	}
+	st.remove(mintSplit(f, "request-removed", now).Hash(), true, peer)
+	after := st.events.token(1)
+	for _, q := range []eventsRequest{
+		{kinds: []string{EventRemove, EventRevoke}},
+		{kinds: []string{EventCRL}, wait: 30 * time.Second},
+		{after: after, wait: 30 * time.Second, kinds: []string{EventPublish, EventRemove, EventCRL}, from: peer},
+		{kinds: []string{EventPublish, EventRemove, EventCRL}, from: strings.Repeat("ab", maxStoreID/2+1)},
+		{kinds: []string{EventPublish}, from: "not-hex"},
+	} {
+		f.Add(q.sexp().Canonical())
+	}
+	f.Add([]byte("(6:events1:0)"))
+	f.Add([]byte("(6:events1:0(4:wait2:-1)(5:kinds7:publish))"))
+	f.Add([]byte("(6:events1:0(5:kinds7:publish)(5:since1:0))"))
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		svc.ServeHTTP(w, httptest.NewRequest(http.MethodPost, PathEvents, bytes.NewReader(body)).WithContext(done))
+		if w.Code >= 500 {
+			t.Fatalf("status %d for %q", w.Code, body)
+		}
+		if w.Code != http.StatusOK {
+			return
+		}
+		e, err := sexp.ParseOne(body)
+		if err != nil {
+			t.Fatalf("answered a body that does not parse: %v", err)
+		}
+		q, err := decodeEventsRequest(e)
+		if err != nil {
+			t.Fatalf("answered a poll the decoder refuses: %v", err)
+		}
+		if again, err := decodeEventsRequest(q.sexp()); err != nil || !reflect.DeepEqual(again, q) {
+			t.Fatalf("poll %+v encodes to one that decodes to %+v (%v)", q, again, err)
+		}
+		resp, err := sexp.ParseOne(w.Body.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := decodeEventsReply(resp)
+		if err != nil || r.id != st.id {
+			t.Fatalf("answer names id %q (%v), want %q", r.id, err, st.id)
+		}
+		for _, row := range r.rows {
+			if !slices.Contains(q.kinds, row.Kind) {
+				t.Fatalf("a %s row answers a poll for %v", row.Kind, q.kinds)
+			}
+			h := row.Hash
+			if row.cert != nil {
+				h = row.cert.Hash()
+			}
+			if q.from == peer && heard[string(h)] {
+				t.Fatalf("a %s row applied from %s answers that peer", row.Kind, peer)
 			}
 		}
 	})

@@ -13,10 +13,15 @@ import (
 // stream (events.go): it long-polls the kinds it names from a cursor,
 // starting at 0, and hands every answer to apply before it polls
 // again. Peer directories (Replicator) and verifiers (CRLFollower) both
-// run it; they differ only in the kinds and in apply.
+// run it; they differ in the kinds, in apply and in self.
 type streamFollower struct {
 	client *Client
 	kinds  []string
+	// self, when set, is the following store's id. It is sent as
+	// (from <self>) once the last answer named the directory's own id,
+	// which only a directory that filters by it does: an older one
+	// refuses the clause.
+	self string
 	// hold bounds how long one poll is held open at the directory.
 	hold time.Duration
 	// apply applies one answer; replay marks one that replays the
@@ -60,15 +65,16 @@ func (l *loops) stop() {
 	l.wg.Wait()
 }
 
-// poll reads the stream once from the cursor after and applies the
-// answer. The answer replays the directory's retained tail — history
-// the follower may have moved past — when after is 0, when it is a
-// reset, and when it continues a replay the directory cut at its
-// bounds (replaying); replay reports which. A failed poll is reported
-// to onErr, unless ctx ended it.
-func (f streamFollower) poll(ctx context.Context, after uint64, replaying bool) (b streamBatch, replay bool, err error) {
-	b, err = f.client.follow(ctx, after, f.hold, f.kinds...)
-	replay = after == 0 || replaying || b.reset
+// poll reads the stream once with q, for the follower's kinds, and
+// applies the answer. The answer replays the directory's retained tail
+// — history the follower may have moved past — when q.after is 0,
+// when it is a reset, and when it continues a replay the directory cut
+// at its bounds (replaying); replay reports which. A failed poll is
+// reported to onErr, unless ctx ended it.
+func (f streamFollower) poll(ctx context.Context, q eventsRequest, replaying bool) (b streamBatch, replay bool, err error) {
+	q.kinds = f.kinds
+	b, err = f.client.follow(ctx, q)
+	replay = q.after == 0 || replaying || b.reset
 	switch {
 	case err == nil:
 		f.apply(replay, b)
@@ -85,19 +91,37 @@ func (f streamFollower) poll(ctx context.Context, after uint64, replaying bool) 
 // every poll at once without progress (a hostile one that ignores the
 // cursor, one that always resets) then costs a few polls a second, not
 // a tight loop.
+//
+// It sends self as from only while the last answer named the
+// directory's id, and a failed poll forgets it, so a directory replaced
+// by one that refuses the clause is next asked without it. With a self
+// to send, the first poll and the first after a failed one are not
+// held: their answer comes at once and tells whether the directory
+// names an id, so the follower is not answered without from while it
+// waits to learn that.
 func (f streamFollower) run(ctx context.Context) {
 	var (
 		cursor uint64
-		reset  bool // the last answer was a reset
-		more   bool // the last answer was a replay cut short
+		reset  bool   // the last answer was a reset
+		more   bool   // the last answer was a replay cut short
+		from   string // sent with the next poll
+		probe  = true // no answer since the start or the last failed poll
 	)
 	for ctx.Err() == nil {
+		q := eventsRequest{after: cursor, wait: f.hold, from: from}
+		if probe && f.self != "" {
+			q.wait = 0
+		}
 		start := time.Now()
-		b, replay, err := f.poll(ctx, cursor, more)
+		b, replay, err := f.poll(ctx, q, more)
 		stalled := err != nil
+		probe, from = err != nil, ""
 		if err == nil {
-			stalled = b.reset && reset || b.next == cursor && time.Since(start) < f.hold/2
+			stalled = b.reset && reset || b.next == cursor && time.Since(start) < q.wait/2
 			cursor, reset, more = b.next, b.reset, replay && b.more
+			if b.id != "" {
+				from = f.self
+			}
 		}
 		if stalled {
 			select {

@@ -19,7 +19,8 @@ import (
 // installed.
 func pollOnce(f *CRLFollower, after uint64) (next uint64, installed int, err error) {
 	before := f.Stats().Pulled
-	b, _, err := f.stream().poll(context.Background(), after, false)
+	s := f.stream()
+	b, _, err := s.poll(context.Background(), eventsRequest{after: after, wait: s.hold}, false)
 	return b.next, int(f.Stats().Pulled - before), err
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,11 +26,16 @@ import (
 //     does), removals go through Store.Remove, CRLs through
 //     InstallCRLs. What this store applies lands in its own log, so a
 //     chain or a directed ring of follows converges too: C learns A's
-//     publish from B's log. The echo — A reading back from B what B
-//     took from A — costs bytes but no signature work, because
-//     certificates already held are dropped before verification, and
-//     no event, because nothing changes. The cost is one held poll per
-//     peer per directory.
+//     publish from B's log. Split horizon keeps a record from going
+//     straight back where it came from: what this store applies from a
+//     peer is tagged in its log with the id that peer's stream carries
+//     (Event.from), and a peer that polls with that id (from) is not
+//     answered with it. So in a pair that follows each other, each
+//     publish crosses once, and the origin's poll stays held while only
+//     its own records arrive. A directed ring still brings a record
+//     back to its origin once per lap, where a certificate already
+//     held is dropped before verification (Stats.Echoes counts it).
+//     The cost is one held poll per peer per directory.
 //   - Anti-entropy. A periodic round compares Merkle summaries (count
 //     and XOR of content hashes per tree node, see merkle.go) with each
 //     peer and pulls whatever is missing: the repair path for records
@@ -107,12 +113,18 @@ type Replicator struct {
 
 	loops
 
+	// ids holds, per peer Client, the store id the peer's stream last
+	// named (streamBatch.id), so a Merkle round tags what it pulls from
+	// that peer as the follow does.
+	ids sync.Map
+
 	pushes       atomic.Int64
 	pushFailures atomic.Int64
 	resets       atomic.Int64
 	rounds       atomic.Int64
 	pulled       atomic.Int64
 	pullRejected atomic.Int64
+	echoes       atomic.Int64
 	roundErrors  atomic.Int64
 	crlsPulled   atomic.Int64
 	crlsRejected atomic.Int64
@@ -147,6 +159,7 @@ type ReplicatorStats struct {
 	Rounds       int64 // anti-entropy rounds completed
 	Pulled       int64 // certificates indexed from peers (follow and anti-entropy)
 	PullRejected int64 // certificates from peers refused by verification
+	Echoes       int64 // publish rows a follow received for certificates already held
 	RoundErrors  int64 // per-peer round failures (unreachable peer etc.)
 	CRLsPulled   int64 // CRLs installed from peers
 	CRLsRejected int64 // CRLs from peers refused (bad signature)
@@ -161,7 +174,7 @@ func NewReplicator(st *Store, peers []*Client) *Replicator {
 	for _, p := range peers {
 		// Meter every peer's summary traffic into one counter; the
 		// sf_gossip_digest_bytes_total metric reads it.
-		p.gossipBytes = &r.digestBytes
+		p.gossipBytes.Store(&r.digestBytes)
 	}
 	return r
 }
@@ -195,6 +208,7 @@ func (r *Replicator) Start() {
 		runs = append(runs, streamFollower{
 			client: peer,
 			kinds:  []string{EventPublish, EventRemove, EventCRL},
+			self:   r.store.id,
 			hold:   maxEventWait,
 			apply:  func(replay bool, b streamBatch) { r.apply(peer, replay, b) },
 			onErr:  func(err error) { r.logf("certdir: following %s: %v", peer.BaseURL, err) },
@@ -209,12 +223,14 @@ func (r *Replicator) Stop() { r.stop() }
 
 // apply applies one answer of peer's stream in the peer's log order:
 // each run of consecutive publishes indexes as one verified batch, each
-// run of lists installs as one batch. replay marks an answer that
-// replays the peer's tail (streamFollower.poll). A reset means records
-// were shed from the peer's tail (or the peer restarted); after its
-// lists are installed, one Merkle round with that peer repairs the
-// rest.
+// run of lists installs as one batch. What lands in this store's log is
+// tagged with the id the answer named (Event.from). replay marks an
+// answer that replays the peer's tail (streamFollower.poll). A reset
+// means records were shed from the peer's tail (or the peer
+// restarted); after its lists are installed, one Merkle round with
+// that peer repairs the rest.
 func (r *Replicator) apply(peer *Client, replay bool, b streamBatch) {
+	r.ids.Store(peer, b.id)
 	for rows := b.rows; len(rows) > 0; {
 		n := 1
 		for n < len(rows) && rows[n].Kind == rows[0].Kind {
@@ -224,22 +240,31 @@ func (r *Replicator) apply(peer *Client, replay bool, b streamBatch) {
 		rows = rows[n:]
 		switch run[0].Kind {
 		case EventPublish:
-			// The echo of this store's own publishes is dropped before
-			// any signature work.
+			// A certificate already held is dropped before any signature
+			// work: a record come round a ring of follows, one a Merkle
+			// round pulled first, or one a peer that does not filter by
+			// from (an older directory, or a poll sent without it)
+			// echoes.
 			var certs []*cert.Cert
+			echoes := 0
 			for _, row := range run {
-				if row.cert != nil && !r.store.HasHash(row.cert.Hash()) {
+				switch {
+				case row.cert == nil:
+				case r.store.HasHash(row.cert.Hash()):
+					echoes++
+				default:
 					certs = append(certs, row.cert)
 				}
 			}
-			r.index(certs, replay)
+			r.echoes.Add(int64(echoes))
+			r.index(certs, replay, b.id)
 		case EventRemove:
 			for _, row := range run {
-				r.store.remove(row.Hash, true)
+				r.store.remove(row.Hash, true, b.id)
 			}
 		case EventCRL:
 			if r.Revocations != nil {
-				r.countCRLs(InstallCRLs(r.Revocations, r.store, streamBatch{rows: run}.lists(), r.now()))
+				r.countCRLs(installCRLs(r.Revocations, r.store, streamBatch{rows: run}.lists(), r.now(), b.id))
 			}
 		}
 	}
@@ -419,18 +444,26 @@ func (r *Replicator) pullHashes(peer *Client, hashes [][]byte) (pulled int, err 
 		if err != nil {
 			return pulled, err
 		}
-		pulled += r.index(certs, true)
+		pulled += r.index(certs, true, r.idOf(peer))
 	}
 	return pulled, nil
+}
+
+// idOf returns the store id peer's stream last named, "" if none.
+func (r *Replicator) idOf(peer *Client) string {
+	id, _ := r.ids.Load(peer)
+	s, _ := id.(string)
+	return s
 }
 
 // index verifies and indexes certificates a peer supplied
 // (Store.indexVerified) and counts the outcome. pulled yields to local
 // tombstones — a removal that raced a pull must win, and a replayed
 // tail is history this store may have moved past — while a live
-// follow's publishes are explicit, like a client's.
-func (r *Replicator) index(certs []*cert.Cert, pulled bool) int {
-	added, rejected, _ := r.store.indexVerified(certs, r.now(), pulled, false)
+// follow's publishes are explicit, like a client's. from is the id of
+// the peer the certificates came from (Event.from).
+func (r *Replicator) index(certs []*cert.Cert, pulled bool, from string) int {
+	added, rejected, _ := r.store.indexVerified(certs, r.now(), pulled, false, from)
 	r.pulled.Add(int64(added))
 	r.pullRejected.Add(int64(rejected))
 	return added
@@ -474,7 +507,7 @@ func (r *Replicator) bootstrapFrom(ctx context.Context, peer *Client) (pulled in
 	var lists []*cert.RevocationList
 	_, _, _, err = readRecords(body, recordSink{
 		snapshot: true,
-		publish:  func(batch []*cert.Cert) { pulled += r.index(batch, true) },
+		publish:  func(batch []*cert.Cert) { pulled += r.index(batch, true, "") },
 		remove:   func(hash []byte, t tombstone) { r.store.AdoptTombstone(hash, t.expiry, r.now()) },
 		crl:      func(rl *cert.RevocationList) { lists = append(lists, rl) },
 		bad:      func(err error) error { return err },
@@ -498,6 +531,7 @@ func (r *Replicator) Stats() ReplicatorStats {
 		Rounds:       r.rounds.Load(),
 		Pulled:       r.pulled.Load(),
 		PullRejected: r.pullRejected.Load(),
+		Echoes:       r.echoes.Load(),
 		RoundErrors:  r.roundErrors.Load(),
 		CRLsPulled:   r.crlsPulled.Load(),
 		CRLsRejected: r.crlsRejected.Load(),

@@ -213,12 +213,12 @@ func TestFollowAppliesInLogOrder(t *testing.T) {
 	// that lands between the list's keep and its eviction. A follower
 	// applying the answer in order installs the list after indexing the
 	// certificate, and so evicts it.
-	cursor := a.follow(context.Background(), 0, []string{EventPublish}, 0).next
+	cursor := a.follow(context.Background(), eventsRequest{kinds: []string{EventPublish}}).next
 	w := mint("w")
 	publish(a, w)
 	rlW := cert.NewRevocationList(issuer, v, w.Hash())
-	a.keepCRL(rlW, false)
-	ans := a.follow(context.Background(), cursor, []string{EventPublish, EventRemove, EventCRL}, 0)
+	a.keepCRL(rlW, false, "")
+	ans := a.follow(context.Background(), eventsRequest{after: cursor, kinds: []string{EventPublish, EventRemove, EventCRL}})
 	if len(ans.rows) != 2 || ans.rows[0].Kind != EventPublish || ans.rows[1].Kind != EventCRL {
 		t.Fatalf("answer holds %d rows, want the publish and then the list", len(ans.rows))
 	}
@@ -266,7 +266,7 @@ func TestFollowReplyBounds(t *testing.T) {
 		sizeCut bool
 	)
 	for {
-		ans, err := a.client.follow(context.Background(), cursor, 0, EventPublish)
+		ans, err := a.client.follow(context.Background(), eventsRequest{after: cursor, kinds: []string{EventPublish}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +432,7 @@ func TestAntiEntropyRespectsTombstones(t *testing.T) {
 
 	// A gossip pull must yield to the tombstone even when racing past
 	// the hash-list check (the atomic re-check inside publish).
-	if added, rejected, _ := b.store.indexVerified([]*cert.Cert{c}, now, true, false); added != 0 || rejected != 0 {
+	if added, rejected, _ := b.store.indexVerified([]*cert.Cert{c}, now, true, false, ""); added != 0 || rejected != 0 {
 		t.Fatalf("pulled index over a tombstone: added=%d rejected=%d, want 0/0", added, rejected)
 	}
 
@@ -462,11 +462,11 @@ func TestHeardRemovalNotRelayed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cursor := a.store.follow(context.Background(), 0, []string{EventRemove}, 0).next
+	cursor := a.store.follow(context.Background(), eventsRequest{kinds: []string{EventRemove}}).next
 	if !a.store.Remove(x.Hash()) {
 		t.Fatal("remove failed")
 	}
-	ans, err := a.client.follow(context.Background(), cursor, 0, EventPublish, EventRemove, EventCRL)
+	ans, err := a.client.follow(context.Background(), eventsRequest{after: cursor, kinds: []string{EventPublish, EventRemove, EventCRL}})
 	if err != nil {
 		t.Fatal(err)
 	}

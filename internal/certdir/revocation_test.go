@@ -28,8 +28,8 @@ func TestEventLogCursor(t *testing.T) {
 	if len(evs) != 0 || next != l.token(0) || reset {
 		t.Fatalf("empty log: evs=%d next=%d reset=%v", len(evs), next, reset)
 	}
-	l.append(EventRemove, []byte("h1"), nil)
-	l.append(EventRevoke, []byte("h2"), nil)
+	l.append(EventRemove, []byte("h1"), "", nil)
+	l.append(EventRevoke, []byte("h2"), "", nil)
 	// Cursor 0 replays the retained tail.
 	evs, next, reset = since(l, 0)
 	if len(evs) != 2 || next != l.token(2) || reset {
@@ -47,7 +47,7 @@ func TestEventLogCursor(t *testing.T) {
 func TestEventLogOverflowResets(t *testing.T) {
 	l := newEventLog(4)
 	for i := 0; i < 10; i++ {
-		l.append(EventRemove, []byte{byte(i)}, nil)
+		l.append(EventRemove, []byte{byte(i)}, "", nil)
 	}
 	// Cursor 2 predates the retained tail (only 7..10 survive).
 	evs, next, reset := since(l, l.token(2))
@@ -77,7 +77,7 @@ func TestEventLogOverflowResets(t *testing.T) {
 func TestEventLogRestartResets(t *testing.T) {
 	old := newEventLog(8)
 	for i := 0; i < 10; i++ {
-		old.append(EventRemove, []byte{byte(i)}, nil)
+		old.append(EventRemove, []byte{byte(i)}, "", nil)
 	}
 	_, cursor, _ := since(old, 0)
 
@@ -86,7 +86,7 @@ func TestEventLogRestartResets(t *testing.T) {
 		t.Skip("one-in-16-million boot nonce collision")
 	}
 	for i := 0; i < 12; i++ {
-		restarted.append(EventRevoke, []byte{byte(i)}, nil)
+		restarted.append(EventRevoke, []byte{byte(i)}, "", nil)
 	}
 	evs, next, reset := since(restarted, cursor)
 	if !reset {
@@ -105,14 +105,14 @@ var invalidations = []string{EventRemove, EventRevoke}
 
 func TestEventLogLongPoll(t *testing.T) {
 	st := NewStore(4)
-	st.emitEvent(EventRemove, []byte("x")) // seq 1
+	st.emitEvent(EventRemove, []byte("x"), "") // seq 1
 	done := make(chan []streamRow, 1)
 	go func() {
-		done <- st.follow(context.Background(), st.events.token(1), invalidations, 5*time.Second).rows
+		done <- st.follow(context.Background(), eventsRequest{after: st.events.token(1), wait: 5 * time.Second, kinds: invalidations}).rows
 	}()
 	// The waiter must block until this append.
 	time.Sleep(20 * time.Millisecond)
-	st.emitEvent(EventRevoke, []byte("y"))
+	st.emitEvent(EventRevoke, []byte("y"), "")
 	select {
 	case evs := <-done:
 		if len(evs) != 1 || string(evs[0].Hash) != "y" {
@@ -123,7 +123,7 @@ func TestEventLogLongPoll(t *testing.T) {
 	}
 	// Timeout path: current cursor, nothing appended.
 	start := time.Now()
-	if evs := st.follow(context.Background(), st.events.token(2), invalidations, 50*time.Millisecond).rows; len(evs) != 0 {
+	if evs := st.follow(context.Background(), eventsRequest{after: st.events.token(2), wait: 50 * time.Millisecond, kinds: invalidations}).rows; len(evs) != 0 {
 		t.Fatalf("timed-out wait returned %v", evs)
 	}
 	if time.Since(start) < 40*time.Millisecond {
@@ -138,7 +138,7 @@ func TestFollowEndsWithContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		st.follow(ctx, 0, invalidations, time.Minute)
+		st.follow(ctx, eventsRequest{wait: time.Minute, kinds: invalidations})
 		close(done)
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -182,7 +182,7 @@ func TestStoreEmitsInvalidationEvents(t *testing.T) {
 
 	// The two publishes are events too (seq 1, 2); the invalidation
 	// kinds a prover asks for are the removal and the eviction.
-	ans := st.follow(context.Background(), 0, invalidations, 0)
+	ans := st.follow(context.Background(), eventsRequest{kinds: invalidations})
 	evs, next, reset := ans.rows, ans.next, ans.reset
 	if reset || next != st.events.token(4) || len(evs) != 2 {
 		t.Fatalf("events: %v next=%d reset=%v, want remove+revoke", evs, next, reset)
@@ -293,7 +293,7 @@ func TestCRLStreamCursorDiff(t *testing.T) {
 	st, rs, cl := startRevocableDirectory(t)
 	read := func(after uint64) streamBatch {
 		t.Helper()
-		r, err := cl.follow(context.Background(), after, 0, EventCRL)
+		r, err := cl.follow(context.Background(), eventsRequest{after: after, kinds: []string{EventCRL}})
 		if err != nil || r.reset {
 			t.Fatalf("crl read from %d: reset=%v err=%v", after, r.reset, err)
 		}
@@ -359,7 +359,7 @@ func TestCRLGossipPropagates(t *testing.T) {
 	// One poll of A's stream at B: the CRL arrives and evicts, and the
 	// answer carries no publish of the revoked delegation to resurrect
 	// it (A no longer holds it), nor does an anti-entropy round after.
-	ans, err := clA.follow(context.Background(), 0, 0, EventPublish, EventRemove, EventCRL)
+	ans, err := clA.follow(context.Background(), eventsRequest{kinds: []string{EventPublish, EventRemove, EventCRL}})
 	if err != nil {
 		t.Fatal(err)
 	}

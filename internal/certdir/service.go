@@ -285,7 +285,7 @@ func (s *Service) handlePublish(e sexp.Sexp) (sexp.Sexp, error) {
 	if err != nil {
 		return nil, fmt.Errorf("certdir: publish: %w", err)
 	}
-	added, _, err := s.Store.indexVerified([]*cert.Cert{c}, s.now(), false, false)
+	added, _, err := s.Store.indexVerified([]*cert.Cert{c}, s.now(), false, false, "")
 	if err != nil {
 		return nil, err
 	}
@@ -485,51 +485,32 @@ func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.Store.WriteSnapshot(w, s.now())
 }
 
-// handleEvents serves the directory's event stream: (events <after>
-// [(wait <ms>)] [(kinds <kind>...)]) answers with the retained events
-// of the asked kinds after the cursor, in log order, long-polling up
-// to the requested wait while there are none. A request naming no kind
-// asks for remove and revoke, the invalidation rows provers follow. A
-// publish row carries the certificate and a crl row the list itself.
-// ctx is the request's: a poll ends when its caller goes, or when the
-// server's owner cancels the request context (sf-certd does when it
-// begins to stop, so its drain does not wait out a follower's hold).
-// See Store.follow and events.go for cursor and reset semantics.
+// handleEvents serves the directory's event stream: a poll
+// (eventsRequest) is answered with the retained events of the asked
+// kinds after the cursor, in log order, long-polling up to the
+// requested wait while there are none. A request must name its kinds:
+// provers ask (kinds remove revoke), verifiers (kinds crl), peer
+// directories (kinds publish remove crl) with (from <their store id>),
+// which leaves out the rows this store applied from them. A publish
+// row carries the certificate and a crl row the list itself; every
+// answer names this store's id as (id <hex>) after its cursor, so a
+// peer directory learns it may send from. ctx is the request's: a poll
+// ends when its caller goes, or when the server's owner cancels the
+// request context (sf-certd does when it begins to stop, so its drain
+// does not wait out a follower's hold). See Store.follow and events.go
+// for cursor and reset semantics.
 func (s *Service) handleEvents(ctx context.Context, e sexp.Sexp) (sexp.Sexp, error) {
-	if e.Tag() != "events" || e.Len() < 2 || !e.Nth(1).IsAtom() {
-		return nil, fmt.Errorf("certdir: events wants (events <after> [(wait <ms>)] [(kinds <kind>...)])")
-	}
-	after, err := strconv.ParseUint(e.Nth(1).Text(), 10, 64)
+	q, err := decodeEventsRequest(e)
 	if err != nil {
-		return nil, fmt.Errorf("certdir: bad events cursor %q", e.Nth(1).Text())
+		return nil, err
 	}
-	var wait time.Duration
-	kinds := []string{EventRemove, EventRevoke}
-	for i := 2; i < e.Len(); i++ {
-		switch c := e.Nth(i); {
-		case c.Tag() == "wait" && c.Len() == 2 && c.Nth(1).IsAtom():
-			ms, err := strconv.Atoi(c.Nth(1).Text())
-			if err != nil || ms < 0 {
-				return nil, fmt.Errorf("certdir: bad events wait %q", c.Nth(1).Text())
-			}
-			wait = time.Duration(ms) * time.Millisecond
-		case c.Tag() == "kinds" && c.Len() > 1:
-			kinds = nil
-			for j := 1; j < c.Len(); j++ {
-				k := c.Nth(j).Text()
-				if k != EventPublish && k != EventRemove && k != EventRevoke && k != EventCRL {
-					return nil, fmt.Errorf("certdir: unknown event kind %q", k)
-				}
-				kinds = append(kinds, k)
-			}
-		default:
-			return nil, fmt.Errorf("certdir: unknown events clause %s", c)
-		}
-	}
-	b := s.Store.follow(ctx, after, kinds, min(wait, maxEventWait))
+	b := s.Store.follow(ctx, q)
 	kids := []sexp.Sexp{
 		sexp.String("events"),
 		sexp.List(sexp.String("next"), sexp.String(strconv.FormatUint(b.next, 10))),
+	}
+	if s.Store.id != "" {
+		kids = append(kids, sexp.List(sexp.String("id"), sexp.String(s.Store.id)))
 	}
 	if b.reset {
 		kids = append(kids, sexp.List(sexp.String("reset")))

@@ -137,6 +137,13 @@ type Store struct {
 	// learn what it now vouches for and what it no longer does.
 	events *EventLog
 
+	// id names this store to the peers that follow it: every answer of
+	// the stream carries it, and a peer that has seen it asks with it
+	// (from) so as not to be answered with the records this store
+	// applied from that peer (Event.from). Random, made once per
+	// process: it is a hint that saves bytes, never a credential.
+	id string
+
 	// merkle is the incrementally maintained leaf-summary array behind
 	// the Merkle anti-entropy endpoints (see merkle.go).
 	merkle merkleState
@@ -165,6 +172,7 @@ func NewStore(n int) *Store {
 		tombstones: make(map[string]tombstone),
 		crls:       make(map[[32]byte]*cert.RevocationList),
 		events:     newEventLog(0),
+		id:         newStoreID(),
 	}
 	for i := range s.shards {
 		s.shards[i] = &dirShard{
@@ -219,7 +227,7 @@ func publishCtx(now time.Time) *core.VerifyContext {
 // Anti-entropy pulls go through indexVerified with pulled set instead,
 // which yields to tombstones rather than clearing them.
 func (s *Store) Publish(c *cert.Cert, now time.Time) (added bool, err error) {
-	return s.publish(c, now, false, false)
+	return s.publish(c, now, false, false, "")
 }
 
 // verifyBatch is how many certificates a streaming loader (WAL replay,
@@ -248,14 +256,16 @@ const verifyBatch = 256
 // tombstones under, so a pull racing a removal converges to removed in
 // either interleaving. replay marks WAL replay: the record is already
 // in the log, so nothing is journaled and no event is appended (the
-// record's own token restores it).
-func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled, replay bool) (added, rejected int, refused error) {
+// record's own token restores it). from tags the publish events with
+// the id of the peer the certificates came from (Event.from), "" for
+// certificates that did not come from a peer.
+func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled, replay bool, from string) (added, rejected int, refused error) {
 	if len(certs) == 0 {
 		return 0, 0, nil
 	}
 	cert.VerifyBatch(publishCtx(now), certs)
 	for _, c := range certs {
-		ok, err := s.publish(c, now, pulled, replay)
+		ok, err := s.publish(c, now, pulled, replay, from)
 		switch {
 		case err != nil:
 			rejected++
@@ -269,7 +279,7 @@ func (s *Store) indexVerified(certs []*cert.Cert, now time.Time, pulled, replay 
 	return added, rejected, refused
 }
 
-func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone, replay bool) (added bool, err error) {
+func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone, replay bool, from string) (added bool, err error) {
 	if c == nil {
 		s.rejected.Add(1)
 		return false, fmt.Errorf("certdir: nil certificate")
@@ -312,7 +322,7 @@ func (s *Store) publish(c *cert.Cert, now time.Time, yieldToTombstone, replay bo
 		if s.wal != nil {
 			journal = func(token uint64) error { return s.wal.appendRecord(publishRecord(c, token)) }
 		}
-		if err := s.events.append(EventPublish, []byte(e.hashKey), journal); err != nil {
+		if err := s.events.append(EventPublish, []byte(e.hashKey), from, journal); err != nil {
 			sh.mu.Unlock()
 			s.walErrors.Add(1)
 			return false, err
@@ -425,11 +435,13 @@ func appendLive(dst []*cert.Cert, es []*entry, now time.Time, f QueryFilter) []*
 // WAL cannot journal the removal, the certificate is kept and Remove
 // reports false rather than acknowledging a retraction that would
 // silently reappear after a restart.
-func (s *Store) Remove(hash []byte) bool { return s.remove(hash, false) }
+func (s *Store) Remove(hash []byte) bool { return s.remove(hash, false, "") }
 
 // remove is Remove; heard marks a removal this directory applies from
-// a peer's stream rather than one made here (see tombstone).
-func (s *Store) remove(hash []byte, heard bool) bool {
+// a peer's stream rather than one made here (see tombstone), and from
+// tags its event with that peer's id when the peer named one
+// (Event.from).
+func (s *Store) remove(hash []byte, heard bool, from string) bool {
 	key := string(hash)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -454,7 +466,7 @@ func (s *Store) remove(hash []byte, heard bool) bool {
 		s.addTombstone(key, tombstone{e.expiry, heard})
 		sh.mu.Unlock()
 		s.removed.Add(1)
-		s.emitEvent(EventRemove, hash)
+		s.emitEvent(EventRemove, hash, from)
 		return true
 	}
 	return false
@@ -488,8 +500,8 @@ func (s *Store) replayRemove(hash []byte, t tombstone, now time.Time) {
 // so ring order and log order agree) when a WAL is attached. A journal failure degrades durability — the event still
 // reaches live subscribers, but a restart resets their cursors — and
 // is counted, not escalated: event delivery must not be held hostage
-// by a full disk.
-func (s *Store) emitEvent(kind string, hash []byte) {
+// by a full disk. from tags the event (Event.from).
+func (s *Store) emitEvent(kind string, hash []byte, from string) {
 	var journal func(uint64) error
 	if s.wal != nil {
 		journal = func(token uint64) error {
@@ -499,7 +511,7 @@ func (s *Store) emitEvent(kind string, hash []byte) {
 			return nil
 		}
 	}
-	s.events.append(kind, hash, journal)
+	s.events.append(kind, hash, from, journal)
 }
 
 // tombstone is one retraction: the expiry of the certificate it
@@ -546,10 +558,12 @@ func (s *Store) tombstone(hash []byte) (t tombstone, ok bool) {
 // followers. A list already held is neither journaled nor announced
 // again. InstallCRLs calls it for each list cert.RevocationStore.Add
 // installed; replay calls it with replay set for each wal-crl record
-// that verifies, and the event comes back from its own record. A
-// journal failure is counted, not escalated: the list is in force in
-// this process already, and only its survival of a restart is lost.
-func (s *Store) keepCRL(rl *cert.RevocationList, replay bool) bool {
+// that verifies, and the event comes back from its own record. from
+// tags the event with the id of the peer the list came from
+// (Event.from). A journal failure is counted, not escalated: the list
+// is in force in this process already, and only its survival of a
+// restart is lost.
+func (s *Store) keepCRL(rl *cert.RevocationList, replay bool, from string) bool {
 	h := rl.Hash()
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
@@ -560,7 +574,7 @@ func (s *Store) keepCRL(rl *cert.RevocationList, replay bool) bool {
 	// the list with or without its event, but never keeps a list whose
 	// event a follower's cursor would need.
 	if !replay {
-		s.emitEvent(EventCRL, h[:])
+		s.emitEvent(EventCRL, h[:], from)
 	}
 	if s.wal != nil {
 		if err := s.wal.appendRecord(crlRecord(rl)); err != nil {
@@ -732,7 +746,7 @@ func (s *Store) EvictRevoked(revoked func(certHash []byte, signer sfkey.PublicKe
 		dropped = append(dropped, del...)
 	}
 	for _, e := range dropped {
-		s.emitEvent(EventRevoke, []byte(e.hashKey))
+		s.emitEvent(EventRevoke, []byte(e.hashKey), "")
 	}
 	s.evicted.Add(int64(n))
 	if n > 0 {

@@ -51,11 +51,12 @@ func canon(items ...any) string {
 	return s + ")"
 }
 
-// TestEventsNoKindReplyUnchanged: a request naming no kind gets the
-// reply grammar provers have always read — remove and revoke rows,
-// byte for byte — and never a crl row, even when a CRL install is what
-// caused the revoke.
-func TestEventsNoKindReplyUnchanged(t *testing.T) {
+// TestEventsNoKindRefused: a request naming no kind is refused with a
+// 400, and the request provers send instead, (kinds remove revoke), is
+// answered with remove and revoke rows under the store's id, byte for
+// byte, and never a crl row, even when a CRL install is what caused the
+// revoke. Client.Events reads exactly those rows' hashes.
+func TestEventsNoKindRefused(t *testing.T) {
 	now := time.Now()
 	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
 	alice := sfkey.FromSeed([]byte("nokind-alice"))
@@ -65,6 +66,17 @@ func TestEventsNoKindReplyUnchanged(t *testing.T) {
 	svc.Revocations = cert.NewRevocationStore()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
+
+	for _, body := range []string{canon("events", "0"), canon("events", "0", []any{"wait", "10"})} {
+		resp, err := http.Post(ts.URL+PathEvents, "text/plain", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("no-kind request %q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
 
 	var certs []*cert.Cert
 	for _, p := range []string{"a", "b", "c"} {
@@ -81,19 +93,25 @@ func TestEventsNoKindReplyUnchanged(t *testing.T) {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 	cursor := func(seq uint64) string { return strconv.FormatUint(st.events.token(seq), 10) }
+	invalidations := []any{"kinds", "remove", "revoke"}
 	// Three publishes (seq 1-3), then the removal and the eviction.
-	want := canon("events", []any{"next", cursor(5)},
+	want := canon("events", []any{"next", cursor(5)}, []any{"id", st.id},
 		[]any{"ev", "remove", string(certs[0].Hash())},
 		[]any{"ev", "revoke", string(certs[1].Hash())})
-	if got := postEvents(t, ts.URL, canon("events", "0")); string(got) != want {
-		t.Fatalf("no-kind reply\n got %q\nwant %q", got, want)
+	if got := postEvents(t, ts.URL, canon("events", "0", invalidations)); string(got) != want {
+		t.Fatalf("invalidation reply\n got %q\nwant %q", got, want)
 	}
 
 	// A CRL install: a crl event, then the revoke it caused.
 	InstallCRLs(svc.Revocations, st, []*cert.RevocationList{cert.NewRevocationList(alice, v, certs[2].Hash())}, now)
-	want = canon("events", []any{"next", cursor(7)}, []any{"ev", "revoke", string(certs[2].Hash())})
-	if got := postEvents(t, ts.URL, canon("events", cursor(5))); string(got) != want {
-		t.Fatalf("no-kind reply after a CRL install\n got %q\nwant %q", got, want)
+	want = canon("events", []any{"next", cursor(7)}, []any{"id", st.id}, []any{"ev", "revoke", string(certs[2].Hash())})
+	if got := postEvents(t, ts.URL, canon("events", cursor(5), invalidations)); string(got) != want {
+		t.Fatalf("invalidation reply after a CRL install\n got %q\nwant %q", got, want)
+	}
+	hashes, next, reset, err := NewClient(ts.URL).Events(context.Background(), 0, 0)
+	if err != nil || reset || strconv.FormatUint(next, 10) != cursor(7) || len(hashes) != 3 ||
+		!bytes.Equal(hashes[0], certs[0].Hash()) || !bytes.Equal(hashes[1], certs[1].Hash()) || !bytes.Equal(hashes[2], certs[2].Hash()) {
+		t.Fatalf("Events = %d hashes, next %d, reset %v, err %v", len(hashes), next, reset, err)
 	}
 }
 
@@ -106,14 +124,14 @@ func TestCRLOnlyPollIgnoresOtherKinds(t *testing.T) {
 	alice := sfkey.FromSeed([]byte("crlonly-alice"))
 	bobP := principal.KeyOf(sfkey.FromSeed([]byte("crlonly-bob")).Public())
 	st, rs, cl := startRevocableDirectory(t)
-	start, err := cl.follow(context.Background(), 0, 0, EventCRL)
+	start, err := cl.follow(context.Background(), eventsRequest{kinds: []string{EventCRL}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	got := make(chan streamBatch, 1)
 	go func() {
-		r, err := cl.follow(context.Background(), start.next, 5*time.Second, EventCRL)
+		r, err := cl.follow(context.Background(), eventsRequest{after: start.next, wait: 5 * time.Second, kinds: []string{EventCRL}})
 		if err != nil {
 			t.Error(err)
 		}
@@ -166,7 +184,7 @@ func TestCRLStreamResets(t *testing.T) {
 		}
 	}
 	read := func(st *Store, after uint64) streamBatch {
-		return st.follow(context.Background(), after, []string{EventCRL}, 0)
+		return st.follow(context.Background(), eventsRequest{after: after, kinds: []string{EventCRL}})
 	}
 	holds := func(what string, b streamBatch, reset bool, want ...*cert.RevocationList) {
 		t.Helper()
@@ -189,7 +207,7 @@ func TestCRLStreamResets(t *testing.T) {
 		install(st, revs, lists[0])
 		cursor := read(st, 0).next
 		for i := 0; i < 5; i++ {
-			st.emitEvent(EventRemove, []byte{byte(i)})
+			st.emitEvent(EventRemove, []byte{byte(i)}, "")
 		}
 		install(st, revs, lists[1])
 		holds("lagging cursor", read(st, cursor), true, lists[0], lists[1])
@@ -255,7 +273,7 @@ func TestCRLStreamResets(t *testing.T) {
 			}
 		}
 		publish(st, certs[0])
-		cursor := st.follow(context.Background(), 0, []string{EventPublish}, 0).next
+		cursor := st.follow(context.Background(), eventsRequest{kinds: []string{EventPublish}}).next
 		publish(st, certs[1])
 		if err := st.CompactWAL(); err != nil {
 			t.Fatal(err)
@@ -270,7 +288,7 @@ func TestCRLStreamResets(t *testing.T) {
 		}
 		defer re.CloseWAL()
 		publish(re, certs[3])
-		b := re.follow(context.Background(), cursor, []string{EventPublish}, 0)
+		b := re.follow(context.Background(), eventsRequest{after: cursor, kinds: []string{EventPublish}})
 		var got []string
 		for _, row := range b.rows {
 			got = append(got, string(row.cert.Hash()))
@@ -301,7 +319,7 @@ func TestCRLStreamResets(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cursor := st.follow(context.Background(), 0, []string{EventPublish}, 0).next
+		cursor := st.follow(context.Background(), eventsRequest{kinds: []string{EventPublish}}).next
 		later := now.Add(2 * time.Second)
 		if records := st.wal.recordCount(); st.Sweep(later) != 2 || st.wal.recordCount() >= records {
 			t.Fatal("the sweep dropped no certificates or did not compact")
@@ -322,7 +340,7 @@ func TestCRLStreamResets(t *testing.T) {
 			}
 			want = append(want, string(c.Hash()))
 		}
-		b := re.follow(context.Background(), cursor, []string{EventPublish}, 0)
+		b := re.follow(context.Background(), eventsRequest{after: cursor, kinds: []string{EventPublish}})
 		var got []string
 		for _, row := range b.rows {
 			got = append(got, string(row.cert.Hash()))
@@ -341,7 +359,7 @@ func TestEventsPollEndsWithCaller(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		cl.follow(ctx, 0, 30*time.Second, EventCRL)
+		cl.follow(ctx, eventsRequest{wait: 30 * time.Second, kinds: []string{EventCRL}})
 		close(done)
 	}()
 	time.Sleep(50 * time.Millisecond) // the poll is held

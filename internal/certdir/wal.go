@@ -720,7 +720,7 @@ func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (g
 	defer f.Close()
 	good, records, torn, err = readRecords(f, recordSink{
 		publish: func(batch []*cert.Cert) {
-			added, _, _ := st.indexVerified(batch, now, false, true)
+			added, _, _ := st.indexVerified(batch, now, false, true, "")
 			rec.Replayed += added
 			rec.Dropped += len(batch) - added
 		},
@@ -731,7 +731,7 @@ func replaySegment(st *Store, path string, now time.Time, rec *RecoveryStats) (g
 		crl: func(rl *cert.RevocationList) {
 			// A forged record grants nothing, exactly like a forged
 			// certificate; a lapsed one is what Sweep would drop.
-			if rl.Verify() == nil && !lapsed(rl, now) && st.keepCRL(rl, true) {
+			if rl.Verify() == nil && !lapsed(rl, now) && st.keepCRL(rl, true, "") {
 				rec.Replayed++
 			} else {
 				rec.Dropped++
