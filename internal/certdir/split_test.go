@@ -156,12 +156,18 @@ func TestFollowSkippedRowsNeverReset(t *testing.T) {
 	go func() {
 		got <- st.follow(context.Background(), eventsRequest{after: cursor, wait: 5 * time.Second, kinds: kinds, from: peer})
 	}()
-	time.Sleep(20 * time.Millisecond) // the poll is held
+	// held reports whether the poll waits on its own wake channel: it
+	// registers one on every read, and a wake removes it.
+	held := func() bool {
+		st.events.mu.Lock()
+		defer st.events.mu.Unlock()
+		_, ok := st.events.skip[peer]
+		return ok
+	}
+	waitUntil(t, "the poll to be held", held)
 	for i := 0; i < 100; i++ {
 		st.emitEvent(EventRemove, []byte{byte(i)}, peer)
-		if i%4 == 3 {
-			time.Sleep(time.Millisecond) // a woken poll gets to run
-		}
+		waitUntil(t, "the poll to read again after a wake", held)
 	}
 	select {
 	case b := <-got:
