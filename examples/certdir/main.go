@@ -158,7 +158,7 @@ func main() {
 	p := prover.New()
 	clientB := certdir.NewClient(urlB)
 	p.AddRemote(clientB)
-	sub := p.Subscribe(clientB, core.SharedProofCache())
+	sub := p.SubscribeWait(clientB, core.SharedProofCache(), 0)
 	defer sub.Stop()
 	fmt.Printf("prover starts with %d local edges, knows only directory B\n", p.EdgeCount())
 

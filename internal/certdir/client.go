@@ -277,25 +277,22 @@ func (c *Client) ReloadCRLs() (added int, err error) {
 	return added, nil
 }
 
-// Events long-polls the directory's invalidation stream: after is the
-// last cursor consumed (0 on first call), wait how long the directory
-// may hold the poll open, and ctx ends the poll early. It returns the
-// certificate body hashes to invalidate, the new cursor, and reset —
-// true when the stream could not be served continuously (the
-// subscriber lagged past the retained tail or the directory
-// restarted), in which case the caller must invalidate coarsely. It
-// asks for the remove and revoke kinds by name. The signature is
-// primitive-typed on purpose: it is what prover.InvalidationSource
-// requires, so this client satisfies it structurally without the
-// prover importing certdir.
-func (c *Client) Events(ctx context.Context, after uint64, wait time.Duration) (hashes [][]byte, next uint64, reset bool, err error) {
-	b, err := c.follow(ctx, eventsRequest{after: after, wait: wait, kinds: []string{EventRemove, EventRevoke}})
-	for _, row := range b.rows {
-		if row.Kind == EventRemove || row.Kind == EventRevoke {
-			hashes = append(hashes, row.Hash)
-		}
-	}
-	return hashes, b.next, b.reset, err
+// FollowInvalidations follows the directory's remove and revoke
+// records until ctx ends, on the same loop as Replicator and
+// CRLFollower: hold bounds each poll (zero or less means the
+// directory's cap), a failed poll is retried after a second, and the
+// first poll replays the retained tail. apply gets each answer's
+// certificate body hashes to invalidate, and reset — true when the
+// stream could not be served continuously (the follower lagged past
+// the retained tail or the directory restarted), in which case the
+// caller must invalidate coarsely. The signature is primitive-typed on
+// purpose: it is what prover.InvalidationSource requires, so this
+// client satisfies it structurally without the prover importing
+// certdir.
+func (c *Client) FollowInvalidations(ctx context.Context, hold time.Duration, apply func(hashes [][]byte, reset bool)) {
+	streamFollower{client: c, kinds: []string{EventRemove, EventRevoke}, hold: hold, apply: func(_ bool, b streamBatch) {
+		apply(b.invalidations(), b.reset)
+	}}.run(ctx)
 }
 
 // follow polls the events stream once. The certificates and lists in

@@ -25,13 +25,14 @@ import (
 // validity windows.
 //
 // The stream is the directory's one live channel outward, and nothing
-// on it runs on a timer. Provers cache fetched certificates until
-// expiry, so a subscriber (prover.Subscription) long-polls the remove
-// and revoke kinds and drops matching cached edges and proof-cache
-// verdicts the moment the directory learns of the revocation;
-// verifiers (CRLFollower) follow the crl kind; peer directories
-// (Replicator) follow publish, remove and crl, and apply each record
-// as it arrives.
+// on it runs on a timer. All three consumers run one loop
+// (streamFollower). Provers cache fetched certificates until expiry,
+// so a prover's subscription (prover.SubscribeWait, through
+// Client.FollowInvalidations) follows the remove and revoke kinds and
+// drops matching cached edges and proof-cache verdicts the moment the
+// directory learns of the revocation; verifiers (CRLFollower) follow
+// the crl kind; peer directories (Replicator) follow publish, remove
+// and crl, and apply each record as it arrives.
 type Event struct {
 	Seq  uint64
 	Kind string // "publish" | "remove" | "revoke" | "crl"
@@ -300,6 +301,18 @@ type streamRow struct {
 	Event
 	cert *cert.Cert
 	crl  *cert.RevocationList
+}
+
+// invalidations returns the certificate body hashes of an answer's
+// remove and revoke rows, in order.
+func (b streamBatch) invalidations() [][]byte {
+	var out [][]byte
+	for _, row := range b.rows {
+		if row.Kind == EventRemove || row.Kind == EventRevoke {
+			out = append(out, row.Hash)
+		}
+	}
+	return out
 }
 
 // lists returns the revocation lists an answer carries, in order.

@@ -12,8 +12,9 @@ import (
 // streamFollower is the one loop that follows a directory's record
 // stream (events.go): it long-polls the kinds it names from a cursor,
 // starting at 0, and hands every answer to apply before it polls
-// again. Peer directories (Replicator) and verifiers (CRLFollower) both
-// run it; they differ in the kinds, in apply and in self.
+// again. Peer directories (Replicator), verifiers (CRLFollower) and
+// provers (Client.FollowInvalidations) all run it; they differ in the
+// kinds, in apply and in self.
 type streamFollower struct {
 	client *Client
 	kinds  []string
@@ -22,7 +23,8 @@ type streamFollower struct {
 	// which only a directory that filters by it does: an older one
 	// refuses the clause.
 	self string
-	// hold bounds how long one poll is held open at the directory.
+	// hold bounds how long one poll is held open at the directory;
+	// zero or less means the directory's cap (maxEventWait).
 	hold time.Duration
 	// apply applies one answer; replay marks one that replays the
 	// directory's retained tail (see poll).
@@ -107,6 +109,9 @@ func (f streamFollower) run(ctx context.Context) {
 		from   string // sent with the next poll
 		probe  = true // no answer since the start or the last failed poll
 	)
+	if f.hold <= 0 {
+		f.hold = maxEventWait
+	}
 	for ctx.Err() == nil {
 		q := eventsRequest{after: cursor, wait: f.hold, from: from}
 		if probe && f.self != "" {
@@ -136,14 +141,14 @@ func (f streamFollower) run(ctx context.Context) {
 // following a certificate directory's record stream for crl records —
 // the verifier-side leg of revocation. Directories already spread CRLs
 // among themselves (Replicator) and provers already drop invalidated
-// chains (Subscribe), but an enforcing server such as sf-dbserver
-// learns CRLs only from its operator (-crl file, admin endpoint). A
-// follower closes that last gap with no timer in the path: it holds a
-// long poll open at the directory, so as soon as the directory
-// installs a list the poll answers with it, and every following
-// verifier's next authorization check re-verifies against the
-// revocation (the install bumps the shared proof-cache epoch, so no
-// cached verdict survives it).
+// chains (Client.FollowInvalidations), but an enforcing server such as
+// sf-dbserver learns CRLs only from its operator (-crl file, admin
+// endpoint). A follower closes that last gap with no timer in the
+// path: it holds a long poll open at the directory, so as soon as the
+// directory installs a list the poll answers with it, and every
+// following verifier's next authorization check re-verifies against
+// the revocation (the install bumps the shared proof-cache epoch, so
+// no cached verdict survives it).
 //
 // Every list goes through InstallCRLs with no store: verify-before-
 // apply, so a hostile or corrupted directory cannot plant a CRL its
@@ -179,11 +184,7 @@ func NewCRLFollower(c *Client, st *cert.RevocationStore) *CRLFollower {
 // installed and counted. No store to evict from, so no eviction instant
 // to supply.
 func (f *CRLFollower) stream() streamFollower {
-	hold := f.Interval
-	if hold <= 0 {
-		hold = maxEventWait
-	}
-	return streamFollower{client: f.Client, kinds: []string{EventCRL}, hold: hold, onErr: f.OnError, apply: func(_ bool, b streamBatch) {
+	return streamFollower{client: f.Client, kinds: []string{EventCRL}, hold: f.Interval, onErr: f.OnError, apply: func(_ bool, b streamBatch) {
 		res := InstallCRLs(f.Store, nil, b.lists(), time.Time{})
 		f.pulled.Add(int64(res.Installed))
 		f.rejected.Add(int64(res.Rejected))

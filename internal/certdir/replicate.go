@@ -209,7 +209,6 @@ func (r *Replicator) Start() {
 			client: peer,
 			kinds:  []string{EventPublish, EventRemove, EventCRL},
 			self:   r.store.id,
-			hold:   maxEventWait,
 			apply:  func(replay bool, b streamBatch) { r.apply(peer, replay, b) },
 			onErr:  func(err error) { r.logf("certdir: following %s: %v", peer.BaseURL, err) },
 		}.run)

@@ -273,7 +273,7 @@ func TestAdminCRLEndpoint(t *testing.T) {
 		t.Fatalf("duplicate push not idempotent: %v", err)
 	}
 	// The eviction emitted an event for subscribers.
-	hashes, _, reset, err := cl.Events(context.Background(), 0, 0)
+	hashes, _, reset, err := pollInvalidations(cl, 0)
 	if err != nil || reset {
 		t.Fatalf("events: %v reset=%v", err, reset)
 	}

@@ -128,7 +128,7 @@ func TestFollowOldStyleFollowerGetsEveryRow(t *testing.T) {
 	if old.id != b.store.id {
 		t.Fatalf("the answer names id %q, want the store's %q", old.id, b.store.id)
 	}
-	hashes, _, _, err := b.client.Events(context.Background(), cursor, 0)
+	hashes, _, _, err := pollInvalidations(b.client, cursor)
 	if err != nil || len(hashes) != 1 || !bytes.Equal(hashes[0], x.Hash()) {
 		t.Fatalf("a prover's poll got %d hashes (err %v), want X's removal", len(hashes), err)
 	}

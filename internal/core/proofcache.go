@@ -202,8 +202,9 @@ func (c *ProofCache) evictLocked() {
 // Evict drops the single cached verdict for the given proof hash,
 // reporting whether one was present. This is the targeted complement
 // to BumpEpoch: a directory invalidation event names the certificates
-// it voids, so a subscriber (prover.Subscription) can kill exactly the
-// verdicts resting on them without flushing the whole cache.
+// it voids, so a prover following the stream (prover.SubscribeWait)
+// can kill exactly the verdicts resting on them without flushing the
+// whole cache.
 func (c *ProofCache) Evict(h [32]byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -73,7 +73,7 @@ func Gateway(args []string) (n *Node, err error) {
 	if *certdirURL != "" {
 		dir := certdir.NewClient(*certdirURL)
 		pv.AddRemote(dir)
-		sub := pv.Subscribe(dir, core.SharedProofCache())
+		sub := pv.SubscribeWait(dir, core.SharedProofCache(), 0)
 		rt.OnShutdown(sub.Stop)
 		rt.Printf("using certificate directory %s (discovery + invalidation)", *certdirURL)
 	}

@@ -7,31 +7,20 @@ import (
 	"repro/internal/core"
 )
 
-// InvalidationSource is a certificate directory's invalidation event
-// stream (certdir.Client implements it): a long-poll cursor protocol
-// that yields the body hashes of certificates the directory stopped
-// serving before their expiry — retracted by their publisher or
-// voided by a CRL. after is the last cursor consumed (0 on first
-// call); wait bounds how long the source may hold the poll open, and
-// ctx ends it early; reset reports that the stream could not be served
-// continuously (the subscriber lagged past the source's retained tail,
-// or the directory restarted), in which case the subscriber cannot
-// know what it missed and must invalidate coarsely.
+// InvalidationSource is a certificate directory's invalidation stream
+// (certdir.Client implements it). FollowInvalidations follows the
+// stream until ctx ends, retrying failed polls; hold bounds how long
+// the directory may hold one poll open (zero or less means the
+// directory's cap). It passes apply the body hashes of certificates
+// the directory stopped serving before their expiry — retracted by
+// their publisher or voided by a CRL — and reset, which reports that
+// the stream could not be served continuously (the follower lagged
+// past the directory's retained tail, or the directory restarted), in
+// which case the subscriber cannot know what it missed and must
+// invalidate coarsely.
 type InvalidationSource interface {
-	Events(ctx context.Context, after uint64, wait time.Duration) (hashes [][]byte, next uint64, reset bool, err error)
+	FollowInvalidations(ctx context.Context, hold time.Duration, apply func(hashes [][]byte, reset bool))
 }
-
-// Subscription tunables.
-const (
-	// DefaultEventWait is the long-poll duration per Events call;
-	// directories cap waits server-side (certdir caps at 30s), so
-	// staying under that keeps every poll productive.
-	DefaultEventWait = 25 * time.Second
-	// eventRetryBackoff is the pause after a failed poll; an
-	// unreachable directory costs one goroutine a retry loop, nothing
-	// more — proving never blocks on the subscription.
-	eventRetryBackoff = time.Second
-)
 
 // Subscription is a running drain of one directory's invalidation
 // stream into this prover. Stop halts it; the subscription also stops
@@ -47,62 +36,40 @@ type Subscription struct {
 // that need the goroutine gone (not just told to stop) wait on it.
 func (s *Subscription) Done() <-chan struct{} { return s.done }
 
-// Subscribe starts draining src's invalidation events: every hash the
-// directory reports is passed through Invalidate, dropping the cached
-// edges that rest on the revoked certificate and the cache's verdicts
-// for them. This closes the last revocation window of the ROADMAP —
-// without it, a prover serves proofs built from fetched certificates
-// until they expire, long after the directory stopped vouching for
-// them.
+// SubscribeWait starts draining src's invalidation events: every hash
+// the directory reports is passed through Invalidate, dropping the
+// cached edges that rest on the revoked certificate and the cache's
+// verdicts for them. Without it, a prover serves proofs built from
+// fetched certificates until they expire, long after the directory
+// stopped vouching for them. hold bounds each long poll; zero means
+// the directory's cap, and is what daemons pass.
 //
-// cache is the verified-proof cache to evict from (nil means the
-// process-wide shared cache; pass one explicitly only in harnesses
-// that isolate caches). On a stream reset the subscription cannot
-// know which certificates it missed, so it bumps the cache epoch —
-// the coarse-but-sound fallback — and continues from the new cursor.
-func (p *Prover) Subscribe(src InvalidationSource, cache *core.ProofCache) *Subscription {
-	return p.SubscribeWait(src, cache, DefaultEventWait)
-}
-
-// SubscribeWait is Subscribe with an explicit long-poll duration per
-// Events call; tests use short waits.
-func (p *Prover) SubscribeWait(src InvalidationSource, cache *core.ProofCache, wait time.Duration) *Subscription {
-	if cache == nil {
-		cache = core.SharedProofCache()
-	}
+// cache is the verified-proof cache to evict from; it must not be nil.
+// On a stream reset the subscription cannot know which certificates it
+// missed, so it bumps the cache epoch — the coarse-but-sound fallback —
+// and continues from the new cursor.
+func (p *Prover) SubscribeWait(src InvalidationSource, cache *core.ProofCache, hold time.Duration) *Subscription {
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Subscription{stop: stop, done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
-		var cursor uint64
-		for ctx.Err() == nil {
-			hashes, next, reset, err := src.Events(ctx, cursor, wait)
+		src.FollowInvalidations(ctx, hold, func(hashes [][]byte, reset bool) {
 			if ctx.Err() != nil {
-				return
-			}
-			if err != nil {
-				select {
-				case <-ctx.Done():
-				case <-time.After(eventRetryBackoff):
-				}
-				continue
+				return // stopped: the answer raced the cancel
 			}
 			if reset {
-				// The gap is unknowable: flush every cached verdict and
-				// resume from the stream's current position. Edges for
-				// certificates revoked inside the gap stay in the graph
-				// until they expire or a later event names them, but no
-				// VERDICT survives — verifiers re-check revocation on
-				// the next presentation, so soundness never rested on
-				// this stream to begin with; only freshness does.
+				// The gap is unknowable: flush every cached verdict.
+				// Edges for certificates revoked inside the gap stay in
+				// the graph until they expire or a later event names
+				// them, but no VERDICT survives — verifiers re-check
+				// revocation on the next presentation, so soundness
+				// never rested on this stream to begin with; only
+				// freshness does.
 				cache.BumpEpoch()
 				p.stats.eventResets.Add(1)
 			}
-			if len(hashes) > 0 {
-				p.Invalidate(hashes, cache)
-			}
-			cursor = next
-		}
+			p.Invalidate(hashes, cache)
+		})
 	}()
 	return s
 }

@@ -1,9 +1,7 @@
 package prover
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -143,117 +141,3 @@ func TestInvalidateAllocsFlatInEdges(t *testing.T) {
 		t.Fatalf("Invalidate allocates %v with 8 edges but %v with 256: not flat in N", small, large)
 	}
 }
-
-// chanSource scripts an InvalidationSource for subscription tests.
-type chanSource struct {
-	mu     sync.Mutex
-	script []chanAnswer
-}
-
-type chanAnswer struct {
-	hashes [][]byte
-	next   uint64
-	reset  bool
-	err    error
-}
-
-func (c *chanSource) push(a chanAnswer) {
-	c.mu.Lock()
-	c.script = append(c.script, a)
-	c.mu.Unlock()
-}
-
-func (c *chanSource) Events(ctx context.Context, after uint64, wait time.Duration) ([][]byte, uint64, bool, error) {
-	deadline := time.Now().Add(wait)
-	for ctx.Err() == nil {
-		c.mu.Lock()
-		if len(c.script) > 0 {
-			a := c.script[0]
-			c.script = c.script[1:]
-			c.mu.Unlock()
-			return a.hashes, a.next, a.reset, a.err
-		}
-		c.mu.Unlock()
-		if time.Now().After(deadline) {
-			// Long-poll timeout: nothing new, cursor unchanged.
-			return nil, after, false, nil
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return nil, after, false, ctx.Err()
-}
-
-// TestSubscriptionStopCancelsPoll: Stop cancels the long poll in
-// flight, so the drain goroutine is gone at once rather than when the
-// poll's wait runs out.
-func TestSubscriptionStopCancelsPoll(t *testing.T) {
-	sub := New().SubscribeWait(&chanSource{}, core.NewProofCache(8), time.Minute)
-	time.Sleep(20 * time.Millisecond) // let the poll start
-	start := time.Now()
-	sub.Stop()
-	select {
-	case <-sub.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscription still polling 5s after Stop")
-	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("subscription took %s to stop with a poll in flight", d)
-	}
-	sub.Stop() // idempotent
-}
-
-// TestSubscriptionInvalidatesAndResets: the subscription loop applies
-// event hashes through Invalidate, survives source errors, and bumps
-// the cache epoch on a stream reset.
-func TestSubscriptionInvalidatesAndResets(t *testing.T) {
-	now := time.Now()
-	v := core.Between(now.Add(-time.Minute), now.Add(time.Hour))
-	want := tag.Prefix("files")
-	prins, certs := remoteChain(t, "sub", 1, want, v)
-
-	p := New()
-	p.AddProof(certs[0])
-	cache := core.NewProofCache(64)
-
-	src := &chanSource{}
-	sub := p.SubscribeWait(src, cache, 10*time.Millisecond)
-	defer sub.Stop()
-
-	// An error from the source must not kill the loop.
-	src.push(chanAnswer{err: errFake})
-	// Then a revocation event for the only edge.
-	src.push(chanAnswer{hashes: [][]byte{certs[0].Hash()}, next: 1})
-
-	deadline := time.Now().Add(10 * time.Second)
-	for p.EdgeCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("subscription never invalidated the revoked edge")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if _, err := p.FindProof(prins[1], prins[0], want, now); err == nil {
-		t.Fatal("proof still found after subscription invalidation")
-	}
-
-	// A reset bumps the epoch (coarse fallback).
-	epoch := cache.Epoch()
-	src.push(chanAnswer{next: 5, reset: true})
-	for cache.Epoch() == epoch {
-		if time.Now().After(deadline) {
-			t.Fatal("reset did not bump the cache epoch")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for p.Stats().EventResets == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("EventResets stat not counted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-var errFake = &fakeErr{}
-
-type fakeErr struct{}
-
-func (*fakeErr) Error() string { return "fake source error" }
